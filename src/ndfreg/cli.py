@@ -145,7 +145,7 @@ def build_parser():
     p.add_argument("--dims", type=_ints, default=None)
     p.add_argument("--scan", default=None, help="volume to warp into baseline frame")
     p.add_argument("--with-djdt", dest="with_djdt", action="store_true")
-    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=16384)
+    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=4096)
 
     p = sub.add_parser("jacobian", help="|J| maps and slice images")
     common(p)

@@ -19,13 +19,26 @@ Shape conventions (no general broadcasting; exactly these cases):
 Tapes are single-owner: one tape per fitting step, never shared across
 threads.  Evaluation is eager; `backward` runs one reverse sweep in tape
 order, which makes repeated runs on identical inputs bit-identical.
+
+Lifetime contract:
+  * Only leaves and nodes with a recorded input are recorded.  Constants,
+    and anything computed from constants alone (e.g. a network evaluated
+    with `make_leaves(trainable=False)`), are evaluated eagerly but never
+    enter the tape and keep no reference to their inputs, so each lives
+    only as long as the caller holds it.
+  * `backward` releases each non-leaf adjoint as soon as its VJP has run;
+    after the sweep only leaves hold adjoints.
+  * Nodes refer to their tape weakly, so tape and nodes form no reference
+    cycle: reference counting frees a tape and all its buffers when the
+    caller drops the last reference to it, with no garbage-collector pass.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +49,6 @@ __all__ = [
     "Node",
     "TangentBundle",
     "DiffEngineError",
-    "forward_with_tangents",
     "bundle_affine",
     "bundle_sine",
     "bundle_leaky",
@@ -81,25 +93,32 @@ _KINDS = _ELEMENTWISE | {
     "mean",
     "det3",
     "adj3",
-    "trace3",
     "sample3",
 }
 
 
 class Node:
-    """One recorded primitive: eager value plus an adjoint buffer."""
+    """One primitive: eager value plus an adjoint buffer.  `idx` is its
+    position on the tape, or None when it is not recorded."""
 
-    __slots__ = ("tape", "idx", "kind", "inputs", "payload", "value", "adjoint", "aux")
+    __slots__ = ("_tape", "idx", "kind", "inputs", "payload", "value", "adjoint", "aux")
 
-    def __init__(self, tape, idx, kind, inputs, payload, value):
-        self.tape = tape
-        self.idx = idx
+    def __init__(self, tape_ref, kind, inputs, payload, value):
+        self._tape = tape_ref
+        self.idx = None
         self.kind = kind
         self.inputs = inputs
         self.payload = payload
         self.value = value
         self.adjoint = None
         self.aux = None
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise DiffEngineError("node outlived its tape")
+        return tape
 
     @property
     def shape(self):
@@ -142,11 +161,18 @@ class Tape:
             raise DiffEngineError(f"unsupported dtype {dtype}")
         self.dtype = np.dtype(dtype)
         self.nodes: list[Node] = []
+        self._ref = weakref.ref(self)
 
     # ---- construction -------------------------------------------------
 
     def _push(self, kind, inputs, payload, value) -> Node:
-        node = Node(self, len(self.nodes), kind, tuple(inputs), payload, value)
+        """Make a node, recorded if it is a leaf or has a recorded input.
+        An unrecorded node keeps no inputs: no gradient flows through it,
+        and its ancestors are freed as soon as the caller drops them."""
+        if kind != "leaf" and all(n.idx is None for n in inputs):
+            return Node(self._ref, kind, (), payload, value)
+        node = Node(self._ref, kind, tuple(inputs), payload, value)
+        node.idx = len(self.nodes)
         self.nodes.append(node)
         return node
 
@@ -167,7 +193,7 @@ class Tape:
         if kind in ("const", "leaf"):
             return self._push(kind, (), None, self._coerce(payload))
         for n in inputs:
-            if n.tape is not self:
+            if n._tape is not self._ref:
                 raise DiffEngineError("input node belongs to a different tape")
         if kind == "sample3":
             return self.sample3(payload, *inputs)
@@ -237,9 +263,6 @@ class Tape:
     def adj3(self, entries):
         return self.record("adj3", tuple(entries))
 
-    def trace3(self, entries):
-        return self.record("trace3", tuple(entries))
-
     def sample3(self, grid: np.ndarray, x, y, z):
         vals, grads = trilinear_values_and_grads(
             grid, np.stack([x.value, y.value, z.value])
@@ -247,7 +270,8 @@ class Tape:
         node = self._push(
             "sample3", (x, y, z), None, np.asarray(vals, dtype=self.dtype)
         )
-        node.aux = grads.astype(self.dtype, copy=False)
+        if node.idx is not None:
+            node.aux = grads.astype(self.dtype, copy=False)
         return node
 
     # ---- forward evaluation --------------------------------------------
@@ -328,13 +352,11 @@ class Tape:
             return vals[0].sum(axis=0)
         if kind == "mean":
             return np.asarray(vals[0].mean(), dtype=self.dtype)
-        if kind in ("det3", "adj3", "trace3"):
+        if kind in ("det3", "adj3"):
             if len(vals) != 9:
                 raise DiffEngineError(f"{kind}: expected 9 entries, got {len(vals)}")
             shape = np.broadcast_shapes(*[v.shape for v in vals])
             x = [np.broadcast_to(v, shape) for v in vals]
-            if kind == "trace3":
-                return x[0] + x[4] + x[8]
             if kind == "det3":
                 return (
                     x[0] * (x[4] * x[8] - x[5] * x[7])
@@ -352,20 +374,34 @@ class Tape:
             n.adjoint = None
 
     def backward(self, output: Node):
-        """Populate adjoints of every node feeding `output` (a scalar)."""
+        """Add d(output)/d(leaf) to the adjoint of every leaf feeding
+        `output`, a scalar that must depend on at least one leaf.
+
+        One reverse sweep in tape order.  Each non-leaf adjoint is released
+        as soon as its VJP has run, so the sweep holds only the adjoints of
+        its frontier and, afterwards, only leaves hold adjoints.  Unrecorded
+        nodes (constants) receive nothing.
+        """
         if output.value.shape != ():
             raise DiffEngineError(
                 f"backward: output must be scalar, got shape {output.value.shape}"
             )
+        if output._tape is not self._ref:
+            raise DiffEngineError("backward: output belongs to a different tape")
+        if output.idx is None:
+            raise DiffEngineError("backward: output depends on no leaf")
         output.adjoint = np.ones((), dtype=self.dtype)
         for node in reversed(self.nodes[: output.idx + 1]):
             g = node.adjoint
-            if g is None or node.kind in ("const", "leaf"):
+            if g is None or node.kind == "leaf":
                 continue
+            node.adjoint = None
             self._vjp(node, g)
 
     @staticmethod
     def _accum(node: Node, grad: np.ndarray):
+        if node.idx is None:
+            return
         grad = _unbroadcast(grad, node.value.shape)
         if node.adjoint is None:
             node.adjoint = grad.copy() if grad.base is not None else grad
@@ -413,10 +449,12 @@ class Tape:
         elif kind == "affine":
             w, x = inp[0], inp[1]
             lo, hi = node.payload if node.payload is not None else (0, w.value.shape[1])
-            gw = np.zeros_like(w.value)
-            gw[:, lo:hi] = g @ x.value.T
-            self._accum(w, gw)
-            self._accum(x, w.value[:, lo:hi].T @ g)
+            if w.idx is not None:
+                gw = np.zeros_like(w.value)
+                gw[:, lo:hi] = g @ x.value.T
+                self._accum(w, gw)
+            if x.idx is not None:
+                self._accum(x, w.value[:, lo:hi].T @ g)
             if len(inp) == 3:
                 self._accum(inp[2], g.sum(axis=1, keepdims=True))
         elif kind == "row":
@@ -446,9 +484,6 @@ class Tape:
                 self._accum(inp[q], gk * x[p])
                 self._accum(inp[r], -gk * x[s])
                 self._accum(inp[s], -gk * x[r])
-        elif kind == "trace3":
-            for k in (0, 4, 8):
-                self._accum(inp[k], g)
         elif kind == "sample3":
             for axis in range(3):
                 self._accum(inp[axis], g * node.aux[axis])
@@ -554,7 +589,7 @@ def bundle_leaky(tape: Tape, x: TangentBundle, slope: float) -> TangentBundle:
 
 
 def coordinate_bundle(
-    tape: Tape, coords: np.ndarray, spatial: bool = True, want_mixed: bool = False
+    tape: Tape, coords: np.ndarray, spatial: bool = True
 ) -> TangentBundle:
     """Seed a (3,B) coordinate block with unit basis tangents in x, y, z."""
     coords = np.asarray(coords, dtype=tape.dtype)
@@ -578,18 +613,3 @@ def time_bundle(tape: Tape, t: float, temporal: bool = True) -> TangentBundle:
         tangents[3] = tape.constant(np.ones((1, 1), dtype=tape.dtype))
     return TangentBundle(value, tuple(tangents), (None, None, None))
 
-
-def forward_with_tangents(
-    tape: Tape,
-    f: Callable[..., TangentBundle],
-    coords: np.ndarray,
-    t: float | None = None,
-    want_mixed: bool = False,
-) -> TangentBundle:
-    """Evaluate `f` with unit basis seeds; tangents are exact chain-rule
-    results (no truncation error), mixed entries appear when both a spatial
-    and the temporal seed reach the output."""
-    args = [coordinate_bundle(tape, coords, want_mixed=want_mixed)]
-    if t is not None:
-        args.append(time_bundle(tape, t))
-    return f(tape, *args)

@@ -328,6 +328,7 @@ def load_series(manifest_path: str) -> Volume4DSeries:
 
 _MODEL_MAGIC = b"NDFIELD1"
 _MODEL_VERSION = 1
+_MODEL_PREFIX = struct.Struct("<IQ")  # version, JSON header length
 
 
 def _array_names(config: NetworkConfig):
@@ -336,6 +337,15 @@ def _array_names(config: NetworkConfig):
         names += [f"psi{i}_w", f"psi{i}_b"]
     names += ["theta0_w", "theta0_b", "theta1_w", "theta1_b"]
     return names
+
+
+def _array_shapes(config: NetworkConfig):
+    """Shapes of the arrays `_array_names` lists, in the same order."""
+    shapes = []
+    for out, fan_in in config.layer_shapes():
+        shapes += [(out, fan_in), (out, 1)]
+    th, e = config.time_hidden_width, config.time_embed_width
+    return shapes + [(th, 1), (th, 1), (e, th), (e, 1)]
 
 
 def save_model(path: str, state: NetworkState):
@@ -351,24 +361,45 @@ def save_model(path: str, state: NetworkState):
         "arrays": [[n, list(a.shape)] for n, a in zip(names, arrays)],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [_MODEL_MAGIC, struct.pack("<IQ", _MODEL_VERSION, len(head)), head]
+    parts = [_MODEL_MAGIC, _MODEL_PREFIX.pack(_MODEL_VERSION, len(head)), head]
     parts += [a.tobytes(order="C") for a in arrays]
     atomic_write(path, b"".join(parts))
 
 
 def load_model(path: str) -> NetworkState:
+    """Read an NDFIELD container; every mismatch with the architecture its
+    header declares raises FileFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MODEL_MAGIC:
         raise FileFormatError(f"{path}: bad model magic {blob[:8]!r}")
-    version, head_len = struct.unpack_from("<IQ", blob, 8)
+    head_start = 8 + _MODEL_PREFIX.size
+    if len(blob) < head_start:
+        raise FileFormatError(f"{path}: truncated container header")
+    version, head_len = _MODEL_PREFIX.unpack_from(blob, 8)
     if version != _MODEL_VERSION:
         raise FileFormatError(f"{path}: unsupported container version {version}")
-    header = json.loads(blob[20 : 20 + head_len].decode("utf-8"))
-    config = NetworkConfig(**header["network"])
-    offset = 20 + head_len
+    offset = head_start + head_len
+    if len(blob) < offset:
+        raise FileFormatError(f"{path}: truncated JSON header")
+    try:
+        header = json.loads(blob[head_start:offset].decode("utf-8"))
+        config = NetworkConfig(**header["network"])
+        config.validate()
+        listed = [(name, tuple(shape)) for name, shape in header["arrays"]]
+        seed = int(header.get("seed", 0))
+        time_horizon = float(header.get("time_horizon", 1.0))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path}: malformed JSON header: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: bad model header: {exc}") from None
+    expected = list(zip(_array_names(config), _array_shapes(config)))
+    if listed != expected:
+        raise FileFormatError(
+            f"{path}: array manifest {listed} does not match architecture {expected}"
+        )
     arrays = []
-    for name, shape in header["arrays"]:
+    for name, shape in expected:
         count = int(np.prod(shape))
         end = offset + count * 8
         if len(blob) < end:
@@ -379,16 +410,13 @@ def load_model(path: str) -> NetworkState:
             .copy()
         )
         offset = end
-    expected = _array_names(config)
-    if [n for n, _ in header["arrays"]] != expected:
-        raise FileFormatError(f"{path}: array manifest does not match architecture")
+    if len(blob) != offset:
+        raise FileFormatError(f"{path}: {len(blob) - offset} trailing bytes")
     pairs = [(arrays[i], arrays[i + 1]) for i in range(0, len(arrays), 2)]
-    psi = pairs[: config.depth]
-    theta = pairs[config.depth :]
     return NetworkState(
         config,
-        [(w, b) for w, b in psi],
-        [(w, b) for w, b in theta],
-        seed=header.get("seed", 0),
-        time_horizon=header.get("time_horizon", 1.0),
+        pairs[: config.depth],
+        pairs[config.depth :],
+        seed=seed,
+        time_horizon=time_horizon,
     )

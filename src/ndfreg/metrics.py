@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_DEADBAND = 1e-6
-_CHUNK = 16384
 
 
 @dataclass
@@ -125,11 +124,9 @@ def _djdt_samples(fieldfn, coords, times):
     jac = np.empty((len(times), n))
     djdt = np.empty((len(times), n))
     for k, t in enumerate(times):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            res = fieldfn(coords[:, lo:hi], float(t), req)
-            jac[k, lo:hi] = res.jac_det
-            djdt[k, lo:hi] = res.jac_det_dt
+        res = fieldfn(coords, float(t), req)
+        jac[k] = res.jac_det
+        djdt[k] = res.jac_det_dt
     return jac, djdt
 
 
@@ -189,9 +186,5 @@ def jacobian_map(field_or_state, t_months: float, dims) -> JacobianMap:
     fieldfn, horizon = _resolve_field(field_or_state)
     coords = grid_coordinates(dims)
     req = net.DerivativeRequest(spatial=True, jacdet=True)
-    n = coords.shape[1]
-    jac = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        jac[lo:hi] = fieldfn(coords[:, lo:hi], t_months / horizon, req).jac_det
+    jac = fieldfn(coords, t_months / horizon, req).jac_det
     return JacobianMap(time=t_months, values=jac.reshape(tuple(dims)))

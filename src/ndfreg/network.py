@@ -18,7 +18,7 @@ to normalized time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkState",
     "DerivativeRequest",
-    "DisplacementQuery",
     "DisplacementResult",
     "NetworkTrace",
     "init_network",
@@ -40,6 +39,11 @@ __all__ = [
     "time_embed",
     "as_field",
 ]
+
+
+# points per network evaluation at inference: bounds the live layer
+# buffers (at paper width one f64 layer array of a chunk is 8 MB)
+CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -153,13 +157,6 @@ class DerivativeRequest:
     @property
     def mixed(self) -> bool:
         return self.jacdet_dt
-
-
-@dataclass(frozen=True)
-class DisplacementQuery:
-    coords: np.ndarray  # (3, B) normalized
-    t: float  # normalized time
-    request: DerivativeRequest = DerivativeRequest()
 
 
 @dataclass
@@ -299,9 +296,32 @@ def forward_with_derivatives(
     t: float,
     request: DerivativeRequest,
     dtype=np.float64,
+    chunk_size: int = CHUNK_POINTS,
 ) -> DisplacementResult:
+    """Evaluate the frozen field and the requested derivatives at (3,B)
+    coords, `chunk_size` points at a time.  The parameters enter as tape
+    constants, so nothing is recorded and memory stays at one chunk's
+    layer values; chunking is pure partitioning (results are identical to
+    one pass)."""
     request.validate()
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     coords = np.asarray(coords, dtype=dtype)
+    parts = [
+        _evaluate_chunk(state, coords[:, lo : lo + chunk_size], t, request, dtype)
+        for lo in range(0, coords.shape[1], chunk_size) or (0,)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    out = DisplacementResult(coords, None)
+    for f in fields(DisplacementResult)[1:]:
+        if getattr(parts[0], f.name) is not None:
+            stacked = np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
+            setattr(out, f.name, stacked)
+    return out
+
+
+def _evaluate_chunk(state, coords, t, request, dtype) -> DisplacementResult:
     tape = Tape(dtype)
     leaves = make_leaves(tape, state, trainable=False)
     tr = trace_network(tape, leaves, coords, t, state.config, request)
@@ -323,10 +343,6 @@ def forward_with_derivatives(
     if request.jacdet_dt:
         res.jac_det_dt = tr.jac_det_dt.value.copy()
     return res
-
-
-def evaluate(state: NetworkState, query: DisplacementQuery) -> DisplacementResult:
-    return forward_with_derivatives(state, query.coords, query.t, query.request)
 
 
 def as_field(state: NetworkState, dtype=np.float64):

@@ -225,12 +225,8 @@ def fit(series: Volume4DSeries, config: FitConfig):
     started = time.perf_counter()
     nonfinite_streak = 0
     for it in range(1, config.iterations + 1):
-        tape = Tape(dtype)
-        leaves = net.make_leaves(tape, state)
-        plan = sample_plan(series, config, rng, t_max, mask_points)
-        total, breakdown = build_total_loss(
-            tape, leaves, series, config.weights, plan, config.network,
-            spatial_raw=config.spatial_raw,
+        breakdown = _fit_step(
+            series, config, state, params, opt, rng, t_max, mask_points, dtype
         )
         if not np.isfinite(breakdown.total):
             nonfinite_streak += 1
@@ -239,12 +235,6 @@ def fit(series: Volume4DSeries, config: FitConfig):
                 raise NumericalAbortError(it, breakdown)
             continue
         nonfinite_streak = 0
-        tape.backward(total)
-        grads = [
-            leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
-            for leaf in leaves.flat()
-        ]
-        opt, _ = adam_step(params, grads, opt, config)
         if (it - 1) % config.log_every == 0:
             wall_ms = (time.perf_counter() - started) * 1e3
             history.append(IterationLog(it, breakdown, wall_ms))
@@ -264,6 +254,28 @@ def fit(series: Volume4DSeries, config: FitConfig):
         config_echo=config.echo(),
     )
     return state, report
+
+
+def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype):
+    """One iteration: record the loss on a fresh tape, sweep it and step
+    the optimizer (skipped when the total is non-finite).  The tape, its
+    leaves and the gradients are locals, so reference counting frees them
+    on return and at most one tape is alive during a fit."""
+    tape = Tape(dtype)
+    leaves = net.make_leaves(tape, state)
+    plan = sample_plan(series, config, rng, t_max, mask_points)
+    total, breakdown = build_total_loss(
+        tape, leaves, series, config.weights, plan, config.network,
+        spatial_raw=config.spatial_raw,
+    )
+    if np.isfinite(breakdown.total):
+        tape.backward(total)
+        grads = [
+            leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
+            for leaf in leaves.flat()
+        ]
+        adam_step(params, grads, opt, config)
+    return breakdown
 
 
 @dataclass
@@ -291,34 +303,25 @@ def predict_field(
     state: net.NetworkState,
     t_months: float,
     dims,
-    chunk_size: int = 16384,
+    chunk_size: int = net.CHUNK_POINTS,
     want_djdt: bool = False,
 ) -> FieldGrid:
-    """Evaluate the fitted field densely over the voxel grid in chunks;
-    chunking is pure partitioning (results are identical to one pass)."""
+    """Evaluate the fitted field densely over the voxel grid, `chunk_size`
+    points at a time (pure partitioning: results equal one pass)."""
     tnorm = t_months / state.time_horizon
     request = net.DerivativeRequest(
         spatial=True, temporal=want_djdt, jacdet=True, jacdet_dt=want_djdt
     )
-    coords = grid_coordinates(dims)
-    n = coords.shape[1]
-    disp = np.empty((3, n))
-    jac = np.empty(n)
-    djdt = np.empty(n) if want_djdt else None
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        res = net.forward_with_derivatives(state, coords[:, lo:hi], tnorm, request)
-        disp[:, lo:hi] = res.displacement
-        jac[lo:hi] = res.jac_det
-        if want_djdt:
-            djdt[lo:hi] = res.jac_det_dt
+    res = net.forward_with_derivatives(
+        state, grid_coordinates(dims), tnorm, request, chunk_size=chunk_size
+    )
     dims = tuple(dims)
     return FieldGrid(
         t_months=t_months,
         dims=dims,
-        displacement=disp.reshape((3,) + dims),
-        jac_det=jac.reshape(dims),
-        jac_det_dt=None if djdt is None else djdt.reshape(dims),
+        displacement=res.displacement.reshape((3,) + dims),
+        jac_det=res.jac_det.reshape(dims),
+        jac_det_dt=res.jac_det_dt.reshape(dims) if want_djdt else None,
     )
 
 

@@ -3,8 +3,9 @@
 Coordinates are corner-aligned: voxel index 0 maps to -1 and index n-1 to
 +1 on each axis, so the identity transform reproduces the grid exactly.
 Intensities are min-max normalized to [0,1] on load.  Sampling outside
-[-1,1] clamps to the boundary.  All optimization happens in normalized
-units; physical spacing is carried for reporting only.
+[-1,1] clamps to the boundary; a non-finite coordinate samples NaN.  All
+optimization happens in normalized units; physical spacing is carried for
+reporting only.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def trilinear_values_and_grads(grid: np.ndarray, coords: np.ndarray):
 
     Returns (values (B,), grads (3,B)).  Gradients are the analytic
     derivatives of the interpolant in normalized units, piecewise constant
-    per cell; they are zero in clamped directions outside [-1,1].
+    per cell; they are zero in clamped directions outside [-1,1].  A point
+    with a non-finite coordinate gets NaN value and gradients.
     """
     grid = np.asarray(grid)
     nx, ny, nz = grid.shape
@@ -145,8 +147,11 @@ def trilinear_values_and_grads(grid: np.ndarray, coords: np.ndarray):
         raise ValueError(f"coords must be (3,B), got {coords.shape}")
 
     dims = np.array([nx, ny, nz], dtype=np.float64)
+    # a non-finite point has no cell: index it at the origin (a NaN would
+    # not cast to an index), then overwrite its results with NaN
+    finite = np.isfinite(coords).all(axis=0)
     inside = (coords >= -1.0) & (coords <= 1.0)
-    clamped = np.clip(coords, -1.0, 1.0)
+    clamped = np.where(finite, np.clip(coords, -1.0, 1.0), 0.0)
     vox = (clamped + 1.0) * ((dims[:, None] - 1.0) / 2.0)
 
     i0 = np.floor(vox).astype(np.int64)
@@ -185,6 +190,9 @@ def trilinear_values_and_grads(grid: np.ndarray, coords: np.ndarray):
 
     scale = (dims[:, None] - 1.0) / 2.0
     grads = np.stack([d_dfx, d_dfy, d_dfz]) * scale * inside
+    if not finite.all():
+        values[~finite] = np.nan
+        grads[:, ~finite] = np.nan
     return values, grads
 
 

@@ -84,6 +84,13 @@ def test_cross_tape_input_rejected():
         t1.add(a, b)
 
 
+def test_backward_on_other_tapes_output_rejected():
+    t1, t2 = Tape(), Tape()
+    out = t1.sum(t1.square(t1.leaf(np.ones(2))))
+    with pytest.raises(de.DiffEngineError, match="different tape"):
+        t2.backward(out)
+
+
 def test_det3_matches_permutation_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -102,13 +109,6 @@ def test_adj3_matches_inverse_times_det():
         adj = tape.adj3([tape.constant(v) for v in m.ravel()]).value.reshape(3, 3)
         expect = np.linalg.inv(m) * np.linalg.det(m)
         np.testing.assert_allclose(adj, expect, atol=1e-10)
-
-
-def test_trace3():
-    tape = Tape()
-    m = np.arange(9.0)
-    node = tape.trace3([tape.constant(v) for v in m])
-    assert float(node.value) == m[0] + m[4] + m[8]
 
 
 def test_minimum_and_relu():

@@ -3,6 +3,7 @@ independent of the reader, PGM re-parse through a second parser, manifests,
 and the model container."""
 
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -348,3 +349,84 @@ def test_model_f32_state_saved_as_f64(tmp_path):
     np.testing.assert_allclose(
         back.param_arrays()[0], state.param_arrays()[0].astype(np.float64)
     )
+
+
+SMALL_NET = net.NetworkConfig(hidden_width=4, depth=2, time_hidden_width=3, time_embed_width=4)
+
+
+def saved_model(tmp_path):
+    """JSON header (as a dict) and array payload of a saved small model."""
+    path = str(tmp_path / "good.ndf")
+    fileio.save_model(path, net.init_network(seed=1, config=SMALL_NET))
+    blob = open(path, "rb").read()
+    (head_len,) = struct.unpack_from("<Q", blob, 12)
+    return json.loads(blob[20 : 20 + head_len]), blob[20 + head_len :]
+
+
+def write_model(tmp_path, header, payload, head=None):
+    """A container laid out by hand: magic, version 1, header length, header."""
+    if head is None:
+        head = json.dumps(header).encode("utf-8")
+    path = str(tmp_path / "bad.ndf")
+    open(path, "wb").write(b"NDFIELD1" + struct.pack("<IQ", 1, len(head)) + head + payload)
+    return path
+
+
+def test_model_array_shape_mismatch_rejected(tmp_path):
+    header, payload = saved_model(tmp_path)
+    header["arrays"][0][1] = [3, 4]  # psi0_w is (4, 3); same element count
+    path = write_model(tmp_path, header, payload)
+    with pytest.raises(FileFormatError, match="does not match architecture"):
+        fileio.load_model(path)
+
+
+def test_model_time_network_shape_mismatch_rejected(tmp_path):
+    header, payload = saved_model(tmp_path)
+    names = [name for name, _ in header["arrays"]]
+    header["arrays"][names.index("theta1_w")][1] = [3, 4]  # is (4, 3)
+    path = write_model(tmp_path, header, payload)
+    with pytest.raises(FileFormatError, match="does not match architecture"):
+        fileio.load_model(path)
+
+
+def test_model_trailing_bytes_rejected(tmp_path):
+    header, payload = saved_model(tmp_path)
+    fileio.load_model(write_model(tmp_path, header, payload))  # intact: loads
+    path = write_model(tmp_path, header, payload + b"\x00" * 8)
+    with pytest.raises(FileFormatError, match="8 trailing bytes"):
+        fileio.load_model(path)
+
+
+@pytest.mark.parametrize("keep", [8, 15, 40])
+def test_model_truncated_header_rejected(tmp_path, keep):
+    blob = open(write_model(tmp_path, *saved_model(tmp_path)), "rb").read()
+    path = str(tmp_path / "cut.ndf")
+    open(path, "wb").write(blob[:keep])
+    with pytest.raises(FileFormatError, match="truncated"):
+        fileio.load_model(path)
+
+
+def test_model_malformed_json_rejected(tmp_path):
+    header, payload = saved_model(tmp_path)
+    path = write_model(tmp_path, header, payload, head=b'{"network": ')
+    with pytest.raises(FileFormatError, match="malformed JSON"):
+        fileio.load_model(path)
+
+
+def test_model_unknown_config_key_rejected(tmp_path):
+    header, payload = saved_model(tmp_path)
+    header["network"]["dropout"] = 0.5
+    path = write_model(tmp_path, header, payload)
+    with pytest.raises(FileFormatError, match="dropout"):
+        fileio.load_model(path)
+
+
+def test_cli_bad_model_is_input_error(tmp_path, capsys):
+    from ndfreg import cli
+
+    header, payload = saved_model(tmp_path)
+    path = write_model(tmp_path, header, payload + b"\x01")
+    rc = cli.main(["predict", "--model", path, "--time", "1", "--dims", "4,4,4",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_INPUT
+    assert "trailing bytes" in capsys.readouterr().err

@@ -1,0 +1,123 @@
+"""Tape lifetime: reference counting alone (the cyclic collector is off in
+every test here) frees each training tape with its step, the reverse sweep
+releases non-leaf adjoints, and inference records nothing."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from ndfreg import diffengine as de
+from ndfreg import network as net, trainer
+from ndfreg.diffengine import Tape
+from ndfreg.losses import LossWeights, total_loss
+from ndfreg.trainer import SamplePlan
+
+from test_trainer import TOY_NET, quick_config, tiny_series
+
+
+@pytest.fixture
+def no_gc():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def tapes(monkeypatch):
+    """Every Tape built during the test, held strongly."""
+    made = []
+    init = Tape.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tape, "__init__", tracking_init)
+    return made
+
+
+def test_fit_keeps_at_most_one_tape_alive(no_gc, monkeypatch):
+    live = weakref.WeakSet()
+    peak = [0]
+    init = Tape.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+        peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(Tape, "__init__", tracking_init)
+    trainer.fit(tiny_series(), quick_config(iterations=3))
+    assert peak[0] == 1
+    assert len(live) == 0
+
+
+def test_tape_freed_by_reference_counting(no_gc):
+    tape = Tape()
+    p = tape.leaf(np.ones(3))
+    out = tape.sum(tape.square(p))
+    tape.backward(out)
+    ref = weakref.ref(tape)
+    del tape
+    assert ref() is None
+    with pytest.raises(de.DiffEngineError, match="outlived its tape"):
+        out + out
+
+
+def test_backward_releases_non_leaf_adjoints(no_gc):
+    tape = Tape()
+    w = tape.leaf(np.array([[0.3, -0.7, 0.2]]))
+    b = tape.leaf(np.array([[0.1]]))
+    x = tape.constant(np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]]))
+    out = tape.mean(tape.square(tape.sine(tape.affine(w, x, b), 2.0)))
+    tape.backward(out)
+    assert w.adjoint is not None and b.adjoint is not None
+    assert x.adjoint is None
+    assert [n.kind for n in tape.nodes if n.adjoint is not None] == ["leaf", "leaf"]
+
+
+def test_constants_are_not_recorded(no_gc):
+    tape = Tape()
+    c = tape.constant(np.ones(3))
+    d = tape.sine(tape.scale(c, 2.0))
+    p = tape.leaf(np.ones(3))
+    tape.add(p, d)
+    assert [n.kind for n in tape.nodes] == ["leaf", "add"]
+    assert c.idx is None and d.idx is None
+    assert d.inputs == ()  # nothing keeps the constant chain alive
+
+
+def test_backward_without_leaf_rejected(no_gc):
+    tape = Tape()
+    out = tape.sum(tape.square(tape.constant(np.ones(3))))
+    with pytest.raises(de.DiffEngineError, match="depends on no leaf"):
+        tape.backward(out)
+
+
+def test_forward_with_derivatives_records_nothing(no_gc, tapes):
+    state = net.init_network(seed=2, config=TOY_NET)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
+    full = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
+    net.forward_with_derivatives(state, coords, 0.4, full, chunk_size=16)
+    assert len(tapes) == 4
+    assert all(len(t.nodes) == 0 for t in tapes)
+
+
+def test_predict_field_records_nothing(no_gc, tapes):
+    state = net.init_network(seed=2, config=TOY_NET, time_horizon=12.0)
+    trainer.predict_field(state, 6.0, (5, 5, 5), want_djdt=True)
+    assert tapes and all(len(t.nodes) == 0 for t in tapes)
+
+
+def test_total_loss_records_nothing(no_gc, tapes):
+    state = net.init_network(seed=2, config=TOY_NET)
+    rng = np.random.default_rng(3)
+    plan = SamplePlan(rng.uniform(-1, 1, size=(3, 30)), np.array([0.0, 1.0]),
+                      np.linspace(0.0, 1.0, 3))
+    breakdown = total_loss(tiny_series(), state, LossWeights(), plan)
+    assert np.isfinite(breakdown.total)
+    assert len(tapes) == 1 and len(tapes[0].nodes) == 0

@@ -165,6 +165,18 @@ def test_forward_pure():
     assert a.tobytes() == b.tobytes()
 
 
+def test_chunked_evaluation_matches_one_pass():
+    state = toy_state(seed=4)
+    coords = np.random.default_rng(5).uniform(-1, 1, size=(3, 23))
+    whole = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
+    chunked = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=5)
+    for name in ("displacement", "spatial_jacobian", "temporal_derivative",
+                 "jac_det", "jac_det_dt"):
+        assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
+    with pytest.raises(ValueError, match="chunk_size"):
+        net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=0)
+
+
 def test_output_interval_bound():
     # unit-row last layer: |disp_i| <= sum|W5 row| * max|input| + |b|
     state = toy_state(seed=11)

@@ -194,3 +194,14 @@ def test_series_validation():
         vol.Volume4DSeries(base, [(6.0, base), (6.0, base)])
     series = vol.Volume4DSeries(base, [(6.0, base), (12.0, base)])
     assert series.times == [0.0, 6.0, 12.0]
+
+
+def test_nonfinite_coordinates_sample_nan():
+    rng = np.random.default_rng(4)
+    grid = rng.uniform(0, 1, size=(4, 5, 6))
+    pts = np.array([[0.1, np.nan, 0.3, np.inf], [0.2, 0.0, -np.inf, 0.5], [0.0, 0.4, 0.1, 0.2]])
+    values, grads = vol.trilinear_values_and_grads(grid, pts)
+    ok, _ = vol.trilinear_values_and_grads(grid, pts[:, :1])
+    assert values[0] == ok[0]
+    assert np.isnan(values[1:]).all() and np.isnan(grads[:, 1:]).all()
+    assert np.isfinite(grads[:, 0]).all()
