@@ -385,11 +385,10 @@ def _cmd_jacobian(args) -> int:
 
     state = fileio.load_model(args.model)
     dims, _ = _require_dims(args, fileio)
+    if any(t < 0 for t in args.times):
+        raise ValueError("times must be >= 0 months")
     rows = [["time_months", "folded_count", "mean_jac"]]
-    for t in args.times:
-        if t < 0:
-            raise ValueError("times must be >= 0 months")
-        field = trainer.predict_field(state, t, dims)
+    for t, field in zip(args.times, trainer.predict_field(state, args.times, dims)):
         tag = f"{t:g}".replace(".", "p")
         fileio.write_raw(os.path.join(args.out, f"jac_{tag}.raw"), field.jac_det)
         if args.slice_index is not None:
@@ -408,8 +407,8 @@ def _cmd_jacobian(args) -> int:
 def _cmd_metrics(args) -> int:
     import numpy as np
 
-    from . import fileio, metrics, trainer
-    from .volume import Volume4DSeries
+    from . import fileio, metrics, network
+    from .volume import grid_coordinates
 
     state = fileio.load_model(args.model)
     series = fileio.load_series(args.manifest)
@@ -425,12 +424,16 @@ def _cmd_metrics(args) -> int:
     trajectories = metrics.structure_trajectories(
         state, base_labels, label_ids, times, deadband=args.deadband
     )
+    # Dice needs only the warped labels: displacement alone, all times at once
+    followups = [m for m in series.labels if m != 0.0]
+    fields = network.forward_with_derivatives(
+        state, grid_coordinates(dims), [m / state.time_horizon for m in followups],
+        network.DerivativeRequest(),
+    )
     dice_at = {}
-    for months, grid in series.labels.items():
-        if months == 0.0:
-            continue
-        field = trainer.predict_field(state, months, dims)
-        warped = metrics.warp_labels(grid, field.phi)
+    for months, field in zip(followups, fields):
+        phi = field.phi.reshape((3,) + tuple(dims))
+        warped = metrics.warp_labels(series.labels[months], phi)
         dice_at[months] = {
             lid: metrics.dice(base_labels, warped, lid) for lid in label_ids
         }

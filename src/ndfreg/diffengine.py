@@ -559,8 +559,11 @@ def bundle_affine(
 
 
 def bundle_sine(tape: Tape, x: TangentBundle, omega: float = 1.0) -> TangentBundle:
-    """u = sin(omega x): u' = w cos(wx) x', u'' term uses -w^2 sin(wx)."""
+    """u = sin(omega x): u' = w cos(wx) x', u'' term uses -w^2 sin(wx).
+    A value-only bundle records the sine alone: no cosine is needed."""
     value = tape.sine(x.value, omega)
+    if all(d is None for d in x.tangents + x.mixed):
+        return TangentBundle(value)
     cos_f = tape.scale(tape.sine(x.value, omega, math.pi / 2.0), omega)
     tangents = tuple(None if t is None else tape.mul(cos_f, t) for t in x.tangents)
     t_t = x.tangents[3]

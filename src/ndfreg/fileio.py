@@ -116,11 +116,6 @@ def read_raw_labels(path: str) -> np.ndarray:
     return np.ascontiguousarray(array)
 
 
-def read_raw_exact(path: str):
-    """Raw payload without normalization; (array, spacing)."""
-    return _read_raw_array(path)
-
-
 # ---------------------------------------------------------------------------
 # NIfTI-1 subset: single-file .nii / .nii.gz, 3-d, common datatypes,
 # scl_slope/scl_inter applied, orientation recorded but not acted on.

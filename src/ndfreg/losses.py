@@ -187,14 +187,15 @@ def build_total_loss(
     coords = np.asarray(plan.coords, dtype=tape.dtype)
     nbatch = coords.shape[1]
 
-    value_req = net.DerivativeRequest()
-    tr0 = net.trace_network(tape, leaves, coords, 0.0, config, value_req)
-    anchor = anchor_node(tape, tr0.displacement.value)
+    observed = net.trace_network(
+        tape, leaves, coords, [0.0, *plan.observed_times[1:]], config,
+        net.DerivativeRequest(),
+    )
+    anchor = anchor_node(tape, observed[0].displacement.value)
 
     fixed_vals, _ = sample_trilinear(series.baseline, coords)
     sim = None
-    for (months, vol), t in zip(series.followups, plan.observed_times[1:]):
-        tr = net.trace_network(tape, leaves, coords, t, config, value_req)
+    for (months, vol), tr in zip(series.followups, observed[1:]):
         px, py, pz = (tape.row(tr.phi, i) for i in range(3))
         warped = tape.sample3(vol.values, px, py, pz)
         term = ncc_node(tape, fixed_vals, warped)
@@ -214,8 +215,7 @@ def build_total_loss(
         kgrid = len(plan.reg_grid)
         djdt_nodes = []
         sp_acc = tp_acc = None
-        for t in plan.reg_grid:
-            tr = net.trace_network(tape, leaves, coords, float(t), config, req)
+        for tr in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
             if need_spatial:
                 parts = tr.jac_entries if spatial_raw else tr.disp_grads
                 for p in parts:

@@ -10,6 +10,14 @@ with mixed second-order tangents) are exact chain-rule quantities taped on
 the differentiation engine, so losses built on them remain differentiable
 with respect to every parameter.
 
+Time enters only through the embedding, so the first sine layer and layer
+2's product with it do not depend on time.  `trace_network` and
+`forward_with_derivatives` take a sequence of times: that time-invariant
+prefix is traced once per coordinate batch and shared by every time, and
+the last time takes the only reference to it, so it is freed after that
+time's layer 2.  Sharing changes no arithmetic: each time's products are
+bit-identical to a trace at that time alone.
+
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
 to normalized time.
@@ -154,10 +162,6 @@ class DerivativeRequest:
         if self.jacdet_dt and not (self.spatial and self.temporal):
             raise ValueError("jacdet_dt requires spatial and temporal derivatives")
 
-    @property
-    def mixed(self) -> bool:
-        return self.jacdet_dt
-
 
 @dataclass
 class DisplacementResult:
@@ -229,25 +233,56 @@ def trace_network(
     tape: Tape,
     leaves: Leaves,
     coords: np.ndarray,
-    t: float,
+    times,
     config: NetworkConfig,
     request: DerivativeRequest,
-) -> NetworkTrace:
+) -> list:
+    """Trace the field at (3,B) `coords` at each of a sequence of
+    normalized `times`; returns one NetworkTrace per time, in order.
+
+    Time enters only through the embedding concatenated into the hidden
+    layers, so the coordinate bundle, the layer-1 sine bundle and layer
+    2's `W2[:, :h] @ a1` are traced once and shared by every time.  The
+    last time takes the only reference to that prefix and drops it after
+    layer 2, so a one-time trace holds no more than an unshared one."""
     request.validate()
-    nbatch = coords.shape[1]
+    times = [float(t) for t in times]
+    wb = de.coordinate_bundle(tape, coords, spatial=request.spatial)
+    shared = [_trace_prefix(tape, leaves, wb, config)]
+    return [
+        _trace_time(tape, leaves, wb, shared, k == len(times) - 1, t, config, request)
+        for k, t in enumerate(times)
+    ]
+
+
+def _trace_prefix(tape, leaves, wb, config: NetworkConfig) -> TangentBundle:
+    """Layer 2's product with the layer-1 activations, `W2[:, :h] @ a1`:
+    the last quantity that does not depend on time."""
+    w1, b1 = leaves.psi[0]
+    a1 = de.bundle_sine(tape, de.bundle_affine(tape, w1, wb, b1), config.omega0)
+    return de.bundle_affine(tape, leaves.psi[1][0], a1, cols=(0, config.hidden_width))
+
+
+def _trace_time(tape, leaves, wb, shared, last, t, config, request) -> NetworkTrace:
+    """The rest of the network at one time.  `shared` holds the prefix;
+    the last time pops it straight into layer 2's sum, so nothing here
+    keeps it alive past that layer."""
+    nbatch = wb.value.value.shape[1]
     h = config.hidden_width
     he = h + config.time_embed_width
 
-    wb = de.coordinate_bundle(tape, coords, spatial=request.spatial)
     tb = de.time_bundle(tape, t, temporal=request.temporal)
     eb = _trace_time_embed(tape, leaves.theta, tb, config)
 
-    w1, b1 = leaves.psi[0]
-    a = de.bundle_sine(tape, de.bundle_affine(tape, w1, wb, b1), config.omega0)
     for li in range(1, config.depth):
         w, b = leaves.psi[li]
-        concat = config.concat_every_layer or li == 1
-        if concat:
+        if li == 1:
+            z = de.bundle_add(
+                tape,
+                shared.pop() if last else shared[0],
+                de.bundle_affine(tape, w, eb, b, cols=(h, he)),
+            )
+        elif config.concat_every_layer:
             z = de.bundle_add(
                 tape,
                 de.bundle_affine(tape, w, a, cols=(0, h)),
@@ -285,32 +320,42 @@ def trace_network(
     return trace
 
 
-def forward(state: NetworkState, coords: np.ndarray, t: float) -> DisplacementResult:
+def forward(state: NetworkState, coords: np.ndarray, times) -> DisplacementResult:
     """Displacement only; pure evaluation of a frozen state."""
-    return forward_with_derivatives(state, coords, t, DerivativeRequest())
+    return forward_with_derivatives(state, coords, times, DerivativeRequest())
 
 
 def forward_with_derivatives(
     state: NetworkState,
     coords: np.ndarray,
-    t: float,
+    times,
     request: DerivativeRequest,
     dtype=np.float64,
     chunk_size: int = CHUNK_POINTS,
-) -> DisplacementResult:
+):
     """Evaluate the frozen field and the requested derivatives at (3,B)
-    coords, `chunk_size` points at a time.  The parameters enter as tape
+    coords, `chunk_size` points at a time.  `times` is one normalized time
+    (returns one DisplacementResult) or a sequence of them (returns a list,
+    one result per time); each chunk traces the time-invariant prefix once
+    and shares it across the times.  The parameters enter as tape
     constants, so nothing is recorded and memory stays at one chunk's
-    layer values; chunking is pure partitioning (results are identical to
-    one pass)."""
+    layer values; chunking is pure partitioning and sharing changes no
+    arithmetic (results are identical to one pass per time)."""
     request.validate()
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    single = np.ndim(times) == 0
+    times = [times] if single else list(times)
     coords = np.asarray(coords, dtype=dtype)
     parts = [
-        _evaluate_chunk(state, coords[:, lo : lo + chunk_size], t, request, dtype)
+        _evaluate_chunk(state, coords[:, lo : lo + chunk_size], times, request, dtype)
         for lo in range(0, coords.shape[1], chunk_size) or (0,)
     ]
+    results = [_join(coords, [p[k] for p in parts]) for k in range(len(times))]
+    return results[0] if single else results
+
+
+def _join(coords, parts) -> DisplacementResult:
     if len(parts) == 1:
         return parts[0]
     out = DisplacementResult(coords, None)
@@ -321,10 +366,14 @@ def forward_with_derivatives(
     return out
 
 
-def _evaluate_chunk(state, coords, t, request, dtype) -> DisplacementResult:
+def _evaluate_chunk(state, coords, times, request, dtype) -> list:
     tape = Tape(dtype)
     leaves = make_leaves(tape, state, trainable=False)
-    tr = trace_network(tape, leaves, coords, t, state.config, request)
+    traces = trace_network(tape, leaves, coords, times, state.config, request)
+    return [_result(coords, tr, request) for tr in traces]
+
+
+def _result(coords, tr, request) -> DisplacementResult:
     res = DisplacementResult(coords, tr.displacement.value.value.copy())
     if request.spatial and tr.jac_entries is not None:
         jac = np.stack([e.value for e in tr.jac_entries]).reshape(3, 3, -1)

@@ -32,8 +32,6 @@ __all__ = [
     "uniform_scaling_field",
 ]
 
-NOISE_PRESETS = (0.15, 0.2, 0.25)
-
 
 @dataclass(frozen=True)
 class PhantomSpec:

@@ -4,7 +4,12 @@ Each iteration samples a fresh coordinate batch and regularization time
 grid, records the full loss on a tape, runs the reverse sweep, and takes
 one optimizer step.  Similarity is evaluated at observed times only; the
 regularizers run on the sampled grid, which includes unobserved times and
-may extend past the last observed scan (t_extrap > 1).
+may extend past the last observed scan (t_extrap > 1).  The network's
+time-invariant prefix is traced twice per iteration, once for the observed
+times and once for the grid, and shared by the times of each.
+
+`predict_field` evaluates the fitted field on the voxel grid at one time or
+at a sequence of times, which share the prefix chunk by chunk.
 
 With a fixed seed and single-threaded BLAS the loop is reproducible to
 bit-identical parameters.
@@ -301,28 +306,37 @@ class FieldGrid:
 
 def predict_field(
     state: net.NetworkState,
-    t_months: float,
+    t_months,
     dims,
     chunk_size: int = net.CHUNK_POINTS,
     want_djdt: bool = False,
-) -> FieldGrid:
+):
     """Evaluate the fitted field densely over the voxel grid, `chunk_size`
-    points at a time (pure partitioning: results equal one pass)."""
-    tnorm = t_months / state.time_horizon
+    points at a time (pure partitioning: results equal one pass).
+    `t_months` is one time (returns one FieldGrid) or a sequence of times
+    (returns a list, one grid per time, sharing the network's
+    time-invariant prefix)."""
+    single = np.ndim(t_months) == 0
+    months = [t_months] if single else list(t_months)
     request = net.DerivativeRequest(
         spatial=True, temporal=want_djdt, jacdet=True, jacdet_dt=want_djdt
     )
-    res = net.forward_with_derivatives(
-        state, grid_coordinates(dims), tnorm, request, chunk_size=chunk_size
+    results = net.forward_with_derivatives(
+        state, grid_coordinates(dims), [m / state.time_horizon for m in months],
+        request, chunk_size=chunk_size,
     )
     dims = tuple(dims)
-    return FieldGrid(
-        t_months=t_months,
-        dims=dims,
-        displacement=res.displacement.reshape((3,) + dims),
-        jac_det=res.jac_det.reshape(dims),
-        jac_det_dt=res.jac_det_dt.reshape(dims) if want_djdt else None,
-    )
+    grids = [
+        FieldGrid(
+            t_months=m,
+            dims=dims,
+            displacement=res.displacement.reshape((3,) + dims),
+            jac_det=res.jac_det.reshape(dims),
+            jac_det_dt=res.jac_det_dt.reshape(dims) if want_djdt else None,
+        )
+        for m, res in zip(months, results)
+    ]
+    return grids[0] if single else grids
 
 
 def warp_volume(vol: Volume3D, phi) -> Volume3D:

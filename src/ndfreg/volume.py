@@ -32,7 +32,6 @@ class Volume3D:
 
     values: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
-    origin_convention: str = "corner"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

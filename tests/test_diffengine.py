@@ -133,6 +133,15 @@ def test_tangent_sine_at_zero():
     assert float(t.value[0, 0]) == pytest.approx(1.0)
 
 
+def test_value_only_sine_records_no_cosine():
+    tape = Tape()
+    x = de.TangentBundle(tape.leaf(np.linspace(-1.0, 1.0, 6).reshape(2, 3)))
+    out = de.bundle_sine(tape, x, 30.0)
+    assert out.tangents == (None,) * 4 and out.mixed == (None,) * 3
+    assert [n.kind for n in tape.nodes] == ["leaf", "sine"]
+    assert all(n.payload[1] == 0.0 for n in tape.nodes if n.kind == "sine")
+
+
 def test_tangent_bilinear_mixed():
     # f(x, t) = x * t: tangents (t, x), mixed d2/dxdt = 1
     tape = Tape()

@@ -83,7 +83,7 @@ def test_raw_round_trip_bit_exact(tmp_path, dtype):
         arr = rng.uniform(0, 1, size=(8, 8, 8)).astype(dtype)
     path = str(tmp_path / "vol.raw")
     fileio.write_raw(path, arr, spacing=(1.0, 1.25, 1.5))
-    back, spacing = fileio.read_raw_exact(path)
+    back, spacing = fileio._read_raw_array(path)
     assert back.dtype == arr.dtype
     assert back.tobytes() == arr.tobytes()
     assert spacing == (1.0, 1.25, 1.5)

@@ -107,6 +107,35 @@ def test_forward_with_derivatives_records_nothing(no_gc, tapes):
     assert all(len(t.nodes) == 0 for t in tapes)
 
 
+def test_last_time_frees_the_shared_prefix(no_gc, monkeypatch):
+    """The time-invariant prefix lives until the last time's layer 2 and
+    no longer, so a one-time trace holds no more than an unshared one."""
+    prefix, alive = [], []
+    trace_prefix, bundle_sine = net._trace_prefix, de.bundle_sine
+
+    def tracking_prefix(*args):
+        out = trace_prefix(*args)
+        prefix.append(weakref.ref(out))
+        return out
+
+    def tracking_sine(*args, **kwargs):
+        if prefix:  # TOY_NET has one hidden sine after the prefix per time
+            alive.append(prefix[-1]() is not None)
+        return bundle_sine(*args, **kwargs)
+
+    monkeypatch.setattr(net, "_trace_prefix", tracking_prefix)
+    monkeypatch.setattr(de, "bundle_sine", tracking_sine)
+    state = net.init_network(seed=2, config=TOY_NET)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
+    full = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
+    net.forward_with_derivatives(state, coords, 0.4, full)
+    assert alive == [False]
+    prefix.clear()
+    alive.clear()
+    net.forward_with_derivatives(state, coords, [0.2, 0.4, 0.9], full)
+    assert alive == [True, True, False]
+
+
 def test_predict_field_records_nothing(no_gc, tapes):
     state = net.init_network(seed=2, config=TOY_NET, time_horizon=12.0)
     trainer.predict_field(state, 6.0, (5, 5, 5), want_djdt=True)

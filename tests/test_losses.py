@@ -393,3 +393,41 @@ def test_parameter_gradients_match_fd():
             assert an == pytest.approx(fd, rel=1e-4, abs=1e-8)
             checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_monotonic_term_parameter_gradients_match_fd(seed):
+    """Every parameter's full-loss gradient at depth 3, where d|J|/dt is
+    non-zero, so the reverse path through the mixed tangents (summed over
+    the whole time grid at the shared network prefix) is checked."""
+    series = tiny_series(seed)
+    plan = toy_plan(seed=seed + 1, npts=5, k=4)
+    weights = losses.LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=0.3)
+    state = toy_state(seed=seed, depth=3)
+
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    total, breakdown = losses.build_total_loss(
+        tape, leaves, series, weights, plan, state.config
+    )
+    assert breakdown.monotonic > 0.0
+    tape.backward(total)
+    grads = [
+        l.adjoint if l.adjoint is not None else np.zeros_like(l.value)
+        for l in leaves.flat()
+    ]
+
+    eps = 1e-5
+    worst = 0.0
+    for p, g in zip(state.param_arrays(), grads):
+        flat = p.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            vp = losses.total_loss(series, state, weights, plan).total
+            flat[i] = orig - eps
+            vm = losses.total_loss(series, state, weights, plan).total
+            flat[i] = orig
+            fd = (vp - vm) / (2 * eps)
+            worst = max(worst, abs(g.reshape(-1)[i] - fd) / max(abs(fd), 1e-4))
+    assert worst <= 1e-4

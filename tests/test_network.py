@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ndfreg import network as net
+from ndfreg.diffengine import Tape
 from ndfreg.phantom import uniform_scaling_field
 
 TOY = net.NetworkConfig(hidden_width=8, depth=5, time_hidden_width=6, time_embed_width=12)
@@ -175,6 +176,70 @@ def test_chunked_evaluation_matches_one_pass():
         assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
     with pytest.raises(ValueError, match="chunk_size"):
         net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=0)
+
+
+def test_times_sequence_matches_separate_calls_bit_for_bit():
+    state = toy_state(seed=6)
+    coords = np.random.default_rng(7).uniform(-1, 1, size=(3, 23))
+    times = [0.0, 0.35, 0.8, 1.2]
+    shared = net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=5)
+    assert len(shared) == len(times)
+    for t, got in zip(times, shared):
+        want = net.forward_with_derivatives(state, coords, t, FULL_REQ, chunk_size=5)
+        for name in ("displacement", "spatial_jacobian", "jac_det", "jac_det_dt"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _bundle_arrays(bundle):
+    nodes = (bundle.value,) + bundle.tangents + bundle.mixed
+    return [None if n is None else n.value for n in nodes]
+
+
+def _trace_scalar(tape, tr):
+    """A scalar that reaches every traced product of one time."""
+    total = None
+    for p in [tr.jac_det, tr.jac_det_dt, tr.dphi_dt, tr.phi] + tr.disp_grads:
+        s = tape.sum(tape.square(p))
+        total = s if total is None else tape.add(total, s)
+    return total
+
+
+def test_trace_network_shares_prefix_exactly():
+    """One trace over 8 times equals 8 one-time traces on separate tapes:
+    every value, tangent and mixed entry bit for bit, and the leaf
+    gradients of a scalar built from them to rounding (the shared prefix
+    sums its adjoints in another order)."""
+    cfg = net.NetworkConfig(hidden_width=8, depth=5, time_hidden_width=6, time_embed_width=12)
+    state = toy_state(seed=3, config=cfg)
+    coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 11))
+    times = np.linspace(0.0, 1.4, 8)
+
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    traces = net.trace_network(tape, leaves, coords, times, cfg, FULL_REQ)
+    assert len(traces) == len(times)
+    total = None
+    for tr in traces:
+        s = _trace_scalar(tape, tr)
+        total = s if total is None else tape.add(total, s)
+    tape.backward(total)
+    shared_grads = [l.adjoint for l in leaves.flat()]
+
+    sep_grads = [np.zeros_like(p) for p in state.param_arrays()]
+    for t, got in zip(times, traces):
+        one = Tape()
+        one_leaves = net.make_leaves(one, state)
+        (want,) = net.trace_network(one, one_leaves, coords, [t], cfg, FULL_REQ)
+        for a, b in zip(_bundle_arrays(got.displacement), _bundle_arrays(want.displacement)):
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes()
+        for name in ("jac_det", "jac_det_dt", "dphi_dt", "phi"):
+            assert getattr(got, name).value.tobytes() == getattr(want, name).value.tobytes()
+        one.backward(_trace_scalar(one, want))
+        for acc, l in zip(sep_grads, one_leaves.flat()):
+            acc += l.adjoint
+    for g, ref in zip(shared_grads, sep_grads):
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_output_interval_bound():

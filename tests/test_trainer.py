@@ -251,6 +251,36 @@ def test_predict_field_chunking_bit_identical():
     assert a.jac_det_dt.tobytes() == b.jac_det_dt.tobytes()
 
 
+def test_predict_field_times_sequence_matches_separate_calls():
+    state = net.init_network(seed=4, config=TOY_NET, time_horizon=12.0)
+    for w, _ in state.psi + state.theta:
+        w *= 3.0
+    months = [3.0, 9.0, 15.0]
+    grids = trainer.predict_field(state, months, (5, 5, 5), chunk_size=40, want_djdt=True)
+    assert [g.t_months for g in grids] == months
+    for m, got in zip(months, grids):
+        want = trainer.predict_field(state, m, (5, 5, 5), chunk_size=40, want_djdt=True)
+        for name in ("displacement", "jac_det", "jac_det_dt"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_cli_jacobian_writes_one_map_per_time(tmp_path):
+    from ndfreg import cli, fileio
+
+    state = net.init_network(seed=4, config=TOY_NET, time_horizon=12.0)
+    for w, _ in state.psi + state.theta:
+        w *= 3.0
+    model = str(tmp_path / "model.ndf")
+    fileio.save_model(model, state)
+    rc = cli.main(["jacobian", "--model", model, "--times", "3,9", "--dims", "5,5,5",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    for m, tag in ((3.0, "3"), (9.0, "9")):
+        got, _ = fileio._read_raw_array(str(tmp_path / f"jac_{tag}.raw"))
+        want = trainer.predict_field(state, m, (5, 5, 5)).jac_det
+        np.testing.assert_array_equal(got, want)
+
+
 def test_warp_identity_reproduces_volume():
     rng = np.random.default_rng(5)
     vol = Volume3D(rng.uniform(0, 1, size=(6, 6, 6)))
