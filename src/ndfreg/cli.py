@@ -89,6 +89,8 @@ _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.
 
 
 def build_parser():
+    from .gradcheck import CORRUPT_HOOKS
+
     top = argparse.ArgumentParser(prog="ndfreg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -186,7 +188,8 @@ def build_parser():
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    p.add_argument("--corrupt", default=None, help="fault-injection hook (testing)")
+    p.add_argument("--corrupt", choices=CORRUPT_HOOKS, default=None,
+                   help="fault-injection hook (testing)")
 
     return top
 
@@ -276,17 +279,9 @@ def _fit_config_from(resolved, out_dir=None):
     from .losses import LossWeights
     from .network import NetworkConfig
     from .trainer import FitConfig
-    from .fileio import read_raw_labels, read_nifti_labels
+    from .fileio import load_labels
 
-    mask = None
-    if resolved["mask"]:
-        path = resolved["mask"]
-        grid = (
-            read_nifti_labels(path)
-            if path.endswith((".nii", ".nii.gz"))
-            else read_raw_labels(path)
-        )
-        mask = grid
+    mask = load_labels(resolved["mask"]) if resolved["mask"] else None
     network = NetworkConfig(
         hidden_width=resolved["hidden_width"],
         depth=resolved["depth"],
@@ -341,9 +336,7 @@ def _cmd_fit(args) -> int:
 
 def _require_dims(args, fileio):
     if args.scan:
-        vol = fileio.read_nifti(args.scan) if args.scan.endswith(
-            (".nii", ".nii.gz")
-        ) else fileio.read_raw(args.scan)
+        vol = fileio.load_volume(args.scan)
         return vol.dims, vol
     if args.dims:
         if len(args.dims) != 3:

@@ -31,14 +31,26 @@ Lifetime contract:
   * Nodes refer to their tape weakly, so tape and nodes form no reference
     cycle: reference counting frees a tape and all its buffers when the
     caller drops the last reference to it, with no garbage-collector pass.
+
+Primitive table: `_PRIMITIVES` maps each kind string to a pair
+`Primitive(forward, vjp)`.  `forward(dtype, values, payload)` checks the
+input values' shapes and returns the output value, or `(value, aux)` when
+the VJP needs more than values (`sample3` keeps the sampler gradients).
+`vjp(node, g)` yields, or returns a list of, `(input position, cotangent)`
+pairs, which `backward` adds to the inputs' adjoints in that order, so the
+order fixes every adjoint sum bit for bit.  `Tape.record(kind, inputs,
+payload)` is the one entry point for every primitive.  Adding one is a
+table entry plus a case in the finite-difference VJP test
+(`tests/test_diffengine.py`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,29 +85,6 @@ _ADJ_TABLE = (
     (0, 4, 1, 3),
 )
 
-_ELEMENTWISE = {"add", "sub", "mul", "div", "minimum"}
-
-_KINDS = _ELEMENTWISE | {
-    "const",
-    "leaf",
-    "scale",
-    "offset",
-    "square",
-    "sqrt",
-    "relu",
-    "sine",
-    "leaky",
-    "leaky_mask",
-    "affine",
-    "row",
-    "expand_cols",
-    "sum",
-    "mean",
-    "det3",
-    "adj3",
-    "sample3",
-}
-
 
 class Node:
     """One primitive: eager value plus an adjoint buffer.  `idx` is its
@@ -103,7 +92,7 @@ class Node:
 
     __slots__ = ("_tape", "idx", "kind", "inputs", "payload", "value", "adjoint", "aux")
 
-    def __init__(self, tape_ref, kind, inputs, payload, value):
+    def __init__(self, tape_ref, kind, inputs, payload, value, aux=None):
         self._tape = tape_ref
         self.idx = None
         self.kind = kind
@@ -111,7 +100,7 @@ class Node:
         self.payload = payload
         self.value = value
         self.adjoint = None
-        self.aux = None
+        self.aux = aux
 
     @property
     def tape(self) -> "Tape":
@@ -127,19 +116,6 @@ class Node:
     def __repr__(self):
         return f"Node({self.idx}:{self.kind}, shape={self.value.shape})"
 
-    # operator sugar for loss/bundle composition
-    def __add__(self, other):
-        return self.tape.add(self, other)
-
-    def __sub__(self, other):
-        return self.tape.sub(self, other)
-
-    def __mul__(self, other):
-        return self.tape.mul(self, other)
-
-    def __truediv__(self, other):
-        return self.tape.div(self, other)
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of the allowed broadcasts)."""
@@ -151,6 +127,250 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if n == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad
+
+
+def _elementwise(kind, op):
+    """Forward of a binary op on operands of broadcast-compatible shapes."""
+
+    def forward(dtype, values, payload):
+        a, b = values
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise DiffEngineError(
+                f"{kind}: shape mismatch {a.shape} vs {b.shape}"
+            ) from None
+        return op(a, b)
+
+    return forward
+
+
+def _mul_vjp(node, g):
+    a, b = node.inputs
+    yield 0, g * b.value
+    yield 1, g * a.value
+
+
+def _div_vjp(node, g):
+    b = node.inputs[1].value
+    yield 0, g / b
+    yield 1, -g * node.value / b
+
+
+def _minimum_vjp(node, g):
+    a, b = node.inputs
+    take_a = a.value <= b.value
+    yield 0, g * take_a
+    yield 1, g * ~take_a
+
+
+def _sine_forward(dtype, values, payload):
+    omega, phase = payload
+    return np.sin(omega * values[0] + phase)
+
+
+def _sine_vjp(node, g):
+    omega, phase = node.payload
+    yield 0, g * omega * np.cos(omega * node.inputs[0].value + phase)
+
+
+def _leaky_forward(dtype, values, slope):
+    x = values[0]
+    return np.where(x >= 0.0, x, dtype.type(slope) * x)
+
+
+def _leaky_vjp(node, g):
+    # kink convention: derivative 1 at exactly 0 (positive branch)
+    yield 0, g * np.where(node.inputs[0].value >= 0.0, 1.0, node.payload)
+
+
+def _affine_forward(dtype, values, cols):
+    """W[:, lo:hi] @ x, plus a (rows, 1) bias when given a third input."""
+    w, x = values[0], values[1]
+    if w.ndim != 2 or x.ndim != 2:
+        raise DiffEngineError(f"affine: need 2-d operands, got {w.shape} @ {x.shape}")
+    lo, hi = cols or (0, w.shape[1])
+    if hi - lo != x.shape[0]:
+        raise DiffEngineError(
+            f"affine: W[:,{lo}:{hi}] of {w.shape} does not match x {x.shape}"
+        )
+    out = w[:, lo:hi] @ x
+    if len(values) == 3:
+        b = values[2]
+        if b.shape != (w.shape[0], 1):
+            raise DiffEngineError(f"affine: bias {b.shape} must be ({w.shape[0]}, 1)")
+        out = out + b
+    return out
+
+
+def _affine_vjp(node, g):
+    # the products are skipped for an unrecorded weight or input
+    w, x = node.inputs[0], node.inputs[1]
+    lo, hi = node.payload or (0, w.value.shape[1])
+    if w.idx is not None:
+        gw = np.zeros_like(w.value)
+        gw[:, lo:hi] = g @ x.value.T
+        yield 0, gw
+    if x.idx is not None:
+        yield 1, w.value[:, lo:hi].T @ g
+    if len(node.inputs) == 3:
+        yield 2, g.sum(axis=1, keepdims=True)
+
+
+def _row_forward(dtype, values, i):
+    x = values[0]
+    if x.ndim != 2 or not (0 <= i < x.shape[0]):
+        raise DiffEngineError(f"row: index {i} out of {x.shape}")
+    return x[i]
+
+
+def _row_vjp(node, g):
+    gx = np.zeros_like(node.inputs[0].value)
+    gx[node.payload] = g
+    yield 0, gx
+
+
+def _expand_cols_forward(dtype, values, ncols):
+    x = values[0]
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise DiffEngineError(f"expand_cols: need (R,1), got {x.shape}")
+    return np.repeat(x, ncols, axis=1)
+
+
+def _sum_forward(dtype, values, axis):
+    """Sum of every element (axis None, a 0-d result) or over axis 0."""
+    if axis is None:
+        return np.asarray(values[0].sum(), dtype=dtype)
+    if axis != 0:
+        raise DiffEngineError(f"sum: axis {axis} unsupported")
+    return values[0].sum(axis=0)
+
+
+def _sum_vjp(node, g):
+    x = node.inputs[0].value
+    if node.payload is None:
+        yield 0, np.full_like(x, g)
+    else:
+        yield 0, np.broadcast_to(g, x.shape)
+
+
+def _mean_vjp(node, g):
+    x = node.inputs[0].value
+    yield 0, np.full_like(x, g / x.size)
+
+
+def _matrix_entries(kind, values):
+    """The 9 row-major entries of a batch of 3x3 matrices, broadcast to
+    one shape."""
+    if len(values) != 9:
+        raise DiffEngineError(f"{kind}: expected 9 entries, got {len(values)}")
+    shape = np.broadcast_shapes(*[v.shape for v in values])
+    return [np.broadcast_to(v, shape) for v in values]
+
+
+def _det3_forward(dtype, values, payload):
+    x = _matrix_entries("det3", values)
+    return (
+        x[0] * (x[4] * x[8] - x[5] * x[7])
+        - x[1] * (x[3] * x[8] - x[5] * x[6])
+        + x[2] * (x[3] * x[7] - x[4] * x[6])
+    )
+
+
+def _det3_vjp(node, g):
+    x = [n.value for n in node.inputs]
+    for j in range(3):
+        for i in range(3):
+            p, q, r, s = _ADJ_TABLE[3 * j + i]  # cofactor C[i,j] = adj[j,i]
+            yield 3 * i + j, g * (x[p] * x[q] - x[r] * x[s])
+
+
+def _adj3_forward(dtype, values, payload):
+    x = _matrix_entries("adj3", values)
+    return np.stack([x[p] * x[q] - x[r] * x[s] for (p, q, r, s) in _ADJ_TABLE])
+
+
+def _adj3_vjp(node, g):
+    x = [n.value for n in node.inputs]
+    for k, (p, q, r, s) in enumerate(_ADJ_TABLE):
+        gk = g[k]
+        yield p, gk * x[q]
+        yield q, gk * x[p]
+        yield r, -gk * x[s]
+        yield s, -gk * x[r]
+
+
+def _sample3_forward(dtype, values, grid):
+    """Trilinear samples of `grid` at the points (x, y, z); the sampler's
+    spatial gradients are kept as the node's aux for the VJP."""
+    vals, grads = trilinear_values_and_grads(grid, np.stack(values))
+    return np.asarray(vals, dtype=dtype), grads.astype(dtype, copy=False)
+
+
+class Primitive(NamedTuple):
+    forward: Callable
+    vjp: Callable
+
+
+# kind -> (forward, vjp); single-expression primitives are written in place
+_PRIMITIVES = {
+    "add": Primitive(
+        _elementwise("add", operator.add),
+        lambda node, g: [(0, g), (1, g)],
+    ),
+    "sub": Primitive(
+        _elementwise("sub", operator.sub),
+        lambda node, g: [(0, g), (1, -g)],
+    ),
+    "mul": Primitive(_elementwise("mul", operator.mul), _mul_vjp),
+    "div": Primitive(_elementwise("div", operator.truediv), _div_vjp),
+    "minimum": Primitive(_elementwise("minimum", np.minimum), _minimum_vjp),
+    "scale": Primitive(
+        lambda dtype, values, c: values[0] * dtype.type(c),
+        lambda node, g: [(0, g * node.payload)],
+    ),
+    "offset": Primitive(
+        lambda dtype, values, c: values[0] + dtype.type(c),
+        lambda node, g: [(0, g)],
+    ),
+    "square": Primitive(
+        lambda dtype, values, payload: values[0] * values[0],
+        lambda node, g: [(0, 2.0 * g * node.inputs[0].value)],
+    ),
+    "sqrt": Primitive(
+        lambda dtype, values, payload: np.sqrt(values[0]),
+        lambda node, g: [(0, 0.5 * g / node.value)],
+    ),
+    "relu": Primitive(
+        lambda dtype, values, payload: np.maximum(values[0], 0.0),
+        lambda node, g: [(0, g * (node.inputs[0].value > 0.0))],
+    ),
+    "sine": Primitive(_sine_forward, _sine_vjp),
+    "leaky": Primitive(_leaky_forward, _leaky_vjp),
+    "leaky_mask": Primitive(
+        lambda dtype, values, slope: np.where(
+            values[0] >= 0.0, dtype.type(1.0), dtype.type(slope)
+        ),
+        lambda node, g: [],  # piecewise constant: zero derivative a.e.
+    ),
+    "affine": Primitive(_affine_forward, _affine_vjp),
+    "row": Primitive(_row_forward, _row_vjp),
+    "expand_cols": Primitive(
+        _expand_cols_forward,
+        lambda node, g: [(0, g.sum(axis=1, keepdims=True))],
+    ),
+    "sum": Primitive(_sum_forward, _sum_vjp),
+    "mean": Primitive(
+        lambda dtype, values, payload: np.asarray(values[0].mean(), dtype=dtype),
+        _mean_vjp,
+    ),
+    "det3": Primitive(_det3_forward, _det3_vjp),
+    "adj3": Primitive(_adj3_forward, _adj3_vjp),
+    "sample3": Primitive(
+        _sample3_forward,
+        lambda node, g: ((axis, g * node.aux[axis]) for axis in range(3)),
+    ),
+}
 
 
 class Tape:
@@ -165,40 +385,35 @@ class Tape:
 
     # ---- construction -------------------------------------------------
 
-    def _push(self, kind, inputs, payload, value) -> Node:
+    def _push(self, kind, inputs, payload, value, aux=None) -> Node:
         """Make a node, recorded if it is a leaf or has a recorded input.
-        An unrecorded node keeps no inputs: no gradient flows through it,
-        and its ancestors are freed as soon as the caller drops them."""
+        An unrecorded node keeps no inputs or aux: no gradient flows through
+        it, and its ancestors are freed as soon as the caller drops them."""
         if kind != "leaf" and all(n.idx is None for n in inputs):
             return Node(self._ref, kind, (), payload, value)
-        node = Node(self._ref, kind, tuple(inputs), payload, value)
+        node = Node(self._ref, kind, tuple(inputs), payload, value, aux)
         node.idx = len(self.nodes)
         self.nodes.append(node)
         return node
 
-    def _coerce(self, value) -> np.ndarray:
-        return np.asarray(value, dtype=self.dtype)
-
     def constant(self, value) -> Node:
-        return self._push("const", (), None, self._coerce(value))
+        return self._push("const", (), None, np.asarray(value, dtype=self.dtype))
 
     def leaf(self, value) -> Node:
         """A parameter: its adjoint is the gradient of the output."""
-        return self._push("leaf", (), None, self._coerce(value))
+        return self._push("leaf", (), None, np.asarray(value, dtype=self.dtype))
 
     def record(self, kind: str, inputs: Sequence[Node], payload=None) -> Node:
-        """Generic entry point; kind must be a supported primitive."""
-        if kind not in _KINDS:
+        """The one entry point for every primitive of `_PRIMITIVES`."""
+        primitive = _PRIMITIVES.get(kind)
+        if primitive is None:
             raise DiffEngineError(f"unknown op-kind {kind!r}")
-        if kind in ("const", "leaf"):
-            return self._push(kind, (), None, self._coerce(payload))
         for n in inputs:
             if n._tape is not self._ref:
                 raise DiffEngineError("input node belongs to a different tape")
-        if kind == "sample3":
-            return self.sample3(payload, *inputs)
-        value = self._eval(kind, inputs, payload)
-        return self._push(kind, inputs, payload, value)
+        out = primitive.forward(self.dtype, [n.value for n in inputs], payload)
+        value, aux = out if isinstance(out, tuple) else (out, None)
+        return self._push(kind, inputs, payload, value, aux)
 
     # ---- primitive wrappers -------------------------------------------
 
@@ -264,114 +479,9 @@ class Tape:
         return self.record("adj3", tuple(entries))
 
     def sample3(self, grid: np.ndarray, x, y, z):
-        vals, grads = trilinear_values_and_grads(
-            grid, np.stack([x.value, y.value, z.value])
-        )
-        node = self._push(
-            "sample3", (x, y, z), None, np.asarray(vals, dtype=self.dtype)
-        )
-        if node.idx is not None:
-            node.aux = grads.astype(self.dtype, copy=False)
-        return node
-
-    # ---- forward evaluation --------------------------------------------
-
-    def _eval(self, kind, inputs, payload) -> np.ndarray:
-        vals = [n.value for n in inputs]
-        if kind in _ELEMENTWISE:
-            a, b = vals
-            try:
-                np.broadcast_shapes(a.shape, b.shape)
-            except ValueError:
-                raise DiffEngineError(
-                    f"{kind}: shape mismatch {a.shape} vs {b.shape}"
-                ) from None
-            if kind == "add":
-                return a + b
-            if kind == "sub":
-                return a - b
-            if kind == "mul":
-                return a * b
-            if kind == "div":
-                return a / b
-            return np.minimum(a, b)
-        if kind == "scale":
-            return vals[0] * self.dtype.type(payload)
-        if kind == "offset":
-            return vals[0] + self.dtype.type(payload)
-        if kind == "square":
-            return vals[0] * vals[0]
-        if kind == "sqrt":
-            return np.sqrt(vals[0])
-        if kind == "relu":
-            return np.maximum(vals[0], 0.0)
-        if kind == "sine":
-            omega, phase = payload
-            return np.sin(omega * vals[0] + phase)
-        if kind == "leaky":
-            x = vals[0]
-            return np.where(x >= 0.0, x, self.dtype.type(payload) * x)
-        if kind == "leaky_mask":
-            x = vals[0]
-            return np.where(x >= 0.0, self.dtype.type(1.0), self.dtype.type(payload))
-        if kind == "affine":
-            w, x = vals[0], vals[1]
-            if w.ndim != 2 or x.ndim != 2:
-                raise DiffEngineError(
-                    f"affine: need 2-d operands, got {w.shape} @ {x.shape}"
-                )
-            lo, hi = payload if payload is not None else (0, w.shape[1])
-            if hi - lo != x.shape[0]:
-                raise DiffEngineError(
-                    f"affine: W[:,{lo}:{hi}] of {w.shape} does not match x {x.shape}"
-                )
-            out = w[:, lo:hi] @ x
-            if len(vals) == 3:
-                b = vals[2]
-                if b.shape != (w.shape[0], 1):
-                    raise DiffEngineError(
-                        f"affine: bias {b.shape} must be ({w.shape[0]}, 1)"
-                    )
-                out = out + b
-            return out
-        if kind == "row":
-            x = vals[0]
-            if x.ndim != 2 or not (0 <= payload < x.shape[0]):
-                raise DiffEngineError(f"row: index {payload} out of {x.shape}")
-            return x[payload]
-        if kind == "expand_cols":
-            x = vals[0]
-            if x.ndim != 2 or x.shape[1] != 1:
-                raise DiffEngineError(f"expand_cols: need (R,1), got {x.shape}")
-            return np.repeat(x, payload, axis=1)
-        if kind == "sum":
-            if payload is None:
-                return np.asarray(vals[0].sum(), dtype=self.dtype)
-            if payload != 0:
-                raise DiffEngineError(f"sum: axis {payload} unsupported")
-            return vals[0].sum(axis=0)
-        if kind == "mean":
-            return np.asarray(vals[0].mean(), dtype=self.dtype)
-        if kind in ("det3", "adj3"):
-            if len(vals) != 9:
-                raise DiffEngineError(f"{kind}: expected 9 entries, got {len(vals)}")
-            shape = np.broadcast_shapes(*[v.shape for v in vals])
-            x = [np.broadcast_to(v, shape) for v in vals]
-            if kind == "det3":
-                return (
-                    x[0] * (x[4] * x[8] - x[5] * x[7])
-                    - x[1] * (x[3] * x[8] - x[5] * x[6])
-                    + x[2] * (x[3] * x[7] - x[4] * x[6])
-                )
-            rows = [x[p] * x[q] - x[r] * x[s] for (p, q, r, s) in _ADJ_TABLE]
-            return np.stack(rows)
-        raise DiffEngineError(f"unknown op-kind {kind!r}")  # pragma: no cover
+        return self.record("sample3", (x, y, z), grid)
 
     # ---- reverse sweep --------------------------------------------------
-
-    def reset_adjoints(self):
-        for n in self.nodes:
-            n.adjoint = None
 
     def backward(self, output: Node):
         """Add d(output)/d(leaf) to the adjoint of every leaf feeding
@@ -396,99 +506,15 @@ class Tape:
             if g is None or node.kind == "leaf":
                 continue
             node.adjoint = None
-            self._vjp(node, g)
-
-    @staticmethod
-    def _accum(node: Node, grad: np.ndarray):
-        if node.idx is None:
-            return
-        grad = _unbroadcast(grad, node.value.shape)
-        if node.adjoint is None:
-            node.adjoint = grad.copy() if grad.base is not None else grad
-        else:
-            node.adjoint = node.adjoint + grad
-
-    def _vjp(self, node: Node, g: np.ndarray):
-        kind = node.kind
-        inp = node.inputs
-        if kind == "add":
-            self._accum(inp[0], g)
-            self._accum(inp[1], g)
-        elif kind == "sub":
-            self._accum(inp[0], g)
-            self._accum(inp[1], -g)
-        elif kind == "mul":
-            self._accum(inp[0], g * inp[1].value)
-            self._accum(inp[1], g * inp[0].value)
-        elif kind == "div":
-            self._accum(inp[0], g / inp[1].value)
-            self._accum(inp[1], -g * node.value / inp[1].value)
-        elif kind == "minimum":
-            take_a = inp[0].value <= inp[1].value
-            self._accum(inp[0], g * take_a)
-            self._accum(inp[1], g * ~take_a)
-        elif kind == "scale":
-            self._accum(inp[0], g * node.payload)
-        elif kind == "offset":
-            self._accum(inp[0], g)
-        elif kind == "square":
-            self._accum(inp[0], 2.0 * g * inp[0].value)
-        elif kind == "sqrt":
-            self._accum(inp[0], 0.5 * g / node.value)
-        elif kind == "relu":
-            self._accum(inp[0], g * (inp[0].value > 0.0))
-        elif kind == "sine":
-            omega, phase = node.payload
-            self._accum(inp[0], g * omega * np.cos(omega * inp[0].value + phase))
-        elif kind == "leaky":
-            # kink convention: derivative 1 at exactly 0 (positive branch)
-            x = inp[0].value
-            self._accum(inp[0], g * np.where(x >= 0.0, 1.0, node.payload))
-        elif kind == "leaky_mask":
-            pass  # piecewise constant: zero derivative a.e.
-        elif kind == "affine":
-            w, x = inp[0], inp[1]
-            lo, hi = node.payload if node.payload is not None else (0, w.value.shape[1])
-            if w.idx is not None:
-                gw = np.zeros_like(w.value)
-                gw[:, lo:hi] = g @ x.value.T
-                self._accum(w, gw)
-            if x.idx is not None:
-                self._accum(x, w.value[:, lo:hi].T @ g)
-            if len(inp) == 3:
-                self._accum(inp[2], g.sum(axis=1, keepdims=True))
-        elif kind == "row":
-            gx = np.zeros_like(inp[0].value)
-            gx[node.payload] = g
-            self._accum(inp[0], gx)
-        elif kind == "expand_cols":
-            self._accum(inp[0], g.sum(axis=1, keepdims=True))
-        elif kind == "sum":
-            if node.payload is None:
-                self._accum(inp[0], np.full_like(inp[0].value, g))
-            else:
-                self._accum(inp[0], np.broadcast_to(g, inp[0].value.shape))
-        elif kind == "mean":
-            self._accum(inp[0], np.full_like(inp[0].value, g / inp[0].value.size))
-        elif kind == "det3":
-            x = [n.value for n in inp]
-            for j in range(3):
-                for i in range(3):
-                    p, q, r, s = _ADJ_TABLE[3 * j + i]  # cofactor C[i,j] = adj[j,i]
-                    self._accum(inp[3 * i + j], g * (x[p] * x[q] - x[r] * x[s]))
-        elif kind == "adj3":
-            x = [n.value for n in inp]
-            for k, (p, q, r, s) in enumerate(_ADJ_TABLE):
-                gk = g[k]
-                self._accum(inp[p], gk * x[q])
-                self._accum(inp[q], gk * x[p])
-                self._accum(inp[r], -gk * x[s])
-                self._accum(inp[s], -gk * x[r])
-        elif kind == "sample3":
-            for axis in range(3):
-                self._accum(inp[axis], g * node.aux[axis])
-        else:  # pragma: no cover
-            raise DiffEngineError(f"no vjp for {kind!r}")
+            for pos, grad in _PRIMITIVES[node.kind].vjp(node, g):
+                target = node.inputs[pos]
+                if target.idx is None:
+                    continue
+                grad = _unbroadcast(grad, target.value.shape)
+                if target.adjoint is None:
+                    target.adjoint = grad.copy() if grad.base is not None else grad
+                else:
+                    target.adjoint = target.adjoint + grad
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +522,6 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 # direction order is fixed: x, y, z, t; mixed order: xt, yt, zt
-N_DIRECTIONS = 4
 N_MIXED = 3
 
 

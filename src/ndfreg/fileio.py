@@ -31,6 +31,8 @@ __all__ = [
     "write_csv",
     "read_manifest",
     "write_manifest",
+    "load_volume",
+    "load_labels",
     "load_series",
     "save_model",
     "load_model",
@@ -284,13 +286,15 @@ def write_manifest(path: str, entries):
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _load_volume(path: str) -> Volume3D:
+def load_volume(path: str) -> Volume3D:
+    """A scan from NIfTI-1 (.nii, .nii.gz) or NDVOL (any other name)."""
     if path.endswith((".nii", ".nii.gz")):
         return read_nifti(path)
     return read_raw(path)
 
 
-def _load_labels(path: str) -> np.ndarray:
+def load_labels(path: str) -> np.ndarray:
+    """A label grid from NIfTI-1 (.nii, .nii.gz) or NDVOL (any other name)."""
     if path.endswith((".nii", ".nii.gz")):
         return read_nifti_labels(path)
     return read_raw_labels(path)
@@ -306,9 +310,9 @@ def load_series(manifest_path: str) -> Volume4DSeries:
     entries = read_manifest(manifest_path)
     if len(entries) < 2:
         raise FileFormatError(f"{manifest_path}: need at least 2 scans")
-    volumes = [(m, _load_volume(resolve(p))) for m, p, _ in entries]
+    volumes = [(m, load_volume(resolve(p))) for m, p, _ in entries]
     labels = {
-        m: _load_labels(resolve(lp)) for m, _, lp in entries if lp is not None
+        m: load_labels(resolve(lp)) for m, _, lp in entries if lp is not None
     }
     return Volume4DSeries(
         volumes[0][1],

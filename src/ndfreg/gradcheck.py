@@ -20,7 +20,10 @@ from .losses import LossWeights, build_total_loss, total_loss
 from .trainer import SamplePlan
 from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
-__all__ = ["CheckResult", "run_gradcheck"]
+__all__ = ["CheckResult", "run_gradcheck", "CORRUPT_HOOKS"]
+
+# fault hooks, each scaling the analytic side of one check by 1.001
+CORRUPT_HOOKS = ("det", "spatial", "temporal", "jacdet_dt", "sampler", "params")
 
 _TOLS = {
     "f64": {
@@ -74,6 +77,8 @@ def _toy_state(seed, width, dtype):
 
 
 def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
+    if corrupt is not None and corrupt not in CORRUPT_HOOKS:
+        raise ValueError(f"unknown fault hook {corrupt!r}")
     dtype = np.float64 if precision == "f64" else np.float32
     tols = _TOLS[precision]
     # f32 step balances truncation (omega0-scaled third derivatives)
@@ -83,6 +88,9 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     floor = 1e-6 if precision == "f64" else 1e-2
     rng = np.random.default_rng(seed)
     results = []
+
+    def check(name, worst):
+        results.append(CheckResult(name, worst, tols[name], worst <= tols[name]))
 
     # 1. cofactor determinant vs permutation expansion
     worst = 0.0
@@ -103,10 +111,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
             )
         got = got * 1.001 if corrupt == "det" else got
         worst = max(worst, abs(got - expect))
-    results.append(
-        CheckResult("cofactor-determinant", worst, tols["cofactor-determinant"],
-                    worst <= tols["cofactor-determinant"])
-    )
+    check("cofactor-determinant", worst)
 
     state = _toy_state(seed, width, dtype)
     coords = rng.uniform(-0.9, 0.9, size=(3, points)).astype(dtype)
@@ -126,10 +131,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
         fd = (fp - fm) / (2 * fd_h)
         an = _bump(res.spatial_jacobian[:, j, :], "spatial", corrupt)
         worst = max(worst, float(_rel(an, fd, floor).max()))
-    results.append(
-        CheckResult("spatial-tangents", worst, tols["spatial-tangents"],
-                    worst <= tols["spatial-tangents"])
-    )
+    check("spatial-tangents", worst)
 
     # 3. temporal derivative
     fp = net.forward_with_derivatives(
@@ -139,10 +141,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     fd = (fp - fm) / (2 * fd_h)
     an = _bump(res.temporal_derivative, "temporal", corrupt)
     worst = float(_rel(an, fd, floor).max())
-    results.append(
-        CheckResult("temporal-tangent", worst, tols["temporal-tangent"],
-                    worst <= tols["temporal-tangent"])
-    )
+    check("temporal-tangent", worst)
 
     # 4. d|J|/dt via Jacobi's formula
     jr = net.DerivativeRequest(spatial=True, jacdet=True)
@@ -152,9 +151,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     fd = (jp - jm) / (2 * h2)
     an = _bump(res.jac_det_dt, "jacdet_dt", corrupt)
     worst = float(_rel(an, fd, 1e-5 if precision == "f64" else 1e-3).max())
-    results.append(
-        CheckResult("jacdet-dt", worst, tols["jacdet-dt"], worst <= tols["jacdet-dt"])
-    )
+    check("jacdet-dt", worst)
 
     # 5. trilinear sampler gradient, interior points away from cell faces
     grid = rng.uniform(0, 1, size=(9, 9, 9))
@@ -172,17 +169,10 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
         vm, _ = trilinear_values_and_grads(grid, pts - shift)
         fd = (vp - vm) / 2e-6
         worst = max(worst, float(_rel(grads[d], fd, 1e-3).max()))
-    results.append(
-        CheckResult("sampler-gradient", worst, tols["sampler-gradient"],
-                    worst <= tols["sampler-gradient"])
-    )
+    check("sampler-gradient", worst)
 
     # 6. parameter gradients of the full loss on a tiny series
-    worst = _param_gradient_worst(seed, corrupt, precision)
-    results.append(
-        CheckResult("parameter-gradients", worst, tols["parameter-gradients"],
-                    worst <= tols["parameter-gradients"])
-    )
+    check("parameter-gradients", _param_gradient_worst(seed, corrupt, precision))
     return results
 
 

@@ -16,6 +16,7 @@ phantom field, with times passed through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,9 +63,18 @@ class StructureMetrics:
 
 
 def _resolve_field(field_or_state):
+    """(coords, times, request) -> one DisplacementResult per time, and the
+    horizon that normalizes months.  A fitted state is evaluated at every
+    time in one call, which traces its time-invariant prefix once per
+    coordinate batch; an analytic field is called once per time."""
     if isinstance(field_or_state, net.NetworkState):
-        return net.as_field(field_or_state), field_or_state.time_horizon
-    return field_or_state, 1.0
+        state = field_or_state
+        return partial(net.forward_with_derivatives, state), state.time_horizon
+
+    def fieldfn(coords, times, request):
+        return [field_or_state(coords, float(t), request) for t in times]
+
+    return fieldfn, 1.0
 
 
 def dice(labels_a: np.ndarray, labels_b: np.ndarray, label_id: int) -> float:
@@ -118,18 +128,6 @@ def _structure_coords(labels: np.ndarray, label_id: int) -> np.ndarray:
     return idx * scale[:, None] - 1.0
 
 
-def _djdt_samples(fieldfn, coords, times):
-    req = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
-    n = coords.shape[1]
-    jac = np.empty((len(times), n))
-    djdt = np.empty((len(times), n))
-    for k, t in enumerate(times):
-        res = fieldfn(coords, float(t), req)
-        jac[k] = res.jac_det
-        djdt[k] = res.jac_det_dt
-    return jac, djdt
-
-
 def sign_consistency(
     field_or_state,
     labels: np.ndarray,
@@ -139,15 +137,10 @@ def sign_consistency(
 ) -> float:
     """Fraction of structure voxels whose d|J|/dt keeps one sign over the
     time grid (samples within the dead band are neutral)."""
-    times = np.asarray(times, dtype=np.float64)
-    if times.size < 2:
-        raise ValueError("sign consistency needs a time grid of >= 2 points")
-    fieldfn, horizon = _resolve_field(field_or_state)
-    coords = _structure_coords(labels, label_id)
-    _, djdt = _djdt_samples(fieldfn, coords, times / horizon)
-    has_pos = (djdt > deadband).any(axis=0)
-    has_neg = (djdt < -deadband).any(axis=0)
-    return float((~(has_pos & has_neg)).mean())
+    (one,) = structure_trajectories(
+        field_or_state, labels, [label_id], times, deadband
+    )
+    return one.sign_consistency
 
 
 def structure_trajectories(
@@ -161,12 +154,14 @@ def structure_trajectories(
     sign-consistency proportion over the same grid."""
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
-        raise ValueError("trajectories need a time grid of >= 2 points")
+        raise ValueError("need a time grid of >= 2 points")
     fieldfn, horizon = _resolve_field(field_or_state)
+    req = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
     out = []
     for label_id in label_ids:
-        coords = _structure_coords(labels, label_id)
-        jac, djdt = _djdt_samples(fieldfn, coords, times / horizon)
+        results = fieldfn(_structure_coords(labels, label_id), times / horizon, req)
+        jac = np.array([r.jac_det for r in results], dtype=np.float64)
+        djdt = np.array([r.jac_det_dt for r in results], dtype=np.float64)
         has_pos = (djdt > deadband).any(axis=0)
         has_neg = (djdt < -deadband).any(axis=0)
         out.append(
@@ -186,5 +181,5 @@ def jacobian_map(field_or_state, t_months: float, dims) -> JacobianMap:
     fieldfn, horizon = _resolve_field(field_or_state)
     coords = grid_coordinates(dims)
     req = net.DerivativeRequest(spatial=True, jacdet=True)
-    jac = fieldfn(coords, t_months / horizon, req).jac_det
+    jac = fieldfn(coords, [t_months / horizon], req)[0].jac_det
     return JacobianMap(time=t_months, values=jac.reshape(tuple(dims)))

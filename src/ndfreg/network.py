@@ -45,7 +45,6 @@ __all__ = [
     "forward",
     "forward_with_derivatives",
     "time_embed",
-    "as_field",
 ]
 
 
@@ -375,15 +374,11 @@ def _evaluate_chunk(state, coords, times, request, dtype) -> list:
 
 def _result(coords, tr, request) -> DisplacementResult:
     res = DisplacementResult(coords, tr.displacement.value.value.copy())
-    if request.spatial and tr.jac_entries is not None:
-        jac = np.stack([e.value for e in tr.jac_entries]).reshape(3, 3, -1)
-        res.spatial_jacobian = jac
-    elif request.spatial:
+    if request.spatial:
         grads = np.stack([g.value for g in tr.disp_grads])  # (3dir, 3comp, B)
         jac = np.transpose(grads, (1, 0, 2)).copy()
-        jac[0, 0] += 1.0
-        jac[1, 1] += 1.0
-        jac[2, 2] += 1.0
+        for i in range(3):
+            jac[i, i] += 1.0
         res.spatial_jacobian = jac
     if request.temporal:
         res.temporal_derivative = tr.dphi_dt.value.copy()
@@ -392,15 +387,6 @@ def _result(coords, tr, request) -> DisplacementResult:
     if request.jacdet_dt:
         res.jac_det_dt = tr.jac_det_dt.value.copy()
     return res
-
-
-def as_field(state: NetworkState, dtype=np.float64):
-    """Adapter: (coords, t_norm, request) -> DisplacementResult."""
-
-    def field(coords, t, request=DerivativeRequest()):
-        return forward_with_derivatives(state, coords, t, request, dtype=dtype)
-
-    return field
 
 
 def time_embed(state: NetworkState, t: float) -> np.ndarray:

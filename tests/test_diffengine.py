@@ -1,6 +1,7 @@
 """Engine tests: primitive semantics, tangent exactness against central
 finite differences, and reverse-mode gradients against the same oracle."""
 
+import functools
 import itertools
 import math
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndfreg import diffengine as de
+from ndfreg import diffengine as de, losses, network as net
 from ndfreg.diffengine import Tape
+
+from test_losses import tiny_series, toy_plan, toy_state
 
 
 def det3_permutation_oracle(m):
@@ -345,17 +348,6 @@ def test_backward_requires_scalar():
         tape.backward(tape.square(p))
 
 
-def test_backward_repeatable_after_reset():
-    tape = Tape()
-    p = tape.leaf(np.array([0.3, -0.7]))
-    out = tape.mean(tape.square(tape.sine(p, 2.0)))
-    tape.backward(out)
-    g1 = p.adjoint.copy()
-    tape.reset_adjoints()
-    tape.backward(out)
-    assert g1.tobytes() == p.adjoint.tobytes()
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_backward_composite_matches_fd(seed):
     rng = np.random.default_rng(seed)
@@ -438,3 +430,115 @@ def test_mul_tangent_product_rule(xs, vs):
     )
     expect = np.array(vs[:2]) * np.array(xs[2:]) + np.array(xs[:2]) * np.array(vs[2:])
     np.testing.assert_allclose(dt.value, expect, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the primitive table: one finite-difference VJP case per kind
+# ---------------------------------------------------------------------------
+
+
+def _away_from_zero(rng, shape, lo=0.1):
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(lo, 1.0, size=shape)
+
+
+def _sample_points(rng, n, cells):
+    """(B,) coordinates in [-1, 1] that stay inside one sampler cell."""
+    vox = rng.integers(0, cells - 1, size=n) + rng.uniform(0.1, 0.9, size=n)
+    return vox * (2.0 / (cells - 1)) - 1.0
+
+
+def _vjp_cases(rng):
+    """kind -> list of (input arrays, payload).  Inputs sit away from kinks,
+    ties and cell faces, where the primitives are smooth."""
+    a = rng.uniform(-1.0, 1.0, size=(3, 4))
+    b = rng.uniform(-1.0, 1.0, size=(3, 4))
+    col = rng.uniform(-1.0, 1.0, size=(3, 1))
+    nine = [rng.uniform(-1.0, 1.0, size=5) for _ in range(9)]
+    grid = rng.uniform(0.0, 1.0, size=(6, 6, 6))
+    return {
+        "add": [((a, col), None)],
+        "sub": [((col, b), None), ((a, b), None)],
+        "mul": [((a, b), None), ((col, a), None)],
+        "div": [((a, _away_from_zero(rng, (3, 4), 0.5)), None)],
+        "minimum": [((a, a + _away_from_zero(rng, (3, 4))), None)],
+        "scale": [((a,), -1.7)],
+        "offset": [((a,), 0.3)],
+        "square": [((a,), None)],
+        "sqrt": [((rng.uniform(0.5, 2.0, size=(3, 4)),), None)],
+        "relu": [((_away_from_zero(rng, (3, 4)),), None)],
+        "sine": [((a,), (3.0, 0.0)), ((a,), (3.0, math.pi / 2.0))],
+        "leaky": [((_away_from_zero(rng, (3, 4)),), 0.1)],
+        "leaky_mask": [((_away_from_zero(rng, (3, 4)),), 0.1)],
+        "affine": [
+            ((rng.uniform(-1, 1, (4, 3)), a), None),
+            ((rng.uniform(-1, 1, (4, 6)), a, rng.uniform(-1, 1, (4, 1))), (2, 5)),
+        ],
+        "row": [((a,), 1)],
+        "expand_cols": [((col,), 4)],
+        "sum": [((a,), None), ((a,), 0)],
+        "mean": [((a,), None)],
+        "det3": [(tuple(nine), None)],
+        "adj3": [(tuple(nine), None)],
+        "sample3": [(tuple(_sample_points(rng, 7, 6) for _ in range(3)), grid)],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(de._PRIMITIVES))
+def test_vjp_matches_finite_differences(kind):
+    """<g, f(x)> differentiated by the reverse sweep against central
+    differences, for every input of every kind in the primitive table."""
+    rng = np.random.default_rng(41)
+    cases = _vjp_cases(rng)
+    assert kind in cases, f"no finite-difference case for {kind!r}"
+
+    def forward(values, payload):
+        tape = Tape()
+        return tape.record(kind, [tape.constant(v) for v in values], payload).value
+
+    for values, payload in cases[kind]:
+        g = rng.uniform(-1.0, 1.0, size=np.shape(forward(values, payload)))
+        tape = Tape()
+        leaves = [tape.leaf(v) for v in values]
+        out = tape.record(kind, leaves, payload)
+        tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
+        h = 1e-6
+        for pos, leaf in enumerate(leaves):
+            fd = np.zeros_like(values[pos])
+            for idx in np.ndindex(fd.shape):
+                shifted = [v.copy() for v in values]
+                shifted[pos][idx] += h
+                up = np.sum(g * forward(shifted, payload))
+                shifted[pos][idx] -= 2 * h
+                down = np.sum(g * forward(shifted, payload))
+                fd[idx] = (up - down) / (2 * h)
+            got = np.zeros_like(fd) if leaf.adjoint is None else leaf.adjoint
+            np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
+
+
+def test_every_recorded_node_passes_through_record(monkeypatch):
+    """Wrapping `Tape.record` sees every non-leaf node of a full training
+    tape, with the kind as its second positional argument: a tracer that
+    wraps it there counts the whole tape."""
+    seen = []
+    record = Tape.record
+
+    @functools.wraps(record)
+    def wrapper(*args, **kwargs):
+        out = record(*args, **kwargs)
+        assert args[1] == out.kind
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(Tape, "record", wrapper)
+    state = toy_state(seed=0, depth=3)
+    weights = losses.LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=0.3)
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    total, breakdown = losses.build_total_loss(
+        tape, leaves, tiny_series(0), weights, toy_plan(npts=5, k=4), state.config
+    )
+    assert breakdown.monotonic > 0.0
+    passed = {id(n) for n in seen}
+    non_leaf = [n for n in tape.nodes if n.kind != "leaf"]
+    assert "sample3" in {n.kind for n in non_leaf}
+    assert [n for n in non_leaf if id(n) not in passed] == []

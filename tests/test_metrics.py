@@ -241,3 +241,40 @@ def test_deadband_neutralizes_noise_floor():
 
     grid = np.linspace(0.0, 1.0, 9)
     assert metrics.sign_consistency(tiny_noise_field, full_labels(), 1, grid) == 1.0
+
+
+def test_state_fields_are_evaluated_once_per_label(monkeypatch):
+    """A fitted state is evaluated at every grid time in one network call
+    per label, with the numbers of one call per time."""
+    cfg = net.NetworkConfig(
+        hidden_width=8, depth=3, time_hidden_width=4, time_embed_width=8
+    )
+    state = net.init_network(seed=3, config=cfg, time_horizon=36.0)
+    labels = np.zeros((5, 5, 5), dtype=np.int32)
+    labels[:2] = 1
+    labels[2:] = 2
+    times = np.array([0.0, 12.0, 24.0, 36.0])
+    full = net.DerivativeRequest(
+        spatial=True, temporal=True, jacdet=True, jacdet_dt=True
+    )
+    expect = {}
+    for lid in (1, 2):
+        coords = metrics._structure_coords(labels, lid)
+        per_time = [net.forward_with_derivatives(state, coords, t / 36.0, full)
+                    for t in times]
+        expect[lid] = [float(r.jac_det.mean()) for r in per_time]
+
+    calls = []
+    forward = net.forward_with_derivatives
+
+    def counting(state, coords, times, *args, **kwargs):
+        calls.append(len(times))
+        return forward(state, coords, times, *args, **kwargs)
+
+    monkeypatch.setattr(net, "forward_with_derivatives", counting)
+    out = metrics.structure_trajectories(state, labels, [1, 2], times)
+    assert calls == [4, 4]
+    assert [s.mean_jac for s in out] == [expect[1], expect[2]]
+    calls.clear()
+    metrics.sign_consistency(state, labels, 2, times)
+    assert calls == [4]
