@@ -7,9 +7,11 @@ configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
-Only stdlib is imported at module level: --threads pins the BLAS thread
-pool through environment variables, which must happen before numpy loads
-(reproducibility mode is --threads 1 in a fresh process).
+--threads N pins the BLAS thread pool (reproducibility mode is
+--threads 1).  Importing this module runs the package `__init__`, which
+loads numpy and its OpenBLAS, so the count is set twice: through the
+loaded OpenBLAS's own setter, found with ctypes, and through the
+environment variables that a library loaded later reads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import argparse
 import configparser
 import os
 import sys
+
+# setters of the OpenBLAS builds numpy ships or links against
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -147,7 +156,10 @@ def build_parser():
     p.add_argument("--dims", type=_ints, default=None)
     p.add_argument("--scan", default=None, help="volume to warp into baseline frame")
     p.add_argument("--with-djdt", dest="with_djdt", action="store_true")
-    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=4096)
+    p.add_argument(
+        "--chunk-size", dest="chunk_size", type=int, default=None,
+        help="points per network evaluation (default: by layer block bytes)",
+    )
 
     p = sub.add_parser("jacobian", help="|J| maps and slice images")
     common(p)
@@ -236,11 +248,42 @@ def _echo_config(out_dir, command, resolved):
     atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
+def loaded_openblas() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process (Linux:
+    read from /proc/self/maps; empty elsewhere)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    return sorted(p for p in paths if p.startswith("/"))
+
+
+def pin_blas_threads(n: int):
+    """Set the thread count of every loaded OpenBLAS that exports a known
+    setter; a library without one keeps its count."""
+    import ctypes
+
+    for path in loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(n)
+                break
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
+        pin_blas_threads(args.threads)
     try:
         return _dispatch(args)
     except BrokenPipeError:

@@ -1,5 +1,6 @@
 """Special-purpose differentiation engine: a reverse-mode tape over numpy
-buffers, plus forward-mode tangent bundles built out of taped primitives.
+buffers, plus forward-mode jets (Taylor-mode stacks of tangents) built out
+of taped primitives.
 
 The registration losses need parameter gradients of quantities that are
 themselves analytic derivatives of the network output with respect to its
@@ -8,6 +9,32 @@ terms feeding d|J|/dt).  The scheme here is reverse-over-forward: the
 forward tangent propagation is expressed as ordinary taped primitives, so a
 single reverse sweep differentiates values *and* tangents with respect to
 every leaf parameter.
+
+Stacked jets: a `Jet` carries one layer's value, tangents and mixed entries
+as one (rows, S*B) block node for B points.  Slot s of `jet.slots` fills
+columns [s*B, (s+1)*B), in the fixed order v, x, y, z, t, xt, yt, zt (the
+value, the first-order tangents, then d/dt of the x, y, z tangents); only
+slots that can be non-zero are stored, so S <= 8.
+  * The coordinate jet holds v, x, y, z (v alone without spatial
+    derivatives); the time jet is one point, v and t (or v).
+  * `bundle_affine` keeps the slots: one matmul maps the whole block, and
+    its bias becomes a column term of slot v.
+  * `bundle_add` of a column jet (one point, v or v, t; a product with the
+    time embedding) records nothing: its columns join the jet's pending
+    column terms, column 0 to slot v and column 1, broadcast over the
+    points, to slot t.  The next rule folds them into its input.
+  * `bundle_leaky` (kind `jet_leaky`) keeps the folded slots: a t column
+    adds slot t, and its zero second derivative adds no mixed slot.
+  * `bundle_sine` (kind `jet_sine`) adds the mixed slot of every spatial
+    tangent once t is present.  It evaluates sin and cos of the value slot
+    once and keeps omega*cos as its ndarray aux, so its VJP evaluates no
+    transcendental; a value-only block computes the sine alone and keeps
+    no aux.
+  * `jet_slot` extracts one folded slot as a (rows, B) node; `jet_add`, the
+    column add, settles pending column terms into a new block when a
+    matmul needs them.
+With this layout a layer is one matmul forward and two backward, and one
+node per rule; every elementwise pass runs over contiguous B-point runs.
 
 Shape conventions (no general broadcasting; exactly these cases):
   * scalars are 0-d arrays,
@@ -46,7 +73,6 @@ table entry plus a case in the finite-difference VJP test
 
 from __future__ import annotations
 
-import math
 import operator
 import weakref
 from dataclasses import dataclass
@@ -59,12 +85,13 @@ from .volume import trilinear_values_and_grads
 __all__ = [
     "Tape",
     "Node",
-    "TangentBundle",
+    "Jet",
     "DiffEngineError",
     "bundle_affine",
     "bundle_sine",
     "bundle_leaky",
     "bundle_add",
+    "jet_slot",
 ]
 
 
@@ -230,13 +257,6 @@ def _row_vjp(node, g):
     yield 0, gx
 
 
-def _expand_cols_forward(dtype, values, ncols):
-    x = values[0]
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise DiffEngineError(f"expand_cols: need (R,1), got {x.shape}")
-    return np.repeat(x, ncols, axis=1)
-
-
 def _sum_forward(dtype, values, axis):
     """Sum of every element (axis None, a 0-d result) or over axis 0."""
     if axis is None:
@@ -307,6 +327,265 @@ def _sample3_forward(dtype, values, grid):
     return np.asarray(vals, dtype=dtype), grads.astype(dtype, copy=False)
 
 
+# ---- stacked jets ----------------------------------------------------------
+
+# slot order of a jet block: the value, the first-order tangents in x, y, z
+# and t, then the mixed entries d/dt of the x, y and z tangents
+V, X, Y, Z, T, XT, YT, ZT = range(8)
+SPATIAL = (X, Y, Z)
+
+
+def _folded_slots(slots, has_t_column):
+    """The slots of a block once its column terms are added: a t column
+    creates slot t."""
+    if has_t_column and T not in slots:
+        return tuple(sorted(slots + (T,)))
+    return slots
+
+
+def _sine_slots(slots, has_t_column):
+    """The slots after a sine: once t is present, every spatial tangent
+    gains its mixed entry (the sine's second derivative is non-zero)."""
+    slots = _folded_slots(slots, has_t_column)
+    if T in slots:
+        slots = tuple(sorted(set(slots) | {d + 4 for d in SPATIAL if d in slots}))
+    return slots
+
+
+def _jet_block(kind, values, slots):
+    """A (rows, S*B) block as a (rows, S, B) view, its slot positions, and
+    its summed column terms (cv, ct): column 0 of each term joins slot v,
+    column 1 (when present) slot t; each sum is (rows, 1) or None."""
+    z = values[0]
+    if slots[0] != V or z.ndim != 2 or z.shape[1] % len(slots):
+        raise DiffEngineError(f"{kind}: block {z.shape} does not hold slots {slots}")
+    rows = z.shape[0]
+    cv = ct = None
+    for c in values[1:]:
+        if c.ndim != 2 or c.shape[0] != rows or c.shape[1] not in (1, 2):
+            raise DiffEngineError(f"{kind}: column term {c.shape} must be ({rows}, 1|2)")
+        cv = c[:, :1] if cv is None else cv + c[:, :1]
+        if c.shape[1] == 2:
+            ct = c[:, 1:] if ct is None else ct + c[:, 1:]
+    z3 = z.reshape(rows, len(slots), z.shape[1] // len(slots))
+    return z3, {s: k for k, s in enumerate(slots)}, cv, ct
+
+
+def _folded(z, pos, cv, ct, slot):
+    """One slot of a block with its column terms added: (rows, B), or the
+    (rows, 1) t column itself when the block has no t slot."""
+    if slot == V:
+        return z[:, 0] if cv is None else z[:, 0] + cv
+    if slot == T and ct is not None:
+        return ct if T not in pos else z[:, pos[T]] + ct
+    return z[:, pos[slot]]
+
+
+def _column_grads(node, gv, gt):
+    """Cotangents of a node's column terms (its inputs after the block):
+    column 0 from slot v's cotangent `gv`, column 1 from slot t's `gt`,
+    each summed over the points; None stands for a zero cotangent."""
+    if len(node.inputs) == 1 or (gv is None and gt is None):
+        return
+    zero = np.zeros((node.inputs[0].value.shape[0], 1), node.value.dtype)
+    both = np.concatenate(
+        [zero if g is None else g.sum(axis=1, keepdims=True) for g in (gv, gt)], axis=1
+    )
+    for i, c in enumerate(node.inputs[1:], 1):
+        yield i, both[:, : c.value.shape[1]]
+
+
+def _sum_products(pairs, tmp):
+    """The sum of a * b over (a, b) pairs as one new array; `tmp` is
+    scratch of the result's shape."""
+    total = None
+    for a, b in pairs:
+        if total is None:
+            total = np.multiply(a, b)
+        else:
+            total += np.multiply(a, b, out=tmp)
+    return total
+
+
+def _scale(x, c):
+    """x *= c in place, skipped for c == 1 (exact either way); returns x."""
+    if c != 1.0:
+        x *= c
+    return x
+
+
+def _jet_sine_forward(dtype, values, payload):
+    """sin(omega u) over a block, u its folded value slot.  With s, c the
+    sine and cosine of omega u, each tangent slot z_d becomes omega c z_d
+    and each mixed slot -omega^2 s z_d z_t + omega c z_dt.  The aux is
+    omega c, so the VJP evaluates no transcendental; a value-only block
+    needs no cosine forward and keeps none."""
+    omega, slots = payload
+    z, pos, cv, ct = _jet_block("jet_sine", values, slots)
+    out_slots = _sine_slots(slots, ct is not None)
+    wu = np.multiply(z[:, 0], omega) if cv is None else _scale(z[:, 0] + cv, omega)
+    if len(out_slots) == 1:
+        return np.sin(wu, out=wu)
+    rows, _, nb = z.shape
+    out = np.empty((rows, len(out_slots), nb), dtype)
+    s = np.sin(wu, out=out[:, 0])
+    wc = _scale(np.cos(wu, out=wu), omega)
+    zt = _folded(z, pos, cv, ct, T) if T in out_slots else None
+    nzt = tmp = None
+    for k, slot in enumerate(out_slots[1:], 1):
+        if slot <= T:
+            np.multiply(wc, zt if slot == T else z[:, pos[slot]], out=out[:, k])
+            continue
+        if nzt is None:  # -omega^2 s z_t, shared by the mixed slots
+            nzt = np.multiply(s, zt)
+            nzt *= -(omega * omega)
+            tmp = np.empty_like(nzt)
+        np.multiply(nzt, z[:, pos[slot - 4]], out=out[:, k])
+        if slot in pos:
+            out[:, k] += np.multiply(wc, z[:, pos[slot]], out=tmp)
+    return out.reshape(rows, -1), wc
+
+
+def _jet_sine_vjp(node, g):
+    """With acc = sum of g_s z_s over the tangent slots and mix = sum of
+    g_dt z_d: g_u = omega c (g_v - omega^2 z_t mix) - omega^2 s acc,
+    g_zd = omega c g_d - omega^2 s z_t g_dt, g_zdt = omega c g_dt and
+    g_zt = omega c g_t - omega^2 s mix."""
+    omega, slots = node.payload
+    z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots)
+    rows, _, nb = z.shape
+    if node.aux is None:  # value only
+        gu = np.multiply(_folded(z, pos, cv, ct, V), omega)
+        _scale(np.cos(gu, out=gu), omega)
+        gu *= g
+        yield 0, gu
+        yield from _column_grads(node, gu, None)
+        return
+    w2 = omega * omega
+    out_slots = _sine_slots(slots, ct is not None)
+    opos = {s: k for k, s in enumerate(out_slots)}
+    g = g.reshape(rows, len(out_slots), nb)
+    wc = node.aux
+    s = node.value.reshape(rows, len(out_slots), nb)[:, 0]
+    zt = _folded(z, pos, cv, ct, T) if T in opos else None
+    mixed = [d for d in SPATIAL if d + 4 in opos]
+    gz2 = np.empty((rows, z.shape[1] * nb), z.dtype)
+    gz = gz2.reshape(z.shape)
+    tmp = np.empty((rows, nb), z.dtype)
+
+    pairs = [(g[:, opos[d]], z[:, pos[d]]) for d in SPATIAL if d in opos]
+    if zt is not None:
+        pairs.append((g[:, opos[T]], zt))
+    pairs += [(g[:, opos[d + 4]], z[:, pos[d + 4]]) for d in mixed if d + 4 in pos]
+    acc = _sum_products(pairs, tmp)
+    mix = _sum_products([(g[:, opos[d + 4]], z[:, pos[d]]) for d in mixed], tmp)
+
+    gu = gz[:, 0]
+    if mix is None:
+        np.multiply(g[:, 0], wc, out=gu)
+    else:
+        np.multiply(zt, mix, out=tmp)
+        _scale(tmp, w2)
+        np.subtract(g[:, 0], tmp, out=gu)
+        gu *= wc
+    gu -= _scale(np.multiply(s, acc, out=tmp), w2)
+
+    if mixed:
+        w2szt = _scale(np.multiply(s, zt), w2)
+    for d in SPATIAL:
+        if d not in opos:
+            continue
+        np.multiply(wc, g[:, opos[d]], out=gz[:, pos[d]])
+        if d in mixed:
+            gz[:, pos[d]] -= np.multiply(w2szt, g[:, opos[d + 4]], out=tmp)
+            if d + 4 in pos:
+                np.multiply(wc, g[:, opos[d + 4]], out=gz[:, pos[d + 4]])
+    gzt = None
+    if zt is not None:
+        gzt = gz[:, pos[T]] if T in pos else np.empty_like(tmp)
+        np.multiply(wc, g[:, opos[T]], out=gzt)
+        if mix is not None:
+            gzt -= _scale(np.multiply(s, mix, out=tmp), w2)
+    yield 0, gz2
+    yield from _column_grads(node, gu, gzt if ct is not None else None)
+
+
+def _leaky_mask(u, slope, dtype):
+    return np.where(u >= 0.0, dtype.type(1.0), dtype.type(slope))
+
+
+def _jet_leaky_forward(dtype, values, payload):
+    """Leaky rectifier over a block: every tangent and mixed slot is scaled
+    by the slope mask (the second derivative is 0 everywhere)."""
+    slope, slots = payload
+    z, pos, cv, ct = _jet_block("jet_leaky", values, slots)
+    out_slots = _folded_slots(slots, ct is not None)
+    u = _folded(z, pos, cv, ct, V)
+    value = np.where(u >= 0.0, u, dtype.type(slope) * u)
+    if len(out_slots) == 1:
+        return value
+    mask = _leaky_mask(u, slope, dtype)
+    out = np.empty((z.shape[0], len(out_slots), z.shape[2]), dtype)
+    out[:, 0] = value
+    for k, slot in enumerate(out_slots[1:], 1):
+        np.multiply(mask, _folded(z, pos, cv, ct, slot), out=out[:, k])
+    return out.reshape(z.shape[0], -1)
+
+
+def _jet_leaky_vjp(node, g):
+    slope, slots = node.payload
+    z, pos, cv, ct = _jet_block("jet_leaky", [n.value for n in node.inputs], slots)
+    out_slots = _folded_slots(slots, ct is not None)
+    mask = _leaky_mask(_folded(z, pos, cv, ct, V), slope, node.value.dtype)
+    g = g.reshape(z.shape[0], len(out_slots), z.shape[2])
+    gz2 = np.empty_like(node.inputs[0].value)
+    gz = gz2.reshape(z.shape)
+    for slot, k in pos.items():
+        np.multiply(mask, g[:, out_slots.index(slot)], out=gz[:, k])
+    yield 0, gz2
+    gt = mask * g[:, out_slots.index(T)] if ct is not None else None
+    yield from _column_grads(node, gz[:, 0], gt)
+
+
+def _jet_add_forward(dtype, values, slots):
+    """A block with its column terms added (the column add)."""
+    z, pos, cv, ct = _jet_block("jet_add", values, slots)
+    out_slots = _folded_slots(slots, ct is not None)
+    out = np.empty((z.shape[0], len(out_slots), z.shape[2]), dtype)
+    for k, slot in enumerate(out_slots):
+        out[:, k] = _folded(z, pos, cv, ct, slot)
+    return out.reshape(z.shape[0], -1)
+
+
+def _jet_add_vjp(node, g):
+    slots = node.payload
+    z, pos, cv, ct = _jet_block("jet_add", [n.value for n in node.inputs], slots)
+    out_slots = _folded_slots(slots, ct is not None)
+    g = g.reshape(z.shape[0], len(out_slots), z.shape[2])
+    yield 0, g[:, [out_slots.index(s) for s in slots]].reshape(z.shape[0], -1)
+    yield from _column_grads(node, g[:, 0], g[:, out_slots.index(T)] if ct is not None else None)
+
+
+def _jet_slot_forward(dtype, values, payload):
+    """One slot of a block, column terms added, as a (rows, B) array."""
+    slots, slot = payload
+    z, pos, cv, ct = _jet_block("jet_slot", values, slots)
+    if slot not in _folded_slots(slots, ct is not None):
+        raise DiffEngineError(f"jet_slot: slot {slot} not in {slots}")
+    out = _folded(z, pos, cv, ct, slot)
+    return np.array(np.broadcast_to(out, (z.shape[0], z.shape[2])))
+
+
+def _jet_slot_vjp(node, g):
+    slots, slot = node.payload
+    block = node.inputs[0].value
+    if slot in slots:
+        gz = np.zeros_like(block)
+        gz.reshape(block.shape[0], len(slots), block.shape[1] // len(slots))[:, slots.index(slot)] = g
+        yield 0, gz
+    yield from _column_grads(node, g if slot == V else None, g if slot == T else None)
+
+
 class Primitive(NamedTuple):
     forward: Callable
     vjp: Callable
@@ -347,18 +626,8 @@ _PRIMITIVES = {
     ),
     "sine": Primitive(_sine_forward, _sine_vjp),
     "leaky": Primitive(_leaky_forward, _leaky_vjp),
-    "leaky_mask": Primitive(
-        lambda dtype, values, slope: np.where(
-            values[0] >= 0.0, dtype.type(1.0), dtype.type(slope)
-        ),
-        lambda node, g: [],  # piecewise constant: zero derivative a.e.
-    ),
     "affine": Primitive(_affine_forward, _affine_vjp),
     "row": Primitive(_row_forward, _row_vjp),
-    "expand_cols": Primitive(
-        _expand_cols_forward,
-        lambda node, g: [(0, g.sum(axis=1, keepdims=True))],
-    ),
     "sum": Primitive(_sum_forward, _sum_vjp),
     "mean": Primitive(
         lambda dtype, values, payload: np.asarray(values[0].mean(), dtype=dtype),
@@ -370,6 +639,10 @@ _PRIMITIVES = {
         _sample3_forward,
         lambda node, g: ((axis, g * node.aux[axis]) for axis in range(3)),
     ),
+    "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
+    "jet_leaky": Primitive(_jet_leaky_forward, _jet_leaky_vjp),
+    "jet_add": Primitive(_jet_add_forward, _jet_add_vjp),
+    "jet_slot": Primitive(_jet_slot_forward, _jet_slot_vjp),
 }
 
 
@@ -453,18 +726,12 @@ class Tape:
     def leaky(self, x, slope: float):
         return self.record("leaky", (x,), float(slope))
 
-    def leaky_mask(self, x, slope: float):
-        return self.record("leaky_mask", (x,), float(slope))
-
     def affine(self, w, x, b=None, cols: tuple[int, int] | None = None):
         inputs = (w, x) if b is None else (w, x, b)
         return self.record("affine", inputs, cols)
 
     def row(self, x, i: int):
         return self.record("row", (x,), int(i))
-
-    def expand_cols(self, x, ncols: int):
-        return self.record("expand_cols", (x,), int(ncols))
 
     def sum(self, x, axis=None):
         return self.record("sum", (x,), axis)
@@ -480,6 +747,14 @@ class Tape:
 
     def sample3(self, grid: np.ndarray, x, y, z):
         return self.record("sample3", (x, y, z), grid)
+
+    def stats(self) -> dict:
+        """Recorded nodes, and the bytes their values and aux hold by kind."""
+        by_kind = {}
+        for node in self.nodes:
+            nbytes = node.value.nbytes + (0 if node.aux is None else node.aux.nbytes)
+            by_kind[node.kind] = by_kind.get(node.kind, 0) + nbytes
+        return {"nodes": len(self.nodes), "bytes": by_kind}
 
     # ---- reverse sweep --------------------------------------------------
 
@@ -517,127 +792,81 @@ class Tape:
                     target.adjoint = target.adjoint + grad
 
 
+
+
 # ---------------------------------------------------------------------------
-# Forward-mode tangent bundles over tape nodes.
+# Stacked jets over tape nodes.
 # ---------------------------------------------------------------------------
 
-# direction order is fixed: x, y, z, t; mixed order: xt, yt, zt
-N_MIXED = 3
 
+@dataclass(frozen=True)
+class Jet:
+    """One layer's value, tangents and mixed entries as a single node.
 
-@dataclass
-class TangentBundle:
-    """Value plus per-direction first and mixed second-order tangents.
-
-    Entries that are structurally zero are stored as None so the chain rule
-    can skip them; `tangent`/`mixed_entry` materialize zeros on demand.
+    `node` holds a (rows, S*B) block: slot `slots[s]` fills columns
+    [s*B, (s+1)*B).  `cols` are column terms not yet added, each (rows, 1)
+    (joins slot v) or (rows, 2) (slot v, then slot t, broadcast over the
+    points); the next sine, leaky rule or slot extraction folds them into
+    its input, so adding them costs no copy of the block (a matmul first
+    settles them with a column-add node).
     """
 
-    value: Node
-    tangents: tuple = (None, None, None, None)
-    mixed: tuple = (None, None, None)
+    node: Node
+    slots: tuple
+    cols: tuple = ()
 
-    def tangent(self, d: int) -> Node:
-        t = self.tangents[d]
-        if t is None:
-            t = self.value.tape.constant(np.zeros_like(self.value.value))
-        return t
+    @property
+    def has_t_column(self) -> bool:
+        return any(c.value.shape[1] == 2 for c in self.cols)
 
-    def mixed_entry(self, d: int) -> Node:
-        m = self.mixed[d]
-        if m is None:
-            m = self.value.tape.constant(np.zeros_like(self.value.value))
-        return m
+    @property
+    def folded_slots(self) -> tuple:
+        return _folded_slots(self.slots, self.has_t_column)
 
-
-def _maybe_add(tape, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tape.add(a, b)
+    def inputs(self) -> tuple:
+        return (self.node,) + self.cols
 
 
-def bundle_add(tape: Tape, a: TangentBundle, b: TangentBundle) -> TangentBundle:
-    return TangentBundle(
-        tape.add(a.value, b.value),
-        tuple(_maybe_add(tape, x, y) for x, y in zip(a.tangents, b.tangents)),
-        tuple(_maybe_add(tape, x, y) for x, y in zip(a.mixed, b.mixed)),
-    )
+def _settle(tape: Tape, x: Jet) -> Jet:
+    """The jet with its column terms added (a column-add node), or itself."""
+    if not x.cols:
+        return x
+    return Jet(tape.record("jet_add", x.inputs(), x.slots), x.folded_slots)
 
 
 def bundle_affine(
-    tape: Tape,
-    w: Node,
-    x: TangentBundle,
-    b: Node | None = None,
-    cols: tuple[int, int] | None = None,
-) -> TangentBundle:
-    """Affine map on the value; the same linear map on every tangent."""
-    return TangentBundle(
-        tape.affine(w, x.value, b, cols=cols),
-        tuple(
-            None if t is None else tape.affine(w, t, cols=cols) for t in x.tangents
-        ),
-        tuple(None if m is None else tape.affine(w, m, cols=cols) for m in x.mixed),
-    )
+    tape: Tape, w: Node, x: Jet, b: Node | None = None, cols: tuple[int, int] | None = None
+) -> Jet:
+    """W[:, cols] @ block: one matmul maps every slot; the bias becomes a
+    column term of slot v."""
+    x = _settle(tape, x)
+    return Jet(tape.affine(w, x.node, cols=cols), x.slots, () if b is None else (b,))
 
 
-def bundle_sine(tape: Tape, x: TangentBundle, omega: float = 1.0) -> TangentBundle:
-    """u = sin(omega x): u' = w cos(wx) x', u'' term uses -w^2 sin(wx).
-    A value-only bundle records the sine alone: no cosine is needed."""
-    value = tape.sine(x.value, omega)
-    if all(d is None for d in x.tangents + x.mixed):
-        return TangentBundle(value)
-    cos_f = tape.scale(tape.sine(x.value, omega, math.pi / 2.0), omega)
-    tangents = tuple(None if t is None else tape.mul(cos_f, t) for t in x.tangents)
-    t_t = x.tangents[3]
-    neg = None
-    mixed = []
-    for d in range(N_MIXED):
-        t_d = x.tangents[d]
-        term1 = None
-        if t_d is not None and t_t is not None:
-            if neg is None:
-                neg = tape.scale(value, -(omega * omega))
-            term1 = tape.mul(tape.mul(t_d, t_t), neg)
-        term2 = None if x.mixed[d] is None else tape.mul(cos_f, x.mixed[d])
-        mixed.append(_maybe_add(tape, term1, term2))
-    return TangentBundle(value, tangents, tuple(mixed))
+def bundle_add(tape: Tape, a: Jet, b: Jet) -> Jet:
+    """a + b for a column jet `b` (one point, slots v or v, t, such as a
+    product with the time embedding): b joins a's column terms, nothing is
+    recorded."""
+    if b.slots not in ((V,), (V, T)) or b.node.value.shape[1] != len(b.slots):
+        raise DiffEngineError(f"bundle_add: {b.node.value.shape} is not a column jet")
+    return Jet(a.node, a.slots, a.cols + (b.node,) + b.cols)
 
 
-def bundle_leaky(tape: Tape, x: TangentBundle, slope: float) -> TangentBundle:
-    """Leaky rectifier; its second derivative is defined as 0 everywhere."""
-    mask = tape.leaky_mask(x.value, slope)
-    return TangentBundle(
-        tape.leaky(x.value, slope),
-        tuple(None if t is None else tape.mul(mask, t) for t in x.tangents),
-        tuple(None if m is None else tape.mul(mask, m) for m in x.mixed),
-    )
+def bundle_sine(tape: Tape, x: Jet, omega: float = 1.0) -> Jet:
+    """sin(omega x) over the whole block, one node (see `_jet_sine_forward`)."""
+    node = tape.record("jet_sine", x.inputs(), (float(omega), x.slots))
+    return Jet(node, _sine_slots(x.slots, x.has_t_column))
 
 
-def coordinate_bundle(
-    tape: Tape, coords: np.ndarray, spatial: bool = True
-) -> TangentBundle:
-    """Seed a (3,B) coordinate block with unit basis tangents in x, y, z."""
-    coords = np.asarray(coords, dtype=tape.dtype)
-    if coords.ndim != 2 or coords.shape[0] != 3:
-        raise DiffEngineError(f"coordinate block must be (3,B), got {coords.shape}")
-    value = tape.constant(coords)
-    tangents = [None, None, None, None]
-    if spatial:
-        for d in range(3):
-            seed = np.zeros((3, 1), dtype=tape.dtype)
-            seed[d, 0] = 1.0
-            tangents[d] = tape.constant(seed)
-    return TangentBundle(value, tuple(tangents), (None, None, None))
+def bundle_leaky(tape: Tape, x: Jet, slope: float) -> Jet:
+    """Leaky rectifier over the whole block; its second derivative is 0."""
+    return Jet(tape.record("jet_leaky", x.inputs(), (float(slope), x.slots)), x.folded_slots)
 
 
-def time_bundle(tape: Tape, t: float, temporal: bool = True) -> TangentBundle:
-    """Seed a scalar time input, shaped (1,1), with a unit t-tangent."""
-    value = tape.constant(np.full((1, 1), t, dtype=tape.dtype))
-    tangents = [None, None, None, None]
-    if temporal:
-        tangents[3] = tape.constant(np.ones((1, 1), dtype=tape.dtype))
-    return TangentBundle(value, tuple(tangents), (None, None, None))
-
+def jet_slot(tape: Tape, x: Jet, slot: int) -> Node:
+    """Slot `slot` of a jet as a (rows, B) node, column terms added; a slot
+    the jet does not carry is structurally zero."""
+    if slot not in x.folded_slots:
+        rows, width = x.node.value.shape
+        return tape.constant(np.zeros((rows, width // len(x.slots)), tape.dtype))
+    return tape.record("jet_slot", x.inputs(), (x.slots, slot))

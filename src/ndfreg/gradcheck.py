@@ -4,11 +4,14 @@ Every analytic quantity the engine produces is compared against central
 finite differences (or a permutation-expansion determinant) at a toy
 scale.  64-bit tolerances are stricter than 32-bit ones.  The `corrupt`
 hook multiplies one named analytic term by 1.001 before comparison, so
-tests can prove the harness actually catches a wrong derivative.
+tests can prove the harness actually catches a wrong derivative; `mono`
+seeds the parameter sweep with total + 0.001*gamma*mono, which scales the
+monotonic term's part of the analytic gradient alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -22,8 +25,9 @@ from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
 __all__ = ["CheckResult", "run_gradcheck", "CORRUPT_HOOKS"]
 
-# fault hooks, each scaling the analytic side of one check by 1.001
-CORRUPT_HOOKS = ("det", "spatial", "temporal", "jacdet_dt", "sampler", "params")
+# fault hooks, each scaling the analytic side of one check (or, for mono,
+# of the monotonic term's part of it) by 1.001
+CORRUPT_HOOKS = ("det", "spatial", "temporal", "jacdet_dt", "sampler", "params", "mono")
 
 _TOLS = {
     "f64": {
@@ -177,27 +181,46 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 
 
 def _param_gradient_worst(seed, corrupt, precision):
+    """Worst relative error of full-loss parameter gradients against
+    central differences; inf when the plan's monotonic term is 0, as the
+    check would then not cover its gradient.
+
+    Depth 3 makes d|J|/dt depend on time, and the plan (16 points, an
+    8-time grid, gamma 3) makes the monotonic term non-zero, and its share
+    of the gradient visible, at every seed.
+
+    Error model of a central difference with step eps: truncation
+    eps^2 |L'''| / 6 plus roundoff up to |L| 2^-52 / eps, as each loss
+    value is off by about |L| 2^-53.  Errors are relative to
+    max(|fd|, floor) with floor = |L| 2^-52 / (eps tol), so roundoff alone
+    stays below the tolerance; eps = 1e-5 keeps truncation far below it
+    and the floor near 3e-6 (eps = 1e-6 would need 3e-5)."""
     rng = np.random.default_rng(seed + 7)
     base = Volume3D(rng.uniform(0, 1, size=(6, 6, 6)))
     f1 = Volume3D(np.clip(base.values + rng.uniform(-0.05, 0.05, base.dims), 0, 1))
     series = Volume4DSeries(base, [(12.0, f1)])
     cfg = net.NetworkConfig(
-        hidden_width=4, depth=2, time_hidden_width=4, time_embed_width=6
+        hidden_width=8, depth=3, time_hidden_width=4, time_embed_width=6
     )
     state = net.init_network(seed=seed, config=cfg)
     for w, b in state.psi + state.theta:
         w *= 3.0
         b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
     plan = SamplePlan(
-        coords=rng.uniform(-0.8, 0.8, size=(3, 5)),
+        coords=rng.uniform(-0.8, 0.8, size=(3, 16)),
         observed_times=np.array([0.0, 1.0]),
-        reg_grid=np.linspace(0, 1, 3),
+        reg_grid=np.linspace(0, 1, 8),
     )
-    weights = LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=0.3)
+    weights = LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=3.0)
+    analytic = weights
+    if corrupt == "mono":  # the loss total + 0.001*gamma*mono
+        analytic = dataclasses.replace(weights, gamma=weights.gamma * 1.001)
 
     tape = Tape()
     leaves = net.make_leaves(tape, state)
-    total, _ = build_total_loss(tape, leaves, series, weights, plan, cfg)
+    total, breakdown = build_total_loss(tape, leaves, series, analytic, plan, cfg)
+    if breakdown.monotonic == 0.0:
+        return float("inf")
     tape.backward(total)
     grads = [
         l.adjoint if l.adjoint is not None else np.zeros_like(l.value)
@@ -206,7 +229,9 @@ def _param_gradient_worst(seed, corrupt, precision):
     if corrupt == "params":
         grads = [g * 1.001 for g in grads]
 
-    eps = 1e-6 if precision == "f64" else 1e-3
+    eps = 1e-5  # the loss is evaluated in f64 at either precision
+    tol = _TOLS[precision]["parameter-gradients"]
+    floor = max(1e-6, abs(breakdown.total) * 2.0**-52 / (eps * tol))
     worst = 0.0
     params = state.param_arrays()
     for pi, p in enumerate(params):
@@ -221,5 +246,5 @@ def _param_gradient_worst(seed, corrupt, precision):
             flat[i] = orig
             fd = (vp - vm) / (2 * eps)
             an = grads[pi].reshape(-1)[i]
-            worst = max(worst, abs(an - fd) / max(abs(fd), 1e-6))
+            worst = max(worst, abs(an - fd) / max(abs(fd), floor))
     return worst

@@ -191,7 +191,7 @@ def build_total_loss(
         tape, leaves, coords, [0.0, *plan.observed_times[1:]], config,
         net.DerivativeRequest(),
     )
-    anchor = anchor_node(tape, observed[0].displacement.value)
+    anchor = anchor_node(tape, observed[0].displacement)
 
     fixed_vals, _ = sample_trilinear(series.baseline, coords)
     sim = None

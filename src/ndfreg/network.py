@@ -18,6 +18,14 @@ the last time takes the only reference to it, so it is freed after that
 time's layer 2.  Sharing changes no arithmetic: each time's products are
 bit-identical to a trace at that time alone.
 
+Each layer's value, tangents and mixed entries travel as one stacked jet
+block (see `diffengine`), so a hidden layer holds hidden width x slot
+count values per point.  Inference therefore sizes its chunks by bytes:
+by default `chunk_points` takes as many points as keep one hidden-layer
+block within BLOCK_BYTES (8 MiB, one 4096-point paper-width f64 layer
+array), e.g. 512 points at paper width with d|J|/dt (8 slots) and 4096
+for displacement alone; `chunk_size` overrides it.
+
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
 to normalized time.
@@ -31,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diffengine as de
-from .diffengine import Tape, TangentBundle
+from .diffengine import Jet, Node, Tape
 
 __all__ = [
     "NetworkConfig",
@@ -48,9 +56,9 @@ __all__ = [
 ]
 
 
-# points per network evaluation at inference: bounds the live layer
-# buffers (at paper width one f64 layer array of a chunk is 8 MB)
-CHUNK_POINTS = 4096
+# bytes of one hidden-layer jet block at inference: a chunk's block stays
+# the size of one 4096-point paper-width (256) f64 layer array
+BLOCK_BYTES = 4096 * 256 * 8
 
 
 @dataclass(frozen=True)
@@ -202,23 +210,18 @@ def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leav
 class NetworkTrace:
     """Tape handles for one (coords, t) evaluation, consumed by the losses."""
 
-    coords: Tape  # actually Node; annotation kept loose on purpose
-    displacement: TangentBundle
-    phi: object
+    coords: Node  # (3,B)
+    output: Jet  # the output layer's jet, column terms not yet added
+    displacement: Node  # (3,B)
+    phi: Node
     disp_grads: list | None = None  # 3 nodes (3,B): d(disp)/dx, /dy, /dz
     jac_entries: list | None = None  # 9 nodes (B,), row-major J
-    dphi_dt: object = None  # node (3,B)
-    jac_det: object = None  # node (B,)
-    jac_det_dt: object = None  # node (B,)
+    dphi_dt: Node | None = None  # (3,B)
+    jac_det: Node | None = None  # (B,)
+    jac_det_dt: Node | None = None  # (B,)
 
 
-def _materialize(tape, node, ncols):
-    if node.value.ndim == 2 and node.value.shape[1] == 1 and ncols > 1:
-        return tape.expand_cols(node, ncols)
-    return node
-
-
-def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> TangentBundle:
+def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
     (w1, b1), (w2, b2) = theta
     z = de.bundle_affine(tape, w1, tb, b1)
     h = de.bundle_leaky(tape, z, config.leaky_slope)
@@ -240,37 +243,54 @@ def trace_network(
     normalized `times`; returns one NetworkTrace per time, in order.
 
     Time enters only through the embedding concatenated into the hidden
-    layers, so the coordinate bundle, the layer-1 sine bundle and layer
-    2's `W2[:, :h] @ a1` are traced once and shared by every time.  The
-    last time takes the only reference to that prefix and drops it after
-    layer 2, so a one-time trace holds no more than an unshared one."""
+    layers, so the coordinate jet, the layer-1 sine and layer 2's
+    `W2[:, :h] @ a1` are traced once and shared by every time.  The last
+    time takes the only reference to that prefix and drops it with layer
+    2's sine, so a one-time trace holds no more than an unshared one."""
     request.validate()
     times = [float(t) for t in times]
-    wb = de.coordinate_bundle(tape, coords, spatial=request.spatial)
-    shared = [_trace_prefix(tape, leaves, wb, config)]
+    coords = np.asarray(coords, dtype=tape.dtype)
+    if coords.ndim != 2 or coords.shape[0] != 3:
+        raise ValueError(f"coordinate block must be (3,B), got {coords.shape}")
+    xb = _coordinate_jet(tape, coords, request.spatial)
+    shared = [_trace_prefix(tape, leaves, xb, config)]
+    x = tape.constant(coords)
     return [
-        _trace_time(tape, leaves, wb, shared, k == len(times) - 1, t, config, request)
+        _trace_time(tape, leaves, x, shared, k == len(times) - 1, t, config, request)
         for k, t in enumerate(times)
     ]
 
 
-def _trace_prefix(tape, leaves, wb, config: NetworkConfig) -> TangentBundle:
+def _coordinate_jet(tape, coords, spatial: bool) -> Jet:
+    """The coordinates with unit x, y, z tangents, or the value alone."""
+    if not spatial:
+        return Jet(tape.constant(coords), (de.V,))
+    block = np.zeros((3, 4, coords.shape[1]), dtype=tape.dtype)
+    block[:, 0] = coords
+    for d in range(3):
+        block[d, 1 + d] = 1.0
+    return Jet(tape.constant(block.reshape(3, -1)), (de.V, de.X, de.Y, de.Z))
+
+
+def _trace_prefix(tape, leaves, xb, config: NetworkConfig) -> Jet:
     """Layer 2's product with the layer-1 activations, `W2[:, :h] @ a1`:
     the last quantity that does not depend on time."""
     w1, b1 = leaves.psi[0]
-    a1 = de.bundle_sine(tape, de.bundle_affine(tape, w1, wb, b1), config.omega0)
+    a1 = de.bundle_sine(tape, de.bundle_affine(tape, w1, xb, b1), config.omega0)
     return de.bundle_affine(tape, leaves.psi[1][0], a1, cols=(0, config.hidden_width))
 
 
-def _trace_time(tape, leaves, wb, shared, last, t, config, request) -> NetworkTrace:
+def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTrace:
     """The rest of the network at one time.  `shared` holds the prefix;
-    the last time pops it straight into layer 2's sum, so nothing here
-    keeps it alive past that layer."""
-    nbatch = wb.value.value.shape[1]
+    the last time pops it into layer 2's pre-activation, which the layer's
+    sine consumes, so nothing here keeps it alive past that layer."""
     h = config.hidden_width
     he = h + config.time_embed_width
 
-    tb = de.time_bundle(tape, t, temporal=request.temporal)
+    if request.temporal:  # the time and its unit t-tangent, one point
+        tb = Jet(tape.constant(np.array([[t, 1.0]], dtype=tape.dtype)), (de.V, de.T))
+    else:
+        tb = Jet(tape.constant(np.array([[t]], dtype=tape.dtype)), (de.V,))
     eb = _trace_time_embed(tape, leaves.theta, tb, config)
 
     for li in range(1, config.depth):
@@ -289,13 +309,15 @@ def _trace_time(tape, leaves, wb, shared, last, t, config, request) -> NetworkTr
             )
         else:
             z = de.bundle_affine(tape, w, a, b)
-        a = z if li == config.depth - 1 else de.bundle_sine(tape, z)
+        if li < config.depth - 1:
+            z = de.bundle_sine(tape, z)
+        a = z
 
-    disp = a
-    trace = NetworkTrace(wb.value, disp, tape.add(disp.value, wb.value))
+    disp = de.jet_slot(tape, a, de.V)
+    trace = NetworkTrace(x, a, disp, tape.add(disp, x))
 
     if request.spatial:
-        grads = [_materialize(tape, disp.tangent(d), nbatch) for d in range(3)]
+        grads = [de.jet_slot(tape, a, d) for d in de.SPATIAL]
         trace.disp_grads = grads
         if request.jacdet or request.jacdet_dt:
             entries = []
@@ -306,9 +328,9 @@ def _trace_time(tape, leaves, wb, shared, last, t, config, request) -> NetworkTr
             trace.jac_entries = entries
             trace.jac_det = tape.det3(entries)
     if request.temporal:
-        trace.dphi_dt = _materialize(tape, disp.tangent(3), nbatch)
+        trace.dphi_dt = de.jet_slot(tape, a, de.T)
     if request.jacdet_dt:
-        jdot = [_materialize(tape, disp.mixed_entry(d), nbatch) for d in range(3)]
+        jdot = [de.jet_slot(tape, a, d + 4) for d in de.SPATIAL]
         adj = tape.adj3(trace.jac_entries)
         acc = None
         for i in range(3):
@@ -330,10 +352,10 @@ def forward_with_derivatives(
     times,
     request: DerivativeRequest,
     dtype=np.float64,
-    chunk_size: int = CHUNK_POINTS,
+    chunk_size: int | None = None,
 ):
     """Evaluate the frozen field and the requested derivatives at (3,B)
-    coords, `chunk_size` points at a time.  `times` is one normalized time
+    coords, `chunk_size` points at a time (default `chunk_points`).  `times` is one normalized time
     (returns one DisplacementResult) or a sequence of them (returns a list,
     one result per time); each chunk traces the time-invariant prefix once
     and shares it across the times.  The parameters enter as tape
@@ -341,6 +363,8 @@ def forward_with_derivatives(
     layer values; chunking is pure partitioning and sharing changes no
     arithmetic (results are identical to one pass per time)."""
     request.validate()
+    if chunk_size is None:
+        chunk_size = chunk_points(state.config, request, dtype)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     single = np.ndim(times) == 0
@@ -352,6 +376,16 @@ def forward_with_derivatives(
     ]
     results = [_join(coords, [p[k] for p in parts]) for k in range(len(times))]
     return results[0] if single else results
+
+
+def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
+    """Points per inference chunk: as many as keep one hidden-layer jet
+    block, hidden width x slot count x itemsize per point, within
+    BLOCK_BYTES."""
+    spatial, temporal = request.spatial, request.temporal
+    slots = 1 + 3 * spatial + temporal + 3 * (spatial and temporal)
+    per_point = config.hidden_width * slots * np.dtype(dtype).itemsize
+    return max(1, BLOCK_BYTES // per_point)
 
 
 def _join(coords, parts) -> DisplacementResult:
@@ -373,7 +407,7 @@ def _evaluate_chunk(state, coords, times, request, dtype) -> list:
 
 
 def _result(coords, tr, request) -> DisplacementResult:
-    res = DisplacementResult(coords, tr.displacement.value.value.copy())
+    res = DisplacementResult(coords, tr.displacement.value.copy())
     if request.spatial:
         grads = np.stack([g.value for g in tr.disp_grads])  # (3dir, 3comp, B)
         jac = np.transpose(grads, (1, 0, 2)).copy()

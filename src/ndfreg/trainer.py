@@ -308,11 +308,12 @@ def predict_field(
     state: net.NetworkState,
     t_months,
     dims,
-    chunk_size: int = net.CHUNK_POINTS,
+    chunk_size: int | None = None,
     want_djdt: bool = False,
 ):
     """Evaluate the fitted field densely over the voxel grid, `chunk_size`
-    points at a time (pure partitioning: results equal one pass).
+    points at a time (default `network.chunk_points`; pure partitioning:
+    results equal one pass).
     `t_months` is one time (returns one FieldGrid) or a sequence of times
     (returns a list, one grid per time, sharing the network's
     time-invariant prefix)."""

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from ndfreg import diffengine as de, losses, network as net
 from ndfreg.diffengine import Tape
+from ndfreg.trainer import SamplePlan
+from ndfreg.volume import Volume3D, Volume4DSeries
 
 from test_losses import tiny_series, toy_plan, toy_state
 
@@ -127,42 +129,48 @@ def test_minimum_and_relu():
 # ---------------------------------------------------------------------------
 
 
+def coord_jet(tape, coords):
+    """(3,B) coordinates with unit x, y, z tangents, as the network seeds them."""
+    return net._coordinate_jet(tape, np.asarray(coords, dtype=tape.dtype), True)
+
+
+def time_jet(tape, t):
+    """A time with its unit t-tangent: one point, slots v and t."""
+    return de.Jet(tape.constant(np.array([[t, 1.0]])), (de.V, de.T))
+
+
+def slot(tape, jet, s):
+    return de.jet_slot(tape, jet, s).value
+
+
 def test_tangent_sine_at_zero():
     tape = Tape()
-    xb = de.coordinate_bundle(tape, np.zeros((3, 1)))
+    xb = coord_jet(tape, np.zeros((3, 1)))
     out = de.bundle_sine(tape, xb, 1.0)
     # d sin(x)/dx at 0 is cos(0) = 1 on the x row
-    t = out.tangent(0)
-    assert float(t.value[0, 0]) == pytest.approx(1.0)
+    t = slot(tape, out, de.X)
+    assert float(t[0, 0]) == pytest.approx(1.0)
 
 
 def test_value_only_sine_records_no_cosine():
     tape = Tape()
-    x = de.TangentBundle(tape.leaf(np.linspace(-1.0, 1.0, 6).reshape(2, 3)))
+    x = de.Jet(tape.leaf(np.linspace(-1.0, 1.0, 6).reshape(2, 3)), (de.V,))
     out = de.bundle_sine(tape, x, 30.0)
-    assert out.tangents == (None,) * 4 and out.mixed == (None,) * 3
-    assert [n.kind for n in tape.nodes] == ["leaf", "sine"]
-    assert all(n.payload[1] == 0.0 for n in tape.nodes if n.kind == "sine")
+    assert out.slots == (de.V,)
+    assert [n.kind for n in tape.nodes] == ["leaf", "jet_sine"]
+    assert all(n.aux is None for n in tape.nodes if n.kind == "jet_sine")
 
 
 def test_tangent_bilinear_mixed():
     # f(x, t) = x * t: tangents (t, x), mixed d2/dxdt = 1
     tape = Tape()
-    x = de.TangentBundle(
-        tape.constant(np.full((1, 1), 2.0)),
-        (tape.constant(np.ones((1, 1))), None, None, None),
-        (None, None, None),
-    )
-    t = de.TangentBundle(
-        tape.constant(np.full((1, 1), 3.0)),
-        (None, None, None, tape.constant(np.ones((1, 1)))),
-        (None, None, None),
-    )
+    x, x_dx = tape.constant(np.full((1, 1), 2.0)), tape.constant(np.ones((1, 1)))
+    t, t_dt = tape.constant(np.full((1, 1), 3.0)), tape.constant(np.ones((1, 1)))
     # product rule via primitives: v = x*t, dx = t, dt = x, dxt = 1
-    v = tape.mul(x.value, t.value)
-    dvx = tape.mul(x.tangent(0), t.value)
-    dvt = tape.mul(x.value, t.tangent(3))
-    dvxt = tape.mul(x.tangent(0), t.tangent(3))
+    v = tape.mul(x, t)
+    dvx = tape.mul(x_dx, t)
+    dvt = tape.mul(x, t_dt)
+    dvxt = tape.mul(x_dx, t_dt)
     assert v.value.item() == 6.0
     assert dvx.value.item() == 3.0
     assert dvt.value.item() == 2.0
@@ -171,11 +179,11 @@ def test_tangent_bilinear_mixed():
 
 def test_constant_bundle_zero_tangents():
     tape = Tape()
-    b = de.TangentBundle(tape.constant(np.ones((3, 2))))
-    for d in range(4):
-        assert np.all(b.tangent(d).value == 0.0)
-    for d in range(3):
-        assert np.all(b.mixed_entry(d).value == 0.0)
+    b = de.Jet(tape.constant(np.ones((3, 2))), (de.V,))
+    for d in (de.X, de.Y, de.Z, de.T):
+        assert np.all(slot(tape, b, d) == 0.0)
+    for d in (de.XT, de.YT, de.ZT):
+        assert np.all(slot(tape, b, d) == 0.0)
 
 
 def _sine_stack(tape, wb, tb, weights):
@@ -188,7 +196,7 @@ def _sine_stack(tape, wb, tb, weights):
         z = de.bundle_add(
             tape,
             de.bundle_affine(tape, w2, a, cols=(0, h)),
-            de.bundle_affine(tape, w2, e, cols=(h, h + e.value.shape[0])),
+            de.bundle_affine(tape, w2, e, cols=(h, h + e.node.value.shape[0])),
         )
         a = de.bundle_sine(tape, z)
     return a
@@ -210,25 +218,24 @@ def test_five_layer_tangents_match_finite_differences():
         tape = Tape()
         rng2 = np.random.default_rng(5)
         weights = _stack_weights(tape, rng2)
-        wb = de.coordinate_bundle(tape, c)
-        tb = de.time_bundle(tape, t)
-        return _sine_stack(tape, wb, tb, weights)
+        out = _sine_stack(tape, coord_jet(tape, c), time_jet(tape, t), weights)
+        return {s: slot(tape, out, s) for s in (de.V, de.X, de.Y, de.Z, de.T)}
 
     out = run(coords, t0)
     h = 1e-4
     for d in range(3):
         shift = np.zeros((3, 1))
         shift[d] = h
-        vp = run(coords + shift, t0).value.value
-        vm = run(coords - shift, t0).value.value
+        vp = run(coords + shift, t0)[de.V]
+        vm = run(coords - shift, t0)[de.V]
         fd = (vp - vm) / (2 * h)
-        an = out.tangent(d).value
+        an = out[de.SPATIAL[d]]
         rel = np.abs(an - fd) / np.maximum(np.abs(fd), 1e-6)
         assert rel.max() < 1e-5
-    vp = run(coords, t0 + h).value.value
-    vm = run(coords, t0 - h).value.value
+    vp = run(coords, t0 + h)[de.V]
+    vm = run(coords, t0 - h)[de.V]
     fd = (vp - vm) / (2 * h)
-    rel = np.abs(out.tangent(3).value - fd) / np.maximum(np.abs(fd), 1e-6)
+    rel = np.abs(out[de.T] - fd) / np.maximum(np.abs(fd), 1e-6)
     assert rel.max() < 1e-5
 
 
@@ -240,20 +247,18 @@ def test_mixed_tangents_match_finite_differences():
         tape = Tape()
         rng2 = np.random.default_rng(5)
         weights = _stack_weights(tape, rng2)
-        wb = de.coordinate_bundle(tape, c)
-        tb = de.time_bundle(tape, t)
-        out = _sine_stack(tape, wb, tb, weights)
-        return out.tangent(3).value, out
+        out = _sine_stack(tape, coord_jet(tape, c), time_jet(tape, t), weights)
+        return slot(tape, out, de.T), [slot(tape, out, m) for m in (de.XT, de.YT, de.ZT)]
 
     h = 1e-4
-    _, out = tangent_t(coords, 0.4)
+    _, mixed = tangent_t(coords, 0.4)
     for d in range(3):
         shift = np.zeros((3, 1))
         shift[d] = h
         tp, _ = tangent_t(coords + shift, 0.4)
         tm, _ = tangent_t(coords - shift, 0.4)
         fd = (tp - tm) / (2 * h)
-        an = out.mixed_entry(d).value
+        an = mixed[d]
         rel = np.abs(an - fd) / np.maximum(np.abs(fd), 1e-6)
         assert rel.max() < 1e-4
 
@@ -264,20 +269,13 @@ def test_tangent_linearity():
 
     def tangents_of(scale_f, scale_g):
         tape = Tape()
-        wb = de.coordinate_bundle(tape, coords)
+        wb = coord_jet(tape, coords)
         f = de.bundle_sine(tape, wb, 2.0)
         g = de.bundle_leaky(tape, wb, 0.05)
-        fs = de.TangentBundle(
-            tape.scale(f.value, scale_f),
-            tuple(None if t is None else tape.scale(t, scale_f) for t in f.tangents),
-            (None, None, None),
-        )
-        gs = de.TangentBundle(
-            tape.scale(g.value, scale_g),
-            tuple(None if t is None else tape.scale(t, scale_g) for t in g.tangents),
-            (None, None, None),
-        )
-        return de.bundle_add(tape, fs, gs)
+        assert f.slots == g.slots
+        combo = tape.add(tape.scale(f.node, scale_f), tape.scale(g.node, scale_g))
+        out = de.Jet(combo, f.slots)
+        return [slot(tape, out, d) for d in de.SPATIAL]
 
     a, b = 2.5, -1.25
     combo = tangents_of(a, b)
@@ -285,8 +283,8 @@ def test_tangent_linearity():
     gonly = tangents_of(0.0, 1.0)
     for d in range(3):
         np.testing.assert_allclose(
-            combo.tangent(d).value,
-            a * fonly.tangent(d).value + b * gonly.tangent(d).value,
+            combo[d],
+            a * fonly[d] + b * gonly[d],
             rtol=1e-12,
         )
 
@@ -298,9 +296,10 @@ def test_leaky_kink_convention():
     tape.backward(y)
     assert x.adjoint[0] == 1.0  # positive-branch slope at exactly 0
     tape2 = Tape()
-    x2 = tape2.constant(np.array([0.0, -1.0, 1.0]))
-    mask = tape2.leaky_mask(x2, 0.25)
-    np.testing.assert_array_equal(mask.value, [1.0, 0.25, 1.0])
+    # unit x-tangents: the tangent slot of the leaky rule is its slope mask
+    x2 = de.Jet(tape2.constant(np.array([[0.0, -1.0, 1.0, 1.0, 1.0, 1.0]])), (de.V, de.X))
+    mask = slot(tape2, de.bundle_leaky(tape2, x2, 0.25), de.X)
+    np.testing.assert_array_equal(mask, [[1.0, 0.25, 1.0]])
 
 
 def test_determinism_bit_identical():
@@ -398,16 +397,16 @@ def test_float32_mode_tangents():
     def run(c):
         tape = Tape(np.float32)
         w = tape.constant(weights)
-        wb = de.coordinate_bundle(tape, c)
-        return de.bundle_sine(tape, de.bundle_affine(tape, w, wb), 2.0)
+        out = de.bundle_sine(tape, de.bundle_affine(tape, w, coord_jet(tape, c)), 2.0)
+        return slot(tape, out, de.V), slot(tape, out, de.X)
 
-    out = run(coords)
-    assert out.value.value.dtype == np.float32
+    value, tangent = run(coords)
+    assert value.dtype == np.float32
     h = np.float32(1e-2)
     shift = np.zeros((3, 1), dtype=np.float32)
     shift[0] = h
-    fd = (run(coords + shift).value.value - run(coords - shift).value.value) / (2 * h)
-    rel = np.abs(out.tangent(0).value - fd) / np.maximum(np.abs(fd), 1e-2)
+    fd = (run(coords + shift)[0] - run(coords - shift)[0]) / (2 * h)
+    rel = np.abs(tangent - fd) / np.maximum(np.abs(fd), 1e-2)
     assert rel.max() < 1e-2
 
 
@@ -418,16 +417,10 @@ def test_float32_mode_tangents():
 )
 def test_mul_tangent_product_rule(xs, vs):
     tape = Tape()
-    a = de.TangentBundle(
-        tape.constant(np.array(xs[:2])), (tape.constant(np.array(vs[:2])), None, None, None)
-    )
-    b = de.TangentBundle(
-        tape.constant(np.array(xs[2:])), (tape.constant(np.array(vs[2:])), None, None, None)
-    )
-    prod = tape.mul(a.value, b.value)
-    dt = tape.add(
-        tape.mul(a.tangent(0), b.value), tape.mul(a.value, b.tangent(0))
-    )
+    a, a_dx = tape.constant(np.array(xs[:2])), tape.constant(np.array(vs[:2]))
+    b, b_dx = tape.constant(np.array(xs[2:])), tape.constant(np.array(vs[2:]))
+    prod = tape.mul(a, b)
+    dt = tape.add(tape.mul(a_dx, b), tape.mul(a, b_dx))
     expect = np.array(vs[:2]) * np.array(xs[2:]) + np.array(xs[:2]) * np.array(vs[2:])
     np.testing.assert_allclose(dt.value, expect, rtol=1e-12, atol=1e-12)
 
@@ -480,6 +473,54 @@ def _vjp_cases(rng):
         "det3": [(tuple(nine), None)],
         "adj3": [(tuple(nine), None)],
         "sample3": [(tuple(_sample_points(rng, 7, 6) for _ in range(3)), grid)],
+        **_jet_cases(rng),
+    }
+
+
+ALL_SLOTS = tuple(range(8))
+SPACE = (de.V, de.X, de.Y, de.Z)
+
+
+def _jet_cases(rng):
+    """Blocks of 3 rows and 4 points per slot with their column terms; value
+    slots sit away from the leaky kink."""
+
+    def block(slots, nb=4):
+        z = rng.uniform(-1.0, 1.0, size=(3, len(slots), nb))
+        z[:, 0] = _away_from_zero(rng, (3, nb), 0.3)
+        return z.reshape(3, -1)
+
+    def col(k):
+        return rng.uniform(-0.1, 0.1, size=(3, k))
+
+    time_block = block((de.V, de.T), nb=1)
+    return {
+        # every slot present; t column present; t made by the column alone;
+        # spatial only; value only; time only
+        "jet_sine": [
+            ((block(ALL_SLOTS), col(2), col(1)), (2.0, ALL_SLOTS)),
+            ((block(SPACE), col(2), col(1)), (2.0, SPACE)),
+            ((block(SPACE), col(1)), (2.0, SPACE)),
+            ((block((de.V,)), col(1)), (2.0, (de.V,))),
+            ((time_block, col(2)), (2.0, (de.V, de.T))),
+        ],
+        "jet_leaky": [
+            ((time_block, col(1)), (0.1, (de.V, de.T))),
+            ((block(ALL_SLOTS), col(2)), (0.1, ALL_SLOTS)),
+            ((block(SPACE), col(2), col(1)), (0.1, SPACE)),
+            ((block((de.V,)),), (0.1, (de.V,))),
+        ],
+        "jet_add": [
+            ((block(SPACE), col(2), col(1)), SPACE),
+            ((time_block, col(1)), (de.V, de.T)),
+        ],
+        "jet_slot": [
+            ((block(SPACE), col(2), col(1)), (SPACE, de.V)),
+            ((block(SPACE), col(2), col(1)), (SPACE, de.T)),
+            ((block(SPACE), col(2)), (SPACE, de.Y)),
+            ((block(ALL_SLOTS), col(2)), (ALL_SLOTS, de.T)),
+            ((block(ALL_SLOTS), col(1)), (ALL_SLOTS, de.ZT)),
+        ],
     }
 
 
@@ -542,3 +583,35 @@ def test_every_recorded_node_passes_through_record(monkeypatch):
     non_leaf = [n for n in tape.nodes if n.kind != "leaf"]
     assert "sample3" in {n.kind for n in non_leaf}
     assert [n for n in non_leaf if id(n) not in passed] == []
+
+
+def test_stacked_jet_training_tape_size():
+    """One node per layer jet: a depth-5, width-16 loss tape with gamma > 0
+    over 4 observed times and an 8-time grid stays within 1100 nodes (a
+    node per tangent slot records 1533).  `Tape.stats` counts every
+    recorded node and its value and aux bytes by kind."""
+    rng = np.random.default_rng(3)
+    base = rng.uniform(0, 1, size=(6, 6, 6))
+    followups = [
+        (m, Volume3D(np.clip(base + rng.uniform(-0.05, 0.05, base.shape), 0, 1)))
+        for m in (12.0, 24.0, 36.0)
+    ]
+    series = Volume4DSeries(Volume3D(base), followups)
+    cfg = net.NetworkConfig(hidden_width=16, depth=5, time_hidden_width=10, time_embed_width=8)
+    state = net.init_network(seed=1, config=cfg)
+    plan = SamplePlan(
+        coords=rng.uniform(-0.8, 0.8, size=(3, 32)),
+        observed_times=np.array([0.0, 1 / 3, 2 / 3, 1.0]),
+        reg_grid=np.linspace(0.0, 1.0, 8),
+    )
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    losses.build_total_loss(tape, leaves, series, losses.LossWeights(gamma=0.1), plan, cfg)
+    stats = tape.stats()
+    assert stats["nodes"] == len(tape.nodes) <= 1100
+    assert sum(stats["bytes"].values()) == sum(
+        n.value.nbytes + (0 if n.aux is None else n.aux.nbytes) for n in tape.nodes
+    )
+    sines = [n for n in tape.nodes if n.kind == "jet_sine"]
+    assert any(n.aux is not None for n in sines)
+    assert stats["bytes"]["jet_sine"] > sum(n.value.nbytes for n in sines)

@@ -3,7 +3,7 @@ both precisions, and each fault hook trips exactly the check it targets."""
 
 import pytest
 
-from ndfreg import cli
+from ndfreg import cli, diffengine as de
 from ndfreg.gradcheck import CORRUPT_HOOKS, run_gradcheck
 
 SMALL = dict(seed=0, width=8, points=20)
@@ -16,13 +16,14 @@ HOOKS = {
     "jacdet_dt": "jacdet-dt",
     "sampler": "sampler-gradient",
     "params": "parameter-gradients",
+    "mono": "parameter-gradients",
 }
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_gradcheck_passes(precision):
     results = run_gradcheck(precision=precision, **SMALL)
-    assert sorted(r.name for r in results) == sorted(HOOKS.values())
+    assert sorted(r.name for r in results) == sorted(set(HOOKS.values()))
     failed = [(r.name, r.worst, r.tol) for r in results if not r.passed]
     assert failed == []
 
@@ -41,3 +42,44 @@ def test_unknown_fault_hook_rejected(capsys):
     assert "invalid choice" in capsys.readouterr().err
     with pytest.raises(ValueError, match="unknown fault hook"):
         run_gradcheck(corrupt="typo", **SMALL)
+
+
+def _without_mixed_cosine_term(vjp):
+    """The jet sine VJP without the -omega^2 (omega cos(omega u)) z_d z_t
+    part of d(mixed slot)/du, a term only the monotonic regularizer
+    reaches."""
+
+    def wrong(node, g):
+        grads = list(vjp(node, g))
+        if node.aux is None:
+            return grads
+        omega, slots = node.payload
+        z, pos, cv, ct = de._jet_block("jet_sine", [n.value for n in node.inputs], slots)
+        out_slots = de._sine_slots(slots, ct is not None)
+        mixed = [d for d in de.SPATIAL if d + 4 in out_slots]
+        if not mixed:
+            return grads
+        g3 = g.reshape(z.shape[0], len(out_slots), z.shape[2])
+        zt = de._folded(z, pos, cv, ct, de.T)
+        mix = sum(g3[:, out_slots.index(d + 4)] * z[:, pos[d]] for d in mixed)
+        term = omega * omega * node.aux * zt * mix  # what the VJP subtracts
+        fixed = []
+        for i, grad in grads:
+            grad = grad.copy()
+            if i == 0:
+                grad.reshape(z.shape)[:, 0] += term
+            else:
+                grad[:, 0] += term.sum(axis=1)
+            fixed.append((i, grad))
+        return fixed
+
+    return wrong
+
+
+def test_dropped_mixed_sine_term_fails_parameter_gradients(monkeypatch):
+    prim = de._PRIMITIVES["jet_sine"]
+    monkeypatch.setitem(
+        de._PRIMITIVES, "jet_sine", de.Primitive(prim.forward, _without_mixed_cosine_term(prim.vjp))
+    )
+    results = run_gradcheck(precision="f64", **SMALL)
+    assert [r.name for r in results if not r.passed] == ["parameter-gradients"]

@@ -111,20 +111,22 @@ def test_last_time_frees_the_shared_prefix(no_gc, monkeypatch):
     """The time-invariant prefix lives until the last time's layer 2 and
     no longer, so a one-time trace holds no more than an unshared one."""
     prefix, alive = [], []
-    trace_prefix, bundle_sine = net._trace_prefix, de.bundle_sine
+    trace_prefix, bundle_affine = net._trace_prefix, de.bundle_affine
 
     def tracking_prefix(*args):
         out = trace_prefix(*args)
-        prefix.append(weakref.ref(out))
+        prefix.append(weakref.ref(out.node.value))  # the prefix block's buffer
         return out
 
-    def tracking_sine(*args, **kwargs):
-        if prefix:  # TOY_NET has one hidden sine after the prefix per time
+    def tracking_affine(tape, w, x, b=None, cols=None):
+        if prefix and cols == (0, TOY_NET.hidden_width):
+            # TOY_NET's output layer: the one product with a hidden
+            # activation after the prefix, once per time
             alive.append(prefix[-1]() is not None)
-        return bundle_sine(*args, **kwargs)
+        return bundle_affine(tape, w, x, b, cols)
 
     monkeypatch.setattr(net, "_trace_prefix", tracking_prefix)
-    monkeypatch.setattr(de, "bundle_sine", tracking_sine)
+    monkeypatch.setattr(de, "bundle_affine", tracking_affine)
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
     full = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)

@@ -119,10 +119,11 @@ def test_time_embed_tangent_matches_fd():
 
         tape = Tape()
         leaves = net.make_leaves(tape, state, trainable=False)
-        tb = de.time_bundle(tape, t)
+        tb = de.Jet(tape.constant(np.array([[t, 1.0]])), (de.V, de.T))
         eb = net._trace_time_embed(tape, leaves.theta, tb, state.config)
-        np.testing.assert_allclose(eb.value.value[:, 0], net.time_embed(state, t), rtol=1e-12)
-        rel = np.abs(eb.tangent(3).value[:, 0] - fd) / np.maximum(np.abs(fd), 1e-9)
+        value, tangent = (de.jet_slot(tape, eb, s).value[:, 0] for s in (de.V, de.T))
+        np.testing.assert_allclose(value, net.time_embed(state, t), rtol=1e-12)
+        rel = np.abs(tangent - fd) / np.maximum(np.abs(fd), 1e-9)
         assert rel.max() < 1e-6
 
 
@@ -190,9 +191,10 @@ def test_times_sequence_matches_separate_calls_bit_for_bit():
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def _bundle_arrays(bundle):
-    nodes = (bundle.value,) + bundle.tangents + bundle.mixed
-    return [None if n is None else n.value for n in nodes]
+def _jet_arrays(jet):
+    """The output jet's block and column terms: every value, tangent and
+    mixed entry it carries."""
+    return [jet.slots] + [n.value for n in jet.inputs()]
 
 
 def _trace_scalar(tape, tr):
@@ -230,10 +232,11 @@ def test_trace_network_shares_prefix_exactly():
         one = Tape()
         one_leaves = net.make_leaves(one, state)
         (want,) = net.trace_network(one, one_leaves, coords, [t], cfg, FULL_REQ)
-        for a, b in zip(_bundle_arrays(got.displacement), _bundle_arrays(want.displacement)):
-            assert (a is None) == (b is None)
-            assert a is None or a.tobytes() == b.tobytes()
-        for name in ("jac_det", "jac_det_dt", "dphi_dt", "phi"):
+        got_arrays, want_arrays = _jet_arrays(got.output), _jet_arrays(want.output)
+        assert got_arrays[0] == want_arrays[0] and len(got_arrays) == len(want_arrays)
+        for a, b in zip(got_arrays[1:], want_arrays[1:]):
+            assert a.tobytes() == b.tobytes()
+        for name in ("displacement", "jac_det", "jac_det_dt", "dphi_dt", "phi"):
             assert getattr(got, name).value.tobytes() == getattr(want, name).value.tobytes()
         one.backward(_trace_scalar(one, want))
         for acc, l in zip(sep_grads, one_leaves.flat()):
