@@ -403,3 +403,31 @@ def test_phi_is_coords_plus_displacement():
     coords = np.random.default_rng(13).uniform(-1, 1, size=(3, 25))
     res = net.forward(state, coords, 0.2)
     np.testing.assert_array_equal(res.phi, coords + res.displacement)
+
+
+def test_linear_embedding_output_matches_oracle():
+    """Without the embedding's output activation its bias stays a pending
+    column term and is settled before the first product with the embedding;
+    every derivative product still matches the hand-derived recursion."""
+    from test_losses import oracle_forward, oracle_jac_products
+
+    cfg = net.NetworkConfig(
+        hidden_width=8, depth=4, time_hidden_width=4, time_embed_width=6,
+        time_embed_output_leaky=False,
+    )
+    state = net.init_network(seed=43, config=cfg)
+    rng = np.random.default_rng(14)
+    for w, b in state.psi + state.theta:
+        w *= 3.0
+        b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    coords = rng.uniform(-0.9, 0.9, size=(3, 25))
+    res = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
+    val, dw, dt, mixed = oracle_forward(state, coords, 0.6)
+    _, djdt = oracle_jac_products(dw, mixed)
+    np.testing.assert_allclose(res.displacement, val, rtol=1e-12, atol=1e-14)
+    for j in range(3):
+        np.testing.assert_allclose(
+            res.spatial_jacobian[:, j, :] - np.eye(3)[:, j : j + 1], dw[j], rtol=1e-12, atol=1e-13
+        )
+    np.testing.assert_allclose(res.temporal_derivative, dt, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(res.jac_det_dt, djdt, rtol=1e-10, atol=1e-12)
