@@ -33,6 +33,14 @@ slots that can be non-zero are stored, so S <= 8.
   * `jet_slot` extracts one folded slot as a (rows, B) node; `jet_add`, the
     column add, settles pending column terms into a new block when a
     matmul needs them.
+  * The output layer's block (3 rows, the displacement's components) is
+    the one place that holds the Jacobian's layout: slot x+j, row i is
+    J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j, row i is dJ[i][j]/dt.
+    Its column terms touch only slots v and t, so three primitives read
+    the block node alone, one node each: `jacobian` (slots x, y, z as one
+    (3, 3B) node), `jacdet` (|I + J| by cofactor expansion, (B,)) and
+    `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt) by Jacobi's formula,
+    (B,)).
 With this layout a layer is one matmul forward and two backward, and one
 node per rule; every elementwise pass runs over contiguous B-point runs.
 
@@ -62,7 +70,8 @@ Lifetime contract:
 Primitive table: `_PRIMITIVES` maps each kind string to a pair
 `Primitive(forward, vjp)`.  `forward(dtype, values, payload)` checks the
 input values' shapes and returns the output value, or `(value, aux)` when
-the VJP needs more than values (`sample3` keeps the sampler gradients).
+the VJP needs more than values (`sample3`, which samples a grid at (3, B)
+points, keeps the sampler gradients).
 `vjp(node, g)` yields, or returns a list of, `(input position, cotangent)`
 pairs, which `backward` adds to the inputs' adjoints in that order, so the
 order fixes every adjoint sum bit for bit.  `Tape.record(kind, inputs,
@@ -97,20 +106,6 @@ __all__ = [
 
 class DiffEngineError(ValueError):
     """Raised when a primitive is recorded with bad inputs."""
-
-
-# adjugate entries as p*q - r*s over row-major input indices 0..8
-_ADJ_TABLE = (
-    (4, 8, 5, 7),
-    (2, 7, 1, 8),
-    (1, 5, 2, 4),
-    (5, 6, 3, 8),
-    (0, 8, 2, 6),
-    (2, 3, 0, 5),
-    (3, 7, 4, 6),
-    (1, 6, 0, 7),
-    (0, 4, 1, 3),
-)
 
 
 class Node:
@@ -191,29 +186,9 @@ def _minimum_vjp(node, g):
     yield 1, g * ~take_a
 
 
-def _sine_forward(dtype, values, payload):
-    omega, phase = payload
-    return np.sin(omega * values[0] + phase)
-
-
-def _sine_vjp(node, g):
-    omega, phase = node.payload
-    yield 0, g * omega * np.cos(omega * node.inputs[0].value + phase)
-
-
-def _leaky_forward(dtype, values, slope):
-    x = values[0]
-    return np.where(x >= 0.0, x, dtype.type(slope) * x)
-
-
-def _leaky_vjp(node, g):
-    # kink convention: derivative 1 at exactly 0 (positive branch)
-    yield 0, g * np.where(node.inputs[0].value >= 0.0, 1.0, node.payload)
-
-
 def _affine_forward(dtype, values, cols):
-    """W[:, lo:hi] @ x, plus a (rows, 1) bias when given a third input."""
-    w, x = values[0], values[1]
+    """W[:, lo:hi] @ x."""
+    w, x = values
     if w.ndim != 2 or x.ndim != 2:
         raise DiffEngineError(f"affine: need 2-d operands, got {w.shape} @ {x.shape}")
     lo, hi = cols or (0, w.shape[1])
@@ -221,18 +196,12 @@ def _affine_forward(dtype, values, cols):
         raise DiffEngineError(
             f"affine: W[:,{lo}:{hi}] of {w.shape} does not match x {x.shape}"
         )
-    out = w[:, lo:hi] @ x
-    if len(values) == 3:
-        b = values[2]
-        if b.shape != (w.shape[0], 1):
-            raise DiffEngineError(f"affine: bias {b.shape} must be ({w.shape[0]}, 1)")
-        out = out + b
-    return out
+    return w[:, lo:hi] @ x
 
 
 def _affine_vjp(node, g):
     # the products are skipped for an unrecorded weight or input
-    w, x = node.inputs[0], node.inputs[1]
+    w, x = node.inputs
     lo, hi = node.payload or (0, w.value.shape[1])
     if w.idx is not None:
         gw = np.zeros_like(w.value)
@@ -240,21 +209,6 @@ def _affine_vjp(node, g):
         yield 0, gw
     if x.idx is not None:
         yield 1, w.value[:, lo:hi].T @ g
-    if len(node.inputs) == 3:
-        yield 2, g.sum(axis=1, keepdims=True)
-
-
-def _row_forward(dtype, values, i):
-    x = values[0]
-    if x.ndim != 2 or not (0 <= i < x.shape[0]):
-        raise DiffEngineError(f"row: index {i} out of {x.shape}")
-    return x[i]
-
-
-def _row_vjp(node, g):
-    gx = np.zeros_like(node.inputs[0].value)
-    gx[node.payload] = g
-    yield 0, gx
 
 
 def _sum_forward(dtype, values, axis):
@@ -279,51 +233,10 @@ def _mean_vjp(node, g):
     yield 0, np.full_like(x, g / x.size)
 
 
-def _matrix_entries(kind, values):
-    """The 9 row-major entries of a batch of 3x3 matrices, broadcast to
-    one shape."""
-    if len(values) != 9:
-        raise DiffEngineError(f"{kind}: expected 9 entries, got {len(values)}")
-    shape = np.broadcast_shapes(*[v.shape for v in values])
-    return [np.broadcast_to(v, shape) for v in values]
-
-
-def _det3_forward(dtype, values, payload):
-    x = _matrix_entries("det3", values)
-    return (
-        x[0] * (x[4] * x[8] - x[5] * x[7])
-        - x[1] * (x[3] * x[8] - x[5] * x[6])
-        + x[2] * (x[3] * x[7] - x[4] * x[6])
-    )
-
-
-def _det3_vjp(node, g):
-    x = [n.value for n in node.inputs]
-    for j in range(3):
-        for i in range(3):
-            p, q, r, s = _ADJ_TABLE[3 * j + i]  # cofactor C[i,j] = adj[j,i]
-            yield 3 * i + j, g * (x[p] * x[q] - x[r] * x[s])
-
-
-def _adj3_forward(dtype, values, payload):
-    x = _matrix_entries("adj3", values)
-    return np.stack([x[p] * x[q] - x[r] * x[s] for (p, q, r, s) in _ADJ_TABLE])
-
-
-def _adj3_vjp(node, g):
-    x = [n.value for n in node.inputs]
-    for k, (p, q, r, s) in enumerate(_ADJ_TABLE):
-        gk = g[k]
-        yield p, gk * x[q]
-        yield q, gk * x[p]
-        yield r, -gk * x[s]
-        yield s, -gk * x[r]
-
-
 def _sample3_forward(dtype, values, grid):
-    """Trilinear samples of `grid` at the points (x, y, z); the sampler's
+    """Trilinear samples of `grid` at the (3, B) points; the sampler's
     spatial gradients are kept as the node's aux for the VJP."""
-    vals, grads = trilinear_values_and_grads(grid, np.stack(values))
+    vals, grads = trilinear_values_and_grads(grid, values[0])
     return np.asarray(vals, dtype=dtype), grads.astype(dtype, copy=False)
 
 
@@ -586,6 +499,115 @@ def _jet_slot_vjp(node, g):
     yield from _column_grads(node, g if slot == V else None, g if slot == T else None)
 
 
+# adjugate entries as p*q - r*s over row-major input indices 0..8
+_ADJ_TABLE = (
+    (4, 8, 5, 7),
+    (2, 7, 1, 8),
+    (1, 5, 2, 4),
+    (5, 6, 3, 8),
+    (0, 8, 2, 6),
+    (2, 3, 0, 5),
+    (3, 7, 4, 6),
+    (1, 6, 0, 7),
+    (0, 4, 1, 3),
+)
+
+
+def _output_block(kind, values, slots, mixed=False):
+    """An output layer's (3, S, B) block and its slot positions.  Its
+    column terms touch only slots v and t, so the spatial slots (and, with
+    `mixed`, the mixed ones) are read as stored."""
+    z, pos, _, _ = _jet_block(kind, values, slots)
+    need = SPATIAL + ((XT, YT, ZT) if mixed else ())
+    if z.shape[0] != 3 or any(s not in pos for s in need):
+        raise DiffEngineError(f"{kind}: block {values[0].shape} of slots {slots} lacks {need}")
+    return z, pos
+
+
+def _identity_plus_jacobian(z, pos, dtype):
+    """The 9 row-major (B,) entries of I + J, J[i][j] = d(disp_i)/dx_j."""
+    one = dtype.type(1.0)
+    return [
+        z[i, pos[X + j]] + one if i == j else z[i, pos[X + j]] for i in range(3) for j in range(3)
+    ]
+
+
+def _adjugate(x):
+    return [x[p] * x[q] - x[r] * x[s] for (p, q, r, s) in _ADJ_TABLE]
+
+
+def _jacobian_forward(dtype, values, slots):
+    """The Jacobian J of the displacement, the spatial slots x, y, z as one
+    (3, 3B) array: row i, columns [j*B, (j+1)*B) hold d(disp_i)/dx_j."""
+    z, pos = _output_block("jacobian", values, slots)
+    return z[:, pos[X] : pos[X] + 3].reshape(3, 3 * z.shape[2]).copy()
+
+
+def _jacobian_vjp(node, g):
+    block = node.inputs[0].value
+    z, pos = _output_block("jacobian", [block], node.payload)
+    gz2 = np.zeros_like(block)
+    gz2.reshape(z.shape)[:, pos[X] : pos[X] + 3] = g.reshape(3, 3, z.shape[2])
+    yield 0, gz2
+
+
+def _jacdet_forward(dtype, values, slots):
+    """|I + J| by cofactor expansion along the first row, (B,)."""
+    z, pos = _output_block("jacdet", values, slots)
+    x = _identity_plus_jacobian(z, pos, dtype)
+    adj = _adjugate(x)
+    return x[0] * adj[0] + x[1] * adj[3] + x[2] * adj[6]
+
+
+def _jacdet_vjp(node, g):
+    """d|M|/dM[i][j] is the cofactor C[i][j] = adj(M)[j][i]."""
+    block = node.inputs[0].value
+    z, pos = _output_block("jacdet", [block], node.payload)
+    adj = _adjugate(_identity_plus_jacobian(z, pos, node.value.dtype))
+    gz2 = np.zeros_like(block)
+    gz = gz2.reshape(z.shape)
+    for i in range(3):
+        for j in range(3):
+            np.multiply(g, adj[3 * j + i], out=gz[i, pos[X + j]])
+    yield 0, gz2
+
+
+def _jacdet_dt_forward(dtype, values, slots):
+    """d|I + J|/dt by Jacobi's formula, tr(adj(I + J) dJ/dt), (B,): the sum
+    over i, then k, of adj[i][k] dJ[k][i]/dt, dJ[k][i]/dt being row k of
+    the mixed slot of direction i."""
+    z, pos = _output_block("jacdet_dt", values, slots, mixed=True)
+    adj = _adjugate(_identity_plus_jacobian(z, pos, dtype))
+    acc = None
+    for i in range(3):
+        for k in range(3):
+            term = adj[3 * i + k] * z[k, pos[XT + i]]
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _jacdet_dt_vjp(node, g):
+    """The mixed slot of direction i, row k, gets g adj[i][k]; the spatial
+    slots get g dJ[k][i]/dt chained through each adjugate entry p*q - r*s,
+    summed per entry in table order."""
+    block = node.inputs[0].value
+    z, pos = _output_block("jacdet_dt", [block], node.payload, mixed=True)
+    x = _identity_plus_jacobian(z, pos, node.value.dtype)
+    adj = _adjugate(x)
+    gz2 = np.zeros_like(block)
+    gz = gz2.reshape(z.shape)
+    gx = [None] * 9
+    for n, (p, q, r, s) in enumerate(_ADJ_TABLE):
+        i, k = divmod(n, 3)
+        np.multiply(g, adj[n], out=gz[k, pos[XT + i]])
+        ga = g * z[k, pos[XT + i]]
+        for e, d in ((p, ga * x[q]), (q, ga * x[p]), (r, -ga * x[s]), (s, -ga * x[r])):
+            gx[e] = d if gx[e] is None else gx[e] + d
+    for e, d in enumerate(gx):
+        gz[e // 3, pos[X + e % 3]] = d
+    yield 0, gz2
+
+
 class Primitive(NamedTuple):
     forward: Callable
     vjp: Callable
@@ -624,25 +646,20 @@ _PRIMITIVES = {
         lambda dtype, values, payload: np.maximum(values[0], 0.0),
         lambda node, g: [(0, g * (node.inputs[0].value > 0.0))],
     ),
-    "sine": Primitive(_sine_forward, _sine_vjp),
-    "leaky": Primitive(_leaky_forward, _leaky_vjp),
     "affine": Primitive(_affine_forward, _affine_vjp),
-    "row": Primitive(_row_forward, _row_vjp),
     "sum": Primitive(_sum_forward, _sum_vjp),
     "mean": Primitive(
         lambda dtype, values, payload: np.asarray(values[0].mean(), dtype=dtype),
         _mean_vjp,
     ),
-    "det3": Primitive(_det3_forward, _det3_vjp),
-    "adj3": Primitive(_adj3_forward, _adj3_vjp),
-    "sample3": Primitive(
-        _sample3_forward,
-        lambda node, g: ((axis, g * node.aux[axis]) for axis in range(3)),
-    ),
+    "sample3": Primitive(_sample3_forward, lambda node, g: [(0, g * node.aux)]),
     "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
     "jet_leaky": Primitive(_jet_leaky_forward, _jet_leaky_vjp),
     "jet_add": Primitive(_jet_add_forward, _jet_add_vjp),
     "jet_slot": Primitive(_jet_slot_forward, _jet_slot_vjp),
+    "jacobian": Primitive(_jacobian_forward, _jacobian_vjp),
+    "jacdet": Primitive(_jacdet_forward, _jacdet_vjp),
+    "jacdet_dt": Primitive(_jacdet_dt_forward, _jacdet_dt_vjp),
 }
 
 
@@ -720,18 +737,8 @@ class Tape:
     def relu(self, x):
         return self.record("relu", (x,))
 
-    def sine(self, x, omega: float = 1.0, phase: float = 0.0):
-        return self.record("sine", (x,), (float(omega), float(phase)))
-
-    def leaky(self, x, slope: float):
-        return self.record("leaky", (x,), float(slope))
-
-    def affine(self, w, x, b=None, cols: tuple[int, int] | None = None):
-        inputs = (w, x) if b is None else (w, x, b)
-        return self.record("affine", inputs, cols)
-
-    def row(self, x, i: int):
-        return self.record("row", (x,), int(i))
+    def affine(self, w, x, cols: tuple[int, int] | None = None):
+        return self.record("affine", (w, x), cols)
 
     def sum(self, x, axis=None):
         return self.record("sum", (x,), axis)
@@ -739,14 +746,8 @@ class Tape:
     def mean(self, x):
         return self.record("mean", (x,))
 
-    def det3(self, entries):
-        return self.record("det3", tuple(entries))
-
-    def adj3(self, entries):
-        return self.record("adj3", tuple(entries))
-
-    def sample3(self, grid: np.ndarray, x, y, z):
-        return self.record("sample3", (x, y, z), grid)
+    def sample3(self, grid: np.ndarray, points):
+        return self.record("sample3", (points,), grid)
 
     def stats(self) -> dict:
         """Recorded nodes, and the bytes their values and aux hold by kind."""
@@ -864,9 +865,5 @@ def bundle_leaky(tape: Tape, x: Jet, slope: float) -> Jet:
 
 
 def jet_slot(tape: Tape, x: Jet, slot: int) -> Node:
-    """Slot `slot` of a jet as a (rows, B) node, column terms added; a slot
-    the jet does not carry is structurally zero."""
-    if slot not in x.folded_slots:
-        rows, width = x.node.value.shape
-        return tape.constant(np.zeros((rows, width // len(x.slots)), tape.dtype))
+    """Slot `slot` of a jet as a (rows, B) node, column terms added."""
     return tape.record("jet_slot", x.inputs(), (x.slots, slot))

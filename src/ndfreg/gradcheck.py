@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
-from .diffengine import Tape
+from .diffengine import V, X, Y, Z, Tape
 from .losses import LossWeights, build_total_loss, total_loss
 from .trainer import SamplePlan
 from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
@@ -96,12 +96,17 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     def check(name, worst):
         results.append(CheckResult(name, worst, tols[name], worst <= tols[name]))
 
-    # 1. cofactor determinant vs permutation expansion
+    # 1. cofactor determinant vs permutation expansion: |I + J| of a
+    # one-point output block whose spatial slots hold J = m - I, and m
+    # rebuilt as J + I so both sides see the same rounded matrix
+    eye = np.eye(3, dtype=dtype)
     worst = 0.0
     for _ in range(200):
-        m = rng.uniform(-1, 1, size=(3, 3)).astype(dtype)
+        jac = rng.uniform(-1, 1, size=(3, 3)).astype(dtype) - eye
+        m = jac + eye
         tape = Tape(dtype)
-        got = float(tape.det3([tape.constant(v) for v in m.ravel()]).value)
+        block = tape.constant(np.concatenate([np.zeros((3, 1), dtype), jac], axis=1))
+        got = float(tape.record("jacdet", (block,), (V, X, Y, Z)).value[0])
         expect = 0.0
         for perm in itertools.permutations(range(3)):
             sign = 1
@@ -134,7 +139,11 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
             state, coords - shift, t0, net.DerivativeRequest(), dtype=dtype).phi
         fd = (fp - fm) / (2 * fd_h)
         an = _bump(res.spatial_jacobian[:, j, :], "spatial", corrupt)
-        worst = max(worst, float(_rel(an, fd, floor).max()))
+        # the quotient's roundoff reaches max|phi| eps / h; below
+        # roundoff / tol, errors are measured against the floor instead
+        roundoff = float(np.abs(fp).max()) * np.finfo(dtype).eps / fd_h
+        fd_floor = max(floor, roundoff / tols["spatial-tangents"])
+        worst = max(worst, float(_rel(an, fd, fd_floor).max()))
     check("spatial-tangents", worst)
 
     # 3. temporal derivative
@@ -176,14 +185,14 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     check("sampler-gradient", worst)
 
     # 6. parameter gradients of the full loss on a tiny series
-    check("parameter-gradients", _param_gradient_worst(seed, corrupt, precision))
+    check("parameter-gradients", _param_gradient_worst(seed, corrupt, precision, dtype))
     return results
 
 
-def _param_gradient_worst(seed, corrupt, precision):
-    """Worst relative error of full-loss parameter gradients against
-    central differences; inf when the plan's monotonic term is 0, as the
-    check would then not cover its gradient.
+def _param_gradient_worst(seed, corrupt, precision, dtype):
+    """Worst relative error of full-loss parameter gradients, taped at
+    `dtype`, against f64 central differences; inf when the plan's
+    monotonic term is 0, as the check would then not cover its gradient.
 
     Depth 3 makes d|J|/dt depend on time, and the plan (16 points, an
     8-time grid, gamma 3) makes the monotonic term non-zero, and its share
@@ -216,7 +225,7 @@ def _param_gradient_worst(seed, corrupt, precision):
     if corrupt == "mono":  # the loss total + 0.001*gamma*mono
         analytic = dataclasses.replace(weights, gamma=weights.gamma * 1.001)
 
-    tape = Tape()
+    tape = Tape(dtype)
     leaves = net.make_leaves(tape, state)
     total, breakdown = build_total_loss(tape, leaves, series, analytic, plan, cfg)
     if breakdown.monotonic == 0.0:
@@ -229,7 +238,7 @@ def _param_gradient_worst(seed, corrupt, precision):
     if corrupt == "params":
         grads = [g * 1.001 for g in grads]
 
-    eps = 1e-5  # the loss is evaluated in f64 at either precision
+    eps = 1e-5  # the reference loss is evaluated in f64 at either precision
     tol = _TOLS[precision]["parameter-gradients"]
     floor = max(1e-6, abs(breakdown.total) * 2.0**-52 / (eps * tol))
     worst = 0.0

@@ -196,8 +196,7 @@ def build_total_loss(
     fixed_vals, _ = sample_trilinear(series.baseline, coords)
     sim = None
     for (months, vol), tr in zip(series.followups, observed[1:]):
-        px, py, pz = (tape.row(tr.phi, i) for i in range(3))
-        warped = tape.sample3(vol.values, px, py, pz)
+        warped = tape.sample3(vol.values, tr.phi)
         term = ncc_node(tape, fixed_vals, warped)
         sim = term if sim is None else tape.add(sim, term)
 
@@ -209,18 +208,18 @@ def build_total_loss(
         req = net.DerivativeRequest(
             spatial=need_spatial or need_mono,
             temporal=need_temporal or need_mono,
-            jacdet=need_mono or (need_spatial and spatial_raw),
             jacdet_dt=need_mono,
         )
+        if spatial_raw:  # I in the layout of `NetworkTrace.jacobian`
+            eye = tape.constant(np.repeat(np.eye(3), nbatch, axis=1))
         kgrid = len(plan.reg_grid)
         djdt_nodes = []
         sp_acc = tp_acc = None
         for tr in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
             if need_spatial:
-                parts = tr.jac_entries if spatial_raw else tr.disp_grads
-                for p in parts:
-                    s = sum_of_squares(tape, p)
-                    sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
+                jac = tape.add(tr.jacobian, eye) if spatial_raw else tr.jacobian
+                s = sum_of_squares(tape, jac)
+                sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
             if need_temporal:
                 s = sum_of_squares(tape, tr.dphi_dt)
                 tp_acc = s if tp_acc is None else tape.add(tp_acc, s)

@@ -10,6 +10,11 @@ with mixed second-order tangents) are exact chain-rule quantities taped on
 the differentiation engine, so losses built on them remain differentiable
 with respect to every parameter.
 
+The Jacobian J of the displacement, |I + J| and d|I + J|/dt are one node
+each, read off the output layer's jet block, which holds J and dJ/dt (see
+`diffengine`).  At depth 2 time enters after the last sine, so J does not
+depend on t and d|J|/dt is a zero constant.
+
 Time enters only through the embedding, so the first sine layer and layer
 2's product with it do not depend on time.  `trace_network` and
 `forward_with_derivatives` take a sequence of times: that time-invariant
@@ -214,8 +219,7 @@ class NetworkTrace:
     output: Jet  # the output layer's jet, column terms not yet added
     displacement: Node  # (3,B)
     phi: Node
-    disp_grads: list | None = None  # 3 nodes (3,B): d(disp)/dx, /dy, /dz
-    jac_entries: list | None = None  # 9 nodes (B,), row-major J
+    jacobian: Node | None = None  # (3,3B): row i, columns [j*B, (j+1)*B) d(disp_i)/dx_j
     dphi_dt: Node | None = None  # (3,B)
     jac_det: Node | None = None  # (B,)
     jac_det_dt: Node | None = None  # (B,)
@@ -317,27 +321,16 @@ def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTra
     trace = NetworkTrace(x, a, disp, tape.add(disp, x))
 
     if request.spatial:
-        grads = [de.jet_slot(tape, a, d) for d in de.SPATIAL]
-        trace.disp_grads = grads
+        trace.jacobian = tape.record("jacobian", (a.node,), a.slots)
         if request.jacdet or request.jacdet_dt:
-            entries = []
-            for i in range(3):
-                for j in range(3):
-                    e = tape.row(grads[j], i)
-                    entries.append(tape.offset(e, 1.0) if i == j else e)
-            trace.jac_entries = entries
-            trace.jac_det = tape.det3(entries)
+            trace.jac_det = tape.record("jacdet", (a.node,), a.slots)
     if request.temporal:
         trace.dphi_dt = de.jet_slot(tape, a, de.T)
     if request.jacdet_dt:
-        jdot = [de.jet_slot(tape, a, d + 4) for d in de.SPATIAL]
-        adj = tape.adj3(trace.jac_entries)
-        acc = None
-        for i in range(3):
-            for k in range(3):
-                term = tape.mul(tape.row(adj, 3 * i + k), tape.row(jdot[i], k))
-                acc = term if acc is None else tape.add(acc, term)
-        trace.jac_det_dt = acc
+        if de.XT in a.slots:
+            trace.jac_det_dt = tape.record("jacdet_dt", (a.node,), a.slots)
+        else:  # depth 2: no mixed slot
+            trace.jac_det_dt = tape.constant(np.zeros(x.value.shape[1]))
     return trace
 
 
@@ -409,10 +402,8 @@ def _evaluate_chunk(state, coords, times, request, dtype) -> list:
 def _result(coords, tr, request) -> DisplacementResult:
     res = DisplacementResult(coords, tr.displacement.value.copy())
     if request.spatial:
-        grads = np.stack([g.value for g in tr.disp_grads])  # (3dir, 3comp, B)
-        jac = np.transpose(grads, (1, 0, 2)).copy()
-        for i in range(3):
-            jac[i, i] += 1.0
+        jac = tr.jacobian.value.reshape(3, 3, coords.shape[1]).copy()
+        jac[range(3), range(3)] += 1.0
         res.spatial_jacobian = jac
     if request.temporal:
         res.temporal_derivative = tr.dphi_dt.value.copy()

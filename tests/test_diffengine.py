@@ -3,7 +3,6 @@ finite differences, and reverse-mode gradients against the same oracle."""
 
 import functools
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -41,22 +40,42 @@ def central_fd(f, x, h=1e-6):
 # ---------------------------------------------------------------------------
 
 
+ALL_SLOTS = tuple(range(8))
+SPACE = (de.V, de.X, de.Y, de.Z)
+
+
+def value_jet(tape, value):
+    return de.Jet(tape.constant(np.full((1, 1), value)), (de.V,))
+
+
+def output_block(jac, jdot=None):
+    """An output layer's (3, S*B) block: J = `jac` (3, 3, B), [i, j] the
+    derivative of component i in direction j, in the spatial slots, and
+    dJ/dt = `jdot` ([k, i] the t-derivative of J[k][i]) in the mixed
+    slots; the value and t slots hold noise the products must not read.
+    Returns the block and its slots."""
+    nb = jac.shape[2]
+    noise = np.random.default_rng(0).uniform(-1, 1, size=(3, 1, nb))
+    if jdot is None:
+        return np.concatenate([noise, jac], axis=1).reshape(3, -1), SPACE
+    return np.concatenate([noise, jac, noise, jdot], axis=1).reshape(3, -1), ALL_SLOTS
+
+
 def test_record_sine_of_zero():
     tape = Tape()
-    x = tape.constant(0.0)
-    assert float(tape.sine(x).value) == 0.0
+    assert de.bundle_sine(tape, value_jet(tape, 0.0)).node.value.item() == 0.0
 
 
 def test_record_det3_of_identity():
     tape = Tape()
-    entries = [tape.constant(float(v)) for v in np.eye(3).ravel()]
-    assert float(tape.det3(entries).value) == 1.0
+    block, slots = output_block(np.zeros((3, 3, 1)))
+    assert float(tape.record("jacdet", (tape.constant(block),), slots).value[0]) == 1.0
 
 
 def test_record_leaky_of_negative():
     tape = Tape()
-    x = tape.constant(-2.0)
-    assert float(tape.leaky(x, 0.01).value) == pytest.approx(-0.02)
+    out = de.bundle_leaky(tape, value_jet(tape, -2.0), 0.01)
+    assert out.node.value.item() == pytest.approx(-0.02)
 
 
 def test_unknown_kind_rejected():
@@ -97,21 +116,30 @@ def test_backward_on_other_tapes_output_rejected():
 
 
 def test_det3_matches_permutation_oracle():
+    """|I + J| of a 200-point block against the permutation expansion of
+    each point's matrix I + J."""
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        m = rng.uniform(-1, 1, size=(3, 3))
-        tape = Tape()
-        entries = [tape.constant(v) for v in m.ravel()]
-        got = float(tape.det3(entries).value)
-        assert got == pytest.approx(det3_permutation_oracle(m), abs=1e-12)
+    jac = rng.uniform(-1, 1, size=(3, 3, 200)) - np.eye(3)[:, :, None]
+    block, slots = output_block(jac)
+    tape = Tape()
+    got = tape.record("jacdet", (tape.constant(block),), slots).value
+    for p in range(200):
+        expect = det3_permutation_oracle(jac[:, :, p] + np.eye(3))
+        assert got[p] == pytest.approx(expect, abs=1e-12)
 
 
 def test_adj3_matches_inverse_times_det():
+    """d|I + J|/dt at dJ/dt = E (1 at [k][i], 0 elsewhere) is adj[i][k]:
+    nine points per matrix read the whole adjugate, which equals
+    |M| M^-1."""
     rng = np.random.default_rng(8)
+    unit = np.eye(9).reshape(3, 3, 9)  # point 3i+k: 1 at [i][k]
     for _ in range(100):
         m = rng.uniform(-1, 1, size=(3, 3)) + 2 * np.eye(3)
+        jac = np.repeat((m - np.eye(3))[:, :, None], 9, axis=2)
+        block, slots = output_block(jac, unit.transpose(1, 0, 2))
         tape = Tape()
-        adj = tape.adj3([tape.constant(v) for v in m.ravel()]).value.reshape(3, 3)
+        adj = tape.record("jacdet_dt", (tape.constant(block),), slots).value.reshape(3, 3)
         expect = np.linalg.inv(m) * np.linalg.det(m)
         np.testing.assert_allclose(adj, expect, atol=1e-10)
 
@@ -178,12 +206,16 @@ def test_tangent_bilinear_mixed():
 
 
 def test_constant_bundle_zero_tangents():
+    """A value-only jet stays value-only through every rule: its tangents
+    are structurally zero and no slot holds them."""
     tape = Tape()
     b = de.Jet(tape.constant(np.ones((3, 2))), (de.V,))
-    for d in (de.X, de.Y, de.Z, de.T):
-        assert np.all(slot(tape, b, d) == 0.0)
-    for d in (de.XT, de.YT, de.ZT):
-        assert np.all(slot(tape, b, d) == 0.0)
+    w = tape.constant(np.ones((2, 3)))
+    for out in (de.bundle_sine(tape, b), de.bundle_leaky(tape, b, 0.1), de.bundle_affine(tape, w, b)):
+        assert out.slots == out.folded_slots == (de.V,)
+    for d in (de.X, de.Y, de.Z, de.T, de.XT, de.YT, de.ZT):
+        with pytest.raises(de.DiffEngineError, match="not in"):
+            slot(tape, b, d)
 
 
 def _sine_stack(tape, wb, tb, weights):
@@ -291,10 +323,10 @@ def test_tangent_linearity():
 
 def test_leaky_kink_convention():
     tape = Tape()
-    x = tape.leaf(np.array([0.0]))
-    y = tape.sum(tape.leaky(x, 0.01))
+    x = tape.leaf(np.array([[0.0]]))
+    y = tape.sum(de.bundle_leaky(tape, de.Jet(x, (de.V,)), 0.01).node)
     tape.backward(y)
-    assert x.adjoint[0] == 1.0  # positive-branch slope at exactly 0
+    assert x.adjoint[0, 0] == 1.0  # positive-branch slope at exactly 0
     tape2 = Tape()
     # unit x-tangents: the tangent slot of the leaky rule is its slope mask
     x2 = de.Jet(tape2.constant(np.array([[0.0, -1.0, 1.0, 1.0, 1.0, 1.0]])), (de.V, de.X))
@@ -307,8 +339,8 @@ def test_determinism_bit_identical():
         tape = Tape()
         rng = np.random.default_rng(23)
         w = tape.leaf(rng.uniform(-1, 1, size=(4, 3)))
-        x = tape.constant(rng.uniform(-1, 1, size=(3, 9)))
-        y = tape.mean(tape.square(tape.sine(tape.affine(w, x), 2.0)))
+        x = de.Jet(tape.constant(rng.uniform(-1, 1, size=(3, 9))), (de.V,))
+        y = tape.mean(tape.square(de.bundle_sine(tape, de.bundle_affine(tape, w, x), 2.0).node))
         tape.backward(y)
         return y.value.copy(), w.adjoint.copy()
 
@@ -333,11 +365,12 @@ def test_backward_sum_of_squares():
 
 def test_backward_det_at_identity():
     tape = Tape()
-    leaves = [tape.leaf(float(v)) for v in np.eye(3).ravel()]
-    out = tape.det3(leaves)
-    tape.backward(out)
-    grad = np.array([float(l.adjoint) for l in leaves]).reshape(3, 3)
-    np.testing.assert_array_equal(grad, np.eye(3))
+    block, slots = output_block(np.zeros((3, 3, 1)))
+    leaf = tape.leaf(block)
+    tape.backward(tape.sum(tape.record("jacdet", (leaf,), slots)))
+    grad = leaf.adjoint.reshape(3, 4)
+    np.testing.assert_array_equal(grad[:, 1:], np.eye(3))  # the cofactors of I
+    assert np.all(grad[:, 0] == 0.0)
 
 
 def test_backward_requires_scalar():
@@ -352,28 +385,28 @@ def test_backward_composite_matches_fd(seed):
     rng = np.random.default_rng(seed)
     p0 = rng.uniform(-1, 1, size=(3, 3))
 
+    # one point of every slot: J = p and dJ/dt = p @ r
+    basis = np.concatenate(
+        [np.ones((3, 1)), np.eye(3), np.ones((3, 1)), rng.uniform(-1, 1, size=(3, 3))], axis=1
+    )
+
     def value_and_grad(p):
         tape = Tape()
         leaf = tape.leaf(p)
-        rows = [tape.row(leaf, i) for i in range(3)]
-        entries = [
-            e
-            for i in range(3)
-            for e in (
-                tape.record("mul", (rows[i], rows[(i + 1) % 3])),
-            )
-        ]
-        # mix det3, adj3, min, relu, div paths
-        nine = [tape.row(leaf, i % 3) for i in range(9)]
-        det = tape.det3(nine)
-        adj = tape.adj3(nine)
-        s = tape.sum(tape.square(adj))
+        block = tape.affine(leaf, tape.constant(basis))
+        jac = tape.record("jacobian", (block,), ALL_SLOTS)
+        # mix jacdet, jacdet_dt, min, relu, div paths
+        det = tape.record("jacdet", (block,), ALL_SLOTS)
+        djdt = tape.record("jacdet_dt", (block,), ALL_SLOTS)
         mix = tape.add(
-            tape.sum(tape.relu(entries[0])),
-            tape.sum(tape.minimum(entries[1], entries[2])),
+            tape.sum(tape.relu(tape.mul(jac, det))),
+            tape.sum(tape.minimum(jac, tape.scale(jac, -0.5))),
         )
-        mono = tape.div(tape.offset(tape.sum(tape.square(det)), 1.0), tape.offset(s, 2.0))
-        out = tape.add(mix, tape.sum(tape.square(tape.leaky(mono, 0.1))))
+        mono = tape.div(
+            tape.offset(tape.sum(tape.square(det)), 1.0),
+            tape.offset(tape.sum(tape.square(djdt)), 2.0),
+        )
+        out = tape.add(mix, tape.sum(tape.square(mono)))
         tape.backward(out)
         return float(out.value), leaf.adjoint.copy()
 
@@ -446,7 +479,6 @@ def _vjp_cases(rng):
     a = rng.uniform(-1.0, 1.0, size=(3, 4))
     b = rng.uniform(-1.0, 1.0, size=(3, 4))
     col = rng.uniform(-1.0, 1.0, size=(3, 1))
-    nine = [rng.uniform(-1.0, 1.0, size=5) for _ in range(9)]
     grid = rng.uniform(0.0, 1.0, size=(6, 6, 6))
     return {
         "add": [((a, col), None)],
@@ -459,26 +491,15 @@ def _vjp_cases(rng):
         "square": [((a,), None)],
         "sqrt": [((rng.uniform(0.5, 2.0, size=(3, 4)),), None)],
         "relu": [((_away_from_zero(rng, (3, 4)),), None)],
-        "sine": [((a,), (3.0, 0.0)), ((a,), (3.0, math.pi / 2.0))],
-        "leaky": [((_away_from_zero(rng, (3, 4)),), 0.1)],
-        "leaky_mask": [((_away_from_zero(rng, (3, 4)),), 0.1)],
         "affine": [
             ((rng.uniform(-1, 1, (4, 3)), a), None),
-            ((rng.uniform(-1, 1, (4, 6)), a, rng.uniform(-1, 1, (4, 1))), (2, 5)),
+            ((rng.uniform(-1, 1, (4, 6)), a), (2, 5)),
         ],
-        "row": [((a,), 1)],
-        "expand_cols": [((col,), 4)],
         "sum": [((a,), None), ((a,), 0)],
         "mean": [((a,), None)],
-        "det3": [(tuple(nine), None)],
-        "adj3": [(tuple(nine), None)],
-        "sample3": [(tuple(_sample_points(rng, 7, 6) for _ in range(3)), grid)],
+        "sample3": [((np.stack([_sample_points(rng, 7, 6) for _ in range(3)]),), grid)],
         **_jet_cases(rng),
     }
-
-
-ALL_SLOTS = tuple(range(8))
-SPACE = (de.V, de.X, de.Y, de.Z)
 
 
 def _jet_cases(rng):
@@ -521,6 +542,10 @@ def _jet_cases(rng):
             ((block(ALL_SLOTS), col(2)), (ALL_SLOTS, de.T)),
             ((block(ALL_SLOTS), col(1)), (ALL_SLOTS, de.ZT)),
         ],
+        # the output block alone, with and without the mixed slots
+        "jacobian": [((block(SPACE),), SPACE), ((block(ALL_SLOTS),), ALL_SLOTS)],
+        "jacdet": [((block(SPACE),), SPACE), ((block(ALL_SLOTS),), ALL_SLOTS)],
+        "jacdet_dt": [((block(ALL_SLOTS),), ALL_SLOTS)],
     }
 
 
@@ -530,7 +555,7 @@ def test_vjp_matches_finite_differences(kind):
     differences, for every input of every kind in the primitive table."""
     rng = np.random.default_rng(41)
     cases = _vjp_cases(rng)
-    assert kind in cases, f"no finite-difference case for {kind!r}"
+    assert sorted(cases) == sorted(de._PRIMITIVES), "one case list per kind, no stale kinds"
 
     def forward(values, payload):
         tape = Tape()
@@ -586,10 +611,12 @@ def test_every_recorded_node_passes_through_record(monkeypatch):
 
 
 def test_stacked_jet_training_tape_size():
-    """One node per layer jet: a depth-5, width-16 loss tape with gamma > 0
-    over 4 observed times and an 8-time grid stays within 1100 nodes (a
-    node per tangent slot records 1533).  `Tape.stats` counts every
-    recorded node and its value and aux bytes by kind."""
+    """One node per layer jet and one per derivative product: a depth-5,
+    width-16 loss tape with gamma > 0 over 4 observed times and an 8-time
+    grid stays within 400 nodes (381; per-entry Jacobian, adjugate and
+    Jacobi-sum nodes recorded 854, and a node per tangent slot 1533).
+    `Tape.stats` counts every recorded node and its value and aux bytes by
+    kind."""
     rng = np.random.default_rng(3)
     base = rng.uniform(0, 1, size=(6, 6, 6))
     followups = [
@@ -608,7 +635,7 @@ def test_stacked_jet_training_tape_size():
     leaves = net.make_leaves(tape, state)
     losses.build_total_loss(tape, leaves, series, losses.LossWeights(gamma=0.1), plan, cfg)
     stats = tape.stats()
-    assert stats["nodes"] == len(tape.nodes) <= 1100
+    assert stats["nodes"] == len(tape.nodes) <= 400
     assert sum(stats["bytes"].values()) == sum(
         n.value.nbytes + (0 if n.aux is None else n.aux.nbytes) for n in tape.nodes
     )

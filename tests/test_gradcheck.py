@@ -83,3 +83,27 @@ def test_dropped_mixed_sine_term_fails_parameter_gradients(monkeypatch):
     )
     results = run_gradcheck(precision="f64", **SMALL)
     assert [r.name for r in results if not r.passed] == ["parameter-gradients"]
+
+
+def _without_adjugate_term(vjp):
+    """The jacdet_dt VJP without the term of d(adj)/dJ: its cotangent of
+    the spatial slots, where only that term lands, is dropped."""
+
+    def wrong(node, g):
+        grads = [(i, grad.copy()) for i, grad in vjp(node, g)]
+        slots = node.payload
+        for _, grad in grads:
+            z = grad.reshape(3, len(slots), -1)
+            z[:, [slots.index(d) for d in de.SPATIAL]] = 0.0
+        return grads
+
+    return wrong
+
+
+def test_dropped_adjugate_term_fails_parameter_gradients(monkeypatch):
+    prim = de._PRIMITIVES["jacdet_dt"]
+    monkeypatch.setitem(
+        de._PRIMITIVES, "jacdet_dt", de.Primitive(prim.forward, _without_adjugate_term(prim.vjp))
+    )
+    results = run_gradcheck(precision="f64", **SMALL)
+    assert [r.name for r in results if not r.passed] == ["parameter-gradients"]

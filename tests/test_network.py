@@ -200,7 +200,7 @@ def _jet_arrays(jet):
 def _trace_scalar(tape, tr):
     """A scalar that reaches every traced product of one time."""
     total = None
-    for p in [tr.jac_det, tr.jac_det_dt, tr.dphi_dt, tr.phi] + tr.disp_grads:
+    for p in [tr.jac_det, tr.jac_det_dt, tr.dphi_dt, tr.phi, tr.jacobian]:
         s = tape.sum(tape.square(p))
         total = s if total is None else tape.add(total, s)
     return total
@@ -236,7 +236,7 @@ def test_trace_network_shares_prefix_exactly():
         assert got_arrays[0] == want_arrays[0] and len(got_arrays) == len(want_arrays)
         for a, b in zip(got_arrays[1:], want_arrays[1:]):
             assert a.tobytes() == b.tobytes()
-        for name in ("displacement", "jac_det", "jac_det_dt", "dphi_dt", "phi"):
+        for name in ("displacement", "jacobian", "jac_det", "jac_det_dt", "dphi_dt", "phi"):
             assert getattr(got, name).value.tobytes() == getattr(want, name).value.tobytes()
         one.backward(_trace_scalar(one, want))
         for acc, l in zip(sep_grads, one_leaves.flat()):
