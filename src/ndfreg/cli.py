@@ -281,6 +281,9 @@ def pin_blas_threads(n: int):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:
+            print(f"ndfreg: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+            return EXIT_INPUT
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
         pin_blas_threads(args.threads)
@@ -384,6 +387,8 @@ def _require_dims(args, fileio):
     if args.dims:
         if len(args.dims) != 3:
             raise ValueError("--dims needs three comma-separated values")
+        if min(args.dims) < 2:
+            raise ValueError(f"--dims entries must be >= 2, got {args.dims}")
         return tuple(args.dims), None
     raise ValueError("either --scan or --dims is required")
 

@@ -17,12 +17,14 @@ value, the first-order tangents, then d/dt of the x, y, z tangents); only
 slots that can be non-zero are stored, so S <= 8.
   * The coordinate jet holds v, x, y, z (v alone without spatial
     derivatives); the time jet is one point, v and t (or v).
-  * `bundle_affine` keeps the slots: one matmul maps the whole block, and
-    its bias becomes a column term of slot v.
+  * `bundle_affine` keeps the slots: one matmul maps the whole block, one
+    small matmul maps each pending column term, which stays a column term,
+    and its bias becomes a column term of slot v.
   * `bundle_add` of a column jet (one point, v or v, t; a product with the
     time embedding) records nothing: its columns join the jet's pending
     column terms, column 0 to slot v and column 1, broadcast over the
-    points, to slot t.  The next rule folds them into its input.
+    points, to slot t.  The next sine or leaky rule, or a slot read, folds
+    them into its input; no primitive adds them to a block.
   * `bundle_leaky` (kind `jet_leaky`) keeps the folded slots: a t column
     adds slot t, and its zero second derivative adds no mixed slot.
   * `bundle_sine` (kind `jet_sine`) adds the mixed slot of every spatial
@@ -30,14 +32,13 @@ slots that can be non-zero are stored, so S <= 8.
     once and keeps omega*cos as its ndarray aux, so its VJP evaluates no
     transcendental; a value-only block computes the sine alone and keeps
     no aux.
-  * `jet_slot` extracts one folded slot as a (rows, B) node; `jet_add`, the
-    column add, settles pending column terms into a new block when a
-    matmul needs them.
+  * `jet_slot` extracts one folded slot as a (rows, B) node.
   * The output layer's block (3 rows, the displacement's components) is
     the one place that holds the Jacobian's layout: slot x+j, row i is
     J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j, row i is dJ[i][j]/dt.
     Its column terms touch only slots v and t, so three primitives read
-    the block node alone, one node each: `jacobian` (slots x, y, z as one
+    the block node alone, one node each, recorded by `network`'s readers
+    only where a product is used: `jacobian` (slots x, y, z as one
     (3, 3B) node), `jacdet` (|I + J| by cofactor expansion, (B,)) and
     `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt) by Jacobi's formula,
     (B,)).
@@ -460,25 +461,6 @@ def _jet_leaky_vjp(node, g):
     yield from _column_grads(node, gz[:, 0], gt)
 
 
-def _jet_add_forward(dtype, values, slots):
-    """A block with its column terms added (the column add)."""
-    z, pos, cv, ct = _jet_block("jet_add", values, slots)
-    out_slots = _folded_slots(slots, ct is not None)
-    out = np.empty((z.shape[0], len(out_slots), z.shape[2]), dtype)
-    for k, slot in enumerate(out_slots):
-        out[:, k] = _folded(z, pos, cv, ct, slot)
-    return out.reshape(z.shape[0], -1)
-
-
-def _jet_add_vjp(node, g):
-    slots = node.payload
-    z, pos, cv, ct = _jet_block("jet_add", [n.value for n in node.inputs], slots)
-    out_slots = _folded_slots(slots, ct is not None)
-    g = g.reshape(z.shape[0], len(out_slots), z.shape[2])
-    yield 0, g[:, [out_slots.index(s) for s in slots]].reshape(z.shape[0], -1)
-    yield from _column_grads(node, g[:, 0], g[:, out_slots.index(T)] if ct is not None else None)
-
-
 def _jet_slot_forward(dtype, values, payload):
     """One slot of a block, column terms added, as a (rows, B) array."""
     slots, slot = payload
@@ -655,7 +637,6 @@ _PRIMITIVES = {
     "sample3": Primitive(_sample3_forward, lambda node, g: [(0, g * node.aux)]),
     "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
     "jet_leaky": Primitive(_jet_leaky_forward, _jet_leaky_vjp),
-    "jet_add": Primitive(_jet_add_forward, _jet_add_vjp),
     "jet_slot": Primitive(_jet_slot_forward, _jet_slot_vjp),
     "jacobian": Primitive(_jacobian_forward, _jacobian_vjp),
     "jacdet": Primitive(_jacdet_forward, _jacdet_vjp),
@@ -808,8 +789,8 @@ class Jet:
     [s*B, (s+1)*B).  `cols` are column terms not yet added, each (rows, 1)
     (joins slot v) or (rows, 2) (slot v, then slot t, broadcast over the
     points); the next sine, leaky rule or slot extraction folds them into
-    its input, so adding them costs no copy of the block (a matmul first
-    settles them with a column-add node).
+    its input, so adding them costs no copy of the block, and a matmul maps
+    each through the same weights as the block.
     """
 
     node: Node
@@ -828,20 +809,15 @@ class Jet:
         return (self.node,) + self.cols
 
 
-def _settle(tape: Tape, x: Jet) -> Jet:
-    """The jet with its column terms added (a column-add node), or itself."""
-    if not x.cols:
-        return x
-    return Jet(tape.record("jet_add", x.inputs(), x.slots), x.folded_slots)
-
-
 def bundle_affine(
     tape: Tape, w: Node, x: Jet, b: Node | None = None, cols: tuple[int, int] | None = None
 ) -> Jet:
-    """W[:, cols] @ block: one matmul maps every slot; the bias becomes a
-    column term of slot v."""
-    x = _settle(tape, x)
-    return Jet(tape.affine(w, x.node, cols=cols), x.slots, () if b is None else (b,))
+    """W[:, cols] @ block: one matmul maps every slot, and one small
+    (out, 1|2) matmul each of the block's pending column terms, which stay
+    column terms; the bias becomes a column term of slot v."""
+    node = tape.affine(w, x.node, cols=cols)
+    terms = tuple(tape.affine(w, c, cols=cols) for c in x.cols)
+    return Jet(node, x.slots, terms + (() if b is None else (b,)))
 
 
 def bundle_add(tape: Tape, a: Jet, b: Jet) -> Jet:

@@ -125,7 +125,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     state = _toy_state(seed, width, dtype)
     coords = rng.uniform(-0.9, 0.9, size=(3, points)).astype(dtype)
     t0 = 0.37
-    full = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
+    full = net.DerivativeRequest(spatial=True, temporal=True)
     res = net.forward_with_derivatives(state, coords, t0, full, dtype=dtype)
 
     # 2. spatial Jacobian
@@ -157,7 +157,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     check("temporal-tangent", worst)
 
     # 4. d|J|/dt via Jacobi's formula
-    jr = net.DerivativeRequest(spatial=True, jacdet=True)
+    jr = net.DerivativeRequest(spatial=True)
     h2 = 1e-4 if precision == "f64" else 3e-2
     jp = net.forward_with_derivatives(state, coords, t0 + h2, jr, dtype=dtype).jac_det
     jm = net.forward_with_derivatives(state, coords, t0 - h2, jr, dtype=dtype).jac_det

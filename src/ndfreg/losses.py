@@ -191,12 +191,12 @@ def build_total_loss(
         tape, leaves, coords, [0.0, *plan.observed_times[1:]], config,
         net.DerivativeRequest(),
     )
-    anchor = anchor_node(tape, observed[0].displacement)
+    anchor = anchor_node(tape, net.displacement(tape, observed[0]))
 
     fixed_vals, _ = sample_trilinear(series.baseline, coords)
     sim = None
     for (months, vol), tr in zip(series.followups, observed[1:]):
-        warped = tape.sample3(vol.values, tr.phi)
+        warped = tape.sample3(vol.values, net.phi(tape, tr))
         term = ncc_node(tape, fixed_vals, warped)
         sim = term if sim is None else tape.add(sim, term)
 
@@ -206,25 +206,25 @@ def build_total_loss(
     spatial = temporal = mono = None
     if need_spatial or need_temporal or need_mono:
         req = net.DerivativeRequest(
-            spatial=need_spatial or need_mono,
-            temporal=need_temporal or need_mono,
-            jacdet_dt=need_mono,
+            spatial=need_spatial or need_mono, temporal=need_temporal or need_mono
         )
-        if spatial_raw:  # I in the layout of `NetworkTrace.jacobian`
+        if spatial_raw:  # I in the layout of `network.jacobian`
             eye = tape.constant(np.repeat(np.eye(3), nbatch, axis=1))
         kgrid = len(plan.reg_grid)
         djdt_nodes = []
         sp_acc = tp_acc = None
         for tr in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
             if need_spatial:
-                jac = tape.add(tr.jacobian, eye) if spatial_raw else tr.jacobian
+                jac = net.jacobian(tape, tr)
+                if spatial_raw:
+                    jac = tape.add(jac, eye)
                 s = sum_of_squares(tape, jac)
                 sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
             if need_temporal:
-                s = sum_of_squares(tape, tr.dphi_dt)
+                s = sum_of_squares(tape, net.dphi_dt(tape, tr))
                 tp_acc = s if tp_acc is None else tape.add(tp_acc, s)
             if need_mono:
-                djdt_nodes.append(tr.jac_det_dt)
+                djdt_nodes.append(net.jacdet_dt(tape, tr))
         if need_spatial:
             spatial = tape.scale(sp_acc, 1.0 / (kgrid * nbatch))
         if need_temporal:

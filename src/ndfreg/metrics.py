@@ -156,7 +156,7 @@ def structure_trajectories(
     if times.size < 2:
         raise ValueError("need a time grid of >= 2 points")
     fieldfn, horizon = _resolve_field(field_or_state)
-    req = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
+    req = net.DerivativeRequest(spatial=True, temporal=True)
     out = []
     for label_id in label_ids:
         results = fieldfn(_structure_coords(labels, label_id), times / horizon, req)
@@ -180,6 +180,6 @@ def jacobian_map(field_or_state, t_months: float, dims) -> JacobianMap:
     """Dense |J| map at one queried time."""
     fieldfn, horizon = _resolve_field(field_or_state)
     coords = grid_coordinates(dims)
-    req = net.DerivativeRequest(spatial=True, jacdet=True)
+    req = net.DerivativeRequest(spatial=True)
     jac = fieldfn(coords, [t_months / horizon], req)[0].jac_det
     return JacobianMap(time=t_months, values=jac.reshape(tuple(dims)))

@@ -10,10 +10,13 @@ with mixed second-order tangents) are exact chain-rule quantities taped on
 the differentiation engine, so losses built on them remain differentiable
 with respect to every parameter.
 
-The Jacobian J of the displacement, |I + J| and d|I + J|/dt are one node
-each, read off the output layer's jet block, which holds J and dJ/dt (see
-`diffengine`).  At depth 2 time enters after the last sine, so J does not
-depend on t and d|J|/dt is a zero constant.
+A trace ends at the output layer's jet, whose slots `DerivativeRequest`
+sets: x, y, z with `spatial`, t with `temporal`, and the mixed entries
+dJ/dt with both.  Each product is one node read off that jet by its reader
+(`displacement`, `phi`, `jacobian`, `jacdet`, `jacdet_dt`, `dphi_dt`) at
+the place that uses it, so a tape records only the products its caller
+reads.  At depth 2 time enters after the last sine, so J does not depend
+on t and d|J|/dt is a zero constant.
 
 Time enters only through the embedding, so the first sine layer and layer
 2's product with it do not depend on time.  `trace_network` and
@@ -52,6 +55,7 @@ __all__ = [
     "DerivativeRequest",
     "DisplacementResult",
     "NetworkTrace",
+    "displacement", "phi", "jacobian", "jacdet", "jacdet_dt", "dphi_dt",
     "init_network",
     "make_leaves",
     "trace_network",
@@ -163,16 +167,11 @@ def init_network(
 
 @dataclass(frozen=True)
 class DerivativeRequest:
+    """The tangents the traced jets carry: x, y, z with `spatial`, t with
+    `temporal`, and the mixed entries d/dt of x, y, z with both."""
+
     spatial: bool = False
     temporal: bool = False
-    jacdet: bool = False
-    jacdet_dt: bool = False
-
-    def validate(self):
-        if self.jacdet and not self.spatial:
-            raise ValueError("jacdet requires spatial derivatives")
-        if self.jacdet_dt and not (self.spatial and self.temporal):
-            raise ValueError("jacdet_dt requires spatial and temporal derivatives")
 
 
 @dataclass
@@ -213,16 +212,43 @@ def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leav
 
 @dataclass
 class NetworkTrace:
-    """Tape handles for one (coords, t) evaluation, consumed by the losses."""
+    """Tape handles for one (coords, t) evaluation; the readers below take
+    each product off its output jet."""
 
     coords: Node  # (3,B)
     output: Jet  # the output layer's jet, column terms not yet added
-    displacement: Node  # (3,B)
-    phi: Node
-    jacobian: Node | None = None  # (3,3B): row i, columns [j*B, (j+1)*B) d(disp_i)/dx_j
-    dphi_dt: Node | None = None  # (3,B)
-    jac_det: Node | None = None  # (B,)
-    jac_det_dt: Node | None = None  # (B,)
+
+
+def displacement(tape: Tape, trace: NetworkTrace) -> Node:
+    """The displacement, (3,B)."""
+    return de.jet_slot(tape, trace.output, de.V)
+
+
+def phi(tape: Tape, trace: NetworkTrace) -> Node:
+    """coords + displacement, (3,B)."""
+    return tape.add(displacement(tape, trace), trace.coords)
+
+
+def jacobian(tape: Tape, trace: NetworkTrace) -> Node:
+    """J, (3,3B): row i, columns [j*B, (j+1)*B) hold d(disp_i)/dx_j."""
+    return tape.record("jacobian", (trace.output.node,), trace.output.slots)
+
+
+def jacdet(tape: Tape, trace: NetworkTrace) -> Node:
+    """|I + J|, (B,)."""
+    return tape.record("jacdet", (trace.output.node,), trace.output.slots)
+
+
+def jacdet_dt(tape: Tape, trace: NetworkTrace) -> Node:
+    """d|I + J|/dt, (B,); at depth 2 (no mixed slot) a zero constant."""
+    if de.XT not in trace.output.slots:
+        return tape.constant(np.zeros(trace.coords.value.shape[1]))
+    return tape.record("jacdet_dt", (trace.output.node,), trace.output.slots)
+
+
+def dphi_dt(tape: Tape, trace: NetworkTrace) -> Node:
+    """d(phi)/dt, (3,B)."""
+    return de.jet_slot(tape, trace.output, de.T)
 
 
 def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
@@ -251,7 +277,6 @@ def trace_network(
     `W2[:, :h] @ a1` are traced once and shared by every time.  The last
     time takes the only reference to that prefix and drops it with layer
     2's sine, so a one-time trace holds no more than an unshared one."""
-    request.validate()
     times = [float(t) for t in times]
     coords = np.asarray(coords, dtype=tape.dtype)
     if coords.ndim != 2 or coords.shape[0] != 3:
@@ -285,9 +310,10 @@ def _trace_prefix(tape, leaves, xb, config: NetworkConfig) -> Jet:
 
 
 def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTrace:
-    """The rest of the network at one time.  `shared` holds the prefix;
-    the last time pops it into layer 2's pre-activation, which the layer's
-    sine consumes, so nothing here keeps it alive past that layer."""
+    """The rest of the network at one time, up to the output jet.
+    `shared` holds the prefix; the last time pops it into layer 2's
+    pre-activation, which the layer's sine consumes, so nothing here keeps
+    it alive past that layer."""
     h = config.hidden_width
     he = h + config.time_embed_width
 
@@ -316,22 +342,7 @@ def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTra
         if li < config.depth - 1:
             z = de.bundle_sine(tape, z)
         a = z
-
-    disp = de.jet_slot(tape, a, de.V)
-    trace = NetworkTrace(x, a, disp, tape.add(disp, x))
-
-    if request.spatial:
-        trace.jacobian = tape.record("jacobian", (a.node,), a.slots)
-        if request.jacdet or request.jacdet_dt:
-            trace.jac_det = tape.record("jacdet", (a.node,), a.slots)
-    if request.temporal:
-        trace.dphi_dt = de.jet_slot(tape, a, de.T)
-    if request.jacdet_dt:
-        if de.XT in a.slots:
-            trace.jac_det_dt = tape.record("jacdet_dt", (a.node,), a.slots)
-        else:  # depth 2: no mixed slot
-            trace.jac_det_dt = tape.constant(np.zeros(x.value.shape[1]))
-    return trace
+    return NetworkTrace(x, a)
 
 
 def forward(state: NetworkState, coords: np.ndarray, times) -> DisplacementResult:
@@ -355,7 +366,6 @@ def forward_with_derivatives(
     constants, so nothing is recorded and memory stays at one chunk's
     layer values; chunking is pure partitioning and sharing changes no
     arithmetic (results are identical to one pass per time)."""
-    request.validate()
     if chunk_size is None:
         chunk_size = chunk_points(state.config, request, dtype)
     if chunk_size < 1:
@@ -396,21 +406,22 @@ def _evaluate_chunk(state, coords, times, request, dtype) -> list:
     tape = Tape(dtype)
     leaves = make_leaves(tape, state, trainable=False)
     traces = trace_network(tape, leaves, coords, times, state.config, request)
-    return [_result(coords, tr, request) for tr in traces]
+    return [_result(tape, coords, tr, request) for tr in traces]
 
 
-def _result(coords, tr, request) -> DisplacementResult:
-    res = DisplacementResult(coords, tr.displacement.value.copy())
+def _result(tape, coords, tr, request) -> DisplacementResult:
+    """Every product the request's slots carry: J and |I + J| with
+    `spatial`, dphi/dt with `temporal`, d|I + J|/dt with both."""
+    res = DisplacementResult(coords, displacement(tape, tr).value)
     if request.spatial:
-        jac = tr.jacobian.value.reshape(3, 3, coords.shape[1]).copy()
+        jac = jacobian(tape, tr).value.reshape(3, 3, coords.shape[1])
         jac[range(3), range(3)] += 1.0
         res.spatial_jacobian = jac
+        res.jac_det = jacdet(tape, tr).value
     if request.temporal:
-        res.temporal_derivative = tr.dphi_dt.value.copy()
-    if request.jacdet or request.jacdet_dt:
-        res.jac_det = tr.jac_det.value.copy()
-    if request.jacdet_dt:
-        res.jac_det_dt = tr.jac_det_dt.value.copy()
+        res.temporal_derivative = dphi_dt(tape, tr).value
+    if request.spatial and request.temporal:
+        res.jac_det_dt = jacdet_dt(tape, tr).value
     return res
 
 

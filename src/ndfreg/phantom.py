@@ -201,9 +201,9 @@ class PhantomTruth:
         coords = np.asarray(coords, dtype=np.float64)
         res = DisplacementResult(coords, _displacement(self.spec, coords, t))
         jac, rate = _jacdet_and_rate(self.spec, coords, t)
-        if request.jacdet or request.jacdet_dt:
+        if request.spatial:
             res.jac_det = jac
-        if request.jacdet_dt:
+        if request.spatial and request.temporal:
             res.jac_det_dt = rate
         return res
 
@@ -278,11 +278,10 @@ def uniform_scaling_field(rate: float):
         n = coords.shape[1]
         if request.spatial:
             res.spatial_jacobian = np.repeat((s * np.eye(3))[:, :, None], n, axis=2)
+            res.jac_det = np.full(n, s**3)
         if request.temporal:
             res.temporal_derivative = rate * coords
-        if request.jacdet or request.jacdet_dt:
-            res.jac_det = np.full(n, s**3)
-        if request.jacdet_dt:
+        if request.spatial and request.temporal:
             res.jac_det_dt = np.full(n, 3.0 * rate * s**2)
         return res
 

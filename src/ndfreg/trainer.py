@@ -94,6 +94,10 @@ class FitConfig:
             raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         self.network.validate()
 
     def echo(self) -> dict:
@@ -319,9 +323,7 @@ def predict_field(
     time-invariant prefix)."""
     single = np.ndim(t_months) == 0
     months = [t_months] if single else list(t_months)
-    request = net.DerivativeRequest(
-        spatial=True, temporal=want_djdt, jacdet=True, jacdet_dt=want_djdt
-    )
+    request = net.DerivativeRequest(spatial=True, temporal=want_djdt)
     results = net.forward_with_derivatives(
         state, grid_coordinates(dims), [m / state.time_horizon for m in months],
         request, chunk_size=chunk_size,

@@ -1,6 +1,7 @@
-"""Command-line process settings."""
+"""Command-line process settings and input checks at the boundary."""
 
 import ctypes
+import os
 
 import pytest
 
@@ -44,3 +45,63 @@ def test_threads_option_pins_the_loaded_openblas(monkeypatch, tmp_path):
         assert [get() for get in getters] == [1] * len(getters)
     finally:
         cli.pin_blas_threads(before[0])
+
+
+def _tiny_model(tmp_path):
+    from ndfreg import fileio, network
+
+    config = network.NetworkConfig(
+        hidden_width=4, depth=3, time_hidden_width=2, time_embed_width=2
+    )
+    path = str(tmp_path / "model.ndf")
+    fileio.save_model(path, network.init_network(seed=0, config=config))
+    return path
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("predict", ["--time", "1"]),
+    ("jacobian", ["--times", "1"]),
+])
+def test_dims_below_two_is_input_error(tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    rc = cli.main([command, "--model", _tiny_model(tmp_path), *extra,
+                   "--dims", "0,4,4", "--out", str(out)])
+    assert rc == cli.EXIT_INPUT
+    assert "--dims entries must be >= 2" in capsys.readouterr().err
+    assert not any(p.suffix == ".raw" for p in out.iterdir())
+
+
+def test_threads_below_one_is_input_error(monkeypatch, tmp_path, capsys):
+    """Rejected before the environment or any OpenBLAS is touched."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+
+    def refuse(n):
+        raise AssertionError(f"pin_blas_threads({n}) called")
+
+    monkeypatch.setattr(cli, "pin_blas_threads", refuse)
+    rc = cli.main(["phantom", "--out", str(tmp_path), "--dims", "4,4,4",
+                   "--times", "0,12", "--threads", "0"])
+    assert rc == cli.EXIT_INPUT
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert var not in os.environ
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--log-every", "0", "log_every must be >= 1"),
+    ("--checkpoint-every", "-1", "checkpoint_every must be >= 0"),
+])
+def test_fit_bad_period_is_input_error(tmp_path, capsys, flag, value, message):
+    data = tmp_path / "data"
+    assert cli.main(["phantom", "--out", str(data), "--dims", "4,4,4",
+                     "--times", "0,12"]) == cli.EXIT_OK
+    out = tmp_path / "fit"
+    rc = cli.main(["fit", "--manifest", str(data / "manifest.txt"), "--out", str(out),
+                   "--iterations", "2", "--batch-points", "8", "--hidden-width", "4",
+                   "--depth", "3", "--time-hidden-width", "2", "--time-embed-width", "2",
+                   flag, value])
+    assert rc == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (out / "model.ndf").exists()

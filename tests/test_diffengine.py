@@ -531,10 +531,6 @@ def _jet_cases(rng):
             ((block(SPACE), col(2), col(1)), (0.1, SPACE)),
             ((block((de.V,)),), (0.1, (de.V,))),
         ],
-        "jet_add": [
-            ((block(SPACE), col(2), col(1)), SPACE),
-            ((time_block, col(1)), (de.V, de.T)),
-        ],
         "jet_slot": [
             ((block(SPACE), col(2), col(1)), (SPACE, de.V)),
             ((block(SPACE), col(2), col(1)), (SPACE, de.T)),
@@ -610,13 +606,8 @@ def test_every_recorded_node_passes_through_record(monkeypatch):
     assert [n for n in non_leaf if id(n) not in passed] == []
 
 
-def test_stacked_jet_training_tape_size():
-    """One node per layer jet and one per derivative product: a depth-5,
-    width-16 loss tape with gamma > 0 over 4 observed times and an 8-time
-    grid stays within 400 nodes (381; per-entry Jacobian, adjugate and
-    Jacobi-sum nodes recorded 854, and a node per tangent slot 1533).
-    `Tape.stats` counts every recorded node and its value and aux bytes by
-    kind."""
+def _tape_size_setup(depth=5):
+    """A width-16 net and a plan over 4 observed times and an 8-time grid."""
     rng = np.random.default_rng(3)
     base = rng.uniform(0, 1, size=(6, 6, 6))
     followups = [
@@ -624,21 +615,56 @@ def test_stacked_jet_training_tape_size():
         for m in (12.0, 24.0, 36.0)
     ]
     series = Volume4DSeries(Volume3D(base), followups)
-    cfg = net.NetworkConfig(hidden_width=16, depth=5, time_hidden_width=10, time_embed_width=8)
+    cfg = net.NetworkConfig(
+        hidden_width=16, depth=depth, time_hidden_width=10, time_embed_width=8
+    )
     state = net.init_network(seed=1, config=cfg)
     plan = SamplePlan(
         coords=rng.uniform(-0.8, 0.8, size=(3, 32)),
         observed_times=np.array([0.0, 1 / 3, 2 / 3, 1.0]),
         reg_grid=np.linspace(0.0, 1.0, 8),
     )
+    return series, state, plan
+
+
+def test_stacked_jet_training_tape_size():
+    """One node per layer jet and one per derivative product read: a
+    depth-5, width-16 loss tape with gamma > 0 over 4 observed times and an
+    8-time grid stays within 360 nodes (356; 381 while every trace recorded
+    |J|, the displacement and phi whether read or not; per-entry Jacobian,
+    adjugate and Jacobi-sum nodes recorded 854, and a node per tangent slot
+    1533).  `Tape.stats` counts every recorded node and its value and aux
+    bytes by kind."""
+    series, state, plan = _tape_size_setup()
     tape = Tape()
     leaves = net.make_leaves(tape, state)
-    losses.build_total_loss(tape, leaves, series, losses.LossWeights(gamma=0.1), plan, cfg)
+    losses.build_total_loss(
+        tape, leaves, series, losses.LossWeights(gamma=0.1), plan, state.config
+    )
     stats = tape.stats()
-    assert stats["nodes"] == len(tape.nodes) <= 400
+    assert stats["nodes"] == len(tape.nodes) <= 360
     assert sum(stats["bytes"].values()) == sum(
         n.value.nbytes + (0 if n.aux is None else n.aux.nbytes) for n in tape.nodes
     )
     sines = [n for n in tape.nodes if n.kind == "jet_sine"]
     assert any(n.aux is not None for n in sines)
     assert stats["bytes"]["jet_sine"] > sum(n.value.nbytes for n in sines)
+
+
+@pytest.mark.parametrize("depth", [5, 2])
+def test_every_training_tape_node_reaches_the_total(depth):
+    """Under the default weights the loss tape records no product it does
+    not read: every node is an input, directly or not, of the total."""
+    series, state, plan = _tape_size_setup(depth)
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    total, _ = losses.build_total_loss(
+        tape, leaves, series, losses.LossWeights(), plan, state.config
+    )
+    reached, stack = {total.idx}, [total]
+    while stack:
+        for n in stack.pop().inputs:
+            if n.idx is not None and n.idx not in reached:
+                reached.add(n.idx)
+                stack.append(n)
+    assert [n for n in tape.nodes if n.idx not in reached] == []

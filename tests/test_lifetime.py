@@ -102,7 +102,7 @@ def test_backward_without_leaf_rejected(no_gc):
 def test_forward_with_derivatives_records_nothing(no_gc, tapes):
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
-    full = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
+    full = net.DerivativeRequest(spatial=True, temporal=True)
     net.forward_with_derivatives(state, coords, 0.4, full, chunk_size=16)
     assert len(tapes) == 4
     assert all(len(t.nodes) == 0 for t in tapes)
@@ -130,7 +130,7 @@ def test_last_time_frees_the_shared_prefix(no_gc, monkeypatch):
     monkeypatch.setattr(de, "bundle_affine", tracking_affine)
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
-    full = net.DerivativeRequest(spatial=True, temporal=True, jacdet=True, jacdet_dt=True)
+    full = net.DerivativeRequest(spatial=True, temporal=True)
     net.forward_with_derivatives(state, coords, 0.4, full)
     assert alive == [False]
     prefix.clear()

@@ -14,11 +14,10 @@ def identity_field(coords, t, request=net.DerivativeRequest()):
     res = net.DisplacementResult(coords, np.zeros_like(coords))
     if request.spatial:
         res.spatial_jacobian = np.repeat(np.eye(3)[:, :, None], n, axis=2)
+        res.jac_det = np.ones(n)
     if request.temporal:
         res.temporal_derivative = np.zeros_like(coords)
-    if request.jacdet or request.jacdet_dt:
-        res.jac_det = np.ones(n)
-    if request.jacdet_dt:
+    if request.spatial and request.temporal:
         res.jac_det_dt = np.zeros(n)
     return res
 
@@ -26,7 +25,7 @@ def identity_field(coords, t, request=net.DerivativeRequest()):
 def alternating_field(coords, t, request=net.DerivativeRequest()):
     """d|J|/dt flips sign at every queried time (grid step 0.1)."""
     res = identity_field(coords, t, request)
-    if request.jacdet_dt:
+    if request.spatial and request.temporal:
         flip = (-1.0) ** int(round(t * 10))
         res.jac_det_dt = np.full(coords.shape[1], 0.1 * flip)
     return res
@@ -35,7 +34,7 @@ def alternating_field(coords, t, request=net.DerivativeRequest()):
 def half_and_half_field(coords, t, request=net.DerivativeRequest()):
     """Monotone where x > 0, alternating where x <= 0."""
     res = identity_field(coords, t, request)
-    if request.jacdet_dt:
+    if request.spatial and request.temporal:
         flip = (-1.0) ** int(round(t * 10))
         res.jac_det_dt = np.where(coords[0] > 0, 0.1, 0.1 * flip)
     return res
@@ -234,7 +233,7 @@ def test_trajectories_unknown_label():
 def test_deadband_neutralizes_noise_floor():
     def tiny_noise_field(coords, t, request=net.DerivativeRequest()):
         res = identity_field(coords, t, request)
-        if request.jacdet_dt:
+        if request.spatial and request.temporal:
             flip = (-1.0) ** int(round(t * 100))
             res.jac_det_dt = np.full(coords.shape[1], 1e-9 * flip)
         return res
@@ -254,9 +253,7 @@ def test_state_fields_are_evaluated_once_per_label(monkeypatch):
     labels[:2] = 1
     labels[2:] = 2
     times = np.array([0.0, 12.0, 24.0, 36.0])
-    full = net.DerivativeRequest(
-        spatial=True, temporal=True, jacdet=True, jacdet_dt=True
-    )
+    full = net.DerivativeRequest(spatial=True, temporal=True)
     expect = {}
     for lid in (1, 2):
         coords = metrics._structure_coords(labels, lid)

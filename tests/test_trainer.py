@@ -325,3 +325,8 @@ def test_config_validation():
         FitConfig(precision="f16").validate()
     with pytest.raises(ValueError, match="optimizer"):
         FitConfig(optimizer="lbfgs").validate()
+    with pytest.raises(ValueError, match="log_every"):
+        FitConfig(log_every=0).validate()
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        FitConfig(checkpoint_every=-1).validate()
+    FitConfig(log_every=1, checkpoint_every=0).validate()
