@@ -7,6 +7,11 @@ hook multiplies one named analytic term by 1.001 before comparison, so
 tests can prove the harness actually catches a wrong derivative; `mono`
 seeds the parameter sweep with total + 0.001*gamma*mono, which scales the
 monotonic term's part of the analytic gradient alone.
+
+The time checks difference the field at t0 +- h.  The time embedding is
+piecewise linear in t, and a central difference across one of its
+LeakyReLU kinks measures no derivative, so t0 is the time nearest 0.37
+with no kink within the widest step.
 """
 
 from __future__ import annotations
@@ -80,6 +85,37 @@ def _toy_state(seed, width, dtype):
     return state
 
 
+def _embedding_kinks(state, lo, hi):
+    """Normalized times in (lo, hi) at which a pre-activation of the time
+    embedding that feeds a LeakyReLU is 0.  Layer 1 is linear in t, and
+    layer 2 is linear in t between layer 1's kinks."""
+    (w1, b1), (w2, b2) = [
+        (w.astype(np.float64), b.astype(np.float64)) for w, b in state.theta
+    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = -b1[:, 0] / w1[:, 0]
+    kinks = kinks[(kinks > lo) & (kinks < hi)]
+    if not state.config.time_embed_output_leaky:
+        return kinks
+    knots = np.unique(np.concatenate([[lo, hi], kinks]))
+    z1 = w1 @ knots[None, :] + b1
+    z2 = w2 @ np.where(z1 >= 0.0, z1, state.config.leaky_slope * z1) + b2
+    a, b = z2[:, :-1], z2[:, 1:]
+    cross = (a * b <= 0.0) & (a != b)
+    at = knots[:-1] + a / np.where(cross, a - b, 1.0) * np.diff(knots)
+    return np.concatenate([kinks, at[cross]])
+
+
+def _kink_free_time(state, t, h):
+    """The time nearest `t` with no kink of the time embedding within
+    +-h, plus a 1 % margin."""
+    reach = 1.01 * h
+    kinks = _embedding_kinks(state, t - 1.0, t + 1.0)
+    candidates = np.concatenate([[t], kinks - reach, kinks + reach])
+    clear = [c for c in candidates if not (np.abs(kinks - c) < reach).any()]
+    return float(min(clear, key=lambda c: abs(c - t)))
+
+
 def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     if corrupt is not None and corrupt not in CORRUPT_HOOKS:
         raise ValueError(f"unknown fault hook {corrupt!r}")
@@ -124,7 +160,8 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 
     state = _toy_state(seed, width, dtype)
     coords = rng.uniform(-0.9, 0.9, size=(3, points)).astype(dtype)
-    t0 = 0.37
+    h2 = 1e-4 if precision == "f64" else 3e-2  # the d|J|/dt step, the widest
+    t0 = _kink_free_time(state, 0.37, h2)
     full = net.DerivativeRequest(spatial=True, temporal=True)
     res = net.forward_with_derivatives(state, coords, t0, full, dtype=dtype)
 
@@ -158,7 +195,6 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 
     # 4. d|J|/dt via Jacobi's formula
     jr = net.DerivativeRequest(spatial=True)
-    h2 = 1e-4 if precision == "f64" else 3e-2
     jp = net.forward_with_derivatives(state, coords, t0 + h2, jr, dtype=dtype).jac_det
     jm = net.forward_with_derivatives(state, coords, t0 - h2, jr, dtype=dtype).jac_det
     fd = (jp - jm) / (2 * h2)

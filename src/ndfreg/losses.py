@@ -187,15 +187,20 @@ def build_total_loss(
     coords = np.asarray(plan.coords, dtype=tape.dtype)
     nbatch = coords.shape[1]
 
+    # t = 0 is traced only for the anchor
+    times = list(plan.observed_times[1:])
+    if weights.lam > 0:
+        times.insert(0, 0.0)
     observed = net.trace_network(
-        tape, leaves, coords, [0.0, *plan.observed_times[1:]], config,
-        net.DerivativeRequest(),
+        tape, leaves, coords, times, config, net.DerivativeRequest()
     )
-    anchor = anchor_node(tape, net.displacement(tape, observed[0]))
+    anchor = None
+    if weights.lam > 0:
+        anchor = anchor_node(tape, net.displacement(tape, observed.pop(0)))
 
     fixed_vals, _ = sample_trilinear(series.baseline, coords)
     sim = None
-    for (months, vol), tr in zip(series.followups, observed[1:]):
+    for (months, vol), tr in zip(series.followups, observed):
         warped = tape.sample3(vol.values, net.phi(tape, tr))
         term = ncc_node(tape, fixed_vals, warped)
         sim = term if sim is None else tape.add(sim, term)
@@ -233,7 +238,7 @@ def build_total_loss(
             mono = monotonic_node(tape, djdt_nodes)
 
     total = sim
-    if weights.lam > 0:
+    if anchor is not None:
         total = tape.add(total, tape.scale(anchor, weights.lam))
     if spatial is not None:
         total = tape.add(total, tape.scale(spatial, weights.alpha))
@@ -244,7 +249,7 @@ def build_total_loss(
 
     breakdown = LossBreakdown(
         sim=float(sim.value),
-        zero_anchor=float(anchor.value),
+        zero_anchor=0.0 if anchor is None else float(anchor.value),
         spatial=0.0 if spatial is None else float(spatial.value),
         temporal=0.0 if temporal is None else float(temporal.value),
         monotonic=0.0 if mono is None else float(mono.value),

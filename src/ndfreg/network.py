@@ -32,7 +32,10 @@ count values per point.  Inference therefore sizes its chunks by bytes:
 by default `chunk_points` takes as many points as keep one hidden-layer
 block within BLOCK_BYTES (8 MiB, one 4096-point paper-width f64 layer
 array), e.g. 512 points at paper width with d|J|/dt (8 slots) and 4096
-for displacement alone; `chunk_size` overrides it.
+for displacement alone; `chunk_size` overrides it.  BLOCK_BYTES stays
+below the CLI's 32 MiB mmap threshold (`cli.HEAP_MMAP_THRESHOLD`), so
+every chunk's arrays come from heap a previous chunk freed, not from
+fresh pages.
 
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
@@ -66,7 +69,8 @@ __all__ = [
 
 
 # bytes of one hidden-layer jet block at inference: a chunk's block stays
-# the size of one 4096-point paper-width (256) f64 layer array
+# the size of one 4096-point paper-width (256) f64 layer array, a quarter
+# of cli.HEAP_MMAP_THRESHOLD
 BLOCK_BYTES = 4096 * 256 * 8
 
 

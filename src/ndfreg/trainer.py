@@ -18,6 +18,7 @@ bit-identical parameters.
 from __future__ import annotations
 
 import logging
+import resource
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -198,6 +199,8 @@ class FitReport:
     wall_time_s: float
     final_checksum: str
     config_echo: dict
+    rejected_steps: int = 0  # steps adam_step refused for a non-finite gradient
+    peak_rss_mb: float = 0.0  # peak resident set of the process when the fit ends
 
     def to_rows(self):
         hdr = ["iteration"] + list(LossBreakdown.FIELDS) + ["wall_ms"]
@@ -233,10 +236,12 @@ def fit(series: Volume4DSeries, config: FitConfig):
     history = []
     started = time.perf_counter()
     nonfinite_streak = 0
+    rejected_steps = 0
     for it in range(1, config.iterations + 1):
-        breakdown = _fit_step(
+        breakdown, rejected = _fit_step(
             series, config, state, params, opt, rng, t_max, mask_points, dtype
         )
+        rejected_steps += rejected
         if not np.isfinite(breakdown.total):
             nonfinite_streak += 1
             log.warning("iteration %d: non-finite total %s", it, breakdown)
@@ -261,13 +266,17 @@ def fit(series: Volume4DSeries, config: FitConfig):
         wall_time_s=time.perf_counter() - started,
         final_checksum=state.checksum(),
         config_echo=config.echo(),
+        rejected_steps=rejected_steps,
+        # ru_maxrss is in KiB on Linux
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     )
     return state, report
 
 
 def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype):
     """One iteration: record the loss on a fresh tape, sweep it and step
-    the optimizer (skipped when the total is non-finite).  The tape, its
+    the optimizer (skipped when the total is non-finite).  Returns the
+    breakdown and whether `adam_step` rejected the step.  The tape, its
     leaves and the gradients are locals, so reference counting frees them
     on return and at most one tape is alive during a fit."""
     tape = Tape(dtype)
@@ -277,14 +286,15 @@ def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype
         tape, leaves, series, config.weights, plan, config.network,
         spatial_raw=config.spatial_raw,
     )
-    if np.isfinite(breakdown.total):
-        tape.backward(total)
-        grads = [
-            leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
-            for leaf in leaves.flat()
-        ]
-        adam_step(params, grads, opt, config)
-    return breakdown
+    if not np.isfinite(breakdown.total):
+        return breakdown, False
+    tape.backward(total)
+    grads = [
+        leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
+        for leaf in leaves.flat()
+    ]
+    _, accepted = adam_step(params, grads, opt, config)
+    return breakdown, not accepted
 
 
 @dataclass

@@ -2,10 +2,14 @@
 
 import ctypes
 import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
-from ndfreg import cli
+import ndfreg
+from ndfreg import cli, network
 
 _GETTERS = (
     "scipy_openblas_get_num_threads64_",
@@ -105,3 +109,73 @@ def test_fit_bad_period_is_input_error(tmp_path, capsys, flag, value, message):
     assert rc == cli.EXIT_INPUT
     assert message in capsys.readouterr().err
     assert not (out / "model.ndf").exists()
+
+
+# one cycle of three BLOCK_BYTES arrays, as an inference chunk allocates
+# and frees them; prints minor page faults per cycle after a warm-up
+_CHUNK_CYCLES = """
+import resource
+import numpy as np
+from ndfreg import cli, network
+
+print(cli.keep_freed_heap())
+n = network.BLOCK_BYTES // 8
+
+
+def cycle():
+    a = np.ones(n)
+    b = np.ones(n)
+    c = a + b
+    del a, b, c
+
+
+for _ in range(3):
+    cycle()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    cycle()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+def test_heap_policy_reuses_freed_chunk_arrays():
+    """Under glibc's defaults each cycle faults about 1500 times, as its
+    arrays are mmapped or trimmed off the heap top when freed; with the
+    policy the freed heap is reused and a cycle faults (almost) never."""
+    src = os.path.dirname(os.path.dirname(ndfreg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _CHUNK_CYCLES], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "True"
+    assert float(out[1]) < 100
+
+
+def test_chunk_arrays_stay_below_the_mmap_threshold():
+    """An inference block above the threshold would be mmapped again and
+    fault on every chunk."""
+    assert network.BLOCK_BYTES < cli.HEAP_MMAP_THRESHOLD
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--manifest", "{tmp}/missing.txt", "--out", "{tmp}/out"],
+    ["predict", "--model", "{tmp}/missing.ndf", "--time", "1", "--out", "{tmp}/out"],
+    ["jacobian", "--model", "{tmp}/missing.ndf", "--times", "1", "--out", "{tmp}/out"],
+    ["metrics", "--model", "{tmp}/missing.ndf", "--manifest", "{tmp}/missing.txt",
+     "--times", "0", "--out", "{tmp}/out"],
+    ["phantom", "--dims", "4,4,4", "--times", "0,12", "--out", "{tmp}/out"],
+    ["gradcheck", "--threads", "0"],
+    ["no-such-command"],
+], ids=["fit", "predict", "jacobian", "metrics", "phantom", "gradcheck", "bad-command"])
+def test_main_sets_the_heap_policy_once(monkeypatch, tmp_path, argv):
+    """Once per command, before parsing, whether it succeeds, exits with
+    an input error or is refused by the parser."""
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(1) or True)
+    try:
+        rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == (cli.EXIT_OK if argv[0] == "phantom" else cli.EXIT_INPUT)
+    assert calls == [1]

@@ -651,16 +651,22 @@ def test_stacked_jet_training_tape_size():
     assert stats["bytes"]["jet_sine"] > sum(n.value.nbytes for n in sines)
 
 
-@pytest.mark.parametrize("depth", [5, 2])
-def test_every_training_tape_node_reaches_the_total(depth):
-    """Under the default weights the loss tape records no product it does
-    not read: every node is an input, directly or not, of the total."""
+@pytest.mark.parametrize("depth, weights", [
+    pytest.param(5, losses.LossWeights(), id="5"),
+    pytest.param(2, losses.LossWeights(), id="2"),
+    pytest.param(5, losses.LossWeights(lam=0.0), id="5-lam0"),
+])
+def test_every_training_tape_node_reaches_the_total(depth, weights):
+    """The loss tape records no product it does not read: every node is an
+    input, directly or not, of the total.  With lam = 0 that leaves out the
+    trace at t = 0 and the anchor, which is reported as 0."""
     series, state, plan = _tape_size_setup(depth)
     tape = Tape()
     leaves = net.make_leaves(tape, state)
-    total, _ = losses.build_total_loss(
-        tape, leaves, series, losses.LossWeights(), plan, state.config
+    total, breakdown = losses.build_total_loss(
+        tape, leaves, series, weights, plan, state.config
     )
+    assert (breakdown.zero_anchor == 0.0) == (weights.lam == 0.0)
     reached, stack = {total.idx}, [total]
     while stack:
         for n in stack.pop().inputs:

@@ -1,10 +1,13 @@
 """The gradcheck suites themselves: every check passes on correct code at
 both precisions, and each fault hook trips exactly the check it targets."""
 
+import numpy as np
 import pytest
 
 from ndfreg import cli, diffengine as de
-from ndfreg.gradcheck import CORRUPT_HOOKS, run_gradcheck
+from ndfreg.gradcheck import (
+    CORRUPT_HOOKS, _embedding_kinks, _kink_free_time, _toy_state, run_gradcheck,
+)
 
 SMALL = dict(seed=0, width=8, points=20)
 
@@ -26,6 +29,19 @@ def test_gradcheck_passes(precision):
     assert sorted(r.name for r in results) == sorted(set(HOOKS.values()))
     failed = [(r.name, r.worst, r.tol) for r in results if not r.passed]
     assert failed == []
+
+
+def test_f32_time_checks_step_over_no_embedding_kink():
+    """At seed 7 a LeakyReLU kink of the time embedding lies 0.0026 from
+    t = 0.37, inside the f32 time stencils; the suite moves its time point
+    to the nearest one with no kink within them."""
+    state = _toy_state(7, 16, np.float32)
+    h = 3e-2
+    assert np.abs(_embedding_kinks(state, 0.0, 1.0) - 0.37).min() < h
+    t0 = _kink_free_time(state, 0.37, h)
+    assert np.abs(_embedding_kinks(state, t0 - 1.0, t0 + 1.0) - t0).min() > h
+    results = {r.name: r for r in run_gradcheck(seed=7, precision="f32")}
+    assert results["temporal-tangent"].passed
 
 
 @pytest.mark.parametrize("hook", sorted(HOOKS))

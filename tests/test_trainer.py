@@ -191,6 +191,26 @@ def test_fit_numerical_abort():
         trainer.fit(series, bad)
 
 
+def test_fit_counts_a_rejected_step(monkeypatch):
+    """A non-finite gradient on the second of four iterations: adam_step
+    refuses that step, and the report counts it."""
+    backward = trainer.Tape.backward
+    sweeps = []
+
+    def poisoned(tape, total):
+        backward(tape, total)
+        sweeps.append(1)
+        if len(sweeps) == 2:
+            leaf = next(n for n in tape.nodes if n.adjoint is not None)
+            leaf.adjoint = np.full_like(leaf.adjoint, np.nan)
+
+    monkeypatch.setattr(trainer.Tape, "backward", poisoned)
+    _, report = trainer.fit(tiny_series(), quick_config(iterations=4))
+    assert len(sweeps) == 4
+    assert report.rejected_steps == 1
+    assert report.peak_rss_mb > 0.0
+
+
 def test_fit_time_horizon_stored():
     series = tiny_series()
     state, _ = trainer.fit(series, quick_config(iterations=1))
