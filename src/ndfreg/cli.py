@@ -574,11 +574,9 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
         )
     rows = [["label", "dice_holdout", "residual_mean_abs"]]
     held_labels = series.labels.get(months)
+    warped = None if held_labels is None else metrics.warp_labels(held_labels, field_h.phi)
     for lid in label_ids:
-        dice_val = ""
-        if held_labels is not None:
-            warped = metrics.warp_labels(held_labels, field_h.phi)
-            dice_val = metrics.dice(base_labels, warped, lid)
+        dice_val = "" if warped is None else metrics.dice(base_labels, warped, lid)
         core = base_labels == lid
         rows.append([lid, dice_val, float(np.abs(residual[core]).mean())])
     fileio.write_csv(os.path.join(args.out, "holdout_report.csv"), rows)

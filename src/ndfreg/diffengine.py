@@ -28,10 +28,13 @@ slots that can be non-zero are stored, so S <= 8.
   * `bundle_leaky` (kind `jet_leaky`) keeps the folded slots: a t column
     adds slot t, and its zero second derivative adds no mixed slot.
   * `bundle_sine` (kind `jet_sine`) adds the mixed slot of every spatial
-    tangent once t is present.  It evaluates sin and cos of the value slot
-    once and keeps omega*cos as its ndarray aux, so its VJP evaluates no
-    transcendental; a value-only block computes the sine alone and keeps
-    no aux.
+    tangent once t is present.  It gets sin and cos of the value slot from
+    one tangent of the half angle, t = tan(u/2): sin u = 2t / (1 + t^2)
+    and cos u = 2 / (1 + t^2) - 1 (`_sin_cos`).  The gain relies on
+    numpy's float64 tan being a vectorised (AVX-512) loop where its sin
+    and cos call scalar libm, as in numpy 2.4 on x86-64.  The rule keeps
+    omega*cos as its ndarray aux, so its VJP evaluates no transcendental;
+    a value-only block computes the sine alone and keeps no aux.
   * `jet_slot` extracts one folded slot as a (rows, B) node.
   * The output layer's block (3 rows, the displacement's components) is
     the one place that holds the Jacobian's layout: slot x+j, row i is
@@ -328,22 +331,54 @@ def _scale(x, c):
     return x
 
 
+# elements per pass of `_sin_cos`: a piece, its outputs and its scratch stay
+# in cache between the pass's elementwise steps
+_PIECE = 1 << 15
+
+
+def _sin_cos(u, sin_out=None, cos_out=None):
+    """sin u into `sin_out` and cos u into `cos_out` for a (rows, n) array
+    u, from t = tan(u/2): sin u = 2t / (1 + t^2), cos u = 2 / (1 + t^2) - 1,
+    within about one ulp of 1 of libm.  Either output may be None or u
+    itself.  Works in place over row pieces of about _PIECE elements; the
+    sine alone needs one piece of scratch for 2 / (1 + t^2), which
+    otherwise builds in the cosine's piece."""
+    rows, n = u.shape
+    step = max(1, _PIECE // max(n, 1))
+    scratch = np.empty((min(step, rows), n), u.dtype) if cos_out is None else None
+    for r in range(0, rows, step):
+        piece = slice(r, r + step)
+        t = np.multiply(u[piece], 0.5, out=(cos_out if sin_out is None else sin_out)[piece])
+        np.tan(t, out=t)
+        d = scratch[: t.shape[0]] if cos_out is None else cos_out[piece]
+        np.multiply(t, t, out=d)
+        d += 1.0
+        np.divide(2.0, d, out=d)
+        if sin_out is not None:
+            t *= d
+        if cos_out is not None:
+            d -= 1.0
+
+
 def _jet_sine_forward(dtype, values, payload):
     """sin(omega u) over a block, u its folded value slot.  With s, c the
     sine and cosine of omega u, each tangent slot z_d becomes omega c z_d
-    and each mixed slot -omega^2 s z_d z_t + omega c z_dt.  The aux is
-    omega c, so the VJP evaluates no transcendental; a value-only block
-    needs no cosine forward and keeps none."""
+    and each mixed slot -omega^2 s z_d z_t + omega c z_dt.  s and c come
+    from one tangent of the half angle (`_sin_cos`).  The aux is omega c,
+    so the VJP evaluates no transcendental; a value-only block needs no
+    cosine forward and keeps none."""
     omega, slots = payload
     z, pos, cv, ct = _jet_block("jet_sine", values, slots)
     out_slots = _sine_slots(slots, ct is not None)
     wu = np.multiply(z[:, 0], omega) if cv is None else _scale(z[:, 0] + cv, omega)
     if len(out_slots) == 1:
-        return np.sin(wu, out=wu)
+        _sin_cos(wu, sin_out=wu)
+        return wu
     rows, _, nb = z.shape
     out = np.empty((rows, len(out_slots), nb), dtype)
-    s = np.sin(wu, out=out[:, 0])
-    wc = _scale(np.cos(wu, out=wu), omega)
+    s = out[:, 0]
+    _sin_cos(wu, sin_out=s, cos_out=wu)
+    wc = _scale(wu, omega)
     zt = _folded(z, pos, cv, ct, T) if T in out_slots else None
     nzt = tmp = None
     for k, slot in enumerate(out_slots[1:], 1):
@@ -370,7 +405,8 @@ def _jet_sine_vjp(node, g):
     rows, _, nb = z.shape
     if node.aux is None:  # value only
         gu = np.multiply(_folded(z, pos, cv, ct, V), omega)
-        _scale(np.cos(gu, out=gu), omega)
+        _sin_cos(gu, cos_out=gu)
+        _scale(gu, omega)
         gu *= g
         yield 0, gu
         yield from _column_grads(node, gu, None)

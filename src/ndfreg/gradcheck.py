@@ -160,8 +160,8 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 
     state = _toy_state(seed, width, dtype)
     coords = rng.uniform(-0.9, 0.9, size=(3, points)).astype(dtype)
-    h2 = 1e-4 if precision == "f64" else 3e-2  # the d|J|/dt step, the widest
-    t0 = _kink_free_time(state, 0.37, h2)
+    h2 = 1e-4  # the d|J|/dt step of the f64 reference
+    t0 = _kink_free_time(state, 0.37, max(fd_h, h2))
     full = net.DerivativeRequest(spatial=True, temporal=True)
     res = net.forward_with_derivatives(state, coords, t0, full, dtype=dtype)
 
@@ -193,10 +193,13 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     worst = float(_rel(an, fd, floor).max())
     check("temporal-tangent", worst)
 
-    # 4. d|J|/dt via Jacobi's formula
+    # 4. d|J|/dt via Jacobi's formula, against |J| differenced in f64 at
+    # the same weights and coordinates at either precision: an f32 step
+    # wide enough to beat f32 roundoff truncates by more than the f32
+    # tolerance (a 3e-2 step truncates by 1.3e-2 at seeds 18, 22 and 29)
     jr = net.DerivativeRequest(spatial=True)
-    jp = net.forward_with_derivatives(state, coords, t0 + h2, jr, dtype=dtype).jac_det
-    jm = net.forward_with_derivatives(state, coords, t0 - h2, jr, dtype=dtype).jac_det
+    jp = net.forward_with_derivatives(state, coords, t0 + h2, jr, dtype=np.float64).jac_det
+    jm = net.forward_with_derivatives(state, coords, t0 - h2, jr, dtype=np.float64).jac_det
     fd = (jp - jm) / (2 * h2)
     an = _bump(res.jac_det_dt, "jacdet_dt", corrupt)
     worst = float(_rel(an, fd, 1e-5 if precision == "f64" else 1e-3).max())

@@ -99,7 +99,6 @@ def warp_labels(labels: np.ndarray, phi: np.ndarray) -> np.ndarray:
     if phi.shape != (3,) + dims:
         raise ValueError(f"phi shape {phi.shape} does not match labels {dims}")
     pts = phi.reshape(3, -1)
-    out = np.empty(pts.shape[1], dtype=labels.dtype)
     idx = []
     for axis, n in enumerate(dims):
         v = (np.clip(pts[axis], -1.0, 1.0) + 1.0) * ((n - 1) / 2.0)

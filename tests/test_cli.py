@@ -179,3 +179,26 @@ def test_main_sets_the_heap_policy_once(monkeypatch, tmp_path, argv):
         rc = exc.code
     assert rc == (cli.EXIT_OK if argv[0] == "phantom" else cli.EXIT_INPUT)
     assert calls == [1]
+
+
+def test_metrics_holdout_writes_its_report(tmp_path):
+    """`metrics --holdout` refits without the held-out scan and writes one
+    row per label: its held-out Dice and mean |residual| of |J|."""
+    import csv
+    import math
+
+    ph, fit, met = (str(tmp_path / d) for d in ("phantom", "fit", "metrics"))
+    knobs = ["--iterations", "3", "--hidden-width", "8", "--depth", "3",
+             "--batch-points", "128"]
+    assert cli.main(["phantom", "--out", ph, "--preset", "clean", "--dims", "8,8,8"]) == 0
+    manifest = os.path.join(ph, "manifest.txt")
+    assert cli.main(["fit", "--manifest", manifest, "--out", fit, *knobs]) == cli.EXIT_OK
+    rc = cli.main(["metrics", "--model", os.path.join(fit, "model.ndf"),
+                   "--manifest", manifest, "--out", met, "--times", "0,12,24,36",
+                   "--holdout", "24", *knobs])
+    assert rc == cli.EXIT_OK
+    with open(os.path.join(met, "holdout_report.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and list(rows[0]) == ["label", "dice_holdout", "residual_mean_abs"]
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.values())

@@ -3,6 +3,8 @@ finite differences, and reverse-mode gradients against the same oracle."""
 
 import functools
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +189,72 @@ def test_value_only_sine_records_no_cosine():
     assert out.slots == (de.V,)
     assert [n.kind for n in tape.nodes] == ["leaf", "jet_sine"]
     assert all(n.aux is None for n in tape.nodes if n.kind == "jet_sine")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("outputs", ["sin", "cos", "both"])
+def test_half_angle_sin_cos_matches_libm(dtype, outputs):
+    """`_sin_cos` against np.sin and np.cos to 4 eps absolute over
+    |u| <= 1e4, at +-0 and +-pi (signs of zero kept), and across pieces: 70
+    rows of 1000 points are pieces of 32, 32 and 6 rows.  The outputs are
+    written as the sine rule writes them: the sine alone or the cosine alone
+    over u itself, or the sine into a new array and the cosine over u."""
+    u = np.random.default_rng(5).uniform(-1e4, 1e4, size=(70, 1000)).astype(dtype)
+    u[-1, :4] = [0.0, -0.0, np.pi, -np.pi]
+    x = u.copy()
+    s = x if outputs == "sin" else np.empty_like(u) if outputs == "both" else None
+    c = x if outputs != "sin" else None
+    de._sin_cos(x, sin_out=s, cos_out=c)
+    eps = np.finfo(dtype).eps
+    if s is not None:
+        assert np.abs(s - np.sin(u)).max() <= 4 * eps
+        np.testing.assert_array_equal(np.signbit(s[-1, :2]), [False, True])
+    if c is not None:
+        assert np.abs(c - np.cos(u)).max() <= 4 * eps
+
+
+def test_half_angle_sin_cos_of_nan_warns_nothing():
+    u = np.array([[np.nan, 1.0]])
+    s, c = np.empty_like(u), np.empty_like(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        de._sin_cos(u, sin_out=s, cos_out=c)
+    assert np.isnan(s[0, 0]) and np.isnan(c[0, 0])
+    assert np.isfinite(s[0, 1]) and np.isfinite(c[0, 1])
+
+
+def test_value_only_sine_allocates_one_piece_beyond_its_result():
+    """A value-only sine of a (256, 4096) block allocates its result and at
+    most one piece of scratch, not a full-size tan(u/2) temporary."""
+    tape = Tape()
+    block = tape.constant(np.random.default_rng(0).uniform(-1, 1, size=(256, 4096)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = tape.record("jet_sine", (block,), (30.0, (de.V,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= out.value.nbytes + de._PIECE * 8 + 16384
+
+
+def test_inference_calls_no_libm_sine(monkeypatch):
+    """A depth-5 f64 inference with spatial and temporal derivatives runs
+    with np.sin and np.cos unavailable: every sine comes from the half-angle
+    tangent."""
+    cfg = net.NetworkConfig(hidden_width=16, depth=5, time_hidden_width=6, time_embed_width=8)
+    state = net.init_network(seed=2, config=cfg)
+    coords = np.random.default_rng(2).uniform(-1, 1, size=(3, 40))
+
+    def libm(*args, **kwargs):
+        raise AssertionError("np.sin or np.cos called")
+
+    monkeypatch.setattr(np, "sin", libm)
+    monkeypatch.setattr(np, "cos", libm)
+    res = net.forward_with_derivatives(
+        state, coords, 0.4, net.DerivativeRequest(spatial=True, temporal=True)
+    )
+    assert np.isfinite(res.jac_det_dt).all()
 
 
 def test_tangent_bilinear_mixed():
@@ -504,15 +572,21 @@ def _vjp_cases(rng):
 
 def _jet_cases(rng):
     """Blocks of 3 rows and 4 points per slot with their column terms; value
-    slots sit away from the leaky kink."""
+    slots sit away from the leaky kink.  Two sine blocks of 23 rows and
+    3000 points per slot span `_sin_cos` pieces of 10, 10 and 3 rows; they
+    draw from their own generator, so the other cases keep their inputs."""
 
-    def block(slots, nb=4):
-        z = rng.uniform(-1.0, 1.0, size=(3, len(slots), nb))
-        z[:, 0] = _away_from_zero(rng, (3, nb), 0.3)
-        return z.reshape(3, -1)
+    def block(slots, nb=4, rows=3, gen=rng):
+        z = gen.uniform(-1.0, 1.0, size=(rows, len(slots), nb))
+        z[:, 0] = _away_from_zero(gen, (rows, nb), 0.3)
+        return z.reshape(rows, -1)
 
-    def col(k):
-        return rng.uniform(-0.1, 0.1, size=(3, k))
+    def col(k, rows=3, gen=rng):
+        return gen.uniform(-0.1, 0.1, size=(rows, k))
+
+    def pieces(slots, *cols):
+        big = np.random.default_rng(43)
+        return (block(slots, 3000, 23, big),) + tuple(col(k, 23, big) for k in cols)
 
     time_block = block((de.V, de.T), nb=1)
     return {
@@ -524,6 +598,9 @@ def _jet_cases(rng):
             ((block(SPACE), col(1)), (2.0, SPACE)),
             ((block((de.V,)), col(1)), (2.0, (de.V,))),
             ((time_block, col(2)), (2.0, (de.V, de.T))),
+            # several pieces, the last one partial: value only; every slot
+            (pieces((de.V,), 1), (2.0, (de.V,))),
+            (pieces(ALL_SLOTS, 2, 1), (2.0, ALL_SLOTS)),
         ],
         "jet_leaky": [
             ((time_block, col(1)), (0.1, (de.V, de.T))),
@@ -545,10 +622,26 @@ def _jet_cases(rng):
     }
 
 
+def _fd_entries(rng, shape):
+    """Every entry of an input of up to 1000; of a larger one, 8 random
+    entries and 4 of its last row, which a sine block's last piece holds."""
+    size = int(np.prod(shape))
+    if size <= 1000:
+        return list(np.ndindex(shape))
+    flat = np.concatenate([
+        rng.choice(size, size=8, replace=False),
+        rng.choice(np.arange(size - shape[-1], size), size=4, replace=False),
+    ])
+    return [np.unravel_index(i, shape) for i in flat]
+
+
 @pytest.mark.parametrize("kind", sorted(de._PRIMITIVES))
 def test_vjp_matches_finite_differences(kind):
     """<g, f(x)> differentiated by the reverse sweep against central
-    differences, for every input of every kind in the primitive table."""
+    differences, for every input of every kind in the primitive table.  The
+    outputs are differenced before they are weighted and summed, so
+    outputs an entry does not reach cancel exactly, however large the
+    block."""
     rng = np.random.default_rng(41)
     cases = _vjp_cases(rng)
     assert sorted(cases) == sorted(de._PRIMITIVES), "one case list per kind, no stale kinds"
@@ -565,16 +658,14 @@ def test_vjp_matches_finite_differences(kind):
         tape.backward(tape.sum(tape.mul(out, tape.constant(g))))
         h = 1e-6
         for pos, leaf in enumerate(leaves):
-            fd = np.zeros_like(values[pos])
-            for idx in np.ndindex(fd.shape):
+            got = np.zeros_like(values[pos]) if leaf.adjoint is None else leaf.adjoint
+            for idx in _fd_entries(rng, values[pos].shape):
                 shifted = [v.copy() for v in values]
                 shifted[pos][idx] += h
-                up = np.sum(g * forward(shifted, payload))
+                up = forward(shifted, payload)
                 shifted[pos][idx] -= 2 * h
-                down = np.sum(g * forward(shifted, payload))
-                fd[idx] = (up - down) / (2 * h)
-            got = np.zeros_like(fd) if leaf.adjoint is None else leaf.adjoint
-            np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
+                fd = np.sum(g * (up - forward(shifted, payload))) / (2 * h)
+                np.testing.assert_allclose(got[idx], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_every_recorded_node_passes_through_record(monkeypatch):

@@ -44,6 +44,14 @@ def test_f32_time_checks_step_over_no_embedding_kink():
     assert results["temporal-tangent"].passed
 
 
+def test_f32_jacdet_dt_reference_is_differenced_in_f64():
+    """At seed 22 an f32 difference of |J| with step 3e-2 read 1.59x the
+    1e-2 tolerance, all of it truncation: the f32 d|J|/dt is within 1.4e-5
+    of |J| differenced in f64 at the same weights and coordinates."""
+    failed = [r.name for r in run_gradcheck(seed=22, precision="f32") if not r.passed]
+    assert failed == []
+
+
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 def test_corruption_fails_only_its_own_check(hook):
     results = run_gradcheck(precision="f64", corrupt=hook, **SMALL)
