@@ -11,9 +11,8 @@ from .network import (
     init_network,
     forward,
     forward_with_derivatives,
-    time_embed,
 )
-from .losses import LossWeights, LossBreakdown, ncc_loss, monotonic_loss, total_loss
+from .losses import LossWeights, LossBreakdown, total_loss
 from .trainer import FitConfig, FitReport, fit, predict_field, warp_volume
 from .phantom import PhantomSpec, generate_phantom, true_field, true_jacobian_det
 from .metrics import dice, warp_labels, sign_consistency, structure_trajectories

@@ -586,7 +586,7 @@ def _cmd_phantom(args) -> int:
     import json
 
     from . import fileio
-    from .phantom import PhantomSpec, generate_phantom, generate_raw
+    from .phantom import PhantomSpec, generate_phantom
 
     resolved = resolve_options(args, _PHANTOM_OPTIONS)
     if args.preset is not None:

@@ -7,10 +7,11 @@ and monotonic regularizers are evaluated on a sampled time grid that
 includes unobserved times.  All reductions over points are means, so the
 weights keep their meaning regardless of batch size.
 
-Public functions are plain numpy (handy as oracles and for reporting);
-the `*_node` builders express the same math as tape primitives so the
-trainer can differentiate the total with respect to the parameters.
-Terms whose weight is zero are skipped and reported as 0.
+Every term is recorded on a tape by its builder (`ncc_node`,
+`anchor_node`, `sum_of_squares`, `monotonic_node`), so the trainer can
+differentiate the total with respect to the parameters; `build_total_loss`
+assembles them and `total_loss` evaluates the same tape for a frozen
+state.  Terms whose weight is zero are skipped and reported as 0.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .volume import sample_trilinear
 __all__ = [
     "LossWeights",
     "LossBreakdown",
-    "ncc_loss",
-    "zero_time_anchor",
-    "spatial_loss",
-    "temporal_loss",
-    "monotonic_loss",
     "total_loss",
     "build_total_loss",
 ]
@@ -62,71 +58,6 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# plain numpy forms
-# ---------------------------------------------------------------------------
-
-
-def ncc_loss(fixed_values, warped_values) -> float:
-    """1 - NCC over the batch; degenerate variance returns 1 unless both
-    sides are constant and equal (then 0)."""
-    f = np.asarray(fixed_values, dtype=np.float64)
-    m = np.asarray(warped_values, dtype=np.float64)
-    if f.shape != m.shape:
-        raise ValueError(f"length mismatch: {f.shape} vs {m.shape}")
-    if f.size == 0:
-        raise ValueError("empty value batch")
-    fc = f - f.mean()
-    mc = m - m.mean()
-    fvar = float(fc @ fc)
-    mvar = float(mc @ mc)
-    if fvar == 0.0 or mvar == 0.0:
-        return 0.0 if np.array_equal(f, m) else 1.0
-    return 1.0 - float(fc @ mc) / np.sqrt(fvar * mvar)
-
-
-def zero_time_anchor(displacements) -> float:
-    """Mean squared Euclidean norm over a (3,B) displacement batch."""
-    d = np.asarray(displacements, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != 3 or d.shape[1] == 0:
-        raise ValueError(f"expected nonempty (3,B) batch, got {d.shape}")
-    return float((d * d).sum(axis=0).mean())
-
-
-def spatial_loss(jacobians, penalize_raw: bool = False) -> float:
-    """Mean over points of the squared Frobenius norm of J - I (or of raw
-    J when `penalize_raw`, the literal reading that also penalizes the
-    identity transform)."""
-    j = np.asarray(jacobians, dtype=np.float64)
-    if j.ndim != 3 or j.shape[:2] != (3, 3):
-        raise ValueError(f"expected (3,3,B) Jacobian batch, got {j.shape}")
-    if not penalize_raw:
-        j = j - np.eye(3)[:, :, None]
-    return float((j * j).sum(axis=(0, 1)).mean())
-
-
-def temporal_loss(dphi_dt) -> float:
-    """Mean squared norm of (3,N) temporal derivatives over all samples."""
-    d = np.asarray(dphi_dt, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != 3 or d.shape[1] == 0:
-        raise ValueError(f"expected nonempty (3,N) batch, got {d.shape}")
-    return float((d * d).sum(axis=0).mean())
-
-
-def monotonic_loss(djdt_samples) -> float:
-    """Per point: the smaller of the summed positive and summed negative
-    parts of d|J|/dt over the time grid; mean over points.  Zero exactly
-    when every point's samples keep one sign."""
-    d = np.asarray(djdt_samples, dtype=np.float64)
-    if d.ndim == 1:
-        d = d[:, None]
-    if d.shape[0] < 2:
-        raise ValueError(f"need >= 2 time samples per point, got {d.shape[0]}")
-    pos = np.maximum(d, 0.0).sum(axis=0)
-    neg = np.maximum(-d, 0.0).sum(axis=0)
-    return float(np.minimum(pos, neg).mean())
-
-
-# ---------------------------------------------------------------------------
 # tape builders
 # ---------------------------------------------------------------------------
 
@@ -136,9 +67,11 @@ def ncc_node(tape: Tape, fixed_values: np.ndarray, warped):
     mv = warped.value
     if fv.shape != mv.shape:
         raise ValueError(f"length mismatch: {fv.shape} vs {mv.shape}")
-    fc = fv - fv.mean()
-    if float(fc @ fc) == 0.0 or float(np.var(mv)) == 0.0:
+    # a constant side has no correlation: max == min is exact, while a
+    # rounded mean can leave a constant vector a tiny nonzero variance
+    if fv.max() == fv.min() or mv.max() == mv.min():
         return tape.constant(0.0 if np.array_equal(fv, mv) else 1.0)
+    fc = fv - fv.mean()
     fixed_c = tape.constant(fc)
     mc = tape.sub(warped, tape.mean(warped))
     num = tape.sum(tape.mul(fixed_c, mc))

@@ -9,8 +9,8 @@ inside the band are neutral.
 
 Functions accepting `field_or_state` take either a fitted NetworkState
 (times are then months, normalized via the state's horizon) or any
-callable (coords, t, request) -> DisplacementResult, e.g. the analytic
-phantom field, with times passed through unchanged.
+callable (coords, t, request) -> DisplacementResult, e.g. a closed-form
+field that stands in for a fit, with times passed through unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import network as net
-from .volume import grid_coordinates
+from .volume import voxel_centers
 
 __all__ = [
     "JacobianMap",
@@ -31,7 +31,6 @@ __all__ = [
     "residual_jacobian",
     "sign_consistency",
     "structure_trajectories",
-    "jacobian_map",
 ]
 
 DEFAULT_DEADBAND = 1e-6
@@ -66,7 +65,7 @@ def _resolve_field(field_or_state):
     """(coords, times, request) -> one DisplacementResult per time, and the
     horizon that normalizes months.  A fitted state is evaluated at every
     time in one call, which traces its time-invariant prefix once per
-    coordinate batch; an analytic field is called once per time."""
+    coordinate batch; a callable field is called once per time."""
     if isinstance(field_or_state, net.NetworkState):
         state = field_or_state
         return partial(net.forward_with_derivatives, state), state.time_horizon
@@ -118,15 +117,6 @@ def residual_jacobian(map_a: JacobianMap, map_b: JacobianMap) -> np.ndarray:
     return map_a.values - map_b.values
 
 
-def _structure_coords(labels: np.ndarray, label_id: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    idx = np.argwhere(labels == label_id).T.astype(np.float64)
-    if idx.shape[1] == 0:
-        raise ValueError(f"label {label_id} selects no voxels")
-    scale = 2.0 / (np.array(labels.shape, dtype=np.float64) - 1.0)
-    return idx * scale[:, None] - 1.0
-
-
 def sign_consistency(
     field_or_state,
     labels: np.ndarray,
@@ -158,7 +148,8 @@ def structure_trajectories(
     req = net.DerivativeRequest(spatial=True, temporal=True)
     out = []
     for label_id in label_ids:
-        results = fieldfn(_structure_coords(labels, label_id), times / horizon, req)
+        coords = voxel_centers(np.asarray(labels) == label_id, f"label {label_id}")
+        results = fieldfn(coords, times / horizon, req)
         jac = np.array([r.jac_det for r in results], dtype=np.float64)
         djdt = np.array([r.jac_det_dt for r in results], dtype=np.float64)
         has_pos = (djdt > deadband).any(axis=0)
@@ -173,12 +164,3 @@ def structure_trajectories(
             )
         )
     return out
-
-
-def jacobian_map(field_or_state, t_months: float, dims) -> JacobianMap:
-    """Dense |J| map at one queried time."""
-    fieldfn, horizon = _resolve_field(field_or_state)
-    coords = grid_coordinates(dims)
-    req = net.DerivativeRequest(spatial=True)
-    jac = fieldfn(coords, [t_months / horizon], req)[0].jac_det
-    return JacobianMap(time=t_months, values=jac.reshape(tuple(dims)))

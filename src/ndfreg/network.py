@@ -64,7 +64,6 @@ __all__ = [
     "trace_network",
     "forward",
     "forward_with_derivatives",
-    "time_embed",
 ]
 
 
@@ -427,16 +426,3 @@ def _result(tape, coords, tr, request) -> DisplacementResult:
     if request.spatial and request.temporal:
         res.jac_det_dt = jacdet_dt(tape, tr).value
     return res
-
-
-def time_embed(state: NetworkState, t: float) -> np.ndarray:
-    """Straight numpy evaluation of the time sub-network (cross-checked
-    against the taped path in the tests)."""
-    slope = state.config.leaky_slope
-    (w1, b1), (w2, b2) = state.theta
-    z = w1 @ np.array([[t]], dtype=np.float64) + b1
-    hval = np.where(z >= 0.0, z, slope * z)
-    z2 = w2 @ hval + b2
-    if state.config.time_embed_output_leaky:
-        z2 = np.where(z2 >= 0.0, z2, slope * z2)
-    return z2[:, 0]

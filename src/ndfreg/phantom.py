@@ -15,12 +15,11 @@ inside the sphere, not just at its boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DerivativeRequest, DisplacementResult
-from .volume import Volume3D, Volume4DSeries, grid_coordinates, normalize_intensities
+from .volume import Volume4DSeries, grid_coordinates, normalize_intensities
 
 __all__ = [
     "PhantomSpec",
@@ -29,7 +28,6 @@ __all__ = [
     "generate_raw",
     "true_field",
     "true_jacobian_det",
-    "uniform_scaling_field",
 ]
 
 
@@ -195,18 +193,6 @@ class PhantomTruth:
         _, rate = _jacdet_and_rate(self.spec, np.asarray(points), months / self.t_max)
         return rate
 
-    def field(self, coords, t, request: DerivativeRequest = DerivativeRequest()):
-        """Analytic stand-in honoring the network field interface
-        (t is normalized time)."""
-        coords = np.asarray(coords, dtype=np.float64)
-        res = DisplacementResult(coords, _displacement(self.spec, coords, t))
-        jac, rate = _jacdet_and_rate(self.spec, coords, t)
-        if request.spatial:
-            res.jac_det = jac
-        if request.spatial and request.temporal:
-            res.jac_det_dt = rate
-        return res
-
     def to_dict(self) -> dict:
         d = {k: getattr(self.spec, k) for k in PhantomSpec.__dataclass_fields__}
         d["core_radius"] = self.spec.core
@@ -265,24 +251,3 @@ def true_jacobian_det(spec: PhantomSpec, months: float) -> np.ndarray:
     pts = grid_coordinates(spec.dims)
     jac, _ = _jacdet_and_rate(spec, pts, months / spec.t_max)
     return jac.reshape(spec.dims)
-
-
-def uniform_scaling_field(rate: float):
-    """Hand-constructed affine field phi = (1 + rate*t) * w with
-    |J| = (1+rate*t)^3; honors the network field interface."""
-
-    def field(coords, t, request: DerivativeRequest = DerivativeRequest()):
-        coords = np.asarray(coords, dtype=np.float64)
-        s = 1.0 + rate * t
-        res = DisplacementResult(coords, (s - 1.0) * coords)
-        n = coords.shape[1]
-        if request.spatial:
-            res.spatial_jacobian = np.repeat((s * np.eye(3))[:, :, None], n, axis=2)
-            res.jac_det = np.full(n, s**3)
-        if request.temporal:
-            res.temporal_derivative = rate * coords
-        if request.spatial and request.temporal:
-            res.jac_det_dt = np.full(n, 3.0 * rate * s**2)
-        return res
-
-    return field

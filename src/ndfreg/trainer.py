@@ -27,7 +27,9 @@ import numpy as np
 from .diffengine import Tape
 from . import network as net
 from .losses import LossWeights, LossBreakdown, build_total_loss
-from .volume import Volume3D, Volume4DSeries, grid_coordinates, trilinear_values_and_grads
+from .volume import (
+    Volume3D, Volume4DSeries, grid_coordinates, trilinear_values_and_grads, voxel_centers,
+)
 
 __all__ = [
     "FitConfig",
@@ -128,7 +130,7 @@ def sample_plan(
         coords = rng.uniform(-1.0, 1.0, size=(3, nb))
     else:
         if mask_points is None:
-            mask_points = mask_voxel_centers(config.mask)
+            mask_points = voxel_centers(config.mask > 0, "mask")
         pick = rng.integers(0, mask_points.shape[1], size=nb)
         half = 1.0 / (np.array(config.mask.shape, dtype=np.float64) - 1.0)
         jitter = rng.uniform(-1.0, 1.0, size=(3, nb)) * half[:, None]
@@ -141,14 +143,6 @@ def sample_plan(
         interior = np.sort(rng.uniform(0.0, config.t_extrap, size=k - 2))
     grid = np.concatenate(([0.0], interior, [config.t_extrap]))
     return SamplePlan(coords, observed, grid)
-
-
-def mask_voxel_centers(mask: np.ndarray) -> np.ndarray:
-    idx = np.argwhere(mask > 0).T.astype(np.float64)
-    if idx.shape[1] == 0:
-        raise ValueError("mask selects no voxels")
-    scale = 2.0 / (np.array(mask.shape, dtype=np.float64) - 1.0)
-    return idx * scale[:, None] - 1.0
 
 
 @dataclass
@@ -231,7 +225,7 @@ def fit(series: Volume4DSeries, config: FitConfig):
     params = state.param_arrays()
     opt = AdamState.zeros_like(params)
     rng = np.random.default_rng([config.seed, 0x5EED])
-    mask_points = None if config.mask is None else mask_voxel_centers(config.mask)
+    mask_points = None if config.mask is None else voxel_centers(config.mask > 0, "mask")
 
     history = []
     started = time.perf_counter()

@@ -18,9 +18,8 @@ __all__ = [
     "Volume3D",
     "Volume4DSeries",
     "normalize_intensities",
-    "voxel_to_normalized",
-    "normalized_to_voxel",
     "grid_coordinates",
+    "voxel_centers",
     "sample_trilinear",
     "trilinear_values_and_grads",
 ]
@@ -103,23 +102,6 @@ def normalize_intensities(raw, spacing=(1.0, 1.0, 1.0)) -> Volume3D:
     return Volume3D(scaled, spacing=tuple(spacing))
 
 
-def voxel_to_normalized(index, dims):
-    """Map voxel index (i,j,k) to corner-aligned normalized coordinates."""
-    out = []
-    for i, n in zip(index, dims):
-        if not 0 <= i < n:
-            raise ValueError(f"voxel index {index} out of bounds for dims {dims}")
-        out.append(2.0 * i / (n - 1) - 1.0)
-    return tuple(out)
-
-
-def normalized_to_voxel(coords: np.ndarray, dims) -> np.ndarray:
-    """Continuous voxel coordinates for normalized points (3,B)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    scale = np.array([(n - 1) / 2.0 for n in dims])[:, None]
-    return (coords + 1.0) * scale
-
-
 def grid_coordinates(dims) -> np.ndarray:
     """Normalized coordinates of every voxel, shape (3, nx*ny*nz).
 
@@ -129,6 +111,16 @@ def grid_coordinates(dims) -> np.ndarray:
     axes = [np.linspace(-1.0, 1.0, n) for n in dims]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()])
+
+
+def voxel_centers(selected: np.ndarray, what: str) -> np.ndarray:
+    """Normalized coordinates (3, N) of the voxels where `selected` is true,
+    in index order; `what` names the selection in the error for none."""
+    idx = np.argwhere(selected).T.astype(np.float64)
+    if idx.shape[1] == 0:
+        raise ValueError(f"{what} selects no voxels")
+    scale = 2.0 / (np.array(selected.shape, dtype=np.float64) - 1.0)
+    return idx * scale[:, None] - 1.0
 
 
 def trilinear_values_and_grads(grid: np.ndarray, coords: np.ndarray):

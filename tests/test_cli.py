@@ -202,3 +202,14 @@ def test_metrics_holdout_writes_its_report(tmp_path):
     assert rows and list(rows[0]) == ["label", "dice_holdout", "residual_mean_abs"]
     for row in rows:
         assert all(math.isfinite(float(v)) for v in row.values())
+
+
+def test_fit_defaults_match_fit_config(tmp_path):
+    """`_FIT_OPTIONS` repeats the defaults of FitConfig, LossWeights and
+    NetworkConfig; a bare `fit` must build the same config."""
+    from ndfreg.trainer import FitConfig
+
+    args = cli.build_parser().parse_args(
+        ["fit", "--manifest", str(tmp_path / "manifest.txt"), "--out", str(tmp_path)]
+    )
+    assert cli._fit_config_from(cli.resolve_options(args, cli._FIT_OPTIONS)) == FitConfig()

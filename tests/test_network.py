@@ -4,9 +4,11 @@ finite-difference verification of every analytic derivative product."""
 import numpy as np
 import pytest
 
-from ndfreg import network as net
+from ndfreg import diffengine as de, network as net
 from ndfreg.diffengine import Tape
-from ndfreg.phantom import uniform_scaling_field
+
+from test_losses import oracle_embed
+from test_metrics import uniform_scaling_field
 
 TOY = net.NetworkConfig(hidden_width=8, depth=5, time_hidden_width=6, time_embed_width=12)
 FULL_REQ = net.DerivativeRequest(spatial=True, temporal=True)
@@ -84,20 +86,32 @@ def test_init_validation():
 # ---------------------------------------------------------------------------
 
 
+def taped_embed(state, ts):
+    """Embedding and its d/dt at each time of `ts`, (width, len(ts)) each,
+    through the taped time sub-network."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    tape = Tape()
+    leaves = net.make_leaves(tape, state, trainable=False)
+    tb = de.Jet(tape.constant(np.concatenate([ts, np.ones_like(ts)])[None]), (de.V, de.T))
+    eb = net._trace_time_embed(tape, leaves.theta, tb, state.config)
+    return tuple(de.jet_slot(tape, eb, s).value for s in (de.V, de.T))
+
+
 def test_time_embed_zero_theta_is_zero():
     state = toy_state()
     for w, b in state.theta:
         w[:] = 0.0
         b[:] = 0.0
-    assert np.all(net.time_embed(state, 0.7) == 0.0)
+    value, _ = taped_embed(state, 0.7)
+    assert np.all(value == 0.0)
 
 
 def test_time_embed_width_and_continuity():
     state = toy_state(seed=5)
     ts = np.linspace(-0.2, 1.4, 400)
-    vals = np.stack([net.time_embed(state, t) for t in ts])
-    assert vals.shape[1] == TOY.time_embed_width
-    steps = np.abs(np.diff(vals, axis=0)).max()
+    vals, _ = taped_embed(state, ts)
+    assert vals.shape[0] == TOY.time_embed_width
+    steps = np.abs(np.diff(vals, axis=1)).max()
     assert steps < 0.2  # dense sweep: no jumps beyond the Lipschitz scale
 
 
@@ -105,24 +119,10 @@ def test_time_embed_tangent_matches_fd():
     state = toy_state(seed=7)
     h = 1e-6
     for t in (0.13, 0.57, 0.94):
-        fd = (net.time_embed(state, t + h) - net.time_embed(state, t - h)) / (2 * h)
-        res = net.forward_with_derivatives(
-            state,
-            np.zeros((3, 1)),
-            t,
-            net.DerivativeRequest(temporal=True),
-        )
-        # cross-check through the taped path: embed tangent drives dphi/dt
-        # only via the linear head, so compare embeddings directly instead
-        from ndfreg.diffengine import Tape
-        import ndfreg.diffengine as de
-
-        tape = Tape()
-        leaves = net.make_leaves(tape, state, trainable=False)
-        tb = de.Jet(tape.constant(np.array([[t, 1.0]])), (de.V, de.T))
-        eb = net._trace_time_embed(tape, leaves.theta, tb, state.config)
-        value, tangent = (de.jet_slot(tape, eb, s).value[:, 0] for s in (de.V, de.T))
-        np.testing.assert_allclose(value, net.time_embed(state, t), rtol=1e-12)
+        expect, _ = oracle_embed(state, t)
+        fd = (oracle_embed(state, t + h)[0] - oracle_embed(state, t - h)[0]) / (2 * h)
+        value, tangent = taped_embed(state, t)
+        np.testing.assert_allclose(value, expect, rtol=1e-12)
         rel = np.abs(tangent - fd) / np.maximum(np.abs(fd), 1e-9)
         assert rel.max() < 1e-6
 
@@ -133,11 +133,11 @@ def test_time_embed_output_activation_flag():
         time_embed_output_leaky=False,
     )
     state = net.init_network(seed=3, config=cfg)
-    e = net.time_embed(state, 0.4)
+    e, _ = taped_embed(state, 0.4)
     (w1, b1), (w2, b2) = state.theta
     z = w1 @ np.array([[0.4]]) + b1
     hidden = np.where(z >= 0, z, cfg.leaky_slope * z)
-    np.testing.assert_allclose(e, (w2 @ hidden + b2)[:, 0])
+    np.testing.assert_allclose(e, w2 @ hidden + b2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
-"""Every site the benchmark's tracer wraps still exists.
+"""Every package name the benchmark uses still exists.
 
 `perfbench/tracer.py` replaces package functions where their callers look
-them up; a renamed or deleted one breaks every traced benchmark run while
-the rest of the suite passes.  The tracer file is read, not imported."""
+them up, and `perfbench/run.py` and `perfbench/child.py` import and call
+package names directly; a renamed or deleted one breaks every benchmark
+run while the rest of the suite passes.  The benchmark files are read,
+not imported."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
+import ndfreg
 from ndfreg import diffengine, fileio, losses, metrics, network, phantom, trainer
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+SUBMODULES = {p.stem for p in pathlib.Path(ndfreg.__file__).parent.glob("*.py")}
 MODULES = {
     "trainer": trainer, "network": network, "diffengine": diffengine,
     "losses": losses, "metrics": metrics, "phantom": phantom, "fileio": fileio,
@@ -42,3 +48,42 @@ SITES = _span_sites() + [
 )
 def test_wrapped_site_resolves(owner, attr):
     assert callable(getattr(owner, attr))
+
+
+def _direct_uses(path):
+    """(module, name) of every package name `path` uses directly: each
+    `from ndfreg... import name`, and each attribute read off a package
+    module imported that way."""
+    tree = ast.parse(path.read_text())
+    aliases = {}
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ndfreg":
+            for alias in node.names:
+                if node.module == "ndfreg" and alias.name in SUBMODULES:
+                    aliases[alias.asname or alias.name] = f"ndfreg.{alias.name}"
+                else:
+                    uses.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            uses.add((aliases[node.value.id], node.attr))
+    return sorted(uses)
+
+
+USES = [(path.name, mod, name)
+        for path in (PERFBENCH / "run.py", PERFBENCH / "child.py", TRACER)
+        for mod, name in _direct_uses(path)]
+
+
+def test_direct_uses_are_found():
+    found = {(mod, name) for _, mod, name in USES}
+    assert {("ndfreg.cli", "main"), ("ndfreg.network", "forward"),
+            ("ndfreg.phantom", "true_jacobian_det")} <= found
+
+
+@pytest.mark.parametrize(
+    "path, module, name", USES, ids=[f"{p}:{m}.{n}" for p, m, n in USES]
+)
+def test_direct_use_resolves(path, module, name):
+    assert hasattr(importlib.import_module(module), name)

@@ -75,26 +75,32 @@ def test_normalize_hits_exact_bounds(raw):
 # ---------------------------------------------------------------------------
 
 
-def test_voxel_to_normalized_endpoints():
-    assert vol.voxel_to_normalized((0, 0, 0), (64, 64, 64)) == (-1.0, -1.0, -1.0)
-    assert vol.voxel_to_normalized((63, 63, 63), (64, 64, 64)) == (1.0, 1.0, 1.0)
-
-
-def test_voxel_to_normalized_midpoint_odd_axis():
-    assert vol.voxel_to_normalized((31, 0, 0), (63, 5, 5))[0] == 0.0
-
-
-def test_voxel_to_normalized_rejects_out_of_range():
-    with pytest.raises(ValueError, match="out of bounds"):
-        vol.voxel_to_normalized((64, 0, 0), (64, 64, 64))
-
-
 def test_grid_coordinates_round_trip():
     dims = (4, 5, 6)
     pts = vol.grid_coordinates(dims)
     assert pts.shape == (3, 4 * 5 * 6)
     assert pts[:, 0] == pytest.approx([-1, -1, -1])
     assert pts[:, -1] == pytest.approx([1, 1, 1])
+
+
+def test_voxel_to_normalized_midpoint_odd_axis():
+    # the middle voxel of an odd axis sits exactly at 0, both in the dense
+    # grid and in the coordinates of a selected voxel
+    odd = vol.grid_coordinates((63, 5, 5))
+    assert odd[0, np.ravel_multi_index((31, 0, 0), (63, 5, 5))] == 0.0
+    selected = np.zeros((63, 5, 5), dtype=bool)
+    selected[31, 0, 0] = True
+    assert vol.voxel_centers(selected, "mask")[0, 0] == 0.0
+
+
+def test_voxel_centers_match_grid_coordinates():
+    rng = np.random.default_rng(1)
+    selected = rng.uniform(size=(4, 5, 6)) > 0.5
+    pts = vol.voxel_centers(selected, "mask")
+    expect = vol.grid_coordinates(selected.shape)[:, selected.ravel()]
+    np.testing.assert_allclose(pts, expect, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="label 3 selects no voxels"):
+        vol.voxel_centers(np.zeros((2, 2, 2), dtype=bool), "label 3")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +113,8 @@ def test_sample_at_grid_points_reproduces_voxels():
     grid = rng.uniform(0, 1, size=(5, 6, 7))
     v = vol.Volume3D(grid)
     idx = [(0, 0, 0), (4, 5, 6), (2, 3, 1)]
-    pts = np.array([vol.voxel_to_normalized(i, grid.shape) for i in idx]).T
+    pts = np.array([[2.0 * i / (n - 1) - 1.0 for i, n in zip(ix, grid.shape)]
+                    for ix in idx]).T
     vals, _ = vol.sample_trilinear(v, pts)
     expect = [grid[i] for i in idx]
     np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-15)
@@ -116,14 +123,9 @@ def test_sample_at_grid_points_reproduces_voxels():
 def test_sample_cell_center_is_corner_mean():
     rng = np.random.default_rng(3)
     grid = rng.uniform(0, 1, size=(3, 3, 3))
-    # center of the cell [0,1]^3 in voxel space
-    p = np.array(
-        [
-            [(vol.voxel_to_normalized((0, 0, 0), grid.shape)[0]
-              + vol.voxel_to_normalized((1, 1, 1), grid.shape)[0]) / 2]
-        ]
-        * 3
-    )
+    # center of the cell [0,1]^3: on a 3-voxel axis, voxels 0 and 1 sit
+    # at -1 and 0
+    p = np.full((3, 1), -0.5)
     vals, _ = vol.trilinear_values_and_grads(grid, p)
     assert vals[0] == pytest.approx(grid[:2, :2, :2].mean(), rel=1e-12)
 
