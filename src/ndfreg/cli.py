@@ -18,7 +18,10 @@ up to 32 MiB come from the heap rather than from their own mmap, and the
 heap keeps 64 MiB of freed top in reserve rather than trimming it.  By
 default glibc mmaps each 8 MiB inference chunk array
 (`network.BLOCK_BYTES`) or trims it off the heap top when it is freed, so
-every chunk touches fresh pages.  Measured per process on a paper-width
+every chunk touches fresh pages.  The grid-size products an inference
+returns are allocated once per call and filled chunk by chunk; above the
+threshold (a displacement of about 112^3 voxels) they are mmapped, once
+per call rather than once per chunk.  Measured per process on a paper-width
 model at 24^3 (one BLAS thread, 2-CPU host), without and with the policy:
 `jacobian` at three times 91-96k -> 9.4k minor page faults and 0.30-0.55
 -> 0.04-0.07 s of kernel time, `predict --with-djdt` 99-100k -> 9.7k and

@@ -37,6 +37,17 @@ below the CLI's 32 MiB mmap threshold (`cli.HEAP_MMAP_THRESHOLD`), so
 every chunk's arrays come from heap a previous chunk freed, not from
 fresh pages.
 
+Memory bound of dense inference: a chunk holds at most the prefix plus
+two hidden-layer blocks, one rule's input and its output, because
+`_trace_time` drops each layer's input activation before the layer's rule
+runs (the sine adds scratch of four slot rows).  `forward_with_derivatives`
+returns the displacement, |I + J| with `spatial` and d|I + J|/dt with
+both; it allocates each of them once at grid size and every chunk writes
+its own columns.  J and dphi/dt stay on the trace, read by `jacobian` and
+`dphi_dt` where they are needed, and are never held at grid size.  A
+chunk's tape and traces are freed before the next chunk traces, so none
+of its small output arrays splits a freed block's heap hole.
+
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
 to normalized time.
@@ -45,7 +56,7 @@ to normalized time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,12 +190,12 @@ class DerivativeRequest:
 
 @dataclass
 class DisplacementResult:
+    """The dense products of `forward_with_derivatives` at (3,B) coords."""
+
     coords: np.ndarray
-    displacement: np.ndarray
-    spatial_jacobian: np.ndarray | None = None  # (3,3,B), includes identity
-    temporal_derivative: np.ndarray | None = None  # (3,B)
-    jac_det: np.ndarray | None = None  # (B,)
-    jac_det_dt: np.ndarray | None = None  # (B,)
+    displacement: np.ndarray  # (3,B)
+    jac_det: np.ndarray | None = None  # (B,), |I + J|, with `spatial`
+    jac_det_dt: np.ndarray | None = None  # (B,), d|I + J|/dt, with both
 
     @property
     def phi(self) -> np.ndarray:
@@ -316,7 +327,9 @@ def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTra
     """The rest of the network at one time, up to the output jet.
     `shared` holds the prefix; the last time pops it into layer 2's
     pre-activation, which the layer's sine consumes, so nothing here keeps
-    it alive past that layer."""
+    it alive past that layer.  Each layer drops its input activation once
+    its pre-activation exists, so without a tape holding them only the
+    prefix and the rule's input and output blocks are alive at a time."""
     h = config.hidden_width
     he = h + config.time_embed_width
 
@@ -342,6 +355,7 @@ def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTra
             )
         else:
             z = de.bundle_affine(tape, w, a, b)
+        a = None  # freed before the rule's output is allocated
         if li < config.depth - 1:
             z = de.bundle_sine(tape, z)
         a = z
@@ -361,14 +375,20 @@ def forward_with_derivatives(
     dtype=np.float64,
     chunk_size: int | None = None,
 ):
-    """Evaluate the frozen field and the requested derivatives at (3,B)
-    coords, `chunk_size` points at a time (default `chunk_points`).  `times` is one normalized time
-    (returns one DisplacementResult) or a sequence of them (returns a list,
-    one result per time); each chunk traces the time-invariant prefix once
-    and shares it across the times.  The parameters enter as tape
-    constants, so nothing is recorded and memory stays at one chunk's
-    layer values; chunking is pure partitioning and sharing changes no
-    arithmetic (results are identical to one pass per time)."""
+    """Evaluate the frozen field and the requested products at (3,B)
+    coords, `chunk_size` points at a time (default `chunk_points`).  `times`
+    is one normalized time (returns one DisplacementResult) or a sequence
+    of them (returns a list, one result per time); each chunk traces the
+    time-invariant prefix once and shares it across the times.
+
+    A result carries the displacement, |I + J| with `spatial` and
+    d|I + J|/dt with both; J and dphi/dt are read off a trace
+    (`jacobian`, `dphi_dt`).  Each product is allocated once at full size
+    and every chunk writes its own columns, so memory is those products
+    plus one chunk's working set: the prefix and two hidden-layer blocks
+    (see the module docstring).  The parameters enter as tape constants,
+    so nothing is recorded; chunking is pure partitioning and sharing
+    changes no arithmetic (results are identical to one pass per time)."""
     if chunk_size is None:
         chunk_size = chunk_points(state.config, request, dtype)
     if chunk_size < 1:
@@ -376,12 +396,35 @@ def forward_with_derivatives(
     single = np.ndim(times) == 0
     times = [times] if single else list(times)
     coords = np.asarray(coords, dtype=dtype)
-    parts = [
-        _evaluate_chunk(state, coords[:, lo : lo + chunk_size], times, request, dtype)
-        for lo in range(0, coords.shape[1], chunk_size) or (0,)
+    n = coords.shape[1]
+    results = [
+        DisplacementResult(
+            coords,
+            np.empty((3, n), dtype),
+            np.empty(n, dtype) if request.spatial else None,
+            np.empty(n, dtype) if request.spatial and request.temporal else None,
+        )
+        for _ in times
     ]
-    results = [_join(coords, [p[k] for p in parts]) for k in range(len(times))]
+    for lo in range(0, n, chunk_size):
+        cols = slice(lo, lo + chunk_size)
+        _write_chunk(results, cols, state, coords[:, cols], times, request, dtype)
     return results[0] if single else results
+
+
+def _write_chunk(results, cols, state, coords, times, request, dtype):
+    """Trace one chunk of coords at every time and write each product into
+    the results' columns `cols`.  The chunk's tape and traces die on
+    return, so none of them pins heap while the next chunk traces."""
+    tape = Tape(dtype)
+    leaves = make_leaves(tape, state, trainable=False)
+    traces = trace_network(tape, leaves, coords, times, state.config, request)
+    for res, tr in zip(results, traces):
+        res.displacement[:, cols] = displacement(tape, tr).value
+        if res.jac_det is not None:
+            res.jac_det[cols] = jacdet(tape, tr).value
+        if res.jac_det_dt is not None:
+            res.jac_det_dt[cols] = jacdet_dt(tape, tr).value
 
 
 def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
@@ -392,37 +435,3 @@ def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> in
     slots = 1 + 3 * spatial + temporal + 3 * (spatial and temporal)
     per_point = config.hidden_width * slots * np.dtype(dtype).itemsize
     return max(1, BLOCK_BYTES // per_point)
-
-
-def _join(coords, parts) -> DisplacementResult:
-    if len(parts) == 1:
-        return parts[0]
-    out = DisplacementResult(coords, None)
-    for f in fields(DisplacementResult)[1:]:
-        if getattr(parts[0], f.name) is not None:
-            stacked = np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
-            setattr(out, f.name, stacked)
-    return out
-
-
-def _evaluate_chunk(state, coords, times, request, dtype) -> list:
-    tape = Tape(dtype)
-    leaves = make_leaves(tape, state, trainable=False)
-    traces = trace_network(tape, leaves, coords, times, state.config, request)
-    return [_result(tape, coords, tr, request) for tr in traces]
-
-
-def _result(tape, coords, tr, request) -> DisplacementResult:
-    """Every product the request's slots carry: J and |I + J| with
-    `spatial`, dphi/dt with `temporal`, d|I + J|/dt with both."""
-    res = DisplacementResult(coords, displacement(tape, tr).value)
-    if request.spatial:
-        jac = jacobian(tape, tr).value.reshape(3, 3, coords.shape[1])
-        jac[range(3), range(3)] += 1.0
-        res.spatial_jacobian = jac
-        res.jac_det = jacdet(tape, tr).value
-    if request.temporal:
-        res.temporal_derivative = dphi_dt(tape, tr).value
-    if request.spatial and request.temporal:
-        res.jac_det_dt = jacdet_dt(tape, tr).value
-    return res

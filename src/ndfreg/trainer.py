@@ -324,7 +324,10 @@ def predict_field(
     results equal one pass).
     `t_months` is one time (returns one FieldGrid) or a sequence of times
     (returns a list, one grid per time, sharing the network's
-    time-invariant prefix)."""
+    time-invariant prefix).  Each grid views the arrays that
+    `network.forward_with_derivatives` allocated once at grid size, so
+    memory is the grids plus one chunk's prefix and two hidden-layer
+    blocks."""
     single = np.ndim(t_months) == 0
     months = [t_months] if single else list(t_months)
     request = net.DerivativeRequest(spatial=True, temporal=want_djdt)

@@ -108,6 +108,28 @@ def test_forward_with_derivatives_records_nothing(no_gc, tapes):
     assert all(len(t.nodes) == 0 for t in tapes)
 
 
+def test_chunk_traces_die_before_the_next_chunk_traces(no_gc, monkeypatch):
+    """An inference chunk's traces are freed before the next chunk is
+    traced, so their output blocks split none of the holes that the next
+    chunk's layer blocks reuse."""
+    outputs, alive = [], []
+    trace_network = net.trace_network
+
+    def tracking(*args):
+        alive.append(sum(ref() is not None for ref in outputs))
+        traces = trace_network(*args)
+        outputs.extend(weakref.ref(tr.output.node.value) for tr in traces)
+        return traces
+
+    monkeypatch.setattr(net, "trace_network", tracking)
+    state = net.init_network(seed=2, config=TOY_NET)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
+    full = net.DerivativeRequest(spatial=True, temporal=True)
+    net.forward_with_derivatives(state, coords, [0.2, 0.6], full, chunk_size=16)
+    assert alive == [0, 0, 0, 0]
+    assert len(outputs) == 8
+
+
 def test_last_time_frees_the_shared_prefix(no_gc, monkeypatch):
     """The time-invariant prefix lives until the last time's layer 2 and
     no longer, so a one-time trace holds no more than an unshared one."""

@@ -12,10 +12,7 @@ def identity_field(coords, t, request=net.DerivativeRequest()):
     n = coords.shape[1]
     res = net.DisplacementResult(coords, np.zeros_like(coords))
     if request.spatial:
-        res.spatial_jacobian = np.repeat(np.eye(3)[:, :, None], n, axis=2)
         res.jac_det = np.ones(n)
-    if request.temporal:
-        res.temporal_derivative = np.zeros_like(coords)
     if request.spatial and request.temporal:
         res.jac_det_dt = np.zeros(n)
     return res
@@ -29,10 +26,7 @@ def uniform_scaling_field(rate):
         res = net.DisplacementResult(coords, (s - 1.0) * coords)
         n = coords.shape[1]
         if request.spatial:
-            res.spatial_jacobian = np.repeat((s * np.eye(3))[:, :, None], n, axis=2)
             res.jac_det = np.full(n, s**3)
-        if request.temporal:
-            res.temporal_derivative = rate * coords
         if request.spatial and request.temporal:
             res.jac_det_dt = np.full(n, 3.0 * rate * s**2)
         return res

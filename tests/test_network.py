@@ -21,6 +21,19 @@ def toy_state(seed=1, amplify=3.0, config=TOY):
     return state
 
 
+def traced(state, coords, times, request=FULL_REQ):
+    """J of phi (identity included), (3,3,B), and dphi/dt, (3,B), at each
+    of `times`, read off one trace by `network.jacobian` and `dphi_dt`."""
+    tape = Tape()
+    leaves = net.make_leaves(tape, state, trainable=False)
+    out = []
+    for tr in net.trace_network(tape, leaves, coords, times, state.config, request):
+        jac = net.jacobian(tape, tr).value.reshape(3, 3, -1)
+        jac[range(3), range(3)] += 1.0
+        out.append((jac, net.dphi_dt(tape, tr).value))
+    return out
+
+
 def zero_state(config=TOY):
     state = net.init_network(seed=0, config=config)
     for w, b in state.psi:
@@ -150,12 +163,13 @@ def test_zero_network_identity():
     rng = np.random.default_rng(1)
     coords = rng.uniform(-1, 1, size=(3, 64))
     res = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
+    ((jac, dphi),) = traced(state, coords, [0.6])
     assert np.all(res.displacement == 0.0)
     np.testing.assert_array_equal(res.phi, coords)
     expect_j = np.repeat(np.eye(3)[:, :, None], 64, axis=2)
-    np.testing.assert_array_equal(res.spatial_jacobian, expect_j)
+    np.testing.assert_array_equal(jac, expect_j)
     assert np.all(res.jac_det == 1.0)
-    assert np.all(res.temporal_derivative == 0.0)
+    assert np.all(dphi == 0.0)
     assert np.all(res.jac_det_dt == 0.0)
 
 
@@ -172,9 +186,13 @@ def test_chunked_evaluation_matches_one_pass():
     coords = np.random.default_rng(5).uniform(-1, 1, size=(3, 23))
     whole = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
     chunked = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=5)
-    for name in ("displacement", "spatial_jacobian", "temporal_derivative",
-                 "jac_det", "jac_det_dt"):
+    for name in ("displacement", "jac_det", "jac_det_dt"):
         assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
+    # J and dphi/dt, read off traces of 5-point pieces
+    ((whole_j, whole_dt),) = traced(state, coords, [0.6])
+    pieces = [traced(state, coords[:, lo : lo + 5], [0.6])[0] for lo in range(0, 23, 5)]
+    for k, want in enumerate((whole_j, whole_dt)):
+        assert np.concatenate([p[k] for p in pieces], axis=-1).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="chunk_size"):
         net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=0)
 
@@ -184,11 +202,61 @@ def test_times_sequence_matches_separate_calls_bit_for_bit():
     coords = np.random.default_rng(7).uniform(-1, 1, size=(3, 23))
     times = [0.0, 0.35, 0.8, 1.2]
     shared = net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=5)
+    shared_j = traced(state, coords, times)
     assert len(shared) == len(times)
-    for t, got in zip(times, shared):
+    for t, got, (got_j, _) in zip(times, shared, shared_j):
         want = net.forward_with_derivatives(state, coords, t, FULL_REQ, chunk_size=5)
-        for name in ("displacement", "spatial_jacobian", "jac_det", "jac_det_dt"):
+        for name in ("displacement", "jac_det", "jac_det_dt"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got_j.tobytes() == traced(state, coords, [t])[0][0].tobytes()
+
+
+def test_empty_coordinate_block_gives_empty_products():
+    state = toy_state(seed=6)
+    empty = np.zeros((3, 0))
+    for request, names in (
+        (net.DerivativeRequest(), ("displacement",)),
+        (net.DerivativeRequest(spatial=True), ("displacement", "jac_det")),
+        (FULL_REQ, ("displacement", "jac_det", "jac_det_dt")),
+    ):
+        results = net.forward_with_derivatives(state, empty, [0.0, 0.5, 1.0], request)
+        assert len(results) == 3
+        for res in results:
+            for name in ("displacement", "jac_det", "jac_det_dt"):
+                value = getattr(res, name)
+                if name not in names:
+                    assert value is None
+                    continue
+                assert value.shape == ((3, 0) if name == "displacement" else (0,))
+                assert value.dtype == np.float64
+
+
+def test_chunk_memory_is_the_prefix_and_two_blocks():
+    """The traced peak of a spatial and temporal evaluation over 3 chunks
+    and 2 times stays below its products plus 3.5 blocks, a block being one
+    chunk's 8-slot hidden layer (width x 8 x chunk points x 8 bytes).
+
+    A chunk holds the prefix (4 slots: half a block), one rule's input and
+    output, and the sine rule's scratch of four (width, chunk) arrays (half
+    a block): 3.16 blocks measured.  An evaluation that keeps the previous
+    layer's activation alive through the rule, holds every product twice
+    and also returns J and dphi/dt at full size measured 4.17 blocks."""
+    import tracemalloc
+
+    cfg = net.NetworkConfig(hidden_width=64, depth=5, time_hidden_width=6, time_embed_width=8)
+    state = net.init_network(seed=2, config=cfg)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 700))
+    times = [0.2, 0.7]
+    net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=256)
+    tracemalloc.start()
+    try:
+        net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    products = len(times) * (3 + 1 + 1) * coords.shape[1] * 8
+    block = cfg.hidden_width * 8 * 256 * 8
+    assert peak < products + 3.5 * block
 
 
 def _jet_arrays(jet):
@@ -293,7 +361,7 @@ def test_spatial_jacobian_matches_fd():
     state = toy_state(seed=13)
     rng = np.random.default_rng(6)
     coords = rng.uniform(-0.9, 0.9, size=(3, 100))
-    res = net.forward_with_derivatives(state, coords, 0.4, FULL_REQ)
+    ((jac, _),) = traced(state, coords, [0.4])
     h = 1e-5
     for j in range(3):
         shift = np.zeros((3, 1))
@@ -301,7 +369,7 @@ def test_spatial_jacobian_matches_fd():
         fp = net.forward(state, coords + shift, 0.4).phi
         fm = net.forward(state, coords - shift, 0.4).phi
         fd = (fp - fm) / (2 * h)
-        rel = np.abs(res.spatial_jacobian[:, j, :] - fd) / np.maximum(np.abs(fd), 1e-6)
+        rel = np.abs(jac[:, j, :] - fd) / np.maximum(np.abs(fd), 1e-6)
         assert rel.max() < 1e-4
 
 
@@ -309,12 +377,12 @@ def test_temporal_derivative_matches_fd():
     state = toy_state(seed=17)
     rng = np.random.default_rng(7)
     coords = rng.uniform(-0.9, 0.9, size=(3, 100))
-    res = net.forward_with_derivatives(state, coords, 0.45, FULL_REQ)
+    ((_, dphi),) = traced(state, coords, [0.45])
     h = 1e-5
     fp = net.forward(state, coords, 0.45 + h).displacement
     fm = net.forward(state, coords, 0.45 - h).displacement
     fd = (fp - fm) / (2 * h)
-    rel = np.abs(res.temporal_derivative - fd) / np.maximum(np.abs(fd), 1e-8)
+    rel = np.abs(dphi - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-5
 
 
@@ -352,7 +420,8 @@ def test_jacdet_equals_numpy_det():
     state = toy_state(seed=29)
     coords = np.random.default_rng(10).uniform(-1, 1, size=(3, 50))
     res = net.forward_with_derivatives(state, coords, 0.8, FULL_REQ)
-    mats = np.transpose(res.spatial_jacobian, (2, 0, 1))
+    ((jac, _),) = traced(state, coords, [0.8])
+    mats = np.transpose(jac, (2, 0, 1))
     np.testing.assert_allclose(res.jac_det, np.linalg.det(mats), rtol=1e-12)
 
 
@@ -363,13 +432,14 @@ def test_depth_two_variant():
         w *= 3.0
     coords = np.random.default_rng(11).uniform(-0.9, 0.9, size=(3, 40))
     res = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
+    ((_, dphi),) = traced(state, coords, [0.5])
     # additive structure: displacement = A(w) + B(t), so d|J|/dt must vanish
     np.testing.assert_allclose(res.jac_det_dt, 0.0, atol=1e-15)
     h = 1e-5
     fp = net.forward(state, coords, 0.5 + h).displacement
     fm = net.forward(state, coords, 0.5 - h).displacement
     fd = (fp - fm) / (2 * h)
-    rel = np.abs(res.temporal_derivative - fd) / np.maximum(np.abs(fd), 1e-8)
+    rel = np.abs(dphi - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-5
 
 
@@ -418,12 +488,13 @@ def test_linear_embedding_output_matches_oracle():
         b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
     coords = rng.uniform(-0.9, 0.9, size=(3, 25))
     res = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
+    ((jac, dphi),) = traced(state, coords, [0.6])
     val, dw, dt, mixed = oracle_forward(state, coords, 0.6)
     _, djdt = oracle_jac_products(dw, mixed)
     np.testing.assert_allclose(res.displacement, val, rtol=1e-12, atol=1e-14)
     for j in range(3):
         np.testing.assert_allclose(
-            res.spatial_jacobian[:, j, :] - np.eye(3)[:, j : j + 1], dw[j], rtol=1e-12, atol=1e-13
+            jac[:, j, :] - np.eye(3)[:, j : j + 1], dw[j], rtol=1e-12, atol=1e-13
         )
-    np.testing.assert_allclose(res.temporal_derivative, dt, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(dphi, dt, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(res.jac_det_dt, djdt, rtol=1e-10, atol=1e-12)
