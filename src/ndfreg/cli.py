@@ -1,9 +1,14 @@
 """Batch command-line surface: fit, predict, jacobian, metrics, phantom,
 gradcheck.  Non-interactive; everything lands in files under --out.
 
-Options resolve in three layers: built-in defaults, then the optional INI
-config file (--config), then explicit flags, which win.  The resolved
-configuration is echoed into the output directory next to the results.
+Options resolve in three layers: the defaults of the config dataclasses
+(FitConfig, LossWeights, NetworkConfig, PhantomSpec), then the optional
+INI config file (--config), then explicit flags, which win.  The INI
+sections are [fit], [weights] and [network], which `fit` and
+`metrics --holdout` read, and [phantom], which `phantom` reads; one file
+may hold them all.  A key that no option reads, in a section the command
+reads, is an input error.  The resolved configuration is echoed into the
+output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
@@ -37,6 +42,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import dataclass
 
 # setters of the OpenBLAS builds numpy ships or links against
 _OPENBLAS_SETTERS = (
@@ -60,8 +66,6 @@ EXIT_NUMERIC = 3
 
 
 def _bool(text):
-    if isinstance(text, bool):
-        return text
     low = str(text).strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
@@ -71,53 +75,75 @@ def _bool(text):
 
 
 def _floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+    return tuple(float(v) for v in str(text).split(",") if v != "")
 
 
 def _ints(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+    return tuple(int(v) for v in str(text).split(",") if v != "")
 
 
-# option table: name -> (config section, converter, default)
-_FIT_OPTIONS = {
-    "iterations": ("fit", int, 20000),
-    "batch_points": ("fit", int, 8192),
-    "learning_rate": ("fit", float, 1e-4),
-    "reg_grid": ("fit", int, 8),
-    "t_extrap": ("fit", float, 1.0),
-    "time_horizon": ("fit", float, None),
-    "log_every": ("fit", int, 100),
-    "checkpoint_every": ("fit", int, 0),
-    "optimizer": ("fit", str, "adam"),
-    "precision": ("fit", str, "f64"),
-    "spatial_raw_jacobian": ("fit", _bool, False),
-    "mask": ("fit", str, None),
-    "lam": ("weights", float, 10.0),
-    "alpha": ("weights", float, 1.0),
-    "beta": ("weights", float, 1.0),
-    "gamma": ("weights", float, 0.1),
-    "hidden_width": ("network", int, 256),
-    "depth": ("network", int, 5),
-    "time_hidden_width": ("network", int, 10),
-    "time_embed_width": ("network", int, 64),
-    "omega0": ("network", float, 30.0),
-    "leaky_slope": ("network", float, 0.01),
-    "embed_output_leaky": ("network", _bool, True),
-    "concat_every_layer": ("network", _bool, True),
-    "seed": ("fit", int, 0),
-}
+@dataclass
+class _Option:
+    """One option: its INI section and key, which is also its argparse
+    dest, and its converter.  The config field it sets and its flag are
+    the key's, unless given; a flag with `const` takes no value and sets
+    `const`.  The default is the field's, in its config dataclass."""
 
-_PHANTOM_OPTIONS = {
-    "dims": ("phantom", _ints, [48, 48, 48]),
-    "times": ("phantom", _floats, [0.0, 12.0, 24.0, 36.0]),
-    "sigma": ("phantom", float, 0.0),
-    "growth": ("phantom", float, 0.1),
-    "radius": ("phantom", float, 0.4),
-    "edge_width": ("phantom", float, 0.08),
-    "ring_amplitude": ("phantom", float, 0.3),
-    "ring_period": ("phantom", float, 0.18),
-    "seed": ("phantom", int, 0),
-}
+    section: str
+    key: str
+    conv: object
+    field: str = ""
+    flag: str = ""
+    const: object = None
+    choices: tuple | None = None
+
+    def __post_init__(self):
+        self.field = self.field or self.key
+        self.flag = self.flag or "--" + self.key.replace("_", "-")
+
+
+# sections: fit -> FitConfig, weights -> LossWeights, network ->
+# NetworkConfig, phantom -> PhantomSpec
+_OPTIONS = (
+    _Option("fit", "iterations", int),
+    _Option("fit", "batch_points", int),
+    _Option("fit", "learning_rate", float),
+    _Option("fit", "reg_grid", int, field="reg_time_grid_size"),
+    _Option("fit", "t_extrap", float),
+    _Option("fit", "time_horizon", float),
+    _Option("fit", "log_every", int),
+    _Option("fit", "checkpoint_every", int),
+    _Option("fit", "optimizer", str, choices=("adam", "sgd")),
+    _Option("fit", "precision", str, choices=("f32", "f64")),
+    _Option("fit", "spatial_raw_jacobian", _bool, field="spatial_raw", const=True),
+    _Option("fit", "mask", str),  # a path; `_fit_config` loads the labels
+    _Option("fit", "seed", int),
+    _Option("weights", "lam", float, flag="--lambda"),
+    _Option("weights", "alpha", float),
+    _Option("weights", "beta", float),
+    _Option("weights", "gamma", float),
+    _Option("network", "hidden_width", int),
+    _Option("network", "depth", int),
+    _Option("network", "time_hidden_width", int),
+    _Option("network", "time_embed_width", int),
+    _Option("network", "omega0", float),
+    _Option("network", "leaky_slope", float),
+    _Option("network", "embed_output_leaky", _bool, field="time_embed_output_leaky",
+            flag="--embed-output-linear", const=False),
+    _Option("network", "concat_every_layer", _bool, flag="--concat-first-only",
+            const=False),
+    _Option("phantom", "dims", _ints),
+    _Option("phantom", "times", _floats),
+    _Option("phantom", "sigma", float),
+    _Option("phantom", "growth", float),
+    _Option("phantom", "radius", float),
+    _Option("phantom", "edge_width", float),
+    _Option("phantom", "ring_amplitude", float),
+    _Option("phantom", "ring_period", float),
+    _Option("phantom", "seed", int),
+)
+
+_FIT_SECTIONS = ("fit", "weights", "network")
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
 
@@ -128,51 +154,27 @@ def build_parser():
     top = argparse.ArgumentParser(prog="ndfreg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, sections=(), out_required=True, groups=None):
+        """Shared flags, then one flag per option of `sections`, each in
+        `groups[key]` where given."""
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-
-    def fit_knobs(p):
-        p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--batch-points", dest="batch_points", type=int, default=None)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-        p.add_argument("--reg-grid", dest="reg_grid", type=int, default=None)
-        p.add_argument("--t-extrap", dest="t_extrap", type=float, default=None)
-        p.add_argument("--time-horizon", dest="time_horizon", type=float, default=None)
-        p.add_argument("--log-every", dest="log_every", type=int, default=None)
-        p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
-        p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-        p.add_argument("--precision", choices=("f32", "f64"), default=None)
-        p.add_argument(
-            "--spatial-raw-jacobian", dest="spatial_raw_jacobian",
-            action="store_const", const=True, default=None,
-        )
-        p.add_argument("--mask", default=None, help="NDVOL/NIfTI mask for sampling")
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--hidden-width", dest="hidden_width", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--time-hidden-width", dest="time_hidden_width", type=int, default=None)
-        p.add_argument("--time-embed-width", dest="time_embed_width", type=int, default=None)
-        p.add_argument("--omega0", type=float, default=None)
-        p.add_argument("--leaky-slope", dest="leaky_slope", type=float, default=None)
-        p.add_argument(
-            "--embed-output-linear", dest="embed_output_leaky",
-            action="store_const", const=False, default=None,
-        )
-        p.add_argument(
-            "--concat-first-only", dest="concat_every_layer",
-            action="store_const", const=False, default=None,
-        )
+        if not sections:  # else the sections' seed option adds it
+            p.add_argument("--seed", type=int, default=None)
+        for opt in _OPTIONS:
+            if opt.section not in sections:
+                continue
+            into = (groups or {}).get(opt.key, p)
+            if opt.const is None:
+                into.add_argument(opt.flag, dest=opt.key, type=opt.conv, choices=opt.choices)
+            else:
+                into.add_argument(opt.flag, dest=opt.key, action="store_const",
+                                  const=opt.const)
 
     p = sub.add_parser("fit", help="fit one subject's series")
-    common(p)
+    common(p, _FIT_SECTIONS)
     p.add_argument("--manifest", required=True)
-    fit_knobs(p)
 
     p = sub.add_parser("predict", help="dense field products at one time")
     common(p)
@@ -181,10 +183,6 @@ def build_parser():
     p.add_argument("--dims", type=_ints, default=None)
     p.add_argument("--scan", default=None, help="volume to warp into baseline frame")
     p.add_argument("--with-djdt", dest="with_djdt", action="store_true")
-    p.add_argument(
-        "--chunk-size", dest="chunk_size", type=int, default=None,
-        help="points per network evaluation (default: by layer block bytes)",
-    )
 
     p = sub.add_parser("jacobian", help="|J| maps and slice images")
     common(p)
@@ -197,7 +195,7 @@ def build_parser():
     p.add_argument("--range", dest="value_range", type=_floats, default=[0.5, 1.5])
 
     p = sub.add_parser("metrics", help="structure metrics and held-out protocol")
-    common(p)
+    common(p, _FIT_SECTIONS)  # the held-out refit reuses the fit configuration
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--times", type=_floats, required=True)
@@ -206,19 +204,11 @@ def build_parser():
     p.add_argument("--deadband", type=float, default=1e-6)
     p.add_argument("--slice-axis", dest="slice_axis", default=None)
     p.add_argument("--slice-index", dest="slice_index", type=int, default=None)
-    fit_knobs(p)  # the held-out refit reuses the fit configuration
 
     p = sub.add_parser("phantom", help="generate a synthetic ground-truth series")
-    common(p)
-    p.add_argument("--preset", choices=sorted(_NOISE_PRESETS), default=None)
-    p.add_argument("--dims", type=_ints, default=None)
-    p.add_argument("--times", type=_floats, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--growth", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--edge-width", dest="edge_width", type=float, default=None)
-    p.add_argument("--ring-amplitude", dest="ring_amplitude", type=float, default=None)
-    p.add_argument("--ring-period", dest="ring_period", type=float, default=None)
+    noise = p.add_mutually_exclusive_group()  # a preset names a sigma
+    noise.add_argument("--preset", choices=sorted(_NOISE_PRESETS), default=None)
+    common(p, ("phantom",), groups={"sigma": noise})
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     common(p, out_required=False)
@@ -231,38 +221,61 @@ def build_parser():
     return top
 
 
-def _read_config(path):
+def _read_config(path, sections):
+    """{section: {key: text}} of the INI file's `sections`; a key that no
+    option reads is an error there, other sections are not checked, and
+    [DEFAULT] keys count only where an option reads them."""
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    ini = configparser.ConfigParser()
-    ini.read(path)
-    return {s: dict(ini[s]) for s in ini.sections()}
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+    except (OSError, configparser.Error) as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    known = {(opt.section, opt.key) for opt in _OPTIONS}
+    config = {s: dict(ini[s]) for s in sections if ini.has_section(s)}
+    for section, values in config.items():
+        for key in values:
+            if (section, key) not in known and key not in ini.defaults():
+                raise ValueError(f"config file {path}: unknown key {key!r} in [{section}]")
+    return config
 
 
-def resolve_options(args, table):
-    """defaults < config file < explicit flags."""
-    config = _read_config(getattr(args, "config", None))
-    resolved = {}
-    for name, (section, conv, default) in table.items():
-        value = default
-        if section in config and name in config[section]:
-            value = conv(config[section][name])
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            value = cli_value
-        resolved[name] = value
+def resolve_options(args, sections):
+    """{section: {field: value}} of the options of `sections` that the
+    --config INI or a flag sets; a flag wins.  An option set by neither is
+    left out, so its field keeps the dataclass default."""
+    config = _read_config(args.config, sections)
+    resolved = {s: {} for s in sections}
+    for opt in _OPTIONS:
+        if opt.section not in sections:
+            continue
+        value = getattr(args, opt.key)
+        if value is None and opt.key in config.get(opt.section, {}):
+            value = opt.conv(config[opt.section][opt.key])
+        if value is not None:
+            resolved[opt.section][opt.field] = value
     return resolved
 
 
+def _option_values(configs):
+    """{key: value} of every option of the sections in `configs`, read off
+    the config object that holds each section's fields."""
+    return {
+        opt.key: getattr(configs[opt.section], opt.field)
+        for opt in _OPTIONS if opt.section in configs
+    }
+
+
 def _echo_config(out_dir, command, resolved):
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)
     ini["command"] = {"name": command}
+    ini["resolved"] = {}
     for name, value in sorted(resolved.items()):
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
-        ini.setdefault("resolved", {})[name] = str(value)
+        ini["resolved"][name] = str(value)
     path = os.path.join(out_dir, "config.echo.ini")
     import io as _io
 
@@ -366,58 +379,36 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command}")
 
 
-def _fit_config_from(resolved, out_dir=None):
+def _fit_config(resolved, out_dir=None):
+    from .fileio import load_labels
     from .losses import LossWeights
     from .network import NetworkConfig
     from .trainer import FitConfig
-    from .fileio import load_labels
 
-    mask = load_labels(resolved["mask"]) if resolved["mask"] else None
-    network = NetworkConfig(
-        hidden_width=resolved["hidden_width"],
-        depth=resolved["depth"],
-        time_hidden_width=resolved["time_hidden_width"],
-        time_embed_width=resolved["time_embed_width"],
-        omega0=resolved["omega0"],
-        leaky_slope=resolved["leaky_slope"],
-        time_embed_output_leaky=resolved["embed_output_leaky"],
-        concat_every_layer=resolved["concat_every_layer"],
-    )
+    fit = dict(resolved["fit"])
+    mask = fit.pop("mask", None)
     return FitConfig(
-        iterations=resolved["iterations"],
-        batch_points=resolved["batch_points"],
-        learning_rate=resolved["learning_rate"],
-        weights=LossWeights(
-            lam=resolved["lam"],
-            alpha=resolved["alpha"],
-            beta=resolved["beta"],
-            gamma=resolved["gamma"],
-        ),
-        reg_time_grid_size=resolved["reg_grid"],
-        t_extrap=resolved["t_extrap"],
-        time_horizon=resolved["time_horizon"],
-        seed=resolved["seed"],
-        precision=resolved["precision"],
-        log_every=resolved["log_every"],
-        checkpoint_every=resolved["checkpoint_every"],
+        **fit,
+        mask=load_labels(mask) if mask else None,
         checkpoint_dir=out_dir,
-        optimizer=resolved["optimizer"],
-        spatial_raw=resolved["spatial_raw_jacobian"],
-        mask=mask,
-        network=network,
+        weights=LossWeights(**resolved["weights"]),
+        network=NetworkConfig(**resolved["network"]),
     )
 
 
 def _cmd_fit(args) -> int:
     from . import fileio, trainer
 
-    resolved = resolve_options(args, _FIT_OPTIONS)
+    resolved = resolve_options(args, _FIT_SECTIONS)
     series = fileio.load_series(args.manifest)
-    config = _fit_config_from(resolved, args.out)
+    config = _fit_config(resolved, args.out)
     state, report = trainer.fit(series, config)
     fileio.save_model(os.path.join(args.out, "model.ndf"), state)
     fileio.write_csv(os.path.join(args.out, "report.csv"), report.to_rows())
-    _echo_config(args.out, "fit", resolved)
+    echo = _option_values({"fit": config, "weights": config.weights,
+                           "network": config.network})
+    echo["mask"] = resolved["fit"].get("mask")  # the path, not the labels
+    _echo_config(args.out, "fit", echo)
     print(
         f"fit: {config.iterations} iterations, checksum {report.final_checksum[:16]}, "
         f"{report.rejected_steps} rejected steps, peak RSS {report.peak_rss_mb:.1f} MB",
@@ -446,9 +437,7 @@ def _cmd_predict(args) -> int:
         raise ValueError("--time must be >= 0 months")
     state = fileio.load_model(args.model)
     dims, scan = _require_dims(args, fileio)
-    field = trainer.predict_field(
-        state, args.time, dims, chunk_size=args.chunk_size, want_djdt=args.with_djdt
-    )
+    field = trainer.predict_field(state, args.time, dims, want_djdt=args.with_djdt)
     for axis, name in enumerate("xyz"):
         fileio.write_raw(
             os.path.join(args.out, f"disp_{name}.raw"), field.displacement[axis]
@@ -558,8 +547,7 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
     if not keep:
         raise ValueError("cannot hold out the only follow-up")
     reduced = Volume4DSeries(series.baseline, keep, labels=series.labels)
-    resolved = resolve_options(args, _FIT_OPTIONS)
-    config = _fit_config_from(resolved)
+    config = _fit_config(resolve_options(args, _FIT_SECTIONS))
     config.time_horizon = config.time_horizon or max(series.times)
     refit_state, _ = trainer.fit(reduced, config)
 
@@ -591,21 +579,9 @@ def _cmd_phantom(args) -> int:
     from . import fileio
     from .phantom import PhantomSpec, generate_phantom
 
-    resolved = resolve_options(args, _PHANTOM_OPTIONS)
     if args.preset is not None:
-        resolved["sigma"] = _NOISE_PRESETS[args.preset]
-    seed = resolved["seed"] if args.seed is None else args.seed
-    spec = PhantomSpec(
-        dims=tuple(resolved["dims"]),
-        times=tuple(resolved["times"]),
-        sigma=resolved["sigma"],
-        growth=resolved["growth"],
-        radius=resolved["radius"],
-        edge_width=resolved["edge_width"],
-        ring_amplitude=resolved["ring_amplitude"],
-        ring_period=resolved["ring_period"],
-        seed=seed,
-    )
+        args.sigma = _NOISE_PRESETS[args.preset]
+    spec = PhantomSpec(**resolve_options(args, ("phantom",))["phantom"])
     series, truth = generate_phantom(spec)
     entries = []
     for i, months in enumerate(spec.times):
@@ -618,7 +594,7 @@ def _cmd_phantom(args) -> int:
     fileio.write_manifest(os.path.join(args.out, "manifest.txt"), entries)
     sidecar = json.dumps(truth.to_dict(), sort_keys=True, indent=2, default=list)
     fileio.atomic_write(os.path.join(args.out, "truth.json"), sidecar.encode())
-    _echo_config(args.out, "phantom", resolved)
+    _echo_config(args.out, "phantom", _option_values({"phantom": spec}))
     print(f"phantom: {len(spec.times)} volumes at {spec.dims}", file=sys.stderr)
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import resource
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,11 +102,6 @@ class FitConfig:
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         self.network.validate()
-
-    def echo(self) -> dict:
-        d = asdict(self)
-        d["mask"] = None if self.mask is None else "provided"
-        return d
 
 
 @dataclass
@@ -192,7 +187,6 @@ class FitReport:
     history: list
     wall_time_s: float
     final_checksum: str
-    config_echo: dict
     rejected_steps: int = 0  # steps adam_step refused for a non-finite gradient
     peak_rss_mb: float = 0.0  # peak resident set of the process when the fit ends
 
@@ -259,7 +253,6 @@ def fit(series: Volume4DSeries, config: FitConfig):
         history=history,
         wall_time_s=time.perf_counter() - started,
         final_checksum=state.checksum(),
-        config_echo=config.echo(),
         rejected_steps=rejected_steps,
         # ru_maxrss is in KiB on Linux
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

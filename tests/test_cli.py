@@ -204,12 +204,200 @@ def test_metrics_holdout_writes_its_report(tmp_path):
         assert all(math.isfinite(float(v)) for v in row.values())
 
 
-def test_fit_defaults_match_fit_config(tmp_path):
-    """`_FIT_OPTIONS` repeats the defaults of FitConfig, LossWeights and
-    NetworkConfig; a bare `fit` must build the same config."""
+class _Built(Exception):
+    """Raised in place of running a command; carries the config it built."""
+
+
+@pytest.fixture
+def build(monkeypatch, tmp_path):
+    """`build(command, flags, ini=None)`: the FitConfig that `fit` or the
+    PhantomSpec that `phantom` builds from `ini` (INI text, passed with
+    --config) and `flags`, caught before it is fitted or generated; the
+    exit code if the command stops before that."""
+    from ndfreg import phantom, trainer
+
+    data = tmp_path / "data"
+    assert cli.main(["phantom", "--out", str(data), "--dims", "4,4,4",
+                     "--times", "0,12"]) == cli.EXIT_OK
+
+    def stop(*args):
+        raise _Built(args[-1])
+
+    monkeypatch.setattr(trainer, "fit", stop)
+    monkeypatch.setattr(phantom, "generate_phantom", stop)
+
+    def run(command, flags, ini=None):
+        argv = [command, "--out", str(tmp_path / "out"), *flags]
+        if command == "fit":
+            argv += ["--manifest", str(data / "manifest.txt")]
+        if ini is not None:
+            (tmp_path / "config.ini").write_text(ini)
+            argv += ["--config", str(tmp_path / "config.ini")]
+        try:
+            return cli.main(argv)
+        except _Built as built:
+            return built.args[0]
+
+    return run
+
+
+def test_fit_defaults_match_fit_config(build):
+    """A bare `fit` builds FitConfig's defaults, nested LossWeights and
+    NetworkConfig included; only the checkpoint directory is --out."""
+    import dataclasses
+
     from ndfreg.trainer import FitConfig
 
-    args = cli.build_parser().parse_args(
-        ["fit", "--manifest", str(tmp_path / "manifest.txt"), "--out", str(tmp_path)]
-    )
-    assert cli._fit_config_from(cli.resolve_options(args, cli._FIT_OPTIONS)) == FitConfig()
+    config = build("fit", [])
+    assert dataclasses.replace(config, checkpoint_dir=None) == FitConfig()
+
+
+# (command, INI section, key, the field read off the built config, INI text
+#  and the value it gives, INI text with flags and the value they give)
+_LAYERS = [
+    ("fit", "fit", "learning_rate", lambda c: c.learning_rate,
+     ("0.002", 0.002), ("0.002", ["--learning-rate", "0.003"], 0.003)),
+    ("fit", "fit", "reg_grid", lambda c: c.reg_time_grid_size,
+     ("5", 5), ("5", ["--reg-grid", "6"], 6)),
+    ("fit", "fit", "spatial_raw_jacobian", lambda c: c.spatial_raw,
+     ("yes", True), ("no", ["--spatial-raw-jacobian"], True)),
+    ("fit", "fit", "seed", lambda c: c.seed,
+     ("5", 5), ("5", ["--seed", "6"], 6)),
+    ("fit", "weights", "lam", lambda c: c.weights.lam,
+     ("3.5", 3.5), ("3.5", ["--lambda", "4.5"], 4.5)),
+    ("fit", "weights", "alpha", lambda c: c.weights.alpha,
+     ("0.5", 0.5), ("0.5", ["--alpha", "0.25"], 0.25)),
+    ("fit", "network", "hidden_width", lambda c: c.network.hidden_width,
+     ("24", 24), ("24", ["--hidden-width", "40"], 40)),
+    ("fit", "network", "concat_every_layer", lambda c: c.network.concat_every_layer,
+     ("no", False), ("yes", ["--concat-first-only"], False)),
+    ("fit", "network", "embed_output_leaky",
+     lambda c: c.network.time_embed_output_leaky,
+     ("off", False), ("on", ["--embed-output-linear"], False)),
+    ("phantom", "phantom", "ring_period", lambda s: s.ring_period,
+     ("0.25", 0.25), ("0.25", ["--ring-period", "0.3"], 0.3)),
+    ("phantom", "phantom", "times", lambda s: s.times,
+     ("0,6,18", (0.0, 6.0, 18.0)), ("0,6,18", ["--times", "0,12"], (0.0, 12.0))),
+    ("phantom", "phantom", "sigma", lambda s: s.sigma,
+     ("0.1", 0.1), ("0.1", ["--sigma", "0.2"], 0.2)),
+    ("phantom", "phantom", "seed", lambda s: s.seed,
+     ("5", 5), ("5", ["--seed", "6"], 6)),
+]
+
+
+@pytest.mark.parametrize("command, section, key, read, ini_only, ini_and_flag", _LAYERS,
+                         ids=[f"{row[1]}.{row[2]}" for row in _LAYERS])
+def test_options_layer_defaults_config_then_flags(build, command, section, key,
+                                                   read, ini_only, ini_and_flag):
+    """An option set nowhere keeps its dataclass default; the --config INI
+    overrides the default, and a flag overrides the INI."""
+    from ndfreg.phantom import PhantomSpec
+    from ndfreg.trainer import FitConfig
+
+    default = FitConfig() if command == "fit" else PhantomSpec()
+    assert read(build(command, [])) == read(default)
+    text, want = ini_only
+    assert read(build(command, [], f"[{section}]\n{key} = {text}\n")) == want
+    text, flags, want = ini_and_flag
+    assert read(build(command, flags, f"[{section}]\n{key} = {text}\n")) == want
+
+
+def test_percent_in_a_config_path_is_literal(build, tmp_path):
+    """INI values are read without interpolation: `%` in a mask path is
+    part of the file name."""
+    import shutil
+
+    mask = tmp_path / "%subj.raw"
+    shutil.copy(tmp_path / "data" / "labels_00.raw", mask)
+    config = build("fit", [], f"[fit]\nmask = {mask}\n")
+    assert config.mask is not None and config.mask.shape == (4, 4, 4)
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("iterations = 3\n", "no section headers"),
+    (None, "config file"),
+    ("[fit]\niterations = 3\n[fit]\nseed = 1\n", "already exists"),
+], ids=["no-section-header", "directory", "duplicate-section"])
+def test_unreadable_config_is_input_error(tmp_path, capsys, ini, message):
+    config = tmp_path / "config.ini"
+    if ini is None:
+        config.mkdir()
+    else:
+        config.write_text(ini)
+    rc = cli.main(["phantom", "--out", str(tmp_path / "out"), "--dims", "4,4,4",
+                   "--times", "0,12", "--config", str(config)])
+    assert rc == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("ndfreg: ") and message in err
+    assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command, ini, key", [
+    ("phantom", "[phantom]\nsigmaa = 0.3\n", "sigmaa"),
+    ("fit", "[weights]\nlamda = 1\n", "lamda"),
+    ("fit", "[network]\nwidth = 8\n", "width"),
+    ("fit", "[fit]\nreg_time_grid_size = 4\n", "reg_time_grid_size"),
+], ids=["phantom", "weights", "network", "fit-field-name"])
+def test_unknown_config_key_is_input_error(build, capsys, command, ini, key):
+    """A key that no option reads, in a section the command reads, is
+    rejected and named."""
+    capsys.readouterr()
+    assert build(command, [], ini) == cli.EXIT_INPUT
+    assert key in capsys.readouterr().err
+
+
+def test_one_config_serves_phantom_and_fit(build):
+    """Each command reads its own sections and leaves the others' alone;
+    a [DEFAULT] key applies in every section whose options read it."""
+    ini = ("[DEFAULT]\nseed = 3\n[phantom]\nsigma = 0.1\n[fit]\niterations = 3\n"
+           "[network]\ndepth = 4\n")
+    spec = build("phantom", [], ini)
+    assert (spec.sigma, spec.seed) == (0.1, 3)
+    config = build("fit", [], ini)
+    assert (config.iterations, config.network.depth, config.seed) == (3, 4, 3)
+
+
+def test_preset_and_sigma_are_exclusive(tmp_path):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["phantom", "--out", str(tmp_path), "--dims", "4,4,4",
+                  "--preset", "clean", "--sigma", "0.2"])
+    assert exited.value.code == cli.EXIT_INPUT
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def _echo(out):
+    import configparser
+
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read(os.path.join(out, "config.echo.ini"))
+    return dict(ini["resolved"])
+
+
+def test_echo_writes_every_resolved_option(tmp_path):
+    """Each command echoes all the values it resolved, the alphabetically
+    first included."""
+    from ndfreg.phantom import PhantomSpec
+
+    ph, fit, out = (str(tmp_path / d) for d in ("phantom", "fit", "out"))
+    assert cli.main(["phantom", "--out", ph, "--dims", "8,8,8", "--times", "0,12"]) == 0
+    spec = PhantomSpec()
+    assert _echo(ph) == {"dims": "8,8,8", "times": "0.0,12.0", **{
+        key: str(getattr(spec, key)) for key in
+        ("sigma", "growth", "radius", "edge_width", "ring_amplitude", "ring_period", "seed")
+    }}
+    manifest = os.path.join(ph, "manifest.txt")
+    assert cli.main(["fit", "--manifest", manifest, "--out", fit, "--iterations", "0",
+                     "--alpha", "0.5", "--hidden-width", "4", "--depth", "3"]) == 0
+    echo = _echo(fit)
+    assert (len(echo), echo["alpha"], echo["hidden_width"], echo["mask"]) == (
+        25, "0.5", "4", "None")
+    model = os.path.join(fit, "model.ndf")
+    assert cli.main(["predict", "--model", model, "--time", "6", "--dims", "8,8,8",
+                     "--out", out]) == 0
+    assert _echo(out) == {"dims": "8,8,8", "time": "6.0"}
+    assert cli.main(["jacobian", "--model", model, "--times", "6,12", "--dims", "8,8,8",
+                     "--out", out]) == 0
+    assert _echo(out) == {"dims": "8,8,8", "times": "6.0,12.0"}
+    assert cli.main(["metrics", "--model", model, "--manifest", manifest,
+                     "--times", "0,12", "--out", out]) == 0
+    assert _echo(out) == {"holdout": "None", "label_ids": "1", "times": "0.0,12.0"}
