@@ -6,9 +6,11 @@ Options resolve in three layers: the defaults of the config dataclasses
 INI config file (--config), then explicit flags, which win.  The INI
 sections are [fit], [weights] and [network], which `fit` and
 `metrics --holdout` read, and [phantom], which `phantom` reads; one file
-may hold them all.  A key that no option reads, in a section the command
-reads, is an input error.  The resolved configuration is echoed into the
-output directory next to the results.
+may hold them all.  `predict`, `jacobian` and `gradcheck` read no section
+and take no --config.  A key that no option reads, in a section the
+command reads, or a value its converter rejects, is an input error that
+names the file, section and key.  The resolved configuration is echoed
+into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
@@ -21,13 +23,14 @@ environment variables that a library loaded later reads.
 Every command first sets glibc's heap policy (`keep_freed_heap`): arrays
 up to 32 MiB come from the heap rather than from their own mmap, and the
 heap keeps 64 MiB of freed top in reserve rather than trimming it.  By
-default glibc mmaps each 8 MiB inference chunk array
+default glibc mmaps each 2 MiB inference chunk array
 (`network.BLOCK_BYTES`) or trims it off the heap top when it is freed, so
 every chunk touches fresh pages.  The grid-size products an inference
 returns are allocated once per call and filled chunk by chunk; above the
 threshold (a displacement of about 112^3 voxels) they are mmapped, once
 per call rather than once per chunk.  Measured per process on a paper-width
-model at 24^3 (one BLAS thread, 2-CPU host), without and with the policy:
+model at 24^3 (one BLAS thread, 2-CPU host, 8 MiB chunk arrays), without
+and with the policy:
 `jacobian` at three times 91-96k -> 9.4k minor page faults and 0.30-0.55
 -> 0.04-0.07 s of kernel time, `predict --with-djdt` 99-100k -> 9.7k and
 0.36-0.46 -> 0.04-0.06 s, `metrics` 39-40k -> 11k and 0.16-0.19 -> 0.05-
@@ -52,7 +55,7 @@ _OPENBLAS_SETTERS = (
 )
 
 # glibc's mallopt parameters (malloc.h) and the values `keep_freed_heap`
-# sets: the mmap threshold at glibc's ceiling, four times
+# sets: the mmap threshold at glibc's ceiling, sixteen times
 # network.BLOCK_BYTES, so that every inference chunk array is heap memory
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
@@ -154,14 +157,14 @@ def build_parser():
     top = argparse.ArgumentParser(prog="ndfreg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, sections=(), out_required=True, groups=None):
-        """Shared flags, then one flag per option of `sections`, each in
+    def common(p, sections=(), groups=None):
+        """Shared flags, then, for a command that reads option sections,
+        --config and one flag per option of `sections`, each in
         `groups[key]` where given."""
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=None)
-        if not sections:  # else the sections' seed option adds it
-            p.add_argument("--seed", type=int, default=None)
+        if sections:
+            p.add_argument("--config", help="INI config file")
         for opt in _OPTIONS:
             if opt.section not in sections:
                 continue
@@ -211,7 +214,8 @@ def build_parser():
     common(p, ("phantom",), groups={"sigma": noise})
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    common(p, out_required=False)
+    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
@@ -253,7 +257,12 @@ def resolve_options(args, sections):
             continue
         value = getattr(args, opt.key)
         if value is None and opt.key in config.get(opt.section, {}):
-            value = opt.conv(config[opt.section][opt.key])
+            try:
+                value = opt.conv(config[opt.section][opt.key])
+            except ValueError as exc:
+                raise ValueError(
+                    f"config file {args.config}: [{opt.section}] {opt.key}: {exc}"
+                ) from None
         if value is not None:
             resolved[opt.section][opt.field] = value
     return resolved
@@ -603,7 +612,7 @@ def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradcheck
 
     report = run_gradcheck(
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         width=args.width,
         points=args.points,
         precision=args.precision,

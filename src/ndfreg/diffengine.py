@@ -11,20 +11,24 @@ single reverse sweep differentiates values *and* tangents with respect to
 every leaf parameter.
 
 Stacked jets: a `Jet` carries one layer's value, tangents and mixed entries
-as one (rows, S*B) block node for B points.  Slot s of `jet.slots` fills
-columns [s*B, (s+1)*B), in the fixed order v, x, y, z, t, xt, yt, zt (the
-value, the first-order tangents, then d/dt of the x, y, z tangents); only
-slots that can be non-zero are stored, so S <= 8.
+as one point-major block node for B points: an (S*B, rows) array, which is
+(S, B, rows) in C order, so slot s of `jet.slots` is the contiguous
+(B, rows) panel of array rows [s*B, (s+1)*B).  Slots come in the fixed
+order v, x, y, z, t, xt, yt, zt (the value, the first-order tangents, then
+d/dt of the x, y, z tangents); only slots that can be non-zero are stored,
+so S <= 8.
   * The coordinate jet holds v, x, y, z (v alone without spatial
     derivatives); the time jet is one point, v and t (or v).
-  * `bundle_affine` keeps the slots: one matmul maps the whole block, one
-    small matmul maps each pending column term, which stays a column term,
-    and its bias becomes a column term of slot v.
+  * `bundle_affine` keeps the slots: one matmul, block @ W.T, maps the
+    whole block, one small matmul maps each pending column term, which
+    stays a column term, and its bias becomes a column term of slot v.
+  * A column term is constant across the points: a (1, rows) row that
+    joins slot v, or a (2, rows) pair whose second row joins slot t.
   * `bundle_add` of a column jet (one point, v or v, t; a product with the
-    time embedding) records nothing: its columns join the jet's pending
-    column terms, column 0 to slot v and column 1, broadcast over the
-    points, to slot t.  The next sine or leaky rule, or a slot read, folds
-    them into its input; no primitive adds them to a block.
+    time embedding) records nothing: its rows join the jet's pending
+    column terms, row 0 to slot v and row 1, broadcast over the points, to
+    slot t.  The next sine or leaky rule, or a slot read, folds them into
+    its input; no primitive adds them to a block.
   * `bundle_leaky` (kind `jet_leaky`) keeps the folded slots: a t column
     adds slot t, and its zero second derivative adds no mixed slot.
   * `bundle_sine` (kind `jet_sine`) adds the mixed slot of every spatial
@@ -35,25 +39,32 @@ slots that can be non-zero are stored, so S <= 8.
     and cos call scalar libm, as in numpy 2.4 on x86-64.  The rule keeps
     omega*cos as its ndarray aux, so its VJP evaluates no transcendental;
     a value-only block computes the sine alone and keeps no aux.
-  * `jet_slot` extracts one folded slot as a (rows, B) node.
-  * The output layer's block (3 rows, the displacement's components) is
-    the one place that holds the Jacobian's layout: slot x+j, row i is
-    J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j, row i is dJ[i][j]/dt.
-    Its column terms touch only slots v and t, so three primitives read
-    the block node alone, one node each, recorded by `network`'s readers
-    only where a product is used: `jacobian` (slots x, y, z as one
-    (3, 3B) node), `jacdet` (|I + J| by cofactor expansion, (B,)) and
-    `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt) by Jacobi's formula,
-    (B,)).
-With this layout a layer is one matmul forward and two backward, and one
-node per rule; every elementwise pass runs over contiguous B-point runs.
+  * `jet_slot` extracts one folded slot as a (rows, B) node, the
+    transpose of its panel.
+  * The output layer's block ((S*B, 3), the displacement's components) is
+    the one place that holds the Jacobian's layout: slot x+j, component i
+    is J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j, component i is
+    dJ[i][j]/dt.  Its column terms touch only slots v and t, so three
+    primitives read the block node alone, one node each, recorded by
+    `network`'s readers only where a product is used: `jacobian` (slots
+    x, y, z as one (3, 3B) node), `jacdet` (|I + J| by cofactor
+    expansion, (B,)) and `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt)
+    by Jacobi's formula, (B,)).  Each reads one transposed (3, S, B) copy
+    of this small block.
+With this layout a layer is one matmul forward (block @ W.T) and two
+backward (g.T @ block and g @ W), and one node per rule; every elementwise
+pass of a rule runs over whole contiguous slot panels.  In a (rows, S*B)
+layout each slot would be a strided (rows, B) view, and each of those
+passes measured 2-4 times slower at the benchmark's sizes.
 
 Shape conventions (no general broadcasting; exactly these cases):
   * scalars are 0-d arrays,
   * a batch of scalars is (B,),
   * a stack of vectors is (R, B): rows are components, columns are points,
   * per-time quantities constant across the batch are (R, 1) and broadcast
-    across columns in elementwise ops.
+    across columns in elementwise ops,
+  * jet blocks and their column terms are point-major, as above; only the
+    jet primitives read them.
 
 Tapes are single-owner: one tape per fitting step, never shared across
 threads.  Evaluation is eager; `backward` runs one reverse sweep in tape
@@ -191,16 +202,16 @@ def _minimum_vjp(node, g):
 
 
 def _affine_forward(dtype, values, cols):
-    """W[:, lo:hi] @ x."""
+    """x @ W[:, lo:hi].T: every row of x, one point of one slot, mapped."""
     w, x = values
     if w.ndim != 2 or x.ndim != 2:
-        raise DiffEngineError(f"affine: need 2-d operands, got {w.shape} @ {x.shape}")
+        raise DiffEngineError(f"affine: need 2-d operands, got {x.shape} @ {w.shape}.T")
     lo, hi = cols or (0, w.shape[1])
-    if hi - lo != x.shape[0]:
+    if hi - lo != x.shape[1]:
         raise DiffEngineError(
             f"affine: W[:,{lo}:{hi}] of {w.shape} does not match x {x.shape}"
         )
-    return w[:, lo:hi] @ x
+    return x @ w[:, lo:hi].T
 
 
 def _affine_vjp(node, g):
@@ -209,10 +220,10 @@ def _affine_vjp(node, g):
     lo, hi = node.payload or (0, w.value.shape[1])
     if w.idx is not None:
         gw = np.zeros_like(w.value)
-        gw[:, lo:hi] = g @ x.value.T
+        gw[:, lo:hi] = g.T @ x.value
         yield 0, gw
     if x.idx is not None:
-        yield 1, w.value[:, lo:hi].T @ g
+        yield 1, g @ w.value[:, lo:hi]
 
 
 def _sum_forward(dtype, values, axis):
@@ -270,46 +281,46 @@ def _sine_slots(slots, has_t_column):
 
 
 def _jet_block(kind, values, slots):
-    """A (rows, S*B) block as a (rows, S, B) view, its slot positions, and
-    its summed column terms (cv, ct): column 0 of each term joins slot v,
-    column 1 (when present) slot t; each sum is (rows, 1) or None."""
+    """An (S*B, rows) block as an (S, B, rows) view, its slot positions,
+    and its summed column terms (cv, ct): row 0 of each term joins slot v,
+    row 1 (when present) slot t; each sum is (1, rows) or None."""
     z = values[0]
-    if slots[0] != V or z.ndim != 2 or z.shape[1] % len(slots):
+    if slots[0] != V or z.ndim != 2 or z.shape[0] % len(slots):
         raise DiffEngineError(f"{kind}: block {z.shape} does not hold slots {slots}")
-    rows = z.shape[0]
+    rows = z.shape[1]
     cv = ct = None
     for c in values[1:]:
-        if c.ndim != 2 or c.shape[0] != rows or c.shape[1] not in (1, 2):
-            raise DiffEngineError(f"{kind}: column term {c.shape} must be ({rows}, 1|2)")
-        cv = c[:, :1] if cv is None else cv + c[:, :1]
-        if c.shape[1] == 2:
-            ct = c[:, 1:] if ct is None else ct + c[:, 1:]
-    z3 = z.reshape(rows, len(slots), z.shape[1] // len(slots))
+        if c.ndim != 2 or c.shape[1] != rows or c.shape[0] not in (1, 2):
+            raise DiffEngineError(f"{kind}: column term {c.shape} must be (1|2, {rows})")
+        cv = c[:1] if cv is None else cv + c[:1]
+        if c.shape[0] == 2:
+            ct = c[1:] if ct is None else ct + c[1:]
+    z3 = z.reshape(len(slots), z.shape[0] // len(slots), rows)
     return z3, {s: k for k, s in enumerate(slots)}, cv, ct
 
 
 def _folded(z, pos, cv, ct, slot):
-    """One slot of a block with its column terms added: (rows, B), or the
-    (rows, 1) t column itself when the block has no t slot."""
+    """One slot of a block with its column terms added: (B, rows), or the
+    (1, rows) t row itself when the block has no t slot."""
     if slot == V:
-        return z[:, 0] if cv is None else z[:, 0] + cv
+        return z[0] if cv is None else z[0] + cv
     if slot == T and ct is not None:
-        return ct if T not in pos else z[:, pos[T]] + ct
-    return z[:, pos[slot]]
+        return ct if T not in pos else z[pos[T]] + ct
+    return z[pos[slot]]
 
 
 def _column_grads(node, gv, gt):
     """Cotangents of a node's column terms (its inputs after the block):
-    column 0 from slot v's cotangent `gv`, column 1 from slot t's `gt`,
-    each summed over the points; None stands for a zero cotangent."""
+    row 0 from slot v's cotangent `gv`, row 1 from slot t's `gt`, each
+    summed over the points; None stands for a zero cotangent."""
     if len(node.inputs) == 1 or (gv is None and gt is None):
         return
-    zero = np.zeros((node.inputs[0].value.shape[0], 1), node.value.dtype)
+    zero = np.zeros((1, node.inputs[0].value.shape[1]), node.value.dtype)
     both = np.concatenate(
-        [zero if g is None else g.sum(axis=1, keepdims=True) for g in (gv, gt)], axis=1
+        [zero if g is None else g.sum(axis=0, keepdims=True) for g in (gv, gt)], axis=0
     )
     for i, c in enumerate(node.inputs[1:], 1):
-        yield i, both[:, : c.value.shape[1]]
+        yield i, both[: c.value.shape[0]]
 
 
 def _sum_products(pairs, tmp):
@@ -337,9 +348,9 @@ _PIECE = 1 << 15
 
 
 def _sin_cos(u, sin_out=None, cos_out=None):
-    """sin u into `sin_out` and cos u into `cos_out` for a (rows, n) array
-    u, from t = tan(u/2): sin u = 2t / (1 + t^2), cos u = 2 / (1 + t^2) - 1,
-    within about one ulp of 1 of libm.  Either output may be None or u
+    """sin u into `sin_out` and cos u into `cos_out` for a 2-d array u (a
+    slot panel), from t = tan(u/2): sin u = 2t / (1 + t^2),
+    cos u = 2 / (1 + t^2) - 1, within about one ulp of 1 of libm.  Either output may be None or u
     itself.  Works in place over row pieces of about _PIECE elements; the
     sine alone needs one piece of scratch for 2 / (1 + t^2), which
     otherwise builds in the cosine's piece."""
@@ -370,29 +381,28 @@ def _jet_sine_forward(dtype, values, payload):
     omega, slots = payload
     z, pos, cv, ct = _jet_block("jet_sine", values, slots)
     out_slots = _sine_slots(slots, ct is not None)
-    wu = np.multiply(z[:, 0], omega) if cv is None else _scale(z[:, 0] + cv, omega)
+    wu = np.multiply(z[0], omega) if cv is None else _scale(z[0] + cv, omega)
     if len(out_slots) == 1:
         _sin_cos(wu, sin_out=wu)
         return wu
-    rows, _, nb = z.shape
-    out = np.empty((rows, len(out_slots), nb), dtype)
-    s = out[:, 0]
+    out = np.empty((len(out_slots),) + z.shape[1:], dtype)
+    s = out[0]
     _sin_cos(wu, sin_out=s, cos_out=wu)
     wc = _scale(wu, omega)
     zt = _folded(z, pos, cv, ct, T) if T in out_slots else None
     nzt = tmp = None
     for k, slot in enumerate(out_slots[1:], 1):
         if slot <= T:
-            np.multiply(wc, zt if slot == T else z[:, pos[slot]], out=out[:, k])
+            np.multiply(wc, zt if slot == T else z[pos[slot]], out=out[k])
             continue
         if nzt is None:  # -omega^2 s z_t, shared by the mixed slots
             nzt = np.multiply(s, zt)
             nzt *= -(omega * omega)
             tmp = np.empty_like(nzt)
-        np.multiply(nzt, z[:, pos[slot - 4]], out=out[:, k])
+        np.multiply(nzt, z[pos[slot - 4]], out=out[k])
         if slot in pos:
-            out[:, k] += np.multiply(wc, z[:, pos[slot]], out=tmp)
-    return out.reshape(rows, -1), wc
+            out[k] += np.multiply(wc, z[pos[slot]], out=tmp)
+    return out.reshape(-1, z.shape[2]), wc
 
 
 def _jet_sine_vjp(node, g):
@@ -402,7 +412,6 @@ def _jet_sine_vjp(node, g):
     g_zt = omega c g_t - omega^2 s mix."""
     omega, slots = node.payload
     z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots)
-    rows, _, nb = z.shape
     if node.aux is None:  # value only
         gu = np.multiply(_folded(z, pos, cv, ct, V), omega)
         _sin_cos(gu, cos_out=gu)
@@ -414,29 +423,29 @@ def _jet_sine_vjp(node, g):
     w2 = omega * omega
     out_slots = _sine_slots(slots, ct is not None)
     opos = {s: k for k, s in enumerate(out_slots)}
-    g = g.reshape(rows, len(out_slots), nb)
+    g = g.reshape((len(out_slots),) + z.shape[1:])
     wc = node.aux
-    s = node.value.reshape(rows, len(out_slots), nb)[:, 0]
+    s = node.value.reshape(g.shape)[0]
     zt = _folded(z, pos, cv, ct, T) if T in opos else None
     mixed = [d for d in SPATIAL if d + 4 in opos]
-    gz2 = np.empty((rows, z.shape[1] * nb), z.dtype)
+    gz2 = np.empty(node.inputs[0].value.shape, z.dtype)
     gz = gz2.reshape(z.shape)
-    tmp = np.empty((rows, nb), z.dtype)
+    tmp = np.empty(z.shape[1:], z.dtype)
 
-    pairs = [(g[:, opos[d]], z[:, pos[d]]) for d in SPATIAL if d in opos]
+    pairs = [(g[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
     if zt is not None:
-        pairs.append((g[:, opos[T]], zt))
-    pairs += [(g[:, opos[d + 4]], z[:, pos[d + 4]]) for d in mixed if d + 4 in pos]
+        pairs.append((g[opos[T]], zt))
+    pairs += [(g[opos[d + 4]], z[pos[d + 4]]) for d in mixed if d + 4 in pos]
     acc = _sum_products(pairs, tmp)
-    mix = _sum_products([(g[:, opos[d + 4]], z[:, pos[d]]) for d in mixed], tmp)
+    mix = _sum_products([(g[opos[d + 4]], z[pos[d]]) for d in mixed], tmp)
 
-    gu = gz[:, 0]
+    gu = gz[0]
     if mix is None:
-        np.multiply(g[:, 0], wc, out=gu)
+        np.multiply(g[0], wc, out=gu)
     else:
         np.multiply(zt, mix, out=tmp)
         _scale(tmp, w2)
-        np.subtract(g[:, 0], tmp, out=gu)
+        np.subtract(g[0], tmp, out=gu)
         gu *= wc
     gu -= _scale(np.multiply(s, acc, out=tmp), w2)
 
@@ -445,15 +454,15 @@ def _jet_sine_vjp(node, g):
     for d in SPATIAL:
         if d not in opos:
             continue
-        np.multiply(wc, g[:, opos[d]], out=gz[:, pos[d]])
+        np.multiply(wc, g[opos[d]], out=gz[pos[d]])
         if d in mixed:
-            gz[:, pos[d]] -= np.multiply(w2szt, g[:, opos[d + 4]], out=tmp)
+            gz[pos[d]] -= np.multiply(w2szt, g[opos[d + 4]], out=tmp)
             if d + 4 in pos:
-                np.multiply(wc, g[:, opos[d + 4]], out=gz[:, pos[d + 4]])
+                np.multiply(wc, g[opos[d + 4]], out=gz[pos[d + 4]])
     gzt = None
     if zt is not None:
-        gzt = gz[:, pos[T]] if T in pos else np.empty_like(tmp)
-        np.multiply(wc, g[:, opos[T]], out=gzt)
+        gzt = gz[pos[T]] if T in pos else np.empty_like(tmp)
+        np.multiply(wc, g[opos[T]], out=gzt)
         if mix is not None:
             gzt -= _scale(np.multiply(s, mix, out=tmp), w2)
     yield 0, gz2
@@ -475,11 +484,11 @@ def _jet_leaky_forward(dtype, values, payload):
     if len(out_slots) == 1:
         return value
     mask = _leaky_mask(u, slope, dtype)
-    out = np.empty((z.shape[0], len(out_slots), z.shape[2]), dtype)
-    out[:, 0] = value
+    out = np.empty((len(out_slots),) + z.shape[1:], dtype)
+    out[0] = value
     for k, slot in enumerate(out_slots[1:], 1):
-        np.multiply(mask, _folded(z, pos, cv, ct, slot), out=out[:, k])
-    return out.reshape(z.shape[0], -1)
+        np.multiply(mask, _folded(z, pos, cv, ct, slot), out=out[k])
+    return out.reshape(-1, z.shape[2])
 
 
 def _jet_leaky_vjp(node, g):
@@ -487,32 +496,34 @@ def _jet_leaky_vjp(node, g):
     z, pos, cv, ct = _jet_block("jet_leaky", [n.value for n in node.inputs], slots)
     out_slots = _folded_slots(slots, ct is not None)
     mask = _leaky_mask(_folded(z, pos, cv, ct, V), slope, node.value.dtype)
-    g = g.reshape(z.shape[0], len(out_slots), z.shape[2])
-    gz2 = np.empty_like(node.inputs[0].value)
+    g = g.reshape((len(out_slots),) + z.shape[1:])
+    gz2 = np.empty(node.inputs[0].value.shape, z.dtype)
     gz = gz2.reshape(z.shape)
     for slot, k in pos.items():
-        np.multiply(mask, g[:, out_slots.index(slot)], out=gz[:, k])
+        np.multiply(mask, g[out_slots.index(slot)], out=gz[k])
     yield 0, gz2
-    gt = mask * g[:, out_slots.index(T)] if ct is not None else None
-    yield from _column_grads(node, gz[:, 0], gt)
+    gt = mask * g[out_slots.index(T)] if ct is not None else None
+    yield from _column_grads(node, gz[0], gt)
 
 
 def _jet_slot_forward(dtype, values, payload):
-    """One slot of a block, column terms added, as a (rows, B) array."""
+    """One slot of a block, column terms added, as a (rows, B) array: the
+    transpose of its (B, rows) panel."""
     slots, slot = payload
     z, pos, cv, ct = _jet_block("jet_slot", values, slots)
     if slot not in _folded_slots(slots, ct is not None):
         raise DiffEngineError(f"jet_slot: slot {slot} not in {slots}")
     out = _folded(z, pos, cv, ct, slot)
-    return np.array(np.broadcast_to(out, (z.shape[0], z.shape[2])))
+    return np.ascontiguousarray(np.broadcast_to(out, z.shape[1:]).T)
 
 
 def _jet_slot_vjp(node, g):
     slots, slot = node.payload
     block = node.inputs[0].value
+    g = g.T
     if slot in slots:
         gz = np.zeros_like(block)
-        gz.reshape(block.shape[0], len(slots), block.shape[1] // len(slots))[:, slots.index(slot)] = g
+        gz.reshape((len(slots), -1) + g.shape[1:])[slots.index(slot)] = g
         yield 0, gz
     yield from _column_grads(node, g if slot == V else None, g if slot == T else None)
 
@@ -532,14 +543,20 @@ _ADJ_TABLE = (
 
 
 def _output_block(kind, values, slots, mixed=False):
-    """An output layer's (3, S, B) block and its slot positions.  Its
-    column terms touch only slots v and t, so the spatial slots (and, with
-    `mixed`, the mixed ones) are read as stored."""
+    """An output layer's (S*B, 3) block as a (3, S, B) copy, component
+    first, and its slot positions.  Its column terms touch only slots v and
+    t, so the spatial slots (and, with `mixed`, the mixed ones) are read as
+    stored."""
     z, pos, _, _ = _jet_block(kind, values, slots)
     need = SPATIAL + ((XT, YT, ZT) if mixed else ())
-    if z.shape[0] != 3 or any(s not in pos for s in need):
+    if z.shape[2] != 3 or any(s not in pos for s in need):
         raise DiffEngineError(f"{kind}: block {values[0].shape} of slots {slots} lacks {need}")
-    return z, pos
+    return np.ascontiguousarray(z.transpose(2, 0, 1)), pos
+
+
+def _point_major(gz):
+    """A (3, S, B) cotangent as the (S*B, 3) block it belongs to."""
+    return gz.transpose(1, 2, 0).reshape(-1, 3)
 
 
 def _identity_plus_jacobian(z, pos, dtype):
@@ -562,11 +579,10 @@ def _jacobian_forward(dtype, values, slots):
 
 
 def _jacobian_vjp(node, g):
-    block = node.inputs[0].value
-    z, pos = _output_block("jacobian", [block], node.payload)
-    gz2 = np.zeros_like(block)
-    gz2.reshape(z.shape)[:, pos[X] : pos[X] + 3] = g.reshape(3, 3, z.shape[2])
-    yield 0, gz2
+    z, pos = _output_block("jacobian", [node.inputs[0].value], node.payload)
+    gz = np.zeros_like(z)
+    gz[:, pos[X] : pos[X] + 3] = g.reshape(3, 3, z.shape[2])
+    yield 0, _point_major(gz)
 
 
 def _jacdet_forward(dtype, values, slots):
@@ -579,20 +595,18 @@ def _jacdet_forward(dtype, values, slots):
 
 def _jacdet_vjp(node, g):
     """d|M|/dM[i][j] is the cofactor C[i][j] = adj(M)[j][i]."""
-    block = node.inputs[0].value
-    z, pos = _output_block("jacdet", [block], node.payload)
+    z, pos = _output_block("jacdet", [node.inputs[0].value], node.payload)
     adj = _adjugate(_identity_plus_jacobian(z, pos, node.value.dtype))
-    gz2 = np.zeros_like(block)
-    gz = gz2.reshape(z.shape)
+    gz = np.zeros_like(z)
     for i in range(3):
         for j in range(3):
             np.multiply(g, adj[3 * j + i], out=gz[i, pos[X + j]])
-    yield 0, gz2
+    yield 0, _point_major(gz)
 
 
 def _jacdet_dt_forward(dtype, values, slots):
     """d|I + J|/dt by Jacobi's formula, tr(adj(I + J) dJ/dt), (B,): the sum
-    over i, then k, of adj[i][k] dJ[k][i]/dt, dJ[k][i]/dt being row k of
+    over i, then k, of adj[i][k] dJ[k][i]/dt, dJ[k][i]/dt being component k of
     the mixed slot of direction i."""
     z, pos = _output_block("jacdet_dt", values, slots, mixed=True)
     adj = _adjugate(_identity_plus_jacobian(z, pos, dtype))
@@ -605,15 +619,13 @@ def _jacdet_dt_forward(dtype, values, slots):
 
 
 def _jacdet_dt_vjp(node, g):
-    """The mixed slot of direction i, row k, gets g adj[i][k]; the spatial
+    """The mixed slot of direction i, component k, gets g adj[i][k]; the spatial
     slots get g dJ[k][i]/dt chained through each adjugate entry p*q - r*s,
     summed per entry in table order."""
-    block = node.inputs[0].value
-    z, pos = _output_block("jacdet_dt", [block], node.payload, mixed=True)
+    z, pos = _output_block("jacdet_dt", [node.inputs[0].value], node.payload, mixed=True)
     x = _identity_plus_jacobian(z, pos, node.value.dtype)
     adj = _adjugate(x)
-    gz2 = np.zeros_like(block)
-    gz = gz2.reshape(z.shape)
+    gz = np.zeros_like(z)
     gx = [None] * 9
     for n, (p, q, r, s) in enumerate(_ADJ_TABLE):
         i, k = divmod(n, 3)
@@ -623,7 +635,7 @@ def _jacdet_dt_vjp(node, g):
             gx[e] = d if gx[e] is None else gx[e] + d
     for e, d in enumerate(gx):
         gz[e // 3, pos[X + e % 3]] = d
-    yield 0, gz2
+    yield 0, _point_major(gz)
 
 
 class Primitive(NamedTuple):
@@ -821,12 +833,13 @@ class Tape:
 class Jet:
     """One layer's value, tangents and mixed entries as a single node.
 
-    `node` holds a (rows, S*B) block: slot `slots[s]` fills columns
-    [s*B, (s+1)*B).  `cols` are column terms not yet added, each (rows, 1)
-    (joins slot v) or (rows, 2) (slot v, then slot t, broadcast over the
-    points); the next sine, leaky rule or slot extraction folds them into
-    its input, so adding them costs no copy of the block, and a matmul maps
-    each through the same weights as the block.
+    `node` holds an (S*B, rows) block: slot `slots[s]` is the (B, rows)
+    panel of rows [s*B, (s+1)*B).  `cols` are column terms not yet added,
+    each (1, rows) (joins slot v) or (2, rows) (slot v, then slot t,
+    broadcast over the points); the next sine, leaky rule or slot
+    extraction folds them into its input, so adding them costs no copy of
+    the block, and a matmul maps each through the same weights as the
+    block.
     """
 
     node: Node
@@ -835,7 +848,7 @@ class Jet:
 
     @property
     def has_t_column(self) -> bool:
-        return any(c.value.shape[1] == 2 for c in self.cols)
+        return any(c.value.shape[0] == 2 for c in self.cols)
 
     @property
     def folded_slots(self) -> tuple:
@@ -848,9 +861,10 @@ class Jet:
 def bundle_affine(
     tape: Tape, w: Node, x: Jet, b: Node | None = None, cols: tuple[int, int] | None = None
 ) -> Jet:
-    """W[:, cols] @ block: one matmul maps every slot, and one small
-    (out, 1|2) matmul each of the block's pending column terms, which stay
-    column terms; the bias becomes a column term of slot v."""
+    """block @ W[:, cols].T: one matmul maps every slot, and one small
+    (1|2, out) matmul each of the block's pending column terms, which stay
+    column terms; the bias, a (1, out) row, becomes a column term of slot
+    v."""
     node = tape.affine(w, x.node, cols=cols)
     terms = tuple(tape.affine(w, c, cols=cols) for c in x.cols)
     return Jet(node, x.slots, terms + (() if b is None else (b,)))
@@ -860,7 +874,7 @@ def bundle_add(tape: Tape, a: Jet, b: Jet) -> Jet:
     """a + b for a column jet `b` (one point, slots v or v, t, such as a
     product with the time embedding): b joins a's column terms, nothing is
     recorded."""
-    if b.slots not in ((V,), (V, T)) or b.node.value.shape[1] != len(b.slots):
+    if b.slots not in ((V,), (V, T)) or b.node.value.shape[0] != len(b.slots):
         raise DiffEngineError(f"bundle_add: {b.node.value.shape} is not a column jet")
     return Jet(a.node, a.slots, a.cols + (b.node,) + b.cols)
 

@@ -3,9 +3,11 @@
 Every analytic quantity the engine produces is compared against central
 finite differences (or a permutation-expansion determinant) at a toy
 scale.  64-bit tolerances are stricter than 32-bit ones.  The `corrupt`
-hook multiplies one named analytic term by 1.001 before comparison, so
-tests can prove the harness actually catches a wrong derivative; `mono`
-seeds the parameter sweep with total + 0.001*gamma*mono, which scales the
+hook multiplies one named analytic term by a factor before comparison, so
+tests can prove the harness actually catches a wrong derivative: 1.001,
+or 1 + 10 tol where the tolerance of the check it targets is wider than
+1e-4 (every f32 check but the determinant's), as 1.001 would pass there.
+`mono` scales gamma in the analytic loss by that factor, which scales the
 monotonic term's part of the analytic gradient alone.
 
 The time checks difference the field at t0 +- h.  The time embedding is
@@ -30,9 +32,18 @@ from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
 __all__ = ["CheckResult", "run_gradcheck", "CORRUPT_HOOKS"]
 
-# fault hooks, each scaling the analytic side of one check (or, for mono,
-# of the monotonic term's part of it) by 1.001
-CORRUPT_HOOKS = ("det", "spatial", "temporal", "jacdet_dt", "sampler", "params", "mono")
+# fault hook -> the check whose analytic side it scales (for mono, the
+# monotonic term's part of it)
+_HOOK_CHECKS = {
+    "det": "cofactor-determinant",
+    "spatial": "spatial-tangents",
+    "temporal": "temporal-tangent",
+    "jacdet_dt": "jacdet-dt",
+    "sampler": "sampler-gradient",
+    "params": "parameter-gradients",
+    "mono": "parameter-gradients",
+}
+CORRUPT_HOOKS = tuple(_HOOK_CHECKS)
 
 _TOLS = {
     "f64": {
@@ -66,8 +77,14 @@ def _rel(analytic, reference, floor):
     return np.abs(analytic - reference) / np.maximum(np.abs(reference), floor)
 
 
-def _bump(values, name, corrupt):
-    return values * 1.001 if corrupt == name else values
+def _hook_factor(hook, precision):
+    """1.001, or 1 + 10 tol when the targeted check's tolerance would let
+    1.001 pass."""
+    return max(1.001, 1.0 + 10.0 * _TOLS[precision][_HOOK_CHECKS[hook]])
+
+
+def _bump(values, name, corrupt, precision):
+    return values * _hook_factor(name, precision) if corrupt == name else values
 
 
 def _toy_state(seed, width, dtype):
@@ -141,7 +158,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
         jac = rng.uniform(-1, 1, size=(3, 3)).astype(dtype) - eye
         m = jac + eye
         tape = Tape(dtype)
-        block = tape.constant(np.concatenate([np.zeros((3, 1), dtype), jac], axis=1))
+        block = tape.constant(np.concatenate([np.zeros((1, 3), dtype), jac.T]))
         got = float(tape.record("jacdet", (block,), (V, X, Y, Z)).value[0])
         expect = 0.0
         for perm in itertools.permutations(range(3)):
@@ -154,7 +171,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
             expect += sign * float(m[0, perm[0]]) * float(m[1, perm[1]]) * float(
                 m[2, perm[2]]
             )
-        got = got * 1.001 if corrupt == "det" else got
+        got = _bump(got, "det", corrupt, precision)
         worst = max(worst, abs(got - expect))
     check("cofactor-determinant", worst)
 
@@ -179,7 +196,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
         fm = net.forward_with_derivatives(
             state, coords - shift, t0, net.DerivativeRequest(), dtype=dtype).phi
         fd = (fp - fm) / (2 * fd_h)
-        an = _bump(jac[:, j, :], "spatial", corrupt)
+        an = _bump(jac[:, j, :], "spatial", corrupt, precision)
         # the quotient's roundoff reaches max|phi| eps / h; below
         # roundoff / tol, errors are measured against the floor instead
         roundoff = float(np.abs(fp).max()) * np.finfo(dtype).eps / fd_h
@@ -193,7 +210,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     fm = net.forward_with_derivatives(
         state, coords, t0 - fd_h, net.DerivativeRequest(), dtype=dtype).displacement
     fd = (fp - fm) / (2 * fd_h)
-    an = _bump(net.dphi_dt(tape, trace).value, "temporal", corrupt)
+    an = _bump(net.dphi_dt(tape, trace).value, "temporal", corrupt, precision)
     worst = float(_rel(an, fd, floor).max())
     check("temporal-tangent", worst)
 
@@ -205,7 +222,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     jp = net.forward_with_derivatives(state, coords, t0 + h2, jr, dtype=np.float64).jac_det
     jm = net.forward_with_derivatives(state, coords, t0 - h2, jr, dtype=np.float64).jac_det
     fd = (jp - jm) / (2 * h2)
-    an = _bump(net.jacdet_dt(tape, trace).value, "jacdet_dt", corrupt)
+    an = _bump(net.jacdet_dt(tape, trace).value, "jacdet_dt", corrupt, precision)
     worst = float(_rel(an, fd, 1e-5 if precision == "f64" else 1e-3).max())
     check("jacdet-dt", worst)
 
@@ -216,7 +233,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     frac = vox - np.floor(vox)
     pts = base[:, ((frac > 0.05) & (frac < 0.95)).all(axis=0)]
     _, grads = trilinear_values_and_grads(grid, pts)
-    grads = _bump(grads, "sampler", corrupt)
+    grads = _bump(grads, "sampler", corrupt, precision)
     worst = 0.0
     for d in range(3):
         shift = np.zeros((3, 1))
@@ -265,8 +282,10 @@ def _param_gradient_worst(seed, corrupt, precision, dtype):
     )
     weights = LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=3.0)
     analytic = weights
-    if corrupt == "mono":  # the loss total + 0.001*gamma*mono
-        analytic = dataclasses.replace(weights, gamma=weights.gamma * 1.001)
+    if corrupt == "mono":  # the loss total + (factor - 1)*gamma*mono
+        analytic = dataclasses.replace(
+            weights, gamma=weights.gamma * _hook_factor("mono", precision)
+        )
 
     tape = Tape(dtype)
     leaves = net.make_leaves(tape, state)
@@ -274,12 +293,8 @@ def _param_gradient_worst(seed, corrupt, precision, dtype):
     if breakdown.monotonic == 0.0:
         return float("inf")
     tape.backward(total)
-    grads = [
-        l.adjoint if l.adjoint is not None else np.zeros_like(l.value)
-        for l in leaves.flat()
-    ]
-    if corrupt == "params":
-        grads = [g * 1.001 for g in grads]
+    grads = leaves.grads()
+    grads = [_bump(g, "params", corrupt, precision) for g in grads]
 
     eps = 1e-5  # the reference loss is evaluated in f64 at either precision
     tol = _TOLS[precision]["parameter-gradients"]

@@ -30,17 +30,20 @@ Each layer's value, tangents and mixed entries travel as one stacked jet
 block (see `diffengine`), so a hidden layer holds hidden width x slot
 count values per point.  Inference therefore sizes its chunks by bytes:
 by default `chunk_points` takes as many points as keep one hidden-layer
-block within BLOCK_BYTES (8 MiB, one 4096-point paper-width f64 layer
-array), e.g. 512 points at paper width with d|J|/dt (8 slots) and 4096
-for displacement alone; `chunk_size` overrides it.  BLOCK_BYTES stays
-below the CLI's 32 MiB mmap threshold (`cli.HEAP_MMAP_THRESHOLD`), so
-every chunk's arrays come from heap a previous chunk freed, not from
-fresh pages.
+block within BLOCK_BYTES (2 MiB, the per-core L2 of the x86-64 hosts this
+is measured on), e.g. 128 points at paper width with d|J|/dt (8 slots),
+256 with J alone (4 slots) and 1024 for displacement alone; `chunk_size`
+overrides it.  A block that fits L2 stays there between a layer's matmul
+and its rule: 8 MiB chunks measured 6-12 % slower per layer.
+BLOCK_BYTES stays below the CLI's 32 MiB mmap threshold
+(`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from heap a
+previous chunk freed, not from fresh pages.
 
 Memory bound of dense inference: a chunk holds at most the prefix plus
-two hidden-layer blocks, one rule's input and its output, because
-`_trace_time` drops each layer's input activation before the layer's rule
-runs (the sine adds scratch of four slot rows).  `forward_with_derivatives`
+two hidden-layer blocks (4 MiB at the default chunk size), one rule's
+input and its output, because `_trace_time` drops each layer's input
+activation before the layer's rule runs (the sine adds scratch of four
+slot panels).  `forward_with_derivatives`
 returns the displacement, |I + J| with `spatial` and d|I + J|/dt with
 both; it allocates each of them once at grid size and every chunk writes
 its own columns.  J and dphi/dt stay on the trace, read by `jacobian` and
@@ -78,10 +81,9 @@ __all__ = [
 ]
 
 
-# bytes of one hidden-layer jet block at inference: a chunk's block stays
-# the size of one 4096-point paper-width (256) f64 layer array, a quarter
-# of cli.HEAP_MMAP_THRESHOLD
-BLOCK_BYTES = 4096 * 256 * 8
+# bytes of one hidden-layer jet block at inference: a chunk's block fits
+# the 2 MiB per-core L2, one 1024-point paper-width (256) f64 layer array
+BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -215,12 +217,26 @@ class Leaves:
             out.extend((w, b))
         return out
 
+    def grads(self) -> list:
+        """The leaves' adjoints in `NetworkState.param_arrays` order and
+        shapes (each bias row back to its (out, 1) column), zero where no
+        gradient reached a leaf."""
+        def adjoint(n):
+            return np.zeros_like(n.value) if n.adjoint is None else n.adjoint
+
+        out = []
+        for w, b in self.psi + self.theta:
+            out.extend((adjoint(w), adjoint(b).T))
+        return out
+
 
 def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leaves:
+    """Tape nodes for every parameter; each (out, 1) bias enters as the
+    (1, out) row that a point-major jet's column term is."""
     mk = tape.leaf if trainable else tape.constant
     return Leaves(
-        [(mk(w), mk(b)) for w, b in state.psi],
-        [(mk(w), mk(b)) for w, b in state.theta],
+        [(mk(w), mk(b.T)) for w, b in state.psi],
+        [(mk(w), mk(b.T)) for w, b in state.theta],
     )
 
 
@@ -307,12 +323,12 @@ def trace_network(
 def _coordinate_jet(tape, coords, spatial: bool) -> Jet:
     """The coordinates with unit x, y, z tangents, or the value alone."""
     if not spatial:
-        return Jet(tape.constant(coords), (de.V,))
-    block = np.zeros((3, 4, coords.shape[1]), dtype=tape.dtype)
-    block[:, 0] = coords
+        return Jet(tape.constant(np.ascontiguousarray(coords.T)), (de.V,))
+    block = np.zeros((4, coords.shape[1], 3), dtype=tape.dtype)
+    block[0] = coords.T
     for d in range(3):
-        block[d, 1 + d] = 1.0
-    return Jet(tape.constant(block.reshape(3, -1)), (de.V, de.X, de.Y, de.Z))
+        block[1 + d, :, d] = 1.0
+    return Jet(tape.constant(block.reshape(-1, 3)), (de.V, de.X, de.Y, de.Z))
 
 
 def _trace_prefix(tape, leaves, xb, config: NetworkConfig) -> Jet:
@@ -334,7 +350,7 @@ def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTra
     he = h + config.time_embed_width
 
     if request.temporal:  # the time and its unit t-tangent, one point
-        tb = Jet(tape.constant(np.array([[t, 1.0]], dtype=tape.dtype)), (de.V, de.T))
+        tb = Jet(tape.constant(np.array([[t], [1.0]], dtype=tape.dtype)), (de.V, de.T))
     else:
         tb = Jet(tape.constant(np.array([[t]], dtype=tape.dtype)), (de.V,))
     eb = _trace_time_embed(tape, leaves.theta, tb, config)

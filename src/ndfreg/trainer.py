@@ -276,11 +276,7 @@ def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype
     if not np.isfinite(breakdown.total):
         return breakdown, False
     tape.backward(total)
-    grads = [
-        leaf.adjoint if leaf.adjoint is not None else np.zeros_like(leaf.value)
-        for leaf in leaves.flat()
-    ]
-    _, accepted = adam_step(params, grads, opt, config)
+    _, accepted = adam_step(params, leaves.grads(), opt, config)
     return breakdown, not accepted
 
 

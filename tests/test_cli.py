@@ -346,6 +346,40 @@ def test_unknown_config_key_is_input_error(build, capsys, command, ini, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, ini, where", [
+    ("fit", "[fit]\niterations = abc\n", "[fit] iterations: "),
+    ("fit", "[network]\nconcat_every_layer = maybe\n", "[network] concat_every_layer: "),
+    ("phantom", "[phantom]\ndims = 4,x,4\n", "[phantom] dims: "),
+], ids=["int", "bool", "ints"])
+def test_bad_config_value_names_its_key(build, tmp_path, capsys, command, ini, where):
+    """A value its converter rejects is an input error that names the file,
+    the section and the key."""
+    capsys.readouterr()
+    assert build(command, [], ini) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"ndfreg: config file {tmp_path / 'config.ini'}: {where}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "m.ndf", "--time", "1", "--out", "o", "--config", "c.ini"],
+    ["predict", "--model", "m.ndf", "--time", "1", "--out", "o", "--seed", "5"],
+    ["jacobian", "--model", "m.ndf", "--times", "1", "--out", "o", "--config", "c.ini"],
+    ["jacobian", "--model", "m.ndf", "--times", "1", "--out", "o", "--seed", "5"],
+    ["gradcheck", "--config", "c.ini"],
+    ["gradcheck", "--out", "o"],
+], ids=["predict-config", "predict-seed", "jacobian-config", "jacobian-seed",
+        "gradcheck-config", "gradcheck-out"])
+def test_flags_a_command_does_not_read_are_refused(monkeypatch, tmp_path, capsys, argv):
+    """A command takes only the flags it reads: the parser refuses the rest
+    with exit 2 before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_one_config_serves_phantom_and_fit(build):
     """Each command reads its own sections and leaves the others' alone;
     a [DEFAULT] key applies in every section whose options read it."""

@@ -50,8 +50,13 @@ def value_jet(tape, value):
     return de.Jet(tape.constant(np.full((1, 1), value)), (de.V,))
 
 
+def point_major(z3):
+    """A (rows, S, B) stack of slots as the (S*B, rows) block of a jet."""
+    return np.ascontiguousarray(z3.transpose(1, 2, 0)).reshape(-1, z3.shape[0])
+
+
 def output_block(jac, jdot=None):
-    """An output layer's (3, S*B) block: J = `jac` (3, 3, B), [i, j] the
+    """An output layer's (S*B, 3) block: J = `jac` (3, 3, B), [i, j] the
     derivative of component i in direction j, in the spatial slots, and
     dJ/dt = `jdot` ([k, i] the t-derivative of J[k][i]) in the mixed
     slots; the value and t slots hold noise the products must not read.
@@ -59,8 +64,8 @@ def output_block(jac, jdot=None):
     nb = jac.shape[2]
     noise = np.random.default_rng(0).uniform(-1, 1, size=(3, 1, nb))
     if jdot is None:
-        return np.concatenate([noise, jac], axis=1).reshape(3, -1), SPACE
-    return np.concatenate([noise, jac, noise, jdot], axis=1).reshape(3, -1), ALL_SLOTS
+        return point_major(np.concatenate([noise, jac], axis=1)), SPACE
+    return point_major(np.concatenate([noise, jac, noise, jdot], axis=1)), ALL_SLOTS
 
 
 def test_record_sine_of_zero():
@@ -166,7 +171,7 @@ def coord_jet(tape, coords):
 
 def time_jet(tape, t):
     """A time with its unit t-tangent: one point, slots v and t."""
-    return de.Jet(tape.constant(np.array([[t, 1.0]])), (de.V, de.T))
+    return de.Jet(tape.constant(np.array([[t], [1.0]])), (de.V, de.T))
 
 
 def slot(tape, jet, s):
@@ -277,7 +282,7 @@ def test_constant_bundle_zero_tangents():
     """A value-only jet stays value-only through every rule: its tangents
     are structurally zero and no slot holds them."""
     tape = Tape()
-    b = de.Jet(tape.constant(np.ones((3, 2))), (de.V,))
+    b = de.Jet(tape.constant(np.ones((2, 3))), (de.V,))
     w = tape.constant(np.ones((2, 3)))
     for out in (de.bundle_sine(tape, b), de.bundle_leaky(tape, b, 0.1), de.bundle_affine(tape, w, b)):
         assert out.slots == out.folded_slots == (de.V,)
@@ -296,7 +301,7 @@ def _sine_stack(tape, wb, tb, weights):
         z = de.bundle_add(
             tape,
             de.bundle_affine(tape, w2, a, cols=(0, h)),
-            de.bundle_affine(tape, w2, e, cols=(h, h + e.node.value.shape[0])),
+            de.bundle_affine(tape, w2, e, cols=(h, h + e.node.value.shape[1])),
         )
         a = de.bundle_sine(tape, z)
     return a
@@ -397,7 +402,7 @@ def test_leaky_kink_convention():
     assert x.adjoint[0, 0] == 1.0  # positive-branch slope at exactly 0
     tape2 = Tape()
     # unit x-tangents: the tangent slot of the leaky rule is its slope mask
-    x2 = de.Jet(tape2.constant(np.array([[0.0, -1.0, 1.0, 1.0, 1.0, 1.0]])), (de.V, de.X))
+    x2 = de.Jet(tape2.constant(np.array([[0.0, -1.0, 1.0, 1.0, 1.0, 1.0]]).T), (de.V, de.X))
     mask = slot(tape2, de.bundle_leaky(tape2, x2, 0.25), de.X)
     np.testing.assert_array_equal(mask, [[1.0, 0.25, 1.0]])
 
@@ -407,7 +412,7 @@ def test_determinism_bit_identical():
         tape = Tape()
         rng = np.random.default_rng(23)
         w = tape.leaf(rng.uniform(-1, 1, size=(4, 3)))
-        x = de.Jet(tape.constant(rng.uniform(-1, 1, size=(3, 9))), (de.V,))
+        x = de.Jet(tape.constant(rng.uniform(-1, 1, size=(3, 9)).T), (de.V,))
         y = tape.mean(tape.square(de.bundle_sine(tape, de.bundle_affine(tape, w, x), 2.0).node))
         tape.backward(y)
         return y.value.copy(), w.adjoint.copy()
@@ -436,7 +441,7 @@ def test_backward_det_at_identity():
     block, slots = output_block(np.zeros((3, 3, 1)))
     leaf = tape.leaf(block)
     tape.backward(tape.sum(tape.record("jacdet", (leaf,), slots)))
-    grad = leaf.adjoint.reshape(3, 4)
+    grad = leaf.adjoint.T
     np.testing.assert_array_equal(grad[:, 1:], np.eye(3))  # the cofactors of I
     assert np.all(grad[:, 0] == 0.0)
 
@@ -461,7 +466,7 @@ def test_backward_composite_matches_fd(seed):
     def value_and_grad(p):
         tape = Tape()
         leaf = tape.leaf(p)
-        block = tape.affine(leaf, tape.constant(basis))
+        block = tape.affine(leaf, tape.constant(basis.T))
         jac = tape.record("jacobian", (block,), ALL_SLOTS)
         # mix jacdet, jacdet_dt, min, relu, div paths
         det = tape.record("jacdet", (block,), ALL_SLOTS)
@@ -560,8 +565,8 @@ def _vjp_cases(rng):
         "sqrt": [((rng.uniform(0.5, 2.0, size=(3, 4)),), None)],
         "relu": [((_away_from_zero(rng, (3, 4)),), None)],
         "affine": [
-            ((rng.uniform(-1, 1, (4, 3)), a), None),
-            ((rng.uniform(-1, 1, (4, 6)), a), (2, 5)),
+            ((rng.uniform(-1, 1, (4, 3)), a.T), None),
+            ((rng.uniform(-1, 1, (4, 6)), a.T), (2, 5)),
         ],
         "sum": [((a,), None), ((a,), 0)],
         "mean": [((a,), None)],
@@ -573,16 +578,18 @@ def _vjp_cases(rng):
 def _jet_cases(rng):
     """Blocks of 3 rows and 4 points per slot with their column terms; value
     slots sit away from the leaky kink.  Two sine blocks of 23 rows and
-    3000 points per slot span `_sin_cos` pieces of 10, 10 and 3 rows; they
-    draw from their own generator, so the other cases keep their inputs."""
+    3000 points per slot span `_sin_cos` pieces of 1424, 1424 and 152
+    points; they draw from their own generator, so the other cases keep
+    their inputs.  Each block is drawn as a (rows, S, B) stack and laid out
+    point-major, and each column term as (rows, 1|2) and transposed."""
 
     def block(slots, nb=4, rows=3, gen=rng):
         z = gen.uniform(-1.0, 1.0, size=(rows, len(slots), nb))
         z[:, 0] = _away_from_zero(gen, (rows, nb), 0.3)
-        return z.reshape(rows, -1)
+        return point_major(z)
 
     def col(k, rows=3, gen=rng):
-        return gen.uniform(-0.1, 0.1, size=(rows, k))
+        return gen.uniform(-0.1, 0.1, size=(rows, k)).T.copy()
 
     def pieces(slots, *cols):
         big = np.random.default_rng(43)
@@ -624,7 +631,8 @@ def _jet_cases(rng):
 
 def _fd_entries(rng, shape):
     """Every entry of an input of up to 1000; of a larger one, 8 random
-    entries and 4 of its last row, which a sine block's last piece holds."""
+    entries and 4 of its last row, the last point of the last slot, which
+    a sine block's last piece holds."""
     size = int(np.prod(shape))
     if size <= 1000:
         return list(np.ndindex(shape))

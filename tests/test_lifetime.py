@@ -72,7 +72,7 @@ def test_backward_releases_non_leaf_adjoints(no_gc):
     tape = Tape()
     w = tape.leaf(np.array([[0.3, -0.7, 0.2]]))
     b = tape.leaf(np.array([[0.1]]))
-    x = tape.constant(np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]]))
+    x = tape.constant(np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]]).T)
     z = de.bundle_affine(tape, w, de.Jet(x, (de.V,)), b)
     out = tape.mean(tape.square(de.bundle_sine(tape, z, 2.0).node))
     tape.backward(out)

@@ -105,7 +105,7 @@ def taped_embed(state, ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     tape = Tape()
     leaves = net.make_leaves(tape, state, trainable=False)
-    tb = de.Jet(tape.constant(np.concatenate([ts, np.ones_like(ts)])[None]), (de.V, de.T))
+    tb = de.Jet(tape.constant(np.concatenate([ts, np.ones_like(ts)])[:, None]), (de.V, de.T))
     eb = net._trace_time_embed(tape, leaves.theta, tb, state.config)
     return tuple(de.jet_slot(tape, eb, s).value for s in (de.V, de.T))
 
@@ -237,8 +237,8 @@ def test_chunk_memory_is_the_prefix_and_two_blocks():
     chunk's 8-slot hidden layer (width x 8 x chunk points x 8 bytes).
 
     A chunk holds the prefix (4 slots: half a block), one rule's input and
-    output, and the sine rule's scratch of four (width, chunk) arrays (half
-    a block): 3.16 blocks measured.  An evaluation that keeps the previous
+    output, and the sine rule's scratch of four (chunk, width) panels (half
+    a block): 3.03 blocks measured.  An evaluation that keeps the previous
     layer's activation alive through the rule, holds every product twice
     and also returns J and dphi/dt at full size measured 4.17 blocks."""
     import tracemalloc
@@ -257,6 +257,73 @@ def test_chunk_memory_is_the_prefix_and_two_blocks():
     products = len(times) * (3 + 1 + 1) * coords.shape[1] * 8
     block = cfg.hidden_width * 8 * 256 * 8
     assert peak < products + 3.5 * block
+
+
+def test_recorded_jet_blocks_are_point_major(monkeypatch):
+    """Every jet that affine, jet_sine and jet_leaky record on a training
+    tape is an (S*B, rows) block whose slot panels are C-contiguous
+    (B, rows) arrays, B the batch or, for the time embedding, 1; its
+    column terms are (1|2, rows) rows."""
+    jets = []
+
+    def capture(rule):
+        def wrapper(*args, **kwargs):
+            out = rule(*args, **kwargs)
+            jets.append(out)
+            return out
+        return wrapper
+
+    for name in ("bundle_affine", "bundle_sine", "bundle_leaky"):
+        monkeypatch.setattr(de, name, capture(getattr(de, name)))
+    state = toy_state(seed=2)
+    coords = np.random.default_rng(3).uniform(-1, 1, size=(3, 11))
+    tape = Tape()
+    net.trace_network(tape, net.make_leaves(tape, state), coords, [0.3, 0.9], TOY, FULL_REQ)
+    kinds = set()
+    for jet in jets:
+        block = jet.node.value
+        assert jet.node.idx is not None and block.flags.c_contiguous
+        kinds.add(jet.node.kind)
+        n_slots, rows = len(jet.slots), block.shape[1]
+        nb = block.shape[0] // n_slots
+        assert nb * n_slots == block.shape[0] and nb in (11, 1)
+        for k in range(n_slots):
+            panel = block.reshape(n_slots, nb, rows)[k]
+            assert panel.flags.c_contiguous and panel.shape == (nb, rows)
+            assert np.shares_memory(panel, block[k * nb : (k + 1) * nb])
+        for c in jet.cols:
+            assert c.value.shape in ((1, rows), (2, rows))
+    assert kinds == {"affine", "jet_sine", "jet_leaky"}
+    assert any(len(j.slots) == 8 and j.node.value.shape[0] == 8 * 11 for j in jets)
+
+
+@pytest.mark.parametrize("request_, points", [
+    (net.DerivativeRequest(), 1024),
+    (net.DerivativeRequest(spatial=True), 256),
+    (FULL_REQ, 128),
+], ids=["value", "spatial", "full"])
+def test_chunk_points_keep_one_hidden_block_within_block_bytes(monkeypatch, request_, points):
+    """At paper width in f64 a default chunk is as many points as keep one
+    hidden-layer block within BLOCK_BYTES (2 MiB), and the largest block
+    the chunk's sines build fills it exactly; in f32 a chunk is twice as
+    many points."""
+    cfg = net.NetworkConfig()
+    assert net.BLOCK_BYTES == 2 << 20
+    assert net.chunk_points(cfg, request_, np.float64) == points
+    assert net.chunk_points(cfg, request_, np.float32) == 2 * points
+    sizes = []
+    sine = de.bundle_sine
+
+    def sized(*args, **kwargs):
+        out = sine(*args, **kwargs)
+        sizes.append(out.node.value.nbytes)
+        return out
+
+    monkeypatch.setattr(de, "bundle_sine", sized)
+    state = net.init_network(seed=0, config=cfg)
+    coords = np.random.default_rng(1).uniform(-1, 1, size=(3, points + 1))
+    net.forward_with_derivatives(state, coords, 0.5, request_)
+    assert max(sizes) == net.BLOCK_BYTES
 
 
 def _jet_arrays(jet):
@@ -296,7 +363,7 @@ def test_trace_network_shares_prefix_exactly():
         s = _trace_scalar(tape, tr)
         total = s if total is None else tape.add(total, s)
     tape.backward(total)
-    shared_grads = [l.adjoint for l in leaves.flat()]
+    shared_grads = leaves.grads()
 
     sep_grads = [np.zeros_like(p) for p in state.param_arrays()]
     for t, got in zip(times, traces):
@@ -310,8 +377,8 @@ def test_trace_network_shares_prefix_exactly():
         for read in READERS:
             assert read(tape, got).value.tobytes() == read(one, want).value.tobytes()
         one.backward(_trace_scalar(one, want))
-        for acc, l in zip(sep_grads, one_leaves.flat()):
-            acc += l.adjoint
+        for acc, g in zip(sep_grads, one_leaves.grads()):
+            acc += g
     for g, ref in zip(shared_grads, sep_grads):
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
