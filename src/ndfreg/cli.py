@@ -5,8 +5,9 @@ Options resolve in three layers: the defaults of the config dataclasses
 (FitConfig, LossWeights, NetworkConfig, PhantomSpec), then the optional
 INI config file (--config), then explicit flags, which win.  The INI
 sections are [fit], [weights] and [network], which `fit` and
-`metrics --holdout` read, and [phantom], which `phantom` reads; one file
-may hold them all.  `predict`, `jacobian` and `gradcheck` read no section
+`metrics --holdout` read (without --holdout, `metrics` refuses --config
+and every fit flag), and [phantom], which `phantom` reads; one file may
+hold them all.  `predict`, `jacobian` and `gradcheck` read no section
 and take no --config.  A key that no option reads, in a section the
 command reads, or a value its converter rejects, is an input error that
 names the file, section and key.  The resolved configuration is echoed
@@ -68,15 +69,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _bool(text):
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _floats(text):
     return tuple(float(v) for v in str(text).split(",") if v != "")
 
@@ -89,15 +81,14 @@ def _ints(text):
 class _Option:
     """One option: its INI section and key, which is also its argparse
     dest, and its converter.  The config field it sets and its flag are
-    the key's, unless given; a flag with `const` takes no value and sets
-    `const`.  The default is the field's, in its config dataclass."""
+    the key's, unless given.  The default is the field's, in its config
+    dataclass."""
 
     section: str
     key: str
     conv: object
     field: str = ""
     flag: str = ""
-    const: object = None
     choices: tuple | None = None
 
     def __post_init__(self):
@@ -116,9 +107,7 @@ _OPTIONS = (
     _Option("fit", "time_horizon", float),
     _Option("fit", "log_every", int),
     _Option("fit", "checkpoint_every", int),
-    _Option("fit", "optimizer", str, choices=("adam", "sgd")),
     _Option("fit", "precision", str, choices=("f32", "f64")),
-    _Option("fit", "spatial_raw_jacobian", _bool, field="spatial_raw", const=True),
     _Option("fit", "mask", str),  # a path; `_fit_config` loads the labels
     _Option("fit", "seed", int),
     _Option("weights", "lam", float, flag="--lambda"),
@@ -131,10 +120,6 @@ _OPTIONS = (
     _Option("network", "time_embed_width", int),
     _Option("network", "omega0", float),
     _Option("network", "leaky_slope", float),
-    _Option("network", "embed_output_leaky", _bool, field="time_embed_output_leaky",
-            flag="--embed-output-linear", const=False),
-    _Option("network", "concat_every_layer", _bool, flag="--concat-first-only",
-            const=False),
     _Option("phantom", "dims", _ints),
     _Option("phantom", "times", _floats),
     _Option("phantom", "sigma", float),
@@ -169,11 +154,7 @@ def build_parser():
             if opt.section not in sections:
                 continue
             into = (groups or {}).get(opt.key, p)
-            if opt.const is None:
-                into.add_argument(opt.flag, dest=opt.key, type=opt.conv, choices=opt.choices)
-            else:
-                into.add_argument(opt.flag, dest=opt.key, action="store_const",
-                                  const=opt.const)
+            into.add_argument(opt.flag, dest=opt.key, type=opt.conv, choices=opt.choices)
 
     p = sub.add_parser("fit", help="fit one subject's series")
     common(p, _FIT_SECTIONS)
@@ -495,6 +476,12 @@ def _cmd_metrics(args) -> int:
     from . import fileio, metrics, network
     from .volume import grid_coordinates
 
+    if args.holdout is None:  # only the held-out refit reads the fit options
+        given = ["--config"] if args.config is not None else []
+        given += [opt.flag for opt in _OPTIONS
+                  if opt.section in _FIT_SECTIONS and getattr(args, opt.key) is not None]
+        if given:
+            raise ValueError(f"metrics: {', '.join(given)} needs --holdout")
     state = fileio.load_model(args.model)
     series = fileio.load_series(args.manifest)
     if not series.labels or 0.0 not in series.labels:

@@ -20,8 +20,9 @@ so S <= 8.
   * The coordinate jet holds v, x, y, z (v alone without spatial
     derivatives); the time jet is one point, v and t (or v).
   * `bundle_affine` keeps the slots: one matmul, block @ W.T, maps the
-    whole block, one small matmul maps each pending column term, which
-    stays a column term, and its bias becomes a column term of slot v.
+    whole block, and its bias becomes a column term of slot v.  Its input
+    has no pending column terms: every rule folds them first, and a matmul
+    refuses a jet that still carries them.
   * A column term is constant across the points: a (1, rows) row that
     joins slot v, or a (2, rows) pair whose second row joins slot t.
   * `bundle_add` of a column jet (one point, v or v, t; a product with the
@@ -838,8 +839,7 @@ class Jet:
     each (1, rows) (joins slot v) or (2, rows) (slot v, then slot t,
     broadcast over the points); the next sine, leaky rule or slot
     extraction folds them into its input, so adding them costs no copy of
-    the block, and a matmul maps each through the same weights as the
-    block.
+    the block.  A matmul takes no jet that carries them.
     """
 
     node: Node
@@ -861,13 +861,13 @@ class Jet:
 def bundle_affine(
     tape: Tape, w: Node, x: Jet, b: Node | None = None, cols: tuple[int, int] | None = None
 ) -> Jet:
-    """block @ W[:, cols].T: one matmul maps every slot, and one small
-    (1|2, out) matmul each of the block's pending column terms, which stay
-    column terms; the bias, a (1, out) row, becomes a column term of slot
-    v."""
+    """block @ W[:, cols].T: one matmul maps every slot; the bias, a
+    (1, out) row, becomes a column term of slot v.  `x` must carry no
+    pending column terms."""
+    if x.cols:
+        raise DiffEngineError("bundle_affine: fold the jet's column terms before a matmul")
     node = tape.affine(w, x.node, cols=cols)
-    terms = tuple(tape.affine(w, c, cols=cols) for c in x.cols)
-    return Jet(node, x.slots, terms + (() if b is None else (b,)))
+    return Jet(node, x.slots, () if b is None else (b,))
 
 
 def bundle_add(tape: Tape, a: Jet, b: Jet) -> Jet:

@@ -328,6 +328,9 @@ def load_series(manifest_path: str) -> Volume4DSeries:
 _MODEL_MAGIC = b"NDFIELD1"
 _MODEL_VERSION = 1
 _MODEL_PREFIX = struct.Struct("<IQ")  # version, JSON header length
+# network keys of files written when the architecture had switches: true
+# names the one architecture built now, false one no longer built
+_RETIRED_NETWORK_KEYS = ("time_embed_output_leaky", "concat_every_layer")
 
 
 def _array_names(config: NetworkConfig):
@@ -345,6 +348,17 @@ def _array_shapes(config: NetworkConfig):
         shapes += [(out, fan_in), (out, 1)]
     th, e = config.time_hidden_width, config.time_embed_width
     return shapes + [(th, 1), (th, 1), (e, th), (e, 1)]
+
+
+def _network_config(fields: dict) -> NetworkConfig:
+    """The NetworkConfig of a header's network fields; a retired key set
+    to true is dropped and any other value of it is refused."""
+    fields = dict(fields)
+    for key in _RETIRED_NETWORK_KEYS:
+        value = fields.pop(key, True)
+        if value is not True:
+            raise ValueError(f"network {key} = {json.dumps(value)} is no longer supported")
+    return NetworkConfig(**fields)
 
 
 def save_model(path: str, state: NetworkState):
@@ -383,7 +397,7 @@ def load_model(path: str) -> NetworkState:
         raise FileFormatError(f"{path}: truncated JSON header")
     try:
         header = json.loads(blob[head_start:offset].decode("utf-8"))
-        config = NetworkConfig(**header["network"])
+        config = _network_config(header["network"])
         config.validate()
         listed = [(name, tuple(shape)) for name, shape in header["arrays"]]
         seed = int(header.get("seed", 0))

@@ -112,8 +112,6 @@ def _embedding_kinks(state, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore"):
         kinks = -b1[:, 0] / w1[:, 0]
     kinks = kinks[(kinks > lo) & (kinks < hi)]
-    if not state.config.time_embed_output_leaky:
-        return kinks
     knots = np.unique(np.concatenate([[lo, hi], kinks]))
     z1 = w1 @ knots[None, :] + b1
     z2 = w2 @ np.where(z1 >= 0.0, z1, state.config.leaky_slope * z1) + b2

@@ -4,8 +4,10 @@ Similarity is one minus global normalized cross correlation over the
 sampled batch, summed across observed follow-up times.  The zero-time
 anchor is the mean squared displacement norm at t=0.  Spatial, temporal
 and monotonic regularizers are evaluated on a sampled time grid that
-includes unobserved times.  All reductions over points are means, so the
-weights keep their meaning regardless of batch size.
+includes unobserved times; the spatial one penalizes the displacement's
+Jacobian, which is the deviation J - I of phi's Jacobian from identity.
+All reductions over points are means, so the weights keep their meaning
+regardless of batch size.
 
 Every term is recorded on a tape by its builder (`ncc_node`,
 `anchor_node`, `sum_of_squares`, `monotonic_node`), so the trainer can
@@ -108,7 +110,6 @@ def build_total_loss(
     weights: LossWeights,
     plan,
     config: net.NetworkConfig,
-    spatial_raw: bool = False,
 ):
     """Record the full loss on the tape; returns (total node, breakdown).
 
@@ -146,17 +147,12 @@ def build_total_loss(
         req = net.DerivativeRequest(
             spatial=need_spatial or need_mono, temporal=need_temporal or need_mono
         )
-        if spatial_raw:  # I in the layout of `network.jacobian`
-            eye = tape.constant(np.repeat(np.eye(3), nbatch, axis=1))
         kgrid = len(plan.reg_grid)
         djdt_nodes = []
         sp_acc = tp_acc = None
         for tr in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
             if need_spatial:
-                jac = net.jacobian(tape, tr)
-                if spatial_raw:
-                    jac = tape.add(jac, eye)
-                s = sum_of_squares(tape, jac)
+                s = sum_of_squares(tape, net.jacobian(tape, tr))
                 sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
             if need_temporal:
                 s = sum_of_squares(tape, net.dphi_dt(tape, tr))
@@ -196,13 +192,10 @@ def total_loss(
     state: net.NetworkState,
     weights: LossWeights,
     plan,
-    spatial_raw: bool = False,
-    dtype=np.float64,
 ) -> LossBreakdown:
-    """Evaluate the full loss for a frozen state (no gradients kept)."""
-    tape = Tape(dtype)
+    """Evaluate the full loss for a frozen state in f64 (no gradients
+    kept)."""
+    tape = Tape()
     leaves = net.make_leaves(tape, state, trainable=False)
-    _, breakdown = build_total_loss(
-        tape, leaves, series, weights, plan, state.config, spatial_raw=spatial_raw
-    )
+    _, breakdown = build_total_loss(tape, leaves, series, weights, plan, state.config)
     return breakdown

@@ -2,12 +2,11 @@
 
 A primary sine-activated MLP maps a spatial coordinate to a displacement;
 an auxiliary two-layer LeakyReLU sub-network embeds scalar time into a
-feature vector that is concatenated with every hidden layer (per-layer
-concatenation; a flag restricts it to the first hidden layer for
-ablation).  All derivative products (spatial Jacobian, temporal
-derivative, |J| via cofactor expansion, and d|J|/dt via Jacobi's formula
-with mixed second-order tangents) are exact chain-rule quantities taped on
-the differentiation engine, so losses built on them remain differentiable
+feature vector that is concatenated with every hidden layer.  All
+derivative products (spatial Jacobian, temporal derivative, |J| via
+cofactor expansion, and d|J|/dt via Jacobi's formula with mixed
+second-order tangents) are exact chain-rule quantities taped on the
+differentiation engine, so losses built on them remain differentiable
 with respect to every parameter.
 
 A trace ends at the output layer's jet, whose slots `DerivativeRequest`
@@ -33,8 +32,12 @@ by default `chunk_points` takes as many points as keep one hidden-layer
 block within BLOCK_BYTES (2 MiB, the per-core L2 of the x86-64 hosts this
 is measured on), e.g. 128 points at paper width with d|J|/dt (8 slots),
 256 with J alone (4 slots) and 1024 for displacement alone; `chunk_size`
-overrides it.  A block that fits L2 stays there between a layer's matmul
-and its rule: 8 MiB chunks measured 6-12 % slower per layer.
+overrides it.  A call longer than one chunk pads its last chunk to the
+full size and drops the padded points, so every chunk runs its matmuls in
+one shape: a short last chunk would run them in another, whose products
+can differ in the last bits (likely OpenBLAS's small-matrix path).  A
+block that fits L2 stays there between a layer's matmul and its rule:
+8 MiB chunks measured 6-12 % slower per layer.
 BLOCK_BYTES stays below the CLI's 32 MiB mmap threshold
 (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from heap a
 previous chunk freed, not from fresh pages.
@@ -94,8 +97,6 @@ class NetworkConfig:
     time_embed_width: int = 64
     omega0: float = 30.0
     leaky_slope: float = 0.01
-    time_embed_output_leaky: bool = True
-    concat_every_layer: bool = True  # False: first hidden layer only (ablation)
 
     def validate(self):
         if self.hidden_width < 2:
@@ -110,14 +111,7 @@ class NetworkConfig:
     def layer_shapes(self) -> list:
         """(out, in) of every primary affine layer, concat width included."""
         h, e, d = self.hidden_width, self.time_embed_width, self.depth
-        shapes = [(h, 3)]
-        for i in range(1, d):
-            out = 3 if i == d - 1 else h
-            if self.concat_every_layer or i == 1:
-                shapes.append((out, h + e))
-            else:
-                shapes.append((out, h))
-        return shapes
+        return [(h, 3)] + [(h, h + e)] * (d - 2) + [(3, h + e)]
 
 
 @dataclass
@@ -285,10 +279,7 @@ def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
     (w1, b1), (w2, b2) = theta
     z = de.bundle_affine(tape, w1, tb, b1)
     h = de.bundle_leaky(tape, z, config.leaky_slope)
-    z2 = de.bundle_affine(tape, w2, h, b2)
-    if config.time_embed_output_leaky:
-        return de.bundle_leaky(tape, z2, config.leaky_slope)
-    return z2
+    return de.bundle_leaky(tape, de.bundle_affine(tape, w2, h, b2), config.leaky_slope)
 
 
 def trace_network(
@@ -358,19 +349,10 @@ def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTra
     for li in range(1, config.depth):
         w, b = leaves.psi[li]
         if li == 1:
-            z = de.bundle_add(
-                tape,
-                shared.pop() if last else shared[0],
-                de.bundle_affine(tape, w, eb, b, cols=(h, he)),
-            )
-        elif config.concat_every_layer:
-            z = de.bundle_add(
-                tape,
-                de.bundle_affine(tape, w, a, cols=(0, h)),
-                de.bundle_affine(tape, w, eb, b, cols=(h, he)),
-            )
+            z = shared.pop() if last else shared[0]
         else:
-            z = de.bundle_affine(tape, w, a, b)
+            z = de.bundle_affine(tape, w, a, cols=(0, h))
+        z = de.bundle_add(tape, z, de.bundle_affine(tape, w, eb, b, cols=(h, he)))
         a = None  # freed before the rule's output is allocated
         if li < config.depth - 1:
             z = de.bundle_sine(tape, z)
@@ -392,10 +374,12 @@ def forward_with_derivatives(
     chunk_size: int | None = None,
 ):
     """Evaluate the frozen field and the requested products at (3,B)
-    coords, `chunk_size` points at a time (default `chunk_points`).  `times`
-    is one normalized time (returns one DisplacementResult) or a sequence
-    of them (returns a list, one result per time); each chunk traces the
-    time-invariant prefix once and shares it across the times.
+    coords, `chunk_size` points at a time (default `chunk_points`); when
+    there is more than one chunk, the last is padded to `chunk_size` points
+    and the padding's products are dropped.  `times` is one normalized time
+    (returns one DisplacementResult) or a sequence of them (returns a list,
+    one result per time); each chunk traces the time-invariant prefix once
+    and shares it across the times.
 
     A result carries the displacement, |I + J| with `spatial` and
     d|I + J|/dt with both; J and dphi/dt are read off a trace
@@ -403,8 +387,8 @@ def forward_with_derivatives(
     and every chunk writes its own columns, so memory is those products
     plus one chunk's working set: the prefix and two hidden-layer blocks
     (see the module docstring).  The parameters enter as tape constants,
-    so nothing is recorded; chunking is pure partitioning and sharing
-    changes no arithmetic (results are identical to one pass per time)."""
+    so nothing is recorded; chunking, padding and sharing change no
+    arithmetic (results are identical to one pass per time)."""
     if chunk_size is None:
         chunk_size = chunk_points(state.config, request, dtype)
     if chunk_size < 1:
@@ -423,24 +407,29 @@ def forward_with_derivatives(
         for _ in times
     ]
     for lo in range(0, n, chunk_size):
-        cols = slice(lo, lo + chunk_size)
-        _write_chunk(results, cols, state, coords[:, cols], times, request, dtype)
+        cols = slice(lo, min(lo + chunk_size, n))
+        chunk = coords[:, cols]
+        if chunk.shape[1] < chunk_size < n:  # pad a short last chunk to full size
+            chunk = np.pad(chunk, ((0, 0), (0, chunk_size - chunk.shape[1])))
+        _write_chunk(results, cols, state, chunk, times, request, dtype)
     return results[0] if single else results
 
 
 def _write_chunk(results, cols, state, coords, times, request, dtype):
-    """Trace one chunk of coords at every time and write each product into
-    the results' columns `cols`.  The chunk's tape and traces die on
-    return, so none of them pins heap while the next chunk traces."""
+    """Trace one chunk of coords at every time and write each product's
+    leading points into the results' columns `cols`; points past them are
+    padding.  The chunk's tape and traces die on return, so none of them
+    pins heap while the next chunk traces."""
     tape = Tape(dtype)
     leaves = make_leaves(tape, state, trainable=False)
     traces = trace_network(tape, leaves, coords, times, state.config, request)
+    k = cols.stop - cols.start
     for res, tr in zip(results, traces):
-        res.displacement[:, cols] = displacement(tape, tr).value
+        res.displacement[:, cols] = displacement(tape, tr).value[:, :k]
         if res.jac_det is not None:
-            res.jac_det[cols] = jacdet(tape, tr).value
+            res.jac_det[cols] = jacdet(tape, tr).value[:k]
         if res.jac_det_dt is not None:
-            res.jac_det_dt[cols] = jacdet_dt(tape, tr).value
+            res.jac_det_dt[cols] = jacdet_dt(tape, tr).value[:k]
 
 
 def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:

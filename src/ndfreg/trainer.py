@@ -49,6 +49,11 @@ log = logging.getLogger(__name__)
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class NumericalAbortError(RuntimeError):
     """Two consecutive non-finite totals; carries a diagnostic dump."""
@@ -67,9 +72,6 @@ class FitConfig:
     iterations: int = 20000
     batch_points: int = 8192
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
     reg_time_grid_size: int = 8
     t_extrap: float = 1.0
@@ -79,8 +81,6 @@ class FitConfig:
     log_every: int = 100
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
-    optimizer: str = "adam"
-    spatial_raw: bool = False
     mask: np.ndarray | None = None
     network: net.NetworkConfig = field(default_factory=net.NetworkConfig)
 
@@ -95,8 +95,6 @@ class FitConfig:
             raise ValueError("t_extrap must be >= 1")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.checkpoint_every < 0:
@@ -159,19 +157,14 @@ def adam_step(params, grads, state: AdamState, config: FitConfig):
             log.warning("step %d rejected: non-finite gradient", state.step + 1)
             return state, False
     state.step += 1
-    if config.optimizer == "sgd":
-        for p, g in zip(params, grads):
-            p -= config.learning_rate * g
-        return state, True
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1**state.step
-    c2 = 1.0 - b2**state.step
+    c1 = 1.0 - BETA1**state.step
+    c2 = 1.0 - BETA2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
     return state, True
 
 
@@ -270,8 +263,7 @@ def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype
     leaves = net.make_leaves(tape, state)
     plan = sample_plan(series, config, rng, t_max, mask_points)
     total, breakdown = build_total_loss(
-        tape, leaves, series, config.weights, plan, config.network,
-        spatial_raw=config.spatial_raw,
+        tape, leaves, series, config.weights, plan, config.network
     )
     if not np.isfinite(breakdown.total):
         return breakdown, False
@@ -305,14 +297,12 @@ def predict_field(
     state: net.NetworkState,
     t_months,
     dims,
-    chunk_size: int | None = None,
     want_djdt: bool = False,
 ):
-    """Evaluate the fitted field densely over the voxel grid, `chunk_size`
-    points at a time (default `network.chunk_points`; pure partitioning:
-    results equal one pass).
-    `t_months` is one time (returns one FieldGrid) or a sequence of times
-    (returns a list, one grid per time, sharing the network's
+    """Evaluate the fitted field densely over the voxel grid, in the
+    chunks of `network.forward_with_derivatives`, whose results equal one
+    pass.  `t_months` is one time (returns one FieldGrid) or a sequence of
+    times (returns a list, one grid per time, sharing the network's
     time-invariant prefix).  Each grid views the arrays that
     `network.forward_with_derivatives` allocated once at grid size, so
     memory is the grids plus one chunk's prefix and two hidden-layer
@@ -321,8 +311,7 @@ def predict_field(
     months = [t_months] if single else list(t_months)
     request = net.DerivativeRequest(spatial=True, temporal=want_djdt)
     results = net.forward_with_derivatives(
-        state, grid_coordinates(dims), [m / state.time_horizon for m in months],
-        request, chunk_size=chunk_size,
+        state, grid_coordinates(dims), [m / state.time_horizon for m in months], request
     )
     dims = tuple(dims)
     grids = [

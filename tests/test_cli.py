@@ -204,6 +204,28 @@ def test_metrics_holdout_writes_its_report(tmp_path):
         assert all(math.isfinite(float(v)) for v in row.values())
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--config", "absent.ini"], "--config"),
+    (["--iterations", "5"], "--iterations"),
+    (["--lambda", "2"], "--lambda"),
+    (["--hidden-width", "8"], "--hidden-width"),
+], ids=["config", "fit", "weights", "network"])
+def test_metrics_refuses_fit_options_without_holdout(tmp_path, capsys, flags, named):
+    """Only the held-out refit reads --config and the fit, weights and
+    network flags; without --holdout each is an input error that names it,
+    raised before anything is written."""
+    ph, met = str(tmp_path / "phantom"), tmp_path / "metrics"
+    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", "0,12"]) == 0
+    argv = ["metrics", "--model", _tiny_model(tmp_path), "--out", str(met),
+            "--manifest", os.path.join(ph, "manifest.txt"), "--times", "0,12"]
+    capsys.readouterr()
+    assert cli.main(argv + flags) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("ndfreg: metrics: ") and named in err and "--holdout" in err
+    assert not (met / "structure_metrics.csv").exists()
+    assert cli.main(argv) == cli.EXIT_OK  # the same command without the flag runs
+
+
 class _Built(Exception):
     """Raised in place of running a command; carries the config it built."""
 
@@ -259,8 +281,6 @@ _LAYERS = [
      ("0.002", 0.002), ("0.002", ["--learning-rate", "0.003"], 0.003)),
     ("fit", "fit", "reg_grid", lambda c: c.reg_time_grid_size,
      ("5", 5), ("5", ["--reg-grid", "6"], 6)),
-    ("fit", "fit", "spatial_raw_jacobian", lambda c: c.spatial_raw,
-     ("yes", True), ("no", ["--spatial-raw-jacobian"], True)),
     ("fit", "fit", "seed", lambda c: c.seed,
      ("5", 5), ("5", ["--seed", "6"], 6)),
     ("fit", "weights", "lam", lambda c: c.weights.lam,
@@ -269,11 +289,6 @@ _LAYERS = [
      ("0.5", 0.5), ("0.5", ["--alpha", "0.25"], 0.25)),
     ("fit", "network", "hidden_width", lambda c: c.network.hidden_width,
      ("24", 24), ("24", ["--hidden-width", "40"], 40)),
-    ("fit", "network", "concat_every_layer", lambda c: c.network.concat_every_layer,
-     ("no", False), ("yes", ["--concat-first-only"], False)),
-    ("fit", "network", "embed_output_leaky",
-     lambda c: c.network.time_embed_output_leaky,
-     ("off", False), ("on", ["--embed-output-linear"], False)),
     ("phantom", "phantom", "ring_period", lambda s: s.ring_period,
      ("0.25", 0.25), ("0.25", ["--ring-period", "0.3"], 0.3)),
     ("phantom", "phantom", "times", lambda s: s.times,
@@ -337,7 +352,9 @@ def test_unreadable_config_is_input_error(tmp_path, capsys, ini, message):
     ("fit", "[weights]\nlamda = 1\n", "lamda"),
     ("fit", "[network]\nwidth = 8\n", "width"),
     ("fit", "[fit]\nreg_time_grid_size = 4\n", "reg_time_grid_size"),
-], ids=["phantom", "weights", "network", "fit-field-name"])
+    ("fit", "[fit]\noptimizer = adam\n", "optimizer"),
+    ("fit", "[network]\nconcat_every_layer = yes\n", "concat_every_layer"),
+], ids=["phantom", "weights", "network", "fit-field-name", "retired-fit", "retired-network"])
 def test_unknown_config_key_is_input_error(build, capsys, command, ini, key):
     """A key that no option reads, in a section the command reads, is
     rejected and named."""
@@ -348,9 +365,8 @@ def test_unknown_config_key_is_input_error(build, capsys, command, ini, key):
 
 @pytest.mark.parametrize("command, ini, where", [
     ("fit", "[fit]\niterations = abc\n", "[fit] iterations: "),
-    ("fit", "[network]\nconcat_every_layer = maybe\n", "[network] concat_every_layer: "),
     ("phantom", "[phantom]\ndims = 4,x,4\n", "[phantom] dims: "),
-], ids=["int", "bool", "ints"])
+], ids=["int", "ints"])
 def test_bad_config_value_names_its_key(build, tmp_path, capsys, command, ini, where):
     """A value its converter rejects is an input error that names the file,
     the section and the key."""
@@ -424,7 +440,7 @@ def test_echo_writes_every_resolved_option(tmp_path):
                      "--alpha", "0.5", "--hidden-width", "4", "--depth", "3"]) == 0
     echo = _echo(fit)
     assert (len(echo), echo["alpha"], echo["hidden_width"], echo["mask"]) == (
-        25, "0.5", "4", "None")
+        21, "0.5", "4", "None")
     model = os.path.join(fit, "model.ndf")
     assert cli.main(["predict", "--model", model, "--time", "6", "--dims", "8,8,8",
                      "--out", out]) == 0

@@ -291,6 +291,20 @@ def test_constant_bundle_zero_tangents():
             slot(tape, b, d)
 
 
+def test_affine_refuses_pending_column_terms():
+    """A matmul maps a block without column terms; a jet that still carries
+    one, such as a bias not yet folded by a rule, is refused."""
+    tape = Tape()
+    x = de.Jet(tape.constant(np.ones((2, 3))), (de.V,))
+    w = tape.constant(np.ones((4, 3)))
+    z = de.bundle_affine(tape, w, x, tape.constant(np.ones((1, 4))))
+    assert len(z.cols) == 1
+    with pytest.raises(de.DiffEngineError, match="column terms"):
+        de.bundle_affine(tape, tape.constant(np.ones((2, 4))), z)
+    folded = de.bundle_leaky(tape, z, 0.1)
+    assert de.bundle_affine(tape, tape.constant(np.ones((2, 4))), folded).cols == ()
+
+
 def _sine_stack(tape, wb, tb, weights):
     """A 5-layer sine chain mixing coordinates and time for FD checks."""
     w1, w2, wt = weights

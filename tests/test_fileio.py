@@ -4,6 +4,7 @@ and the model container."""
 
 import gzip
 import json
+import pathlib
 import struct
 
 import numpy as np
@@ -419,6 +420,39 @@ def test_model_unknown_config_key_rejected(tmp_path):
     path = write_model(tmp_path, header, payload)
     with pytest.raises(FileFormatError, match="dropout"):
         fileio.load_model(path)
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def test_model_with_switch_keys_loads():
+    """A model file whose header still carries the two retired network
+    switches, both true (the one architecture), loads to the parameters
+    it was saved with."""
+    path = DATA / "model_with_switch_keys.ndf"
+    blob = path.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", blob, 12)
+    network = json.loads(blob[20 : 20 + head_len])["network"]
+    assert network["time_embed_output_leaky"] is network["concat_every_layer"] is True
+    state = fileio.load_model(str(path))
+    assert state.config == net.NetworkConfig(
+        hidden_width=4, depth=3, time_hidden_width=3, time_embed_width=4
+    )
+    assert state.checksum() == (
+        "355e4c8d22db5508f07a983470d6ebf8b83704f8f1a7afc0b958242366d156bf"
+    )
+    assert (state.seed, state.time_horizon) == (5, 24.0)
+
+
+@pytest.mark.parametrize("key", ["time_embed_output_leaky", "concat_every_layer"])
+def test_model_with_a_switch_off_rejected(tmp_path, key):
+    header, payload = saved_model(tmp_path)
+    assert key not in header["network"]  # save_model no longer writes it
+    header["network"][key] = True
+    fileio.load_model(write_model(tmp_path, header, payload))  # the one architecture
+    header["network"][key] = False
+    with pytest.raises(FileFormatError, match=f"network {key} = false"):
+        fileio.load_model(write_model(tmp_path, header, payload))
 
 
 def test_cli_bad_model_is_input_error(tmp_path, capsys):

@@ -28,12 +28,8 @@ def oracle_embed(state, t):
     m1 = np.where(z1 >= 0, 1.0, slope)
     h1 = np.where(z1 >= 0, z1, slope * z1)
     z2 = w2 @ h1 + b2
-    if state.config.time_embed_output_leaky:
-        m2 = np.where(z2 >= 0, 1.0, slope)
-        e = np.where(z2 >= 0, z2, slope * z2)
-    else:
-        m2 = np.ones_like(z2)
-        e = z2
+    m2 = np.where(z2 >= 0, 1.0, slope)
+    e = np.where(z2 >= 0, z2, slope * z2)
     de_dt = m2 * (w2 @ (m1 * w1))
     return e, de_dt
 
@@ -252,8 +248,8 @@ def test_anchor_matches_loop_oracle():
 
 
 def test_spatial_examples():
-    """The spatial term of `build_total_loss` penalizes J - I, or raw J
-    with `spatial_raw`, which charges the identity 3 per point."""
+    """The spatial term of `build_total_loss` penalizes J - I: a network
+    whose output layer is zero charges nothing."""
     series = tiny_series()
     state = toy_state(depth=3)
     w, b = state.psi[-1]
@@ -262,8 +258,6 @@ def test_spatial_examples():
     plan = toy_plan()
     weights = losses.LossWeights()
     assert losses.total_loss(series, state, weights, plan).spatial == 0.0
-    raw = losses.total_loss(series, state, weights, plan, spatial_raw=True)
-    assert raw.spatial == pytest.approx(3.0, rel=1e-15)
 
 
 def mono_value(samples):

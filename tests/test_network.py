@@ -140,19 +140,6 @@ def test_time_embed_tangent_matches_fd():
         assert rel.max() < 1e-6
 
 
-def test_time_embed_output_activation_flag():
-    cfg = net.NetworkConfig(
-        hidden_width=8, time_hidden_width=4, time_embed_width=6,
-        time_embed_output_leaky=False,
-    )
-    state = net.init_network(seed=3, config=cfg)
-    e, _ = taped_embed(state, 0.4)
-    (w1, b1), (w2, b2) = state.theta
-    z = w1 @ np.array([[0.4]]) + b1
-    hidden = np.where(z >= 0, z, cfg.leaky_slope * z)
-    np.testing.assert_allclose(e, w2 @ hidden + b2)
-
-
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -195,6 +182,23 @@ def test_chunked_evaluation_matches_one_pass():
         assert np.concatenate([p[k] for p in pieces], axis=-1).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="chunk_size"):
         net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=0)
+
+
+def test_paper_width_short_last_chunk_matches_one_pass():
+    """At paper width, 130 points in the default 128-point chunks equal one
+    130-point pass bit for bit: the 2-point last chunk is padded to the
+    full chunk, so its matmuls run in the same shape as every other."""
+    state = net.init_network(seed=1, config=net.NetworkConfig(), time_horizon=36.0)
+    rng = np.random.default_rng([1, 7])
+    for w, b in state.psi + state.theta:
+        w *= 3.0
+        b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 130))
+    assert net.chunk_points(state.config, FULL_REQ, np.float64) == 128
+    chunked = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
+    whole = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ, chunk_size=130)
+    for name in ("displacement", "jac_det", "jac_det_dt"):
+        assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_times_sequence_matches_separate_calls_bit_for_bit():
@@ -510,58 +514,8 @@ def test_depth_two_variant():
     assert rel.max() < 1e-5
 
 
-def test_first_layer_only_concat_variant():
-    cfg = net.NetworkConfig(
-        hidden_width=8, depth=4, time_hidden_width=4, time_embed_width=6,
-        concat_every_layer=False,
-    )
-    state = net.init_network(seed=37, config=cfg)
-    shapes = [w.shape for w, _ in state.psi]
-    assert shapes == [(8, 3), (8, 14), (8, 8), (3, 8)]
-    for w, _ in state.psi + state.theta:
-        w *= 3.0
-    coords = np.random.default_rng(12).uniform(-0.9, 0.9, size=(3, 30))
-    res = net.forward_with_derivatives(state, coords, 0.7, FULL_REQ)
-    h = 1e-4
-    req = net.DerivativeRequest(spatial=True)
-    jp = net.forward_with_derivatives(state, coords, 0.7 + h, req).jac_det
-    jm = net.forward_with_derivatives(state, coords, 0.7 - h, req).jac_det
-    fd = (jp - jm) / (2 * h)
-    rel = np.abs(res.jac_det_dt - fd) / np.maximum(np.abs(fd), 1e-7)
-    assert rel.max() < 1e-4
-
-
 def test_phi_is_coords_plus_displacement():
     state = toy_state(seed=41)
     coords = np.random.default_rng(13).uniform(-1, 1, size=(3, 25))
     res = net.forward(state, coords, 0.2)
     np.testing.assert_array_equal(res.phi, coords + res.displacement)
-
-
-def test_linear_embedding_output_matches_oracle():
-    """Without the embedding's output activation its bias stays a pending
-    column term and is settled before the first product with the embedding;
-    every derivative product still matches the hand-derived recursion."""
-    from test_losses import oracle_forward, oracle_jac_products
-
-    cfg = net.NetworkConfig(
-        hidden_width=8, depth=4, time_hidden_width=4, time_embed_width=6,
-        time_embed_output_leaky=False,
-    )
-    state = net.init_network(seed=43, config=cfg)
-    rng = np.random.default_rng(14)
-    for w, b in state.psi + state.theta:
-        w *= 3.0
-        b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
-    coords = rng.uniform(-0.9, 0.9, size=(3, 25))
-    res = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
-    ((jac, dphi),) = traced(state, coords, [0.6])
-    val, dw, dt, mixed = oracle_forward(state, coords, 0.6)
-    _, djdt = oracle_jac_products(dw, mixed)
-    np.testing.assert_allclose(res.displacement, val, rtol=1e-12, atol=1e-14)
-    for j in range(3):
-        np.testing.assert_allclose(
-            jac[:, j, :] - np.eye(3)[:, j : j + 1], dw[j], rtol=1e-12, atol=1e-13
-        )
-    np.testing.assert_allclose(dphi, dt, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(res.jac_det_dt, djdt, rtol=1e-10, atol=1e-12)
