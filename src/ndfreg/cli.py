@@ -10,7 +10,10 @@ and every fit flag), and [phantom], which `phantom` reads; one file may
 hold them all.  `predict`, `jacobian` and `gradcheck` read no section
 and take no --config.  A key that no option reads, in a section the
 command reads, or a value its converter rejects, is an input error that
-names the file, section and key.  The resolved configuration is echoed
+names the file, section and key.  A time in months (`predict --time`,
+`--times` of `jacobian` and `metrics`) and `metrics --deadband` must be
+finite numbers >= 0; the parser refuses any other value, naming the flag,
+before anything is read or written.  The resolved configuration is echoed
 into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -71,6 +75,19 @@ EXIT_NUMERIC = 3
 
 def _floats(text):
     return tuple(float(v) for v in str(text).split(",") if v != "")
+
+
+def _finite_nonnegative(text):
+    """A time in months or a dead band: a finite number >= 0; the parser
+    names the flag of a value that is not (exit 2)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def _months(text):
+    return tuple(_finite_nonnegative(v) for v in str(text).split(",") if v != "")
 
 
 def _ints(text):
@@ -163,7 +180,8 @@ def build_parser():
     p = sub.add_parser("predict", help="dense field products at one time")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--time", type=float, required=True, help="months since baseline")
+    p.add_argument("--time", type=_finite_nonnegative, required=True,
+                   help="months since baseline")
     p.add_argument("--dims", type=_ints, default=None)
     p.add_argument("--scan", default=None, help="volume to warp into baseline frame")
     p.add_argument("--with-djdt", dest="with_djdt", action="store_true")
@@ -171,7 +189,7 @@ def build_parser():
     p = sub.add_parser("jacobian", help="|J| maps and slice images")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--times", type=_floats, required=True)
+    p.add_argument("--times", type=_months, required=True)
     p.add_argument("--dims", type=_ints, default=None)
     p.add_argument("--scan", default=None)
     p.add_argument("--slice-axis", dest="slice_axis", default=None)
@@ -182,10 +200,10 @@ def build_parser():
     common(p, _FIT_SECTIONS)  # the held-out refit reuses the fit configuration
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--times", type=_floats, required=True)
+    p.add_argument("--times", type=_months, required=True)
     p.add_argument("--label-ids", dest="label_ids", type=_ints, default=None)
     p.add_argument("--holdout", type=float, default=None)
-    p.add_argument("--deadband", type=float, default=1e-6)
+    p.add_argument("--deadband", type=_finite_nonnegative, default=1e-6)
     p.add_argument("--slice-axis", dest="slice_axis", default=None)
     p.add_argument("--slice-index", dest="slice_index", type=int, default=None)
 
@@ -423,8 +441,6 @@ def _require_dims(args, fileio):
 def _cmd_predict(args) -> int:
     from . import fileio, trainer
 
-    if args.time < 0:
-        raise ValueError("--time must be >= 0 months")
     state = fileio.load_model(args.model)
     dims, scan = _require_dims(args, fileio)
     field = trainer.predict_field(state, args.time, dims, want_djdt=args.with_djdt)
@@ -451,8 +467,6 @@ def _cmd_jacobian(args) -> int:
 
     state = fileio.load_model(args.model)
     dims, _ = _require_dims(args, fileio)
-    if any(t < 0 for t in args.times):
-        raise ValueError("times must be >= 0 months")
     rows = [["time_months", "folded_count", "mean_jac"]]
     for t, field in zip(args.times, trainer.predict_field(state, args.times, dims)):
         tag = f"{t:g}".replace(".", "p")

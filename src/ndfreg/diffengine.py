@@ -11,25 +11,32 @@ single reverse sweep differentiates values *and* tangents with respect to
 every leaf parameter.
 
 Stacked jets: a `Jet` carries one layer's value, tangents and mixed entries
-as one point-major block node for B points: an (S*B, rows) array, which is
-(S, B, rows) in C order, so slot s of `jet.slots` is the contiguous
-(B, rows) panel of array rows [s*B, (s+1)*B).  Slots come in the fixed
-order v, x, y, z, t, xt, yt, zt (the value, the first-order tangents, then
-d/dt of the x, y, z tangents); only slots that can be non-zero are stored,
-so S <= 8.
+at K times as one point-major block node for P points: an (S*K*P, rows)
+array, which is (S, K, P, rows) in C order, so slot s of `jet.slots` is
+the contiguous (K*P, rows) panel of array rows [s*K*P, (s+1)*K*P), and
+time k of it the (P, rows) panel after k*P of those rows.  Slots come in
+the fixed order v, x, y, z, t, xt, yt, zt (the value, the first-order
+tangents, then d/dt of the x, y, z tangents); only slots that can be
+non-zero are stored, so S <= 8.  A jet of one time is the K = 1 case.
   * The coordinate jet holds v, x, y, z (v alone without spatial
-    derivatives); the time jet is one point, v and t (or v).
-  * `bundle_affine` keeps the slots: one matmul, block @ W.T, maps the
-    whole block, and its bias becomes a column term of slot v.  Its input
-    has no pending column terms: every rule folds them first, and a matmul
-    refuses a jet that still carries them.
-  * A column term is constant across the points: a (1, rows) row that
-    joins slot v, or a (2, rows) pair whose second row joins slot t.
-  * `bundle_add` of a column jet (one point, v or v, t; a product with the
-    time embedding) records nothing: its rows join the jet's pending
-    column terms, row 0 to slot v and row 1, broadcast over the points, to
-    slot t.  The next sine or leaky rule, or a slot read, folds them into
-    its input; no primitive adds them to a block.
+    derivatives), at one time; the time jet holds K times as K points, v
+    and t (or v).
+  * `bundle_affine` keeps the slots and the times: one matmul, block @
+    W.T, maps the whole block, and its bias becomes a column term of slot
+    v.  Its input has no pending column terms: every rule folds them
+    first, and a matmul refuses a jet that still carries them.
+  * A column term is constant across the points and carries one row per
+    time: a (K, rows) term joins slot v, a (2K, rows) term joins slot v
+    with its first K rows and slot t with the rest, and a (1, rows) term,
+    such as a bias, joins slot v at every time.
+  * `bundle_add` of a column jet (K points, v or v, t; a product with the
+    embedding of K times) records nothing: its rows join the jet's pending
+    column terms, broadcast over the points.  The next sine or leaky
+    rule, or a slot read, folds them into its input; no primitive adds
+    them to a block.  A block of one time (`block_times` 1, layer 2's
+    time-invariant prefix) then stands for all K: the rule broadcasts it
+    against the per-time column terms, and its VJP sums the block's
+    cotangent back over the K times.
   * `bundle_leaky` (kind `jet_leaky`) keeps the folded slots: a t column
     adds slot t, and its zero second derivative adds no mixed slot.
   * `bundle_sine` (kind `jet_sine`) adds the mixed slot of every spatial
@@ -40,23 +47,27 @@ so S <= 8.
     and cos call scalar libm, as in numpy 2.4 on x86-64.  The rule keeps
     omega*cos as its ndarray aux, so its VJP evaluates no transcendental;
     a value-only block computes the sine alone and keeps no aux.
-  * `jet_slot` extracts one folded slot as a (rows, B) node, the
-    transpose of its panel.
-  * The output layer's block ((S*B, 3), the displacement's components) is
-    the one place that holds the Jacobian's layout: slot x+j, component i
-    is J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j, component i is
-    dJ[i][j]/dt.  Its column terms touch only slots v and t, so three
-    primitives read the block node alone, one node each, recorded by
-    `network`'s readers only where a product is used: `jacobian` (slots
-    x, y, z as one (3, 3B) node), `jacdet` (|I + J| by cofactor
-    expansion, (B,)) and `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt)
-    by Jacobi's formula, (B,)).  Each reads one transposed (3, S, B) copy
-    of this small block.
+  * `jet_slot` extracts one folded slot as a (rows, P) node at one time,
+    the transpose of its panel, or as a (rows, K*P) node at every time.
+  * The output layer's block ((S*K*P, 3), the displacement's components)
+    is the one place that holds the Jacobian's layout: slot x+j,
+    component i is J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j,
+    component i is dJ[i][j]/dt.  Its column terms touch only slots v and
+    t, so three primitives read the block node alone, one node each,
+    recorded by `network`'s readers only where a product is used:
+    `jacobian` (slots x, y, z as one (3, 3n) node), `jacdet` (|I + J| by
+    cofactor expansion) and `jacdet_dt` (d|I + J|/dt = tr(adj(I + J)
+    dJ/dt) by Jacobi's formula), each (P,) at one time and (K, P) at
+    every time.  Each reads one transposed (3, S, n) copy of this small
+    block, n = P or K*P.
+Every jet primitive's payload carries its block's `times`, the pair
+(block times, K), and a reader's also the time it reads (None: every
+time).
 With this layout a layer is one matmul forward (block @ W.T) and two
-backward (g.T @ block and g @ W), and one node per rule; every elementwise
-pass of a rule runs over whole contiguous slot panels.  In a (rows, S*B)
-layout each slot would be a strided (rows, B) view, and each of those
-passes measured 2-4 times slower at the benchmark's sizes.
+backward (g.T @ block and g @ W) for all K times, and one node per rule;
+every elementwise pass of a rule runs over whole contiguous slot panels.
+In a (rows, S*B) layout each slot would be a strided (rows, B) view, and
+each of those passes measured 2-4 times slower at the benchmark's sizes.
 
 Shape conventions (no general broadcasting; exactly these cases):
   * scalars are 0-d arrays,
@@ -281,28 +292,35 @@ def _sine_slots(slots, has_t_column):
     return slots
 
 
-def _jet_block(kind, values, slots):
-    """An (S*B, rows) block as an (S, B, rows) view, its slot positions,
-    and its summed column terms (cv, ct): row 0 of each term joins slot v,
-    row 1 (when present) slot t; each sum is (1, rows) or None."""
+def _jet_block(kind, values, slots, times):
+    """An (S*Kb*P, rows) block as an (S, Kb, P, rows) view, its slot
+    positions, and its summed column terms (cv, ct), each (1|K, 1, rows) or
+    None.  `times` is (Kb, K): the block holds K times, or one time shared
+    by all K (Kb = 1); a column term of 2K rows adds its first K rows to
+    slot v and the rest to slot t, one row per time, and one of 1 or K rows
+    adds to slot v (a single row, such as a bias, joins every time)."""
     z = values[0]
-    if slots[0] != V or z.ndim != 2 or z.shape[0] % len(slots):
-        raise DiffEngineError(f"{kind}: block {z.shape} does not hold slots {slots}")
+    kb, k = times
+    if slots[0] != V or z.ndim != 2 or kb not in (1, k) or z.shape[0] % (len(slots) * kb):
+        raise DiffEngineError(f"{kind}: block {z.shape} does not hold slots {slots} at {kb} times")
     rows = z.shape[1]
     cv = ct = None
     for c in values[1:]:
-        if c.ndim != 2 or c.shape[1] != rows or c.shape[0] not in (1, 2):
-            raise DiffEngineError(f"{kind}: column term {c.shape} must be (1|2, {rows})")
-        cv = c[:1] if cv is None else cv + c[:1]
-        if c.shape[0] == 2:
-            ct = c[1:] if ct is None else ct + c[1:]
-    z3 = z.reshape(len(slots), z.shape[0] // len(slots), rows)
-    return z3, {s: k for k, s in enumerate(slots)}, cv, ct
+        if c.ndim != 2 or c.shape[1] != rows or c.shape[0] not in (1, k, 2 * k):
+            raise DiffEngineError(f"{kind}: column term {c.shape} must be (1|{k}|{2 * k}, {rows})")
+        v = c[:k, None] if c.shape[0] == 2 * k else c[:, None]
+        cv = v if cv is None else cv + v
+        if c.shape[0] == 2 * k:
+            ct = c[k:, None] if ct is None else ct + c[k:, None]
+    if kb < k and (cv is None or cv.shape[0] < k):
+        raise DiffEngineError(f"{kind}: a block shared by {k} times needs a per-time column term")
+    z4 = z.reshape(len(slots), kb, z.shape[0] // (len(slots) * kb), rows)
+    return z4, {s: i for i, s in enumerate(slots)}, cv, ct
 
 
 def _folded(z, pos, cv, ct, slot):
-    """One slot of a block with its column terms added: (B, rows), or the
-    (1, rows) t row itself when the block has no t slot."""
+    """One slot of a block with its column terms added: (K|Kb, P, rows), or
+    the (K, 1, rows) t rows themselves when the block has no t slot."""
     if slot == V:
         return z[0] if cv is None else z[0] + cv
     if slot == T and ct is not None:
@@ -310,18 +328,39 @@ def _folded(z, pos, cv, ct, slot):
     return z[pos[slot]]
 
 
-def _column_grads(node, gv, gt):
+def _column_grads(node, gv, gt, k):
     """Cotangents of a node's column terms (its inputs after the block):
-    row 0 from slot v's cotangent `gv`, row 1 from slot t's `gt`, each
-    summed over the points; None stands for a zero cotangent."""
+    slot v's cotangent `gv` and slot t's `gt`, each (K, P, rows) or None for
+    zero, summed over the points for each time, and over the times too for
+    a single-row term."""
     if len(node.inputs) == 1 or (gv is None and gt is None):
         return
-    zero = np.zeros((1, node.inputs[0].value.shape[1]), node.value.dtype)
-    both = np.concatenate(
-        [zero if g is None else g.sum(axis=0, keepdims=True) for g in (gv, gt)], axis=0
-    )
+    zero = np.zeros((k, node.inputs[0].value.shape[1]), node.value.dtype)
+    gv, gt = (zero if g is None else g.sum(axis=1) for g in (gv, gt))
     for i, c in enumerate(node.inputs[1:], 1):
-        yield i, both[: c.value.shape[0]]
+        n = c.value.shape[0]
+        if n == 2 * k:
+            yield i, np.concatenate([gv, gt])
+        else:
+            yield i, gv if n == k else gv.sum(axis=0, keepdims=True)
+
+
+def _cotangent(n_slots, panel, dtype):
+    """An uninitialised (S*K*P, rows) cotangent block for S = `n_slots` and
+    its (S, K, P, rows) view; `panel` is (K, P, rows)."""
+    gz2 = np.empty((n_slots * panel[0] * panel[1], panel[2]), dtype)
+    return gz2, gz2.reshape((n_slots,) + panel)
+
+
+def _block_cotangent(gz2, gz, kb):
+    """The cotangent of a block from `gz2`, its (S*K*P, rows) form, and
+    `gz`, the same as (S, K, P, rows): as it is, or summed over the K times
+    into a new (S*P, rows) array for a block one time shared by all K."""
+    if gz.shape[1] == kb:
+        return gz2
+    out = np.empty((gz.shape[0] * gz.shape[2], gz.shape[3]), gz.dtype)
+    np.sum(gz, axis=1, out=out.reshape(gz.shape[0], gz.shape[2], gz.shape[3]))
+    return out
 
 
 def _sum_products(pairs, tmp):
@@ -349,12 +388,15 @@ _PIECE = 1 << 15
 
 
 def _sin_cos(u, sin_out=None, cos_out=None):
-    """sin u into `sin_out` and cos u into `cos_out` for a 2-d array u (a
-    slot panel), from t = tan(u/2): sin u = 2t / (1 + t^2),
-    cos u = 2 / (1 + t^2) - 1, within about one ulp of 1 of libm.  Either output may be None or u
-    itself.  Works in place over row pieces of about _PIECE elements; the
-    sine alone needs one piece of scratch for 2 / (1 + t^2), which
-    otherwise builds in the cosine's piece."""
+    """sin u into `sin_out` and cos u into `cos_out` for a C-contiguous
+    array u (slot panels), from t = tan(u/2): sin u = 2t / (1 + t^2),
+    cos u = 2 / (1 + t^2) - 1, within about one ulp of 1 of libm.  Either
+    output may be None or u itself.  Works in place over row pieces of about
+    _PIECE elements of u's last axis; the sine alone needs one piece of
+    scratch for 2 / (1 + t^2), which otherwise builds in the cosine's
+    piece."""
+    u, sin_out, cos_out = (None if a is None else a.reshape(-1, u.shape[-1])
+                           for a in (u, sin_out, cos_out))
     rows, n = u.shape
     step = max(1, _PIECE // max(n, 1))
     scratch = np.empty((min(step, rows), n), u.dtype) if cos_out is None else None
@@ -378,60 +420,64 @@ def _jet_sine_forward(dtype, values, payload):
     and each mixed slot -omega^2 s z_d z_t + omega c z_dt.  s and c come
     from one tangent of the half angle (`_sin_cos`).  The aux is omega c,
     so the VJP evaluates no transcendental; a value-only block needs no
-    cosine forward and keeps none."""
-    omega, slots = payload
-    z, pos, cv, ct = _jet_block("jet_sine", values, slots)
+    cosine forward and keeps none.  A block shared by K times is broadcast
+    against the per-time column terms, so the output holds all K."""
+    omega, slots, times = payload
+    z, pos, cv, ct = _jet_block("jet_sine", values, slots, times)
     out_slots = _sine_slots(slots, ct is not None)
+    panel = (times[1],) + z.shape[2:]
     wu = np.multiply(z[0], omega) if cv is None else _scale(z[0] + cv, omega)
     if len(out_slots) == 1:
         _sin_cos(wu, sin_out=wu)
-        return wu
-    out = np.empty((len(out_slots),) + z.shape[1:], dtype)
+        return wu.reshape(-1, z.shape[3])
+    out = np.empty((len(out_slots),) + panel, dtype)
     s = out[0]
     _sin_cos(wu, sin_out=s, cos_out=wu)
     wc = _scale(wu, omega)
     zt = _folded(z, pos, cv, ct, T) if T in out_slots else None
     nzt = tmp = None
-    for k, slot in enumerate(out_slots[1:], 1):
+    for i, slot in enumerate(out_slots[1:], 1):
         if slot <= T:
-            np.multiply(wc, zt if slot == T else z[pos[slot]], out=out[k])
+            np.multiply(wc, zt if slot == T else z[pos[slot]], out=out[i])
             continue
         if nzt is None:  # -omega^2 s z_t, shared by the mixed slots
             nzt = np.multiply(s, zt)
             nzt *= -(omega * omega)
             tmp = np.empty_like(nzt)
-        np.multiply(nzt, z[pos[slot - 4]], out=out[k])
+        np.multiply(nzt, z[pos[slot - 4]], out=out[i])
         if slot in pos:
-            out[k] += np.multiply(wc, z[pos[slot]], out=tmp)
-    return out.reshape(-1, z.shape[2]), wc
+            out[i] += np.multiply(wc, z[pos[slot]], out=tmp)
+    return out.reshape(-1, z.shape[3]), wc
 
 
 def _jet_sine_vjp(node, g):
     """With acc = sum of g_s z_s over the tangent slots and mix = sum of
     g_dt z_d: g_u = omega c (g_v - omega^2 z_t mix) - omega^2 s acc,
     g_zd = omega c g_d - omega^2 s z_t g_dt, g_zdt = omega c g_dt and
-    g_zt = omega c g_t - omega^2 s mix."""
-    omega, slots = node.payload
-    z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots)
+    g_zt = omega c g_t - omega^2 s mix.  A shared block's cotangent is
+    summed over the times."""
+    omega, slots, times = node.payload
+    z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots, times)
+    kb, k = times
+    panel = (k,) + z.shape[2:]
+    gz2, gz = _cotangent(len(slots), panel, z.dtype)
     if node.aux is None:  # value only
-        gu = np.multiply(_folded(z, pos, cv, ct, V), omega)
+        gu = np.multiply(_folded(z, pos, cv, ct, V), omega, out=gz[0])
         _sin_cos(gu, cos_out=gu)
         _scale(gu, omega)
-        gu *= g
-        yield 0, gu
-        yield from _column_grads(node, gu, None)
+        gu *= g.reshape(panel)
+        yield 0, _block_cotangent(gz2, gz, kb)
+        yield from _column_grads(node, gu, None, k)
         return
     w2 = omega * omega
     out_slots = _sine_slots(slots, ct is not None)
-    opos = {s: k for k, s in enumerate(out_slots)}
-    g = g.reshape((len(out_slots),) + z.shape[1:])
+    opos = {s: i for i, s in enumerate(out_slots)}
+    g = g.reshape((len(out_slots),) + panel)
     wc = node.aux
     s = node.value.reshape(g.shape)[0]
     zt = _folded(z, pos, cv, ct, T) if T in opos else None
     mixed = [d for d in SPATIAL if d + 4 in opos]
-    gz2 = np.empty(node.inputs[0].value.shape, z.dtype)
-    gz = gz2.reshape(z.shape)
-    tmp = np.empty(z.shape[1:], z.dtype)
+    tmp = np.empty(panel, z.dtype)
 
     pairs = [(g[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
     if zt is not None:
@@ -466,8 +512,8 @@ def _jet_sine_vjp(node, g):
         np.multiply(wc, g[opos[T]], out=gzt)
         if mix is not None:
             gzt -= _scale(np.multiply(s, mix, out=tmp), w2)
-    yield 0, gz2
-    yield from _column_grads(node, gu, gzt if ct is not None else None)
+    yield 0, _block_cotangent(gz2, gz, kb)
+    yield from _column_grads(node, gu, gzt if ct is not None else None, k)
 
 
 def _leaky_mask(u, slope, dtype):
@@ -477,56 +523,67 @@ def _leaky_mask(u, slope, dtype):
 def _jet_leaky_forward(dtype, values, payload):
     """Leaky rectifier over a block: every tangent and mixed slot is scaled
     by the slope mask (the second derivative is 0 everywhere)."""
-    slope, slots = payload
-    z, pos, cv, ct = _jet_block("jet_leaky", values, slots)
+    slope, slots, times = payload
+    z, pos, cv, ct = _jet_block("jet_leaky", values, slots, times)
     out_slots = _folded_slots(slots, ct is not None)
     u = _folded(z, pos, cv, ct, V)
     value = np.where(u >= 0.0, u, dtype.type(slope) * u)
     if len(out_slots) == 1:
-        return value
+        return value.reshape(-1, z.shape[3])
     mask = _leaky_mask(u, slope, dtype)
-    out = np.empty((len(out_slots),) + z.shape[1:], dtype)
+    out = np.empty((len(out_slots), times[1]) + z.shape[2:], dtype)
     out[0] = value
-    for k, slot in enumerate(out_slots[1:], 1):
-        np.multiply(mask, _folded(z, pos, cv, ct, slot), out=out[k])
-    return out.reshape(-1, z.shape[2])
+    for i, slot in enumerate(out_slots[1:], 1):
+        np.multiply(mask, _folded(z, pos, cv, ct, slot), out=out[i])
+    return out.reshape(-1, z.shape[3])
 
 
 def _jet_leaky_vjp(node, g):
-    slope, slots = node.payload
-    z, pos, cv, ct = _jet_block("jet_leaky", [n.value for n in node.inputs], slots)
+    slope, slots, times = node.payload
+    z, pos, cv, ct = _jet_block("jet_leaky", [n.value for n in node.inputs], slots, times)
+    kb, k = times
+    panel = (k,) + z.shape[2:]
     out_slots = _folded_slots(slots, ct is not None)
     mask = _leaky_mask(_folded(z, pos, cv, ct, V), slope, node.value.dtype)
-    g = g.reshape((len(out_slots),) + z.shape[1:])
-    gz2 = np.empty(node.inputs[0].value.shape, z.dtype)
-    gz = gz2.reshape(z.shape)
-    for slot, k in pos.items():
-        np.multiply(mask, g[out_slots.index(slot)], out=gz[k])
-    yield 0, gz2
+    g = g.reshape((len(out_slots),) + panel)
+    gz2, gz = _cotangent(len(slots), panel, z.dtype)
+    for slot, i in pos.items():
+        np.multiply(mask, g[out_slots.index(slot)], out=gz[i])
+    yield 0, _block_cotangent(gz2, gz, kb)
     gt = mask * g[out_slots.index(T)] if ct is not None else None
-    yield from _column_grads(node, gz[0], gt)
+    yield from _column_grads(node, gz[0], gt, k)
 
 
 def _jet_slot_forward(dtype, values, payload):
-    """One slot of a block, column terms added, as a (rows, B) array: the
-    transpose of its (B, rows) panel."""
-    slots, slot = payload
-    z, pos, cv, ct = _jet_block("jet_slot", values, slots)
+    """One slot of a block, column terms added, as a (rows, P) array, the
+    transpose of time `time`'s (P, rows) panel, or for `time` None as a
+    (rows, K*P) array over all K times, time-major."""
+    slots, times, slot, time = payload
+    z, pos, cv, ct = _jet_block("jet_slot", values, slots, times)
     if slot not in _folded_slots(slots, ct is not None):
         raise DiffEngineError(f"jet_slot: slot {slot} not in {slots}")
-    out = _folded(z, pos, cv, ct, slot)
-    return np.ascontiguousarray(np.broadcast_to(out, z.shape[1:]).T)
+    out = np.broadcast_to(_folded(z, pos, cv, ct, slot), (times[1],) + z.shape[2:])
+    if time is not None:
+        return np.ascontiguousarray(out[time].T)
+    return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(z.shape[3], -1)
 
 
 def _jet_slot_vjp(node, g):
-    slots, slot = node.payload
+    slots, (kb, k), slot, time = node.payload
     block = node.inputs[0].value
-    g = g.T
+    rows = block.shape[1]
+    if time is None:
+        gk = g.reshape(rows, k, -1).transpose(1, 2, 0)
+    else:
+        gk = np.zeros((k, g.shape[1], rows), g.dtype)
+        gk[time] = g.T
     if slot in slots:
         gz = np.zeros_like(block)
-        gz.reshape((len(slots), -1) + g.shape[1:])[slots.index(slot)] = g
+        gz.reshape(len(slots), kb, -1, rows)[slots.index(slot)] = (
+            gk if kb == k else gk.sum(axis=0, keepdims=True)
+        )
         yield 0, gz
-    yield from _column_grads(node, g if slot == V else None, g if slot == T else None)
+    yield from _column_grads(node, gk if slot == V else None, gk if slot == T else None, k)
 
 
 # adjugate entries as p*q - r*s over row-major input indices 0..8
@@ -543,21 +600,40 @@ _ADJ_TABLE = (
 )
 
 
-def _output_block(kind, values, slots, mixed=False):
-    """An output layer's (S*B, 3) block as a (3, S, B) copy, component
-    first, and its slot positions.  Its column terms touch only slots v and
-    t, so the spatial slots (and, with `mixed`, the mixed ones) are read as
-    stored."""
-    z, pos, _, _ = _jet_block(kind, values, slots)
+def _output_block(kind, values, payload, mixed=False):
+    """An output layer's (S*Kb*P, 3) block as a (3, S, n) copy, component
+    first, and its slot positions: n is the P points of time `time` or, for
+    `time` None, the K*P points of every time, time-major.  Its column terms
+    touch only slots v and t, so the spatial slots (and, with `mixed`, the
+    mixed ones) are read as stored; a block shared by the K times is read
+    once per time."""
+    slots, (kb, k), time = payload
+    z, pos, _, _ = _jet_block(kind, values, slots, (kb, kb))
     need = SPATIAL + ((XT, YT, ZT) if mixed else ())
-    if z.shape[2] != 3 or any(s not in pos for s in need):
+    if z.shape[3] != 3 or any(s not in pos for s in need):
         raise DiffEngineError(f"{kind}: block {values[0].shape} of slots {slots} lacks {need}")
+    z = np.broadcast_to(z, (len(slots), k) + z.shape[2:])
+    z = z[:, time] if time is not None else z.reshape(len(slots), -1, 3)
     return np.ascontiguousarray(z.transpose(2, 0, 1)), pos
 
 
-def _point_major(gz):
-    """A (3, S, B) cotangent as the (S*B, 3) block it belongs to."""
-    return gz.transpose(1, 2, 0).reshape(-1, 3)
+def _point_major(gz, payload):
+    """A (3, S, n) cotangent of `_output_block` as the (S*Kb*P, 3) block it
+    belongs to."""
+    slots, (kb, k), time = payload
+    gz = gz.transpose(1, 2, 0)
+    if time is not None:
+        full = np.zeros((len(slots), k) + gz.shape[1:], gz.dtype)
+        full[:, time] = gz
+        gz = full
+    if kb < k:
+        gz = gz.reshape(len(slots), k, -1, 3).sum(axis=1)
+    return gz.reshape(-1, 3)
+
+
+def _per_time(out, payload):
+    """A reader's (n,) result as (K, P) when it reads every time."""
+    return out if payload[2] is not None else out.reshape(payload[1][1], -1)
 
 
 def _identity_plus_jacobian(z, pos, dtype):
@@ -572,10 +648,11 @@ def _adjugate(x):
     return [x[p] * x[q] - x[r] * x[s] for (p, q, r, s) in _ADJ_TABLE]
 
 
-def _jacobian_forward(dtype, values, slots):
+def _jacobian_forward(dtype, values, payload):
     """The Jacobian J of the displacement, the spatial slots x, y, z as one
-    (3, 3B) array: row i, columns [j*B, (j+1)*B) hold d(disp_i)/dx_j."""
-    z, pos = _output_block("jacobian", values, slots)
+    (3, 3n) array: row i, columns [j*n, (j+1)*n) hold d(disp_i)/dx_j at the
+    n points `_output_block` reads."""
+    z, pos = _output_block("jacobian", values, payload)
     return z[:, pos[X] : pos[X] + 3].reshape(3, 3 * z.shape[2]).copy()
 
 
@@ -583,40 +660,42 @@ def _jacobian_vjp(node, g):
     z, pos = _output_block("jacobian", [node.inputs[0].value], node.payload)
     gz = np.zeros_like(z)
     gz[:, pos[X] : pos[X] + 3] = g.reshape(3, 3, z.shape[2])
-    yield 0, _point_major(gz)
+    yield 0, _point_major(gz, node.payload)
 
 
-def _jacdet_forward(dtype, values, slots):
-    """|I + J| by cofactor expansion along the first row, (B,)."""
-    z, pos = _output_block("jacdet", values, slots)
+def _jacdet_forward(dtype, values, payload):
+    """|I + J| by cofactor expansion along the first row: (P,) at one time,
+    (K, P) at every time."""
+    z, pos = _output_block("jacdet", values, payload)
     x = _identity_plus_jacobian(z, pos, dtype)
     adj = _adjugate(x)
-    return x[0] * adj[0] + x[1] * adj[3] + x[2] * adj[6]
+    return _per_time(x[0] * adj[0] + x[1] * adj[3] + x[2] * adj[6], payload)
 
 
 def _jacdet_vjp(node, g):
     """d|M|/dM[i][j] is the cofactor C[i][j] = adj(M)[j][i]."""
     z, pos = _output_block("jacdet", [node.inputs[0].value], node.payload)
     adj = _adjugate(_identity_plus_jacobian(z, pos, node.value.dtype))
+    g = g.reshape(-1)
     gz = np.zeros_like(z)
     for i in range(3):
         for j in range(3):
             np.multiply(g, adj[3 * j + i], out=gz[i, pos[X + j]])
-    yield 0, _point_major(gz)
+    yield 0, _point_major(gz, node.payload)
 
 
-def _jacdet_dt_forward(dtype, values, slots):
-    """d|I + J|/dt by Jacobi's formula, tr(adj(I + J) dJ/dt), (B,): the sum
-    over i, then k, of adj[i][k] dJ[k][i]/dt, dJ[k][i]/dt being component k of
-    the mixed slot of direction i."""
-    z, pos = _output_block("jacdet_dt", values, slots, mixed=True)
+def _jacdet_dt_forward(dtype, values, payload):
+    """d|I + J|/dt by Jacobi's formula, tr(adj(I + J) dJ/dt), shaped as
+    `_jacdet_forward`'s: the sum over i, then k, of adj[i][k] dJ[k][i]/dt,
+    dJ[k][i]/dt being component k of the mixed slot of direction i."""
+    z, pos = _output_block("jacdet_dt", values, payload, mixed=True)
     adj = _adjugate(_identity_plus_jacobian(z, pos, dtype))
     acc = None
     for i in range(3):
         for k in range(3):
             term = adj[3 * i + k] * z[k, pos[XT + i]]
             acc = term if acc is None else acc + term
-    return acc
+    return _per_time(acc, payload)
 
 
 def _jacdet_dt_vjp(node, g):
@@ -626,6 +705,7 @@ def _jacdet_dt_vjp(node, g):
     z, pos = _output_block("jacdet_dt", [node.inputs[0].value], node.payload, mixed=True)
     x = _identity_plus_jacobian(z, pos, node.value.dtype)
     adj = _adjugate(x)
+    g = g.reshape(-1)
     gz = np.zeros_like(z)
     gx = [None] * 9
     for n, (p, q, r, s) in enumerate(_ADJ_TABLE):
@@ -636,7 +716,7 @@ def _jacdet_dt_vjp(node, g):
             gx[e] = d if gx[e] is None else gx[e] + d
     for e, d in enumerate(gx):
         gz[e // 3, pos[X + e % 3]] = d
-    yield 0, _point_major(gz)
+    yield 0, _point_major(gz, node.payload)
 
 
 class Primitive(NamedTuple):
@@ -832,23 +912,36 @@ class Tape:
 
 @dataclass(frozen=True)
 class Jet:
-    """One layer's value, tangents and mixed entries as a single node.
+    """One layer's value, tangents and mixed entries at K times as a single
+    node.
 
-    `node` holds an (S*B, rows) block: slot `slots[s]` is the (B, rows)
-    panel of rows [s*B, (s+1)*B).  `cols` are column terms not yet added,
-    each (1, rows) (joins slot v) or (2, rows) (slot v, then slot t,
-    broadcast over the points); the next sine, leaky rule or slot
-    extraction folds them into its input, so adding them costs no copy of
-    the block.  A matmul takes no jet that carries them.
+    `node` holds an (S*K*P, rows) block, (S, K, P, rows) in C order: slot
+    `slots[s]` is the (K*P, rows) panel of rows [s*K*P, (s+1)*K*P), and
+    time k of it the (P, rows) panel after k*P of those rows.  A block
+    `block_times` = 1 < `times` holds one time shared by all K (layer 2's
+    time-invariant input); the rule that folds its column terms broadcasts
+    it.  `cols` are column terms not yet added, each (1, rows) (joins slot
+    v at every time), (K, rows) (slot v, one row per time) or (2K, rows)
+    (slot v, then slot t, one row per time), broadcast over the points; the
+    next sine, leaky rule or slot extraction folds them into its input, so
+    adding them costs no copy of the block.  A matmul takes no jet that
+    carries them.
     """
 
     node: Node
     slots: tuple
     cols: tuple = ()
+    times: int = 1
+    block_times: int = 1
+
+    @property
+    def layout(self) -> tuple:
+        """(block_times, times), the `times` of the jet primitives' payloads."""
+        return (self.block_times, self.times)
 
     @property
     def has_t_column(self) -> bool:
-        return any(c.value.shape[0] == 2 for c in self.cols)
+        return any(c.value.shape[0] == 2 * self.times for c in self.cols)
 
     @property
     def folded_slots(self) -> tuple:
@@ -861,35 +954,42 @@ class Jet:
 def bundle_affine(
     tape: Tape, w: Node, x: Jet, b: Node | None = None, cols: tuple[int, int] | None = None
 ) -> Jet:
-    """block @ W[:, cols].T: one matmul maps every slot; the bias, a
-    (1, out) row, becomes a column term of slot v.  `x` must carry no
-    pending column terms."""
+    """block @ W[:, cols].T: one matmul maps every slot at every time; the
+    bias, a (1, out) row, becomes a column term of slot v.  `x` must carry
+    no pending column terms."""
     if x.cols:
         raise DiffEngineError("bundle_affine: fold the jet's column terms before a matmul")
     node = tape.affine(w, x.node, cols=cols)
-    return Jet(node, x.slots, () if b is None else (b,))
+    return Jet(node, x.slots, () if b is None else (b,), x.times, x.times)
 
 
 def bundle_add(tape: Tape, a: Jet, b: Jet) -> Jet:
-    """a + b for a column jet `b` (one point, slots v or v, t, such as a
-    product with the time embedding): b joins a's column terms, nothing is
-    recorded."""
-    if b.slots not in ((V,), (V, T)) or b.node.value.shape[0] != len(b.slots):
+    """a + b for a column jet `b` (K points of slots v or v, t, such as a
+    product with the embedding of K times): b joins a's column terms, one
+    row per time, and a's block, if it holds one time, is shared by the K;
+    nothing is recorded."""
+    rows = b.node.value.shape[0]
+    k = rows // len(b.slots)
+    if b.slots not in ((V,), (V, T)) or b.times != 1 or rows != k * len(b.slots):
         raise DiffEngineError(f"bundle_add: {b.node.value.shape} is not a column jet")
-    return Jet(a.node, a.slots, a.cols + (b.node,) + b.cols)
+    if a.times not in (1, k):
+        raise DiffEngineError(f"bundle_add: {k} times do not match a jet of {a.times}")
+    return Jet(a.node, a.slots, a.cols + (b.node,) + b.cols, k, a.block_times)
 
 
 def bundle_sine(tape: Tape, x: Jet, omega: float = 1.0) -> Jet:
     """sin(omega x) over the whole block, one node (see `_jet_sine_forward`)."""
-    node = tape.record("jet_sine", x.inputs(), (float(omega), x.slots))
-    return Jet(node, _sine_slots(x.slots, x.has_t_column))
+    node = tape.record("jet_sine", x.inputs(), (float(omega), x.slots, x.layout))
+    return Jet(node, _sine_slots(x.slots, x.has_t_column), times=x.times, block_times=x.times)
 
 
 def bundle_leaky(tape: Tape, x: Jet, slope: float) -> Jet:
     """Leaky rectifier over the whole block; its second derivative is 0."""
-    return Jet(tape.record("jet_leaky", x.inputs(), (float(slope), x.slots)), x.folded_slots)
+    node = tape.record("jet_leaky", x.inputs(), (float(slope), x.slots, x.layout))
+    return Jet(node, x.folded_slots, times=x.times, block_times=x.times)
 
 
-def jet_slot(tape: Tape, x: Jet, slot: int) -> Node:
-    """Slot `slot` of a jet as a (rows, B) node, column terms added."""
-    return tape.record("jet_slot", x.inputs(), (x.slots, slot))
+def jet_slot(tape: Tape, x: Jet, slot: int, time: int | None = None) -> Node:
+    """Slot `slot` of a jet, column terms added, as a (rows, P) node at time
+    `time`, or a (rows, K*P) node at every time for `time` None."""
+    return tape.record("jet_slot", x.inputs(), (x.slots, x.layout, slot, time))

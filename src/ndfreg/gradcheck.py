@@ -157,7 +157,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
         m = jac + eye
         tape = Tape(dtype)
         block = tape.constant(np.concatenate([np.zeros((1, 3), dtype), jac.T]))
-        got = float(tape.record("jacdet", (block,), (V, X, Y, Z)).value[0])
+        got = float(tape.record("jacdet", (block,), ((V, X, Y, Z), (1, 1), 0)).value[0])
         expect = 0.0
         for perm in itertools.permutations(range(3)):
             sign = 1

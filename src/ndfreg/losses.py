@@ -14,6 +14,14 @@ Every term is recorded on a tape by its builder (`ncc_node`,
 differentiate the total with respect to the parameters; `build_total_loss`
 assembles them and `total_loss` evaluates the same tape for a frozen
 state.  Terms whose weight is zero are skipped and reported as 0.
+
+The network traces its times in groups (`network.group_times`).  The
+observed times are one trace: NCC and the anchor each read one time's
+displacement out of its group.  The grid's regularizers read J, dphi/dt
+and d|J|/dt once per group, at all of its times: the spatial and temporal
+terms sum squares over each group and add the groups, and the monotonic
+term sums relu(d|J|/dt) and relu(-d|J|/dt) over each group's (K, B)
+rates across its times, then adds the groups' sums per point.
 """
 
 from __future__ import annotations
@@ -91,13 +99,16 @@ def sum_of_squares(tape: Tape, node):
     return tape.sum(tape.square(node))
 
 
-def monotonic_node(tape: Tape, djdt_nodes: list):
-    if len(djdt_nodes) < 2:
+def monotonic_node(tape: Tape, groups: list):
+    """Mean over points of min(sum relu(d), sum relu(-d)), the sums over
+    every time of d|J|/dt; `groups` holds (K, B) nodes of K times each, and
+    each group's sums over its times are added across the groups."""
+    if sum(g.value.shape[0] for g in groups) < 2:
         raise ValueError("monotonic term needs >= 2 time samples")
     pos = neg = None
-    for d in djdt_nodes:
-        p = tape.relu(d)
-        n = tape.relu(tape.scale(d, -1.0))
+    for d in groups:
+        p = tape.sum(tape.relu(d), axis=0)
+        n = tape.sum(tape.relu(tape.scale(d, -1.0)), axis=0)
         pos = p if pos is None else tape.add(pos, p)
         neg = n if neg is None else tape.add(neg, n)
     return tape.mean(tape.minimum(pos, neg))
@@ -148,9 +159,10 @@ def build_total_loss(
             spatial=need_spatial or need_mono, temporal=need_temporal or need_mono
         )
         kgrid = len(plan.reg_grid)
-        djdt_nodes = []
+        djdt_groups = []
         sp_acc = tp_acc = None
-        for tr in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
+        traces = net.trace_network(tape, leaves, coords, plan.reg_grid, config, req)
+        for tr in net.group_traces(traces):
             if need_spatial:
                 s = sum_of_squares(tape, net.jacobian(tape, tr))
                 sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
@@ -158,13 +170,13 @@ def build_total_loss(
                 s = sum_of_squares(tape, net.dphi_dt(tape, tr))
                 tp_acc = s if tp_acc is None else tape.add(tp_acc, s)
             if need_mono:
-                djdt_nodes.append(net.jacdet_dt(tape, tr))
+                djdt_groups.append(net.jacdet_dt(tape, tr))
         if need_spatial:
             spatial = tape.scale(sp_acc, 1.0 / (kgrid * nbatch))
         if need_temporal:
             temporal = tape.scale(tp_acc, 1.0 / (kgrid * nbatch))
         if need_mono:
-            mono = monotonic_node(tape, djdt_nodes)
+            mono = monotonic_node(tape, djdt_groups)
 
     total = sim
     if anchor is not None:

@@ -17,42 +17,70 @@ the place that uses it, so a tape records only the products its caller
 reads.  At depth 2 time enters after the last sine, so J does not depend
 on t and d|J|/dt is a zero constant.
 
+Time groups.  `trace_network` traces a sequence of times in groups of K,
+each group as one jet block per layer: (S, K, P, rows) in C order for S
+slots and P points, which is still (S*K*P, rows), so each slot is one
+contiguous panel and each layer one matmul for all K times.  The time
+embedding takes the group's K times as K points; its product with a
+layer's weights joins the layer's block as column terms of one row per
+time (v rows, then t rows), while a bias stays one row for every time.
 Time enters only through the embedding, so the first sine layer and layer
-2's product with it do not depend on time.  `trace_network` and
-`forward_with_derivatives` take a sequence of times: that time-invariant
-prefix is traced once per coordinate batch and shared by every time, and
-the last time takes the only reference to it, so it is freed after that
-time's layer 2.  Sharing changes no arithmetic: each time's products are
-bit-identical to a trace at that time alone.
+2's product with it do not depend on time: that prefix is traced once per
+coordinate batch as a one-time block, and layer 2's rule broadcasts it
+over each group's K times (its VJP sums the prefix's cotangent back over
+them).  The last group takes the only reference to the prefix, so it is
+freed after that group's layer 2.  Each time's trace (`NetworkTrace`) is
+its position in its group's output jet; a reader reads that time, and
+`group_traces` gives one trace per group whose reads hold all K times.
+
+Grouping rule (`group_times`): a recorded trace puts as many times in a
+group as keep one hidden-layer block within BLOCK_BYTES, K = max(1,
+BLOCK_BYTES // (hidden width x slot count x itemsize x P)), so each time
+costs one chain of per-node Python and small kernels per group, not per
+time.  At the fit-narrow shape (width 32, B=256, 8 slots: 512 KiB per
+time) the 8-time regularization grid is 2 groups of 4 and the 4
+value-only observed times one group; at the paper's (width 256, B=128,
+2 MiB per time) every grid time is its own group.  A trace of a frozen
+state (`make_leaves(trainable=False)`, inference) keeps one time per
+group: its chunks already fill BLOCK_BYTES with one time, and a one-time
+value-only embedding is a single row, which numpy multiplies as a matrix
+vector product whose sums round differently from a matrix product's, so
+grouping would make a short call's products depend on the other times it
+asks for.  Per time, the products of a one-time group are bit-identical
+to a trace at that time alone.
 
 Each layer's value, tangents and mixed entries travel as one stacked jet
 block (see `diffengine`), so a hidden layer holds hidden width x slot
-count values per point.  Inference therefore sizes its chunks by bytes:
-by default `chunk_points` takes as many points as keep one hidden-layer
-block within BLOCK_BYTES (2 MiB, the per-core L2 of the x86-64 hosts this
-is measured on), e.g. 128 points at paper width with d|J|/dt (8 slots),
-256 with J alone (4 slots) and 1024 for displacement alone; `chunk_size`
-overrides it.  A call longer than one chunk pads its last chunk to the
-full size and drops the padded points, so every chunk runs its matmuls in
-one shape: a short last chunk would run them in another, whose products
-can differ in the last bits (likely OpenBLAS's small-matrix path).  A
-block that fits L2 stays there between a layer's matmul and its rule:
-8 MiB chunks measured 6-12 % slower per layer.
-BLOCK_BYTES stays below the CLI's 32 MiB mmap threshold
+count values per point and time.  Inference therefore sizes its chunks
+by bytes: by default `chunk_points` takes as many points as keep one
+hidden-layer block at one time within BLOCK_BYTES (2 MiB, the per-core L2
+of the x86-64 hosts this is measured on), e.g. 128 points at paper width
+with d|J|/dt (8 slots), 256 with J alone (4 slots) and 1024 for
+displacement alone; `chunk_size` overrides it.  A call longer than one
+chunk pads its last chunk to the full size and drops the padded points,
+so every chunk runs its matmuls in one shape: a short last chunk would
+run them in another, whose products can differ in the last bits (likely
+OpenBLAS's small-matrix path).  A block that fits L2 stays there between
+a layer's matmul and its rule: 8 MiB chunks measured 6-12 % slower per
+layer.  BLOCK_BYTES stays below the CLI's 32 MiB mmap threshold
 (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from heap a
 previous chunk freed, not from fresh pages.
 
-Memory bound of dense inference: a chunk holds at most the prefix plus
-two hidden-layer blocks (4 MiB at the default chunk size), one rule's
-input and its output, because `_trace_time` drops each layer's input
-activation before the layer's rule runs (the sine adds scratch of four
-slot panels).  `forward_with_derivatives`
-returns the displacement, |I + J| with `spatial` and d|I + J|/dt with
-both; it allocates each of them once at grid size and every chunk writes
-its own columns.  J and dphi/dt stay on the trace, read by `jacobian` and
-`dphi_dt` where they are needed, and are never held at grid size.  A
-chunk's tape and traces are freed before the next chunk traces, so none
-of its small output arrays splits a freed block's heap hole.
+Memory bound: no hidden-layer block exceeds BLOCK_BYTES, in training
+(K times of P points) or in inference (one time of a chunk).  A dense
+inference chunk holds at most the prefix plus two hidden-layer blocks
+(4 MiB at the default chunk size), one rule's input and its output,
+because `trace_network` drops each layer's input activation before the
+layer's rule runs (the sine adds scratch of four slot panels).  A
+training tape holds the same bytes grouped or not; the reverse sweep's
+transient cotangents are one group's blocks, up to BLOCK_BYTES each.
+`forward_with_derivatives` returns the displacement, |I + J| with
+`spatial` and d|I + J|/dt with both; it allocates each of them once at
+grid size and every chunk writes its own columns.  J and dphi/dt stay on
+the trace, read by `jacobian` and `dphi_dt` where they are needed, and
+are never held at grid size.  A chunk's tape and traces are freed before
+the next chunk traces, so none of its small output arrays splits a freed
+block's heap hole.
 
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
@@ -79,6 +107,8 @@ __all__ = [
     "init_network",
     "make_leaves",
     "trace_network",
+    "group_traces",
+    "group_times",
     "forward",
     "forward_with_derivatives",
 ]
@@ -205,6 +235,11 @@ class Leaves:
     psi: list
     theta: list
 
+    @property
+    def trainable(self) -> bool:
+        """Whether the parameters are recorded leaves, not constants."""
+        return self.psi[0][0].idx is not None
+
     def flat(self) -> list:
         out = []
         for w, b in self.psi + self.theta:
@@ -234,45 +269,62 @@ def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leav
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkTrace:
-    """Tape handles for one (coords, t) evaluation; the readers below take
-    each product off its output jet."""
+    """Tape handles for one time of a traced group; the readers below take
+    each product off the group's output jet at that time, or at every time
+    of the group for `time` None (see `group_traces`)."""
 
-    coords: Node  # (3,B)
-    output: Jet  # the output layer's jet, column terms not yet added
+    coords: Node  # (3,P)
+    output: Jet  # the output layer's jet at the group's K times, column terms not yet added
+    time: int | None = None  # this trace's position in the group
+
+    @property
+    def payload(self) -> tuple:
+        """The payload of a product read off the output block."""
+        return (self.output.slots, self.output.layout, self.time)
+
+
+def group_traces(traces: list) -> list:
+    """One trace per group of a `trace_network` result, in order, whose
+    products hold every time of the group."""
+    return [NetworkTrace(tr.coords, tr.output) for tr in traces if tr.time == 0]
 
 
 def displacement(tape: Tape, trace: NetworkTrace) -> Node:
-    """The displacement, (3,B)."""
-    return de.jet_slot(tape, trace.output, de.V)
+    """The displacement, (3,P), or (3,K*P) time-major for a group."""
+    return de.jet_slot(tape, trace.output, de.V, trace.time)
 
 
 def phi(tape: Tape, trace: NetworkTrace) -> Node:
-    """coords + displacement, (3,B)."""
+    """coords + displacement, (3,P), at one time."""
     return tape.add(displacement(tape, trace), trace.coords)
 
 
 def jacobian(tape: Tape, trace: NetworkTrace) -> Node:
-    """J, (3,3B): row i, columns [j*B, (j+1)*B) hold d(disp_i)/dx_j."""
-    return tape.record("jacobian", (trace.output.node,), trace.output.slots)
+    """J, (3,3n): row i, columns [j*n, (j+1)*n) hold d(disp_i)/dx_j at the
+    n = P points, or for a group the K*P points time-major."""
+    return tape.record("jacobian", (trace.output.node,), trace.payload)
 
 
 def jacdet(tape: Tape, trace: NetworkTrace) -> Node:
-    """|I + J|, (B,)."""
-    return tape.record("jacdet", (trace.output.node,), trace.output.slots)
+    """|I + J|, (P,), or (K,P) for a group."""
+    return tape.record("jacdet", (trace.output.node,), trace.payload)
 
 
 def jacdet_dt(tape: Tape, trace: NetworkTrace) -> Node:
-    """d|I + J|/dt, (B,); at depth 2 (no mixed slot) a zero constant."""
+    """d|I + J|/dt, (P,), or (K,P) for a group; at depth 2 (no mixed slot) a
+    zero constant."""
     if de.XT not in trace.output.slots:
-        return tape.constant(np.zeros(trace.coords.value.shape[1]))
-    return tape.record("jacdet_dt", (trace.output.node,), trace.output.slots)
+        points = trace.coords.value.shape[1]
+        shape = points if trace.time is not None else (trace.output.times, points)
+        return tape.constant(np.zeros(shape))
+    return tape.record("jacdet_dt", (trace.output.node,), trace.payload)
 
 
 def dphi_dt(tape: Tape, trace: NetworkTrace) -> Node:
-    """d(phi)/dt, (3,B)."""
-    return de.jet_slot(tape, trace.output, de.T)
+    """d(phi)/dt, (3,P), or (3,K*P) time-major for a group."""
+    return de.jet_slot(tape, trace.output, de.T, trace.time)
 
 
 def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
@@ -280,6 +332,15 @@ def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
     z = de.bundle_affine(tape, w1, tb, b1)
     h = de.bundle_leaky(tape, z, config.leaky_slope)
     return de.bundle_leaky(tape, de.bundle_affine(tape, w2, h, b2), config.leaky_slope)
+
+
+def _time_jet(tape, times, temporal: bool) -> Jet:
+    """K times as K points of the embedding's input, with their unit
+    t-tangents (slots v, t) or alone (v)."""
+    t = np.array(times, dtype=tape.dtype)[:, None]
+    if not temporal:
+        return Jet(tape.constant(t), (de.V,))
+    return Jet(tape.constant(np.concatenate([t, np.ones_like(t)])), (de.V, de.T))
 
 
 def trace_network(
@@ -290,25 +351,46 @@ def trace_network(
     config: NetworkConfig,
     request: DerivativeRequest,
 ) -> list:
-    """Trace the field at (3,B) `coords` at each of a sequence of
+    """Trace the field at (3,P) `coords` at each of a sequence of
     normalized `times`; returns one NetworkTrace per time, in order.
 
-    Time enters only through the embedding concatenated into the hidden
-    layers, so the coordinate jet, the layer-1 sine and layer 2's
-    `W2[:, :h] @ a1` are traced once and shared by every time.  The last
-    time takes the only reference to that prefix and drops it with layer
-    2's sine, so a one-time trace holds no more than an unshared one."""
+    The times are traced in groups of `group_times` (the last may be
+    shorter; one time per group for frozen leaves, see the module
+    docstring), each group as one jet block per layer; the traces of a
+    group share its output jet.  Time enters only through the embedding
+    concatenated into the hidden layers, so the coordinate jet, the layer-1
+    sine and layer 2's `W2[:, :h] @ a1` are traced once and shared by every
+    group; layer 2's rule broadcasts that prefix over a group's times.
+    The last group takes the only reference to the prefix and drops it
+    with its layer 2's sine, and each layer drops its input activation
+    once its pre-activation exists, so without a tape holding them only
+    the prefix and a rule's input and output blocks are alive at a time."""
     times = [float(t) for t in times]
     coords = np.asarray(coords, dtype=tape.dtype)
     if coords.ndim != 2 or coords.shape[0] != 3:
         raise ValueError(f"coordinate block must be (3,B), got {coords.shape}")
-    xb = _coordinate_jet(tape, coords, request.spatial)
-    shared = [_trace_prefix(tape, leaves, xb, config)]
+    h = config.hidden_width
+    he = h + config.time_embed_width
+    k = group_times(config, request, coords.shape[1], tape.dtype) if leaves.trainable else 1
     x = tape.constant(coords)
-    return [
-        _trace_time(tape, leaves, x, shared, k == len(times) - 1, t, config, request)
-        for k, t in enumerate(times)
-    ]
+    prefix = _trace_prefix(tape, leaves, _coordinate_jet(tape, coords, request.spatial), config)
+    traces = []
+    for lo in range(0, len(times), k):
+        group = times[lo : lo + k]
+        eb = _trace_time_embed(tape, leaves.theta, _time_jet(tape, group, request.temporal), config)
+        a = prefix
+        if lo + k >= len(times):
+            prefix = None  # the last group's layer 2 holds the only reference
+        for li in range(1, config.depth):
+            w, b = leaves.psi[li]
+            z = a if li == 1 else de.bundle_affine(tape, w, a, cols=(0, h))
+            z = de.bundle_add(tape, z, de.bundle_affine(tape, w, eb, b, cols=(h, he)))
+            a = None  # freed before the rule's output is allocated
+            if li < config.depth - 1:
+                z = de.bundle_sine(tape, z)
+            a = z
+        traces += [NetworkTrace(x, a, i) for i in range(len(group))]
+    return traces
 
 
 def _coordinate_jet(tape, coords, spatial: bool) -> Jet:
@@ -328,36 +410,6 @@ def _trace_prefix(tape, leaves, xb, config: NetworkConfig) -> Jet:
     w1, b1 = leaves.psi[0]
     a1 = de.bundle_sine(tape, de.bundle_affine(tape, w1, xb, b1), config.omega0)
     return de.bundle_affine(tape, leaves.psi[1][0], a1, cols=(0, config.hidden_width))
-
-
-def _trace_time(tape, leaves, x, shared, last, t, config, request) -> NetworkTrace:
-    """The rest of the network at one time, up to the output jet.
-    `shared` holds the prefix; the last time pops it into layer 2's
-    pre-activation, which the layer's sine consumes, so nothing here keeps
-    it alive past that layer.  Each layer drops its input activation once
-    its pre-activation exists, so without a tape holding them only the
-    prefix and the rule's input and output blocks are alive at a time."""
-    h = config.hidden_width
-    he = h + config.time_embed_width
-
-    if request.temporal:  # the time and its unit t-tangent, one point
-        tb = Jet(tape.constant(np.array([[t], [1.0]], dtype=tape.dtype)), (de.V, de.T))
-    else:
-        tb = Jet(tape.constant(np.array([[t]], dtype=tape.dtype)), (de.V,))
-    eb = _trace_time_embed(tape, leaves.theta, tb, config)
-
-    for li in range(1, config.depth):
-        w, b = leaves.psi[li]
-        if li == 1:
-            z = shared.pop() if last else shared[0]
-        else:
-            z = de.bundle_affine(tape, w, a, cols=(0, h))
-        z = de.bundle_add(tape, z, de.bundle_affine(tape, w, eb, b, cols=(h, he)))
-        a = None  # freed before the rule's output is allocated
-        if li < config.depth - 1:
-            z = de.bundle_sine(tape, z)
-        a = z
-    return NetworkTrace(x, a)
 
 
 def forward(state: NetworkState, coords: np.ndarray, times) -> DisplacementResult:
@@ -432,11 +484,21 @@ def _write_chunk(results, cols, state, coords, times, request, dtype):
             res.jac_det_dt[cols] = jacdet_dt(tape, tr).value[:k]
 
 
-def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
-    """Points per inference chunk: as many as keep one hidden-layer jet
-    block, hidden width x slot count x itemsize per point, within
-    BLOCK_BYTES."""
+def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
+    """Bytes of one point of a hidden-layer jet block at one time: hidden
+    width x slot count x itemsize."""
     spatial, temporal = request.spatial, request.temporal
     slots = 1 + 3 * spatial + temporal + 3 * (spatial and temporal)
-    per_point = config.hidden_width * slots * np.dtype(dtype).itemsize
-    return max(1, BLOCK_BYTES // per_point)
+    return config.hidden_width * slots * np.dtype(dtype).itemsize
+
+
+def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
+    """Points per inference chunk: as many as keep one hidden-layer jet
+    block at one time within BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // _point_bytes(config, request, dtype))
+
+
+def group_times(config: NetworkConfig, request: DerivativeRequest, points: int, dtype) -> int:
+    """Times per jet block of `points` points: as many as keep one
+    hidden-layer block within BLOCK_BYTES, and at least one."""
+    return max(1, BLOCK_BYTES // max(1, points * _point_bytes(config, request, dtype)))

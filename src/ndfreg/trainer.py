@@ -4,12 +4,17 @@ Each iteration samples a fresh coordinate batch and regularization time
 grid, records the full loss on a tape, runs the reverse sweep, and takes
 one optimizer step.  Similarity is evaluated at observed times only; the
 regularizers run on the sampled grid, which includes unobserved times and
-may extend past the last observed scan (t_extrap > 1).  The network's
-time-invariant prefix is traced twice per iteration, once for the observed
-times and once for the grid, and shared by the times of each.
+may extend past the last observed scan (t_extrap > 1).  Each iteration
+traces the network twice, once for the observed times (values only) and
+once for the grid (with derivatives); each trace shares its time-invariant
+prefix across its times and runs them in groups of as many times as fill
+one `network.BLOCK_BYTES` block (`network.group_times`), one block per
+layer and group.  With the fit-narrow recipe (width 32, B=256) that is one
+group for the 4 observed times and two of 4 for the 8-time grid.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
-at a sequence of times, which share the prefix chunk by chunk.
+at a sequence of times, which share the prefix chunk by chunk; inference
+traces one time per group.
 
 With a fixed seed and single-threaded BLAS the loop is reproducible to
 bit-identical parameters.

@@ -396,6 +396,36 @@ def test_flags_a_command_does_not_read_are_refused(monkeypatch, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+_NEEDS = {
+    "predict": ["--time", "1", "--dims", "4,4,4"],
+    "jacobian": ["--times", "1", "--dims", "4,4,4"],
+    "metrics": ["--manifest", "manifest.txt", "--times", "0,12"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("predict", "--time", "nan"),
+    ("predict", "--time", "inf"),
+    ("jacobian", "--times", "nan,12"),
+    ("metrics", "--times", "-12,0"),
+    ("metrics", "--deadband", "-1"),
+], ids=["predict-time-nan", "predict-time-inf", "jacobian-times-nan",
+        "metrics-times-negative", "metrics-deadband-negative"])
+def test_time_or_deadband_not_finite_and_nonnegative_is_refused(
+        monkeypatch, tmp_path, capsys, command, flag, value):
+    """A time or a dead band must be a finite number >= 0: the parser
+    refuses any other with exit 2, naming its flag, before anything is
+    read or written (a NaN time wrote NaN volumes, a negative dead band
+    scored every label 0)."""
+    monkeypatch.chdir(tmp_path)
+    model = _tiny_model(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--model", model, "--out", "o", *_NEEDS[command], f"{flag}={value}"])
+    assert exited.value.code == cli.EXIT_INPUT
+    assert f"argument {flag}: must be a finite number >= 0, got " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_one_config_serves_phantom_and_fit(build):
     """Each command reads its own sections and leaves the others' alone;
     a [DEFAULT] key applies in every section whose options read it."""

@@ -3,6 +3,7 @@ finite differences, and reverse-mode gradients against the same oracle."""
 
 import functools
 import itertools
+from collections import Counter
 import tracemalloc
 import warnings
 
@@ -44,6 +45,13 @@ def central_fd(f, x, h=1e-6):
 
 ALL_SLOTS = tuple(range(8))
 SPACE = (de.V, de.X, de.Y, de.Z)
+ONE = (1, 1)  # a block of one time, the `times` of a jet payload
+
+
+def read(slots, times=ONE, time=0):
+    """The payload of an output-block product at time `time` (None: every
+    time) of a block of `times`."""
+    return (slots, times, time)
 
 
 def value_jet(tape, value):
@@ -60,12 +68,12 @@ def output_block(jac, jdot=None):
     derivative of component i in direction j, in the spatial slots, and
     dJ/dt = `jdot` ([k, i] the t-derivative of J[k][i]) in the mixed
     slots; the value and t slots hold noise the products must not read.
-    Returns the block and its slots."""
+    Returns the block and the payload that reads it."""
     nb = jac.shape[2]
     noise = np.random.default_rng(0).uniform(-1, 1, size=(3, 1, nb))
     if jdot is None:
-        return point_major(np.concatenate([noise, jac], axis=1)), SPACE
-    return point_major(np.concatenate([noise, jac, noise, jdot], axis=1)), ALL_SLOTS
+        return point_major(np.concatenate([noise, jac], axis=1)), read(SPACE)
+    return point_major(np.concatenate([noise, jac, noise, jdot], axis=1)), read(ALL_SLOTS)
 
 
 def test_record_sine_of_zero():
@@ -75,8 +83,8 @@ def test_record_sine_of_zero():
 
 def test_record_det3_of_identity():
     tape = Tape()
-    block, slots = output_block(np.zeros((3, 3, 1)))
-    assert float(tape.record("jacdet", (tape.constant(block),), slots).value[0]) == 1.0
+    block, payload = output_block(np.zeros((3, 3, 1)))
+    assert float(tape.record("jacdet", (tape.constant(block),), payload).value[0]) == 1.0
 
 
 def test_record_leaky_of_negative():
@@ -127,9 +135,9 @@ def test_det3_matches_permutation_oracle():
     each point's matrix I + J."""
     rng = np.random.default_rng(7)
     jac = rng.uniform(-1, 1, size=(3, 3, 200)) - np.eye(3)[:, :, None]
-    block, slots = output_block(jac)
+    block, payload = output_block(jac)
     tape = Tape()
-    got = tape.record("jacdet", (tape.constant(block),), slots).value
+    got = tape.record("jacdet", (tape.constant(block),), payload).value
     for p in range(200):
         expect = det3_permutation_oracle(jac[:, :, p] + np.eye(3))
         assert got[p] == pytest.approx(expect, abs=1e-12)
@@ -144,9 +152,9 @@ def test_adj3_matches_inverse_times_det():
     for _ in range(100):
         m = rng.uniform(-1, 1, size=(3, 3)) + 2 * np.eye(3)
         jac = np.repeat((m - np.eye(3))[:, :, None], 9, axis=2)
-        block, slots = output_block(jac, unit.transpose(1, 0, 2))
+        block, payload = output_block(jac, unit.transpose(1, 0, 2))
         tape = Tape()
-        adj = tape.record("jacdet_dt", (tape.constant(block),), slots).value.reshape(3, 3)
+        adj = tape.record("jacdet_dt", (tape.constant(block),), payload).value.reshape(3, 3)
         expect = np.linalg.inv(m) * np.linalg.det(m)
         np.testing.assert_allclose(adj, expect, atol=1e-10)
 
@@ -236,7 +244,7 @@ def test_value_only_sine_allocates_one_piece_beyond_its_result():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        out = tape.record("jet_sine", (block,), (30.0, (de.V,)))
+        out = tape.record("jet_sine", (block,), (30.0, (de.V,), ONE))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,9 +460,9 @@ def test_backward_sum_of_squares():
 
 def test_backward_det_at_identity():
     tape = Tape()
-    block, slots = output_block(np.zeros((3, 3, 1)))
+    block, payload = output_block(np.zeros((3, 3, 1)))
     leaf = tape.leaf(block)
-    tape.backward(tape.sum(tape.record("jacdet", (leaf,), slots)))
+    tape.backward(tape.sum(tape.record("jacdet", (leaf,), payload)))
     grad = leaf.adjoint.T
     np.testing.assert_array_equal(grad[:, 1:], np.eye(3))  # the cofactors of I
     assert np.all(grad[:, 0] == 0.0)
@@ -481,10 +489,10 @@ def test_backward_composite_matches_fd(seed):
         tape = Tape()
         leaf = tape.leaf(p)
         block = tape.affine(leaf, tape.constant(basis.T))
-        jac = tape.record("jacobian", (block,), ALL_SLOTS)
+        jac = tape.record("jacobian", (block,), read(ALL_SLOTS))
         # mix jacdet, jacdet_dt, min, relu, div paths
-        det = tape.record("jacdet", (block,), ALL_SLOTS)
-        djdt = tape.record("jacdet_dt", (block,), ALL_SLOTS)
+        det = tape.record("jacdet", (block,), read(ALL_SLOTS))
+        djdt = tape.record("jacdet_dt", (block,), read(ALL_SLOTS))
         mix = tape.add(
             tape.sum(tape.relu(tape.mul(jac, det))),
             tape.sum(tape.minimum(jac, tape.scale(jac, -0.5))),
@@ -590,8 +598,9 @@ def _vjp_cases(rng):
 
 
 def _jet_cases(rng):
-    """Blocks of 3 rows and 4 points per slot with their column terms; value
-    slots sit away from the leaky kink.  Two sine blocks of 23 rows and
+    """Blocks of 3 rows and 4 points per slot with their column terms, at
+    one time or at three (a block of 12 points per slot, or one time shared
+    by the three); value slots sit away from the leaky kink.  Two sine blocks of 23 rows and
     3000 points per slot span `_sin_cos` pieces of 1424, 1424 and 152
     points; they draw from their own generator, so the other cases keep
     their inputs.  Each block is drawn as a (rows, S, B) stack and laid out
@@ -610,36 +619,70 @@ def _jet_cases(rng):
         return (block(slots, 3000, 23, big),) + tuple(col(k, 23, big) for k in cols)
 
     time_block = block((de.V, de.T), nb=1)
+    # three times of 4 points: a block of all three (12 points per slot), or
+    # one time shared by the three, read against per-time column terms
+    k3 = (3, 3)
+    shared = (1, 3)
     return {
         # every slot present; t column present; t made by the column alone;
         # spatial only; value only; time only
         "jet_sine": [
-            ((block(ALL_SLOTS), col(2), col(1)), (2.0, ALL_SLOTS)),
-            ((block(SPACE), col(2), col(1)), (2.0, SPACE)),
-            ((block(SPACE), col(1)), (2.0, SPACE)),
-            ((block((de.V,)), col(1)), (2.0, (de.V,))),
-            ((time_block, col(2)), (2.0, (de.V, de.T))),
+            ((block(ALL_SLOTS), col(2), col(1)), (2.0, ALL_SLOTS, ONE)),
+            ((block(SPACE), col(2), col(1)), (2.0, SPACE, ONE)),
+            ((block(SPACE), col(1)), (2.0, SPACE, ONE)),
+            ((block((de.V,)), col(1)), (2.0, (de.V,), ONE)),
+            ((time_block, col(2)), (2.0, (de.V, de.T), ONE)),
             # several pieces, the last one partial: value only; every slot
-            (pieces((de.V,), 1), (2.0, (de.V,))),
-            (pieces(ALL_SLOTS, 2, 1), (2.0, ALL_SLOTS)),
+            (pieces((de.V,), 1), (2.0, (de.V,), ONE)),
+            (pieces(ALL_SLOTS, 2, 1), (2.0, ALL_SLOTS, ONE)),
+            # three times: every slot; layer 2's shared block, with and
+            # without t; value only, shared
+            ((block(ALL_SLOTS, 12), col(6), col(1)), (2.0, ALL_SLOTS, k3)),
+            ((block(SPACE), col(6), col(1)), (2.0, SPACE, shared)),
+            ((block(SPACE), col(3), col(1)), (2.0, SPACE, shared)),
+            ((block((de.V,)), col(3), col(1)), (2.0, (de.V,), shared)),
         ],
         "jet_leaky": [
-            ((time_block, col(1)), (0.1, (de.V, de.T))),
-            ((block(ALL_SLOTS), col(2)), (0.1, ALL_SLOTS)),
-            ((block(SPACE), col(2), col(1)), (0.1, SPACE)),
-            ((block((de.V,)),), (0.1, (de.V,))),
+            ((time_block, col(1)), (0.1, (de.V, de.T), ONE)),
+            ((block(ALL_SLOTS), col(2)), (0.1, ALL_SLOTS, ONE)),
+            ((block(SPACE), col(2), col(1)), (0.1, SPACE, ONE)),
+            ((block((de.V,)),), (0.1, (de.V,), ONE)),
+            ((block(SPACE, 12), col(6), col(1)), (0.1, SPACE, k3)),
+            ((block(SPACE), col(6)), (0.1, SPACE, shared)),
         ],
         "jet_slot": [
-            ((block(SPACE), col(2), col(1)), (SPACE, de.V)),
-            ((block(SPACE), col(2), col(1)), (SPACE, de.T)),
-            ((block(SPACE), col(2)), (SPACE, de.Y)),
-            ((block(ALL_SLOTS), col(2)), (ALL_SLOTS, de.T)),
-            ((block(ALL_SLOTS), col(1)), (ALL_SLOTS, de.ZT)),
+            ((block(SPACE), col(2), col(1)), (SPACE, ONE, de.V, 0)),
+            ((block(SPACE), col(2), col(1)), (SPACE, ONE, de.T, 0)),
+            ((block(SPACE), col(2)), (SPACE, ONE, de.Y, 0)),
+            ((block(ALL_SLOTS), col(2)), (ALL_SLOTS, ONE, de.T, 0)),
+            ((block(ALL_SLOTS), col(1)), (ALL_SLOTS, ONE, de.ZT, 0)),
+            # every time of a group, or one of them; of a shared block
+            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, de.T, None)),
+            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, de.V, 1)),
+            ((block(SPACE, 12), col(3)), (SPACE, k3, de.X, 2)),
+            ((block(SPACE), col(6), col(1)), (SPACE, shared, de.V, None)),
+            ((block(SPACE), col(6), col(1)), (SPACE, shared, de.Y, 2)),
         ],
-        # the output block alone, with and without the mixed slots
-        "jacobian": [((block(SPACE),), SPACE), ((block(ALL_SLOTS),), ALL_SLOTS)],
-        "jacdet": [((block(SPACE),), SPACE), ((block(ALL_SLOTS),), ALL_SLOTS)],
-        "jacdet_dt": [((block(ALL_SLOTS),), ALL_SLOTS)],
+        # the output block alone, with and without the mixed slots; every
+        # time of a group, one of them, and a shared block (depth 2)
+        "jacobian": [
+            ((block(SPACE),), read(SPACE)),
+            ((block(ALL_SLOTS),), read(ALL_SLOTS)),
+            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, None)),
+            ((block(SPACE),), read(SPACE, shared, 1)),
+        ],
+        "jacdet": [
+            ((block(SPACE),), read(SPACE)),
+            ((block(ALL_SLOTS),), read(ALL_SLOTS)),
+            ((block(SPACE, 12),), read(SPACE, k3, None)),
+            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, 1)),
+            ((block(SPACE),), read(SPACE, shared, None)),
+        ],
+        "jacdet_dt": [
+            ((block(ALL_SLOTS),), read(ALL_SLOTS)),
+            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, None)),
+            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, 2)),
+        ],
     }
 
 
@@ -719,8 +762,9 @@ def test_every_recorded_node_passes_through_record(monkeypatch):
     assert [n for n in non_leaf if id(n) not in passed] == []
 
 
-def _tape_size_setup(depth=5):
-    """A width-16 net and a plan over 4 observed times and an 8-time grid."""
+def _tape_size_setup(depth=5, width=16, embed=8, points=32):
+    """A width-16 net and a plan of 32 points over 4 observed times and an
+    8-time grid."""
     rng = np.random.default_rng(3)
     base = rng.uniform(0, 1, size=(6, 6, 6))
     followups = [
@@ -729,11 +773,11 @@ def _tape_size_setup(depth=5):
     ]
     series = Volume4DSeries(Volume3D(base), followups)
     cfg = net.NetworkConfig(
-        hidden_width=16, depth=depth, time_hidden_width=10, time_embed_width=8
+        hidden_width=width, depth=depth, time_hidden_width=10, time_embed_width=embed
     )
     state = net.init_network(seed=1, config=cfg)
     plan = SamplePlan(
-        coords=rng.uniform(-0.8, 0.8, size=(3, 32)),
+        coords=rng.uniform(-0.8, 0.8, size=(3, points)),
         observed_times=np.array([0.0, 1 / 3, 2 / 3, 1.0]),
         reg_grid=np.linspace(0.0, 1.0, 8),
     )
@@ -741,13 +785,14 @@ def _tape_size_setup(depth=5):
 
 
 def test_stacked_jet_training_tape_size():
-    """One node per layer jet and one per derivative product read: a
-    depth-5, width-16 loss tape with gamma > 0 over 4 observed times and an
-    8-time grid stays within 360 nodes (356; 381 while every trace recorded
-    |J|, the displacement and phi whether read or not; per-entry Jacobian,
-    adjugate and Jacobi-sum nodes recorded 854, and a node per tangent slot
-    1533).  `Tape.stats` counts every recorded node and its value and aux
-    bytes by kind."""
+    """One node per layer jet of a time group and one per derivative
+    product read: a depth-5, width-16 loss tape with gamma > 0 over 4
+    observed times (one group) and an 8-time grid (one group of 8) stays
+    within 120 nodes (120; 356 while each time was its own group, 381 while
+    every trace also recorded |J|, the displacement and phi whether read or
+    not; per-entry Jacobian, adjugate and Jacobi-sum nodes recorded 854,
+    and a node per tangent slot 1533).  `Tape.stats` counts every recorded
+    node and its value and aux bytes by kind."""
     series, state, plan = _tape_size_setup()
     tape = Tape()
     leaves = net.make_leaves(tape, state)
@@ -755,13 +800,78 @@ def test_stacked_jet_training_tape_size():
         tape, leaves, series, losses.LossWeights(gamma=0.1), plan, state.config
     )
     stats = tape.stats()
-    assert stats["nodes"] == len(tape.nodes) <= 360
+    assert stats["nodes"] == len(tape.nodes) <= 120
     assert sum(stats["bytes"].values()) == sum(
         n.value.nbytes + (0 if n.aux is None else n.aux.nbytes) for n in tape.nodes
     )
     sines = [n for n in tape.nodes if n.kind == "jet_sine"]
     assert any(n.aux is not None for n in sines)
     assert stats["bytes"]["jet_sine"] > sum(n.value.nbytes for n in sines)
+
+
+def _loss_gradients(series, state, plan, weights):
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    total, breakdown = losses.build_total_loss(tape, leaves, series, weights, plan, state.config)
+    tape.backward(total)
+    return leaves.grads(), breakdown, Counter(n.kind for n in tape.nodes)
+
+
+@pytest.mark.parametrize("grid_times", [8, 4, 3])
+def test_grouped_loss_gradients_match_one_time_groups(monkeypatch, grid_times):
+    """The loss over time groups, the 8-time grid as one group of 8, two of
+    4 or groups of 3, 3 and 2 (the 4 observed times one group), has the
+    parameter gradients of one time per group to 1e-12 relative at f64
+    with gamma > 0 (the groups sum their rows, their points and their
+    times in another order), and the same loss terms to rounding."""
+    series, state, plan = _tape_size_setup(depth=5)
+    for w, b in state.psi + state.theta:
+        w *= 2.0
+        b[:] = np.random.default_rng(5).uniform(-0.2, 0.2, size=b.shape)
+    weights = losses.LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=3.0)
+    one_time = 16 * 8 * 8 * 32  # width x slots x itemsize x points
+    monkeypatch.setattr(net, "BLOCK_BYTES", grid_times * one_time)
+    grouped, breakdown, kinds = _loss_gradients(series, state, plan, weights)
+    assert kinds["jacdet_dt"] == -(-8 // grid_times)  # one read per group
+    monkeypatch.setattr(net, "BLOCK_BYTES", 1)  # every time its own group
+    single, want, single_kinds = _loss_gradients(series, state, plan, weights)
+    assert single_kinds["jacdet_dt"] == 8
+    assert single_kinds["jet_leaky"] == 2 * (4 + 8)  # two embedding rules per group
+    assert breakdown.monotonic > 0.0
+    for name in losses.LossBreakdown.FIELDS:
+        assert getattr(breakdown, name) == pytest.approx(getattr(want, name), rel=1e-13, abs=0.0)
+    for g, ref in zip(grouped, single):
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_training_time_groups_fill_block_bytes(monkeypatch):
+    """A training trace puts as many times in a block as keep one
+    hidden-layer block within BLOCK_BYTES: at the fit-narrow shape (width
+    32, B=256, 512 KiB per time with every slot) the 8-time grid is 2
+    groups of 4 and the 4 value-only observed times 1; at the paper's
+    (width 256, B=128, 2 MiB per time) each grid time is its own group.
+    No jet block the fit-narrow loss records exceeds BLOCK_BYTES."""
+    full, value = net.DerivativeRequest(spatial=True, temporal=True), net.DerivativeRequest()
+    narrow, paper = net.NetworkConfig(hidden_width=32, time_embed_width=16), net.NetworkConfig()
+    assert net.group_times(narrow, full, 256, np.float64) == 4
+    assert net.group_times(narrow, value, 256, np.float64) == 32
+    assert net.group_times(paper, full, 128, np.float64) == 1
+    assert net.group_times(paper, full, 128, np.float32) == 2
+    sizes = []
+    record = Tape.record
+
+    def sized(self, kind, inputs, payload=None):
+        out = record(self, kind, inputs, payload)
+        if kind in ("affine", "jet_sine", "jet_leaky"):
+            sizes.append(out.value.nbytes)
+        return out
+
+    monkeypatch.setattr(Tape, "record", sized)
+    series, state, plan = _tape_size_setup(width=32, embed=16, points=256)
+    _, _, kinds = _loss_gradients(series, state, plan, losses.LossWeights())
+    assert kinds["jacdet_dt"] == kinds["jacobian"] == 2
+    assert kinds["jet_slot"] == 4 + 2  # displacement at each observed time, dphi/dt per group
+    assert max(sizes) == net.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("depth, weights", [

@@ -77,23 +77,25 @@ def _without_mixed_cosine_term(vjp):
         grads = list(vjp(node, g))
         if node.aux is None:
             return grads
-        omega, slots = node.payload
-        z, pos, cv, ct = de._jet_block("jet_sine", [n.value for n in node.inputs], slots)
+        omega, slots, (kb, k) = node.payload
+        z, pos, cv, ct = de._jet_block("jet_sine", [n.value for n in node.inputs], slots, (kb, k))
         out_slots = de._sine_slots(slots, ct is not None)
         mixed = [d for d in de.SPATIAL if d + 4 in out_slots]
         if not mixed:
             return grads
-        g3 = g.reshape((len(out_slots),) + z.shape[1:])
+        g4 = g.reshape((len(out_slots), k) + z.shape[2:])
         zt = de._folded(z, pos, cv, ct, de.T)
-        mix = sum(g3[out_slots.index(d + 4)] * z[pos[d]] for d in mixed)
-        term = omega * omega * node.aux * zt * mix  # what the VJP subtracts
+        mix = sum(g4[out_slots.index(d + 4)] * z[pos[d]] for d in mixed)
+        term = omega * omega * node.aux * zt * mix  # what the VJP subtracts, per time
         fixed = []
         for i, grad in grads:
             grad = grad.copy()
-            if i == 0:
-                grad.reshape(z.shape)[0] += term
-            else:
-                grad[0] += term.sum(axis=0)
+            if i == 0:  # the block, summed over the times when it is shared
+                grad.reshape(z.shape)[0] += term if kb == k else term.sum(axis=0)
+            elif grad.shape[0] == 1:  # a column term of every time
+                grad[0] += term.sum(axis=(0, 1))
+            else:  # one slot-v row per time
+                grad[:k] += term.sum(axis=1)
             fixed.append((i, grad))
         return fixed
 
@@ -115,7 +117,7 @@ def _without_adjugate_term(vjp):
 
     def wrong(node, g):
         grads = [(i, grad.copy()) for i, grad in vjp(node, g)]
-        slots = node.payload
+        slots = node.payload[0]
         for _, grad in grads:
             z = grad.reshape(len(slots), -1, 3)
             z[[slots.index(d) for d in de.SPATIAL]] = 0.0

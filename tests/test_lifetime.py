@@ -130,9 +130,12 @@ def test_chunk_traces_die_before_the_next_chunk_traces(no_gc, monkeypatch):
     assert len(outputs) == 8
 
 
-def test_last_time_frees_the_shared_prefix(no_gc, monkeypatch):
-    """The time-invariant prefix lives until the last time's layer 2 and
-    no longer, so a one-time trace holds no more than an unshared one."""
+def test_last_group_frees_the_shared_prefix(no_gc, monkeypatch):
+    """The time-invariant prefix lives until the last time group's layer 2
+    and no longer, so a one-group trace holds no more than an unshared one.
+    Inference traces each time as its own group, so 3 times are 3 groups:
+    the prefix is alive at the output layer of the first two and freed
+    before that of the third."""
     prefix, alive = [], []
     trace_prefix, bundle_affine = net._trace_prefix, de.bundle_affine
 
@@ -144,7 +147,7 @@ def test_last_time_frees_the_shared_prefix(no_gc, monkeypatch):
     def tracking_affine(tape, w, x, b=None, cols=None):
         if prefix and cols == (0, TOY_NET.hidden_width):
             # TOY_NET's output layer: the one product with a hidden
-            # activation after the prefix, once per time
+            # activation after the prefix, once per group
             alive.append(prefix[-1]() is not None)
         return bundle_affine(tape, w, x, b, cols)
 

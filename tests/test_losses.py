@@ -262,10 +262,18 @@ def test_spatial_examples():
 
 def mono_value(samples):
     """`monotonic_node` on a constant tape; rows of `samples` are times,
-    columns points."""
+    columns points.  The rows as one group, as one group per time, and as
+    groups of two give the same value to rounding."""
     tape = Tape()
     d = np.asarray(samples, dtype=np.float64).reshape(len(samples), -1)
-    return float(losses.monotonic_node(tape, [tape.constant(r) for r in d]).value)
+    values = [
+        float(losses.monotonic_node(
+            tape, [tape.constant(d[lo : lo + k]) for lo in range(0, len(d), k)]
+        ).value)
+        for k in (len(d), 1, 2)
+    ]
+    assert values[1:] == pytest.approx([values[0]] * 2, rel=1e-14, abs=1e-15)
+    return values[0]
 
 
 def test_monotonic_examples():

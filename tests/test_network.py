@@ -265,9 +265,11 @@ def test_chunk_memory_is_the_prefix_and_two_blocks():
 
 def test_recorded_jet_blocks_are_point_major(monkeypatch):
     """Every jet that affine, jet_sine and jet_leaky record on a training
-    tape is an (S*B, rows) block whose slot panels are C-contiguous
-    (B, rows) arrays, B the batch or, for the time embedding, 1; its
-    column terms are (1|2, rows) rows."""
+    tape is an (S*K*P, rows) block, (S, K, P, rows) in C order: each slot
+    panel is a C-contiguous (K*P, rows) array and each time's (P, rows)
+    panel too.  P is the batch and K the group's 2 times, or 1 for the
+    time-invariant prefix; the time embedding is the group's 2 times as
+    points of one time.  Column terms are (1|K|2K, rows) rows."""
     jets = []
 
     def capture(rule):
@@ -288,17 +290,21 @@ def test_recorded_jet_blocks_are_point_major(monkeypatch):
         block = jet.node.value
         assert jet.node.idx is not None and block.flags.c_contiguous
         kinds.add(jet.node.kind)
-        n_slots, rows = len(jet.slots), block.shape[1]
-        nb = block.shape[0] // n_slots
-        assert nb * n_slots == block.shape[0] and nb in (11, 1)
+        n_slots, kb, rows = len(jet.slots), jet.block_times, block.shape[1]
+        nb = block.shape[0] // (n_slots * kb)
+        assert nb * n_slots * kb == block.shape[0]
+        assert (kb, nb) in ((1, 11), (2, 11), (1, 2))
+        panels = block.reshape(n_slots, kb, nb, rows)
         for k in range(n_slots):
-            panel = block.reshape(n_slots, nb, rows)[k]
-            assert panel.flags.c_contiguous and panel.shape == (nb, rows)
-            assert np.shares_memory(panel, block[k * nb : (k + 1) * nb])
+            assert panels[k].reshape(-1, rows).flags.c_contiguous
+            for t in range(kb):
+                lo = (k * kb + t) * nb
+                assert panels[k, t].flags.c_contiguous and panels[k, t].shape == (nb, rows)
+                assert np.shares_memory(panels[k, t], block[lo : lo + nb])
         for c in jet.cols:
-            assert c.value.shape in ((1, rows), (2, rows))
+            assert c.value.shape in ((1, rows), (jet.times, rows), (2 * jet.times, rows))
     assert kinds == {"affine", "jet_sine", "jet_leaky"}
-    assert any(len(j.slots) == 8 and j.node.value.shape[0] == 8 * 11 for j in jets)
+    assert any(len(j.slots) == 8 and j.node.value.shape[0] == 8 * 2 * 11 for j in jets)
 
 
 @pytest.mark.parametrize("request_, points", [
@@ -330,10 +336,16 @@ def test_chunk_points_keep_one_hidden_block_within_block_bytes(monkeypatch, requ
     assert max(sizes) == net.BLOCK_BYTES
 
 
-def _jet_arrays(jet):
-    """The output jet's block and column terms: every value, tangent and
-    mixed entry it carries."""
-    return [jet.slots] + [n.value for n in jet.inputs()]
+def _jet_arrays(jet, time):
+    """The output jet's slots, and its block and column terms at one of its
+    times: every value, tangent and mixed entry that time carries."""
+    k, block = jet.times, jet.node.value
+    panels = block.reshape(len(jet.slots), jet.block_times, -1, block.shape[1])
+    out = [jet.slots, panels[:, time].reshape(-1, block.shape[1])]
+    for c in jet.cols:
+        rows = c.value.shape[0]
+        out.append(c.value[[0] if rows == 1 else [time] if rows == k else [time, k + time]])
+    return out
 
 
 READERS = (net.displacement, net.phi, net.jacobian, net.jacdet, net.jacdet_dt, net.dphi_dt)
@@ -349,10 +361,10 @@ def _trace_scalar(tape, tr):
 
 
 def test_trace_network_shares_prefix_exactly():
-    """One trace over 8 times equals 8 one-time traces on separate tapes:
-    every value, tangent and mixed entry bit for bit, and the leaf
-    gradients of a scalar built from them to rounding (the shared prefix
-    sums its adjoints in another order)."""
+    """One trace over 8 times, one group of 8, equals 8 one-time traces on
+    separate tapes: every value, tangent and mixed entry bit for bit, and
+    the leaf gradients of a scalar built from them to rounding (the shared
+    prefix and the weights sum their adjoints in another order)."""
     cfg = net.NetworkConfig(hidden_width=8, depth=5, time_hidden_width=6, time_embed_width=12)
     state = toy_state(seed=3, config=cfg)
     coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 11))
@@ -362,6 +374,8 @@ def test_trace_network_shares_prefix_exactly():
     leaves = net.make_leaves(tape, state)
     traces = net.trace_network(tape, leaves, coords, times, cfg, FULL_REQ)
     assert len(traces) == len(times)
+    assert [tr.time for tr in traces] == list(range(8))
+    assert all(tr.output is traces[0].output for tr in traces)
     total = None
     for tr in traces:
         s = _trace_scalar(tape, tr)
@@ -374,7 +388,7 @@ def test_trace_network_shares_prefix_exactly():
         one = Tape()
         one_leaves = net.make_leaves(one, state)
         (want,) = net.trace_network(one, one_leaves, coords, [t], cfg, FULL_REQ)
-        got_arrays, want_arrays = _jet_arrays(got.output), _jet_arrays(want.output)
+        got_arrays, want_arrays = _jet_arrays(got.output, got.time), _jet_arrays(want.output, 0)
         assert got_arrays[0] == want_arrays[0] and len(got_arrays) == len(want_arrays)
         for a, b in zip(got_arrays[1:], want_arrays[1:]):
             assert a.tobytes() == b.tobytes()

@@ -8,6 +8,7 @@ not imported."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -48,6 +49,28 @@ SITES = _span_sites() + [
 )
 def test_wrapped_site_resolves(owner, attr):
     assert callable(getattr(owner, attr))
+
+
+def _wrapper_call_arity():
+    """The number of positional arguments the tracer's `trace_network`
+    wrapper passes to the function it wraps, read off its call `fn(...)`."""
+    for node in ast.walk(ast.parse(TRACER.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "_wrap_trace_network":
+            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                     and isinstance(c.func, ast.Name) and c.func.id == "fn"]
+            assert len(calls) == 1 and not calls[0].keywords
+            return len(calls[0].args)
+    raise AssertionError("_wrap_trace_network not found in perfbench/tracer.py")
+
+
+def test_trace_network_takes_the_wrappers_arguments():
+    """`network.trace_network` binds the six positional arguments the
+    tracer's wrapper passes, and needs no more."""
+    arity = _wrapper_call_arity()
+    assert arity == 6
+    inspect.signature(network.trace_network).bind(*range(arity))
+    with pytest.raises(TypeError):
+        inspect.signature(network.trace_network).bind(*range(arity - 1))
 
 
 def _direct_uses(path):
