@@ -47,22 +47,25 @@ non-zero are stored, so S <= 8.  A jet of one time is the K = 1 case.
     and cos call scalar libm, as in numpy 2.4 on x86-64.  The rule keeps
     omega*cos as its ndarray aux, so its VJP evaluates no transcendental;
     a value-only block computes the sine alone and keeps no aux.
-  * `jet_slot` extracts one folded slot as a (rows, P) node at one time,
-    the transpose of its panel, or as a (rows, K*P) node at every time.
+  * `jet_slot` extracts one folded slot as a (rows, K*P) node at every
+    time, time-major, or as the (rows, P) transpose of one time's panel;
+    it is the only read of a single time.
   * The output layer's block ((S*K*P, 3), the displacement's components)
     is the one place that holds the Jacobian's layout: slot x+j,
     component i is J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j,
     component i is dJ[i][j]/dt.  Its column terms touch only slots v and
-    t, so three primitives read the block node alone, one node each,
-    recorded by `network`'s readers only where a product is used:
-    `jacobian` (slots x, y, z as one (3, 3n) node), `jacdet` (|I + J| by
-    cofactor expansion) and `jacdet_dt` (d|I + J|/dt = tr(adj(I + J)
-    dJ/dt) by Jacobi's formula), each (P,) at one time and (K, P) at
-    every time.  Each reads one transposed (3, S, n) copy of this small
-    block, n = P or K*P.
+    t, so three readers take the block node alone, one node each, where
+    a product is used: `jacobian` (slots x, y, z as one (3, 3*K*P)
+    node), `jacdet` (|I + J| by cofactor expansion, (K, P)) and
+    `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt) by Jacobi's formula,
+    (K, P); a zero constant when the jet has no mixed slots).  Each reads
+    all K times of the group through one transposed (3, S, K*P) copy of
+    this small block.
 Every jet primitive's payload carries its block's `times`, the pair
-(block times, K), and a reader's also the time it reads (None: every
-time).
+(block times, K): an output reader's is (slots, times), a `jet_slot`'s
+also the slot and the time it reads (None: every time).  The readers and
+bundle rules below build every payload; no other module records a jet
+kind.
 With this layout a layer is one matmul forward (block @ W.T) and two
 backward (g.T @ block and g @ W) for all K times, and one node per rule;
 every elementwise pass of a rule runs over whole contiguous slot panels.
@@ -128,6 +131,9 @@ __all__ = [
     "bundle_leaky",
     "bundle_add",
     "jet_slot",
+    "jacobian",
+    "jacdet",
+    "jacdet_dt",
 ]
 
 
@@ -601,39 +607,28 @@ _ADJ_TABLE = (
 
 
 def _output_block(kind, values, payload, mixed=False):
-    """An output layer's (S*Kb*P, 3) block as a (3, S, n) copy, component
-    first, and its slot positions: n is the P points of time `time` or, for
-    `time` None, the K*P points of every time, time-major.  Its column terms
-    touch only slots v and t, so the spatial slots (and, with `mixed`, the
-    mixed ones) are read as stored; a block shared by the K times is read
-    once per time."""
-    slots, (kb, k), time = payload
+    """An output layer's (S*Kb*P, 3) block as a (3, S, K*P) copy, component
+    first, the K*P points time-major, and its slot positions.  Its column
+    terms touch only slots v and t, so the spatial slots (and, with
+    `mixed`, the mixed ones) are read as stored; a block shared by the K
+    times is read once per time."""
+    slots, (kb, k) = payload
     z, pos, _, _ = _jet_block(kind, values, slots, (kb, kb))
     need = SPATIAL + ((XT, YT, ZT) if mixed else ())
     if z.shape[3] != 3 or any(s not in pos for s in need):
         raise DiffEngineError(f"{kind}: block {values[0].shape} of slots {slots} lacks {need}")
-    z = np.broadcast_to(z, (len(slots), k) + z.shape[2:])
-    z = z[:, time] if time is not None else z.reshape(len(slots), -1, 3)
+    z = np.broadcast_to(z, (len(slots), k) + z.shape[2:]).reshape(len(slots), -1, 3)
     return np.ascontiguousarray(z.transpose(2, 0, 1)), pos
 
 
 def _point_major(gz, payload):
-    """A (3, S, n) cotangent of `_output_block` as the (S*Kb*P, 3) block it
-    belongs to."""
-    slots, (kb, k), time = payload
+    """A (3, S, K*P) cotangent of `_output_block` as the (S*Kb*P, 3) block
+    it belongs to."""
+    slots, (kb, k) = payload
     gz = gz.transpose(1, 2, 0)
-    if time is not None:
-        full = np.zeros((len(slots), k) + gz.shape[1:], gz.dtype)
-        full[:, time] = gz
-        gz = full
     if kb < k:
         gz = gz.reshape(len(slots), k, -1, 3).sum(axis=1)
     return gz.reshape(-1, 3)
-
-
-def _per_time(out, payload):
-    """A reader's (n,) result as (K, P) when it reads every time."""
-    return out if payload[2] is not None else out.reshape(payload[1][1], -1)
 
 
 def _identity_plus_jacobian(z, pos, dtype):
@@ -651,7 +646,7 @@ def _adjugate(x):
 def _jacobian_forward(dtype, values, payload):
     """The Jacobian J of the displacement, the spatial slots x, y, z as one
     (3, 3n) array: row i, columns [j*n, (j+1)*n) hold d(disp_i)/dx_j at the
-    n points `_output_block` reads."""
+    n = K*P points `_output_block` reads."""
     z, pos = _output_block("jacobian", values, payload)
     return z[:, pos[X] : pos[X] + 3].reshape(3, 3 * z.shape[2]).copy()
 
@@ -664,12 +659,11 @@ def _jacobian_vjp(node, g):
 
 
 def _jacdet_forward(dtype, values, payload):
-    """|I + J| by cofactor expansion along the first row: (P,) at one time,
-    (K, P) at every time."""
+    """|I + J| by cofactor expansion along the first row, (K, P)."""
     z, pos = _output_block("jacdet", values, payload)
     x = _identity_plus_jacobian(z, pos, dtype)
     adj = _adjugate(x)
-    return _per_time(x[0] * adj[0] + x[1] * adj[3] + x[2] * adj[6], payload)
+    return (x[0] * adj[0] + x[1] * adj[3] + x[2] * adj[6]).reshape(payload[1][1], -1)
 
 
 def _jacdet_vjp(node, g):
@@ -695,7 +689,7 @@ def _jacdet_dt_forward(dtype, values, payload):
         for k in range(3):
             term = adj[3 * i + k] * z[k, pos[XT + i]]
             acc = term if acc is None else acc + term
-    return _per_time(acc, payload)
+    return acc.reshape(payload[1][1], -1)
 
 
 def _jacdet_dt_vjp(node, g):
@@ -990,6 +984,27 @@ def bundle_leaky(tape: Tape, x: Jet, slope: float) -> Jet:
 
 
 def jet_slot(tape: Tape, x: Jet, slot: int, time: int | None = None) -> Node:
-    """Slot `slot` of a jet, column terms added, as a (rows, P) node at time
-    `time`, or a (rows, K*P) node at every time for `time` None."""
+    """Slot `slot` of a jet, column terms added, as a (rows, K*P) node at
+    every time, time-major, or for a position `time` as a (rows, P) node at
+    that time alone."""
     return tape.record("jet_slot", x.inputs(), (x.slots, x.layout, slot, time))
+
+
+def jacobian(tape: Tape, x: Jet) -> Node:
+    """J of an output jet's K times, (3, 3*K*P): row i, columns
+    [j*K*P, (j+1)*K*P) hold d(disp_i)/dx_j at the points, time-major."""
+    return tape.record("jacobian", (x.node,), (x.slots, x.layout))
+
+
+def jacdet(tape: Tape, x: Jet) -> Node:
+    """|I + J| of an output jet, (K, P)."""
+    return tape.record("jacdet", (x.node,), (x.slots, x.layout))
+
+
+def jacdet_dt(tape: Tape, x: Jet) -> Node:
+    """d|I + J|/dt of an output jet, (K, P); a zero constant when the jet
+    has no mixed slot (depth 2: J does not depend on time)."""
+    if XT not in x.slots:
+        points = x.node.value.shape[0] // (len(x.slots) * x.block_times)
+        return tape.constant(np.zeros((x.times, points)))
+    return tape.record("jacdet_dt", (x.node,), (x.slots, x.layout))

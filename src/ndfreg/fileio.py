@@ -265,6 +265,8 @@ def read_manifest(path: str):
                 months = float(parts[0])
             except ValueError:
                 raise FileFormatError(f"{path}:{lineno}: bad months {parts[0]!r}")
+            if not np.isfinite(months):
+                raise FileFormatError(f"{path}:{lineno}: months must be finite, got {parts[0]!r}")
             entries.append((months, parts[1], parts[2] if len(parts) == 3 else None))
     if not entries:
         raise FileFormatError(f"{path}: empty manifest")
@@ -344,10 +346,9 @@ def _array_names(config: NetworkConfig):
 def _array_shapes(config: NetworkConfig):
     """Shapes of the arrays `_array_names` lists, in the same order."""
     shapes = []
-    for out, fan_in in config.layer_shapes():
+    for out, fan_in in config.layer_shapes() + config.time_layer_shapes():
         shapes += [(out, fan_in), (out, 1)]
-    th, e = config.time_hidden_width, config.time_embed_width
-    return shapes + [(th, 1), (th, 1), (e, th), (e, 1)]
+    return shapes
 
 
 def _network_config(fields: dict) -> NetworkConfig:
@@ -381,7 +382,7 @@ def save_model(path: str, state: NetworkState):
 
 def load_model(path: str) -> NetworkState:
     """Read an NDFIELD container; every mismatch with the architecture its
-    header declares raises FileFormatError."""
+    header declares, and every non-finite weight, raises FileFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MODEL_MAGIC:
@@ -417,11 +418,10 @@ def load_model(path: str) -> NetworkState:
         end = offset + count * 8
         if len(blob) < end:
             raise FileFormatError(f"{path}: truncated array {name}")
-        arrays.append(
-            np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
+        array = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(array).all():
+            raise FileFormatError(f"{path}: array {name} has non-finite values")
+        arrays.append(array.reshape(shape).copy())
         offset = end
     if len(blob) != offset:
         raise FileFormatError(f"{path}: {len(blob) - offset} trailing bytes")

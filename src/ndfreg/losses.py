@@ -15,13 +15,14 @@ differentiate the total with respect to the parameters; `build_total_loss`
 assembles them and `total_loss` evaluates the same tape for a frozen
 state.  Terms whose weight is zero are skipped and reported as 0.
 
-The network traces its times in groups (`network.group_times`).  The
-observed times are one trace: NCC and the anchor each read one time's
-displacement out of its group.  The grid's regularizers read J, dphi/dt
-and d|J|/dt once per group, at all of its times: the spatial and temporal
-terms sum squares over each group and add the groups, and the monotonic
-term sums relu(d|J|/dt) and relu(-d|J|/dt) over each group's (K, B)
-rates across its times, then adds the groups' sums per point.
+The network traces its times in groups (`network.group_times`) and
+returns one output jet per group.  The observed times are one trace: the
+anchor and each NCC term read one time's displacement out of its group's
+jet, and NCC adds the coordinates to it.  The grid's regularizers read J,
+dphi/dt and d|J|/dt once per group, at all of its times: the spatial and
+temporal terms sum squares over each group and add the groups, and the
+monotonic term sums relu(d|J|/dt) and relu(-d|J|/dt) over each group's
+(K, B) rates across its times, then adds the groups' sums per point.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffengine as de
 from .diffengine import Tape
 from . import network as net
 from .volume import sample_trilinear
@@ -136,17 +138,19 @@ def build_total_loss(
     times = list(plan.observed_times[1:])
     if weights.lam > 0:
         times.insert(0, 0.0)
-    observed = net.trace_network(
-        tape, leaves, coords, times, config, net.DerivativeRequest()
-    )
+    outs = net.trace_network(tape, leaves, coords, times, config, net.DerivativeRequest())
+    # each observed time as (its group's output jet, its position there)
+    observed = [(out, k) for out in outs for k in range(out.times)]
     anchor = None
     if weights.lam > 0:
-        anchor = anchor_node(tape, net.displacement(tape, observed.pop(0)))
+        anchor = anchor_node(tape, net.displacement(tape, *observed.pop(0)))
 
     fixed_vals, _ = sample_trilinear(series.baseline, coords)
+    x = tape.constant(coords)
     sim = None
-    for (months, vol), tr in zip(series.followups, observed):
-        warped = tape.sample3(vol.values, net.phi(tape, tr))
+    for (months, vol), (out, k) in zip(series.followups, observed):
+        phi = tape.add(net.displacement(tape, out, k), x)
+        warped = tape.sample3(vol.values, phi)
         term = ncc_node(tape, fixed_vals, warped)
         sim = term if sim is None else tape.add(sim, term)
 
@@ -161,16 +165,15 @@ def build_total_loss(
         kgrid = len(plan.reg_grid)
         djdt_groups = []
         sp_acc = tp_acc = None
-        traces = net.trace_network(tape, leaves, coords, plan.reg_grid, config, req)
-        for tr in net.group_traces(traces):
+        for out in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
             if need_spatial:
-                s = sum_of_squares(tape, net.jacobian(tape, tr))
+                s = sum_of_squares(tape, de.jacobian(tape, out))
                 sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
             if need_temporal:
-                s = sum_of_squares(tape, net.dphi_dt(tape, tr))
+                s = sum_of_squares(tape, net.dphi_dt(tape, out))
                 tp_acc = s if tp_acc is None else tape.add(tp_acc, s)
             if need_mono:
-                djdt_groups.append(net.jacdet_dt(tape, tr))
+                djdt_groups.append(de.jacdet_dt(tape, out))
         if need_spatial:
             spatial = tape.scale(sp_acc, 1.0 / (kgrid * nbatch))
         if need_temporal:

@@ -9,13 +9,15 @@ second-order tangents) are exact chain-rule quantities taped on the
 differentiation engine, so losses built on them remain differentiable
 with respect to every parameter.
 
-A trace ends at the output layer's jet, whose slots `DerivativeRequest`
-sets: x, y, z with `spatial`, t with `temporal`, and the mixed entries
-dJ/dt with both.  Each product is one node read off that jet by its reader
-(`displacement`, `phi`, `jacobian`, `jacdet`, `jacdet_dt`, `dphi_dt`) at
-the place that uses it, so a tape records only the products its caller
-reads.  At depth 2 time enters after the last sine, so J does not depend
-on t and d|J|/dt is a zero constant.
+A trace ends at the output layer's jet of each time group, whose slots
+`DerivativeRequest` sets: x, y, z with `spatial`, t with `temporal`, and
+the mixed entries dJ/dt with both.  Each product is one node read off a
+group's jet at the place that uses it, so a tape records only the products
+its caller reads: `displacement` and `dphi_dt` here, J, |I + J| and
+d|I + J|/dt by `diffengine`'s readers (`jacobian`, `jacdet`, `jacdet_dt`).
+Every reader reads all K times of a group; only `displacement` also reads
+one of them.  At depth 2 time enters after the last sine, so J does not
+depend on t and d|J|/dt is a zero constant.
 
 Time groups.  `trace_network` traces a sequence of times in groups of K,
 each group as one jet block per layer: (S, K, P, rows) in C order for S
@@ -29,9 +31,8 @@ Time enters only through the embedding, so the first sine layer and layer
 coordinate batch as a one-time block, and layer 2's rule broadcasts it
 over each group's K times (its VJP sums the prefix's cotangent back over
 them).  The last group takes the only reference to the prefix, so it is
-freed after that group's layer 2.  Each time's trace (`NetworkTrace`) is
-its position in its group's output jet; a reader reads that time, and
-`group_traces` gives one trace per group whose reads hold all K times.
+freed after that group's layer 2.  `trace_network` returns one output jet
+per group, and time k of a group is position k of its jet.
 
 Grouping rule (`group_times`): a recorded trace puts as many times in a
 group as keep one hidden-layer block within BLOCK_BYTES, K = max(1,
@@ -77,10 +78,10 @@ transient cotangents are one group's blocks, up to BLOCK_BYTES each.
 `forward_with_derivatives` returns the displacement, |I + J| with
 `spatial` and d|I + J|/dt with both; it allocates each of them once at
 grid size and every chunk writes its own columns.  J and dphi/dt stay on
-the trace, read by `jacobian` and `dphi_dt` where they are needed, and
-are never held at grid size.  A chunk's tape and traces are freed before
-the next chunk traces, so none of its small output arrays splits a freed
-block's heap hole.
+the output jets, read by `diffengine.jacobian` and `dphi_dt` where they
+are needed, and are never held at grid size.  A chunk's tape and output
+jets are freed before the next chunk traces, so none of its small output
+arrays splits a freed block's heap hole.
 
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
@@ -102,12 +103,10 @@ __all__ = [
     "NetworkState",
     "DerivativeRequest",
     "DisplacementResult",
-    "NetworkTrace",
-    "displacement", "phi", "jacobian", "jacdet", "jacdet_dt", "dphi_dt",
+    "displacement", "dphi_dt",
     "init_network",
     "make_leaves",
     "trace_network",
-    "group_traces",
     "group_times",
     "forward",
     "forward_with_derivatives",
@@ -143,6 +142,11 @@ class NetworkConfig:
         h, e, d = self.hidden_width, self.time_embed_width, self.depth
         return [(h, 3)] + [(h, h + e)] * (d - 2) + [(3, h + e)]
 
+    def time_layer_shapes(self) -> list:
+        """(out, in) of the time sub-network's two affine layers."""
+        th = self.time_hidden_width
+        return [(th, 1), (self.time_embed_width, th)]
+
 
 @dataclass
 class NetworkState:
@@ -160,15 +164,6 @@ class NetworkState:
         for w, b in self.psi + self.theta:
             out.extend((w, b))
         return out
-
-    def copy(self) -> "NetworkState":
-        return NetworkState(
-            self.config,
-            [(w.copy(), b.copy()) for w, b in self.psi],
-            [(w.copy(), b.copy()) for w, b in self.theta],
-            seed=self.seed,
-            time_horizon=self.time_horizon,
-        )
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -195,10 +190,7 @@ def init_network(
         w = rng.uniform(-bound, bound, size=(out, fan_in)).astype(dtype)
         psi.append((w, np.zeros((out, 1), dtype=dtype)))
     theta = []
-    for out, fan_in in (
-        (config.time_hidden_width, 1),
-        (config.time_embed_width, config.time_hidden_width),
-    ):
+    for out, fan_in in config.time_layer_shapes():
         bound = np.sqrt(6.0 / fan_in)
         w = rng.uniform(-bound, bound, size=(out, fan_in)).astype(dtype)
         theta.append((w, np.zeros((out, 1), dtype=dtype)))
@@ -240,12 +232,6 @@ class Leaves:
         """Whether the parameters are recorded leaves, not constants."""
         return self.psi[0][0].idx is not None
 
-    def flat(self) -> list:
-        out = []
-        for w, b in self.psi + self.theta:
-            out.extend((w, b))
-        return out
-
     def grads(self) -> list:
         """The leaves' adjoints in `NetworkState.param_arrays` order and
         shapes (each bias row back to its (out, 1) column), zero where no
@@ -269,62 +255,15 @@ def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leav
     )
 
 
-@dataclass(frozen=True)
-class NetworkTrace:
-    """Tape handles for one time of a traced group; the readers below take
-    each product off the group's output jet at that time, or at every time
-    of the group for `time` None (see `group_traces`)."""
-
-    coords: Node  # (3,P)
-    output: Jet  # the output layer's jet at the group's K times, column terms not yet added
-    time: int | None = None  # this trace's position in the group
-
-    @property
-    def payload(self) -> tuple:
-        """The payload of a product read off the output block."""
-        return (self.output.slots, self.output.layout, self.time)
+def displacement(tape: Tape, out: Jet, time: int | None = None) -> Node:
+    """The displacement of a group's output jet at its position `time`,
+    (3,P), or at every time, (3,K*P) time-major."""
+    return de.jet_slot(tape, out, de.V, time)
 
 
-def group_traces(traces: list) -> list:
-    """One trace per group of a `trace_network` result, in order, whose
-    products hold every time of the group."""
-    return [NetworkTrace(tr.coords, tr.output) for tr in traces if tr.time == 0]
-
-
-def displacement(tape: Tape, trace: NetworkTrace) -> Node:
-    """The displacement, (3,P), or (3,K*P) time-major for a group."""
-    return de.jet_slot(tape, trace.output, de.V, trace.time)
-
-
-def phi(tape: Tape, trace: NetworkTrace) -> Node:
-    """coords + displacement, (3,P), at one time."""
-    return tape.add(displacement(tape, trace), trace.coords)
-
-
-def jacobian(tape: Tape, trace: NetworkTrace) -> Node:
-    """J, (3,3n): row i, columns [j*n, (j+1)*n) hold d(disp_i)/dx_j at the
-    n = P points, or for a group the K*P points time-major."""
-    return tape.record("jacobian", (trace.output.node,), trace.payload)
-
-
-def jacdet(tape: Tape, trace: NetworkTrace) -> Node:
-    """|I + J|, (P,), or (K,P) for a group."""
-    return tape.record("jacdet", (trace.output.node,), trace.payload)
-
-
-def jacdet_dt(tape: Tape, trace: NetworkTrace) -> Node:
-    """d|I + J|/dt, (P,), or (K,P) for a group; at depth 2 (no mixed slot) a
-    zero constant."""
-    if de.XT not in trace.output.slots:
-        points = trace.coords.value.shape[1]
-        shape = points if trace.time is not None else (trace.output.times, points)
-        return tape.constant(np.zeros(shape))
-    return tape.record("jacdet_dt", (trace.output.node,), trace.payload)
-
-
-def dphi_dt(tape: Tape, trace: NetworkTrace) -> Node:
-    """d(phi)/dt, (3,P), or (3,K*P) time-major for a group."""
-    return de.jet_slot(tape, trace.output, de.T, trace.time)
+def dphi_dt(tape: Tape, out: Jet) -> Node:
+    """d(phi)/dt of a group's output jet, (3,K*P) time-major."""
+    return de.jet_slot(tape, out, de.T)
 
 
 def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
@@ -351,13 +290,13 @@ def trace_network(
     config: NetworkConfig,
     request: DerivativeRequest,
 ) -> list:
-    """Trace the field at (3,P) `coords` at each of a sequence of
-    normalized `times`; returns one NetworkTrace per time, in order.
+    """Trace the field at (3,P) `coords` at a sequence of normalized
+    `times`; returns the output layer's jet of each time group, in order.
 
     The times are traced in groups of `group_times` (the last may be
     shorter; one time per group for frozen leaves, see the module
-    docstring), each group as one jet block per layer; the traces of a
-    group share its output jet.  Time enters only through the embedding
+    docstring), each group as one jet block per layer; time k of a group
+    is position k of its jet.  Time enters only through the embedding
     concatenated into the hidden layers, so the coordinate jet, the layer-1
     sine and layer 2's `W2[:, :h] @ a1` are traced once and shared by every
     group; layer 2's rule broadcasts that prefix over a group's times.
@@ -372,9 +311,8 @@ def trace_network(
     h = config.hidden_width
     he = h + config.time_embed_width
     k = group_times(config, request, coords.shape[1], tape.dtype) if leaves.trainable else 1
-    x = tape.constant(coords)
     prefix = _trace_prefix(tape, leaves, _coordinate_jet(tape, coords, request.spatial), config)
-    traces = []
+    outs = []
     for lo in range(0, len(times), k):
         group = times[lo : lo + k]
         eb = _trace_time_embed(tape, leaves.theta, _time_jet(tape, group, request.temporal), config)
@@ -389,8 +327,8 @@ def trace_network(
             if li < config.depth - 1:
                 z = de.bundle_sine(tape, z)
             a = z
-        traces += [NetworkTrace(x, a, i) for i in range(len(group))]
-    return traces
+        outs.append(a)
+    return outs
 
 
 def _coordinate_jet(tape, coords, spatial: bool) -> Jet:
@@ -434,8 +372,8 @@ def forward_with_derivatives(
     and shares it across the times.
 
     A result carries the displacement, |I + J| with `spatial` and
-    d|I + J|/dt with both; J and dphi/dt are read off a trace
-    (`jacobian`, `dphi_dt`).  Each product is allocated once at full size
+    d|I + J|/dt with both; J and dphi/dt are read off an output jet
+    (`diffengine.jacobian`, `dphi_dt`).  Each product is allocated once at full size
     and every chunk writes its own columns, so memory is those products
     plus one chunk's working set: the prefix and two hidden-layer blocks
     (see the module docstring).  The parameters enter as tape constants,
@@ -470,18 +408,19 @@ def forward_with_derivatives(
 def _write_chunk(results, cols, state, coords, times, request, dtype):
     """Trace one chunk of coords at every time and write each product's
     leading points into the results' columns `cols`; points past them are
-    padding.  The chunk's tape and traces die on return, so none of them
-    pins heap while the next chunk traces."""
+    padding.  A frozen trace holds one time per group, so each product is
+    row 0 of its group's.  The chunk's tape and output jets die on return,
+    so none of them pins heap while the next chunk traces."""
     tape = Tape(dtype)
     leaves = make_leaves(tape, state, trainable=False)
-    traces = trace_network(tape, leaves, coords, times, state.config, request)
-    k = cols.stop - cols.start
-    for res, tr in zip(results, traces):
-        res.displacement[:, cols] = displacement(tape, tr).value[:, :k]
+    outs = trace_network(tape, leaves, coords, times, state.config, request)
+    n = cols.stop - cols.start
+    for res, out in zip(results, outs):
+        res.displacement[:, cols] = displacement(tape, out).value[:, :n]
         if res.jac_det is not None:
-            res.jac_det[cols] = jacdet(tape, tr).value[:k]
+            res.jac_det[cols] = de.jacdet(tape, out).value[0, :n]
         if res.jac_det_dt is not None:
-            res.jac_det_dt[cols] = jacdet_dt(tape, tr).value[:k]
+            res.jac_det_dt[cols] = de.jacdet_dt(tape, out).value[0, :n]
 
 
 def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:

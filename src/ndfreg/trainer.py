@@ -9,12 +9,13 @@ traces the network twice, once for the observed times (values only) and
 once for the grid (with derivatives); each trace shares its time-invariant
 prefix across its times and runs them in groups of as many times as fill
 one `network.BLOCK_BYTES` block (`network.group_times`), one block per
-layer and group.  With the fit-narrow recipe (width 32, B=256) that is one
+layer and group, and returns each group's output jet, which the losses
+read whole.  With the fit-narrow recipe (width 32, B=256) that is one
 group for the 4 observed times and two of 4 for the 8-time grid.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk; inference
-traces one time per group.
+traces one time per group and writes row 0 of each group's products.
 
 With a fixed seed and single-threaded BLAS the loop is reproducible to
 bit-identical parameters.

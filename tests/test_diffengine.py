@@ -48,10 +48,9 @@ SPACE = (de.V, de.X, de.Y, de.Z)
 ONE = (1, 1)  # a block of one time, the `times` of a jet payload
 
 
-def read(slots, times=ONE, time=0):
-    """The payload of an output-block product at time `time` (None: every
-    time) of a block of `times`."""
-    return (slots, times, time)
+def read(slots, times=ONE):
+    """The payload of an output-block product of a block of `times`."""
+    return (slots, times)
 
 
 def value_jet(tape, value):
@@ -84,7 +83,7 @@ def test_record_sine_of_zero():
 def test_record_det3_of_identity():
     tape = Tape()
     block, payload = output_block(np.zeros((3, 3, 1)))
-    assert float(tape.record("jacdet", (tape.constant(block),), payload).value[0]) == 1.0
+    assert tape.record("jacdet", (tape.constant(block),), payload).value.item() == 1.0
 
 
 def test_record_leaky_of_negative():
@@ -137,7 +136,7 @@ def test_det3_matches_permutation_oracle():
     jac = rng.uniform(-1, 1, size=(3, 3, 200)) - np.eye(3)[:, :, None]
     block, payload = output_block(jac)
     tape = Tape()
-    got = tape.record("jacdet", (tape.constant(block),), payload).value
+    (got,) = tape.record("jacdet", (tape.constant(block),), payload).value
     for p in range(200):
         expect = det3_permutation_oracle(jac[:, :, p] + np.eye(3))
         assert got[p] == pytest.approx(expect, abs=1e-12)
@@ -663,25 +662,22 @@ def _jet_cases(rng):
             ((block(SPACE), col(6), col(1)), (SPACE, shared, de.V, None)),
             ((block(SPACE), col(6), col(1)), (SPACE, shared, de.Y, 2)),
         ],
-        # the output block alone, with and without the mixed slots; every
-        # time of a group, one of them, and a shared block (depth 2)
+        # the output block alone, with and without the mixed slots: a group
+        # of one time, of three, and a shared block (depth 2)
         "jacobian": [
             ((block(SPACE),), read(SPACE)),
             ((block(ALL_SLOTS),), read(ALL_SLOTS)),
-            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, None)),
-            ((block(SPACE),), read(SPACE, shared, 1)),
+            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3)),
         ],
         "jacdet": [
             ((block(SPACE),), read(SPACE)),
             ((block(ALL_SLOTS),), read(ALL_SLOTS)),
-            ((block(SPACE, 12),), read(SPACE, k3, None)),
-            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, 1)),
-            ((block(SPACE),), read(SPACE, shared, None)),
+            ((block(SPACE, 12),), read(SPACE, k3)),
+            ((block(SPACE),), read(SPACE, shared)),
         ],
         "jacdet_dt": [
             ((block(ALL_SLOTS),), read(ALL_SLOTS)),
-            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, None)),
-            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3, 2)),
+            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3)),
         ],
     }
 

@@ -284,6 +284,17 @@ def test_manifest_validation(tmp_path):
         fileio.read_manifest(path)
 
 
+@pytest.mark.parametrize("months", ["nan", "inf"])
+def test_manifest_non_finite_months_rejected(tmp_path, months):
+    """A month that is not finite is refused on its own line; a NaN or
+    infinite follow-up would pass the ordering check, as `b <= a` is False
+    for NaN and for an infinite b."""
+    path = str(tmp_path / "bad.txt")
+    open(path, "w").write(f"0 base.raw\n{months} vol_02.raw\n")
+    with pytest.raises(FileFormatError, match=r"bad\.txt:2: months must be finite"):
+        fileio.read_manifest(path)
+
+
 def test_load_series(tmp_path):
     rng = np.random.default_rng(4)
     for i in range(3):
@@ -390,6 +401,30 @@ def test_model_time_network_shape_mismatch_rejected(tmp_path):
         fileio.load_model(path)
 
 
+def test_array_shapes_are_the_parameter_shapes():
+    """The container's array manifest and `init_network` read the layer
+    shapes from the one NetworkConfig source."""
+    cfg = net.NetworkConfig(hidden_width=5, depth=4, time_hidden_width=3, time_embed_width=7)
+    assert cfg.time_layer_shapes() == [(3, 1), (7, 3)]
+    state = net.init_network(seed=0, config=cfg)
+    assert fileio._array_shapes(cfg) == [a.shape for a in state.param_arrays()]
+
+
+def non_finite_model(tmp_path, value):
+    """A small model saved with one weight of psi1_w set to `value`."""
+    state = net.init_network(seed=1, config=SMALL_NET)
+    state.psi[1][0][0, 0] = value
+    path = str(tmp_path / "non_finite.ndf")
+    fileio.save_model(path, state)
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_non_finite_weight_rejected(tmp_path, value):
+    with pytest.raises(FileFormatError, match="array psi1_w has non-finite values"):
+        fileio.load_model(non_finite_model(tmp_path, value))
+
+
 def test_model_trailing_bytes_rejected(tmp_path):
     header, payload = saved_model(tmp_path)
     fileio.load_model(write_model(tmp_path, header, payload))  # intact: loads
@@ -464,3 +499,16 @@ def test_cli_bad_model_is_input_error(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_INPUT
     assert "trailing bytes" in capsys.readouterr().err
+
+
+def test_cli_non_finite_model_is_input_error(tmp_path, capsys):
+    """A NaN weight would make every |J| NaN, which `predict` counts as no
+    folded voxel; the model is refused before anything is written."""
+    from ndfreg import cli
+
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "--model", non_finite_model(tmp_path, np.nan), "--time", "1",
+                   "--dims", "4,4,4", "--out", str(out)])
+    assert rc == cli.EXIT_INPUT
+    assert "psi1_w has non-finite values" in capsys.readouterr().err
+    assert not any(p.suffix == ".raw" for p in out.iterdir())

@@ -109,7 +109,7 @@ def test_forward_with_derivatives_records_nothing(no_gc, tapes):
 
 
 def test_chunk_traces_die_before_the_next_chunk_traces(no_gc, monkeypatch):
-    """An inference chunk's traces are freed before the next chunk is
+    """An inference chunk's output jets are freed before the next chunk is
     traced, so their output blocks split none of the holes that the next
     chunk's layer blocks reuse."""
     outputs, alive = [], []
@@ -117,9 +117,9 @@ def test_chunk_traces_die_before_the_next_chunk_traces(no_gc, monkeypatch):
 
     def tracking(*args):
         alive.append(sum(ref() is not None for ref in outputs))
-        traces = trace_network(*args)
-        outputs.extend(weakref.ref(tr.output.node.value) for tr in traces)
-        return traces
+        outs = trace_network(*args)
+        outputs.extend(weakref.ref(out.node.value) for out in outs)
+        return outs
 
     monkeypatch.setattr(net, "trace_network", tracking)
     state = net.init_network(seed=2, config=TOY_NET)

@@ -395,7 +395,7 @@ def test_parameter_gradients_match_fd():
     tape.backward(total)
     grads = [
         l.adjoint if l.adjoint is not None else np.zeros_like(l.value)
-        for l in leaves.flat()
+        for wb in leaves.psi + leaves.theta for l in wb
     ]
 
     rng = np.random.default_rng(0)
@@ -438,7 +438,7 @@ def test_monotonic_term_parameter_gradients_match_fd(seed):
     tape.backward(total)
     grads = [
         l.adjoint if l.adjoint is not None else np.zeros_like(l.value)
-        for l in leaves.flat()
+        for wb in leaves.psi + leaves.theta for l in wb
     ]
 
     eps = 1e-5

@@ -23,15 +23,16 @@ def toy_state(seed=1, amplify=3.0, config=TOY):
 
 def traced(state, coords, times, request=FULL_REQ):
     """J of phi (identity included), (3,3,B), and dphi/dt, (3,B), at each
-    of `times`, read off one trace by `network.jacobian` and `dphi_dt`."""
+    of `times`, read off one frozen trace (one time per group) by
+    `diffengine.jacobian` and `network.dphi_dt`."""
     tape = Tape()
     leaves = net.make_leaves(tape, state, trainable=False)
-    out = []
-    for tr in net.trace_network(tape, leaves, coords, times, state.config, request):
-        jac = net.jacobian(tape, tr).value.reshape(3, 3, -1)
+    products = []
+    for out in net.trace_network(tape, leaves, coords, times, state.config, request):
+        jac = de.jacobian(tape, out).value.reshape(3, 3, -1)
         jac[range(3), range(3)] += 1.0
-        out.append((jac, net.dphi_dt(tape, tr).value))
-    return out
+        products.append((jac, net.dphi_dt(tape, out).value))
+    return products
 
 
 def zero_state(config=TOY):
@@ -348,53 +349,59 @@ def _jet_arrays(jet, time):
     return out
 
 
-READERS = (net.displacement, net.phi, net.jacobian, net.jacdet, net.jacdet_dt, net.dphi_dt)
+READERS = (net.displacement, net.dphi_dt, de.jacobian, de.jacdet, de.jacdet_dt)
 
 
-def _trace_scalar(tape, tr):
-    """A scalar that reaches every product of one time."""
+def _scalar(tape, products):
+    """A scalar that reaches every entry of `products`."""
     total = None
-    for read in READERS:
-        s = tape.sum(tape.square(read(tape, tr)))
+    for p in products:
+        s = tape.sum(tape.square(p))
         total = s if total is None else tape.add(total, s)
     return total
 
 
+def _at(product, k, points, time):
+    """A group product at one of its K = `k` times: row `time` of a (K, P)
+    product, or the `time`-th P columns of each row of a (rows, K*P) one."""
+    return np.ascontiguousarray(product.value.reshape(-1, k, points)[:, time])
+
+
 def test_trace_network_shares_prefix_exactly():
     """One trace over 8 times, one group of 8, equals 8 one-time traces on
-    separate tapes: every value, tangent and mixed entry bit for bit, and
-    the leaf gradients of a scalar built from them to rounding (the shared
-    prefix and the weights sum their adjoints in another order)."""
+    separate tapes: every value, tangent and mixed entry, and row k of each
+    of the group's products, bit for bit; and the leaf gradients of a
+    scalar built from them to rounding (the shared prefix and the weights
+    sum their adjoints in another order)."""
     cfg = net.NetworkConfig(hidden_width=8, depth=5, time_hidden_width=6, time_embed_width=12)
     state = toy_state(seed=3, config=cfg)
-    coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 11))
+    points = 11
+    coords = np.random.default_rng(8).uniform(-1, 1, size=(3, points))
     times = np.linspace(0.0, 1.4, 8)
 
     tape = Tape()
     leaves = net.make_leaves(tape, state)
-    traces = net.trace_network(tape, leaves, coords, times, cfg, FULL_REQ)
-    assert len(traces) == len(times)
-    assert [tr.time for tr in traces] == list(range(8))
-    assert all(tr.output is traces[0].output for tr in traces)
-    total = None
-    for tr in traces:
-        s = _trace_scalar(tape, tr)
-        total = s if total is None else tape.add(total, s)
-    tape.backward(total)
+    (out,) = net.trace_network(tape, leaves, coords, times, cfg, FULL_REQ)
+    assert out.times == len(times)
+    products = [read(tape, out) for read in READERS]
+    tape.backward(_scalar(tape, products))
     shared_grads = leaves.grads()
 
     sep_grads = [np.zeros_like(p) for p in state.param_arrays()]
-    for t, got in zip(times, traces):
+    for k, t in enumerate(times):
         one = Tape()
         one_leaves = net.make_leaves(one, state)
         (want,) = net.trace_network(one, one_leaves, coords, [t], cfg, FULL_REQ)
-        got_arrays, want_arrays = _jet_arrays(got.output, got.time), _jet_arrays(want.output, 0)
+        got_arrays, want_arrays = _jet_arrays(out, k), _jet_arrays(want, 0)
         assert got_arrays[0] == want_arrays[0] and len(got_arrays) == len(want_arrays)
         for a, b in zip(got_arrays[1:], want_arrays[1:]):
             assert a.tobytes() == b.tobytes()
-        for read in READERS:
-            assert read(tape, got).value.tobytes() == read(one, want).value.tobytes()
-        one.backward(_trace_scalar(one, want))
+        one_products = [read(one, want) for read in READERS]
+        for got, ref in zip(products, one_products):
+            assert _at(got, 8, points, k).tobytes() == _at(ref, 1, points, 0).tobytes()
+        disp = net.displacement(tape, out, k).value
+        assert disp.tobytes() == one_products[0].value.tobytes()
+        one.backward(_scalar(one, one_products))
         for acc, g in zip(sep_grads, one_leaves.grads()):
             acc += g
     for g, ref in zip(shared_grads, sep_grads):

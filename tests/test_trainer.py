@@ -6,7 +6,7 @@ import pytest
 
 from ndfreg import network as net, trainer
 from ndfreg.losses import LossWeights
-from ndfreg.phantom import PhantomSpec, generate_phantom
+from ndfreg.phantom import PhantomSpec, generate_phantom, true_jacobian_det
 from ndfreg.trainer import AdamState, FitConfig, adam_step, sample_plan
 from ndfreg.volume import Volume3D, Volume4DSeries, grid_coordinates
 
@@ -227,6 +227,31 @@ def test_fit_loss_descends_on_clean_phantom():
     head = totals[:20].mean()
     tail = totals[-20:].mean()
     assert tail < head
+
+
+def test_fit_recovers_jacobian_at_observed_and_held_out_times():
+    """A fit recovers |J| at any time point, scanned or not: fitted to a
+    16^3 clean phantom without its 24-month scan, the core |J| error
+    beats 0.9 x the identity map's at 24 months (held out) and at 36
+    months (observed).  Seeds 1-5 measured error / identity 0.60-0.73 at
+    24 months and 0.74-0.83 at 36 months (seed 1: 0.64 and 0.77); the
+    bound is not to be loosened to let a change pass."""
+    spec = PhantomSpec(dims=(16, 16, 16))
+    series, _ = generate_phantom(spec)
+    held_out = Volume4DSeries(series.baseline, [(m, v) for m, v in series.followups if m != 24.0])
+    cfg = FitConfig(
+        iterations=150, batch_points=256, learning_rate=1e-3, seed=1, precision="f32",
+        log_every=150, network=net.NetworkConfig(hidden_width=16, time_embed_width=16),
+    )
+    state, _ = trainer.fit(held_out, cfg)
+    pts = grid_coordinates(spec.dims)
+    core = (np.linalg.norm(pts - np.array(spec.center)[:, None], axis=0) <= spec.core)
+    core = core.reshape(spec.dims)
+    for grid in trainer.predict_field(state, [24.0, 36.0], spec.dims):
+        true = true_jacobian_det(spec, grid.t_months)
+        err = np.abs(grid.jac_det - true)[core].mean()
+        identity = np.abs(1.0 - true)[core].mean()
+        assert err < 0.9 * identity, (grid.t_months, err / identity)
 
 
 # ---------------------------------------------------------------------------
