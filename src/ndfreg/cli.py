@@ -39,8 +39,14 @@ and with the policy:
 -> 0.04-0.07 s of kernel time, `predict --with-djdt` 99-100k -> 9.7k and
 0.36-0.46 -> 0.04-0.06 s, `metrics` 39-40k -> 11k and 0.16-0.19 -> 0.05-
 0.06 s.  Where the C library has no `mallopt` the policy is not applied.
-Training arrays above the 32 MiB threshold (a paper-width 8-slot layer
-block from 2048 points on) are still mmapped and fault on every step.
+The kept top is also the budget of one recorded segment of a fit step
+(`network.TAPE_BYTES`, the same number): `trainer.segment_gradients`
+splits the grid regularizers into point chunks whose tapes fit it, so
+each chunk's tape reuses the heap the last one freed rather than being
+trimmed and faulted in again.  At paper width (f64, 8-time grid, about
+0.7 MiB of tape per point) that is 2 chunks of 64 points at B=128.  The
+similarity segment is one value-only trace of the whole batch; its layer
+arrays pass the 32 MiB threshold, and are mmapped, from 16384 points on.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .network import TAPE_BYTES
+
 # setters of the OpenBLAS builds numpy ships or links against
 _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_",
@@ -61,11 +69,12 @@ _OPENBLAS_SETTERS = (
 
 # glibc's mallopt parameters (malloc.h) and the values `keep_freed_heap`
 # sets: the mmap threshold at glibc's ceiling, sixteen times
-# network.BLOCK_BYTES, so that every inference chunk array is heap memory
+# network.BLOCK_BYTES, so that every inference chunk array is heap memory,
+# and a kept top of one fit-step segment's tape budget
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
 HEAP_MMAP_THRESHOLD = 32 << 20
-HEAP_TOP_PAD = 64 << 20
+HEAP_TOP_PAD = TAPE_BYTES
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -417,9 +426,12 @@ def _cmd_fit(args) -> int:
                            "network": config.network})
     echo["mask"] = resolved["fit"].get("mask")  # the path, not the labels
     _echo_config(args.out, "fit", echo)
+    chunks = report.chunk_points
     print(
         f"fit: {config.iterations} iterations, checksum {report.final_checksum[:16]}, "
-        f"{report.rejected_steps} rejected steps, peak RSS {report.peak_rss_mb:.1f} MB",
+        f"{report.rejected_steps} rejected steps, peak RSS {report.peak_rss_mb:.1f} MB, "
+        f"{len(chunks)} point chunks of up to {max(chunks, default=0)} points, "
+        f"largest segment tape {report.segment_tape_mb:.1f} MiB",
         file=sys.stderr,
     )
     return EXIT_OK

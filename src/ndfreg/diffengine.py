@@ -83,7 +83,9 @@ Shape conventions (no general broadcasting; exactly these cases):
 
 Tapes are single-owner: one tape per fitting step, never shared across
 threads.  Evaluation is eager; `backward` runs one reverse sweep in tape
-order, which makes repeated runs on identical inputs bit-identical.
+order, which makes repeated runs on identical inputs bit-identical.  A
+step may record and sweep its loss in segments on one tape: each sweep
+adds its segment's gradient to the leaves' adjoints.
 
 Lifetime contract:
   * Only leaves and nodes with a recorded input are recorded.  Constants,
@@ -91,8 +93,14 @@ Lifetime contract:
     with `make_leaves(trainable=False)`), are evaluated eagerly but never
     enter the tape and keep no reference to their inputs, so each lives
     only as long as the caller holds it.
-  * `backward` releases each non-leaf adjoint as soon as its VJP has run;
-    after the sweep only leaves hold adjoints.
+  * `backward` releases each non-leaf node as soon as its VJP has run:
+    the tape drops it, and the node drops its inputs, aux and adjoint, so
+    its buffers are freed during the sweep unless the caller holds the
+    node.  After a sweep the tape holds only its leaves, with their
+    adjoints; `release` drops a segment the same way without a sweep.
+  * A released node keeps its value but cannot be an input of a later
+    record (or the output of a sweep): `record` refuses it, naming its
+    kind, since it would get no adjoint.
   * Nodes refer to their tape weakly, so tape and nodes form no reference
     cycle: reference counting frees a tape and all its buffers when the
     caller drops the last reference to it, with no garbage-collector pass.
@@ -261,9 +269,16 @@ def _sum_vjp(node, g):
         yield 0, np.broadcast_to(g, x.shape)
 
 
+def _mean_forward(dtype, values, count):
+    """The sum of every element over `count`, the size of the batch the
+    input is a part of (None: the input's own size, its mean)."""
+    x = values[0]
+    return np.asarray(x.sum() / (count or x.size), dtype=dtype)
+
+
 def _mean_vjp(node, g):
     x = node.inputs[0].value
-    yield 0, np.full_like(x, g / x.size)
+    yield 0, np.full_like(x, g / (node.payload or x.size))
 
 
 def _sample3_forward(dtype, values, grid):
@@ -369,16 +384,18 @@ def _block_cotangent(gz2, gz, kb):
     return out
 
 
-def _sum_products(pairs, tmp):
-    """The sum of a * b over (a, b) pairs as one new array; `tmp` is
-    scratch of the result's shape."""
-    total = None
-    for a, b in pairs:
-        if total is None:
-            total = np.multiply(a, b)
-        else:
-            total += np.multiply(a, b, out=tmp)
-    return total
+def _sum_products(pairs, out, tmp):
+    """The sum of a * b over (a, b) pairs, in order, into `out`, with `tmp`
+    as scratch; a `b` that is a function writes its operand into the
+    buffer it is given and returns it.  None for no pairs."""
+    if not pairs:
+        return None
+    for i, (a, b) in enumerate(pairs):
+        dst = out if i == 0 else tmp
+        np.multiply(a, b(dst) if callable(b) else b, out=dst)
+        if i:
+            out += dst
+    return out
 
 
 def _scale(x, c):
@@ -461,14 +478,23 @@ def _jet_sine_vjp(node, g):
     g_dt z_d: g_u = omega c (g_v - omega^2 z_t mix) - omega^2 s acc,
     g_zd = omega c g_d - omega^2 s z_t g_dt, g_zdt = omega c g_dt and
     g_zt = omega c g_t - omega^2 s mix.  A shared block's cotangent is
-    summed over the times."""
+    summed over the times.
+
+    Scratch is two (K, P, rows) panels, `a` and `b`, plus slot v of the
+    input cotangent, which is written last: the spatial slots first, with
+    omega^2 s z_t in `a`, then acc in `a` and mix in `b`, then g_u, then g_zt
+    (in `a` when the block has no t slot).  A folded z_t that is a sum is
+    added again into the buffer each use is given, never held.  Every
+    entry gets the same operations in the same order as with one buffer
+    per quantity, so the results do not depend on the buffers."""
     omega, slots, times = node.payload
     z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots, times)
     kb, k = times
     panel = (k,) + z.shape[2:]
     gz2, gz = _cotangent(len(slots), panel, z.dtype)
+    gu = gz[0]
     if node.aux is None:  # value only
-        gu = np.multiply(_folded(z, pos, cv, ct, V), omega, out=gz[0])
+        np.multiply(_folded(z, pos, cv, ct, V), omega, out=gu)
         _sin_cos(gu, cos_out=gu)
         _scale(gu, omega)
         gu *= g.reshape(panel)
@@ -481,43 +507,49 @@ def _jet_sine_vjp(node, g):
     g = g.reshape((len(out_slots),) + panel)
     wc = node.aux
     s = node.value.reshape(g.shape)[0]
-    zt = _folded(z, pos, cv, ct, T) if T in opos else None
     mixed = [d for d in SPATIAL if d + 4 in opos]
-    tmp = np.empty(panel, z.dtype)
+    a, b = np.empty(panel, z.dtype), np.empty(panel, z.dtype)
 
-    pairs = [(g[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
-    if zt is not None:
-        pairs.append((g[opos[T]], zt))
-    pairs += [(g[opos[d + 4]], z[pos[d + 4]]) for d in mixed if d + 4 in pos]
-    acc = _sum_products(pairs, tmp)
-    mix = _sum_products([(g[opos[d + 4]], z[pos[d]]) for d in mixed], tmp)
+    def zt(buf):
+        """The folded t slot: a view, or z_t + ct added into `buf`."""
+        if T in pos and ct is not None:
+            return np.add(z[pos[T]], ct, out=buf)
+        return _folded(z, pos, cv, ct, T)
 
-    gu = gz[0]
-    if mix is None:
-        np.multiply(g[0], wc, out=gu)
-    else:
-        np.multiply(zt, mix, out=tmp)
-        _scale(tmp, w2)
-        np.subtract(g[0], tmp, out=gu)
-        gu *= wc
-    gu -= _scale(np.multiply(s, acc, out=tmp), w2)
-
-    if mixed:
-        w2szt = _scale(np.multiply(s, zt), w2)
+    if mixed:  # omega^2 s z_t, with slot v's panel as the loop's scratch
+        w2szt = _scale(np.multiply(s, zt(a), out=a), w2)
     for d in SPATIAL:
         if d not in opos:
             continue
         np.multiply(wc, g[opos[d]], out=gz[pos[d]])
         if d in mixed:
-            gz[pos[d]] -= np.multiply(w2szt, g[opos[d + 4]], out=tmp)
+            gz[pos[d]] -= np.multiply(w2szt, g[opos[d + 4]], out=gu)
             if d + 4 in pos:
                 np.multiply(wc, g[opos[d + 4]], out=gz[pos[d + 4]])
+
+    pairs = [(g[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
+    if T in opos:
+        pairs.append((g[opos[T]], zt))
+    pairs += [(g[opos[d + 4]], z[pos[d + 4]]) for d in mixed if d + 4 in pos]
+    acc = _sum_products(pairs, a, b)
+    _scale(np.multiply(s, acc, out=acc), w2)
+    mix = _sum_products([(g[opos[d + 4]], z[pos[d]]) for d in mixed], b, gu)
+
+    if mix is None:
+        np.multiply(g[0], wc, out=gu)
+    else:
+        np.multiply(zt(gu), mix, out=gu)
+        _scale(gu, w2)
+        np.subtract(g[0], gu, out=gu)
+        gu *= wc
+    gu -= acc
+
     gzt = None
-    if zt is not None:
-        gzt = gz[pos[T]] if T in pos else np.empty_like(tmp)
+    if T in opos:
+        gzt = gz[pos[T]] if T in pos else a
         np.multiply(wc, g[opos[T]], out=gzt)
         if mix is not None:
-            gzt -= _scale(np.multiply(s, mix, out=tmp), w2)
+            gzt -= _scale(np.multiply(s, mix, out=mix), w2)
     yield 0, _block_cotangent(gz2, gz, kb)
     yield from _column_grads(node, gu, gzt if ct is not None else None, k)
 
@@ -753,10 +785,7 @@ _PRIMITIVES = {
     ),
     "affine": Primitive(_affine_forward, _affine_vjp),
     "sum": Primitive(_sum_forward, _sum_vjp),
-    "mean": Primitive(
-        lambda dtype, values, payload: np.asarray(values[0].mean(), dtype=dtype),
-        _mean_vjp,
-    ),
+    "mean": Primitive(_mean_forward, _mean_vjp),
     "sample3": Primitive(_sample3_forward, lambda node, g: [(0, g * node.aux)]),
     "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
     "jet_leaky": Primitive(_jet_leaky_forward, _jet_leaky_vjp),
@@ -804,7 +833,7 @@ class Tape:
             raise DiffEngineError(f"unknown op-kind {kind!r}")
         for n in inputs:
             if n._tape is not self._ref:
-                raise DiffEngineError("input node belongs to a different tape")
+                raise DiffEngineError(f"{kind}: input {_foreign(n)}")
         out = primitive.forward(self.dtype, [n.value for n in inputs], payload)
         value, aux = out if isinstance(out, tuple) else (out, None)
         return self._push(kind, inputs, payload, value, aux)
@@ -847,8 +876,8 @@ class Tape:
     def sum(self, x, axis=None):
         return self.record("sum", (x,), axis)
 
-    def mean(self, x):
-        return self.record("mean", (x,))
+    def mean(self, x, count: int | None = None):
+        return self.record("mean", (x,), count)
 
     def sample3(self, grid: np.ndarray, points):
         return self.record("sample3", (points,), grid)
@@ -865,38 +894,83 @@ class Tape:
 
     def backward(self, output: Node):
         """Add d(output)/d(leaf) to the adjoint of every leaf feeding
-        `output`, a scalar that must depend on at least one leaf.
+        `output`, a scalar that must depend on at least one leaf, then
+        release every other recorded node (see `release`).
 
-        One reverse sweep in tape order.  Each non-leaf adjoint is released
-        as soon as its VJP has run, so the sweep holds only the adjoints of
-        its frontier and, afterwards, only leaves hold adjoints.  Unrecorded
-        nodes (constants) receive nothing.
+        One reverse sweep in tape order.  Each non-leaf node is released
+        as soon as its VJP has run, so its value, aux and adjoint are freed
+        during the sweep once nothing else holds them, and the sweep holds
+        only the adjoints of its frontier.  Leaves keep their adjoints and
+        add to them, so sweeps of successive segments on one tape sum
+        their gradients.  Unrecorded nodes (constants) receive nothing.
         """
         if output.value.shape != ():
             raise DiffEngineError(
                 f"backward: output must be scalar, got shape {output.value.shape}"
             )
         if output._tape is not self._ref:
-            raise DiffEngineError("backward: output belongs to a different tape")
+            raise DiffEngineError(f"backward: output {_foreign(output)}")
         if output.idx is None:
             raise DiffEngineError("backward: output depends on no leaf")
         output.adjoint = np.ones((), dtype=self.dtype)
-        for node in reversed(self.nodes[: output.idx + 1]):
-            g = node.adjoint
-            if g is None or node.kind == "leaf":
+        nodes, leaves = self.nodes, []
+        self.nodes = []
+        while nodes:
+            node = nodes.pop()
+            if node.kind == "leaf":
+                leaves.append(node)
                 continue
-            node.adjoint = None
-            for pos, grad in _PRIMITIVES[node.kind].vjp(node, g):
-                target = node.inputs[pos]
-                if target.idx is None:
-                    continue
-                grad = _unbroadcast(grad, target.value.shape)
-                if target.adjoint is None:
-                    target.adjoint = grad.copy() if grad.base is not None else grad
-                else:
-                    target.adjoint = target.adjoint + grad
+            g = node.adjoint
+            if g is not None:
+                node.adjoint = None
+                for pos, grad in _PRIMITIVES[node.kind].vjp(node, g):
+                    target = node.inputs[pos]
+                    if target.idx is None:
+                        continue
+                    grad = _unbroadcast(grad, target.value.shape)
+                    if target.adjoint is None:
+                        target.adjoint = grad.copy() if grad.base is not None else grad
+                    else:
+                        target.adjoint = target.adjoint + grad
+            _release(node)
+        self._keep(leaves[::-1])
+
+    def release(self):
+        """Drop every recorded node but the leaves, as a sweep does: the
+        tape then holds only its leaves and their adjoints, and a released
+        node keeps its value but no inputs or aux, and cannot be an input
+        of a later record."""
+        leaves = []
+        for node in self.nodes:
+            if node.kind == "leaf":
+                leaves.append(node)
+            else:
+                _release(node)
+        self._keep(leaves)
+
+    def _keep(self, leaves):
+        for i, leaf in enumerate(leaves):
+            leaf.idx = i
+        self.nodes = leaves
 
 
+def _released():
+    """The tape reference of a node that a sweep or `release` dropped."""
+    return None
+
+
+def _release(node):
+    node._tape = _released
+    node.inputs = ()
+    node.aux = None
+    node.adjoint = None
+
+
+def _foreign(node) -> str:
+    """Why `node` cannot be used on a tape whose reference it lacks."""
+    if node._tape is _released:
+        return f"{node.kind} node was released by an earlier reverse sweep"
+    return "node belongs to a different tape"
 
 
 # ---------------------------------------------------------------------------

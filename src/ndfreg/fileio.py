@@ -279,9 +279,12 @@ def read_manifest(path: str):
 
 
 def write_manifest(path: str, entries):
+    """Write (months, volume path, labels path or None) entries; months in
+    their shortest round-trip form, so `read_manifest` reads them back
+    exactly."""
     lines = []
     for months, vol_path, labels_path in entries:
-        row = f"{months:g} {vol_path}"
+        row = f"{float(months)!r} {vol_path}"
         if labels_path:
             row += f" {labels_path}"
         lines.append(row)

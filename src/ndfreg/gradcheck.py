@@ -27,8 +27,8 @@ import numpy as np
 from . import diffengine as de
 from . import network as net
 from .diffengine import V, X, Y, Z, Jet, Tape
-from .losses import LossWeights, build_total_loss, total_loss
-from .trainer import SamplePlan
+from .losses import LossWeights, total_loss
+from .trainer import SamplePlan, segment_gradients
 from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
 __all__ = ["CheckResult", "run_gradcheck", "CORRUPT_HOOKS"]
@@ -250,8 +250,10 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 
 def _param_gradient_worst(seed, corrupt, precision, dtype):
     """Worst relative error of full-loss parameter gradients, taped at
-    `dtype`, against f64 central differences; inf when the plan's
-    monotonic term is 0, as the check would then not cover its gradient.
+    `dtype` and accumulated segment by segment as a fit step does
+    (`trainer.segment_gradients`), against f64 central differences of the
+    one-tape loss (`total_loss`); inf when the plan's monotonic term is 0,
+    as the check would then not cover its gradient.
 
     Depth 3 makes d|J|/dt depend on time, and the plan (16 points, an
     8-time grid, gamma 3) makes the monotonic term non-zero, and its share
@@ -288,10 +290,9 @@ def _param_gradient_worst(seed, corrupt, precision, dtype):
 
     tape = Tape(dtype)
     leaves = net.make_leaves(tape, state)
-    total, breakdown = build_total_loss(tape, leaves, series, analytic, plan, cfg)
+    breakdown, _ = segment_gradients(tape, leaves, series, analytic, plan, cfg)
     if breakdown.monotonic == 0.0:
         return float("inf")
-    tape.backward(total)
     grads = leaves.grads()
     grads = [_bump(g, "params", corrupt, precision) for g in grads]
 

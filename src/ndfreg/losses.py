@@ -15,6 +15,15 @@ differentiate the total with respect to the parameters; `build_total_loss`
 assembles them and `total_loss` evaluates the same tape for a frozen
 state.  Terms whose weight is zero are skipped and reported as 0.
 
+Segments.  `build_total_loss` records the whole loss, or one segment of
+it: SIMILARITY (NCC and the anchor, which need the whole batch), or the
+grid regularizers of a slice of the batch's points.  The regularizers are
+means over the B points, so a chunk's terms divide its sums by B, not by
+its own size, and the chunks of a partition add up to the whole batch's
+terms.  Both ways run the same two term builders, so the one-tape loss
+(`total_loss`, gradcheck's reference) and the fit step's segments
+(`trainer.segment_gradients`) are one implementation.
+
 The network traces its times in groups (`network.group_times`) and
 returns one output jet per group.  The observed times are one trace: the
 anchor and each NCC term read one time's displacement out of its group's
@@ -39,9 +48,14 @@ from .volume import sample_trilinear
 __all__ = [
     "LossWeights",
     "LossBreakdown",
+    "SIMILARITY",
     "total_loss",
     "build_total_loss",
+    "regularizer_request",
 ]
+
+# the `build_total_loss` segment of the terms that need the whole batch
+SIMILARITY = "similarity"
 
 
 @dataclass(frozen=True)
@@ -101,10 +115,12 @@ def sum_of_squares(tape: Tape, node):
     return tape.sum(tape.square(node))
 
 
-def monotonic_node(tape: Tape, groups: list):
-    """Mean over points of min(sum relu(d), sum relu(-d)), the sums over
-    every time of d|J|/dt; `groups` holds (K, B) nodes of K times each, and
-    each group's sums over its times are added across the groups."""
+def monotonic_node(tape: Tape, groups: list, nbatch: int | None = None):
+    """Mean over the `nbatch` points of a batch (default: the points in
+    `groups`) of min(sum relu(d), sum relu(-d)), the sums over every time
+    of d|J|/dt, summed over the points in `groups`; `groups` holds (K, P)
+    nodes of K times each, and each group's sums over its times are added
+    across the groups."""
     if sum(g.value.shape[0] for g in groups) < 2:
         raise ValueError("monotonic term needs >= 2 time samples")
     pos = neg = None
@@ -113,27 +129,23 @@ def monotonic_node(tape: Tape, groups: list):
         n = tape.sum(tape.relu(tape.scale(d, -1.0)), axis=0)
         pos = p if pos is None else tape.add(pos, p)
         neg = n if neg is None else tape.add(neg, n)
-    return tape.mean(tape.minimum(pos, neg))
+    return tape.mean(tape.minimum(pos, neg), nbatch)
 
 
-def build_total_loss(
-    tape: Tape,
-    leaves: net.Leaves,
-    series,
-    weights: LossWeights,
-    plan,
-    config: net.NetworkConfig,
-):
-    """Record the full loss on the tape; returns (total node, breakdown).
+def regularizer_request(weights: LossWeights) -> net.DerivativeRequest | None:
+    """The tangents the grid regularizers read, or None when all three
+    of their weights are 0."""
+    spatial = weights.alpha > 0 or weights.gamma > 0
+    temporal = weights.beta > 0 or weights.gamma > 0
+    if not (spatial or temporal):
+        return None
+    return net.DerivativeRequest(spatial=spatial, temporal=temporal)
 
-    `plan` supplies `coords` (3,B), `observed_times` (normalized, first
-    entry 0) and `reg_grid` (normalized times for the regularizers).
-    """
-    if not series.followups:
-        raise ValueError("series has no follow-up scan")
+
+def _similarity_terms(tape, leaves, series, weights, plan, config) -> list:
+    """NCC at every observed follow-up and, with lam > 0, the anchor, over
+    the whole batch: one value-only trace of the observed times."""
     coords = np.asarray(plan.coords, dtype=tape.dtype)
-    nbatch = coords.shape[1]
-
     # t = 0 is traced only for the anchor
     times = list(plan.observed_times[1:])
     if weights.lam > 0:
@@ -153,51 +165,78 @@ def build_total_loss(
         warped = tape.sample3(vol.values, phi)
         term = ncc_node(tape, fixed_vals, warped)
         sim = term if sim is None else tape.add(sim, term)
-
-    need_spatial = weights.alpha > 0
-    need_temporal = weights.beta > 0
-    need_mono = weights.gamma > 0
-    spatial = temporal = mono = None
-    if need_spatial or need_temporal or need_mono:
-        req = net.DerivativeRequest(
-            spatial=need_spatial or need_mono, temporal=need_temporal or need_mono
-        )
-        kgrid = len(plan.reg_grid)
-        djdt_groups = []
-        sp_acc = tp_acc = None
-        for out in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
-            if need_spatial:
-                s = sum_of_squares(tape, de.jacobian(tape, out))
-                sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
-            if need_temporal:
-                s = sum_of_squares(tape, net.dphi_dt(tape, out))
-                tp_acc = s if tp_acc is None else tape.add(tp_acc, s)
-            if need_mono:
-                djdt_groups.append(de.jacdet_dt(tape, out))
-        if need_spatial:
-            spatial = tape.scale(sp_acc, 1.0 / (kgrid * nbatch))
-        if need_temporal:
-            temporal = tape.scale(tp_acc, 1.0 / (kgrid * nbatch))
-        if need_mono:
-            mono = monotonic_node(tape, djdt_groups)
-
-    total = sim
+    terms = [("sim", sim, None)]
     if anchor is not None:
-        total = tape.add(total, tape.scale(anchor, weights.lam))
-    if spatial is not None:
-        total = tape.add(total, tape.scale(spatial, weights.alpha))
-    if temporal is not None:
-        total = tape.add(total, tape.scale(temporal, weights.beta))
-    if mono is not None:
-        total = tape.add(total, tape.scale(mono, weights.gamma))
+        terms.append(("zero_anchor", anchor, weights.lam))
+    return terms
 
+
+def _regularizer_terms(tape, leaves, weights, plan, config, points: slice) -> list:
+    """The spatial, temporal and monotonic terms of the batch points
+    `points`, each scaled by their share of the batch: one trace of the
+    grid with derivatives, read group by group."""
+    req = regularizer_request(weights)
+    if req is None:
+        return []
+    nbatch = plan.coords.shape[1]
+    coords = np.asarray(plan.coords[:, points], dtype=tape.dtype)
+    kgrid = len(plan.reg_grid)
+    djdt_groups = []
+    sp_acc = tp_acc = None
+    for out in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
+        if weights.alpha > 0:
+            s = sum_of_squares(tape, de.jacobian(tape, out))
+            sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
+        if weights.beta > 0:
+            s = sum_of_squares(tape, net.dphi_dt(tape, out))
+            tp_acc = s if tp_acc is None else tape.add(tp_acc, s)
+        if weights.gamma > 0:
+            djdt_groups.append(de.jacdet_dt(tape, out))
+    terms = []
+    if sp_acc is not None:
+        terms.append(("spatial", tape.scale(sp_acc, 1.0 / (kgrid * nbatch)), weights.alpha))
+    if tp_acc is not None:
+        terms.append(("temporal", tape.scale(tp_acc, 1.0 / (kgrid * nbatch)), weights.beta))
+    if djdt_groups:
+        terms.append(("monotonic", monotonic_node(tape, djdt_groups, nbatch), weights.gamma))
+    return terms
+
+
+def build_total_loss(
+    tape: Tape,
+    leaves: net.Leaves,
+    series,
+    weights: LossWeights,
+    plan,
+    config: net.NetworkConfig,
+    segment=None,
+):
+    """Record the full loss on the tape, or one segment of it; returns
+    (total node, breakdown).  The total is None for a segment with no term.
+
+    `plan` supplies `coords` (3,B), `observed_times` (normalized, first
+    entry 0) and `reg_grid` (normalized times for the regularizers).
+    `segment` None records every term; SIMILARITY records NCC and the
+    anchor over the whole batch; a slice of the B points records the grid
+    regularizers of those points, each scaled by their share of B.  So the
+    similarity segment plus the regularizer segments of a partition of the
+    batch add up to the full loss, and the breakdown of each holds its own
+    terms' values (the others 0).
+    """
+    if not series.followups:
+        raise ValueError("series has no follow-up scan")
+    terms = []
+    if segment is None or segment is SIMILARITY:
+        terms += _similarity_terms(tape, leaves, series, weights, plan, config)
+    if segment is None or isinstance(segment, slice):
+        terms += _regularizer_terms(tape, leaves, weights, plan, config, segment or slice(None))
+    total = None
+    for _, node, weight in terms:
+        term = node if weight is None else tape.scale(node, weight)
+        total = term if total is None else tape.add(total, term)
     breakdown = LossBreakdown(
-        sim=float(sim.value),
-        zero_anchor=0.0 if anchor is None else float(anchor.value),
-        spatial=0.0 if spatial is None else float(spatial.value),
-        temporal=0.0 if temporal is None else float(temporal.value),
-        monotonic=0.0 if mono is None else float(mono.value),
-        total=float(total.value),
+        **{name: float(node.value) for name, node, _ in terms},
+        total=0.0 if total is None else float(total.value),
     )
     return total, breakdown
 

@@ -74,7 +74,11 @@ inference chunk holds at most the prefix plus two hidden-layer blocks
 because `trace_network` drops each layer's input activation before the
 layer's rule runs (the sine adds scratch of four slot panels).  A
 training tape holds the same bytes grouped or not; the reverse sweep's
-transient cotangents are one group's blocks, up to BLOCK_BYTES each.
+transient cotangents are one group's blocks, up to BLOCK_BYTES each, and
+the sine's reverse rule adds two scratch slot panels.  A fit step records
+its grid regularizers in point chunks whose tapes fit TAPE_BYTES, sized
+by `tape_point_bytes`, the closed-form tape bytes per point of a trace
+(`trainer.point_chunks`); about 0.7 MiB at paper width, f64, 8 times.
 `forward_with_derivatives` returns the displacement, |I + J| with
 `spatial` and d|I + J|/dt with both; it allocates each of them once at
 grid size and every chunk writes its own columns.  J and dphi/dt stay on
@@ -108,6 +112,7 @@ __all__ = [
     "make_leaves",
     "trace_network",
     "group_times",
+    "tape_point_bytes",
     "forward",
     "forward_with_derivatives",
 ]
@@ -116,6 +121,9 @@ __all__ = [
 # bytes of one hidden-layer jet block at inference: a chunk's block fits
 # the 2 MiB per-core L2, one 1024-point paper-width (256) f64 layer array
 BLOCK_BYTES = 2 << 20
+# bytes of one recorded segment of a fit step's tape: the freed top the
+# CLI's heap keeps (`cli.HEAP_TOP_PAD`), so each segment reuses the last's
+TAPE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -423,12 +431,34 @@ def _write_chunk(results, cols, state, coords, times, request, dtype):
             res.jac_det_dt[cols] = de.jacdet_dt(tape, out).value[0, :n]
 
 
+def _slot_count(request: DerivativeRequest) -> int:
+    """Slots of a hidden-layer jet block: v, the tangents, the mixed."""
+    spatial, temporal = request.spatial, request.temporal
+    return 1 + 3 * spatial + temporal + 3 * (spatial and temporal)
+
+
 def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
     """Bytes of one point of a hidden-layer jet block at one time: hidden
     width x slot count x itemsize."""
-    spatial, temporal = request.spatial, request.temporal
-    slots = 1 + 3 * spatial + temporal + 3 * (spatial and temporal)
-    return config.hidden_width * slots * np.dtype(dtype).itemsize
+    return config.hidden_width * _slot_count(request) * np.dtype(dtype).itemsize
+
+
+def tape_point_bytes(config: NetworkConfig, request: DerivativeRequest, times: int,
+                     dtype) -> int:
+    """Bytes per point that a recorded trace at `times` times puts on a
+    tape, in closed form: the time-invariant prefix (layer 1's matmul and
+    sine, layer 2's product with it) once, and at each time the hidden
+    blocks after it, counted as `_point_bytes` counts them, with each
+    sine's omega*cos panel, and the output layer's block.  Embedding nodes,
+    which hold K rows, and the loss's readers of the output block (at most
+    a few values per point and time) are left out."""
+    h, slots = config.hidden_width, _slot_count(request)
+    pre = 1 + 3 * request.spatial  # the prefix carries no t slot
+    layer2 = h if config.depth > 2 else 3
+    prefix = pre * (2 * h + layer2) + (h if pre > 1 else 0)
+    sines = config.depth - 2  # layer 2's and each deeper hidden layer's
+    per_time = slots * h * (2 * sines - 1) + slots * 3 + (h if slots > 1 else 0) * sines
+    return (prefix + (per_time if sines else 0) * times) * np.dtype(dtype).itemsize
 
 
 def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:

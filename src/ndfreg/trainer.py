@@ -1,17 +1,31 @@
 """Per-subject fitting loop and inference-time dense field generation.
 
 Each iteration samples a fresh coordinate batch and regularization time
-grid, records the full loss on a tape, runs the reverse sweep, and takes
-one optimizer step.  Similarity is evaluated at observed times only; the
-regularizers run on the sampled grid, which includes unobserved times and
-may extend past the last observed scan (t_extrap > 1).  Each iteration
-traces the network twice, once for the observed times (values only) and
-once for the grid (with derivatives); each trace shares its time-invariant
-prefix across its times and runs them in groups of as many times as fill
-one `network.BLOCK_BYTES` block (`network.group_times`), one block per
-layer and group, and returns each group's output jet, which the losses
-read whole.  With the fit-narrow recipe (width 32, B=256) that is one
-group for the 4 observed times and two of 4 for the 8-time grid.
+grid, makes fresh leaves on one tape, records and sweeps the loss segment
+by segment (`segment_gradients`), and takes one optimizer step.
+Similarity is evaluated at observed times only; the regularizers run on
+the sampled grid, which includes unobserved times and may extend past the
+last observed scan (t_extrap > 1).
+
+Segments.  The first segment is NCC at every observed follow-up plus the
+anchor, over the whole batch: one value-only trace of the observed
+times.  Then the grid regularizers, which are means over points, run one
+segment per point chunk: one trace of the grid with derivatives over the
+chunk's points, its terms scaled by the chunk's share of the batch.  Each
+segment is recorded by `build_total_loss`, swept into the leaves'
+adjoints and released before the next is recorded, so the step's largest
+live tape is one segment and the leaves end with the full loss's
+gradient.  Chunk rule (`point_chunks`): n = ceil(B g / TAPE_BYTES) chunks
+in batch order with sizes that differ by at most one, g being a grid
+trace's tape bytes per point (`network.tape_point_bytes`) and TAPE_BYTES
+the 64 MiB top the CLI's heap keeps.  At paper width (f64, 8-time grid)
+g is about 0.7 MiB, so B=128 is 2 chunks of 64 and B=8192 90 chunks of
+91 or 92; the fit-narrow recipe (width 32, B=256) is one chunk.  Each
+trace shares its time-invariant prefix across its times and runs them in
+groups of as many times as fill one `network.BLOCK_BYTES` block
+(`network.group_times`), chosen for the chunk's points.  With the
+fit-narrow recipe that is one group for the 4 observed times and two of 4
+for the 8-time grid.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk; inference
@@ -32,7 +46,9 @@ import numpy as np
 
 from .diffengine import Tape
 from . import network as net
-from .losses import LossWeights, LossBreakdown, build_total_loss
+from .losses import (
+    SIMILARITY, LossWeights, LossBreakdown, build_total_loss, regularizer_request,
+)
 from .volume import (
     Volume3D, Volume4DSeries, grid_coordinates, trilinear_values_and_grads, voxel_centers,
 )
@@ -45,6 +61,8 @@ __all__ = [
     "NumericalAbortError",
     "sample_plan",
     "adam_step",
+    "point_chunks",
+    "segment_gradients",
     "fit",
     "predict_field",
     "warp_volume",
@@ -188,6 +206,8 @@ class FitReport:
     final_checksum: str
     rejected_steps: int = 0  # steps adam_step refused for a non-finite gradient
     peak_rss_mb: float = 0.0  # peak resident set of the process when the fit ends
+    chunk_points: tuple = ()  # points of each regularizer segment of a step
+    segment_tape_mb: float = 0.0  # largest tape of one segment, MiB
 
     def to_rows(self):
         hdr = ["iteration"] + list(LossBreakdown.FIELDS) + ["wall_ms"]
@@ -224,11 +244,13 @@ def fit(series: Volume4DSeries, config: FitConfig):
     started = time.perf_counter()
     nonfinite_streak = 0
     rejected_steps = 0
+    segment_bytes = 0
     for it in range(1, config.iterations + 1):
-        breakdown, rejected = _fit_step(
+        breakdown, rejected, tape_bytes = _fit_step(
             series, config, state, params, opt, rng, t_max, mask_points, dtype
         )
         rejected_steps += rejected
+        segment_bytes = max(segment_bytes, tape_bytes)
         if not np.isfinite(breakdown.total):
             nonfinite_streak += 1
             log.warning("iteration %d: non-finite total %s", it, breakdown)
@@ -255,27 +277,80 @@ def fit(series: Volume4DSeries, config: FitConfig):
         rejected_steps=rejected_steps,
         # ru_maxrss is in KiB on Linux
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        chunk_points=tuple(_loss_chunks(
+            config.weights, config.network, config.batch_points, config.reg_time_grid_size, dtype
+        )),
+        segment_tape_mb=segment_bytes / 2**20,
     )
     return state, report
 
 
+def _loss_chunks(weights, config, points, grid_times, dtype) -> list:
+    """Points of each regularizer segment of a step (none without a grid
+    regularizer): `point_chunks` at the grid trace's tape bytes per point."""
+    request = regularizer_request(weights)
+    if request is None:
+        return []
+    return point_chunks(points, net.tape_point_bytes(config, request, grid_times, dtype))
+
+
+def point_chunks(points: int, point_bytes: int) -> list:
+    """Points of each regularizer segment of a `points` batch, in batch
+    order: n = ceil(points * point_bytes / TAPE_BYTES) chunks (at least 1,
+    at most `points`) whose sizes differ by at most one."""
+    n = min(points, max(1, -(-points * point_bytes // net.TAPE_BYTES)))
+    size, extra = divmod(points, n)
+    return [size + (i < extra) for i in range(n)]
+
+
+def segment_gradients(tape, leaves, series, weights, plan, config) -> tuple:
+    """Record and sweep a step's loss segment by segment on `tape`: the
+    similarity terms over the whole batch, then the grid regularizers of
+    each point chunk (`point_chunks`, sized by `network.tape_point_bytes`
+    at the grid), each through `build_total_loss`.  Each sweep adds its
+    segment's gradient to the leaves' adjoints and releases the segment,
+    so the largest live tape is one segment and the leaves end with the
+    full loss's gradient.  Once the running total is non-finite, the
+    remaining segments are recorded for their values and released without
+    a sweep.  Returns the breakdown, summed over the segments, and the
+    largest segment's tape bytes (`Tape.stats`)."""
+    segments, lo = [SIMILARITY], 0
+    for n in _loss_chunks(weights, config, plan.coords.shape[1], len(plan.reg_grid), tape.dtype):
+        segments.append(slice(lo, lo + n))
+        lo += n
+    sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
+    largest = 0
+    for segment in segments:
+        total, part = build_total_loss(tape, leaves, series, weights, plan, config, segment)
+        largest = max(largest, sum(tape.stats()["bytes"].values()))
+        for name in LossBreakdown.FIELDS:
+            sums[name] += getattr(part, name)
+        if np.isfinite(sums["total"]) and total.idx is not None:
+            tape.backward(total)
+        else:  # nothing to sweep: a constant total, or a non-finite step
+            tape.release()
+        total = None  # no node of a released segment outlives it
+    return LossBreakdown(**sums), largest
+
+
 def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype):
-    """One iteration: record the loss on a fresh tape, sweep it and step
-    the optimizer (skipped when the total is non-finite).  Returns the
-    breakdown and whether `adam_step` rejected the step.  The tape, its
-    leaves and the gradients are locals, so reference counting frees them
-    on return and at most one tape is alive during a fit."""
+    """One iteration: fresh leaves on a fresh tape, the loss recorded and
+    swept segment by segment (`segment_gradients`), and one optimizer step
+    (skipped when the total is non-finite).  Returns the breakdown, whether
+    `adam_step` rejected the step, and the largest segment's tape bytes.
+    The tape, its leaves and the gradients are locals, so reference
+    counting frees them on return and at most one tape is alive during a
+    fit."""
     tape = Tape(dtype)
     leaves = net.make_leaves(tape, state)
     plan = sample_plan(series, config, rng, t_max, mask_points)
-    total, breakdown = build_total_loss(
+    breakdown, tape_bytes = segment_gradients(
         tape, leaves, series, config.weights, plan, config.network
     )
     if not np.isfinite(breakdown.total):
-        return breakdown, False
-    tape.backward(total)
+        return breakdown, False, tape_bytes
     _, accepted = adam_step(params, leaves.grads(), opt, config)
-    return breakdown, not accepted
+    return breakdown, not accepted, tape_bytes
 
 
 @dataclass

@@ -93,6 +93,27 @@ def test_threads_below_one_is_input_error(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "manifest.txt").exists()
 
 
+def test_phantom_manifest_months_equal_the_truth(tmp_path, capsys):
+    """The fit trains at the months the ground truth uses: `manifest.txt`
+    keeps every digit of `--times`, as `truth.json` does; then a fit of
+    it prints its point chunks and largest segment tape."""
+    import json
+
+    from ndfreg import fileio
+
+    data = tmp_path / "data"
+    assert cli.main(["phantom", "--out", str(data), "--dims", "4,4,4",
+                     "--times", "0,12.3456789,36"]) == cli.EXIT_OK
+    truth = json.loads((data / "truth.json").read_text())["times"]
+    months = [m for m, _, _ in fileio.read_manifest(str(data / "manifest.txt"))]
+    assert months == truth == [0.0, 12.3456789, 36.0]
+    assert cli.main(["fit", "--manifest", str(data / "manifest.txt"),
+                     "--out", str(tmp_path / "fit"), "--iterations", "1",
+                     "--batch-points", "8", "--hidden-width", "4", "--depth", "3",
+                     "--time-hidden-width", "2", "--time-embed-width", "2"]) == cli.EXIT_OK
+    assert "1 point chunks of up to 8 points, largest segment tape" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--log-every", "0", "log_every must be >= 1"),
     ("--checkpoint-every", "-1", "checkpoint_every must be >= 0"),

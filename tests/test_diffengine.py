@@ -250,6 +250,40 @@ def test_value_only_sine_allocates_one_piece_beyond_its_result():
     assert peak - before <= out.value.nbytes + de._PIECE * 8 + 16384
 
 
+@pytest.mark.parametrize("layer", [2, 3])
+def test_sine_vjp_holds_two_scratch_panels(layer):
+    """The reverse rule of a slotted sine at the fit-narrow shape (width
+    32, K = 4 grid times of 256 points, every slot) allocates its input
+    cotangent and at most two (K, P, rows) scratch panels: layer 2's block
+    is shared by the K times and has no t slot (its cotangent is also summed
+    over the times), layer 3's holds t and a t column term, whose folded
+    sum is never kept."""
+    cfg = net.NetworkConfig(hidden_width=32, depth=5, time_hidden_width=10, time_embed_width=16)
+    state = net.init_network(seed=1, config=cfg)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 256))
+    full = net.DerivativeRequest(spatial=True, temporal=True)
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    net.trace_network(tape, leaves, coords, [0.1, 0.4, 0.6, 0.9], cfg, full)
+    node = [n for n in tape.nodes if n.kind == "jet_sine"][layer - 1]
+    omega, slots, (kb, k) = node.payload
+    assert k == 4 and kb == (1 if layer == 2 else 4) and (de.T in slots) == (layer > 2)
+    panel = k * 256 * 32 * 8
+    g = np.random.default_rng(1).standard_normal(node.value.shape)
+    block = node.inputs[0].value
+    summed = block.nbytes if kb < k else 0  # the shared block's cotangent
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        grads = list(de._PRIMITIVES["jet_sine"].vjp(node, g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads[0][1].shape == block.shape
+    # slack: numpy's ufunc buffers and the (K, rows) column-term sums
+    assert peak - before <= len(slots) * panel + summed + 2 * panel + panel // 2
+
+
 def test_inference_calls_no_libm_sine(monkeypatch):
     """A depth-5 f64 inference with spatial and temporal derivatives runs
     with np.sin and np.cos unavailable: every sine comes from the half-angle
@@ -809,8 +843,9 @@ def _loss_gradients(series, state, plan, weights):
     tape = Tape()
     leaves = net.make_leaves(tape, state)
     total, breakdown = losses.build_total_loss(tape, leaves, series, weights, plan, state.config)
+    kinds = Counter(n.kind for n in tape.nodes)  # the sweep releases all but the leaves
     tape.backward(total)
-    return leaves.grads(), breakdown, Counter(n.kind for n in tape.nodes)
+    return leaves.grads(), breakdown, kinds
 
 
 @pytest.mark.parametrize("grid_times", [8, 4, 3])

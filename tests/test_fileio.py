@@ -271,6 +271,17 @@ def test_manifest_round_trip(tmp_path):
     assert fileio.read_manifest(path) == entries
 
 
+@pytest.mark.parametrize("months", [12.3456789, 1234567.0, 1e-7 + 36.0])
+def test_manifest_months_round_trip_exactly(tmp_path, months):
+    """Months are written in their shortest round-trip form: six
+    significant digits would read 12.3456789 back as 12.3457 and 1234567
+    as 1234570."""
+    path = str(tmp_path / "manifest.txt")
+    entries = [(0.0, "vol0.raw", None), (months, "vol1.raw", None)]
+    fileio.write_manifest(path, entries)
+    assert fileio.read_manifest(path) == entries
+
+
 def test_manifest_validation(tmp_path):
     path = str(tmp_path / "bad.txt")
     open(path, "w").write("12 vol.raw\n0 base.raw\n")

@@ -81,6 +81,51 @@ def test_backward_releases_non_leaf_adjoints(no_gc):
     assert [n.kind for n in tape.nodes if n.adjoint is not None] == ["leaf", "leaf"]
 
 
+def test_sweep_releases_its_segment_and_keeps_the_leaves(no_gc):
+    """After a sweep the tape holds only its leaves, numbered from 0; a
+    second segment recorded on the same tape adds its gradient to theirs."""
+    tape = Tape()
+    p = tape.leaf(np.array([1.0, 2.0, 3.0]))
+    out = tape.sum(tape.square(p))
+    square = weakref.ref(out.inputs[0].value)  # the square node's buffer
+    tape.backward(out)
+    assert tape.nodes == [p] and p.idx == 0
+    assert out.inputs == () and square() is None
+    tape.backward(tape.sum(tape.scale(p, 0.5)))
+    np.testing.assert_array_equal(p.adjoint, [2.5, 4.5, 6.5])
+    assert tape.nodes == [p]
+
+
+def test_record_refuses_a_released_node(no_gc):
+    """A jet of a swept segment, such as a stale network prefix, cannot
+    feed a later record, which would give it no adjoint; the error names
+    the released node's kind.  Its output cannot be swept again."""
+    tape = Tape()
+    w = tape.leaf(np.array([[0.3, -0.7, 0.2]]))
+    x = tape.constant(np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]]).T)
+    a = de.bundle_sine(tape, de.bundle_affine(tape, w, de.Jet(x, (de.V,))), 2.0)
+    out = tape.mean(tape.square(a.node))
+    tape.backward(out)
+    with pytest.raises(de.DiffEngineError, match="jet_sine node was released"):
+        de.bundle_sine(tape, a)
+    with pytest.raises(de.DiffEngineError, match="mean node was released"):
+        tape.backward(out)
+    tape.release()  # nothing left but the leaf
+    assert tape.nodes == [w]
+
+
+def test_release_drops_an_unswept_segment(no_gc):
+    tape = Tape()
+    p = tape.leaf(np.ones(3))
+    out = tape.sum(tape.square(p))
+    square = weakref.ref(out.inputs[0].value)  # the square node's buffer
+    tape.release()
+    assert tape.nodes == [p] and p.adjoint is None
+    assert square() is None
+    with pytest.raises(de.DiffEngineError, match="released"):
+        tape.square(out)
+
+
 def test_constants_are_not_recorded(no_gc):
     tape = Tape()
     c = tape.constant(np.ones(3))

@@ -1,6 +1,8 @@
 """Trainer tests: sampling plans, the optimizer, the fitting loop's
 bookkeeping, dense prediction, and warping."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -185,20 +187,23 @@ def test_fit_numerical_abort():
 
 def test_fit_counts_a_rejected_step(monkeypatch):
     """A non-finite gradient on the second of four iterations: adam_step
-    refuses that step, and the report counts it."""
+    refuses that step, and the report counts it.  An iteration sweeps its
+    one tape once per loss segment, so the iterations are told apart by
+    their tapes."""
     backward = trainer.Tape.backward
-    sweeps = []
+    tapes = []
 
     def poisoned(tape, total):
         backward(tape, total)
-        sweeps.append(1)
-        if len(sweeps) == 2:
+        if not tapes or tapes[-1]() is not tape:
+            tapes.append(weakref.ref(tape))
+        if len(tapes) == 2:
             leaf = next(n for n in tape.nodes if n.adjoint is not None)
             leaf.adjoint = np.full_like(leaf.adjoint, np.nan)
 
     monkeypatch.setattr(trainer.Tape, "backward", poisoned)
     _, report = trainer.fit(tiny_series(), quick_config(iterations=4))
-    assert len(sweeps) == 4
+    assert len(tapes) == 4
     assert report.rejected_steps == 1
     assert report.peak_rss_mb > 0.0
 
