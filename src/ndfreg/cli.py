@@ -13,8 +13,12 @@ command reads, or a value its converter rejects, is an input error that
 names the file, section and key.  A time in months (`predict --time`,
 `--times` of `jacobian` and `metrics`) and `metrics --deadband` must be
 finite numbers >= 0; the parser refuses any other value, naming the flag,
-before anything is read or written.  The resolved configuration is echoed
-into the output directory next to the results.
+before anything is read or written.  It also refuses a `--slice-axis`
+other than x, y or z and a `jacobian --range` other than two finite
+numbers lo < hi (default 0.5,1.5).  Either needs `--slice-index`, which
+the command checks against the grid before anything is evaluated, and
+`metrics` takes slice flags only with --holdout.  The resolved
+configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
@@ -99,6 +103,14 @@ def _months(text):
     return tuple(_finite_nonnegative(v) for v in str(text).split(",") if v != "")
 
 
+def _value_range(text):
+    """A window lo,hi: two finite numbers with lo < hi."""
+    values = _floats(text)
+    if not (len(values) == 2 and all(map(math.isfinite, values)) and values[0] < values[1]):
+        raise argparse.ArgumentTypeError(f"needs two finite numbers lo < hi, got {text}")
+    return values
+
+
 def _ints(text):
     return tuple(int(v) for v in str(text).split(",") if v != "")
 
@@ -161,6 +173,10 @@ _FIT_SECTIONS = ("fit", "weights", "network")
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
 
+_SLICE_AXES = ("x", "y", "z")
+_SLICE_FLAGS = (("--slice-axis", "slice_axis"), ("--slice-index", "slice_index"),
+                ("--range", "value_range"))
+
 
 def build_parser():
     from .gradcheck import CORRUPT_HOOKS
@@ -201,9 +217,9 @@ def build_parser():
     p.add_argument("--times", type=_months, required=True)
     p.add_argument("--dims", type=_ints, default=None)
     p.add_argument("--scan", default=None)
-    p.add_argument("--slice-axis", dest="slice_axis", default=None)
+    p.add_argument("--slice-axis", dest="slice_axis", choices=_SLICE_AXES, default=None)
     p.add_argument("--slice-index", dest="slice_index", type=int, default=None)
-    p.add_argument("--range", dest="value_range", type=_floats, default=[0.5, 1.5])
+    p.add_argument("--range", dest="value_range", type=_value_range, default=None)
 
     p = sub.add_parser("metrics", help="structure metrics and held-out protocol")
     common(p, _FIT_SECTIONS)  # the held-out refit reuses the fit configuration
@@ -213,7 +229,7 @@ def build_parser():
     p.add_argument("--label-ids", dest="label_ids", type=_ints, default=None)
     p.add_argument("--holdout", type=float, default=None)
     p.add_argument("--deadband", type=_finite_nonnegative, default=1e-6)
-    p.add_argument("--slice-axis", dest="slice_axis", default=None)
+    p.add_argument("--slice-axis", dest="slice_axis", choices=_SLICE_AXES, default=None)
     p.add_argument("--slice-index", dest="slice_index", type=int, default=None)
 
     p = sub.add_parser("phantom", help="generate a synthetic ground-truth series")
@@ -450,6 +466,23 @@ def _require_dims(args, fileio):
     raise ValueError("either --scan or --dims is required")
 
 
+def _slice_flags(args) -> list:
+    """The slice flags given on the command line."""
+    return [flag for flag, dest in _SLICE_FLAGS if getattr(args, dest, None) is not None]
+
+
+def _check_slice(args, dims):
+    """Refuse slice flags that make no image, before anything is
+    evaluated: --slice-axis or --range without --slice-index, or an index
+    outside `dims` along the axis (default z)."""
+    axis = args.slice_axis or "z"
+    if args.slice_index is None and _slice_flags(args):
+        raise ValueError(f"{args.command}: {', '.join(_slice_flags(args))} needs --slice-index")
+    if args.slice_index is not None and not 0 <= args.slice_index < dims[_SLICE_AXES.index(axis)]:
+        raise ValueError(f"{args.command}: --slice-index {args.slice_index} is outside "
+                         f"the grid {tuple(dims)} along {axis}")
+
+
 def _cmd_predict(args) -> int:
     from . import fileio, trainer
 
@@ -464,7 +497,7 @@ def _cmd_predict(args) -> int:
     if args.with_djdt:
         fileio.write_raw(os.path.join(args.out, "jacdet_dt.raw"), field.jac_det_dt)
     if scan is not None:
-        warped = trainer.warp_volume(scan, field)
+        warped = trainer.warp_volume(scan, field.phi)
         fileio.write_raw(os.path.join(args.out, "warped.raw"), warped.values)
     _echo_config(args.out, "predict", {"time": args.time, "dims": list(dims)})
     print(
@@ -479,16 +512,15 @@ def _cmd_jacobian(args) -> int:
 
     state = fileio.load_model(args.model)
     dims, _ = _require_dims(args, fileio)
+    _check_slice(args, dims)
     rows = [["time_months", "folded_count", "mean_jac"]]
     for t, field in zip(args.times, trainer.predict_field(state, args.times, dims)):
         tag = f"{t:g}".replace(".", "p")
         fileio.write_raw(os.path.join(args.out, f"jac_{tag}.raw"), field.jac_det)
         if args.slice_index is not None:
-            axis = args.slice_axis or "z"
-            lo, hi = args.value_range
             fileio.write_slice_image(
-                field.jac_det, axis, args.slice_index, (lo, hi),
-                os.path.join(args.out, f"jac_{tag}.pgm"),
+                field.jac_det, args.slice_axis or "z", args.slice_index,
+                args.value_range or (0.5, 1.5), os.path.join(args.out, f"jac_{tag}.pgm"),
             )
         rows.append([t, field.folded_count, float(field.jac_det.mean())])
     fileio.write_csv(os.path.join(args.out, "jacobian_summary.csv"), rows)
@@ -502,10 +534,11 @@ def _cmd_metrics(args) -> int:
     from . import fileio, metrics, network
     from .volume import grid_coordinates
 
-    if args.holdout is None:  # only the held-out refit reads the fit options
+    if args.holdout is None:  # only the held-out refit reads these
         given = ["--config"] if args.config is not None else []
         given += [opt.flag for opt in _OPTIONS
                   if opt.section in _FIT_SECTIONS and getattr(args, opt.key) is not None]
+        given += _slice_flags(args)
         if given:
             raise ValueError(f"metrics: {', '.join(given)} needs --holdout")
     state = fileio.load_model(args.model)
@@ -518,6 +551,7 @@ def _cmd_metrics(args) -> int:
     )
     times = args.times
     dims = series.baseline.dims
+    _check_slice(args, dims)
 
     trajectories = metrics.structure_trajectories(
         state, base_labels, label_ids, times, deadband=args.deadband
@@ -559,7 +593,6 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
     import numpy as np
 
     from . import fileio, metrics, trainer
-    from .metrics import JacobianMap
     from .volume import Volume4DSeries
 
     months = args.holdout
@@ -576,9 +609,7 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
     dims = series.baseline.dims
     field_h = trainer.predict_field(refit_state, months, dims)
     field_f = trainer.predict_field(full_state, months, dims)
-    residual = metrics.residual_jacobian(
-        JacobianMap(months, field_h.jac_det), JacobianMap(months, field_f.jac_det)
-    )
+    residual = field_h.jac_det - field_f.jac_det
     fileio.write_raw(os.path.join(args.out, "holdout_residual_jac.raw"), residual)
     if args.slice_index is not None:
         fileio.write_slice_image(

@@ -193,7 +193,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _elementwise(kind, op):
-    """Forward of a binary op on operands of broadcast-compatible shapes."""
+    """Forward of a binary op on operands of broadcast-compatible shapes;
+    two 0-d operands give a 0-d array, not numpy's scalar."""
 
     def forward(dtype, values, payload):
         a, b = values
@@ -203,7 +204,7 @@ def _elementwise(kind, op):
             raise DiffEngineError(
                 f"{kind}: shape mismatch {a.shape} vs {b.shape}"
             ) from None
-        return op(a, b)
+        return np.asarray(op(a, b))
 
     return forward
 
@@ -763,24 +764,25 @@ _PRIMITIVES = {
     "mul": Primitive(_elementwise("mul", operator.mul), _mul_vjp),
     "div": Primitive(_elementwise("div", operator.truediv), _div_vjp),
     "minimum": Primitive(_elementwise("minimum", np.minimum), _minimum_vjp),
+    # np.asarray keeps a 0-d input's result a 0-d array
     "scale": Primitive(
-        lambda dtype, values, c: values[0] * dtype.type(c),
+        lambda dtype, values, c: np.asarray(values[0] * dtype.type(c)),
         lambda node, g: [(0, g * node.payload)],
     ),
     "offset": Primitive(
-        lambda dtype, values, c: values[0] + dtype.type(c),
+        lambda dtype, values, c: np.asarray(values[0] + dtype.type(c)),
         lambda node, g: [(0, g)],
     ),
     "square": Primitive(
-        lambda dtype, values, payload: values[0] * values[0],
+        lambda dtype, values, payload: np.asarray(values[0] * values[0]),
         lambda node, g: [(0, 2.0 * g * node.inputs[0].value)],
     ),
     "sqrt": Primitive(
-        lambda dtype, values, payload: np.sqrt(values[0]),
+        lambda dtype, values, payload: np.asarray(np.sqrt(values[0])),
         lambda node, g: [(0, 0.5 * g / node.value)],
     ),
     "relu": Primitive(
-        lambda dtype, values, payload: np.maximum(values[0], 0.0),
+        lambda dtype, values, payload: np.asarray(np.maximum(values[0], 0.0)),
         lambda node, g: [(0, g * (node.inputs[0].value > 0.0))],
     ),
     "affine": Primitive(_affine_forward, _affine_vjp),

@@ -1,5 +1,6 @@
-"""Morphometry outputs: |J| maps, Dice, residuals, structure trajectories,
-and the voxel-wise sign-consistency proportion.
+"""Morphometry outputs: Dice, structure trajectories, and the voxel-wise
+sign-consistency proportion.  |J| maps and their residuals are the
+`jac_det` of `trainer.predict_field`'s results and their differences.
 
 |J| reads as a local volume-change factor: 1 no change, above 1 expansion,
 in (0,1) contraction, non-positive folding.  A voxel counts as
@@ -15,7 +16,7 @@ field that stands in for a fit, with times passed through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -24,31 +25,14 @@ from . import network as net
 from .volume import voxel_centers
 
 __all__ = [
-    "JacobianMap",
     "StructureMetrics",
     "dice",
     "warp_labels",
-    "residual_jacobian",
     "sign_consistency",
     "structure_trajectories",
 ]
 
 DEFAULT_DEADBAND = 1e-6
-
-
-@dataclass
-class JacobianMap:
-    time: float  # months
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.isfinite(self.values).all():
-            raise ValueError("Jacobian map contains non-finite values")
-
-    @property
-    def folded_count(self) -> int:
-        return int((self.values <= 0.0).sum())
 
 
 @dataclass
@@ -58,7 +42,6 @@ class StructureMetrics:
     mean_jac: list
     mean_djdt: list
     sign_consistency: float
-    dice: dict = field(default_factory=dict)  # time -> score, filled on demand
 
 
 def _resolve_field(field_or_state):
@@ -104,17 +87,6 @@ def warp_labels(labels: np.ndarray, phi: np.ndarray) -> np.ndarray:
         idx.append(np.clip(np.rint(v).astype(np.int64), 0, n - 1))
     out = labels[idx[0], idx[1], idx[2]]
     return out.reshape(dims)
-
-
-def residual_jacobian(map_a: JacobianMap, map_b: JacobianMap) -> np.ndarray:
-    """Voxel-wise map_a - map_b; both maps must share dims and time."""
-    if map_a.values.shape != map_b.values.shape:
-        raise ValueError(
-            f"map dims differ: {map_a.values.shape} vs {map_b.values.shape}"
-        )
-    if map_a.time != map_b.time:
-        raise ValueError(f"map times differ: {map_a.time} vs {map_b.time}")
-    return map_a.values - map_b.values
 
 
 def sign_consistency(

@@ -53,19 +53,18 @@ to a trace at that time alone.
 Each layer's value, tangents and mixed entries travel as one stacked jet
 block (see `diffengine`), so a hidden layer holds hidden width x slot
 count values per point and time.  Inference therefore sizes its chunks
-by bytes: by default `chunk_points` takes as many points as keep one
-hidden-layer block at one time within BLOCK_BYTES (2 MiB, the per-core L2
-of the x86-64 hosts this is measured on), e.g. 128 points at paper width
-with d|J|/dt (8 slots), 256 with J alone (4 slots) and 1024 for
-displacement alone; `chunk_size` overrides it.  A call longer than one
-chunk pads its last chunk to the full size and drops the padded points,
-so every chunk runs its matmuls in one shape: a short last chunk would
-run them in another, whose products can differ in the last bits (likely
-OpenBLAS's small-matrix path).  A block that fits L2 stays there between
-a layer's matmul and its rule: 8 MiB chunks measured 6-12 % slower per
-layer.  BLOCK_BYTES stays below the CLI's 32 MiB mmap threshold
-(`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from heap a
-previous chunk freed, not from fresh pages.
+by bytes: `chunk_points` takes as many points as keep one hidden-layer
+block at one time within BLOCK_BYTES (2 MiB, the per-core L2 of the
+x86-64 hosts this is measured on), e.g. 128 points at paper width with
+d|J|/dt (8 slots), 256 with J alone (4 slots) and 1024 for displacement
+alone.  A call longer than one chunk pads its last chunk to the full size
+and drops the padded points, so every chunk runs its matmuls in one
+shape: a short last chunk would run them in another, whose products can
+differ in the last bits (likely OpenBLAS's small-matrix path).  A block
+that fits L2 stays there between a layer's matmul and its rule: 8 MiB
+chunks measured 6-12 % slower per layer.  BLOCK_BYTES stays below the
+CLI's 32 MiB mmap threshold (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's
+arrays come from heap a previous chunk freed, not from fresh pages.
 
 Memory bound: no hidden-layer block exceeds BLOCK_BYTES, in training
 (K times of P points) or in inference (one time of a chunk).  A dense
@@ -216,16 +215,24 @@ class DerivativeRequest:
 
 @dataclass
 class DisplacementResult:
-    """The dense products of `forward_with_derivatives` at (3,B) coords."""
+    """The products of the field at one time over a set of points: the
+    flat (3, B) coords of `forward_with_derivatives`, or the voxel grid's
+    (3, nx, ny, nz) of `trainer.predict_field`; each product has the
+    points' shape, with a leading 3 for a vector."""
 
-    coords: np.ndarray
-    displacement: np.ndarray  # (3,B)
-    jac_det: np.ndarray | None = None  # (B,), |I + J|, with `spatial`
-    jac_det_dt: np.ndarray | None = None  # (B,), d|I + J|/dt, with both
+    coords: np.ndarray  # (3, ...)
+    displacement: np.ndarray  # (3, ...)
+    jac_det: np.ndarray | None = None  # (...), |I + J|, with `spatial`
+    jac_det_dt: np.ndarray | None = None  # (...), d|I + J|/dt, with both
 
     @property
     def phi(self) -> np.ndarray:
         return self.coords + self.displacement
+
+    @property
+    def folded_count(self) -> int:
+        """Points where |I + J| <= 0: the map folds there."""
+        return int((self.jac_det <= 0.0).sum())
 
 
 @dataclass
@@ -369,15 +376,14 @@ def forward_with_derivatives(
     times,
     request: DerivativeRequest,
     dtype=np.float64,
-    chunk_size: int | None = None,
 ):
     """Evaluate the frozen field and the requested products at (3,B)
-    coords, `chunk_size` points at a time (default `chunk_points`); when
-    there is more than one chunk, the last is padded to `chunk_size` points
-    and the padding's products are dropped.  `times` is one normalized time
-    (returns one DisplacementResult) or a sequence of them (returns a list,
-    one result per time); each chunk traces the time-invariant prefix once
-    and shares it across the times.
+    coords, `chunk_points` points at a time; when there is more than one
+    chunk, the last is padded to the full chunk and the padding's products
+    are dropped.  `times` is one normalized time (returns one
+    DisplacementResult) or a sequence of them (returns a list, one result
+    per time); each chunk traces the time-invariant prefix once and shares
+    it across the times.
 
     A result carries the displacement, |I + J| with `spatial` and
     d|I + J|/dt with both; J and dphi/dt are read off an output jet
@@ -387,10 +393,7 @@ def forward_with_derivatives(
     (see the module docstring).  The parameters enter as tape constants,
     so nothing is recorded; chunking, padding and sharing change no
     arithmetic (results are identical to one pass per time)."""
-    if chunk_size is None:
-        chunk_size = chunk_points(state.config, request, dtype)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    size = chunk_points(state.config, request, dtype)
     single = np.ndim(times) == 0
     times = [times] if single else list(times)
     coords = np.asarray(coords, dtype=dtype)
@@ -404,11 +407,11 @@ def forward_with_derivatives(
         )
         for _ in times
     ]
-    for lo in range(0, n, chunk_size):
-        cols = slice(lo, min(lo + chunk_size, n))
+    for lo in range(0, n, size):
+        cols = slice(lo, min(lo + size, n))
         chunk = coords[:, cols]
-        if chunk.shape[1] < chunk_size < n:  # pad a short last chunk to full size
-            chunk = np.pad(chunk, ((0, 0), (0, chunk_size - chunk.shape[1])))
+        if chunk.shape[1] < size < n:  # pad a short last chunk to full size
+            chunk = np.pad(chunk, ((0, 0), (0, size - chunk.shape[1])))
         _write_chunk(results, cols, state, chunk, times, request, dtype)
     return results[0] if single else results
 

@@ -62,6 +62,15 @@ class PhantomSpec:
         return max(self.times)
 
     def validate(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        if len(self.dims) != 3:
+            raise ValueError(f"dims must have 3 entries, got {self.dims}")
+        for name in ("edge_width", "ring_period"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if len(self.times) < 2 or self.times[0] != 0.0:
             raise ValueError("times must start at 0 with at least one follow-up")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):

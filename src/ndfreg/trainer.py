@@ -29,7 +29,9 @@ for the 8-time grid.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk; inference
-traces one time per group and writes row 0 of each group's products.
+traces one time per group and writes row 0 of each group's products.  It
+returns `network.DisplacementResult`s whose products are shaped as the
+grid.
 
 With a fixed seed and single-threaded BLAS the loop is reproducible to
 bit-identical parameters.
@@ -66,7 +68,6 @@ __all__ = [
     "fit",
     "predict_field",
     "warp_volume",
-    "FieldGrid",
 ]
 
 log = logging.getLogger(__name__)
@@ -353,27 +354,6 @@ def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype
     return breakdown, not accepted, tape_bytes
 
 
-@dataclass
-class FieldGrid:
-    """Dense field products sampled on the voxel grid at one time."""
-
-    t_months: float
-    dims: tuple
-    displacement: np.ndarray  # (3, nx, ny, nz)
-    jac_det: np.ndarray  # (nx, ny, nz)
-    jac_det_dt: np.ndarray | None = None
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.displacement + grid_coordinates(self.dims).reshape(
-            (3,) + tuple(self.dims)
-        )
-
-    @property
-    def folded_count(self) -> int:
-        return int((self.jac_det <= 0.0).sum())
-
-
 def predict_field(
     state: net.NetworkState,
     t_months,
@@ -382,38 +362,32 @@ def predict_field(
 ):
     """Evaluate the fitted field densely over the voxel grid, in the
     chunks of `network.forward_with_derivatives`, whose results equal one
-    pass.  `t_months` is one time (returns one FieldGrid) or a sequence of
-    times (returns a list, one grid per time, sharing the network's
-    time-invariant prefix).  Each grid views the arrays that
-    `network.forward_with_derivatives` allocated once at grid size, so
-    memory is the grids plus one chunk's prefix and two hidden-layer
-    blocks."""
+    pass.  `t_months` is one time (returns one DisplacementResult) or a
+    sequence of times (returns a list, one result per time, sharing the
+    network's time-invariant prefix).  Each result is on the grid: coords
+    and displacement are (3, nx, ny, nz), |J| and d|J|/dt (nx, ny, nz),
+    views of the arrays that `network.forward_with_derivatives` allocated
+    once at grid size, so memory is those products plus one chunk's prefix
+    and two hidden-layer blocks."""
     single = np.ndim(t_months) == 0
     months = [t_months] if single else list(t_months)
     request = net.DerivativeRequest(spatial=True, temporal=want_djdt)
     results = net.forward_with_derivatives(
         state, grid_coordinates(dims), [m / state.time_horizon for m in months], request
     )
-    dims = tuple(dims)
-    grids = [
-        FieldGrid(
-            t_months=m,
-            dims=dims,
-            displacement=res.displacement.reshape((3,) + dims),
-            jac_det=res.jac_det.reshape(dims),
-            jac_det_dt=res.jac_det_dt.reshape(dims) if want_djdt else None,
-        )
-        for m, res in zip(months, results)
-    ]
-    return grids[0] if single else grids
+    grid = (3,) + tuple(dims)
+    for res in results:
+        res.coords = res.coords.reshape(grid)
+        res.displacement = res.displacement.reshape(grid)
+        res.jac_det = res.jac_det.reshape(grid[1:])
+        if want_djdt:
+            res.jac_det_dt = res.jac_det_dt.reshape(grid[1:])
+    return results[0] if single else results
 
 
-def warp_volume(vol: Volume3D, phi) -> Volume3D:
-    """Backward-map a volume: sample `vol` at phi(voxel) for every voxel."""
-    if isinstance(phi, FieldGrid):
-        if tuple(phi.dims) != tuple(vol.dims):
-            raise ValueError(f"field dims {phi.dims} != volume dims {vol.dims}")
-        phi = phi.phi
+def warp_volume(vol: Volume3D, phi: np.ndarray) -> Volume3D:
+    """Backward-map a volume: sample `vol` at phi(voxel) for every voxel;
+    `phi` is (3, nx, ny, nz) at the volume's dims."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape != (3,) + tuple(vol.dims):
         raise ValueError(f"phi shape {phi.shape} does not match volume {vol.dims}")

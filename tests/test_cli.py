@@ -204,9 +204,16 @@ def test_main_sets_the_heap_policy_once(monkeypatch, tmp_path, argv):
 
 def test_metrics_holdout_writes_its_report(tmp_path):
     """`metrics --holdout` refits without the held-out scan and writes one
-    row per label: its held-out Dice and mean |residual| of |J|."""
+    row per label: its held-out Dice and mean |residual| of |J|.  The
+    residual map is the refit's |J| minus the full fit's, bit for bit, as
+    an in-process refit with the same configuration gives them."""
     import csv
     import math
+
+    import numpy as np
+
+    from ndfreg import fileio, trainer
+    from ndfreg.volume import Volume4DSeries
 
     ph, fit, met = (str(tmp_path / d) for d in ("phantom", "fit", "metrics"))
     knobs = ["--iterations", "3", "--hidden-width", "8", "--depth", "3",
@@ -223,6 +230,97 @@ def test_metrics_holdout_writes_its_report(tmp_path):
     assert rows and list(rows[0]) == ["label", "dice_holdout", "residual_mean_abs"]
     for row in rows:
         assert all(math.isfinite(float(v)) for v in row.values())
+
+    series = fileio.load_series(manifest)
+    reduced = Volume4DSeries(series.baseline, [(m, v) for m, v in series.followups if m != 24],
+                             labels=series.labels)
+    config = trainer.FitConfig(iterations=3, batch_points=128, time_horizon=max(series.times),
+                               network=network.NetworkConfig(hidden_width=8, depth=3))
+    refit, _ = trainer.fit(reduced, config)
+    full = fileio.load_model(os.path.join(fit, "model.ndf"))
+    dims = series.baseline.dims
+    want = (trainer.predict_field(refit, 24.0, dims).jac_det
+            - trainer.predict_field(full, 24.0, dims).jac_det)
+    got, _ = fileio._read_raw_array(os.path.join(met, "holdout_residual_jac.raw"))
+    assert got.tobytes() == want.tobytes()
+    base_labels = series.labels[0.0]
+    for row in rows:
+        core = base_labels == int(row["label"])
+        assert float(row["residual_mean_abs"]) == float(np.abs(want[core]).mean())
+
+
+def _refused(capsys, argv, flag):
+    """Run `argv`: exit 2, by the parser or by the command, naming `flag`."""
+    capsys.readouterr()
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == cli.EXIT_INPUT
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--slice-axis", "w", "--slice-index", "0"], "--slice-axis"),
+    (["--slice-index", "4"], "--slice-index"),
+    (["--slice-axis", "x", "--slice-index", "-1"], "--slice-index"),
+    (["--slice-index", "0", "--range", "1.5,0.5"], "--range"),
+    (["--slice-index", "0", "--range", "0.5"], "--range"),
+    (["--slice-index", "0", "--range", "nan,1"], "--range"),
+    (["--slice-axis", "x"], "--slice-axis"),
+    (["--range", "0.5,1.5"], "--range"),
+], ids=["axis-w", "index-past-end", "index-negative", "range-reversed", "range-one",
+        "range-nan", "axis-without-index", "range-without-index"])
+def test_jacobian_bad_slice_flags_are_refused(tmp_path, capsys, flags, named):
+    """A slice flag that makes no image is an input error that names it,
+    raised before any map is written."""
+    out = tmp_path / "out"
+    _refused(capsys, ["jacobian", "--model", _tiny_model(tmp_path), "--times", "12",
+                      "--dims", "4,4,4", "--out", str(out), *flags], named)
+    assert not list(out.glob("*.raw"))
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--slice-axis", "w", "--slice-index", "99"], "--slice-axis"),
+    (["--slice-axis", "x"], "--holdout"),
+    (["--slice-index", "1"], "--holdout"),
+    (["--holdout", "12", "--slice-axis", "w", "--slice-index", "1"], "--slice-axis"),
+    (["--holdout", "12", "--slice-index", "99"], "--slice-index"),
+    (["--holdout", "12", "--slice-axis", "y"], "--slice-axis"),
+], ids=["axis-w", "axis-without-holdout", "index-without-holdout", "holdout-axis-w",
+        "holdout-index-past-end", "holdout-axis-without-index"])
+def test_metrics_bad_slice_flags_are_refused(tmp_path, capsys, flags, named):
+    """`metrics` takes its slice flags only with --holdout, and refuses a
+    bad one before anything is evaluated, the refit included."""
+    ph, out = str(tmp_path / "phantom"), tmp_path / "out"
+    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", "0,12,24"]) == 0
+    refit = ["--iterations", "1", "--batch-points", "8", "--hidden-width", "4",
+             "--depth", "3"] if "--holdout" in flags else []
+    _refused(capsys, ["metrics", "--model", _tiny_model(tmp_path), "--out", str(out),
+                      "--manifest", os.path.join(ph, "manifest.txt"), "--times", "0,12",
+                      *refit, *flags], named)
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--times", "0,inf"], "times"),
+    (["--times", "0,12,nan"], "times"),
+    (["--growth", "nan"], "growth"),
+    (["--sigma", "nan"], "sigma"),
+    (["--edge-width", "0"], "edge_width"),
+    (["--ring-period", "0"], "ring_period"),
+    (["--dims", "4,4"], "dims"),
+], ids=["times-inf", "times-nan", "growth-nan", "sigma-nan", "edge-width-0",
+        "ring-period-0", "dims-two"])
+def test_phantom_unusable_spec_is_input_error(tmp_path, capsys, flags, field):
+    """`PhantomSpec.validate` refuses a spec whose outputs no command could
+    use, naming the field, before anything is written."""
+    out = tmp_path / "out"
+    rc = cli.main(["phantom", "--out", str(out), "--dims", "4,4,4", "--times", "0,12",
+                   *flags])
+    assert rc == cli.EXIT_INPUT
+    assert f"ndfreg: {field} must " in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -11,7 +11,7 @@ import pytest
 from ndfreg import diffengine as de
 from ndfreg import network as net, trainer
 from ndfreg.diffengine import Tape
-from ndfreg.losses import LossWeights, total_loss
+from ndfreg.losses import LossWeights, build_total_loss, total_loss
 from ndfreg.trainer import SamplePlan
 
 from test_trainer import TOY_NET, quick_config, tiny_series
@@ -144,11 +144,12 @@ def test_backward_without_leaf_rejected(no_gc):
         tape.backward(out)
 
 
-def test_forward_with_derivatives_records_nothing(no_gc, tapes):
+def test_forward_with_derivatives_records_nothing(no_gc, tapes, monkeypatch):
+    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: 16)
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
     full = net.DerivativeRequest(spatial=True, temporal=True)
-    net.forward_with_derivatives(state, coords, 0.4, full, chunk_size=16)
+    net.forward_with_derivatives(state, coords, 0.4, full)
     assert len(tapes) == 4
     assert all(len(t.nodes) == 0 for t in tapes)
 
@@ -167,10 +168,11 @@ def test_chunk_traces_die_before_the_next_chunk_traces(no_gc, monkeypatch):
         return outs
 
     monkeypatch.setattr(net, "trace_network", tracking)
+    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: 16)
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
     full = net.DerivativeRequest(spatial=True, temporal=True)
-    net.forward_with_derivatives(state, coords, [0.2, 0.6], full, chunk_size=16)
+    net.forward_with_derivatives(state, coords, [0.2, 0.6], full)
     assert alive == [0, 0, 0, 0]
     assert len(outputs) == 8
 
@@ -223,3 +225,21 @@ def test_total_loss_records_nothing(no_gc, tapes):
     breakdown = total_loss(tiny_series(), state, LossWeights(), plan)
     assert np.isfinite(breakdown.total)
     assert len(tapes) == 1 and len(tapes[0].nodes) == 0
+
+
+def test_every_value_of_a_loss_tape_is_an_array(no_gc):
+    """Scalars are 0-d arrays: every node value of a whole-loss tape, the
+    loss's scalar arithmetic included, is an array that takes a weak
+    reference, and the sweep frees every value but the leaves'."""
+    state = net.init_network(seed=2, config=TOY_NET)
+    rng = np.random.default_rng(3)
+    plan = SamplePlan(rng.uniform(-1, 1, size=(3, 30)), np.array([0.0, 1.0]),
+                      np.linspace(0.0, 1.0, 3))
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    total, _ = build_total_loss(tape, leaves, tiny_series(), LossWeights(), plan, state.config)
+    assert total.value.ndim == 0
+    refs = [(node.kind, weakref.ref(node.value)) for node in tape.nodes]
+    tape.backward(total)
+    del total
+    assert {kind for kind, ref in refs if ref() is not None} == {"leaf"}

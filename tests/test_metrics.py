@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ndfreg import metrics, network as net
-from ndfreg.metrics import JacobianMap
 from ndfreg.volume import grid_coordinates, voxel_centers
 
 
@@ -128,41 +127,16 @@ def test_warp_labels_never_blends():
 
 
 # ---------------------------------------------------------------------------
-# residuals and maps
+# |J| maps
 # ---------------------------------------------------------------------------
 
 
-def test_residual_examples():
-    a = JacobianMap(12.0, np.ones((4, 4, 4)))
-    b = JacobianMap(12.0, np.ones((4, 4, 4)) + 0.1)
-    np.testing.assert_allclose(metrics.residual_jacobian(a, a), 0.0)
-    np.testing.assert_allclose(metrics.residual_jacobian(a, b), -0.1)
-
-
-def test_residual_antisymmetry():
-    rng = np.random.default_rng(4)
-    a = JacobianMap(6.0, rng.uniform(0.8, 1.2, (5, 5, 5)))
-    b = JacobianMap(6.0, rng.uniform(0.8, 1.2, (5, 5, 5)))
-    np.testing.assert_array_equal(
-        metrics.residual_jacobian(a, b), -metrics.residual_jacobian(b, a)
-    )
-
-
-def test_residual_mismatch_rejected():
-    a = JacobianMap(6.0, np.ones((4, 4, 4)))
-    b = JacobianMap(9.0, np.ones((4, 4, 4)))
-    with pytest.raises(ValueError, match="times"):
-        metrics.residual_jacobian(a, b)
-    c = JacobianMap(6.0, np.ones((5, 5, 5)))
-    with pytest.raises(ValueError, match="dims"):
-        metrics.residual_jacobian(a, c)
-
-
-def test_jacobian_map_folded_count():
+def test_displacement_result_folded_count():
+    """|J| <= 0 folds, |J| = 0 included."""
     values = np.ones((4, 4, 4))
-    values[0, 0, :2] = -0.5
-    jm = JacobianMap(0.0, values)
-    assert jm.folded_count == int((values <= 0).sum()) == 2
+    values[0, 0, :2] = (-0.5, 0.0)
+    res = net.DisplacementResult(np.zeros((3, 4, 4, 4)), np.zeros((3, 4, 4, 4)), values)
+    assert res.folded_count == int((values <= 0).sum()) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -169,11 +169,17 @@ def test_forward_pure():
     assert a.tobytes() == b.tobytes()
 
 
-def test_chunked_evaluation_matches_one_pass():
+def chunks_of(monkeypatch, points):
+    """Make `forward_with_derivatives` evaluate `points` points per chunk."""
+    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: points)
+
+
+def test_chunked_evaluation_matches_one_pass(monkeypatch):
     state = toy_state(seed=4)
     coords = np.random.default_rng(5).uniform(-1, 1, size=(3, 23))
     whole = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
-    chunked = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=5)
+    chunks_of(monkeypatch, 5)
+    chunked = net.forward_with_derivatives(state, coords, 0.6, FULL_REQ)
     for name in ("displacement", "jac_det", "jac_det_dt"):
         assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
     # J and dphi/dt, read off traces of 5-point pieces
@@ -181,11 +187,9 @@ def test_chunked_evaluation_matches_one_pass():
     pieces = [traced(state, coords[:, lo : lo + 5], [0.6])[0] for lo in range(0, 23, 5)]
     for k, want in enumerate((whole_j, whole_dt)):
         assert np.concatenate([p[k] for p in pieces], axis=-1).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="chunk_size"):
-        net.forward_with_derivatives(state, coords, 0.6, FULL_REQ, chunk_size=0)
 
 
-def test_paper_width_short_last_chunk_matches_one_pass():
+def test_paper_width_short_last_chunk_matches_one_pass(monkeypatch):
     """At paper width, 130 points in the default 128-point chunks equal one
     130-point pass bit for bit: the 2-point last chunk is padded to the
     full chunk, so its matmuls run in the same shape as every other."""
@@ -197,20 +201,22 @@ def test_paper_width_short_last_chunk_matches_one_pass():
     coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 130))
     assert net.chunk_points(state.config, FULL_REQ, np.float64) == 128
     chunked = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
-    whole = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ, chunk_size=130)
+    chunks_of(monkeypatch, 130)
+    whole = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
     for name in ("displacement", "jac_det", "jac_det_dt"):
         assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
 
 
-def test_times_sequence_matches_separate_calls_bit_for_bit():
+def test_times_sequence_matches_separate_calls_bit_for_bit(monkeypatch):
     state = toy_state(seed=6)
     coords = np.random.default_rng(7).uniform(-1, 1, size=(3, 23))
     times = [0.0, 0.35, 0.8, 1.2]
-    shared = net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=5)
+    chunks_of(monkeypatch, 5)
+    shared = net.forward_with_derivatives(state, coords, times, FULL_REQ)
     shared_j = traced(state, coords, times)
     assert len(shared) == len(times)
     for t, got, (got_j, _) in zip(times, shared, shared_j):
-        want = net.forward_with_derivatives(state, coords, t, FULL_REQ, chunk_size=5)
+        want = net.forward_with_derivatives(state, coords, t, FULL_REQ)
         for name in ("displacement", "jac_det", "jac_det_dt"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got_j.tobytes() == traced(state, coords, [t])[0][0].tobytes()
@@ -236,7 +242,7 @@ def test_empty_coordinate_block_gives_empty_products():
                 assert value.dtype == np.float64
 
 
-def test_chunk_memory_is_the_prefix_and_two_blocks():
+def test_chunk_memory_is_the_prefix_and_two_blocks(monkeypatch):
     """The traced peak of a spatial and temporal evaluation over 3 chunks
     and 2 times stays below its products plus 3.5 blocks, a block being one
     chunk's 8-slot hidden layer (width x 8 x chunk points x 8 bytes).
@@ -252,10 +258,11 @@ def test_chunk_memory_is_the_prefix_and_two_blocks():
     state = net.init_network(seed=2, config=cfg)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 700))
     times = [0.2, 0.7]
-    net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=256)
+    chunks_of(monkeypatch, 256)
+    net.forward_with_derivatives(state, coords, times, FULL_REQ)
     tracemalloc.start()
     try:
-        net.forward_with_derivatives(state, coords, times, FULL_REQ, chunk_size=256)
+        net.forward_with_derivatives(state, coords, times, FULL_REQ)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
