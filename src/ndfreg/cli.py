@@ -17,7 +17,9 @@ before anything is read or written.  It also refuses a `--slice-axis`
 other than x, y or z and a `jacobian --range` other than two finite
 numbers lo < hi (default 0.5,1.5).  Either needs `--slice-index`, which
 the command checks against the grid before anything is evaluated, and
-`metrics` takes slice flags only with --holdout.  The resolved
+`metrics` takes slice flags only with --holdout.  `metrics --holdout`
+runs its refit first, so a month with no follow-up scan, or the only
+one, is refused before anything is written.  The resolved
 configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
@@ -43,14 +45,13 @@ and with the policy:
 -> 0.04-0.07 s of kernel time, `predict --with-djdt` 99-100k -> 9.7k and
 0.36-0.46 -> 0.04-0.06 s, `metrics` 39-40k -> 11k and 0.16-0.19 -> 0.05-
 0.06 s.  Where the C library has no `mallopt` the policy is not applied.
-The kept top is also the budget of one recorded segment of a fit step
-(`network.TAPE_BYTES`, the same number): `trainer.segment_gradients`
-splits the grid regularizers into point chunks whose tapes fit it, so
-each chunk's tape reuses the heap the last one freed rather than being
-trimmed and faulted in again.  At paper width (f64, 8-time grid, about
-0.7 MiB of tape per point) that is 2 chunks of 64 points at B=128.  The
-similarity segment is one value-only trace of the whole batch; its layer
-arrays pass the 32 MiB threshold, and are mmapped, from 16384 points on.
+The kept top also lets each segment of a fit step reuse the heap the
+last one freed rather than fault it in again.  A regularizer segment is
+one `network.BLOCK_BYTES` time group, 11-13 MiB of tape at any batch.
+The similarity segment is a value-only trace of the whole batch, about
+47 KiB per point at paper width, f64: within the kept top up to about
+1360 points (7.7 MiB at B=128; 374 MiB at B=8192, whose layer arrays
+pass the mmap threshold from 16384 points on).
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .network import TAPE_BYTES
-
 # setters of the OpenBLAS builds numpy ships or links against
 _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_",
@@ -74,11 +73,12 @@ _OPENBLAS_SETTERS = (
 # glibc's mallopt parameters (malloc.h) and the values `keep_freed_heap`
 # sets: the mmap threshold at glibc's ceiling, sixteen times
 # network.BLOCK_BYTES, so that every inference chunk array is heap memory,
-# and a kept top of one fit-step segment's tape budget
+# and a kept top that holds every fit-step segment up to B of about 1360
+# at paper width, f64
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
 HEAP_MMAP_THRESHOLD = 32 << 20
-HEAP_TOP_PAD = TAPE_BYTES
+HEAP_TOP_PAD = 64 << 20
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -447,7 +447,8 @@ def _cmd_fit(args) -> int:
         f"fit: {config.iterations} iterations, checksum {report.final_checksum[:16]}, "
         f"{report.rejected_steps} rejected steps, peak RSS {report.peak_rss_mb:.1f} MB, "
         f"{len(chunks)} point chunks of up to {max(chunks, default=0)} points, "
-        f"largest segment tape {report.segment_tape_mb:.1f} MiB",
+        f"similarity segment tape {report.similarity_tape_mb:.1f} MiB, "
+        f"largest regularizer segment tape {report.regularizer_tape_mb:.1f} MiB",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -552,6 +553,8 @@ def _cmd_metrics(args) -> int:
     times = args.times
     dims = series.baseline.dims
     _check_slice(args, dims)
+    if args.holdout is not None:  # refuses a bad month before anything is written
+        _holdout_protocol(args, state, series, base_labels, label_ids)
 
     trajectories = metrics.structure_trajectories(
         state, base_labels, label_ids, times, deadband=args.deadband
@@ -580,8 +583,6 @@ def _cmd_metrics(args) -> int:
             )
     fileio.write_csv(os.path.join(args.out, "structure_metrics.csv"), rows)
 
-    if args.holdout is not None:
-        _holdout_protocol(args, state, series, base_labels, label_ids)
     _echo_config(
         args.out, "metrics",
         {"times": times, "label_ids": label_ids, "holdout": args.holdout},

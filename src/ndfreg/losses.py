@@ -31,7 +31,8 @@ jet, and NCC adds the coordinates to it.  The grid's regularizers read J,
 dphi/dt and d|J|/dt once per group, at all of its times: the spatial and
 temporal terms sum squares over each group and add the groups, and the
 monotonic term sums relu(d|J|/dt) and relu(-d|J|/dt) over each group's
-(K, B) rates across its times, then adds the groups' sums per point.
+(K, B) rates across its times, then adds the groups' sums per point.  A
+fit step's regularizer segment is one group (`trainer.point_chunks`).
 """
 
 from __future__ import annotations

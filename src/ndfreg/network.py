@@ -38,12 +38,11 @@ Grouping rule (`group_times`): a recorded trace puts as many times in a
 group as keep one hidden-layer block within BLOCK_BYTES, K = max(1,
 BLOCK_BYTES // (hidden width x slot count x itemsize x P)), so each time
 costs one chain of per-node Python and small kernels per group, not per
-time.  At the fit-narrow shape (width 32, B=256, 8 slots: 512 KiB per
-time) the 8-time regularization grid is 2 groups of 4 and the 4
-value-only observed times one group; at the paper's (width 256, B=128,
-2 MiB per time) every grid time is its own group.  A trace of a frozen
-state (`make_leaves(trainable=False)`, inference) keeps one time per
-group: its chunks already fill BLOCK_BYTES with one time, and a one-time
+time.  A fit step's regularizer segment (`trainer.point_chunks`) is one
+group of the whole grid; the value-only observed times of a whole batch
+are one group at both benchmark shapes.  A trace of a frozen state
+(`make_leaves(trainable=False)`, inference) keeps one time per group:
+its chunks already fill BLOCK_BYTES with one time, and a one-time
 value-only embedding is a single row, which numpy multiplies as a matrix
 vector product whose sums round differently from a matrix product's, so
 grouping would make a short call's products depend on the other times it
@@ -52,13 +51,14 @@ to a trace at that time alone.
 
 Each layer's value, tangents and mixed entries travel as one stacked jet
 block (see `diffengine`), so a hidden layer holds hidden width x slot
-count values per point and time.  Inference therefore sizes its chunks
-by bytes: `chunk_points` takes as many points as keep one hidden-layer
-block at one time within BLOCK_BYTES (2 MiB, the per-core L2 of the
-x86-64 hosts this is measured on), e.g. 128 points at paper width with
-d|J|/dt (8 slots), 256 with J alone (4 slots) and 1024 for displacement
-alone.  A call longer than one chunk pads its last chunk to the full size
-and drops the padded points, so every chunk runs its matmuls in one
+count values per point and time.  Chunks are therefore sized by bytes:
+`chunk_points` takes as many points as keep one hidden-layer block of a
+given number of times within BLOCK_BYTES (2 MiB, the per-core L2 of the
+x86-64 hosts this is measured on).  Inference asks for one time: 128
+points at paper width with d|J|/dt (8 slots), 256 with J alone (4 slots)
+and 1024 for displacement alone.  A fit step asks for its grid's times.
+An inference call longer than one chunk pads its last chunk to the full
+size and drops the padded points, so every chunk runs its matmuls in one
 shape: a short last chunk would run them in another, whose products can
 differ in the last bits (likely OpenBLAS's small-matrix path).  A block
 that fits L2 stays there between a layer's matmul and its rule: 8 MiB
@@ -74,10 +74,12 @@ because `trace_network` drops each layer's input activation before the
 layer's rule runs (the sine adds scratch of four slot panels).  A
 training tape holds the same bytes grouped or not; the reverse sweep's
 transient cotangents are one group's blocks, up to BLOCK_BYTES each, and
-the sine's reverse rule adds two scratch slot panels.  A fit step records
-its grid regularizers in point chunks whose tapes fit TAPE_BYTES, sized
-by `tape_point_bytes`, the closed-form tape bytes per point of a trace
-(`trainer.point_chunks`); about 0.7 MiB at paper width, f64, 8 times.
+the sine's reverse rule adds two scratch slot panels.  A recorded group
+keeps 2(depth - 2) - 1 blocks (layer 2's sine, each deeper hidden
+layer's matmul and sine) and an omega*cos slot panel per sine: 5.4
+blocks at depth 5; with the prefix, the output block and the loss's
+readers a fit step's regularizer segment records 5.7-5.8 blocks, leaves
+left out.
 `forward_with_derivatives` returns the displacement, |I + J| with
 `spatial` and d|I + J|/dt with both; it allocates each of them once at
 grid size and every chunk writes its own columns.  J and dphi/dt stay on
@@ -111,18 +113,15 @@ __all__ = [
     "make_leaves",
     "trace_network",
     "group_times",
-    "tape_point_bytes",
     "forward",
     "forward_with_derivatives",
 ]
 
 
-# bytes of one hidden-layer jet block at inference: a chunk's block fits
-# the 2 MiB per-core L2, one 1024-point paper-width (256) f64 layer array
+# bytes of one hidden-layer jet block: an inference chunk's or a fit
+# segment's block fits the 2 MiB per-core L2, one 1024-point paper-width
+# (256) f64 layer array
 BLOCK_BYTES = 2 << 20
-# bytes of one recorded segment of a fit step's tape: the freed top the
-# CLI's heap keeps (`cli.HEAP_TOP_PAD`), so each segment reuses the last's
-TAPE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -446,28 +445,12 @@ def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> in
     return config.hidden_width * _slot_count(request) * np.dtype(dtype).itemsize
 
 
-def tape_point_bytes(config: NetworkConfig, request: DerivativeRequest, times: int,
-                     dtype) -> int:
-    """Bytes per point that a recorded trace at `times` times puts on a
-    tape, in closed form: the time-invariant prefix (layer 1's matmul and
-    sine, layer 2's product with it) once, and at each time the hidden
-    blocks after it, counted as `_point_bytes` counts them, with each
-    sine's omega*cos panel, and the output layer's block.  Embedding nodes,
-    which hold K rows, and the loss's readers of the output block (at most
-    a few values per point and time) are left out."""
-    h, slots = config.hidden_width, _slot_count(request)
-    pre = 1 + 3 * request.spatial  # the prefix carries no t slot
-    layer2 = h if config.depth > 2 else 3
-    prefix = pre * (2 * h + layer2) + (h if pre > 1 else 0)
-    sines = config.depth - 2  # layer 2's and each deeper hidden layer's
-    per_time = slots * h * (2 * sines - 1) + slots * 3 + (h if slots > 1 else 0) * sines
-    return (prefix + (per_time if sines else 0) * times) * np.dtype(dtype).itemsize
-
-
-def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype) -> int:
-    """Points per inference chunk: as many as keep one hidden-layer jet
-    block at one time within BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // _point_bytes(config, request, dtype))
+def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype,
+                 times: int = 1) -> int:
+    """Points per chunk: as many as keep one hidden-layer jet block of
+    `times` times within BLOCK_BYTES, and at least one.  An inference
+    chunk is one time; a fit step's regularizer segment is its grid's."""
+    return max(1, BLOCK_BYTES // (times * _point_bytes(config, request, dtype)))
 
 
 def group_times(config: NetworkConfig, request: DerivativeRequest, points: int, dtype) -> int:

@@ -15,17 +15,16 @@ chunk's points, its terms scaled by the chunk's share of the batch.  Each
 segment is recorded by `build_total_loss`, swept into the leaves'
 adjoints and released before the next is recorded, so the step's largest
 live tape is one segment and the leaves end with the full loss's
-gradient.  Chunk rule (`point_chunks`): n = ceil(B g / TAPE_BYTES) chunks
-in batch order with sizes that differ by at most one, g being a grid
-trace's tape bytes per point (`network.tape_point_bytes`) and TAPE_BYTES
-the 64 MiB top the CLI's heap keeps.  At paper width (f64, 8-time grid)
-g is about 0.7 MiB, so B=128 is 2 chunks of 64 and B=8192 90 chunks of
-91 or 92; the fit-narrow recipe (width 32, B=256) is one chunk.  Each
-trace shares its time-invariant prefix across its times and runs them in
-groups of as many times as fill one `network.BLOCK_BYTES` block
-(`network.group_times`), chosen for the chunk's points.  With the
-fit-narrow recipe that is one group for the 4 observed times and two of 4
-for the 8-time grid.
+gradient.  Chunk rule (`point_chunks`): each regularizer segment is one
+time group, the grid's times of P = `network.chunk_points` points in one
+`network.BLOCK_BYTES` jet block, in n = ceil(B / P) chunks in batch
+order whose sizes differ by at most one.  At paper width P is 16 at f64
+and 32 at f32 (B=128: 8 or 4 chunks; B=8192: 512 of 16); the fit-narrow
+recipe (width 32, B=256) is 2 chunks of 128 at f64 and one at f32.  So
+every GEMM still runs a full block, and no regularizer segment's tape
+holds more than about 6 blocks (see `network`).  The similarity trace
+shares its time-invariant prefix across the observed times, in groups
+of as many as fill one block (`network.group_times`).
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk; inference
@@ -208,7 +207,8 @@ class FitReport:
     rejected_steps: int = 0  # steps adam_step refused for a non-finite gradient
     peak_rss_mb: float = 0.0  # peak resident set of the process when the fit ends
     chunk_points: tuple = ()  # points of each regularizer segment of a step
-    segment_tape_mb: float = 0.0  # largest tape of one segment, MiB
+    similarity_tape_mb: float = 0.0  # largest similarity segment tape, MiB
+    regularizer_tape_mb: float = 0.0  # largest regularizer segment tape, MiB
 
     def to_rows(self):
         hdr = ["iteration"] + list(LossBreakdown.FIELDS) + ["wall_ms"]
@@ -245,13 +245,14 @@ def fit(series: Volume4DSeries, config: FitConfig):
     started = time.perf_counter()
     nonfinite_streak = 0
     rejected_steps = 0
-    segment_bytes = 0
+    similarity_bytes = regularizer_bytes = 0
     for it in range(1, config.iterations + 1):
         breakdown, rejected, tape_bytes = _fit_step(
             series, config, state, params, opt, rng, t_max, mask_points, dtype
         )
         rejected_steps += rejected
-        segment_bytes = max(segment_bytes, tape_bytes)
+        similarity_bytes = max(similarity_bytes, tape_bytes[0])
+        regularizer_bytes = max(regularizer_bytes, *tape_bytes[1:], 0)
         if not np.isfinite(breakdown.total):
             nonfinite_streak += 1
             log.warning("iteration %d: non-finite total %s", it, breakdown)
@@ -281,25 +282,26 @@ def fit(series: Volume4DSeries, config: FitConfig):
         chunk_points=tuple(_loss_chunks(
             config.weights, config.network, config.batch_points, config.reg_time_grid_size, dtype
         )),
-        segment_tape_mb=segment_bytes / 2**20,
+        similarity_tape_mb=similarity_bytes / 2**20,
+        regularizer_tape_mb=regularizer_bytes / 2**20,
     )
     return state, report
 
 
 def _loss_chunks(weights, config, points, grid_times, dtype) -> list:
     """Points of each regularizer segment of a step (none without a grid
-    regularizer): `point_chunks` at the grid trace's tape bytes per point."""
+    regularizer): `point_chunks` of one block of the grid's times."""
     request = regularizer_request(weights)
     if request is None:
         return []
-    return point_chunks(points, net.tape_point_bytes(config, request, grid_times, dtype))
+    return point_chunks(points, net.chunk_points(config, request, dtype, grid_times))
 
 
-def point_chunks(points: int, point_bytes: int) -> list:
-    """Points of each regularizer segment of a `points` batch, in batch
-    order: n = ceil(points * point_bytes / TAPE_BYTES) chunks (at least 1,
-    at most `points`) whose sizes differ by at most one."""
-    n = min(points, max(1, -(-points * point_bytes // net.TAPE_BYTES)))
+def point_chunks(points: int, size: int) -> list:
+    """Points of each segment of a `points` batch of at most `size`
+    points, in batch order: n = ceil(points / size) chunks whose sizes
+    differ by at most one."""
+    n = -(-points // size)
     size, extra = divmod(points, n)
     return [size + (i < extra) for i in range(n)]
 
@@ -307,23 +309,23 @@ def point_chunks(points: int, point_bytes: int) -> list:
 def segment_gradients(tape, leaves, series, weights, plan, config) -> tuple:
     """Record and sweep a step's loss segment by segment on `tape`: the
     similarity terms over the whole batch, then the grid regularizers of
-    each point chunk (`point_chunks`, sized by `network.tape_point_bytes`
-    at the grid), each through `build_total_loss`.  Each sweep adds its
-    segment's gradient to the leaves' adjoints and releases the segment,
-    so the largest live tape is one segment and the leaves end with the
-    full loss's gradient.  Once the running total is non-finite, the
-    remaining segments are recorded for their values and released without
-    a sweep.  Returns the breakdown, summed over the segments, and the
-    largest segment's tape bytes (`Tape.stats`)."""
+    each point chunk (`point_chunks`, one time group each), each through
+    `build_total_loss`.  Each sweep adds its segment's gradient to the
+    leaves' adjoints and releases the segment, so the largest live tape is
+    one segment and the leaves end with the full loss's gradient.  Once
+    the running total is non-finite, the remaining segments are recorded
+    for their values and released without a sweep.  Returns the
+    breakdown, summed over the segments, and each segment's tape bytes
+    (`Tape.stats`) in order, the similarity segment's first."""
     segments, lo = [SIMILARITY], 0
     for n in _loss_chunks(weights, config, plan.coords.shape[1], len(plan.reg_grid), tape.dtype):
         segments.append(slice(lo, lo + n))
         lo += n
     sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
-    largest = 0
+    tape_bytes = []
     for segment in segments:
         total, part = build_total_loss(tape, leaves, series, weights, plan, config, segment)
-        largest = max(largest, sum(tape.stats()["bytes"].values()))
+        tape_bytes.append(sum(tape.stats()["bytes"].values()))
         for name in LossBreakdown.FIELDS:
             sums[name] += getattr(part, name)
         if np.isfinite(sums["total"]) and total.idx is not None:
@@ -331,14 +333,14 @@ def segment_gradients(tape, leaves, series, weights, plan, config) -> tuple:
         else:  # nothing to sweep: a constant total, or a non-finite step
             tape.release()
         total = None  # no node of a released segment outlives it
-    return LossBreakdown(**sums), largest
+    return LossBreakdown(**sums), tape_bytes
 
 
 def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype):
     """One iteration: fresh leaves on a fresh tape, the loss recorded and
     swept segment by segment (`segment_gradients`), and one optimizer step
     (skipped when the total is non-finite).  Returns the breakdown, whether
-    `adam_step` rejected the step, and the largest segment's tape bytes.
+    `adam_step` rejected the step, and each segment's tape bytes.
     The tape, its leaves and the gradients are locals, so reference
     counting frees them on return and at most one tape is alive during a
     fit."""

@@ -96,7 +96,8 @@ def test_threads_below_one_is_input_error(monkeypatch, tmp_path, capsys):
 def test_phantom_manifest_months_equal_the_truth(tmp_path, capsys):
     """The fit trains at the months the ground truth uses: `manifest.txt`
     keeps every digit of `--times`, as `truth.json` does; then a fit of
-    it prints its point chunks and largest segment tape."""
+    it prints its point chunks and the similarity and largest regularizer
+    segment tapes."""
     import json
 
     from ndfreg import fileio
@@ -111,7 +112,9 @@ def test_phantom_manifest_months_equal_the_truth(tmp_path, capsys):
                      "--out", str(tmp_path / "fit"), "--iterations", "1",
                      "--batch-points", "8", "--hidden-width", "4", "--depth", "3",
                      "--time-hidden-width", "2", "--time-embed-width", "2"]) == cli.EXIT_OK
-    assert "1 point chunks of up to 8 points, largest segment tape" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1 point chunks of up to 8 points, similarity segment tape " in err
+    assert " MiB, largest regularizer segment tape " in err
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -300,6 +303,24 @@ def test_metrics_bad_slice_flags_are_refused(tmp_path, capsys, flags, named):
                       "--manifest", os.path.join(ph, "manifest.txt"), "--times", "0,12",
                       *refit, *flags], named)
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("times, holdout, message", [
+    ("0,12,24", "99", "--holdout 99.0: no scan at that time"),
+    ("0,12", "12", "cannot hold out the only follow-up"),
+], ids=["no-scan", "only-followup"])
+def test_metrics_refuses_a_bad_holdout_before_writing(tmp_path, capsys, times, holdout,
+                                                      message):
+    """A --holdout month with no follow-up scan, or the only follow-up, is
+    an input error raised before anything is evaluated or written."""
+    ph, out = str(tmp_path / "phantom"), tmp_path / "out"
+    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", times]) == 0
+    capsys.readouterr()
+    assert cli.main(["metrics", "--model", _tiny_model(tmp_path), "--out", str(out),
+                     "--manifest", os.path.join(ph, "manifest.txt"), "--times", "0,12",
+                     "--holdout", holdout]) == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (out / "structure_metrics.csv").exists()
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -1,9 +1,11 @@
 """Segmented fit steps: the similarity terms over the whole batch, then the
 grid regularizers point chunk by point chunk, each recorded, swept and
 released on the iteration's one tape.  The chunked gradient is the
-one-tape gradient, the chunk rule keeps every segment's tape within
-TAPE_BYTES, and the fit loop keeps the benchmark's iteration boundary."""
+one-tape gradient, the chunk rule makes every regularizer segment one
+time group of one BLOCK_BYTES block, and the fit loop keeps the
+benchmark's iteration boundary."""
 
+import functools
 import gc
 import weakref
 
@@ -19,9 +21,16 @@ from ndfreg.volume import Volume3D, Volume4DSeries
 from test_trainer import quick_config, tiny_series
 
 WEIGHTS = LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=3.0)
-FULL = net.DerivativeRequest(spatial=True, temporal=True)
 NARROW = net.NetworkConfig(hidden_width=32, depth=5, time_hidden_width=10, time_embed_width=16)
 PAPER = net.NetworkConfig()
+# the benchmark's fit shapes: network, batch, precision and the points of
+# each regularizer segment at an 8-time grid
+SHAPES = {
+    "paper-f64": (PAPER, 128, np.float64, [16] * 8),
+    "paper-f32": (PAPER, 128, np.float32, [32] * 4),
+    "narrow-f64": (NARROW, 256, np.float64, [128] * 2),
+    "narrow-f32": (NARROW, 256, np.float32, [256]),
+}
 
 
 def _setup(points=31, config=None, seed=3):
@@ -50,11 +59,12 @@ def _setup(points=31, config=None, seed=3):
     return series, state, plan
 
 
-def _force_chunks(monkeypatch, config, points, n, dtype=np.float64):
-    """Set TAPE_BYTES so that a `points` batch splits into `n` chunks."""
-    g = net.tape_point_bytes(config, FULL, 8, dtype)
-    monkeypatch.setattr(net, "TAPE_BYTES", -(-points * g // n))
-    chunks = trainer.point_chunks(points, g)
+def _force_chunks(monkeypatch, points, n):
+    """Size the regularizer segments so that a `points` batch splits into
+    `n` chunks."""
+    size = -(-points // n)
+    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype, times=1: size)
+    chunks = trainer.point_chunks(points, size)
     assert len(chunks) == n
     return chunks
 
@@ -70,21 +80,33 @@ def _one_tape(series, state, plan, weights):
 def _segmented(series, state, plan, weights, dtype=np.float64):
     tape = Tape(dtype)
     leaves = net.make_leaves(tape, state)
-    breakdown, largest = trainer.segment_gradients(
+    breakdown, tape_bytes = trainer.segment_gradients(
         tape, leaves, series, weights, plan, state.config
     )
     assert tape.nodes == [n for pair in leaves.psi + leaves.theta for n in pair]
-    return leaves.grads(), breakdown, largest
+    return leaves.grads(), breakdown, tape_bytes
 
 
-def test_point_chunks_rule(monkeypatch):
-    """n = ceil(B g / TAPE_BYTES) chunks in batch order, sizes differing by
-    at most one, at least one and at most B."""
-    monkeypatch.setattr(net, "TAPE_BYTES", 1000)
-    assert trainer.point_chunks(10, 100) == [10]
-    assert trainer.point_chunks(10, 101) == [5, 5]
-    assert trainer.point_chunks(31, 100) == [8, 8, 8, 7]
-    assert trainer.point_chunks(3, 10**6) == [1, 1, 1]
+def test_point_chunks_rule():
+    """n = ceil(B / size) chunks in batch order, sizes differing by at most
+    one, at least one and at most B."""
+    assert trainer.point_chunks(10, 10) == [10]
+    assert trainer.point_chunks(10, 9) == [5, 5]
+    assert trainer.point_chunks(31, 8) == [8, 8, 8, 7]
+    assert trainer.point_chunks(3, 1) == [1, 1, 1]
+    assert trainer.point_chunks(3, 10**6) == [3]
+
+
+@pytest.mark.parametrize("config, points, dtype, chunks", [
+    *(pytest.param(*shape, id=name) for name, shape in SHAPES.items()),
+    pytest.param(PAPER, 8192, np.float64, [16] * 512, id="paper-8192-f64"),
+])
+def test_regularizer_segments_are_one_block_of_the_grid(config, points, dtype, chunks):
+    """Each regularizer segment holds the 8 grid times of as many points
+    as fill one BLOCK_BYTES block, at the benchmark's fit shapes and at
+    the paper's batch."""
+    weights = LossWeights(gamma=0.1)
+    assert trainer._loss_chunks(weights, config, points, 8, dtype) == chunks
 
 
 @pytest.mark.parametrize("n, points", [(1, 30), (2, 30), (3, 30), (3, 31)])
@@ -93,7 +115,7 @@ def test_segmented_gradients_match_one_tape(monkeypatch, n, points):
     relative at f64 with gamma > 0, at 1, 2 and 3 chunks and with an
     uneven split (11, 10, 10); its breakdown terms agree to 1e-13."""
     series, state, plan = _setup(points)
-    chunks = _force_chunks(monkeypatch, state.config, points, n)
+    chunks = _force_chunks(monkeypatch, points, n)
     assert sum(chunks) == points and max(chunks) - min(chunks) <= 1
     want, want_bd = _one_tape(series, state, plan, WEIGHTS)
     got, got_bd, _ = _segmented(series, state, plan, WEIGHTS)
@@ -109,7 +131,7 @@ def test_segments_free_each_chunk_before_the_next_records(monkeypatch):
     is freed before `build_total_loss` records the next segment, so the
     step's largest live tape is one segment."""
     series, state, plan = _setup(30)
-    _force_chunks(monkeypatch, state.config, 30, 3)
+    _force_chunks(monkeypatch, 30, 3)
     build = trainer.build_total_loss
     held, alive, segments = [], [], []
 
@@ -137,8 +159,7 @@ def test_fit_keeps_the_iteration_boundary(monkeypatch):
     call and one tape per iteration, at most one tape alive at a time
     (weak references), and records 1 + 3 segments per iteration."""
     cfg = quick_config(iterations=3, batch_points=30)
-    g = net.tape_point_bytes(cfg.network, FULL, cfg.reg_time_grid_size, np.float64)
-    monkeypatch.setattr(net, "TAPE_BYTES", -(-30 * g // 3))
+    _force_chunks(monkeypatch, 30, 3)
     calls = {"leaves": 0, "segments": 0}
     live, peak = weakref.WeakSet(), [0]
     make_leaves, build, init = net.make_leaves, trainer.build_total_loss, Tape.__init__
@@ -167,8 +188,7 @@ def test_fit_keeps_the_iteration_boundary(monkeypatch):
 
 def test_chunked_refits_are_bit_identical(monkeypatch):
     cfg = quick_config(iterations=4, batch_points=30)
-    g = net.tape_point_bytes(cfg.network, FULL, cfg.reg_time_grid_size, np.float64)
-    monkeypatch.setattr(net, "TAPE_BYTES", -(-30 * g // 3))
+    _force_chunks(monkeypatch, 30, 3)
     s1, r1 = trainer.fit(tiny_series(), cfg)
     s2, r2 = trainer.fit(tiny_series(), cfg)
     assert len(r1.chunk_points) == 3
@@ -176,25 +196,16 @@ def test_chunked_refits_are_bit_identical(monkeypatch):
     assert [e.breakdown for e in r1.history] == [e.breakdown for e in r2.history]
 
 
-def test_heap_top_is_the_tape_budget():
-    assert cli.HEAP_TOP_PAD == net.TAPE_BYTES == 64 << 20
-
-
-@pytest.mark.parametrize("config, points, dtype, chunks", [
-    pytest.param(PAPER, 128, np.float64, [64, 64], id="paper-f64"),
-    pytest.param(PAPER, 128, np.float32, [128], id="paper-f32"),
-    pytest.param(NARROW, 256, np.float64, [256], id="narrow-f64"),
-    pytest.param(NARROW, 256, np.float32, [256], id="narrow-f32"),
-])
-def test_segment_tapes_are_bounded_and_sized(monkeypatch, config, points, dtype, chunks):
-    """At the benchmark's fit shapes (8-time grid, gamma > 0): the chunk
-    rule splits the batch as listed, no segment's tape (`Tape.stats`)
-    exceeds TAPE_BYTES, and each regularizer chunk's bytes per point,
-    leaves left out, are within 10 % of `network.tape_point_bytes`."""
+@functools.lru_cache(maxsize=None)
+def _shape_segments(shape):
+    """One segmented step at a benchmark fit shape (8-time grid, gamma >
+    0): each segment's slice, its tape bytes (`Tape.stats`) and its bytes
+    with the leaves left out, and the output jets of each regularizer
+    trace."""
+    config, points, dtype, _ = SHAPES[shape]
     series, state, plan = _setup(points, config)
-    weights = LossWeights(gamma=0.1)
-    g = net.tape_point_bytes(config, losses.regularizer_request(weights), 8, dtype)
-    build, sizes = trainer.build_total_loss, []
+    build, trace = trainer.build_total_loss, net.trace_network
+    sizes, traces = [], []
 
     def sized(tape, *args):
         out = build(tape, *args)
@@ -203,10 +214,65 @@ def test_segment_tapes_are_bounded_and_sized(monkeypatch, config, points, dtype,
         sizes.append((args[-1], nbytes, nbytes - leaves))
         return out
 
-    monkeypatch.setattr(trainer, "build_total_loss", sized)
-    _, _, largest = _segmented(series, state, plan, weights, dtype)
+    def traced(tape, leaves, coords, times, config, request):
+        outs = trace(tape, leaves, coords, times, config, request)
+        if request.temporal:
+            traces.append([out.times for out in outs])
+        return outs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "build_total_loss", sized)
+        mp.setattr(net, "trace_network", traced)
+        _, _, tape_bytes = _segmented(series, state, plan, LossWeights(gamma=0.1), dtype)
+    assert tape_bytes == [n for _, n, _ in sizes]
+    return sizes, traces
+
+
+def _segment_bound(config, points, times, dtype) -> int:
+    """Upper bound on the bytes a one-group regularizer segment of `points`
+    points at `times` times records with d|J|/dt (8 slots), leaves left
+    out, derived from the layer count:
+      * each of the depth - 2 sines after layer 1 records its block and a
+        one-slot omega*cos panel, and each hidden layer after layer 2 its
+        matmul's block: 2(depth - 2) - 1 blocks and depth - 2 panels, 5
+        and 3/8 blocks at depth 5;
+      * the one-time prefix records layer 1's matmul and sine and layer
+        2's product as v, x, y, z panels, and layer 1's omega*cos panel:
+        13 one-time panels;
+      * the time embedding's two affine and two leaky nodes and each
+        layer's product with it hold 2 x times rows (v and t);
+      * the output block and the loss's readers (J and its squares,
+        dphi/dt and its squares, d|J|/dt, its two relus and a scale, the
+        per-point sums) hold 24 + 32 values per point and time, and the
+        reductions a few scalars."""
+    h, sines, slots = config.hidden_width, config.depth - 2, 8
+    hidden = slots * times * points * h * (2 * sines - 1) + times * points * h * sines
+    prefix = 13 * points * h
+    embed = 2 * times * (2 * config.time_hidden_width + 2 * config.time_embed_width
+                         + (sines + 1) * h)
+    readers = times * points * (24 + 32) + 16
+    return (hidden + prefix + embed + readers) * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_segment_tapes_are_bounded_and_sized(shape):
+    """At the benchmark's fit shapes the chunk rule splits the batch as
+    listed, each regularizer trace returns one output jet of all 8 grid
+    times, and each regularizer segment's recorded bytes, leaves left out,
+    are within the bound `_segment_bound` derives from the layer count:
+    under 6 BLOCK_BYTES blocks at depth 5."""
+    config, _, dtype, chunks = SHAPES[shape]
+    sizes, traces = _shape_segments(shape)
     assert [s.stop - s.start for s, _, _ in sizes[1:]] == chunks
-    assert largest == max(n for _, n, _ in sizes) <= net.TAPE_BYTES
+    assert traces == [[8]] * len(chunks)
     for segment, _, recorded in sizes[1:]:
-        per_point = recorded / (segment.stop - segment.start)
-        assert per_point == pytest.approx(g, rel=0.10)
+        bound = _segment_bound(config, segment.stop - segment.start, 8, dtype)
+        assert recorded <= bound < 6 * net.BLOCK_BYTES
+
+
+def test_heap_top_holds_the_largest_regularizer_segment():
+    """The freed top the CLI's heap keeps holds every regularizer segment's
+    whole tape, leaves included, at the four benchmark fit shapes."""
+    for shape in SHAPES:
+        sizes, _ = _shape_segments(shape)
+        assert max(n for _, n, _ in sizes[1:]) <= cli.HEAP_TOP_PAD
