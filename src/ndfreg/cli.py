@@ -455,15 +455,17 @@ def _cmd_fit(args) -> int:
 
 
 def _require_dims(args, fileio):
+    """The grid of --scan or --dims: its dims, the scan (None for --dims)
+    and the voxel spacing its raw outputs carry."""
     if args.scan:
         vol = fileio.load_volume(args.scan)
-        return vol.dims, vol
+        return vol.dims, vol, vol.spacing
     if args.dims:
         if len(args.dims) != 3:
             raise ValueError("--dims needs three comma-separated values")
         if min(args.dims) < 2:
             raise ValueError(f"--dims entries must be >= 2, got {args.dims}")
-        return tuple(args.dims), None
+        return tuple(args.dims), None, (1.0, 1.0, 1.0)
     raise ValueError("either --scan or --dims is required")
 
 
@@ -488,18 +490,16 @@ def _cmd_predict(args) -> int:
     from . import fileio, trainer
 
     state = fileio.load_model(args.model)
-    dims, scan = _require_dims(args, fileio)
+    dims, scan, spacing = _require_dims(args, fileio)
     field = trainer.predict_field(state, args.time, dims, want_djdt=args.with_djdt)
-    for axis, name in enumerate("xyz"):
-        fileio.write_raw(
-            os.path.join(args.out, f"disp_{name}.raw"), field.displacement[axis]
-        )
-    fileio.write_raw(os.path.join(args.out, "jacdet.raw"), field.jac_det)
+    outputs = {f"disp_{name}": field.displacement[axis] for axis, name in enumerate("xyz")}
+    outputs["jacdet"] = field.jac_det
     if args.with_djdt:
-        fileio.write_raw(os.path.join(args.out, "jacdet_dt.raw"), field.jac_det_dt)
+        outputs["jacdet_dt"] = field.jac_det_dt
     if scan is not None:
-        warped = trainer.warp_volume(scan, field.phi)
-        fileio.write_raw(os.path.join(args.out, "warped.raw"), warped.values)
+        outputs["warped"] = trainer.warp_volume(scan, field.phi).values
+    for name, values in outputs.items():
+        fileio.write_raw(os.path.join(args.out, f"{name}.raw"), values, spacing)
     _echo_config(args.out, "predict", {"time": args.time, "dims": list(dims)})
     print(
         f"predict: t={args.time} months, folded voxels {field.folded_count}",
@@ -512,12 +512,12 @@ def _cmd_jacobian(args) -> int:
     from . import fileio, trainer
 
     state = fileio.load_model(args.model)
-    dims, _ = _require_dims(args, fileio)
+    dims, _, spacing = _require_dims(args, fileio)
     _check_slice(args, dims)
     rows = [["time_months", "folded_count", "mean_jac"]]
     for t, field in zip(args.times, trainer.predict_field(state, args.times, dims)):
         tag = f"{t:g}".replace(".", "p")
-        fileio.write_raw(os.path.join(args.out, f"jac_{tag}.raw"), field.jac_det)
+        fileio.write_raw(os.path.join(args.out, f"jac_{tag}.raw"), field.jac_det, spacing)
         if args.slice_index is not None:
             fileio.write_slice_image(
                 field.jac_det, args.slice_axis or "z", args.slice_index,
@@ -604,14 +604,16 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
         raise ValueError("cannot hold out the only follow-up")
     reduced = Volume4DSeries(series.baseline, keep, labels=series.labels)
     config = _fit_config(resolve_options(args, _FIT_SECTIONS))
-    config.time_horizon = config.time_horizon or max(series.times)
+    if config.time_horizon is None:
+        config.time_horizon = max(series.times)
     refit_state, _ = trainer.fit(reduced, config)
 
     dims = series.baseline.dims
     field_h = trainer.predict_field(refit_state, months, dims)
     field_f = trainer.predict_field(full_state, months, dims)
     residual = field_h.jac_det - field_f.jac_det
-    fileio.write_raw(os.path.join(args.out, "holdout_residual_jac.raw"), residual)
+    fileio.write_raw(os.path.join(args.out, "holdout_residual_jac.raw"), residual,
+                     series.baseline.spacing)
     if args.slice_index is not None:
         fileio.write_slice_image(
             residual, args.slice_axis or "z", args.slice_index, (-0.2, 0.2),

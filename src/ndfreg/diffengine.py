@@ -72,12 +72,11 @@ every elementwise pass of a rule runs over whole contiguous slot panels.
 In a (rows, S*B) layout each slot would be a strided (rows, B) view, and
 each of those passes measured 2-4 times slower at the benchmark's sizes.
 
-Shape conventions (no general broadcasting; exactly these cases):
+Shape conventions (no broadcasting: the operands of `add` and `minimum`
+have one shape, and every VJP returns its input's shape):
   * scalars are 0-d arrays,
   * a batch of scalars is (B,),
   * a stack of vectors is (R, B): rows are components, columns are points,
-  * per-time quantities constant across the batch are (R, 1) and broadcast
-    across columns in elementwise ops,
   * jet blocks and their column terms are point-major, as above; only the
     jet primitives read them.
 
@@ -105,11 +104,13 @@ Lifetime contract:
     cycle: reference counting frees a tape and all its buffers when the
     caller drops the last reference to it, with no garbage-collector pass.
 
-Primitive table: `_PRIMITIVES` maps each kind string to a pair
-`Primitive(forward, vjp)`.  `forward(dtype, values, payload)` checks the
-input values' shapes and returns the output value, or `(value, aux)` when
-the VJP needs more than values (`sample3`, which samples a grid at (3, B)
-points, keeps the sampler gradients).
+Primitive table: `_PRIMITIVES` maps each of its 16 kinds to a pair
+`Primitive(forward, vjp)`: `add`, `minimum`, `scale`, `square`, `relu`,
+`sum`, `mean`, `affine`, `sample3` (a grid sampled at (3, B) points),
+`ncc` (a whole NCC term) and the six jet kinds above.
+`forward(dtype, values, payload)` checks the input values' shapes and
+returns the output value, or `(value, aux)` when the VJP needs more than
+values (`sample3` keeps the sampler gradients, `ncc` its closed-form one).
 `vjp(node, g)` yields, or returns a list of, `(input position, cotangent)`
 pairs, which `backward` adds to the inputs' adjoints in that order, so the
 order fixes every adjoint sum bit for bit.  `Tape.record(kind, inputs,
@@ -180,45 +181,17 @@ class Node:
         return f"Node({self.idx}:{self.kind}, shape={self.value.shape})"
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of the allowed broadcasts)."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 def _elementwise(kind, op):
-    """Forward of a binary op on operands of broadcast-compatible shapes;
-    two 0-d operands give a 0-d array, not numpy's scalar."""
+    """Forward of a binary op on operands of one shape; two 0-d operands
+    give a 0-d array, not numpy's scalar."""
 
     def forward(dtype, values, payload):
         a, b = values
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise DiffEngineError(
-                f"{kind}: shape mismatch {a.shape} vs {b.shape}"
-            ) from None
+        if a.shape != b.shape:
+            raise DiffEngineError(f"{kind}: shape mismatch {a.shape} vs {b.shape}")
         return np.asarray(op(a, b))
 
     return forward
-
-
-def _mul_vjp(node, g):
-    a, b = node.inputs
-    yield 0, g * b.value
-    yield 1, g * a.value
-
-
-def _div_vjp(node, g):
-    b = node.inputs[1].value
-    yield 0, g / b
-    yield 1, -g * node.value / b
 
 
 def _minimum_vjp(node, g):
@@ -287,6 +260,25 @@ def _sample3_forward(dtype, values, grid):
     spatial gradients are kept as the node's aux for the VJP."""
     vals, grads = trilinear_values_and_grads(grid, values[0])
     return np.asarray(vals, dtype=dtype), grads.astype(dtype, copy=False)
+
+
+def _ncc_forward(dtype, values, fixed):
+    """L = 1 - num / sqrt(F M) of the (B,) warped values m against the
+    fixed values f (the payload), each centred: num = sum f~ m~,
+    F = sum f~^2 and M = sum m~^2.  The aux is the closed-form gradient
+    dL/dm_i = ((num / M) m~_i - f~_i) / sqrt(F M); the centring drops out
+    of it, as sum f~ = sum m~ = 0."""
+    m = values[0]
+    f = np.asarray(fixed, dtype=dtype)
+    if m.ndim != 1 or f.shape != m.shape:
+        raise DiffEngineError(f"ncc: shape mismatch {f.shape} vs {m.shape}")
+    fc = f - f.mean()
+    mc = m - np.asarray(m.sum() / m.size, dtype=dtype)
+    num = np.asarray((fc * mc).sum(), dtype=dtype)
+    mm = np.asarray((mc * mc).sum(), dtype=dtype)
+    den = np.sqrt(np.asarray(fc @ fc, dtype=dtype) * mm)
+    value = np.asarray((num / den) * dtype.type(-1.0) + dtype.type(1.0))
+    return value, ((num / mm) * mc - fc) / den
 
 
 # ---- stacked jets ----------------------------------------------------------
@@ -757,29 +749,15 @@ _PRIMITIVES = {
         _elementwise("add", operator.add),
         lambda node, g: [(0, g), (1, g)],
     ),
-    "sub": Primitive(
-        _elementwise("sub", operator.sub),
-        lambda node, g: [(0, g), (1, -g)],
-    ),
-    "mul": Primitive(_elementwise("mul", operator.mul), _mul_vjp),
-    "div": Primitive(_elementwise("div", operator.truediv), _div_vjp),
     "minimum": Primitive(_elementwise("minimum", np.minimum), _minimum_vjp),
     # np.asarray keeps a 0-d input's result a 0-d array
     "scale": Primitive(
         lambda dtype, values, c: np.asarray(values[0] * dtype.type(c)),
         lambda node, g: [(0, g * node.payload)],
     ),
-    "offset": Primitive(
-        lambda dtype, values, c: np.asarray(values[0] + dtype.type(c)),
-        lambda node, g: [(0, g)],
-    ),
     "square": Primitive(
         lambda dtype, values, payload: np.asarray(values[0] * values[0]),
         lambda node, g: [(0, 2.0 * g * node.inputs[0].value)],
-    ),
-    "sqrt": Primitive(
-        lambda dtype, values, payload: np.asarray(np.sqrt(values[0])),
-        lambda node, g: [(0, 0.5 * g / node.value)],
     ),
     "relu": Primitive(
         lambda dtype, values, payload: np.asarray(np.maximum(values[0], 0.0)),
@@ -789,6 +767,7 @@ _PRIMITIVES = {
     "sum": Primitive(_sum_forward, _sum_vjp),
     "mean": Primitive(_mean_forward, _mean_vjp),
     "sample3": Primitive(_sample3_forward, lambda node, g: [(0, g * node.aux)]),
+    "ncc": Primitive(_ncc_forward, lambda node, g: [(0, g * node.aux)]),
     "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
     "jet_leaky": Primitive(_jet_leaky_forward, _jet_leaky_vjp),
     "jet_slot": Primitive(_jet_slot_forward, _jet_slot_vjp),
@@ -845,29 +824,14 @@ class Tape:
     def add(self, a, b):
         return self.record("add", (a, b))
 
-    def sub(self, a, b):
-        return self.record("sub", (a, b))
-
-    def mul(self, a, b):
-        return self.record("mul", (a, b))
-
-    def div(self, a, b):
-        return self.record("div", (a, b))
-
     def minimum(self, a, b):
         return self.record("minimum", (a, b))
 
     def scale(self, x, c: float):
         return self.record("scale", (x,), float(c))
 
-    def offset(self, x, c: float):
-        return self.record("offset", (x,), float(c))
-
     def square(self, x):
         return self.record("square", (x,))
-
-    def sqrt(self, x):
-        return self.record("sqrt", (x,))
 
     def relu(self, x):
         return self.record("relu", (x,))
@@ -929,7 +893,6 @@ class Tape:
                     target = node.inputs[pos]
                     if target.idx is None:
                         continue
-                    grad = _unbroadcast(grad, target.value.shape)
                     if target.adjoint is None:
                         target.adjoint = grad.copy() if grad.base is not None else grad
                     else:

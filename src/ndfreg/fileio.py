@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import math
 import os
 import struct
 
@@ -406,6 +407,8 @@ def load_model(path: str) -> NetworkState:
         listed = [(name, tuple(shape)) for name, shape in header["arrays"]]
         seed = int(header.get("seed", 0))
         time_horizon = float(header.get("time_horizon", 1.0))
+        if not (math.isfinite(time_horizon) and time_horizon > 0):
+            raise ValueError(f"time_horizon must be finite and > 0, got {time_horizon}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: malformed JSON header: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:

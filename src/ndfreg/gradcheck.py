@@ -27,7 +27,7 @@ import numpy as np
 from . import diffengine as de
 from . import network as net
 from .diffengine import V, X, Y, Z, Jet, Tape
-from .losses import LossWeights, total_loss
+from .losses import LossWeights, ncc_node, total_loss
 from .trainer import SamplePlan, segment_gradients
 from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
@@ -41,6 +41,7 @@ _HOOK_CHECKS = {
     "temporal": "temporal-tangent",
     "jacdet_dt": "jacdet-dt",
     "sampler": "sampler-gradient",
+    "ncc": "ncc-gradient",
     "params": "parameter-gradients",
     "mono": "parameter-gradients",
 }
@@ -53,6 +54,7 @@ _TOLS = {
         "temporal-tangent": 1e-5,
         "jacdet-dt": 1e-4,
         "sampler-gradient": 1e-6,
+        "ncc-gradient": 1e-6,
         "parameter-gradients": 1e-4,
     },
     "f32": {
@@ -61,6 +63,7 @@ _TOLS = {
         "temporal-tangent": 1e-2,
         "jacdet-dt": 1e-2,
         "sampler-gradient": 1e-3,
+        "ncc-gradient": 1e-4,
         "parameter-gradients": 5e-2,
     },
 }
@@ -243,7 +246,28 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
         worst = max(worst, float(_rel(grads[d], fd, 1e-3).max()))
     check("sampler-gradient", worst)
 
-    # 6. parameter gradients of the full loss on a tiny series
+    # 6. NCC's closed-form gradient (the `ncc` node's VJP) against central
+    # differences of its value in f64 at the same rounded warped values,
+    # as the largest error over the largest reference entry; at least 3
+    # points, as the NCC of two is +-1 and flat
+    n = max(points, 3)
+    fixed = rng.uniform(0, 1, size=n)
+    warped = (0.5 * fixed + rng.uniform(0, 0.5, size=n)).astype(dtype)
+    tape = Tape(dtype)
+    leaf = tape.leaf(warped)
+    tape.backward(ncc_node(tape, fixed, leaf))
+    an = _bump(leaf.adjoint, "ncc", corrupt, precision)
+    ref = Tape()  # its constants are never recorded
+
+    def ncc64(i, step):
+        m = warped.astype(np.float64)
+        m[i] += step
+        return float(ncc_node(ref, fixed, ref.constant(m)).value)
+
+    fd = np.array([ncc64(i, 1e-6) - ncc64(i, -1e-6) for i in range(n)]) / 2e-6
+    check("ncc-gradient", float(np.abs(an - fd).max() / np.abs(fd).max()))
+
+    # 7. parameter gradients of the full loss on a tiny series
     check("parameter-gradients", _param_gradient_worst(seed, corrupt, precision, dtype))
     return results
 

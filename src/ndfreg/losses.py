@@ -1,13 +1,16 @@
 """The five terms of the registration loss and their weighted total.
 
 Similarity is one minus global normalized cross correlation over the
-sampled batch, summed across observed follow-up times.  The zero-time
-anchor is the mean squared displacement norm at t=0.  Spatial, temporal
-and monotonic regularizers are evaluated on a sampled time grid that
-includes unobserved times; the spatial one penalizes the displacement's
-Jacobian, which is the deviation J - I of phi's Jacobian from identity.
-All reductions over points are means, so the weights keep their meaning
-regardless of batch size.
+sampled batch, summed across observed follow-up times.  Each NCC term is
+one `ncc` node, which centres the fixed values f and the warped values m
+itself and keeps the closed-form gradient dL/dm_i = ((num / M) m~_i -
+f~_i) / sqrt(F M), with num = sum f~ m~, F = sum f~^2 and M = sum m~^2
+over the centred values.  The zero-time anchor is the mean squared
+displacement norm at t=0.  Spatial, temporal and monotonic regularizers
+are evaluated on a sampled time grid that includes unobserved times; the
+spatial one penalizes the displacement's Jacobian, which is the deviation
+J - I of phi's Jacobian from identity.  All reductions over points are
+means, so the weights keep their meaning regardless of batch size.
 
 Every term is recorded on a tape by its builder (`ncc_node`,
 `anchor_node`, `sum_of_squares`, `monotonic_node`), so the trainer can
@@ -67,6 +70,7 @@ class LossWeights:
     gamma: float = 0.1  # monotonic
 
     def __post_init__(self):
+        net.require_finite(self)
         for name in ("lam", "alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be >= 0")
@@ -90,6 +94,7 @@ class LossBreakdown:
 
 
 def ncc_node(tape: Tape, fixed_values: np.ndarray, warped):
+    """1 - NCC of the (B,) `warped` node and the fixed values: one node."""
     fv = np.asarray(fixed_values, dtype=tape.dtype)
     mv = warped.value
     if fv.shape != mv.shape:
@@ -98,14 +103,7 @@ def ncc_node(tape: Tape, fixed_values: np.ndarray, warped):
     # rounded mean can leave a constant vector a tiny nonzero variance
     if fv.max() == fv.min() or mv.max() == mv.min():
         return tape.constant(0.0 if np.array_equal(fv, mv) else 1.0)
-    fc = fv - fv.mean()
-    fixed_c = tape.constant(fc)
-    mc = tape.sub(warped, tape.mean(warped))
-    num = tape.sum(tape.mul(fixed_c, mc))
-    den = tape.sqrt(
-        tape.mul(tape.constant(float(fc @ fc)), tape.sum(tape.square(mc)))
-    )
-    return tape.offset(tape.scale(tape.div(num, den), -1.0), 1.0)
+    return tape.record("ncc", (warped,), fv)
 
 
 def anchor_node(tape: Tape, displacement):

@@ -96,6 +96,7 @@ to normalized time.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,15 @@ __all__ = [
 BLOCK_BYTES = 2 << 20
 
 
+def require_finite(config):
+    """Refuse a field of the dataclass `config` that holds a non-finite
+    number, naming it: NaN passes every < check."""
+    for name in config.__dataclass_fields__:
+        value = getattr(config, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     hidden_width: int = 256
@@ -134,6 +144,7 @@ class NetworkConfig:
     leaky_slope: float = 0.01
 
     def validate(self):
+        require_finite(self)
         if self.hidden_width < 2:
             raise ValueError(f"hidden_width must be >= 2, got {self.hidden_width}")
         if self.depth < 2:

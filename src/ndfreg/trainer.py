@@ -109,6 +109,7 @@ class FitConfig:
     network: net.NetworkConfig = field(default_factory=net.NetworkConfig)
 
     def validate(self):
+        net.require_finite(self)
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.batch_points <= 0:
@@ -117,6 +118,10 @@ class FitConfig:
             raise ValueError("regularization time grid needs >= 2 points")
         if self.t_extrap < 1.0:
             raise ValueError("t_extrap must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.time_horizon is not None and self.time_horizon <= 0:
+            raise ValueError(f"time_horizon must be > 0, got {self.time_horizon}")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
         if self.log_every < 1:

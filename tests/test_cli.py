@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import pathlib
 import platform
 import subprocess
 import sys
@@ -120,8 +121,24 @@ def test_phantom_manifest_months_equal_the_truth(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--log-every", "0", "log_every must be >= 1"),
     ("--checkpoint-every", "-1", "checkpoint_every must be >= 0"),
+    # NaN passes every < check: each number of the fit, weights and network
+    # configs must be finite, and the learning rate and a given horizon > 0
+    ("--lambda", "nan", "lam must be finite"),
+    ("--gamma", "inf", "gamma must be finite"),
+    ("--t-extrap", "nan", "t_extrap must be finite"),
+    ("--t-extrap", "inf", "t_extrap must be finite"),
+    ("--time-horizon", "0", "time_horizon must be > 0"),
+    ("--time-horizon", "inf", "time_horizon must be finite"),
+    ("--time-horizon", "nan", "time_horizon must be finite"),
+    ("--learning-rate", "0", "learning_rate must be > 0"),
+    ("--learning-rate", "-1", "learning_rate must be > 0"),
+    ("--learning-rate", "nan", "learning_rate must be finite"),
+    ("--omega0", "inf", "omega0 must be finite"),
+    ("--leaky-slope", "nan", "leaky_slope must be finite"),
 ])
 def test_fit_bad_period_is_input_error(tmp_path, capsys, flag, value, message):
+    """A fit option no fit can use is an input error naming its field,
+    raised before anything is written."""
     data = tmp_path / "data"
     assert cli.main(["phantom", "--out", str(data), "--dims", "4,4,4",
                      "--times", "0,12"]) == cli.EXIT_OK
@@ -131,8 +148,8 @@ def test_fit_bad_period_is_input_error(tmp_path, capsys, flag, value, message):
                    "--depth", "3", "--time-hidden-width", "2", "--time-embed-width", "2",
                    flag, value])
     assert rc == cli.EXIT_INPUT
-    assert message in capsys.readouterr().err
-    assert not (out / "model.ndf").exists()
+    assert f"ndfreg: {message}" in capsys.readouterr().err
+    assert not (out / "model.ndf").exists() and not (out / "report.csv").exists()
 
 
 # one cycle of three BLOCK_BYTES arrays, as an inference chunk allocates
@@ -621,3 +638,121 @@ def test_echo_writes_every_resolved_option(tmp_path):
     assert cli.main(["metrics", "--model", model, "--manifest", manifest,
                      "--times", "0,12", "--out", out]) == 0
     assert _echo(out) == {"holdout": "None", "label_ids": "1", "times": "0.0,12.0"}
+
+
+_TINY_FIT = ["--batch-points", "8", "--hidden-width", "4", "--depth", "3",
+             "--time-hidden-width", "2", "--time-embed-width", "2"]
+
+
+def _phantom(tmp_path, times="0,12"):
+    """A 4^3 phantom series; returns its manifest path."""
+    ph = str(tmp_path / "phantom")
+    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", times]) == 0
+    return os.path.join(ph, "manifest.txt")
+
+
+def test_metrics_holdout_refuses_a_zero_time_horizon(tmp_path, capsys):
+    """The held-out refit checks its config too: a time horizon of 0 is
+    refused, not read as "the largest month"."""
+    manifest = _phantom(tmp_path, "0,12,24")
+    out = tmp_path / "metrics"
+    capsys.readouterr()
+    rc = cli.main(["metrics", "--model", _tiny_model(tmp_path), "--manifest", manifest,
+                   "--out", str(out), "--times", "0,12", "--holdout", "12",
+                   "--iterations", "1", *_TINY_FIT, "--time-horizon", "0"])
+    assert rc == cli.EXIT_INPUT
+    assert "ndfreg: time_horizon must be > 0" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def _spacing(path):
+    from ndfreg import fileio
+
+    return fileio._read_raw_array(path)[1]
+
+
+def test_raw_outputs_carry_the_grid_spacing(tmp_path):
+    """`predict --scan` and `jacobian --scan` write the scan's voxel
+    spacing into every raw output, and `metrics --holdout` the baseline's;
+    `--dims` writes unit spacing.  `predict --with-djdt` writes d|J|/dt
+    and `--scan` the scan warped into the baseline frame, as
+    `predict_field` and `warp_volume` give them."""
+    import numpy as np
+
+    from ndfreg import fileio, trainer
+
+    manifest = _phantom(tmp_path, "0,12,24")
+    spacing = (1.5, 1.5, 2.0)
+    baseline = os.path.join(os.path.dirname(manifest), "vol_00.raw")
+    values, _ = fileio._read_raw_array(baseline)
+    fileio.write_raw(baseline, values, spacing)
+    model = _tiny_model(tmp_path)
+    pred, jac, met = (str(tmp_path / d) for d in ("predict", "jacobian", "metrics"))
+    assert cli.main(["predict", "--model", model, "--time", "6", "--scan", baseline,
+                     "--with-djdt", "--out", pred]) == cli.EXIT_OK
+    names = ["disp_x", "disp_y", "disp_z", "jacdet", "jacdet_dt", "warped"]
+    assert sorted(p.stem for p in pathlib.Path(pred).glob("*.raw")) == sorted(names)
+    assert {_spacing(os.path.join(pred, f"{n}.raw")) for n in names} == {spacing}
+    state, scan = fileio.load_model(model), fileio.load_volume(baseline)
+    field = trainer.predict_field(state, 6.0, scan.dims, want_djdt=True)
+    got = fileio._read_raw_array(os.path.join(pred, "jacdet_dt.raw"))[0]
+    assert got.tobytes() == np.asarray(field.jac_det_dt).tobytes()
+    got = fileio._read_raw_array(os.path.join(pred, "warped.raw"))[0]
+    assert got.tobytes() == trainer.warp_volume(scan, field.phi).values.tobytes()
+    assert cli.main(["jacobian", "--model", model, "--times", "6", "--scan", baseline,
+                     "--out", jac]) == cli.EXIT_OK
+    assert _spacing(os.path.join(jac, "jac_6.raw")) == spacing
+    assert cli.main(["predict", "--model", model, "--time", "6", "--dims", "4,4,4",
+                     "--out", pred]) == cli.EXIT_OK
+    assert _spacing(os.path.join(pred, "jacdet.raw")) == (1.0, 1.0, 1.0)
+    assert cli.main(["metrics", "--model", model, "--manifest", manifest, "--out", met,
+                     "--times", "0,12", "--holdout", "12", "--iterations", "1",
+                     *_TINY_FIT]) == cli.EXIT_OK
+    assert _spacing(os.path.join(met, "holdout_residual_jac.raw")) == spacing
+
+
+def test_gradcheck_command_exit_codes(capsys):
+    """`gradcheck` exits 0 when every check passes, and 1 with a fault
+    hook, naming the worst failing check."""
+    small = ["--width", "8", "--points", "20"]
+    assert cli.main(["gradcheck", *small]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "PASS ncc-gradient: " in out
+    assert cli.main(["gradcheck", *small, "--corrupt", "ncc"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL ncc-gradient: " in out
+    assert out.splitlines()[-1].startswith("worst offender: ncc-gradient (")
+
+
+def test_fit_numerical_abort_exits_3(tmp_path, capsys):
+    """A learning rate that diverges overflows the weights after the first
+    step; the next two totals are non-finite, and the fit aborts with exit
+    3 and writes no model."""
+    import numpy as np
+
+    manifest = _phantom(tmp_path)
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["fit", "--manifest", manifest, "--out", str(out), "--iterations", "5",
+                       *_TINY_FIT, "--learning-rate", "1e300"])
+    assert rc == cli.EXIT_NUMERIC
+    assert "ndfreg: numerical abort: non-finite total loss at iterations 2 and 3" in (
+        capsys.readouterr().err)
+    assert not (out / "model.ndf").exists()
+
+
+def test_fit_checkpoints_load_back(tmp_path):
+    """`--checkpoint-every 2` writes a model file every second iteration;
+    each loads, and the last is the fitted model, byte for byte."""
+    from ndfreg import fileio
+
+    manifest = _phantom(tmp_path)
+    out = tmp_path / "fit"
+    assert cli.main(["fit", "--manifest", manifest, "--out", str(out), "--iterations", "4",
+                     *_TINY_FIT, "--checkpoint-every", "2"]) == cli.EXIT_OK
+    names = sorted(p.name for p in out.glob("checkpoint_*.ndf"))
+    assert names == ["checkpoint_0000002.ndf", "checkpoint_0000004.ndf"]
+    first, last = (fileio.load_model(str(out / n)) for n in names)
+    assert first.checksum() != last.checksum()
+    assert (out / names[-1]).read_bytes() == (out / "model.ndf").read_bytes()

@@ -436,6 +436,31 @@ def test_model_non_finite_weight_rejected(tmp_path, value):
         fileio.load_model(non_finite_model(tmp_path, value))
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("time_horizon", 0.0, "time_horizon"),
+    ("time_horizon", -12.0, "time_horizon"),
+    ("time_horizon", float("nan"), "time_horizon"),
+    ("time_horizon", float("inf"), "time_horizon"),
+    ("omega0", float("nan"), "omega0"),
+], ids=["horizon-0", "horizon-negative", "horizon-nan", "horizon-inf", "omega0-nan"])
+def test_model_bad_header_scalar_rejected(tmp_path, capsys, key, value, named):
+    """A hand-edited header scalar no fit writes is refused when the model
+    is read, and `predict` exits 2 naming it with nothing written."""
+    from ndfreg import cli
+
+    header, payload = saved_model(tmp_path)
+    (header["network"] if key == "omega0" else header)[key] = value
+    path = write_model(tmp_path, header, payload)
+    with pytest.raises(FileFormatError, match=named):
+        fileio.load_model(path)
+    out = tmp_path / "out"
+    rc = cli.main(["predict", "--model", path, "--time", "12", "--dims", "4,4,4",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
+    assert not list(out.glob("*.raw"))
+
+
 def test_model_trailing_bytes_rejected(tmp_path):
     header, payload = saved_model(tmp_path)
     fileio.load_model(write_model(tmp_path, header, payload))  # intact: loads

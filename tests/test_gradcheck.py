@@ -18,6 +18,7 @@ HOOKS = {
     "temporal": "temporal-tangent",
     "jacdet_dt": "jacdet-dt",
     "sampler": "sampler-gradient",
+    "ncc": "ncc-gradient",
     "params": "parameter-gradients",
     "mono": "parameter-gradients",
 }
@@ -28,6 +29,14 @@ def test_gradcheck_passes(precision):
     results = run_gradcheck(precision=precision, **SMALL)
     assert sorted(r.name for r in results) == sorted(set(HOOKS.values()))
     failed = [(r.name, r.worst, r.tol) for r in results if not r.passed]
+    assert failed == []
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_gradcheck_passes_at_one_or_two_points(points):
+    """The NCC check takes at least 3 points: the NCC of two is +-1, with
+    no gradient to check, and of one, a constant with none at all."""
+    failed = [r.name for r in run_gradcheck(seed=0, width=8, points=points) if not r.passed]
     assert failed == []
 
 
@@ -133,6 +142,26 @@ def test_dropped_adjugate_term_fails_parameter_gradients(monkeypatch):
     )
     results = run_gradcheck(precision="f64", **SMALL)
     assert [r.name for r in results if not r.passed] == ["parameter-gradients"]
+
+
+def _without_correlation_term(node, g):
+    """The ncc VJP without the (num / M) m~ term of dL/dm: g times
+    -f~ / sqrt(F M), recomputed from the node's inputs and payload."""
+    m = node.inputs[0].value
+    f = np.asarray(node.payload, dtype=m.dtype)
+    fc, mc = f - f.mean(), m - m.mean()
+    return [(0, -g * fc / np.sqrt((fc @ fc) * (mc @ mc)))]
+
+
+def test_dropped_ncc_correlation_term_fails_ncc_and_parameter_gradients(monkeypatch):
+    prim = de._PRIMITIVES["ncc"]
+    monkeypatch.setitem(
+        de._PRIMITIVES, "ncc", de.Primitive(prim.forward, _without_correlation_term)
+    )
+    for precision in ("f64", "f32"):
+        results = run_gradcheck(precision=precision, **SMALL)
+        assert [r.name for r in results if not r.passed] == [
+            "ncc-gradient", "parameter-gradients"]
 
 
 @pytest.mark.parametrize("hook", sorted(HOOKS))

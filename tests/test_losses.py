@@ -223,6 +223,30 @@ def test_ncc_degenerate_rules():
         assert np.all(adjoint == 0.0)
 
 
+def test_ncc_is_one_node_whose_aux_is_the_oracle_gradient():
+    """`ncc_node` records one `ncc` node; its aux, the closed-form
+    dL/dm, matches central differences of `oracle_ncc` entry by entry and
+    is what the reverse sweep hands the warped values."""
+    rng = np.random.default_rng(11)
+    f = rng.uniform(0, 1, 40)
+    m = 0.6 * f + rng.uniform(0, 0.5, 40)
+    tape = Tape()
+    leaf = tape.leaf(m)
+    loss = losses.ncc_node(tape, f, leaf)
+    assert [n.kind for n in tape.nodes] == ["leaf", "ncc"]
+    assert float(loss.value) == pytest.approx(oracle_ncc(f, m), abs=1e-14)
+    aux = loss.aux.copy()
+    h = 1e-6
+    for i in range(m.size):
+        up, down = m.copy(), m.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (oracle_ncc(f, up) - oracle_ncc(f, down)) / (2 * h)
+        assert aux[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    tape.backward(loss)
+    np.testing.assert_array_equal(leaf.adjoint, aux)
+
+
 def test_ncc_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         ncc_value(np.zeros(3), np.zeros(4))

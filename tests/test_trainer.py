@@ -178,11 +178,12 @@ def test_fit_requires_followup():
 
 def test_fit_numerical_abort():
     series = tiny_series()
-    # nan learning rate poisons the parameters after the first step, so the
-    # next two iterations both see a non-finite total
-    bad = quick_config(iterations=5, learning_rate=float("nan"))
-    with pytest.raises(trainer.NumericalAbortError, match="non-finite"):
-        trainer.fit(series, bad)
+    # a diverging learning rate overflows the parameters after the first
+    # step, so the next two iterations both see a non-finite total
+    bad = quick_config(iterations=5, learning_rate=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(trainer.NumericalAbortError, match="non-finite"):
+            trainer.fit(series, bad)
 
 
 def test_fit_counts_a_rejected_step(monkeypatch):
