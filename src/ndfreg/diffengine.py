@@ -103,6 +103,18 @@ Lifetime contract:
   * Nodes refer to their tape weakly, so tape and nodes form no reference
     cycle: reference counting frees a tape and all its buffers when the
     caller drops the last reference to it, with no garbage-collector pass.
+  * A recorded node's adjoint is an array that the node alone owns: no
+    other node's adjoint, value or aux shares its memory.  So `backward`
+    adds each later cotangent into it in place, and hands it to the node's
+    VJP as `g`, which the VJP may overwrite: a hidden sine whose input
+    block has its output's slots and times writes its input cotangent
+    over `g` and yields it.  A VJP may yield one array to two inputs
+    (`add` yields `g` twice, `_column_grads` one slot-v sum to two column
+    terms); the second input then gets a copy, as does one handed a view.
+  * A weight's cotangent is a `Slab`: the (out, hi - lo) product of
+    its columns lo:hi alone.  The weight's adjoint is allocated once per
+    step, zero-filled, on its first slab, and every slab adds into its
+    columns, so no weight-sized array is made per product.
 
 Primitive table: `_PRIMITIVES` maps each of its 16 kinds to a pair
 `Primitive(forward, vjp)`: `add`, `minimum`, `scale`, `square`, `relu`,
@@ -113,7 +125,8 @@ returns the output value, or `(value, aux)` when the VJP needs more than
 values (`sample3` keeps the sampler gradients, `ncc` its closed-form one).
 `vjp(node, g)` yields, or returns a list of, `(input position, cotangent)`
 pairs, which `backward` adds to the inputs' adjoints in that order, so the
-order fixes every adjoint sum bit for bit.  `Tape.record(kind, inputs,
+order fixes every adjoint sum bit for bit; `affine`'s weight cotangent is a
+`Slab` of its columns.  `Tape.record(kind, inputs,
 payload)` is the one entry point for every primitive.  Adding one is a
 table entry plus a case in the finite-difference VJP test
 (`tests/test_diffengine.py`).
@@ -214,14 +227,21 @@ def _affine_forward(dtype, values, cols):
     return x @ w[:, lo:hi].T
 
 
+class Slab(NamedTuple):
+    """A weight's cotangent that is zero outside its columns lo:hi: the
+    (out, hi - lo) product `value`, which `Tape.backward` adds into those
+    columns of the weight's adjoint."""
+
+    value: np.ndarray
+    lo: int
+
+
 def _affine_vjp(node, g):
     # the products are skipped for an unrecorded weight or input
     w, x = node.inputs
     lo, hi = node.payload or (0, w.value.shape[1])
     if w.idx is not None:
-        gw = np.zeros_like(w.value)
-        gw[:, lo:hi] = g.T @ x.value
-        yield 0, gw
+        yield 0, Slab(g.T @ x.value, lo)
     if x.idx is not None:
         yield 1, g @ w.value[:, lo:hi]
 
@@ -430,6 +450,14 @@ def _sin_cos(u, sin_out=None, cos_out=None):
             d -= 1.0
 
 
+def _omega_u(z, cv, omega, out=None):
+    """omega times a block's folded value slot, into `out` (None: a new
+    (K, P, rows) panel)."""
+    if cv is None:
+        return np.multiply(z[0], omega, out=out)
+    return _scale(np.add(z[0], cv, out=out), omega)
+
+
 def _jet_sine_forward(dtype, values, payload):
     """sin(omega u) over a block, u its folded value slot.  With s, c the
     sine and cosine of omega u, each tangent slot z_d becomes omega c z_d
@@ -442,7 +470,7 @@ def _jet_sine_forward(dtype, values, payload):
     z, pos, cv, ct = _jet_block("jet_sine", values, slots, times)
     out_slots = _sine_slots(slots, ct is not None)
     panel = (times[1],) + z.shape[2:]
-    wu = np.multiply(z[0], omega) if cv is None else _scale(z[0] + cv, omega)
+    wu = _omega_u(z, cv, omega)
     if len(out_slots) == 1:
         _sin_cos(wu, sin_out=wu)
         return wu.reshape(-1, z.shape[3])
@@ -473,35 +501,47 @@ def _jet_sine_vjp(node, g):
     g_zt = omega c g_t - omega^2 s mix.  A shared block's cotangent is
     summed over the times.
 
-    Scratch is two (K, P, rows) panels, `a` and `b`, plus slot v of the
-    input cotangent, which is written last: the spatial slots first, with
-    omega^2 s z_t in `a`, then acc in `a` and mix in `b`, then g_u, then g_zt
-    (in `a` when the block has no t slot).  A folded z_t that is a sum is
-    added again into the buffer each use is given, never held.  Every
-    entry gets the same operations in the same order as with one buffer
-    per quantity, so the results do not depend on the buffers."""
+    When the input block has the output's slots and times (every hidden
+    sine but layer 2's, whose input is the one-time prefix without the t
+    and mixed slots), the input cotangent overwrites `g`, which the sweep
+    hands over as the node's own.  acc and mix are taken first, from the
+    untouched `g`, into panels `a` and `b`; then the spatial slots are
+    written, with omega^2 s z_t in `c` and each product in `e`; then g_u
+    over slot v and g_zt over slot t.  Scratch is at most those four
+    (K, P, rows) panels.  Otherwise (layer 2) the input cotangent is a new
+    block and the spatial slots are written first, with `c` = `a` and
+    `e` = the new block's slot v, which is written last; scratch is then
+    `a` and `b`, and g_zt goes to `a` when the block has no t slot.  In
+    place, a value-only rule needs one panel, omega c.  A folded z_t
+    that is a sum is added again into the buffer each use is given, never
+    held.  Every entry gets the same operations in the same order whatever
+    the buffers, so the results do not depend on them."""
     omega, slots, times = node.payload
     z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots, times)
     kb, k = times
     panel = (k,) + z.shape[2:]
-    gz2, gz = _cotangent(len(slots), panel, z.dtype)
+    out_slots = _sine_slots(slots, ct is not None)
+    in_place = out_slots == slots and kb == k
+    if in_place:
+        gz2, gz = g, g.reshape((len(slots),) + panel)
+    else:
+        gz2, gz = _cotangent(len(slots), panel, z.dtype)
     gu = gz[0]
     if node.aux is None:  # value only
-        np.multiply(_folded(z, pos, cv, ct, V), omega, out=gu)
-        _sin_cos(gu, cos_out=gu)
-        _scale(gu, omega)
-        gu *= g.reshape(panel)
+        wc = np.empty(panel, z.dtype) if in_place else gu
+        _sin_cos(_omega_u(z, cv, omega, out=wc), cos_out=wc)
+        np.multiply(_scale(wc, omega), g.reshape(panel), out=gu)
         yield 0, _block_cotangent(gz2, gz, kb)
         yield from _column_grads(node, gu, None, k)
         return
     w2 = omega * omega
-    out_slots = _sine_slots(slots, ct is not None)
     opos = {s: i for i, s in enumerate(out_slots)}
     g = g.reshape((len(out_slots),) + panel)
     wc = node.aux
     s = node.value.reshape(g.shape)[0]
     mixed = [d for d in SPATIAL if d + 4 in opos]
     a, b = np.empty(panel, z.dtype), np.empty(panel, z.dtype)
+    c, e = (np.empty(panel, z.dtype), np.empty(panel, z.dtype)) if in_place and mixed else (a, gu)
 
     def zt(buf):
         """The folded t slot: a view, or z_t + ct added into `buf`."""
@@ -509,31 +549,37 @@ def _jet_sine_vjp(node, g):
             return np.add(z[pos[T]], ct, out=buf)
         return _folded(z, pos, cv, ct, T)
 
-    if mixed:  # omega^2 s z_t, with slot v's panel as the loop's scratch
-        w2szt = _scale(np.multiply(s, zt(a), out=a), w2)
-    for d in SPATIAL:
-        if d not in opos:
-            continue
-        np.multiply(wc, g[opos[d]], out=gz[pos[d]])
-        if d in mixed:
-            gz[pos[d]] -= np.multiply(w2szt, g[opos[d + 4]], out=gu)
-            if d + 4 in pos:
-                np.multiply(wc, g[opos[d + 4]], out=gz[pos[d + 4]])
+    def spatial():
+        """The cotangents of the spatial slots and their mixed slots."""
+        if mixed:
+            w2szt = _scale(np.multiply(s, zt(c), out=c), w2)
+        for d in SPATIAL:
+            if d not in opos:
+                continue
+            np.multiply(wc, g[opos[d]], out=gz[pos[d]])
+            if d in mixed:
+                gz[pos[d]] -= np.multiply(w2szt, g[opos[d + 4]], out=e)
+                if d + 4 in pos:
+                    np.multiply(wc, g[opos[d + 4]], out=gz[pos[d + 4]])
 
+    if not in_place:
+        spatial()
     pairs = [(g[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
     if T in opos:
         pairs.append((g[opos[T]], zt))
     pairs += [(g[opos[d + 4]], z[pos[d + 4]]) for d in mixed if d + 4 in pos]
     acc = _sum_products(pairs, a, b)
     _scale(np.multiply(s, acc, out=acc), w2)
-    mix = _sum_products([(g[opos[d + 4]], z[pos[d]]) for d in mixed], b, gu)
+    mix = _sum_products([(g[opos[d + 4]], z[pos[d]]) for d in mixed], b, e)
+    if in_place:
+        spatial()
 
     if mix is None:
         np.multiply(g[0], wc, out=gu)
     else:
-        np.multiply(zt(gu), mix, out=gu)
-        _scale(gu, w2)
-        np.subtract(g[0], gu, out=gu)
+        np.multiply(zt(e), mix, out=e)
+        _scale(e, w2)
+        np.subtract(g[0], e, out=gu)
         gu *= wc
     gu -= acc
 
@@ -869,6 +915,14 @@ class Tape:
         only the adjoints of its frontier.  Leaves keep their adjoints and
         add to them, so sweeps of successive segments on one tape sum
         their gradients.  Unrecorded nodes (constants) receive nothing.
+
+        Every adjoint is an array its node alone owns (see the lifetime
+        contract), so contributions add into it in place.  A node's first
+        cotangent becomes its adjoint as it is, unless it is a view or
+        this VJP already handed the same array to another input; then the
+        node gets a copy.  A `Slab` adds into its columns of the weight's
+        adjoint, which its first slab allocates zero-filled, once per
+        step.
         """
         if output.value.shape != ():
             raise DiffEngineError(
@@ -889,14 +943,23 @@ class Tape:
             g = node.adjoint
             if g is not None:
                 node.adjoint = None
+                handed = []
                 for pos, grad in _PRIMITIVES[node.kind].vjp(node, g):
                     target = node.inputs[pos]
                     if target.idx is None:
                         continue
-                    if target.adjoint is None:
-                        target.adjoint = grad.copy() if grad.base is not None else grad
+                    if isinstance(grad, Slab):
+                        if target.adjoint is None:
+                            target.adjoint = np.zeros_like(target.value)
+                        cols = slice(grad.lo, grad.lo + grad.value.shape[1])
+                        target.adjoint[:, cols] += grad.value
+                    elif target.adjoint is not None:
+                        target.adjoint += grad
+                    elif grad.base is not None or any(grad is h for h in handed):
+                        target.adjoint = grad.copy()
                     else:
-                        target.adjoint = target.adjoint + grad
+                        target.adjoint = grad
+                        handed.append(grad)
             _release(node)
         self._keep(leaves[::-1])
 

@@ -72,9 +72,14 @@ inference chunk holds at most the prefix plus two hidden-layer blocks
 (4 MiB at the default chunk size), one rule's input and its output,
 because `trace_network` drops each layer's input activation before the
 layer's rule runs (the sine adds scratch of four slot panels).  A
-training tape holds the same bytes grouped or not; the reverse sweep's
-transient cotangents are one group's blocks, up to BLOCK_BYTES each, and
-the sine's reverse rule adds two scratch slot panels.  A recorded group
+training tape holds the same bytes grouped or not.  The reverse sweep's
+transient is the incoming cotangent, one group's block of up to
+BLOCK_BYTES, plus scratch slot panels, with no second block: a sine
+from layer 3 on writes its input cotangent over the incoming one, with
+at most four scratch panels, and only layer 2's sine, whose input is
+the one-time prefix, makes a new cotangent block (with two).  A weight
+gradient adds into its columns of the weight's adjoint, which each step
+allocates once.  A recorded group
 keeps 2(depth - 2) - 1 blocks (layer 2's sine, each deeper hidden
 layer's matmul and sine) and an omega*cos slot panel per sine: 5.4
 blocks at depth 5; with the prefix, the output block and the loss's
@@ -95,7 +100,6 @@ to normalized time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -117,6 +121,15 @@ __all__ = [
     "forward",
     "forward_with_derivatives",
 ]
+
+
+try:  # the built-in SHA-256: `hashlib` would map OpenSSL into every process
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 # bytes of one hidden-layer jet block: an inference chunk's or a fit
@@ -183,7 +196,7 @@ class NetworkState:
         return out
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
+        h = _sha256()
         for arr in self.param_arrays():
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         return h.hexdigest()

@@ -193,6 +193,32 @@ def test_heap_policy_reuses_freed_chunk_arrays():
     assert float(out[1]) < 100
 
 
+# runs `jacobian` on a saved model; prints the exit code and whether
+# OpenSSL's `_hashlib` was imported
+_JACOBIAN_MODULES = """
+import sys
+from ndfreg import cli
+
+rc = cli.main(["jacobian", "--model", sys.argv[1], "--times", "1", "--dims", "4,4,4",
+               "--out", sys.argv[2]])
+print(rc, "_hashlib" in sys.modules)
+"""
+
+
+def test_jacobian_loads_no_openssl(tmp_path):
+    """The model checksum uses the built-in SHA-256, so an inference
+    command never imports `_hashlib`, which maps OpenSSL's libcrypto (about
+    3.5 MB of RSS)."""
+    src = os.path.dirname(os.path.dirname(ndfreg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _JACOBIAN_MODULES, _tiny_model(tmp_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == [str(cli.EXIT_OK), "False"]
+
+
 def test_chunk_arrays_stay_below_the_mmap_threshold():
     """An inference block above the threshold would be mmapped again and
     fault on every chunk."""

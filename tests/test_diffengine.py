@@ -248,14 +248,11 @@ def test_value_only_sine_allocates_one_piece_beyond_its_result():
     assert peak - before <= out.value.nbytes + de._PIECE * 8 + 16384
 
 
-@pytest.mark.parametrize("layer", [2, 3])
-def test_sine_vjp_holds_two_scratch_panels(layer):
+def _sine_vjp_peak(layer):
     """The reverse rule of a slotted sine at the fit-narrow shape (width
-    32, K = 4 grid times of 256 points, every slot) allocates its input
-    cotangent and at most two (K, P, rows) scratch panels: layer 2's block
-    is shared by the K times and has no t slot (its cotangent is also summed
-    over the times), layer 3's holds t and a t column term, whose folded
-    sum is never kept."""
+    32, K = 4 grid times of 256 points, every slot): the node, the bytes of
+    one (K, P, rows) panel, the cotangent it was handed, what it yields and
+    the bytes it allocates at its peak (tracemalloc)."""
     cfg = net.NetworkConfig(hidden_width=32, depth=5, time_hidden_width=10, time_embed_width=16)
     state = net.init_network(seed=1, config=cfg)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 256))
@@ -264,12 +261,7 @@ def test_sine_vjp_holds_two_scratch_panels(layer):
     leaves = net.make_leaves(tape, state)
     net.trace_network(tape, leaves, coords, [0.1, 0.4, 0.6, 0.9], cfg, full)
     node = [n for n in tape.nodes if n.kind == "jet_sine"][layer - 1]
-    omega, slots, (kb, k) = node.payload
-    assert k == 4 and kb == (1 if layer == 2 else 4) and (de.T in slots) == (layer > 2)
-    panel = k * 256 * 32 * 8
     g = np.random.default_rng(1).standard_normal(node.value.shape)
-    block = node.inputs[0].value
-    summed = block.nbytes if kb < k else 0  # the shared block's cotangent
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -277,9 +269,120 @@ def test_sine_vjp_holds_two_scratch_panels(layer):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grads[0][1].shape == block.shape
+    assert grads[0][1].shape == node.inputs[0].value.shape
+    return node, 4 * 256 * 32 * 8, g, grads, peak - before
+
+
+def test_shared_block_sine_vjp_holds_two_scratch_panels():
+    """Layer 2's block is one time shared by the K = 4 times and has no t
+    slot: its rule allocates its input cotangent, summed over the times,
+    and at most two scratch panels."""
+    node, panel, _, _, peak = _sine_vjp_peak(2)
+    _, slots, (kb, k) = node.payload
+    assert (kb, k) == (1, 4) and de.T not in slots
+    summed = node.inputs[0].value.nbytes  # the shared block's cotangent
     # slack: numpy's ufunc buffers and the (K, rows) column-term sums
-    assert peak - before <= len(slots) * panel + summed + 2 * panel + panel // 2
+    assert peak <= len(slots) * panel + summed + 2 * panel + panel // 2
+
+
+def test_in_place_sine_vjp_holds_four_scratch_panels():
+    """Layer 3's block has its output's 8 slots at the K = 4 times, and a t
+    column term whose folded sum is never kept: its input cotangent
+    overwrites the cotangent it is handed, so it allocates no block, only
+    at most four scratch panels."""
+    node, panel, g, grads, peak = _sine_vjp_peak(3)
+    _, slots, (kb, k) = node.payload
+    assert (kb, k) == (4, 4) and slots == ALL_SLOTS
+    assert grads[0][1] is g
+    # slack: numpy's ufunc buffers and the (K, rows) column-term sums
+    assert peak <= 4 * panel + panel // 2
+
+
+def test_affine_vjp_allocates_no_weight_sized_array():
+    """A paper-width hidden layer's (256, 320) weight: the VJP of its
+    product with a (16, 256) block (columns 0:256) or with a (16, 64)
+    embedding (columns 256:320) yields the product of those columns
+    alone, allocating less than the weight's bytes in all."""
+    rng = np.random.default_rng(5)
+    tape = Tape()
+    w = tape.leaf(rng.uniform(-1, 1, size=(256, 320)))
+    for lo, hi in ((0, 256), (256, 320)):
+        x = tape.leaf(rng.uniform(-1, 1, size=(16, hi - lo)))
+        out = tape.affine(w, x, cols=(lo, hi))
+        g = rng.uniform(-1, 1, size=out.value.shape)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            grads = list(de._PRIMITIVES["affine"].vjp(out, g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab = grads[0][1]
+        assert isinstance(slab, de.Slab) and slab.lo == lo
+        np.testing.assert_array_equal(slab.value, g.T @ x.value)
+        assert peak - before < w.value.nbytes
+
+
+def _allocating_grads(tape, output):
+    """The leaves' gradients of `output` by a reverse sweep that hands every
+    VJP a copy of its cotangent, expands every slab to its weight's shape
+    and sums into new arrays, in the order `Tape.backward` sums."""
+    adj = {output.idx: np.ones((), tape.dtype)}
+    for node in reversed(tape.nodes):
+        g = adj.get(node.idx)
+        if node.kind == "leaf" or g is None:
+            continue
+        for pos, grad in de._PRIMITIVES[node.kind].vjp(node, g.copy()):
+            target = node.inputs[pos]
+            if target.idx is None:
+                continue
+            if isinstance(grad, de.Slab):
+                full = np.zeros_like(target.value)
+                full[:, grad.lo : grad.lo + grad.value.shape[1]] = grad.value
+                grad = full
+            adj[target.idx] = grad.copy() if target.idx not in adj else adj[target.idx] + grad
+    return [adj.get(n.idx) for n in tape.nodes if n.kind == "leaf"]
+
+
+def test_aliased_cotangents_sweep_like_an_allocating_sweep():
+    """One array reaches two recorded inputs: `add` yields its cotangent to
+    two sines of one layout, each of which writes its input cotangent over
+    the one it is handed, and one weight (and one bias) feeds both through
+    two affines on disjoint columns.  The leaves' gradients match central
+    differences and equal an allocating sweep's bit for bit."""
+    rng = np.random.default_rng(9)
+    blocks = [point_major(rng.uniform(-1, 1, size=(4, 8, 5))) for _ in range(2)]
+    w0 = rng.uniform(-1, 1, size=(3, 8))
+    b0 = rng.uniform(-0.2, 0.2, size=(1, 3))
+
+    def build(mk):
+        tape = Tape()
+        w, b = mk(tape, w0), mk(tape, b0)
+        sines = [
+            tape.record("jet_sine", (tape.affine(w, tape.constant(x), cols=(4 * i, 4 * i + 4)), b),
+                        (2.0, ALL_SLOTS, ONE))
+            for i, x in enumerate(blocks)
+        ]
+        return tape, (w, b), tape.sum(tape.square(tape.add(*sines)))
+
+    def loss(wv, bv):
+        return float(build(lambda t, v: t.constant(wv if v is w0 else bv))[2].value)
+
+    tape, leaves, out = build(Tape.leaf)
+    assert [n.kind for n in tape.nodes].count("jet_sine") == 2
+    want = _allocating_grads(tape, out)
+    tape.backward(out)
+    for leaf, ref in zip(leaves, want):
+        np.testing.assert_array_equal(leaf.adjoint, ref)
+    h = 1e-6
+    for pos, base in enumerate((w0, b0)):
+        for idx in np.ndindex(base.shape):
+            up, down = w0.copy(), b0.copy()
+            (up, down)[pos][idx] += h
+            plus = loss(up, down)
+            (up, down)[pos][idx] -= 2 * h
+            fd = (plus - loss(up, down)) / (2 * h)
+            np.testing.assert_allclose(leaves[pos].adjoint[idx], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_inference_calls_no_libm_sine(monkeypatch):
@@ -694,11 +797,12 @@ def _fd_entries(rng, shape):
 
 @pytest.mark.parametrize("kind", sorted(de._PRIMITIVES))
 def test_vjp_matches_finite_differences(kind):
-    """<g, f(x)> differentiated by the kind's VJP, called with the random
-    cotangent g, against central differences, for every input of every
-    kind in the primitive table.  The outputs are differenced before they
-    are weighted and summed, so outputs an entry does not reach cancel
-    exactly, however large the block."""
+    """<g, f(x)> differentiated by the kind's VJP, called with a copy of the
+    random cotangent g (a VJP may overwrite its own), against central
+    differences, for every input of every kind in the primitive table; a
+    weight's `Slab` is expanded into the weight's shape.  The outputs are
+    differenced before they are weighted and summed, so outputs an entry
+    does not reach cancel exactly, however large the block."""
     rng = np.random.default_rng(41)
     cases = _vjp_cases(rng)
     assert sorted(cases) == sorted(de._PRIMITIVES), "one case list per kind, no stale kinds"
@@ -712,8 +816,11 @@ def test_vjp_matches_finite_differences(kind):
         tape = Tape()
         out = tape.record(kind, [tape.leaf(v) for v in values], payload)
         grads = [np.zeros_like(v) for v in values]
-        for pos, grad in de._PRIMITIVES[kind].vjp(out, g):
-            grads[pos] += grad
+        for pos, grad in de._PRIMITIVES[kind].vjp(out, g.copy()):
+            if isinstance(grad, de.Slab):
+                grads[pos][:, grad.lo : grad.lo + grad.value.shape[1]] += grad.value
+            else:
+                grads[pos] += grad
         h = 1e-6
         for pos, got in enumerate(grads):
             for idx in _fd_entries(rng, values[pos].shape):

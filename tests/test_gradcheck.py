@@ -83,19 +83,20 @@ def _without_mixed_cosine_term(vjp):
     reaches."""
 
     def wrong(node, g):
-        grads = list(vjp(node, g))
         if node.aux is None:
-            return grads
+            return list(vjp(node, g))
         omega, slots, (kb, k) = node.payload
         z, pos, cv, ct = de._jet_block("jet_sine", [n.value for n in node.inputs], slots, (kb, k))
         out_slots = de._sine_slots(slots, ct is not None)
         mixed = [d for d in de.SPATIAL if d + 4 in out_slots]
         if not mixed:
-            return grads
+            return list(vjp(node, g))
+        # read off g before the VJP, which may overwrite it
         g4 = g.reshape((len(out_slots), k) + z.shape[2:])
         zt = de._folded(z, pos, cv, ct, de.T)
         mix = sum(g4[out_slots.index(d + 4)] * z[pos[d]] for d in mixed)
         term = omega * omega * node.aux * zt * mix  # what the VJP subtracts, per time
+        grads = list(vjp(node, g))
         fixed = []
         for i, grad in grads:
             grad = grad.copy()

@@ -1,6 +1,8 @@
 """Network tests: initialization scheme, the architecture contract, and
 finite-difference verification of every analytic derivative product."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def test_init_deterministic():
     b = net.init_network(seed=42, config=TOY)
     for x, y in zip(a.param_arrays(), b.param_arrays()):
         assert x.tobytes() == y.tobytes()
+
+
+def test_checksum_is_the_sha256_of_the_parameters():
+    """The built-in SHA-256 the checksum uses gives hashlib's digest of the
+    f64 parameter bytes in `param_arrays` order, at f64 and f32."""
+    for dtype in (np.float64, np.float32):
+        state = net.init_network(seed=7, config=TOY, dtype=dtype)
+        h = hashlib.sha256()
+        for arr in state.param_arrays():
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        assert state.checksum() == h.hexdigest()
 
 
 def test_init_first_layer_bounds():

@@ -154,6 +154,26 @@ def test_segments_free_each_chunk_before_the_next_records(monkeypatch):
     assert all(ref() is None for ref in held)
 
 
+def test_leaf_adjoints_stay_one_array_across_segments(monkeypatch):
+    """In a step of the similarity segment and 3 regularizer segments, each
+    sweep adds into the leaves' adjoints in place: every leaf's adjoint is
+    one array object from the first sweep to the last."""
+    series, state, plan = _setup(30)
+    _force_chunks(monkeypatch, 30, 3)
+    backward, seen = Tape.backward, []
+
+    def tracking(tape, output):
+        backward(tape, output)
+        seen.append([n.adjoint for n in tape.nodes])
+
+    monkeypatch.setattr(Tape, "backward", tracking)
+    _segmented(series, state, plan, WEIGHTS)
+    assert len(seen) == 4 and len(seen[0]) == len(state.param_arrays())
+    for sweep in seen[1:]:
+        assert all(a is first for a, first in zip(sweep, seen[0]))
+    assert all(a is not None for a in seen[0])
+
+
 def test_fit_keeps_the_iteration_boundary(monkeypatch):
     """Forced to 3 chunks, a fit still makes one `make_leaves(trainable=True)`
     call and one tape per iteration, at most one tape alive at a time
