@@ -100,7 +100,17 @@ def _finite_nonnegative(text):
 
 
 def _months(text):
-    return tuple(_finite_nonnegative(v) for v in str(text).split(",") if v != "")
+    months = tuple(_finite_nonnegative(v) for v in str(text).split(",") if v != "")
+    if not months:
+        raise argparse.ArgumentTypeError(f"needs at least one time, got {text!r}")
+    return months
+
+
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
 
 
 def _value_range(text):
@@ -241,7 +251,7 @@ def build_parser():
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=16)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_at_least_one, default=200)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.add_argument("--corrupt", choices=CORRUPT_HOOKS, default=None,
                    help="fault-injection hook (testing)")

@@ -72,8 +72,8 @@ every elementwise pass of a rule runs over whole contiguous slot panels.
 In a (rows, S*B) layout each slot would be a strided (rows, B) view, and
 each of those passes measured 2-4 times slower at the benchmark's sizes.
 
-Shape conventions (no broadcasting: the operands of `add` and `minimum`
-have one shape, and every VJP returns its input's shape):
+Shape conventions (no broadcasting: the operands of `add` have one shape,
+and every VJP returns its input's shape):
   * scalars are 0-d arrays,
   * a batch of scalars is (B,),
   * a stack of vectors is (R, B): rows are components, columns are points,
@@ -116,13 +116,15 @@ Lifetime contract:
     step, zero-filled, on its first slab, and every slab adds into its
     columns, so no weight-sized array is made per product.
 
-Primitive table: `_PRIMITIVES` maps each of its 16 kinds to a pair
-`Primitive(forward, vjp)`: `add`, `minimum`, `scale`, `square`, `relu`,
-`sum`, `mean`, `affine`, `sample3` (a grid sampled at (3, B) points),
-`ncc` (a whole NCC term) and the six jet kinds above.
+Primitive table: `_PRIMITIVES` maps each of its 13 kinds to a pair
+`Primitive(forward, vjp)`: `add`, `scale`, `sum_squares`, `monotonic` (a
+whole monotonic term), `affine`, `sample3` (a grid sampled at (3, B)
+points), `ncc` (a whole NCC term) and the six jet kinds above; each loss
+reduction is one node with a closed-form VJP.
 `forward(dtype, values, payload)` checks the input values' shapes and
 returns the output value, or `(value, aux)` when the VJP needs more than
-values (`sample3` keeps the sampler gradients, `ncc` its closed-form one).
+values (`sample3` keeps the sampler gradients, `ncc` its closed-form one,
+`monotonic` the branch of each point).
 `vjp(node, g)` yields, or returns a list of, `(input position, cotangent)`
 pairs, which `backward` adds to the inputs' adjoints in that order, so the
 order fixes every adjoint sum bit for bit; `affine`'s weight cotangent is a
@@ -134,7 +136,6 @@ table entry plus a case in the finite-difference VJP test
 
 from __future__ import annotations
 
-import operator
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -194,24 +195,13 @@ class Node:
         return f"Node({self.idx}:{self.kind}, shape={self.value.shape})"
 
 
-def _elementwise(kind, op):
-    """Forward of a binary op on operands of one shape; two 0-d operands
-    give a 0-d array, not numpy's scalar."""
-
-    def forward(dtype, values, payload):
-        a, b = values
-        if a.shape != b.shape:
-            raise DiffEngineError(f"{kind}: shape mismatch {a.shape} vs {b.shape}")
-        return np.asarray(op(a, b))
-
-    return forward
-
-
-def _minimum_vjp(node, g):
-    a, b = node.inputs
-    take_a = a.value <= b.value
-    yield 0, g * take_a
-    yield 1, g * ~take_a
+def _add_forward(dtype, values, payload):
+    """a + b of operands of one shape; two 0-d operands give a 0-d array,
+    not numpy's scalar."""
+    a, b = values
+    if a.shape != b.shape:
+        raise DiffEngineError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    return np.asarray(a + b)
 
 
 def _affine_forward(dtype, values, cols):
@@ -246,33 +236,47 @@ def _affine_vjp(node, g):
         yield 1, g @ w.value[:, lo:hi]
 
 
-def _sum_forward(dtype, values, axis):
-    """Sum of every element (axis None, a 0-d result) or over axis 0."""
-    if axis is None:
-        return np.asarray(values[0].sum(), dtype=dtype)
-    if axis != 0:
-        raise DiffEngineError(f"sum: axis {axis} unsupported")
-    return values[0].sum(axis=0)
+def _sum_squares_forward(dtype, values, count):
+    """The sum of squares of every element, a 0-d array; with a `count`,
+    the columns' sums of squares (squared norms of points) summed and over
+    `count`, the size of the batch the columns are a part of."""
+    sq = values[0] * values[0]
+    if count is None:
+        return np.asarray(sq.sum(), dtype=dtype)
+    return np.asarray(sq.sum(axis=0).sum() / count, dtype=dtype)
 
 
-def _sum_vjp(node, g):
-    x = node.inputs[0].value
-    if node.payload is None:
-        yield 0, np.full_like(x, g)
-    else:
-        yield 0, np.broadcast_to(g, x.shape)
+def _sum_squares_vjp(node, g):
+    g = g if node.payload is None else g / node.payload
+    yield 0, 2.0 * g * node.inputs[0].value
 
 
-def _mean_forward(dtype, values, count):
-    """The sum of every element over `count`, the size of the batch the
-    input is a part of (None: the input's own size, its mean)."""
-    x = values[0]
-    return np.asarray(x.sum() / (count or x.size), dtype=dtype)
+def _monotonic_forward(dtype, values, nbatch):
+    """The monotonic term of (K, P) groups of d|J|/dt: per point, pos and
+    neg sum relu(d) and relu(-d) over each group's times, then over the
+    groups; the value is the sum of min(pos, neg) over `nbatch` (None: P).
+    The aux is `take`, pos <= neg per point: a tie goes to pos."""
+    pos = neg = None
+    for d in values:
+        if d.ndim != 2 or d.shape[1] != values[0].shape[1]:
+            raise DiffEngineError(f"monotonic: group {d.shape} is not (K, {values[0].shape[1]})")
+        p = np.maximum(d, 0.0).sum(axis=0)
+        n = np.maximum(d * dtype.type(-1.0), 0.0).sum(axis=0)
+        pos = p if pos is None else pos + p
+        neg = n if neg is None else neg + n
+    value = np.minimum(pos, neg).sum() / (nbatch or pos.size)
+    return np.asarray(value, dtype=dtype), pos <= neg
 
 
-def _mean_vjp(node, g):
-    x = node.inputs[0].value
-    yield 0, np.full_like(x, g / (node.payload or x.size))
+def _monotonic_vjp(node, g):
+    """g/n where pos is taken and d > 0, -g/n where neg is and d < 0."""
+    take = node.aux
+    gn = g / (node.payload or take.size)
+    for i, d in enumerate(node.inputs):
+        gd = np.zeros_like(d.value)
+        gd[take & (d.value > 0.0)] = gn
+        gd[~take & (d.value < 0.0)] = -gn
+        yield i, gd
 
 
 def _sample3_forward(dtype, values, grid):
@@ -791,27 +795,15 @@ class Primitive(NamedTuple):
 
 # kind -> (forward, vjp); single-expression primitives are written in place
 _PRIMITIVES = {
-    "add": Primitive(
-        _elementwise("add", operator.add),
-        lambda node, g: [(0, g), (1, g)],
-    ),
-    "minimum": Primitive(_elementwise("minimum", np.minimum), _minimum_vjp),
+    "add": Primitive(_add_forward, lambda node, g: [(0, g), (1, g)]),
     # np.asarray keeps a 0-d input's result a 0-d array
     "scale": Primitive(
         lambda dtype, values, c: np.asarray(values[0] * dtype.type(c)),
         lambda node, g: [(0, g * node.payload)],
     ),
-    "square": Primitive(
-        lambda dtype, values, payload: np.asarray(values[0] * values[0]),
-        lambda node, g: [(0, 2.0 * g * node.inputs[0].value)],
-    ),
-    "relu": Primitive(
-        lambda dtype, values, payload: np.asarray(np.maximum(values[0], 0.0)),
-        lambda node, g: [(0, g * (node.inputs[0].value > 0.0))],
-    ),
+    "sum_squares": Primitive(_sum_squares_forward, _sum_squares_vjp),
+    "monotonic": Primitive(_monotonic_forward, _monotonic_vjp),
     "affine": Primitive(_affine_forward, _affine_vjp),
-    "sum": Primitive(_sum_forward, _sum_vjp),
-    "mean": Primitive(_mean_forward, _mean_vjp),
     "sample3": Primitive(_sample3_forward, lambda node, g: [(0, g * node.aux)]),
     "ncc": Primitive(_ncc_forward, lambda node, g: [(0, g * node.aux)]),
     "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
@@ -870,26 +862,14 @@ class Tape:
     def add(self, a, b):
         return self.record("add", (a, b))
 
-    def minimum(self, a, b):
-        return self.record("minimum", (a, b))
-
     def scale(self, x, c: float):
         return self.record("scale", (x,), float(c))
-
-    def square(self, x):
-        return self.record("square", (x,))
-
-    def relu(self, x):
-        return self.record("relu", (x,))
 
     def affine(self, w, x, cols: tuple[int, int] | None = None):
         return self.record("affine", (w, x), cols)
 
-    def sum(self, x, axis=None):
-        return self.record("sum", (x,), axis)
-
-    def mean(self, x, count: int | None = None):
-        return self.record("mean", (x,), count)
+    def sum_squares(self, x, count: int | None = None):
+        return self.record("sum_squares", (x,), count)
 
     def sample3(self, grid: np.ndarray, points):
         return self.record("sample3", (points,), grid)

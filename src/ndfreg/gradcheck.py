@@ -8,7 +8,8 @@ tests can prove the harness actually catches a wrong derivative: 1.001,
 or 1 + 10 tol where the tolerance of the check it targets is wider than
 1e-4 (every f32 check but the determinant's), as 1.001 would pass there.
 `mono` scales gamma in the analytic loss by that factor, which scales the
-monotonic term's part of the analytic gradient alone.
+monotonic term's part of the analytic gradient alone; `monotonic` scales
+the `monotonic` node's VJP in its own check.
 
 The time checks difference the field at t0 +- h.  The time embedding is
 piecewise linear in t, and a central difference across one of its
@@ -27,7 +28,7 @@ import numpy as np
 from . import diffengine as de
 from . import network as net
 from .diffengine import V, X, Y, Z, Jet, Tape
-from .losses import LossWeights, ncc_node, total_loss
+from .losses import LossWeights, monotonic_node, ncc_node, total_loss
 from .trainer import SamplePlan, segment_gradients
 from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
@@ -42,6 +43,7 @@ _HOOK_CHECKS = {
     "jacdet_dt": "jacdet-dt",
     "sampler": "sampler-gradient",
     "ncc": "ncc-gradient",
+    "monotonic": "monotonic-gradient",
     "params": "parameter-gradients",
     "mono": "parameter-gradients",
 }
@@ -55,6 +57,7 @@ _TOLS = {
         "jacdet-dt": 1e-4,
         "sampler-gradient": 1e-6,
         "ncc-gradient": 1e-6,
+        "monotonic-gradient": 1e-6,
         "parameter-gradients": 1e-4,
     },
     "f32": {
@@ -64,6 +67,7 @@ _TOLS = {
         "jacdet-dt": 1e-2,
         "sampler-gradient": 1e-3,
         "ncc-gradient": 1e-4,
+        "monotonic-gradient": 1e-4,
         "parameter-gradients": 5e-2,
     },
 }
@@ -104,6 +108,19 @@ def _toy_state(seed, width, dtype):
         state.psi = [(w.astype(dtype), b.astype(dtype)) for w, b in state.psi]
         state.theta = [(w.astype(dtype), b.astype(dtype)) for w, b in state.theta]
     return state
+
+
+def _monotonic_rates(rng, ks, points):
+    """(K, P) groups of d|J|/dt for K in `ks`, at least 0.1 from 0 and
+    from a tie of pos and neg, where the monotonic term is linear: at a
+    point where |pos - neg| < 0.1, the positive rates, which sum to at
+    least 0.1 there, are tripled."""
+    groups = [rng.choice([-1.0, 1.0], size=(k, points)) * rng.uniform(0.1, 1.0, size=(k, points))
+              for k in ks]
+    near = np.abs(sum(d.sum(axis=0) for d in groups)) < 0.1
+    for d in groups:
+        d[:, near] = np.where(d[:, near] > 0.0, 3.0 * d[:, near], d[:, near])
+    return groups
 
 
 def _embedding_kinks(state, lo, hi):
@@ -267,7 +284,25 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     fd = np.array([ncc64(i, 1e-6) - ncc64(i, -1e-6) for i in range(n)]) / 2e-6
     check("ncc-gradient", float(np.abs(an - fd).max() / np.abs(fd).max()))
 
-    # 7. parameter gradients of the full loss on a tiny series
+    # 7. the `monotonic` node's VJP over three groups of rates against
+    # central differences of its value in f64 at the same rounded rates, as
+    # the largest error over the largest reference entry
+    groups = [d.astype(dtype) for d in _monotonic_rates(rng, (1, 2, 3), points)]
+    tape = Tape(dtype)
+    leaves = [tape.leaf(d) for d in groups]
+    tape.backward(monotonic_node(tape, leaves, 2 * points))
+    an = np.concatenate([_bump(n.adjoint, "monotonic", corrupt, precision).ravel() for n in leaves])
+
+    def mono64(g, idx, step):
+        rates = [d.astype(np.float64) for d in groups]
+        rates[g][idx] += step
+        return float(monotonic_node(ref, [ref.constant(d) for d in rates], 2 * points).value)
+
+    fd = np.array([mono64(g, idx, 1e-6) - mono64(g, idx, -1e-6)
+                   for g, d in enumerate(groups) for idx in np.ndindex(d.shape)]) / 2e-6
+    check("monotonic-gradient", float(np.abs(an - fd).max() / np.abs(fd).max()))
+
+    # 8. parameter gradients of the full loss on a tiny series
     check("parameter-gradients", _param_gradient_worst(seed, corrupt, precision, dtype))
     return results
 

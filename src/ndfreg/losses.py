@@ -13,10 +13,13 @@ J - I of phi's Jacobian from identity.  All reductions over points are
 means, so the weights keep their meaning regardless of batch size.
 
 Every term is recorded on a tape by its builder (`ncc_node`,
-`anchor_node`, `sum_of_squares`, `monotonic_node`), so the trainer can
+`anchor_node`, `monotonic_node`, `Tape.sum_squares`), so the trainer can
 differentiate the total with respect to the parameters; `build_total_loss`
 assembles them and `total_loss` evaluates the same tape for a frozen
-state.  Terms whose weight is zero are skipped and reported as 0.
+state.  Each reduction is one node with a closed-form VJP: a `sum_squares`
+for the anchor and each group's spatial and temporal sums, one `monotonic`
+for the monotonic term of all groups.  Terms whose weight is zero are
+skipped and reported as 0.
 
 Segments.  `build_total_loss` records the whole loss, or one segment of
 it: SIMILARITY (NCC and the anchor, which need the whole batch), or the
@@ -33,7 +36,7 @@ anchor and each NCC term read one time's displacement out of its group's
 jet, and NCC adds the coordinates to it.  The grid's regularizers read J,
 dphi/dt and d|J|/dt once per group, at all of its times: the spatial and
 temporal terms sum squares over each group and add the groups, and the
-monotonic term sums relu(d|J|/dt) and relu(-d|J|/dt) over each group's
+monotonic node sums relu(d|J|/dt) and relu(-d|J|/dt) over each group's
 (K, B) rates across its times, then adds the groups' sums per point.  A
 fit step's regularizer segment is one group (`trainer.point_chunks`).
 """
@@ -107,11 +110,8 @@ def ncc_node(tape: Tape, fixed_values: np.ndarray, warped):
 
 
 def anchor_node(tape: Tape, displacement):
-    return tape.mean(tape.sum(tape.square(displacement), axis=0))
-
-
-def sum_of_squares(tape: Tape, node):
-    return tape.sum(tape.square(node))
+    """The mean squared norm of the (3, B) displacement: one node."""
+    return tape.sum_squares(displacement, displacement.value.shape[1])
 
 
 def monotonic_node(tape: Tape, groups: list, nbatch: int | None = None):
@@ -119,16 +119,10 @@ def monotonic_node(tape: Tape, groups: list, nbatch: int | None = None):
     `groups`) of min(sum relu(d), sum relu(-d)), the sums over every time
     of d|J|/dt, summed over the points in `groups`; `groups` holds (K, P)
     nodes of K times each, and each group's sums over its times are added
-    across the groups."""
+    across the groups.  One `monotonic` node."""
     if sum(g.value.shape[0] for g in groups) < 2:
         raise ValueError("monotonic term needs >= 2 time samples")
-    pos = neg = None
-    for d in groups:
-        p = tape.sum(tape.relu(d), axis=0)
-        n = tape.sum(tape.relu(tape.scale(d, -1.0)), axis=0)
-        pos = p if pos is None else tape.add(pos, p)
-        neg = n if neg is None else tape.add(neg, n)
-    return tape.mean(tape.minimum(pos, neg), nbatch)
+    return tape.record("monotonic", groups, nbatch)
 
 
 def regularizer_request(weights: LossWeights) -> net.DerivativeRequest | None:
@@ -184,10 +178,10 @@ def _regularizer_terms(tape, leaves, weights, plan, config, points: slice) -> li
     sp_acc = tp_acc = None
     for out in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
         if weights.alpha > 0:
-            s = sum_of_squares(tape, de.jacobian(tape, out))
+            s = tape.sum_squares(de.jacobian(tape, out))
             sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
         if weights.beta > 0:
-            s = sum_of_squares(tape, net.dphi_dt(tape, out))
+            s = tape.sum_squares(net.dphi_dt(tape, out))
             tp_acc = s if tp_acc is None else tape.add(tp_acc, s)
         if weights.gamma > 0:
             djdt_groups.append(de.jacdet_dt(tape, out))

@@ -233,6 +233,9 @@ def fit(series: Volume4DSeries, config: FitConfig):
     config.validate()
     if not series.followups:
         raise ValueError("series needs at least one follow-up scan")
+    if config.mask is not None and config.mask.shape != series.baseline.dims:
+        raise ValueError(f"mask of shape {config.mask.shape} does not match "
+                         f"the scans' grid {series.baseline.dims}")
     t_max = config.time_horizon or max(series.times)
     if t_max <= 0:
         raise ValueError("time horizon must be positive")

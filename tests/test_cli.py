@@ -691,6 +691,74 @@ def test_metrics_holdout_refuses_a_zero_time_horizon(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (1, 4, 4)], ids=["smaller", "one-slice"])
+def test_fit_refuses_a_mask_of_another_grid(tmp_path, capsys, shape):
+    """A mask must have the scans' grid: a smaller one was sampled as if it
+    were theirs (exit 0), and a one-slice one divided by zero in
+    `voxel_centers` (exit 3).  Exit 2, naming both shapes, no model."""
+    import numpy as np
+
+    from ndfreg import fileio
+
+    manifest = _phantom(tmp_path)
+    mask = str(tmp_path / "mask.raw")
+    fileio.write_raw(mask, np.ones(shape, dtype=np.int32))
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    rc = cli.main(["fit", "--manifest", manifest, "--out", str(out), "--iterations", "1",
+                   *_TINY_FIT, "--mask", mask])
+    assert rc == cli.EXIT_INPUT
+    assert f"ndfreg: mask of shape {shape} does not match the scans' grid (4, 4, 4)" in (
+        capsys.readouterr().err)
+    assert not (out / "model.ndf").exists()
+
+
+def test_metrics_holdout_refuses_a_mask_of_another_grid(tmp_path, capsys):
+    """The held-out refit reads the fit's --mask, and refuses it the same
+    way, before anything is written."""
+    import numpy as np
+
+    from ndfreg import fileio
+
+    manifest = _phantom(tmp_path, "0,12,24")
+    mask = str(tmp_path / "mask.raw")
+    fileio.write_raw(mask, np.ones((3, 3, 3), dtype=np.int32))
+    out = tmp_path / "metrics"
+    capsys.readouterr()
+    rc = cli.main(["metrics", "--model", _tiny_model(tmp_path), "--manifest", manifest,
+                   "--out", str(out), "--times", "0,12", "--holdout", "12",
+                   "--iterations", "1", *_TINY_FIT, "--mask", mask])
+    assert rc == cli.EXIT_INPUT
+    assert "does not match the scans' grid (4, 4, 4)" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, extra, times", [
+    ("jacobian", ["--dims", "4,4,4"], ""),
+    ("jacobian", ["--dims", "4,4,4"], ","),
+    ("metrics", ["--manifest", "manifest.txt"], ""),
+], ids=["jacobian-empty", "jacobian-comma", "metrics-empty"])
+def test_empty_times_are_refused(monkeypatch, tmp_path, capsys, command, extra, times):
+    """--times with no time is refused by the parser, naming the flag
+    (`jacobian` wrote a summary of only its header, exit 0)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--model", _tiny_model(tmp_path), "--out", "o", *extra,
+                  "--times", times])
+    assert exited.value.code == cli.EXIT_INPUT
+    assert "argument --times: needs at least one time" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_gradcheck_refuses_no_points(capsys):
+    """`gradcheck --points 0` is refused by name (it failed inside numpy
+    on an empty reduction)."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["gradcheck", "--points", "0"])
+    assert exited.value.code == cli.EXIT_INPUT
+    assert "argument --points: must be >= 1, got 0" in capsys.readouterr().err
+
+
 def _spacing(path):
     from ndfreg import fileio
 

@@ -12,6 +12,7 @@ import pytest
 
 from ndfreg import diffengine as de, losses, network as net
 from ndfreg.diffengine import Tape
+from ndfreg.gradcheck import _monotonic_rates
 from ndfreg.trainer import SamplePlan
 from ndfreg.volume import Volume3D, Volume4DSeries
 
@@ -122,7 +123,7 @@ def test_cross_tape_input_rejected():
 
 def test_backward_on_other_tapes_output_rejected():
     t1, t2 = Tape(), Tape()
-    out = t1.sum(t1.square(t1.leaf(np.ones(2))))
+    out = t1.sum_squares(t1.leaf(np.ones(2)))
     with pytest.raises(de.DiffEngineError, match="different tape"):
         t2.backward(out)
 
@@ -154,14 +155,6 @@ def test_adj3_matches_inverse_times_det():
         adj = tape.record("jacdet_dt", (tape.constant(block),), payload).value.reshape(3, 3)
         expect = np.linalg.inv(m) * np.linalg.det(m)
         np.testing.assert_allclose(adj, expect, atol=1e-10)
-
-
-def test_minimum_and_relu():
-    tape = Tape()
-    a = tape.constant(np.array([1.0, -2.0, 3.0]))
-    b = tape.constant(np.array([0.5, 1.0, 5.0]))
-    np.testing.assert_array_equal(tape.minimum(a, b).value, [0.5, -2.0, 3.0])
-    np.testing.assert_array_equal(tape.relu(a).value, [1.0, 0.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +356,7 @@ def test_aliased_cotangents_sweep_like_an_allocating_sweep():
                         (2.0, ALL_SLOTS, ONE))
             for i, x in enumerate(blocks)
         ]
-        return tape, (w, b), tape.sum(tape.square(tape.add(*sines)))
+        return tape, (w, b), tape.sum_squares(tape.add(*sines))
 
     def loss(wv, bv):
         return float(build(lambda t, v: t.constant(wv if v is w0 else bv))[2].value)
@@ -537,8 +530,9 @@ def test_tangent_linearity():
 def test_leaky_kink_convention():
     tape = Tape()
     x = tape.leaf(np.array([[0.0]]))
-    y = tape.sum(de.bundle_leaky(tape, de.Jet(x, (de.V,)), 0.01).node)
-    tape.backward(y)
+    # d/dx of (leaky(x) + 0.5)^2 at 0 is the slope taken there
+    y = de.bundle_leaky(tape, de.Jet(x, (de.V,)), 0.01).node
+    tape.backward(tape.sum_squares(tape.add(y, tape.constant([[0.5]]))))
     assert x.adjoint[0, 0] == 1.0  # positive-branch slope at exactly 0
     tape2 = Tape()
     # unit x-tangents: the tangent slot of the leaky rule is its slope mask
@@ -553,7 +547,7 @@ def test_determinism_bit_identical():
         rng = np.random.default_rng(23)
         w = tape.leaf(rng.uniform(-1, 1, size=(4, 3)))
         x = de.Jet(tape.constant(rng.uniform(-1, 1, size=(3, 9)).T), (de.V,))
-        y = tape.mean(tape.square(de.bundle_sine(tape, de.bundle_affine(tape, w, x), 2.0).node))
+        y = tape.sum_squares(de.bundle_sine(tape, de.bundle_affine(tape, w, x), 2.0).node)
         tape.backward(y)
         return y.value.copy(), w.adjoint.copy()
 
@@ -571,7 +565,7 @@ def test_determinism_bit_identical():
 def test_backward_sum_of_squares():
     tape = Tape()
     p = tape.leaf(np.array([1.0, 2.0, 3.0]))
-    out = tape.sum(tape.square(p))
+    out = tape.sum_squares(p)
     tape.backward(out)
     np.testing.assert_array_equal(p.adjoint, [2.0, 4.0, 6.0])
 
@@ -580,7 +574,8 @@ def test_backward_det_at_identity():
     tape = Tape()
     block, payload = output_block(np.zeros((3, 3, 1)))
     leaf = tape.leaf(block)
-    tape.backward(tape.sum(tape.record("jacdet", (leaf,), payload)))
+    # half the square of |I + J| = 1 has the cofactors as its gradient
+    tape.backward(tape.scale(tape.sum_squares(tape.record("jacdet", (leaf,), payload)), 0.5))
     grad = leaf.adjoint.T
     np.testing.assert_array_equal(grad[:, 1:], np.eye(3))  # the cofactors of I
     assert np.all(grad[:, 0] == 0.0)
@@ -590,7 +585,7 @@ def test_backward_requires_scalar():
     tape = Tape()
     p = tape.leaf(np.ones(3))
     with pytest.raises(de.DiffEngineError, match="scalar"):
-        tape.backward(tape.square(p))
+        tape.backward(tape.scale(p, 2.0))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -604,20 +599,22 @@ def test_backward_composite_matches_fd(seed):
         [np.ones((3, 1)), np.eye(3), np.ones((3, 1)), rng.uniform(-1, 1, size=(3, 3))], axis=1
     )
 
+    # a trilinear grid: trilinear samples of it are smooth across cell faces
+    u = np.linspace(-1.0, 1.0, 6)
+    grid = 0.5 + 0.3 * u[:, None, None] + 0.2 * np.multiply.outer(u, u)[None] - 0.1 * u
+
     def value_and_grad(p):
         tape = Tape()
         leaf = tape.leaf(p)
         block = tape.affine(leaf, tape.constant(basis.T))
         jac = tape.record("jacobian", (block,), read(ALL_SLOTS))
-        # mix jacdet, jacdet_dt, ncc, min, relu, mean paths
+        # mix jacdet, jacdet_dt, sample3, ncc, monotonic, scale and
+        # sum_squares paths
         det = tape.record("jacdet", (block,), read(ALL_SLOTS))
         djdt = tape.record("jacdet_dt", (block,), read(ALL_SLOTS))
-        mix = tape.add(
-            tape.sum(tape.relu(jac)),
-            tape.sum(tape.minimum(jac, tape.scale(jac, -0.5))),
-        )
-        sim = tape.record("ncc", (tape.sum(jac, axis=0),), fixed)
-        mono = tape.mean(tape.minimum(tape.square(det), tape.square(djdt)))
+        mix = tape.add(tape.sum_squares(jac), tape.scale(tape.sum_squares(det, 2), -0.5))
+        sim = tape.record("ncc", (tape.sample3(grid, jac),), fixed)
+        mono = tape.record("monotonic", (det, djdt, tape.scale(djdt, -2.0)), None)
         out = tape.add(tape.add(mix, sim), mono)
         tape.backward(out)
         return float(out.value), leaf.adjoint.copy()
@@ -678,16 +675,17 @@ def _vjp_cases(rng):
     grid = rng.uniform(0.0, 1.0, size=(6, 6, 6))
     return {
         "add": [((a, b), None)],
-        "minimum": [((a, a + _away_from_zero(rng, (3, 4))), None)],
         "scale": [((a,), -1.7)],
-        "square": [((a,), None)],
-        "relu": [((_away_from_zero(rng, (3, 4)),), None)],
+        "sum_squares": [((a,), None), ((a,), 7)],
+        # one group of 4 times; three of 2, 3 and 1, over a batch of 9
+        "monotonic": [
+            (tuple(_monotonic_rates(rng, (4,), 5)), None),
+            (tuple(_monotonic_rates(rng, (2, 3, 1), 5)), 9),
+        ],
         "affine": [
             ((rng.uniform(-1, 1, (4, 3)), a.T), None),
             ((rng.uniform(-1, 1, (4, 6)), a.T), (2, 5)),
         ],
-        "sum": [((a,), None), ((a,), 0)],
-        "mean": [((a,), None)],
         "sample3": [((np.stack([_sample_points(rng, 7, 6) for _ in range(3)]),), grid)],
         # warped values against fixed ones
         "ncc": [((rng.uniform(0.0, 1.0, size=9),), rng.uniform(0.0, 1.0, size=9))],

@@ -19,6 +19,7 @@ HOOKS = {
     "jacdet_dt": "jacdet-dt",
     "sampler": "sampler-gradient",
     "ncc": "ncc-gradient",
+    "monotonic": "monotonic-gradient",
     "params": "parameter-gradients",
     "mono": "parameter-gradients",
 }
@@ -163,6 +164,26 @@ def test_dropped_ncc_correlation_term_fails_ncc_and_parameter_gradients(monkeypa
         results = run_gradcheck(precision=precision, **SMALL)
         assert [r.name for r in results if not r.passed] == [
             "ncc-gradient", "parameter-gradients"]
+
+
+def _without_negative_branch(node, g):
+    """The monotonic VJP without its negative branch: g / n where a point
+    takes pos and d > 0, and 0 where it takes neg."""
+    take = node.aux
+    gn = g / (node.payload or take.size)
+    return [(i, np.where(take & (d.value > 0.0), gn, 0.0).astype(d.value.dtype))
+            for i, d in enumerate(node.inputs)]
+
+
+def test_dropped_monotonic_negative_branch_fails_monotonic_and_parameter_gradients(monkeypatch):
+    prim = de._PRIMITIVES["monotonic"]
+    monkeypatch.setitem(
+        de._PRIMITIVES, "monotonic", de.Primitive(prim.forward, _without_negative_branch)
+    )
+    for precision in ("f64", "f32"):
+        results = run_gradcheck(precision=precision, **SMALL)
+        assert [r.name for r in results if not r.passed] == [
+            "monotonic-gradient", "parameter-gradients"]
 
 
 @pytest.mark.parametrize("hook", sorted(HOOKS))

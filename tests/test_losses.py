@@ -177,11 +177,12 @@ def ncc_value(fixed, warped):
 
 def ncc_value_and_adjoint(fixed, warped):
     """`ncc_node` with the warped values as a leaf; the zero-weighted sum
-    keeps the output on the tape when NCC takes a constant branch."""
+    of squares keeps the output on the tape when NCC takes a constant
+    branch."""
     tape = Tape()
     leaf = tape.leaf(warped)
     loss = losses.ncc_node(tape, fixed, leaf)
-    tape.backward(tape.add(loss, tape.scale(tape.sum(leaf), 0.0)))
+    tape.backward(tape.add(loss, tape.scale(tape.sum_squares(leaf), 0.0)))
     return float(loss.value), leaf.adjoint
 
 

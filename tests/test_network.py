@@ -376,7 +376,7 @@ def _scalar(tape, products):
     """A scalar that reaches every entry of `products`."""
     total = None
     for p in products:
-        s = tape.sum(tape.square(p))
+        s = tape.sum_squares(p)
         total = s if total is None else tape.add(total, s)
     return total
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ndfreg import network as net, trainer
+from ndfreg import metrics, network as net, trainer
 from ndfreg.losses import LossWeights
 from ndfreg.phantom import PhantomSpec, generate_phantom, true_jacobian_det
 from ndfreg.trainer import AdamState, FitConfig, adam_step, sample_plan
@@ -259,6 +259,30 @@ def test_fit_recovers_jacobian_at_observed_and_held_out_times():
         err = np.abs(grid.jac_det - true)[core].mean()
         identity = np.abs(1.0 - true)[core].mean()
         assert err < 0.9 * identity, (m, err / identity)
+
+
+def test_monotonic_term_raises_sign_consistency():
+    """The monotonic term makes d|J|/dt keep one sign over time: fitted to
+    a 16^3 clean phantom as above, at seed 2, the sign consistency of
+    label 1 over 0-36 months rises from gamma = 0 to gamma = 0.1 (0.897 ->
+    0.978).  Seeds 1-8 measured 0.772 -> 0.816, 0.897 -> 0.978, 0.537 ->
+    0.647, 0.662 -> 0.684, 0.368 -> 0.699, 0.015 -> 0.044, 0.750 -> 0.132
+    (seed 7 falls) and 0.978 -> 0.985; the bound is not to be loosened to
+    let a change pass."""
+    spec = PhantomSpec(dims=(16, 16, 16))
+    series, _ = generate_phantom(spec)
+    consistency = []
+    for gamma in (0.0, 0.1):
+        cfg = FitConfig(
+            iterations=150, batch_points=256, learning_rate=1e-3, seed=2, precision="f32",
+            log_every=150, network=net.NetworkConfig(hidden_width=16, time_embed_width=16),
+            weights=LossWeights(gamma=gamma),
+        )
+        state, _ = trainer.fit(series, cfg)
+        (label,) = metrics.structure_trajectories(
+            state, series.labels[0.0], [1], np.linspace(0, 36, 7))
+        consistency.append(label.sign_consistency)
+    assert consistency[1] > consistency[0], consistency
 
 
 # ---------------------------------------------------------------------------
