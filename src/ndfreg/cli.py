@@ -106,11 +106,14 @@ def _months(text):
     return months
 
 
-def _at_least_one(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _at_least(low):
+    """An integer >= `low`; the parser names the flag of one that is not."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    return integer
 
 
 def _value_range(text):
@@ -123,6 +126,13 @@ def _value_range(text):
 
 def _ints(text):
     return tuple(int(v) for v in str(text).split(",") if v != "")
+
+
+def _label_ids(text):
+    ids = _ints(text)
+    if not ids:
+        raise argparse.ArgumentTypeError(f"needs at least one label id, got {text!r}")
+    return ids
 
 
 @dataclass
@@ -236,7 +246,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--times", type=_months, required=True)
-    p.add_argument("--label-ids", dest="label_ids", type=_ints, default=None)
+    p.add_argument("--label-ids", dest="label_ids", type=_label_ids, default=None)
     p.add_argument("--holdout", type=float, default=None)
     p.add_argument("--deadband", type=_finite_nonnegative, default=1e-6)
     p.add_argument("--slice-axis", dest="slice_axis", choices=_SLICE_AXES, default=None)
@@ -249,9 +259,9 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--width", type=int, default=16)
-    p.add_argument("--points", type=_at_least_one, default=200)
+    p.add_argument("--points", type=_at_least(1), default=200)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.add_argument("--corrupt", choices=CORRUPT_HOOKS, default=None,
                    help="fault-injection hook (testing)")

@@ -47,23 +47,23 @@ non-zero are stored, so S <= 8.  A jet of one time is the K = 1 case.
     and cos call scalar libm, as in numpy 2.4 on x86-64.  The rule keeps
     omega*cos as its ndarray aux, so its VJP evaluates no transcendental;
     a value-only block computes the sine alone and keeps no aux.
-  * `jet_slot` extracts one folded slot as a (rows, K*P) node at every
-    time, time-major, or as the (rows, P) transpose of one time's panel;
-    it is the only read of a single time.
+  * `jet_slot` reads any tuple of folded slots as one (rows, R*K*P) node
+    over every time, slot-major then time-major, or as the (rows, R*P)
+    transposes of one time's panels; it is the only read of a single time.
   * The output layer's block ((S*K*P, 3), the displacement's components)
     is the one place that holds the Jacobian's layout: slot x+j,
     component i is J[i][j] = d(disp_i)/dx_j, and mixed slot xt+j,
-    component i is dJ[i][j]/dt.  Its column terms touch only slots v and
-    t, so three readers take the block node alone, one node each, where
-    a product is used: `jacobian` (slots x, y, z as one (3, 3*K*P)
-    node), `jacdet` (|I + J| by cofactor expansion, (K, P)) and
-    `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt) by Jacobi's formula,
-    (K, P); a zero constant when the jet has no mixed slots).  Each reads
-    all K times of the group through one transposed (3, S, K*P) copy of
-    this small block.
+    component i is dJ[i][j]/dt.  So J is the `jet_slot` read of slots x,
+    y, z, a (3, 3*K*P) node.  Its column terms touch only slots v and t,
+    so `jacdet_dt` (d|I + J|/dt = tr(adj(I + J) dJ/dt) by Jacobi's
+    formula, (K, P); a zero constant when the jet has no mixed slots)
+    takes the block node alone, and `jacdet` (|I + J| by cofactor
+    expansion, (K, P)) reads the block's value and records nothing: no
+    loss differentiates |J|.  Both read all K times of the group through
+    one transposed (3, S, K*P) copy of this small block.
 Every jet primitive's payload carries its block's `times`, the pair
-(block times, K): an output reader's is (slots, times), a `jet_slot`'s
-also the slot and the time it reads (None: every time).  The readers and
+(block times, K): `jacdet_dt`'s is (slots, times), a `jet_slot`'s also
+the slots and the time it reads (None: every time).  The readers and
 bundle rules below build every payload; no other module records a jet
 kind.
 With this layout a layer is one matmul forward (block @ W.T) and two
@@ -116,11 +116,12 @@ Lifetime contract:
     step, zero-filled, on its first slab, and every slab adds into its
     columns, so no weight-sized array is made per product.
 
-Primitive table: `_PRIMITIVES` maps each of its 13 kinds to a pair
+Primitive table: `_PRIMITIVES` maps each of its 11 kinds to a pair
 `Primitive(forward, vjp)`: `add`, `scale`, `sum_squares`, `monotonic` (a
 whole monotonic term), `affine`, `sample3` (a grid sampled at (3, B)
-points), `ncc` (a whole NCC term) and the six jet kinds above; each loss
-reduction is one node with a closed-form VJP.
+points), `ncc` (a whole NCC term) and the four jet kinds above
+(`jet_sine`, `jet_leaky`, `jet_slot`, `jacdet_dt`); each loss reduction
+is one node with a closed-form VJP, and every kind serves training.
 `forward(dtype, values, payload)` checks the input values' shapes and
 returns the output value, or `(value, aux)` when the VJP needs more than
 values (`sample3` keeps the sampler gradients, `ncc` its closed-form one,
@@ -131,7 +132,8 @@ order fixes every adjoint sum bit for bit; `affine`'s weight cotangent is a
 `Slab` of its columns.  `Tape.record(kind, inputs,
 payload)` is the one entry point for every primitive.  Adding one is a
 table entry plus a case in the finite-difference VJP test
-(`tests/test_diffengine.py`).
+(`tests/test_diffengine.py`), and a fit step must record it with a
+recorded input; a product no loss differentiates is a value read.
 """
 
 from __future__ import annotations
@@ -154,7 +156,6 @@ __all__ = [
     "bundle_leaky",
     "bundle_add",
     "jet_slot",
-    "jacobian",
     "jacdet",
     "jacdet_dt",
 ]
@@ -636,35 +637,44 @@ def _jet_leaky_vjp(node, g):
 
 
 def _jet_slot_forward(dtype, values, payload):
-    """One slot of a block, column terms added, as a (rows, P) array, the
-    transpose of time `time`'s (P, rows) panel, or for `time` None as a
-    (rows, K*P) array over all K times, time-major."""
-    slots, times, slot, time = payload
+    """The R slots `read` of a block, column terms added, as one
+    (rows, R*K*P) array over all K times, slot-major then time-major, or
+    for a position `time` as (rows, R*P), the transposes of that time's
+    (P, rows) panels."""
+    slots, times, read, time = payload
     z, pos, cv, ct = _jet_block("jet_slot", values, slots, times)
-    if slot not in _folded_slots(slots, ct is not None):
-        raise DiffEngineError(f"jet_slot: slot {slot} not in {slots}")
-    out = np.broadcast_to(_folded(z, pos, cv, ct, slot), (times[1],) + z.shape[2:])
-    if time is not None:
-        return np.ascontiguousarray(out[time].T)
-    return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(z.shape[3], -1)
+    folded = _folded_slots(slots, ct is not None)
+    if not read or any(s not in folded for s in read):
+        raise DiffEngineError(f"jet_slot: slots {read} not in {folded}")
+    k, p, rows = times[1], z.shape[2], z.shape[3]
+    out = np.empty((rows, len(read)) + ((p,) if time is not None else (k, p)), dtype)
+    for i, slot in enumerate(read):
+        panel = np.broadcast_to(_folded(z, pos, cv, ct, slot), (k, p, rows))
+        out[:, i] = panel[time].T if time is not None else panel.transpose(2, 0, 1)
+    return out.reshape(rows, -1)
 
 
 def _jet_slot_vjp(node, g):
-    slots, (kb, k), slot, time = node.payload
+    """Each read slot's cotangent into its slot of the block (summed over
+    the K times for a shared block), and slot v's and slot t's into the
+    column terms."""
+    slots, (kb, k), read, time = node.payload
     block = node.inputs[0].value
     rows = block.shape[1]
     if time is None:
-        gk = g.reshape(rows, k, -1).transpose(1, 2, 0)
+        gk = g.reshape(rows, len(read), k, -1).transpose(1, 2, 3, 0)
     else:
-        gk = np.zeros((k, g.shape[1], rows), g.dtype)
-        gk[time] = g.T
-    if slot in slots:
+        gk = np.zeros((len(read), k, g.shape[1] // len(read), rows), g.dtype)
+        gk[:, time] = g.reshape(rows, len(read), -1).transpose(1, 2, 0)
+    if any(s in slots for s in read):
         gz = np.zeros_like(block)
-        gz.reshape(len(slots), kb, -1, rows)[slots.index(slot)] = (
-            gk if kb == k else gk.sum(axis=0, keepdims=True)
-        )
+        gz4 = gz.reshape(len(slots), kb, -1, rows)
+        for i, slot in enumerate(read):
+            if slot in slots:
+                gz4[slots.index(slot)] = gk[i] if kb == k else gk[i].sum(axis=0, keepdims=True)
         yield 0, gz
-    yield from _column_grads(node, gk if slot == V else None, gk if slot == T else None, k)
+    gv, gt = (gk[read.index(s)] if s in read else None for s in (V, T))
+    yield from _column_grads(node, gv, gt, k)
 
 
 # adjugate entries as p*q - r*s over row-major input indices 0..8
@@ -718,44 +728,9 @@ def _adjugate(x):
     return [x[p] * x[q] - x[r] * x[s] for (p, q, r, s) in _ADJ_TABLE]
 
 
-def _jacobian_forward(dtype, values, payload):
-    """The Jacobian J of the displacement, the spatial slots x, y, z as one
-    (3, 3n) array: row i, columns [j*n, (j+1)*n) hold d(disp_i)/dx_j at the
-    n = K*P points `_output_block` reads."""
-    z, pos = _output_block("jacobian", values, payload)
-    return z[:, pos[X] : pos[X] + 3].reshape(3, 3 * z.shape[2]).copy()
-
-
-def _jacobian_vjp(node, g):
-    z, pos = _output_block("jacobian", [node.inputs[0].value], node.payload)
-    gz = np.zeros_like(z)
-    gz[:, pos[X] : pos[X] + 3] = g.reshape(3, 3, z.shape[2])
-    yield 0, _point_major(gz, node.payload)
-
-
-def _jacdet_forward(dtype, values, payload):
-    """|I + J| by cofactor expansion along the first row, (K, P)."""
-    z, pos = _output_block("jacdet", values, payload)
-    x = _identity_plus_jacobian(z, pos, dtype)
-    adj = _adjugate(x)
-    return (x[0] * adj[0] + x[1] * adj[3] + x[2] * adj[6]).reshape(payload[1][1], -1)
-
-
-def _jacdet_vjp(node, g):
-    """d|M|/dM[i][j] is the cofactor C[i][j] = adj(M)[j][i]."""
-    z, pos = _output_block("jacdet", [node.inputs[0].value], node.payload)
-    adj = _adjugate(_identity_plus_jacobian(z, pos, node.value.dtype))
-    g = g.reshape(-1)
-    gz = np.zeros_like(z)
-    for i in range(3):
-        for j in range(3):
-            np.multiply(g, adj[3 * j + i], out=gz[i, pos[X + j]])
-    yield 0, _point_major(gz, node.payload)
-
-
 def _jacdet_dt_forward(dtype, values, payload):
     """d|I + J|/dt by Jacobi's formula, tr(adj(I + J) dJ/dt), shaped as
-    `_jacdet_forward`'s: the sum over i, then k, of adj[i][k] dJ[k][i]/dt,
+    `jacdet`'s: the sum over i, then k, of adj[i][k] dJ[k][i]/dt,
     dJ[k][i]/dt being component k of the mixed slot of direction i."""
     z, pos = _output_block("jacdet_dt", values, payload, mixed=True)
     adj = _adjugate(_identity_plus_jacobian(z, pos, dtype))
@@ -809,8 +784,6 @@ _PRIMITIVES = {
     "jet_sine": Primitive(_jet_sine_forward, _jet_sine_vjp),
     "jet_leaky": Primitive(_jet_leaky_forward, _jet_leaky_vjp),
     "jet_slot": Primitive(_jet_slot_forward, _jet_slot_vjp),
-    "jacobian": Primitive(_jacobian_forward, _jacobian_vjp),
-    "jacdet": Primitive(_jacdet_forward, _jacdet_vjp),
     "jacdet_dt": Primitive(_jacdet_dt_forward, _jacdet_dt_vjp),
 }
 
@@ -1065,22 +1038,20 @@ def bundle_leaky(tape: Tape, x: Jet, slope: float) -> Jet:
     return Jet(node, x.folded_slots, times=x.times, block_times=x.times)
 
 
-def jet_slot(tape: Tape, x: Jet, slot: int, time: int | None = None) -> Node:
-    """Slot `slot` of a jet, column terms added, as a (rows, K*P) node at
-    every time, time-major, or for a position `time` as a (rows, P) node at
-    that time alone."""
-    return tape.record("jet_slot", x.inputs(), (x.slots, x.layout, slot, time))
+def jet_slot(tape: Tape, x: Jet, read: tuple, time: int | None = None) -> Node:
+    """The slots `read` of a jet, column terms added, as one (rows, R*K*P)
+    node over every time, slot-major then time-major, or for a position
+    `time` as a (rows, R*P) node at that time alone."""
+    return tape.record("jet_slot", x.inputs(), (x.slots, x.layout, tuple(read), time))
 
 
-def jacobian(tape: Tape, x: Jet) -> Node:
-    """J of an output jet's K times, (3, 3*K*P): row i, columns
-    [j*K*P, (j+1)*K*P) hold d(disp_i)/dx_j at the points, time-major."""
-    return tape.record("jacobian", (x.node,), (x.slots, x.layout))
-
-
-def jacdet(tape: Tape, x: Jet) -> Node:
-    """|I + J| of an output jet, (K, P)."""
-    return tape.record("jacdet", (x.node,), (x.slots, x.layout))
+def jacdet(x: Jet) -> np.ndarray:
+    """|I + J| of an output jet by cofactor expansion along the first row,
+    (K, P): a value read that records nothing."""
+    z, pos = _output_block("jacdet", [x.node.value], (x.slots, x.layout))
+    m = _identity_plus_jacobian(z, pos, z.dtype)
+    adj = _adjugate(m)
+    return (m[0] * adj[0] + m[1] * adj[3] + m[2] * adj[6]).reshape(x.times, -1)
 
 
 def jacdet_dt(tape: Tape, x: Jet) -> Node:

@@ -176,9 +176,8 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     for _ in range(200):
         jac = rng.uniform(-1, 1, size=(3, 3)).astype(dtype) - eye
         m = jac + eye
-        tape = Tape(dtype)
-        block = tape.constant(np.concatenate([np.zeros((1, 3), dtype), jac.T]))
-        got = de.jacdet(tape, Jet(block, (V, X, Y, Z))).value.item()
+        block = Tape(dtype).constant(np.concatenate([np.zeros((1, 3), dtype), jac.T]))
+        got = de.jacdet(Jet(block, (V, X, Y, Z))).item()
         expect = 0.0
         for perm in itertools.permutations(range(3)):
             sign = 1
@@ -202,7 +201,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
     tape = Tape(dtype)
     leaves = net.make_leaves(tape, state, trainable=False)
     (out,) = net.trace_network(tape, leaves, coords, [t0], state.config, full)
-    jac = de.jacobian(tape, out).value.reshape(3, 3, points)
+    jac = net.jacobian(tape, out).value.reshape(3, 3, points)
     jac[range(3), range(3)] += 1.0  # the Jacobian of phi
 
     # 2. spatial Jacobian

@@ -30,7 +30,7 @@ terms.  Both ways run the same two term builders, so the one-tape loss
 (`total_loss`, gradcheck's reference) and the fit step's segments
 (`trainer.segment_gradients`) are one implementation.
 
-The network traces its times in groups (`network.group_times`) and
+The network traces its times in groups (as many as fill one block) and
 returns one output jet per group.  The observed times are one trace: the
 anchor and each NCC term read one time's displacement out of its group's
 jet, and NCC adds the coordinates to it.  The grid's regularizers read J,
@@ -178,7 +178,7 @@ def _regularizer_terms(tape, leaves, weights, plan, config, points: slice) -> li
     sp_acc = tp_acc = None
     for out in net.trace_network(tape, leaves, coords, plan.reg_grid, config, req):
         if weights.alpha > 0:
-            s = tape.sum_squares(de.jacobian(tape, out))
+            s = tape.sum_squares(net.jacobian(tape, out))
             sp_acc = s if sp_acc is None else tape.add(sp_acc, s)
         if weights.beta > 0:
             s = tape.sum_squares(net.dphi_dt(tape, out))

@@ -13,11 +13,12 @@ A trace ends at the output layer's jet of each time group, whose slots
 `DerivativeRequest` sets: x, y, z with `spatial`, t with `temporal`, and
 the mixed entries dJ/dt with both.  Each product is one node read off a
 group's jet at the place that uses it, so a tape records only the products
-its caller reads: `displacement` and `dphi_dt` here, J, |I + J| and
-d|I + J|/dt by `diffengine`'s readers (`jacobian`, `jacdet`, `jacdet_dt`).
-Every reader reads all K times of a group; only `displacement` also reads
-one of them.  At depth 2 time enters after the last sine, so J does not
-depend on t and d|J|/dt is a zero constant.
+its caller reads: `displacement`, `dphi_dt` and `jacobian` here, each a
+`diffengine.jet_slot` read, and d|I + J|/dt by `diffengine.jacdet_dt`.
+|I + J| (`diffengine.jacdet`) is a value read that records nothing: no
+loss differentiates it.  Every reader reads all K times of a group; only
+`displacement` also reads one of them.  At depth 2 time enters after the
+last sine, so J does not depend on t and d|J|/dt is a zero constant.
 
 Time groups.  `trace_network` traces a sequence of times in groups of K,
 each group as one jet block per layer: (S, K, P, rows) in C order for S
@@ -34,11 +35,11 @@ them).  The last group takes the only reference to the prefix, so it is
 freed after that group's layer 2.  `trace_network` returns one output jet
 per group, and time k of a group is position k of its jet.
 
-Grouping rule (`group_times`): a recorded trace puts as many times in a
-group as keep one hidden-layer block within BLOCK_BYTES, K = max(1,
-BLOCK_BYTES // (hidden width x slot count x itemsize x P)), so each time
-costs one chain of per-node Python and small kernels per group, not per
-time.  A fit step's regularizer segment (`trainer.point_chunks`) is one
+Grouping rule: a recorded trace puts as many times in a group as keep
+one hidden-layer block within BLOCK_BYTES, K = max(1, BLOCK_BYTES //
+(hidden width x slot count x itemsize x P)), which is `chunk_points`
+with points and times swapped, so each time costs one chain of per-node
+Python and small kernels per group, not per time.  A fit step's regularizer segment (`trainer.point_chunks`) is one
 group of the whole grid; the value-only observed times of a whole batch
 are one group at both benchmark shapes.  A trace of a frozen state
 (`make_leaves(trainable=False)`, inference) keeps one time per group:
@@ -88,8 +89,8 @@ left out.
 `forward_with_derivatives` returns the displacement, |I + J| with
 `spatial` and d|I + J|/dt with both; it allocates each of them once at
 grid size and every chunk writes its own columns.  J and dphi/dt stay on
-the output jets, read by `diffengine.jacobian` and `dphi_dt` where they
-are needed, and are never held at grid size.  A chunk's tape and output
+the output jets, read by `jacobian` and `dphi_dt` where they are needed,
+and are never held at grid size.  A chunk's tape and output
 jets are freed before the next chunk traces, so none of its small output
 arrays splits a freed block's heap hole.
 
@@ -113,11 +114,10 @@ __all__ = [
     "NetworkState",
     "DerivativeRequest",
     "DisplacementResult",
-    "displacement", "dphi_dt",
+    "displacement", "dphi_dt", "jacobian",
     "init_network",
     "make_leaves",
     "trace_network",
-    "group_times",
     "forward",
     "forward_with_derivatives",
 ]
@@ -296,12 +296,18 @@ def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leav
 def displacement(tape: Tape, out: Jet, time: int | None = None) -> Node:
     """The displacement of a group's output jet at its position `time`,
     (3,P), or at every time, (3,K*P) time-major."""
-    return de.jet_slot(tape, out, de.V, time)
+    return de.jet_slot(tape, out, (de.V,), time)
 
 
 def dphi_dt(tape: Tape, out: Jet) -> Node:
     """d(phi)/dt of a group's output jet, (3,K*P) time-major."""
-    return de.jet_slot(tape, out, de.T)
+    return de.jet_slot(tape, out, (de.T,))
+
+
+def jacobian(tape: Tape, out: Jet) -> Node:
+    """J of a group's output jet, (3,3*K*P): row i, columns
+    [j*K*P, (j+1)*K*P) hold d(disp_i)/dx_j at the points, time-major."""
+    return de.jet_slot(tape, out, de.SPATIAL)
 
 
 def _trace_time_embed(tape, theta, tb, config: NetworkConfig) -> Jet:
@@ -331,10 +337,10 @@ def trace_network(
     """Trace the field at (3,P) `coords` at a sequence of normalized
     `times`; returns the output layer's jet of each time group, in order.
 
-    The times are traced in groups of `group_times` (the last may be
-    shorter; one time per group for frozen leaves, see the module
-    docstring), each group as one jet block per layer; time k of a group
-    is position k of its jet.  Time enters only through the embedding
+    The times are traced in groups of as many as fill one block (the
+    last may be shorter; one time per group for frozen leaves, see the
+    module docstring), each group as one jet block per layer; time k of a
+    group is position k of its jet.  Time enters only through the embedding
     concatenated into the hidden layers, so the coordinate jet, the layer-1
     sine and layer 2's `W2[:, :h] @ a1` are traced once and shared by every
     group; layer 2's rule broadcasts that prefix over a group's times.
@@ -348,7 +354,8 @@ def trace_network(
         raise ValueError(f"coordinate block must be (3,B), got {coords.shape}")
     h = config.hidden_width
     he = h + config.time_embed_width
-    k = group_times(config, request, coords.shape[1], tape.dtype) if leaves.trainable else 1
+    k = (chunk_points(config, request, tape.dtype, max(1, coords.shape[1]))
+         if leaves.trainable else 1)
     prefix = _trace_prefix(tape, leaves, _coordinate_jet(tape, coords, request.spatial), config)
     outs = []
     for lo in range(0, len(times), k):
@@ -410,7 +417,7 @@ def forward_with_derivatives(
 
     A result carries the displacement, |I + J| with `spatial` and
     d|I + J|/dt with both; J and dphi/dt are read off an output jet
-    (`diffengine.jacobian`, `dphi_dt`).  Each product is allocated once at full size
+    (`jacobian`, `dphi_dt`).  Each product is allocated once at full size
     and every chunk writes its own columns, so memory is those products
     plus one chunk's working set: the prefix and two hidden-layer blocks
     (see the module docstring).  The parameters enter as tape constants,
@@ -452,7 +459,7 @@ def _write_chunk(results, cols, state, coords, times, request, dtype):
     for res, out in zip(results, outs):
         res.displacement[:, cols] = displacement(tape, out).value[:, :n]
         if res.jac_det is not None:
-            res.jac_det[cols] = de.jacdet(tape, out).value[0, :n]
+            res.jac_det[cols] = de.jacdet(out)[0, :n]
         if res.jac_det_dt is not None:
             res.jac_det_dt[cols] = de.jacdet_dt(tape, out).value[0, :n]
 
@@ -473,11 +480,8 @@ def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype,
                  times: int = 1) -> int:
     """Points per chunk: as many as keep one hidden-layer jet block of
     `times` times within BLOCK_BYTES, and at least one.  An inference
-    chunk is one time; a fit step's regularizer segment is its grid's."""
+    chunk is one time; a fit step's regularizer segment is its grid's.
+    The rule is symmetric in points and times, so with `times` the points
+    P of a block it is the times per block, K (`trace_network`'s groups):
+    a segment sized for its grid's times is one group."""
     return max(1, BLOCK_BYTES // (times * _point_bytes(config, request, dtype)))
-
-
-def group_times(config: NetworkConfig, request: DerivativeRequest, points: int, dtype) -> int:
-    """Times per jet block of `points` points: as many as keep one
-    hidden-layer block within BLOCK_BYTES, and at least one."""
-    return max(1, BLOCK_BYTES // max(1, points * _point_bytes(config, request, dtype)))

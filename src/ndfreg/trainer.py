@@ -24,7 +24,7 @@ recipe (width 32, B=256) is 2 chunks of 128 at f64 and one at f32.  So
 every GEMM still runs a full block, and no regularizer segment's tape
 holds more than about 6 blocks (see `network`).  The similarity trace
 shares its time-invariant prefix across the observed times, in groups
-of as many as fill one block (`network.group_times`).
+of as many as fill one block (`network.chunk_points` of its points).
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk; inference
@@ -128,6 +128,8 @@ class FitConfig:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.network.validate()
 
 

@@ -135,6 +135,8 @@ def test_phantom_manifest_months_equal_the_truth(tmp_path, capsys):
     ("--learning-rate", "nan", "learning_rate must be finite"),
     ("--omega0", "inf", "omega0 must be finite"),
     ("--leaky-slope", "nan", "leaky_slope must be finite"),
+    # numpy's generator refused it with a bare "expected non-negative integer"
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_fit_bad_period_is_input_error(tmp_path, capsys, flag, value, message):
     """A fit option no fit can use is an input error naming its field,
@@ -757,6 +759,27 @@ def test_gradcheck_refuses_no_points(capsys):
         cli.main(["gradcheck", "--points", "0"])
     assert exited.value.code == cli.EXIT_INPUT
     assert "argument --points: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_gradcheck_refuses_a_negative_seed(capsys):
+    """`gradcheck --seed -1` is refused by name (numpy's generator refused
+    it with a bare "expected non-negative integer")."""
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["gradcheck", "--seed", "-1"])
+    assert exited.value.code == cli.EXIT_INPUT
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_metrics_refuses_empty_label_ids(monkeypatch, tmp_path, capsys):
+    """--label-ids with no id is refused by the parser, naming the flag (it
+    scored every label, exit 0)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["metrics", "--model", "m.ndf", "--manifest", "manifest.txt", "--out", "o",
+                  "--times", "12", "--label-ids", ""])
+    assert exited.value.code == cli.EXIT_INPUT
+    assert "argument --label-ids: needs at least one label id" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _spacing(path):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ndfreg import diffengine as de, losses, network as net
+from ndfreg import diffengine as de, losses, network as net, trainer
 from ndfreg.diffengine import Tape
 from ndfreg.gradcheck import _monotonic_rates
 from ndfreg.trainer import SamplePlan
@@ -79,10 +79,15 @@ def test_record_sine_of_zero():
     assert de.bundle_sine(tape, value_jet(tape, 0.0)).node.value.item() == 0.0
 
 
+def output_jet(block, payload):
+    """The jet of an output block and its payload's slots and times."""
+    slots, (kb, k) = payload
+    return de.Jet(Tape().constant(block), slots, times=k, block_times=kb)
+
+
 def test_record_det3_of_identity():
-    tape = Tape()
     block, payload = output_block(np.zeros((3, 3, 1)))
-    assert tape.record("jacdet", (tape.constant(block),), payload).value.item() == 1.0
+    assert de.jacdet(output_jet(block, payload)).item() == 1.0
 
 
 def test_record_leaky_of_negative():
@@ -134,8 +139,7 @@ def test_det3_matches_permutation_oracle():
     rng = np.random.default_rng(7)
     jac = rng.uniform(-1, 1, size=(3, 3, 200)) - np.eye(3)[:, :, None]
     block, payload = output_block(jac)
-    tape = Tape()
-    (got,) = tape.record("jacdet", (tape.constant(block),), payload).value
+    (got,) = de.jacdet(output_jet(block, payload))
     for p in range(200):
         expect = det3_permutation_oracle(jac[:, :, p] + np.eye(3))
         assert got[p] == pytest.approx(expect, abs=1e-12)
@@ -173,7 +177,7 @@ def time_jet(tape, t):
 
 
 def slot(tape, jet, s):
-    return de.jet_slot(tape, jet, s).value
+    return de.jet_slot(tape, jet, (s,)).value
 
 
 def test_tangent_sine_at_zero():
@@ -399,7 +403,8 @@ def test_inference_calls_no_libm_sine(monkeypatch):
 
 def test_constant_bundle_zero_tangents():
     """A value-only jet stays value-only through every rule: its tangents
-    are structurally zero and no slot holds them."""
+    are structurally zero and no slot holds them; a read of them, or of no
+    slot, is refused."""
     tape = Tape()
     b = de.Jet(tape.constant(np.ones((2, 3))), (de.V,))
     w = tape.constant(np.ones((2, 3)))
@@ -408,6 +413,8 @@ def test_constant_bundle_zero_tangents():
     for d in (de.X, de.Y, de.Z, de.T, de.XT, de.YT, de.ZT):
         with pytest.raises(de.DiffEngineError, match="not in"):
             slot(tape, b, d)
+    with pytest.raises(de.DiffEngineError, match=r"slots \(\) not in"):
+        de.jet_slot(tape, b, ())
 
 
 def test_affine_refuses_pending_column_terms():
@@ -570,17 +577,6 @@ def test_backward_sum_of_squares():
     np.testing.assert_array_equal(p.adjoint, [2.0, 4.0, 6.0])
 
 
-def test_backward_det_at_identity():
-    tape = Tape()
-    block, payload = output_block(np.zeros((3, 3, 1)))
-    leaf = tape.leaf(block)
-    # half the square of |I + J| = 1 has the cofactors as its gradient
-    tape.backward(tape.scale(tape.sum_squares(tape.record("jacdet", (leaf,), payload)), 0.5))
-    grad = leaf.adjoint.T
-    np.testing.assert_array_equal(grad[:, 1:], np.eye(3))  # the cofactors of I
-    assert np.all(grad[:, 0] == 0.0)
-
-
 def test_backward_requires_scalar():
     tape = Tape()
     p = tape.leaf(np.ones(3))
@@ -607,14 +603,14 @@ def test_backward_composite_matches_fd(seed):
         tape = Tape()
         leaf = tape.leaf(p)
         block = tape.affine(leaf, tape.constant(basis.T))
-        jac = tape.record("jacobian", (block,), read(ALL_SLOTS))
-        # mix jacdet, jacdet_dt, sample3, ncc, monotonic, scale and
+        jac = tape.record("jet_slot", (block,), (ALL_SLOTS, ONE, de.SPATIAL, None))
+        # mix jet_slot, jacdet_dt, sample3, ncc, monotonic, scale and
         # sum_squares paths
-        det = tape.record("jacdet", (block,), read(ALL_SLOTS))
+        val = tape.record("jet_slot", (block,), (ALL_SLOTS, ONE, (de.V,), None))
         djdt = tape.record("jacdet_dt", (block,), read(ALL_SLOTS))
-        mix = tape.add(tape.sum_squares(jac), tape.scale(tape.sum_squares(det, 2), -0.5))
+        mix = tape.add(tape.sum_squares(jac), tape.scale(tape.sum_squares(val, 2), -0.5))
         sim = tape.record("ncc", (tape.sample3(grid, jac),), fixed)
-        mono = tape.record("monotonic", (det, djdt, tape.scale(djdt, -2.0)), None)
+        mono = tape.record("monotonic", (val, djdt, tape.scale(djdt, -2.0)), None)
         out = tape.add(tape.add(mix, sim), mono)
         tape.backward(out)
         return float(out.value), leaf.adjoint.copy()
@@ -747,30 +743,26 @@ def _jet_cases(rng):
             ((block(SPACE), col(6)), (0.1, SPACE, shared)),
         ],
         "jet_slot": [
-            ((block(SPACE), col(2), col(1)), (SPACE, ONE, de.V, 0)),
-            ((block(SPACE), col(2), col(1)), (SPACE, ONE, de.T, 0)),
-            ((block(SPACE), col(2)), (SPACE, ONE, de.Y, 0)),
-            ((block(ALL_SLOTS), col(2)), (ALL_SLOTS, ONE, de.T, 0)),
-            ((block(ALL_SLOTS), col(1)), (ALL_SLOTS, ONE, de.ZT, 0)),
+            ((block(SPACE), col(2), col(1)), (SPACE, ONE, (de.V,), 0)),
+            ((block(SPACE), col(2), col(1)), (SPACE, ONE, (de.T,), 0)),
+            ((block(SPACE), col(2)), (SPACE, ONE, (de.Y,), 0)),
+            ((block(ALL_SLOTS), col(2)), (ALL_SLOTS, ONE, (de.T,), 0)),
+            ((block(ALL_SLOTS), col(1)), (ALL_SLOTS, ONE, (de.ZT,), 0)),
             # every time of a group, or one of them; of a shared block
-            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, de.T, None)),
-            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, de.V, 1)),
-            ((block(SPACE, 12), col(3)), (SPACE, k3, de.X, 2)),
-            ((block(SPACE), col(6), col(1)), (SPACE, shared, de.V, None)),
-            ((block(SPACE), col(6), col(1)), (SPACE, shared, de.Y, 2)),
-        ],
-        # the output block alone, with and without the mixed slots: a group
-        # of one time, of three, and a shared block (depth 2)
-        "jacobian": [
-            ((block(SPACE),), read(SPACE)),
-            ((block(ALL_SLOTS),), read(ALL_SLOTS)),
-            ((block(ALL_SLOTS, 12),), read(ALL_SLOTS, k3)),
-        ],
-        "jacdet": [
-            ((block(SPACE),), read(SPACE)),
-            ((block(ALL_SLOTS),), read(ALL_SLOTS)),
-            ((block(SPACE, 12),), read(SPACE, k3)),
-            ((block(SPACE),), read(SPACE, shared)),
+            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, (de.T,), None)),
+            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, (de.V,), 1)),
+            ((block(SPACE, 12), col(3)), (SPACE, k3, (de.X,), 2)),
+            ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.V,), None)),
+            ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.Y,), 2)),
+            # J, the spatial slots of an output block: a group of one time,
+            # of three, a shared block (depth 2) and a single time
+            ((block(SPACE), col(1)), (SPACE, ONE, de.SPATIAL, None)),
+            ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, de.SPATIAL, None)),
+            ((block(SPACE), col(3), col(1)), (SPACE, shared, de.SPATIAL, None)),
+            ((block(ALL_SLOTS, 12), col(6)), (ALL_SLOTS, k3, de.SPATIAL, 1)),
+            # slots v and t with the spatial ones, of every time and of one
+            ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.V, de.X, de.T), None)),
+            ((block(ALL_SLOTS, 12), col(6)), (ALL_SLOTS, k3, (de.T, de.ZT, de.V), 2)),
         ],
         "jacdet_dt": [
             ((block(ALL_SLOTS),), read(ALL_SLOTS)),
@@ -859,6 +851,33 @@ def test_every_recorded_node_passes_through_record(monkeypatch):
     assert [n for n in non_leaf if id(n) not in passed] == []
 
 
+def test_every_primitive_serves_training(monkeypatch):
+    """One fit step (`segment_gradients`, depth 3, f64, every loss weight
+    > 0) records every kind of the primitive table with at least one
+    recorded input, so every VJP runs in a fit: a product no loss
+    differentiates is a value read, not a kind."""
+    served = set()
+    record = Tape.record
+
+    def wrapper(self, kind, inputs, payload=None):
+        out = record(self, kind, inputs, payload)
+        if any(n.idx is not None for n in inputs):
+            served.add(kind)
+        return out
+
+    monkeypatch.setattr(Tape, "record", wrapper)
+    state = toy_state(seed=0, depth=3)
+    weights = losses.LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=0.3)
+    tape = Tape()
+    leaves = net.make_leaves(tape, state)
+    breakdown, _ = trainer.segment_gradients(
+        tape, leaves, tiny_series(0), weights, toy_plan(npts=5, k=4), state.config
+    )
+    assert min(breakdown.zero_anchor, breakdown.spatial, breakdown.temporal,
+               breakdown.monotonic) > 0.0
+    assert sorted(set(de._PRIMITIVES) - served) == []
+
+
 def _tape_size_setup(depth=5, width=16, embed=8, points=32):
     """A width-16 net and a plan of 32 points over 4 observed times and an
     8-time grid."""
@@ -944,17 +963,18 @@ def test_grouped_loss_gradients_match_one_time_groups(monkeypatch, grid_times):
 
 def test_training_time_groups_fill_block_bytes(monkeypatch):
     """A training trace puts as many times in a block as keep one
-    hidden-layer block within BLOCK_BYTES: at the fit-narrow shape (width
-    32, B=256, 512 KiB per time with every slot) the 8-time grid is 2
-    groups of 4 and the 4 value-only observed times 1; at the paper's
-    (width 256, B=128, 2 MiB per time) each grid time is its own group.
-    No jet block the fit-narrow loss records exceeds BLOCK_BYTES."""
+    hidden-layer block within BLOCK_BYTES, the `chunk_points` rule with
+    points and times swapped: at the fit-narrow shape (width 32, B=256,
+    512 KiB per time with every slot) the 8-time grid is 2 groups of 4 and
+    the 4 value-only observed times 1; at the paper's (width 256, B=128,
+    2 MiB per time) each grid time is its own group.  No jet block the
+    fit-narrow loss records exceeds BLOCK_BYTES."""
     full, value = net.DerivativeRequest(spatial=True, temporal=True), net.DerivativeRequest()
     narrow, paper = net.NetworkConfig(hidden_width=32, time_embed_width=16), net.NetworkConfig()
-    assert net.group_times(narrow, full, 256, np.float64) == 4
-    assert net.group_times(narrow, value, 256, np.float64) == 32
-    assert net.group_times(paper, full, 128, np.float64) == 1
-    assert net.group_times(paper, full, 128, np.float32) == 2
+    assert net.chunk_points(narrow, full, np.float64, 256) == 4
+    assert net.chunk_points(narrow, value, np.float64, 256) == 32
+    assert net.chunk_points(paper, full, np.float64, 128) == 1
+    assert net.chunk_points(paper, full, np.float32, 128) == 2
     sizes = []
     record = Tape.record
 
@@ -967,8 +987,9 @@ def test_training_time_groups_fill_block_bytes(monkeypatch):
     monkeypatch.setattr(Tape, "record", sized)
     series, state, plan = _tape_size_setup(width=32, embed=16, points=256)
     _, _, kinds = _loss_gradients(series, state, plan, losses.LossWeights())
-    assert kinds["jacdet_dt"] == kinds["jacobian"] == 2
-    assert kinds["jet_slot"] == 4 + 2  # displacement at each observed time, dphi/dt per group
+    assert kinds["jacdet_dt"] == 2
+    # displacement at each observed time, J and dphi/dt per group
+    assert kinds["jet_slot"] == 4 + 2 + 2
     assert max(sizes) == net.BLOCK_BYTES
 
 

@@ -1,13 +1,13 @@
 """Source check: only `diffengine` records a jet primitive, so the payload
 format of a jet block lives behind that one module; every other module
 builds jets through the bundle rules and reads them through the readers
-(`jet_slot`, `jacobian`, `jacdet`, `jacdet_dt`)."""
+(`jet_slot` and `jacdet_dt`; `jacdet` records nothing)."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ndfreg"
-READER_KINDS = {"jacobian", "jacdet", "jacdet_dt"}
+READER_KINDS = {"jacdet_dt"}
 
 
 def jet_records(path):

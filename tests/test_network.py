@@ -26,12 +26,12 @@ def toy_state(seed=1, amplify=3.0, config=TOY):
 def traced(state, coords, times, request=FULL_REQ):
     """J of phi (identity included), (3,3,B), and dphi/dt, (3,B), at each
     of `times`, read off one frozen trace (one time per group) by
-    `diffengine.jacobian` and `network.dphi_dt`."""
+    `network.jacobian` and `network.dphi_dt`."""
     tape = Tape()
     leaves = net.make_leaves(tape, state, trainable=False)
     products = []
     for out in net.trace_network(tape, leaves, coords, times, state.config, request):
-        jac = de.jacobian(tape, out).value.reshape(3, 3, -1)
+        jac = net.jacobian(tape, out).value.reshape(3, 3, -1)
         jac[range(3), range(3)] += 1.0
         products.append((jac, net.dphi_dt(tape, out).value))
     return products
@@ -121,7 +121,7 @@ def taped_embed(state, ts):
     leaves = net.make_leaves(tape, state, trainable=False)
     tb = de.Jet(tape.constant(np.concatenate([ts, np.ones_like(ts)])[:, None]), (de.V, de.T))
     eb = net._trace_time_embed(tape, leaves.theta, tb, state.config)
-    return tuple(de.jet_slot(tape, eb, s).value for s in (de.V, de.T))
+    return tuple(de.jet_slot(tape, eb, (s,)).value for s in (de.V, de.T))
 
 
 def test_time_embed_zero_theta_is_zero():
@@ -369,7 +369,7 @@ def _jet_arrays(jet, time):
     return out
 
 
-READERS = (net.displacement, net.dphi_dt, de.jacobian, de.jacdet, de.jacdet_dt)
+READERS = (net.displacement, net.dphi_dt, net.jacobian, de.jacdet_dt)
 
 
 def _scalar(tape, products):
@@ -390,9 +390,9 @@ def _at(product, k, points, time):
 def test_trace_network_shares_prefix_exactly():
     """One trace over 8 times, one group of 8, equals 8 one-time traces on
     separate tapes: every value, tangent and mixed entry, and row k of each
-    of the group's products, bit for bit; and the leaf gradients of a
-    scalar built from them to rounding (the shared prefix and the weights
-    sum their adjoints in another order)."""
+    of the group's products and of |I + J|, bit for bit; and the leaf
+    gradients of a scalar built from the products to rounding (the shared
+    prefix and the weights sum their adjoints in another order)."""
     cfg = net.NetworkConfig(hidden_width=8, depth=5, time_hidden_width=6, time_embed_width=12)
     state = toy_state(seed=3, config=cfg)
     points = 11
@@ -422,6 +422,7 @@ def test_trace_network_shares_prefix_exactly():
         for got, ref in zip(products, one_products):
             assert _at(got, 8, points, k).tobytes() == _at(ref, 1, points, 0).tobytes()
         assert disps[k].tobytes() == one_products[0].value.tobytes()
+        assert de.jacdet(out)[k].tobytes() == de.jacdet(want)[0].tobytes()
         one.backward(_scalar(one, one_products))
         for acc, g in zip(sep_grads, one_leaves.grads()):
             acc += g
