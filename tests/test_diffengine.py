@@ -754,15 +754,17 @@ def _jet_cases(rng):
             ((block(SPACE, 12), col(3)), (SPACE, k3, (de.X,), 2)),
             ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.V,), None)),
             ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.Y,), 2)),
-            # J, the spatial slots of an output block: a group of one time,
-            # of three, a shared block (depth 2) and a single time
+            # slots v and t with the spatial ones, of every time and of one
+            ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.V, de.X, de.T), None)),
+            ((block(ALL_SLOTS, 12), col(6)), (ALL_SLOTS, k3, (de.T, de.ZT, de.V), 2)),
+        ],
+        # J, the spatial slots of an output block: a group of one time, of
+        # three, a shared block (depth 2) and a single time
+        "jacobian": [
             ((block(SPACE), col(1)), (SPACE, ONE, de.SPATIAL, None)),
             ((block(ALL_SLOTS, 12), col(6), col(1)), (ALL_SLOTS, k3, de.SPATIAL, None)),
             ((block(SPACE), col(3), col(1)), (SPACE, shared, de.SPATIAL, None)),
             ((block(ALL_SLOTS, 12), col(6)), (ALL_SLOTS, k3, de.SPATIAL, 1)),
-            # slots v and t with the spatial ones, of every time and of one
-            ((block(SPACE), col(6), col(1)), (SPACE, shared, (de.V, de.X, de.T), None)),
-            ((block(ALL_SLOTS, 12), col(6)), (ALL_SLOTS, k3, (de.T, de.ZT, de.V), 2)),
         ],
         "jacdet_dt": [
             ((block(ALL_SLOTS),), read(ALL_SLOTS)),
@@ -785,8 +787,12 @@ def _fd_entries(rng, shape):
     return [np.unravel_index(i, shape) for i in flat]
 
 
-@pytest.mark.parametrize("kind", sorted(de._PRIMITIVES))
-def test_vjp_matches_finite_differences(kind):
+# case lists named apart from the kind that records them: J is a jet_slot read
+_CASE_KINDS = {"jacobian": "jet_slot"}
+
+
+@pytest.mark.parametrize("case", sorted([*de._PRIMITIVES, *_CASE_KINDS]))
+def test_vjp_matches_finite_differences(case):
     """<g, f(x)> differentiated by the kind's VJP, called with a copy of the
     random cotangent g (a VJP may overwrite its own), against central
     differences, for every input of every kind in the primitive table; a
@@ -795,13 +801,17 @@ def test_vjp_matches_finite_differences(kind):
     does not reach cancel exactly, however large the block."""
     rng = np.random.default_rng(41)
     cases = _vjp_cases(rng)
-    assert sorted(cases) == sorted(de._PRIMITIVES), "one case list per kind, no stale kinds"
+    assert sorted(cases) == sorted([*de._PRIMITIVES, *_CASE_KINDS]), (
+        "one case list per kind, no stale kinds"
+    )
+    assert set(_CASE_KINDS.values()) <= set(de._PRIMITIVES)
+    kind = _CASE_KINDS.get(case, case)
 
     def forward(values, payload):
         tape = Tape()
         return tape.record(kind, [tape.constant(v) for v in values], payload).value
 
-    for values, payload in cases[kind]:
+    for values, payload in cases[case]:
         g = rng.uniform(-1.0, 1.0, size=np.shape(forward(values, payload)))
         tape = Tape()
         out = tape.record(kind, [tape.leaf(v) for v in values], payload)
