@@ -17,9 +17,11 @@ before anything is read or written.  It also refuses a `--slice-axis`
 other than x, y or z and a `jacobian --range` other than two finite
 numbers lo < hi (default 0.5,1.5).  Either needs `--slice-index`, which
 the command checks against the grid before anything is evaluated, and
-`metrics` takes slice flags only with --holdout.  `metrics --holdout`
-runs its refit first, so a month with no follow-up scan, or the only
-one, is refused before anything is written.  The resolved
+`metrics` takes slice flags only with --holdout.  `metrics` refuses a
+`--times` grid of one month and a `--label-ids` id that the baseline
+labels lack before its held-out refit, which runs first, so those and a
+month with no follow-up scan, or the only one, are refused before
+anything is written.  The resolved
 configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
@@ -571,6 +573,11 @@ def _cmd_metrics(args) -> int:
         int(v) for v in np.unique(base_labels) if v != 0
     )
     times = args.times
+    if len(times) < 2:
+        raise ValueError(f"metrics: --times needs at least two months, got {len(times)}")
+    absent = [lid for lid in label_ids if not (base_labels == lid).any()]
+    if absent:
+        raise ValueError(f"metrics: --label-ids {absent[0]} is not a baseline label")
     dims = series.baseline.dims
     _check_slice(args, dims)
     if args.holdout is not None:  # refuses a bad month before anything is written

@@ -106,11 +106,15 @@ Lifetime contract:
   * A recorded node's adjoint is an array that the node alone owns: no
     other node's adjoint, value or aux shares its memory.  So `backward`
     adds each later cotangent into it in place, and hands it to the node's
-    VJP as `g`, which the VJP may overwrite: a hidden sine whose input
-    block has its output's slots and times writes its input cotangent
-    over `g` and yields it.  A VJP may yield one array to two inputs
-    (`add` yields `g` twice, `_column_grads` one slot-v sum to two column
-    terms); the second input then gets a copy, as does one handed a view.
+    VJP as `g`, which the VJP may overwrite.  Every sine and leaky rule
+    writes its input cotangent over the leading slots of `g`, since every
+    slot it adds sorts after its input's (`_jet_block` refuses any other
+    order), and yields `g`, a view of those slots (a one-time group's
+    layer 2), or those slots summed over the times for a block of one
+    time shared by K; no rule allocates any other cotangent block.  A VJP
+    may yield one array to two inputs (`add` yields `g` twice,
+    `_column_grads` one slot-v sum to two column terms); the second input
+    then gets a copy, as does one handed a view.
   * A weight's cotangent is a `Slab`: the (out, hi - lo) product of
     its columns lo:hi alone.  The weight's adjoint is allocated once per
     step, zero-filled, on its first slab, and every slab adds into its
@@ -342,6 +346,10 @@ def _jet_block(kind, values, slots, times):
     kb, k = times
     if slots[0] != V or z.ndim != 2 or kb not in (1, k) or z.shape[0] % (len(slots) * kb):
         raise DiffEngineError(f"{kind}: block {z.shape} does not hold slots {slots} at {kb} times")
+    if _sine_slots(slots, True)[: len(slots)] != slots:
+        raise DiffEngineError(
+            f"{kind}: slots {slots} must increase and precede every slot a rule adds"
+        )
     rows = z.shape[1]
     cv = ct = None
     for c in values[1:]:
@@ -384,21 +392,17 @@ def _column_grads(node, gv, gt, k):
             yield i, gv if n == k else gv.sum(axis=0, keepdims=True)
 
 
-def _cotangent(n_slots, panel, dtype):
-    """An uninitialised (S*K*P, rows) cotangent block for S = `n_slots` and
-    its (S, K, P, rows) view; `panel` is (K, P, rows)."""
-    gz2 = np.empty((n_slots * panel[0] * panel[1], panel[2]), dtype)
-    return gz2, gz2.reshape((n_slots,) + panel)
-
-
-def _block_cotangent(gz2, gz, kb):
-    """The cotangent of a block from `gz2`, its (S*K*P, rows) form, and
-    `gz`, the same as (S, K, P, rows): as it is, or summed over the K times
-    into a new (S*P, rows) array for a block one time shared by all K."""
+def _block_cotangent(g, g4, n, kb):
+    """The cotangent of a rule's input block of `n` slots, which the rule
+    wrote over the leading slots of its output's cotangent `g` (`g4` is g
+    as (S, K, P, rows)): `g` itself, a view of its leading rows, or, for a
+    block of one time shared by all K, those slots summed over the times
+    into a new (n*P, rows) array."""
+    gz = g4[:n]
     if gz.shape[1] == kb:
-        return gz2
-    out = np.empty((gz.shape[0] * gz.shape[2], gz.shape[3]), gz.dtype)
-    np.sum(gz, axis=1, out=out.reshape(gz.shape[0], gz.shape[2], gz.shape[3]))
+        return g if n == len(g4) else g[: len(g) // len(g4) * n]
+    out = np.empty((n * gz.shape[2], gz.shape[3]), gz.dtype)
+    np.sum(gz, axis=1, out=out.reshape((n,) + gz.shape[2:]))
     return out
 
 
@@ -503,50 +507,37 @@ def _jet_sine_vjp(node, g):
     """With acc = sum of g_s z_s over the tangent slots and mix = sum of
     g_dt z_d: g_u = omega c (g_v - omega^2 z_t mix) - omega^2 s acc,
     g_zd = omega c g_d - omega^2 s z_t g_dt, g_zdt = omega c g_dt and
-    g_zt = omega c g_t - omega^2 s mix.  A shared block's cotangent is
-    summed over the times.
+    g_zt = omega c g_t - omega^2 s mix.
 
-    When the input block has the output's slots and times (every hidden
-    sine but layer 2's, whose input is the one-time prefix without the t
-    and mixed slots), the input cotangent overwrites `g`, which the sweep
-    hands over as the node's own.  acc and mix are taken first, from the
-    untouched `g`, into panels `a` and `b`; then the spatial slots are
-    written, with omega^2 s z_t in `c` and each product in `e`; then g_u
-    over slot v and g_zt over slot t.  Scratch is at most those four
-    (K, P, rows) panels.  Otherwise (layer 2) the input cotangent is a new
-    block and the spatial slots are written first, with `c` = `a` and
-    `e` = the new block's slot v, which is written last; scratch is then
-    `a` and `b`, and g_zt goes to `a` when the block has no t slot.  In
-    place, a value-only rule needs one panel, omega c.  A folded z_t
-    that is a sum is added again into the buffer each use is given, never
-    held.  Every entry gets the same operations in the same order whatever
-    the buffers, so the results do not depend on them."""
-    omega, slots, times = node.payload
-    z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots, times)
-    kb, k = times
+    The input's slots are the output's first ones (`_jet_block`), so the
+    input cotangent overwrites the leading slots of `g`, which the sweep
+    hands over as the node's own, and goes out as `_block_cotangent`
+    yields it.  acc and mix are taken first, from the untouched `g`, into
+    panels `a` and `b`; then the spatial slots are written, with
+    omega^2 s z_t in `c` and each product in `e`; then g_u over slot v and
+    g_zt over slot t.  Scratch is at most those four (K, P, rows) panels,
+    and one, omega c, for a value-only rule.  A folded z_t that is a sum
+    is added again into the buffer each use is given, never held."""
+    omega, slots, (kb, k) = node.payload
+    z, pos, cv, ct = _jet_block("jet_sine", [n.value for n in node.inputs], slots, (kb, k))
     panel = (k,) + z.shape[2:]
     out_slots = _sine_slots(slots, ct is not None)
-    in_place = out_slots == slots and kb == k
-    if in_place:
-        gz2, gz = g, g.reshape((len(slots),) + panel)
-    else:
-        gz2, gz = _cotangent(len(slots), panel, z.dtype)
-    gu = gz[0]
+    g4 = g.reshape((len(out_slots),) + panel)
+    gu = g4[0]
     if node.aux is None:  # value only
-        wc = np.empty(panel, z.dtype) if in_place else gu
-        _sin_cos(_omega_u(z, cv, omega, out=wc), cos_out=wc)
-        np.multiply(_scale(wc, omega), g.reshape(panel), out=gu)
-        yield 0, _block_cotangent(gz2, gz, kb)
+        wc = _omega_u(z, cv, omega, out=np.empty(panel, z.dtype))
+        _sin_cos(wc, cos_out=wc)
+        np.multiply(_scale(wc, omega), gu, out=gu)
+        yield 0, _block_cotangent(g, g4, 1, kb)
         yield from _column_grads(node, gu, None, k)
         return
     w2 = omega * omega
     opos = {s: i for i, s in enumerate(out_slots)}
-    g = g.reshape((len(out_slots),) + panel)
     wc = node.aux
-    s = node.value.reshape(g.shape)[0]
+    s = node.value.reshape(g4.shape)[0]
     mixed = [d for d in SPATIAL if d + 4 in opos]
     a, b = np.empty(panel, z.dtype), np.empty(panel, z.dtype)
-    c, e = (np.empty(panel, z.dtype), np.empty(panel, z.dtype)) if in_place and mixed else (a, gu)
+    c, e = (np.empty(panel, z.dtype), np.empty(panel, z.dtype)) if mixed else (None, None)
 
     def zt(buf):
         """The folded t slot: a view, or z_t + ct added into `buf`."""
@@ -554,47 +545,41 @@ def _jet_sine_vjp(node, g):
             return np.add(z[pos[T]], ct, out=buf)
         return _folded(z, pos, cv, ct, T)
 
-    def spatial():
-        """The cotangents of the spatial slots and their mixed slots."""
-        if mixed:
-            w2szt = _scale(np.multiply(s, zt(c), out=c), w2)
-        for d in SPATIAL:
-            if d not in opos:
-                continue
-            np.multiply(wc, g[opos[d]], out=gz[pos[d]])
-            if d in mixed:
-                gz[pos[d]] -= np.multiply(w2szt, g[opos[d + 4]], out=e)
-                if d + 4 in pos:
-                    np.multiply(wc, g[opos[d + 4]], out=gz[pos[d + 4]])
-
-    if not in_place:
-        spatial()
-    pairs = [(g[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
+    pairs = [(g4[opos[d]], z[pos[d]]) for d in SPATIAL if d in opos]
     if T in opos:
-        pairs.append((g[opos[T]], zt))
-    pairs += [(g[opos[d + 4]], z[pos[d + 4]]) for d in mixed if d + 4 in pos]
+        pairs.append((g4[opos[T]], zt))
+    pairs += [(g4[opos[d + 4]], z[pos[d + 4]]) for d in mixed if d + 4 in pos]
     acc = _sum_products(pairs, a, b)
     _scale(np.multiply(s, acc, out=acc), w2)
-    mix = _sum_products([(g[opos[d + 4]], z[pos[d]]) for d in mixed], b, e)
-    if in_place:
-        spatial()
+    mix = _sum_products([(g4[opos[d + 4]], z[pos[d]]) for d in mixed], b, e)
+
+    if mixed:
+        w2szt = _scale(np.multiply(s, zt(c), out=c), w2)
+    for d in SPATIAL:
+        if d not in opos:
+            continue
+        gd = np.multiply(wc, g4[opos[d]], out=g4[opos[d]])
+        if d in mixed:
+            gdt = g4[opos[d + 4]]
+            gd -= np.multiply(w2szt, gdt, out=e)
+            if d + 4 in pos:
+                np.multiply(wc, gdt, out=gdt)
 
     if mix is None:
-        np.multiply(g[0], wc, out=gu)
+        np.multiply(gu, wc, out=gu)
     else:
         np.multiply(zt(e), mix, out=e)
         _scale(e, w2)
-        np.subtract(g[0], e, out=gu)
+        np.subtract(gu, e, out=gu)
         gu *= wc
     gu -= acc
 
     gzt = None
     if T in opos:
-        gzt = gz[pos[T]] if T in pos else a
-        np.multiply(wc, g[opos[T]], out=gzt)
+        gzt = np.multiply(wc, g4[opos[T]], out=g4[opos[T]])
         if mix is not None:
             gzt -= _scale(np.multiply(s, mix, out=mix), w2)
-    yield 0, _block_cotangent(gz2, gz, kb)
+    yield 0, _block_cotangent(g, g4, len(slots), kb)
     yield from _column_grads(node, gu, gzt if ct is not None else None, k)
 
 
@@ -621,19 +606,16 @@ def _jet_leaky_forward(dtype, values, payload):
 
 
 def _jet_leaky_vjp(node, g):
-    slope, slots, times = node.payload
-    z, pos, cv, ct = _jet_block("jet_leaky", [n.value for n in node.inputs], slots, times)
-    kb, k = times
-    panel = (k,) + z.shape[2:]
+    """Every slot's cotangent times the slope mask, written over `g`: the
+    input cotangent is its leading slots (`_block_cotangent`), and slot v's
+    and slot t's go to the column terms."""
+    slope, slots, (kb, k) = node.payload
+    z, pos, cv, ct = _jet_block("jet_leaky", [n.value for n in node.inputs], slots, (kb, k))
     out_slots = _folded_slots(slots, ct is not None)
-    mask = _leaky_mask(_folded(z, pos, cv, ct, V), slope, node.value.dtype)
-    g = g.reshape((len(out_slots),) + panel)
-    gz2, gz = _cotangent(len(slots), panel, z.dtype)
-    for slot, i in pos.items():
-        np.multiply(mask, g[out_slots.index(slot)], out=gz[i])
-    yield 0, _block_cotangent(gz2, gz, kb)
-    gt = mask * g[out_slots.index(T)] if ct is not None else None
-    yield from _column_grads(node, gz[0], gt, k)
+    g4 = g.reshape((len(out_slots), k) + z.shape[2:])
+    g4 *= _leaky_mask(_folded(z, pos, cv, ct, V), slope, node.value.dtype)
+    yield 0, _block_cotangent(g, g4, len(slots), kb)
+    yield from _column_grads(node, g4[0], g4[out_slots.index(T)] if ct is not None else None, k)
 
 
 def _jet_slot_forward(dtype, values, payload):

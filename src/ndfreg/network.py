@@ -75,14 +75,16 @@ because `trace_network` drops each layer's input activation before the
 layer's rule runs (the sine adds scratch of four slot panels).  A
 training tape holds the same bytes grouped or not.  The reverse sweep's
 transient is the incoming cotangent, one group's block of up to
-BLOCK_BYTES, plus scratch slot panels, with no second block: a sine
-from layer 3 on writes its input cotangent over the incoming one, with
-at most four scratch panels, and only layer 2's sine, whose input is
-the one-time prefix, makes a new cotangent block (with two).  A weight
-gradient adds into its columns of the weight's adjoint, which each step
-allocates once.  A recorded group
-keeps 2(depth - 2) - 1 blocks (layer 2's sine, each deeper hidden
-layer's matmul and sine) and an omega*cos slot panel per sine: 5.4
+BLOCK_BYTES, plus scratch slot panels, with no second block: every
+sine and leaky rule writes its input cotangent over the leading slots of
+the incoming one, with at most four scratch panels, and no rule
+allocates a cotangent block.  Only layer 2's input, the one-time prefix,
+gets a new array: those slots summed over the times (or, in a group of
+one time, the sweep's copy of them).  A weight gradient adds into its
+columns of the weight's adjoint, which each step allocates once.  A
+recorded group keeps 2(depth - 2) - 1 blocks (layer 2's sine, each
+deeper hidden layer's matmul and sine) and an omega*cos slot panel per
+sine: 5.4
 blocks at depth 5; with the prefix, the output block and the loss's
 readers a fit step's regularizer segment records 5.7-5.8 blocks, leaves
 left out.

@@ -368,6 +368,23 @@ def test_metrics_refuses_a_bad_holdout_before_writing(tmp_path, capsys, times, h
     assert not (out / "structure_metrics.csv").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--times", "12"], "--times"),
+    (["--times", "0,12", "--label-ids", "1,99"], "--label-ids 99"),
+], ids=["one-month", "absent-label"])
+def test_metrics_holdout_refuses_bad_structure_args_before_the_refit(tmp_path, capsys, flags,
+                                                                      named):
+    """A --times grid of one month, or a --label-ids id that the baseline
+    labels lack, is an input error naming it, raised before the held-out
+    refit runs or writes anything."""
+    ph, out = str(tmp_path / "phantom"), tmp_path / "out"
+    assert cli.main(["phantom", "--out", ph, "--dims", "8,8,8", "--times", "0,12,24"]) == 0
+    _refused(capsys, ["metrics", "--model", _tiny_model(tmp_path), "--out", str(out),
+                      "--manifest", os.path.join(ph, "manifest.txt"), "--holdout", "12",
+                      "--iterations", "1", "--batch-points", "8", *flags], named)
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--times", "0,inf"], "times"),
     (["--times", "0,12,nan"], "times"),

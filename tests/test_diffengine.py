@@ -270,16 +270,17 @@ def _sine_vjp_peak(layer):
     return node, 4 * 256 * 32 * 8, g, grads, peak - before
 
 
-def test_shared_block_sine_vjp_holds_two_scratch_panels():
+def test_shared_block_sine_vjp_holds_four_scratch_panels():
     """Layer 2's block is one time shared by the K = 4 times and has no t
-    slot: its rule allocates its input cotangent, summed over the times,
-    and at most two scratch panels."""
+    slot: its rule writes its input cotangent over the leading slots of the
+    one it is handed, and allocates only their sum over the times and at
+    most four scratch panels."""
     node, panel, _, _, peak = _sine_vjp_peak(2)
     _, slots, (kb, k) = node.payload
     assert (kb, k) == (1, 4) and de.T not in slots
     summed = node.inputs[0].value.nbytes  # the shared block's cotangent
     # slack: numpy's ufunc buffers and the (K, rows) column-term sums
-    assert peak <= len(slots) * panel + summed + 2 * panel + panel // 2
+    assert peak <= 4 * panel + summed + panel // 2
 
 
 def test_in_place_sine_vjp_holds_four_scratch_panels():
@@ -293,6 +294,65 @@ def test_in_place_sine_vjp_holds_four_scratch_panels():
     assert grads[0][1] is g
     # slack: numpy's ufunc buffers and the (K, rows) column-term sums
     assert peak <= 4 * panel + panel // 2
+
+
+def test_embedding_leaky_vjp_yields_its_cotangent():
+    """Both leaky rules of the time embedding keep their input's slots v, t
+    at its one block time: each writes its input cotangent, every slot
+    times the slope mask, over the one it is handed and yields that
+    array."""
+    cfg = net.NetworkConfig(hidden_width=8, depth=3, time_hidden_width=6, time_embed_width=4)
+    tape = Tape()
+    leaves = net.make_leaves(tape, net.init_network(seed=1, config=cfg))
+    net.trace_network(tape, leaves, np.zeros((3, 5)), [0.2, 0.7], cfg,
+                      net.DerivativeRequest(spatial=True, temporal=True))
+    leaky = [n for n in tape.nodes if n.kind == "jet_leaky"]
+    assert len(leaky) == 2
+    for node in leaky:
+        assert node.payload[1:] == ((de.V, de.T), ONE)
+        g = np.random.default_rng(2).standard_normal(node.value.shape)
+        mask = np.where(node.value[: len(g) // 2] >= 0.0, 1.0, cfg.leaky_slope)
+        want = g * np.concatenate([mask, mask])
+        grads = list(de._PRIMITIVES["jet_leaky"].vjp(node, g))
+        assert grads[0][1] is g
+        np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("kind, parameter", [("jet_sine", 2.0), ("jet_leaky", 0.1)])
+@pytest.mark.parametrize("slots", [(de.V, de.T, de.X), (de.V, de.X, de.XT)])
+def test_rules_refuse_slots_a_rule_would_add_before(kind, parameter, slots):
+    """Slots out of order, or a mixed slot without t (a t column would
+    insert t before it), are refused by name: a rule writes its input
+    cotangent over its output's leading slots."""
+    tape = Tape()
+    block = tape.leaf(np.ones((3 * 2, 4)))
+    with pytest.raises(de.DiffEngineError, match=f"{kind}: slots"):
+        tape.record(kind, (block,), (parameter, slots, ONE))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_time_trace_sweeps_like_an_allocating_sweep(dtype):
+    """A trainable trace of one time (K = 1): layer 2's sine, whose input
+    has slots v, x, y, z alone, yields a view of the leading slots of its
+    cotangent, and the sweep's gradients equal an allocating sweep's bit
+    for bit."""
+    cfg = net.NetworkConfig(hidden_width=16, depth=5, time_hidden_width=6, time_embed_width=8)
+    coords = np.random.default_rng(4).uniform(-1, 1, size=(3, 24))
+    tape = Tape(dtype)
+    leaves = net.make_leaves(tape, net.init_network(seed=3, config=cfg))
+    (out,) = net.trace_network(tape, leaves, coords, [0.3], cfg,
+                               net.DerivativeRequest(spatial=True, temporal=True))
+    layer2 = [n for n in tape.nodes if n.kind == "jet_sine"][1]
+    assert layer2.payload[1:] == (SPACE, ONE) and len(layer2.value) == 8 * 24
+    terms = [net.displacement(tape, out), net.dphi_dt(tape, out), net.jacobian(tape, out),
+             de.jacdet_dt(tape, out)]
+    total = functools.reduce(tape.add, [tape.sum_squares(t) for t in terms])
+    want = _allocating_grads(tape, total)
+    leaf_nodes = [n for n in tape.nodes if n.kind == "leaf"]
+    tape.backward(total)
+    assert all(w is not None for w in want)
+    for leaf, ref in zip(leaf_nodes, want):
+        np.testing.assert_array_equal(leaf.adjoint, ref)
 
 
 def test_affine_vjp_allocates_no_weight_sized_array():
