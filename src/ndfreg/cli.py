@@ -18,8 +18,9 @@ other than x, y or z and a `jacobian --range` other than two finite
 numbers lo < hi (default 0.5,1.5).  Either needs `--slice-index`, which
 the command checks against the grid before anything is evaluated, and
 `metrics` takes slice flags only with --holdout.  `metrics` refuses a
-`--times` grid of one month and a `--label-ids` id that the baseline
-labels lack before its held-out refit, which runs first, so those and a
+`--times` grid of one month, a `--label-ids` id that the baseline labels
+lack, and, without `--label-ids`, baseline labels that hold only
+background, before its held-out refit, which runs first, so those and a
 month with no follow-up scan, or the only one, are refused before
 anything is written.  The resolved
 configuration is echoed into the output directory next to the results.
@@ -510,10 +511,12 @@ def _check_slice(args, dims):
 
 def _cmd_predict(args) -> int:
     from . import fileio, trainer
+    from .network import DerivativeRequest
 
     state = fileio.load_model(args.model)
     dims, scan, spacing = _require_dims(args, fileio)
-    field = trainer.predict_field(state, args.time, dims, want_djdt=args.with_djdt)
+    request = DerivativeRequest(spatial=True, temporal=args.with_djdt)
+    field = trainer.predict_field(state, args.time, dims, request)
     outputs = {f"disp_{name}": field.displacement[axis] for axis, name in enumerate("xyz")}
     outputs["jacdet"] = field.jac_det
     if args.with_djdt:
@@ -554,8 +557,8 @@ def _cmd_jacobian(args) -> int:
 def _cmd_metrics(args) -> int:
     import numpy as np
 
-    from . import fileio, metrics, network
-    from .volume import grid_coordinates
+    from . import fileio, metrics, trainer
+    from .network import DerivativeRequest
 
     if args.holdout is None:  # only the held-out refit reads these
         given = ["--config"] if args.config is not None else []
@@ -572,6 +575,9 @@ def _cmd_metrics(args) -> int:
     label_ids = args.label_ids or sorted(
         int(v) for v in np.unique(base_labels) if v != 0
     )
+    if not label_ids:
+        raise ValueError("metrics: the baseline labels hold only background (0), "
+                         "so there is no structure to score")
     times = args.times
     if len(times) < 2:
         raise ValueError(f"metrics: --times needs at least two months, got {len(times)}")
@@ -586,19 +592,17 @@ def _cmd_metrics(args) -> int:
     trajectories = metrics.structure_trajectories(
         state, base_labels, label_ids, times, deadband=args.deadband
     )
-    # Dice needs only the warped labels: displacement alone, all times at once
-    followups = [m for m in series.labels if m != 0.0]
-    fields = network.forward_with_derivatives(
-        state, grid_coordinates(dims), [m / state.time_horizon for m in followups],
-        network.DerivativeRequest(),
-    )
+    # Dice at the labelled follow-ups the rows read: displacement alone,
+    # all times at once
+    followups = [m for m in series.labels if m != 0.0 and m in times]
     dice_at = {}
-    for months, field in zip(followups, fields):
-        phi = field.phi.reshape((3,) + tuple(dims))
-        warped = metrics.warp_labels(series.labels[months], phi)
-        dice_at[months] = {
-            lid: metrics.dice(base_labels, warped, lid) for lid in label_ids
-        }
+    if followups:
+        fields = trainer.predict_field(state, followups, dims, DerivativeRequest())
+        for months, field in zip(followups, fields):
+            warped = metrics.warp_labels(series.labels[months], field.phi)
+            dice_at[months] = {
+                lid: metrics.dice(base_labels, warped, lid) for lid in label_ids
+            }
 
     rows = [["time", "label", "mean_jac", "mean_djac_dt", "dice", "sign_consistency"]]
     for tr in trajectories:

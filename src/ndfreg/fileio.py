@@ -2,6 +2,8 @@
 reader, PGM slice images, CSV, scan manifests, and the NDFIELD model
 container.
 
+A volume is its values and spacing: NIfTI orientation fields are not read.
+
 Readers reject malformed input outright; no partially-read volume is ever
 returned.  Writers go through a temp-file-plus-rename so output files are
 atomic.  Raw round trips are bit-exact for every supported dtype.
@@ -120,8 +122,7 @@ def read_raw_labels(path: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# NIfTI-1 subset: single-file .nii / .nii.gz, 3-d, common datatypes,
-# scl_slope/scl_inter applied, orientation recorded but not acted on.
+# NIfTI-1 subset: single-file .nii / .nii.gz, 3-d, common datatypes.
 # ---------------------------------------------------------------------------
 
 _NIFTI_DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
@@ -136,6 +137,8 @@ def _read_nifti_blob(path: str) -> bytes:
 
 
 def _parse_nifti(path: str):
+    """(stored voxels as a read-only view, spacing, scl_slope, scl_inter):
+    the NIfTI twin of `_read_raw_array`."""
     blob = _read_nifti_blob(path)
     if len(blob) < 348:
         raise FileFormatError(f"{path}: shorter than a NIfTI-1 header")
@@ -165,8 +168,7 @@ def _parse_nifti(path: str):
         raise FileFormatError(f"{path}: unsupported datatype code {datatype}")
     pixdim = struct.unpack_from(f"{bo}8f", blob, 76)
     vox_offset = int(struct.unpack_from(f"{bo}f", blob, 108)[0])
-    scl_slope = struct.unpack_from(f"{bo}f", blob, 112)[0]
-    scl_inter = struct.unpack_from(f"{bo}f", blob, 116)[0]
+    scl_slope, scl_inter = struct.unpack_from(f"{bo}2f", blob, 112)
     if vox_offset < 348:
         raise FileFormatError(f"{path}: vox_offset {vox_offset} inside the header")
     dtype = np.dtype(_NIFTI_DTYPES[datatype]).newbyteorder(bo)
@@ -178,35 +180,26 @@ def _parse_nifti(path: str):
         )
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=vox_offset)
     array = data.reshape((nx, ny, nz), order="F")
-    meta = {
-        "qform_code": struct.unpack_from(f"{bo}h", blob, 252)[0],
-        "sform_code": struct.unpack_from(f"{bo}h", blob, 254)[0],
-        "srow_x": struct.unpack_from(f"{bo}4f", blob, 280),
-        "srow_y": struct.unpack_from(f"{bo}4f", blob, 296),
-        "srow_z": struct.unpack_from(f"{bo}4f", blob, 312),
-    }
-    values = array.astype(np.float64)
-    if scl_slope != 0.0:
-        values = values * scl_slope + scl_inter
-    return values, array, (pixdim[1], pixdim[2], pixdim[3]), meta
+    return array, (pixdim[1], pixdim[2], pixdim[3]), scl_slope, scl_inter
 
 
 def read_nifti(path: str) -> Volume3D:
-    """Parse the NIfTI-1 subset and return a normalized volume."""
-    values, _, spacing, meta = _parse_nifti(path)
-    vol = normalize_intensities(values, spacing=spacing)
-    vol.meta.update(meta)
-    vol.meta["raw_min"] = float(values.min())
-    vol.meta["raw_max"] = float(values.max())
-    return vol
+    """Parse the NIfTI-1 subset and return a normalized volume; a nonzero
+    scl_slope scales the stored values before normalization."""
+    array, spacing, scl_slope, scl_inter = _parse_nifti(path)
+    values = array.astype(np.float64)
+    if scl_slope != 0.0:
+        values = values * scl_slope + scl_inter
+    return normalize_intensities(values, spacing=spacing)
 
 
 def read_nifti_labels(path: str) -> np.ndarray:
-    """Integer label grid from a NIfTI file (scaling is ignored)."""
-    _, array, _, _ = _parse_nifti(path)
+    """Integer label grid from a NIfTI file (scaling is ignored): one
+    C-ordered int32 copy of the stored voxels."""
+    array, _, _, _ = _parse_nifti(path)
     if array.dtype.kind not in "iu":
         raise FileFormatError(f"{path}: labels need an integer datatype")
-    return np.ascontiguousarray(array.astype(np.int32))
+    return np.array(array, dtype=np.int32, order="C")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ of as many as fill one block (`network.chunk_points` of its points).
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk; inference
 traces one time per group and writes row 0 of each group's products.  It
-returns `network.DisplacementResult`s whose products are shaped as the
-grid.
+returns `network.DisplacementResult`s whose products, those its
+`network.DerivativeRequest` names, are shaped as the grid.
 
 With a fixed seed and single-threaded BLAS the loop is reproducible to
 bit-identical parameters.
@@ -370,20 +370,22 @@ def predict_field(
     state: net.NetworkState,
     t_months,
     dims,
-    want_djdt: bool = False,
+    request: net.DerivativeRequest = net.DerivativeRequest(spatial=True),
 ):
     """Evaluate the fitted field densely over the voxel grid, in the
     chunks of `network.forward_with_derivatives`, whose results equal one
-    pass.  `t_months` is one time (returns one DisplacementResult) or a
-    sequence of times (returns a list, one result per time, sharing the
-    network's time-invariant prefix).  Each result is on the grid: coords
-    and displacement are (3, nx, ny, nz), |J| and d|J|/dt (nx, ny, nz),
-    views of the arrays that `network.forward_with_derivatives` allocated
-    once at grid size, so memory is those products plus one chunk's prefix
-    and two hidden-layer blocks."""
+    pass; the grid goes in as flat (3, nx*ny*nz) coords.  `t_months` is
+    one time (returns one DisplacementResult) or a sequence of times
+    (returns a list, one result per time, sharing the network's
+    time-invariant prefix).  `request` names the derivative products: by
+    default |J| only, with `temporal` also d|J|/dt, and with neither the
+    displacement alone.  Each result is on the grid: coords and
+    displacement are (3, nx, ny, nz), |J| and d|J|/dt (nx, ny, nz), views
+    of the arrays that `network.forward_with_derivatives` allocated once
+    at grid size, so memory is those products plus one chunk's prefix and
+    two hidden-layer blocks."""
     single = np.ndim(t_months) == 0
     months = [t_months] if single else list(t_months)
-    request = net.DerivativeRequest(spatial=True, temporal=want_djdt)
     results = net.forward_with_derivatives(
         state, grid_coordinates(dims), [m / state.time_horizon for m in months], request
     )
@@ -391,8 +393,9 @@ def predict_field(
     for res in results:
         res.coords = res.coords.reshape(grid)
         res.displacement = res.displacement.reshape(grid)
-        res.jac_det = res.jac_det.reshape(grid[1:])
-        if want_djdt:
+        if res.jac_det is not None:
+            res.jac_det = res.jac_det.reshape(grid[1:])
+        if res.jac_det_dt is not None:
             res.jac_det_dt = res.jac_det_dt.reshape(grid[1:])
     return results[0] if single else results
 
@@ -404,4 +407,4 @@ def warp_volume(vol: Volume3D, phi: np.ndarray) -> Volume3D:
     if phi.shape != (3,) + tuple(vol.dims):
         raise ValueError(f"phi shape {phi.shape} does not match volume {vol.dims}")
     vals, _ = trilinear_values_and_grads(vol.values, phi.reshape(3, -1))
-    return Volume3D(vals.reshape(vol.dims), spacing=vol.spacing, meta=dict(vol.meta))
+    return Volume3D(vals.reshape(vol.dims), spacing=vol.spacing)

@@ -10,7 +10,7 @@ reporting only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,11 @@ __all__ = [
 
 @dataclass
 class Volume3D:
-    """Scalar intensity grid with dims (nx, ny, nz), values in [0,1]."""
+    """Scalar intensity grid with dims (nx, ny, nz), values in [0,1], and
+    its voxel spacing; nothing else of the file it came from is kept."""
 
     values: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)

@@ -52,6 +52,11 @@ def test_threads_option_pins_the_loaded_openblas(monkeypatch, tmp_path):
         cli.pin_blas_threads(before[0])
 
 
+# the smallest phantom grid whose labels hold a structure for `metrics`
+# to score (a 4^3 phantom's labels are all background)
+_LABELLED = "5,5,5"
+
+
 def _tiny_model(tmp_path):
     from ndfreg import fileio, network
 
@@ -341,7 +346,7 @@ def test_metrics_bad_slice_flags_are_refused(tmp_path, capsys, flags, named):
     """`metrics` takes its slice flags only with --holdout, and refuses a
     bad one before anything is evaluated, the refit included."""
     ph, out = str(tmp_path / "phantom"), tmp_path / "out"
-    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", "0,12,24"]) == 0
+    assert cli.main(["phantom", "--out", ph, "--dims", _LABELLED, "--times", "0,12,24"]) == 0
     refit = ["--iterations", "1", "--batch-points", "8", "--hidden-width", "4",
              "--depth", "3"] if "--holdout" in flags else []
     _refused(capsys, ["metrics", "--model", _tiny_model(tmp_path), "--out", str(out),
@@ -359,7 +364,7 @@ def test_metrics_refuses_a_bad_holdout_before_writing(tmp_path, capsys, times, h
     """A --holdout month with no follow-up scan, or the only follow-up, is
     an input error raised before anything is evaluated or written."""
     ph, out = str(tmp_path / "phantom"), tmp_path / "out"
-    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", times]) == 0
+    assert cli.main(["phantom", "--out", ph, "--dims", _LABELLED, "--times", times]) == 0
     capsys.readouterr()
     assert cli.main(["metrics", "--model", _tiny_model(tmp_path), "--out", str(out),
                      "--manifest", os.path.join(ph, "manifest.txt"), "--times", "0,12",
@@ -417,7 +422,7 @@ def test_metrics_refuses_fit_options_without_holdout(tmp_path, capsys, flags, na
     network flags; without --holdout each is an input error that names it,
     raised before anything is written."""
     ph, met = str(tmp_path / "phantom"), tmp_path / "metrics"
-    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", "0,12"]) == 0
+    assert cli.main(["phantom", "--out", ph, "--dims", _LABELLED, "--times", "0,12"]) == 0
     argv = ["metrics", "--model", _tiny_model(tmp_path), "--out", str(met),
             "--manifest", os.path.join(ph, "manifest.txt"), "--times", "0,12"]
     capsys.readouterr()
@@ -689,17 +694,17 @@ _TINY_FIT = ["--batch-points", "8", "--hidden-width", "4", "--depth", "3",
              "--time-hidden-width", "2", "--time-embed-width", "2"]
 
 
-def _phantom(tmp_path, times="0,12"):
-    """A 4^3 phantom series; returns its manifest path."""
+def _phantom(tmp_path, times="0,12", dims="4,4,4"):
+    """A phantom series, 4^3 by default; returns its manifest path."""
     ph = str(tmp_path / "phantom")
-    assert cli.main(["phantom", "--out", ph, "--dims", "4,4,4", "--times", times]) == 0
+    assert cli.main(["phantom", "--out", ph, "--dims", dims, "--times", times]) == 0
     return os.path.join(ph, "manifest.txt")
 
 
 def test_metrics_holdout_refuses_a_zero_time_horizon(tmp_path, capsys):
     """The held-out refit checks its config too: a time horizon of 0 is
     refused, not read as "the largest month"."""
-    manifest = _phantom(tmp_path, "0,12,24")
+    manifest = _phantom(tmp_path, "0,12,24", _LABELLED)
     out = tmp_path / "metrics"
     capsys.readouterr()
     rc = cli.main(["metrics", "--model", _tiny_model(tmp_path), "--manifest", manifest,
@@ -739,7 +744,7 @@ def test_metrics_holdout_refuses_a_mask_of_another_grid(tmp_path, capsys):
 
     from ndfreg import fileio
 
-    manifest = _phantom(tmp_path, "0,12,24")
+    manifest = _phantom(tmp_path, "0,12,24", _LABELLED)
     mask = str(tmp_path / "mask.raw")
     fileio.write_raw(mask, np.ones((3, 3, 3), dtype=np.int32))
     out = tmp_path / "metrics"
@@ -748,7 +753,7 @@ def test_metrics_holdout_refuses_a_mask_of_another_grid(tmp_path, capsys):
                    "--out", str(out), "--times", "0,12", "--holdout", "12",
                    "--iterations", "1", *_TINY_FIT, "--mask", mask])
     assert rc == cli.EXIT_INPUT
-    assert "does not match the scans' grid (4, 4, 4)" in capsys.readouterr().err
+    assert "does not match the scans' grid (5, 5, 5)" in capsys.readouterr().err
     assert not list(out.glob("*"))
 
 
@@ -799,6 +804,21 @@ def test_metrics_refuses_empty_label_ids(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("holdout", [[], ["--holdout", "12", "--iterations", "1", *_TINY_FIT]],
+                         ids=["plain", "holdout"])
+def test_metrics_refuses_background_only_baseline_labels(tmp_path, capsys, holdout):
+    """Baseline labels that hold only background (a 4^3 phantom's) leave no
+    structure to score: without --label-ids that is an input error naming
+    the baseline labels, raised before the held-out refit or any write (it
+    wrote a header-only structure_metrics.csv, exit 0)."""
+    manifest = _phantom(tmp_path, "0,12,24")
+    out = tmp_path / "metrics"
+    _refused(capsys, ["metrics", "--model", _tiny_model(tmp_path), "--manifest", manifest,
+                      "--out", str(out), "--times", "0,12", *holdout],
+             "the baseline labels hold only background")
+    assert not list(out.glob("*"))
+
+
 def _spacing(path):
     from ndfreg import fileio
 
@@ -815,7 +835,7 @@ def test_raw_outputs_carry_the_grid_spacing(tmp_path):
 
     from ndfreg import fileio, trainer
 
-    manifest = _phantom(tmp_path, "0,12,24")
+    manifest = _phantom(tmp_path, "0,12,24", _LABELLED)
     spacing = (1.5, 1.5, 2.0)
     baseline = os.path.join(os.path.dirname(manifest), "vol_00.raw")
     values, _ = fileio._read_raw_array(baseline)
@@ -828,7 +848,8 @@ def test_raw_outputs_carry_the_grid_spacing(tmp_path):
     assert sorted(p.stem for p in pathlib.Path(pred).glob("*.raw")) == sorted(names)
     assert {_spacing(os.path.join(pred, f"{n}.raw")) for n in names} == {spacing}
     state, scan = fileio.load_model(model), fileio.load_volume(baseline)
-    field = trainer.predict_field(state, 6.0, scan.dims, want_djdt=True)
+    with_djdt = network.DerivativeRequest(spatial=True, temporal=True)
+    field = trainer.predict_field(state, 6.0, scan.dims, with_djdt)
     got = fileio._read_raw_array(os.path.join(pred, "jacdet_dt.raw"))[0]
     assert got.tobytes() == np.asarray(field.jac_det_dt).tobytes()
     got = fileio._read_raw_array(os.path.join(pred, "warped.raw"))[0]

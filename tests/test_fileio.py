@@ -6,6 +6,7 @@ import gzip
 import json
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,16 +138,17 @@ def test_nifti_float32_fastest_x_order(tmp_path):
 
 
 def test_nifti_scl_slope(tmp_path):
+    """A nonzero scl_slope scales the stored values before min-max
+    normalization, which hides a positive slope and any intercept; a
+    negative slope flips the normalized values (stored 0 -> 1, 3 -> -5)."""
     values = np.full((2, 2, 2), 3, dtype=np.int16)
     values[0, 0, 0] = 0
     path = str(tmp_path / "b.nii")
-    open(path, "wb").write(build_nifti(values, 4, scl_slope=2.0, scl_inter=1.0))
-    vol = fileio.read_nifti(path)
-    # stored intensity 3 -> 7 pre-normalization; 0 -> 1; range [1, 7] -> [0, 1]
-    assert vol.meta["raw_max"] == 7.0
-    assert vol.meta["raw_min"] == 1.0
-    assert vol.values[0, 0, 0] == 0.0
-    assert vol.values[1, 1, 1] == 1.0
+    for slope, inter, low in [(0.0, 5.0, 0.0), (2.0, 1.0, 0.0), (-2.0, 1.0, 1.0)]:
+        open(path, "wb").write(build_nifti(values, 4, scl_slope=slope, scl_inter=inter))
+        vol = fileio.read_nifti(path)
+        assert vol.values[0, 0, 0] == low
+        assert vol.values[1, 1, 1] == 1.0 - low
 
 
 def test_nifti_gzip(tmp_path):
@@ -203,6 +205,25 @@ def test_nifti_labels(tmp_path):
         fileio.read_nifti_labels(fpath)
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+def test_nifti_labels_read_without_a_float_copy(tmp_path, slope):
+    """A label read holds the file's bytes and one int32 result: its peak
+    stays below 8 bytes per voxel, scaled or not (a float64 copy of the
+    grid alone is 8)."""
+    labels = np.random.default_rng(4).integers(0, 9, size=(64, 64, 64)).astype(np.int16)
+    path = str(tmp_path / "big.nii")
+    open(path, "wb").write(build_nifti(labels, 4, scl_slope=slope))
+    tracemalloc.start()
+    try:
+        got = fileio.read_nifti_labels(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, labels)
+    assert peak < 8 * labels.size
+
+
 def test_nifti_agrees_with_reference_conversion(tmp_path):
     """Three fixtures: reader output voxel-exact against the independent
     writer's source arrays."""
@@ -216,7 +237,8 @@ def test_nifti_agrees_with_reference_conversion(tmp_path):
         path = str(tmp_path / f"fix{i}.nii{'.gz' if gz else ''}")
         open(path, "wb").write(build_nifti(values, code, gzipped=gz))
         raw, _, _, _ = fileio._parse_nifti(path)
-        np.testing.assert_array_equal(raw, values.astype(np.float64))
+        assert raw.dtype == values.dtype
+        np.testing.assert_array_equal(raw, values)
 
 
 # ---------------------------------------------------------------------------

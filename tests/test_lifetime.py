@@ -213,7 +213,8 @@ def test_last_group_frees_the_shared_prefix(no_gc, monkeypatch):
 
 def test_predict_field_records_nothing(no_gc, tapes):
     state = net.init_network(seed=2, config=TOY_NET, time_horizon=12.0)
-    trainer.predict_field(state, 6.0, (5, 5, 5), want_djdt=True)
+    full = net.DerivativeRequest(spatial=True, temporal=True)
+    trainer.predict_field(state, 6.0, (5, 5, 5), full)
     assert tapes and all(len(t.nodes) == 0 for t in tapes)
 
 

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
 import ndfreg
@@ -110,3 +111,28 @@ def test_direct_uses_are_found():
 )
 def test_direct_use_resolves(path, module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_predict_field_hands_the_tracer_flat_coordinates(monkeypatch):
+    """The tracer's `_count_voxels` counts `coords.shape[1]` of each
+    `network.forward_with_derivatives` call as its voxels, which holds
+    for flat (3, N) coordinates only: every call `trainer.predict_field`
+    makes, for any request and one time or several, passes the grid so."""
+    shapes = []
+    evaluate = network.forward_with_derivatives
+
+    def spy(state, coords, *args, **kwargs):
+        shapes.append(np.shape(coords))
+        return evaluate(state, coords, *args, **kwargs)
+
+    monkeypatch.setattr(network, "forward_with_derivatives", spy)
+    config = network.NetworkConfig(hidden_width=8, depth=3, time_hidden_width=4,
+                                   time_embed_width=8)
+    state = network.init_network(seed=0, config=config, time_horizon=12.0)
+    dims = (4, 5, 6)
+    trainer.predict_field(state, 6.0, dims)
+    for spatial, temporal in ((False, False), (True, False), (True, True)):
+        request = network.DerivativeRequest(spatial=spatial, temporal=temporal)
+        trainer.predict_field(state, 6.0, dims, request)
+        trainer.predict_field(state, [0.0, 12.0], dims, request)
+    assert shapes == [(3, 4 * 5 * 6)] * 7

@@ -15,6 +15,7 @@ from ndfreg.volume import Volume3D, Volume4DSeries, grid_coordinates
 from test_volume import scalar_trilinear_oracle
 
 TOY_NET = net.NetworkConfig(hidden_width=8, depth=3, time_hidden_width=4, time_embed_width=8)
+WITH_DJDT = net.DerivativeRequest(spatial=True, temporal=True)  # |J| and d|J|/dt
 
 
 def tiny_series(seed=0):
@@ -299,7 +300,7 @@ def zero_state():
 
 
 def test_predict_field_zero_network_identity():
-    field = trainer.predict_field(zero_state(), 6.0, (6, 6, 6), want_djdt=True)
+    field = trainer.predict_field(zero_state(), 6.0, (6, 6, 6), WITH_DJDT)
     assert field.coords.shape == field.displacement.shape == (3, 6, 6, 6)
     assert field.jac_det.shape == field.jac_det_dt.shape == (6, 6, 6)
     assert np.all(field.displacement == 0.0)
@@ -316,11 +317,10 @@ def test_predict_field_chunking_bit_identical(monkeypatch):
     state = net.init_network(seed=4, config=TOY_NET, time_horizon=12.0)
     for w, _ in state.psi + state.theta:
         w *= 3.0
-    a = trainer.predict_field(state, 9.0, (7, 7, 7), want_djdt=True)
+    a = trainer.predict_field(state, 9.0, (7, 7, 7), WITH_DJDT)
     monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: 17)
     b = net.forward_with_derivatives(
-        state, grid_coordinates((7, 7, 7)), 9.0 / 12.0,
-        net.DerivativeRequest(spatial=True, temporal=True),
+        state, grid_coordinates((7, 7, 7)), 9.0 / 12.0, WITH_DJDT,
     )
     assert a.displacement.tobytes() == b.displacement.tobytes()
     assert a.jac_det.tobytes() == b.jac_det.tobytes()
@@ -332,10 +332,10 @@ def test_predict_field_times_sequence_matches_separate_calls():
     for w, _ in state.psi + state.theta:
         w *= 3.0
     months = [3.0, 9.0, 15.0]
-    grids = trainer.predict_field(state, months, (5, 5, 5), want_djdt=True)
+    grids = trainer.predict_field(state, months, (5, 5, 5), WITH_DJDT)
     assert len(grids) == len(months)
     for m, got in zip(months, grids):
-        want = trainer.predict_field(state, m, (5, 5, 5), want_djdt=True)
+        want = trainer.predict_field(state, m, (5, 5, 5), WITH_DJDT)
         for name in ("displacement", "jac_det", "jac_det_dt"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
