@@ -27,18 +27,33 @@ configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
---threads N pins the BLAS thread pool (reproducibility mode is
---threads 1).  Importing this module runs the package `__init__`, which
-loads numpy and its OpenBLAS, so the count is set twice: through the
-loaded OpenBLAS's own setter, found with ctypes, and through the
-environment variables that a library loaded later reads.
+--threads N: for `predict`, `jacobian` and `metrics` it is the number of
+chunk workers of their dense evaluations
+(`network.forward_with_derivatives`), each with one BLAS thread, so these
+commands pin BLAS to one thread.  Without it the count is the number of
+CPUs the process may run on (its affinity mask, `usable_cpus`).  Their
+outputs are byte-identical at any count; --threads 1 runs them on one
+core.  A `metrics --holdout` refit runs on that one BLAS thread too.  For
+`fit`, `phantom` and `gradcheck`, --threads N pins the BLAS thread pool
+(reproducibility mode is --threads 1), and without it the pool is left
+as the library starts it.  Importing this module runs the package
+`__init__`, which loads numpy and its OpenBLAS, so the BLAS count is set
+twice: through the loaded OpenBLAS's own setter, found with ctypes, and
+through the environment variables that a library loaded later reads.
 
 Every command first sets glibc's heap policy (`keep_freed_heap`): arrays
-up to 32 MiB come from the heap rather than from their own mmap, and the
-heap keeps 64 MiB of freed top in reserve rather than trimming it.  By
-default glibc mmaps each 2 MiB inference chunk array
-(`network.BLOCK_BYTES`) or trims it off the heap top when it is freed, so
-every chunk touches fresh pages.  The grid-size products an inference
+up to 32 MiB come from the heap rather than from their own mmap, the
+heap keeps 64 MiB of freed top in reserve rather than trimming it, and
+every thread allocates from that one heap (one arena).  By default glibc
+mmaps each 1 MiB inference chunk array (`network.CHUNK_BYTES`) or trims
+it off the heap top when it is freed, so every chunk touches fresh pages;
+and it gives each thread an arena of its own, so chunk workers would
+fault in pages of their own rather than reuse what other threads freed.
+Three 2 MiB arrays cycled three times on each of two threads fault about
+3000 times with arenas per thread and about 10 times in the one heap.  On
+the paper-width model at 24^3 with two workers, one heap measured 44.0-
+44.3 MB peak RSS for `predict --with-djdt --scan` against 48.0-48.3 MB
+with arenas per thread (46.2-46.4 -> 44.4-44.5 MB for `jacobian`).  The grid-size products an inference
 returns are allocated once per call and filled chunk by chunk; above the
 threshold (a displacement of about 112^3 voxels) they are mmapped, once
 per call rather than once per chunk.  Measured per process on a paper-width
@@ -76,10 +91,11 @@ _OPENBLAS_SETTERS = (
 # glibc's mallopt parameters (malloc.h) and the values `keep_freed_heap`
 # sets: the mmap threshold at glibc's ceiling, sixteen times
 # network.BLOCK_BYTES, so that every inference chunk array is heap memory,
-# and a kept top that holds every fit-step segment up to B of about 1360
-# at paper width, f64
+# a kept top that holds every fit-step segment up to B of about 1360 at
+# paper width, f64, and one arena for every thread
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 HEAP_MMAP_THRESHOLD = 32 << 20
 HEAP_TOP_PAD = 64 << 20
 
@@ -193,6 +209,10 @@ _OPTIONS = (
 )
 
 _FIT_SECTIONS = ("fit", "weights", "network")
+
+# the commands whose --threads is the chunk-worker count of their dense
+# evaluations (`network.forward_with_derivatives`)
+_INFERENCE_COMMANDS = ("predict", "jacobian", "metrics")
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
 
@@ -372,12 +392,22 @@ def pin_blas_threads(n: int):
                 break
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def keep_freed_heap() -> bool:
     """Let the allocator keep and reuse freed memory: allocations up to
-    HEAP_MMAP_THRESHOLD come from the heap, and HEAP_TOP_PAD of freed heap
-    top is kept rather than returned to the kernel.  True when the C
-    library's `mallopt` accepted both settings; False where it has none
-    or refused one."""
+    HEAP_MMAP_THRESHOLD come from the heap, HEAP_TOP_PAD of freed heap top
+    is kept rather than returned to the kernel, and every thread shares
+    that heap (one arena), so chunk workers reuse what any thread freed.
+    True when the C library's `mallopt` accepted all three settings; False
+    where it has none or refused one."""
     import ctypes
 
     try:
@@ -387,20 +417,25 @@ def keep_freed_heap() -> bool:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     accepted = [mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD),
-                mallopt(_M_TOP_PAD, HEAP_TOP_PAD)]
-    return accepted == [1, 1]
+                mallopt(_M_TOP_PAD, HEAP_TOP_PAD),
+                mallopt(_M_ARENA_MAX, 1)]
+    return accepted == [1, 1, 1]
 
 
 def main(argv=None) -> int:
     keep_freed_heap()
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print(f"ndfreg: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-            return EXIT_INPUT
+    if args.threads is not None and args.threads < 1:
+        print(f"ndfreg: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return EXIT_INPUT
+    blas_threads = args.threads
+    if args.command in _INFERENCE_COMMANDS:  # --threads counts chunk workers
+        args.threads = args.threads or usable_cpus()
+        blas_threads = 1
+    if blas_threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-        pin_blas_threads(args.threads)
+            os.environ[var] = str(blas_threads)
+        pin_blas_threads(blas_threads)
     try:
         return _dispatch(args)
     except BrokenPipeError:
@@ -456,7 +491,7 @@ def _cmd_fit(args) -> int:
     from . import fileio, trainer
 
     resolved = resolve_options(args, _FIT_SECTIONS)
-    series = fileio.load_series(args.manifest)
+    series = fileio.load_series(args.manifest, labels=False)  # the fit reads none
     config = _fit_config(resolved, args.out)
     state, report = trainer.fit(series, config)
     fileio.save_model(os.path.join(args.out, "model.ndf"), state)
@@ -516,7 +551,7 @@ def _cmd_predict(args) -> int:
     state = fileio.load_model(args.model)
     dims, scan, spacing = _require_dims(args, fileio)
     request = DerivativeRequest(spatial=True, temporal=args.with_djdt)
-    field = trainer.predict_field(state, args.time, dims, request)
+    field = trainer.predict_field(state, args.time, dims, request, workers=args.threads)
     outputs = {f"disp_{name}": field.displacement[axis] for axis, name in enumerate("xyz")}
     outputs["jacdet"] = field.jac_det
     if args.with_djdt:
@@ -540,7 +575,8 @@ def _cmd_jacobian(args) -> int:
     dims, _, spacing = _require_dims(args, fileio)
     _check_slice(args, dims)
     rows = [["time_months", "folded_count", "mean_jac"]]
-    for t, field in zip(args.times, trainer.predict_field(state, args.times, dims)):
+    fields = trainer.predict_field(state, args.times, dims, workers=args.threads)
+    for t, field in zip(args.times, fields):
         tag = f"{t:g}".replace(".", "p")
         fileio.write_raw(os.path.join(args.out, f"jac_{tag}.raw"), field.jac_det, spacing)
         if args.slice_index is not None:
@@ -590,14 +626,15 @@ def _cmd_metrics(args) -> int:
         _holdout_protocol(args, state, series, base_labels, label_ids)
 
     trajectories = metrics.structure_trajectories(
-        state, base_labels, label_ids, times, deadband=args.deadband
+        state, base_labels, label_ids, times, deadband=args.deadband, workers=args.threads
     )
     # Dice at the labelled follow-ups the rows read: displacement alone,
     # all times at once
     followups = [m for m in series.labels if m != 0.0 and m in times]
     dice_at = {}
     if followups:
-        fields = trainer.predict_field(state, followups, dims, DerivativeRequest())
+        fields = trainer.predict_field(state, followups, dims, DerivativeRequest(),
+                                       workers=args.threads)
         for months, field in zip(followups, fields):
             warped = metrics.warp_labels(series.labels[months], field.phi)
             dice_at[months] = {
@@ -640,8 +677,8 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
     refit_state, _ = trainer.fit(reduced, config)
 
     dims = series.baseline.dims
-    field_h = trainer.predict_field(refit_state, months, dims)
-    field_f = trainer.predict_field(full_state, months, dims)
+    field_h = trainer.predict_field(refit_state, months, dims, workers=args.threads)
+    field_f = trainer.predict_field(full_state, months, dims, workers=args.threads)
     residual = field_h.jac_det - field_f.jac_det
     fileio.write_raw(os.path.join(args.out, "holdout_residual_jac.raw"), residual,
                      series.baseline.spacing)

@@ -299,8 +299,9 @@ def load_labels(path: str) -> np.ndarray:
     return read_raw_labels(path)
 
 
-def load_series(manifest_path: str) -> Volume4DSeries:
-    """Read all scans (and any label grids) named by a manifest."""
+def load_series(manifest_path: str, labels: bool = True) -> Volume4DSeries:
+    """Read all scans named by a manifest, and with `labels` its label
+    grids; without, the series has no labels."""
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def resolve(p):
@@ -310,13 +311,13 @@ def load_series(manifest_path: str) -> Volume4DSeries:
     if len(entries) < 2:
         raise FileFormatError(f"{manifest_path}: need at least 2 scans")
     volumes = [(m, load_volume(resolve(p))) for m, p, _ in entries]
-    labels = {
-        m: load_labels(resolve(lp)) for m, _, lp in entries if lp is not None
+    grids = {
+        m: load_labels(resolve(lp)) for m, _, lp in entries if labels and lp is not None
     }
     return Volume4DSeries(
         volumes[0][1],
         [(m, v) for m, v in volumes[1:]],
-        labels=labels or None,
+        labels=grids or None,
     )
 
 

@@ -44,14 +44,16 @@ class StructureMetrics:
     sign_consistency: float
 
 
-def _resolve_field(field_or_state):
+def _resolve_field(field_or_state, workers: int):
     """(coords, times, request) -> one DisplacementResult per time, and the
     horizon that normalizes months.  A fitted state is evaluated at every
-    time in one call, which traces its time-invariant prefix once per
-    coordinate batch; a callable field is called once per time."""
+    time in one call on `workers` chunk workers, which traces its
+    time-invariant prefix once per coordinate chunk; a callable field is
+    called once per time."""
     if isinstance(field_or_state, net.NetworkState):
         state = field_or_state
-        return partial(net.forward_with_derivatives, state), state.time_horizon
+        evaluate = partial(net.forward_with_derivatives, state, workers=workers)
+        return evaluate, state.time_horizon
 
     def fieldfn(coords, times, request):
         return [field_or_state(coords, float(t), request) for t in times]
@@ -110,13 +112,15 @@ def structure_trajectories(
     label_ids,
     times,
     deadband: float = DEFAULT_DEADBAND,
+    workers: int = 1,
 ) -> list:
     """Per structure: mean |J| and mean d|J|/dt at each grid time, plus the
-    sign-consistency proportion over the same grid."""
+    sign-consistency proportion over the same grid; a fitted state is
+    evaluated on `workers` chunk workers."""
     times = np.asarray(times, dtype=np.float64)
     if times.size < 2:
         raise ValueError("need a time grid of >= 2 points")
-    fieldfn, horizon = _resolve_field(field_or_state)
+    fieldfn, horizon = _resolve_field(field_or_state, workers)
     req = net.DerivativeRequest(spatial=True, temporal=True)
     out = []
     for label_id in label_ids:

@@ -54,25 +54,46 @@ Each layer's value, tangents and mixed entries travel as one stacked jet
 block (see `diffengine`), so a hidden layer holds hidden width x slot
 count values per point and time.  Chunks are therefore sized by bytes:
 `chunk_points` takes as many points as keep one hidden-layer block of a
-given number of times within BLOCK_BYTES (2 MiB, the per-core L2 of the
-x86-64 hosts this is measured on).  Inference asks for one time: 128
-points at paper width with d|J|/dt (8 slots), 256 with J alone (4 slots)
-and 1024 for displacement alone.  A fit step asks for its grid's times.
-An inference call longer than one chunk pads its last chunk to the full
-size and drops the padded points, so every chunk runs its matmuls in one
-shape: a short last chunk would run them in another, whose products can
-differ in the last bits (likely OpenBLAS's small-matrix path).  A block
-that fits L2 stays there between a layer's matmul and its rule: 8 MiB
-chunks measured 6-12 % slower per layer.  BLOCK_BYTES stays below the
-CLI's 32 MiB mmap threshold (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's
-arrays come from heap a previous chunk freed, not from fresh pages.
+given number of times within a byte budget.  A fit step asks for its
+grid's times within BLOCK_BYTES (2 MiB, the per-core L2 of the x86-64
+hosts this is measured on).  Inference asks for one time within
+CHUNK_BYTES, half of that: 64 points at paper width with d|J|/dt (8
+slots), 128 with J alone (4 slots) and 512 for displacement alone, at
+any worker count.  An inference call longer than one chunk pads its last
+chunk to the full size and drops the padded points, so every chunk runs
+its matmuls in one shape: a short last chunk would run them in another,
+whose products can differ in the last bits (likely OpenBLAS's
+small-matrix path).  With one BLAS thread, (rows, 256) @ (256, 256)
+hidden-layer products measured the same bits in pieces down to 8 rows,
+but the output layer's n = 3 product did not: 64-, 128- and 256-row
+pieces of a 1024-row product differed, 512-row pieces did not.  So the
+chunk size never depends on the worker count, and at paper width every
+output product keeps at least 512 rows.  A block that fits L2 stays there
+between a layer's matmul and its rule: 8 MiB chunks measured 6-12 %
+slower per layer.  BLOCK_BYTES stays below the CLI's 32 MiB mmap
+threshold (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from
+heap a previous chunk freed, not from fresh pages.
 
-Memory bound: no hidden-layer block exceeds BLOCK_BYTES, in training
-(K times of P points) or in inference (one time of a chunk).  A dense
-inference chunk holds at most the prefix plus two hidden-layer blocks
-(4 MiB at the default chunk size), one rule's input and its output,
-because `trace_network` drops each layer's input activation before the
-layer's rule runs (the sine adds scratch of four slot panels).  A
+Workers.  `forward_with_derivatives` hands its equal-shape chunks to
+`workers` threads (default 1; `cli` passes --threads, by default the CPUs
+the process may run on): the calling thread and workers - 1 helpers, each
+taking the next chunk until none is left.  Each traces its chunk on its
+own tape and writes that chunk's columns of the results, which are
+allocated once per call, so no two workers touch one array and the
+results are byte-identical at any worker count.  numpy drops the GIL in
+its matmuls and elementwise loops, so the workers' kernels run at once;
+with one BLAS thread per worker (`cli` pins it) a worker is one core.
+Every helper is joined before the call returns or re-raises a worker's
+error.  Training runs on one thread.
+
+Memory bound: no hidden-layer block exceeds BLOCK_BYTES in training (K
+times of P points), or CHUNK_BYTES in inference (one time of a chunk).
+A dense inference chunk holds at most the prefix plus two hidden-layer
+blocks (2 MiB at the default chunk size), one rule's input and its
+output, because `trace_network` drops each layer's input activation
+before the layer's rule runs (the sine adds scratch of four slot panels).
+So each worker holds at most half of what one BLOCK_BYTES chunk held, and
+two workers hold what one held before chunks were halved.  A
 training tape holds the same bytes grouped or not.  The reverse sweep's
 transient is the incoming cotangent, one group's block of up to
 BLOCK_BYTES, plus scratch slot panels, with no second block: every
@@ -93,8 +114,8 @@ left out.
 grid size and every chunk writes its own columns.  J and dphi/dt stay on
 the output jets, read by `jacobian` and `dphi_dt` where they are needed,
 and are never held at grid size.  A chunk's tape and output
-jets are freed before the next chunk traces, so none of its small output
-arrays splits a freed block's heap hole.
+jets are freed before its worker traces its next chunk, so none of its
+small output arrays splits a freed block's heap hole.
 
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
@@ -104,6 +125,7 @@ to normalized time.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +160,12 @@ except ImportError:
 # segment's block fits the 2 MiB per-core L2, one 1024-point paper-width
 # (256) f64 layer array
 BLOCK_BYTES = 2 << 20
+
+# bytes of one hidden-layer block of an inference chunk: half a block, so
+# two chunk workers hold what one worker held at BLOCK_BYTES, and at paper
+# width every output-layer product keeps at least 512 rows (see the module
+# docstring)
+CHUNK_BYTES = BLOCK_BYTES // 2
 
 
 def require_finite(config):
@@ -408,24 +436,27 @@ def forward_with_derivatives(
     times,
     request: DerivativeRequest,
     dtype=np.float64,
+    workers: int = 1,
 ):
     """Evaluate the frozen field and the requested products at (3,B)
-    coords, `chunk_points` points at a time; when there is more than one
-    chunk, the last is padded to the full chunk and the padding's products
-    are dropped.  `times` is one normalized time (returns one
-    DisplacementResult) or a sequence of them (returns a list, one result
-    per time); each chunk traces the time-invariant prefix once and shares
-    it across the times.
+    coords, in chunks of `chunk_points` points within CHUNK_BYTES; when
+    there is more than one chunk, the last is padded to the full chunk and
+    the padding's products are dropped.  `times` is one normalized time
+    (returns one DisplacementResult) or a sequence of them (returns a list,
+    one result per time); each chunk traces the time-invariant prefix once
+    and shares it across the times.  `workers` threads trace the chunks,
+    each on its own tape (see the module docstring).
 
     A result carries the displacement, |I + J| with `spatial` and
     d|I + J|/dt with both; J and dphi/dt are read off an output jet
     (`jacobian`, `dphi_dt`).  Each product is allocated once at full size
     and every chunk writes its own columns, so memory is those products
-    plus one chunk's working set: the prefix and two hidden-layer blocks
-    (see the module docstring).  The parameters enter as tape constants,
-    so nothing is recorded; chunking, padding and sharing change no
-    arithmetic (results are identical to one pass per time)."""
-    size = chunk_points(state.config, request, dtype)
+    plus each worker's chunk working set: the prefix and two hidden-layer
+    blocks (see the module docstring).  The parameters enter as tape
+    constants, so nothing is recorded; chunking, padding, sharing and the
+    worker count change no arithmetic (results are identical to one pass
+    per time)."""
+    size = chunk_points(state.config, request, dtype, block=CHUNK_BYTES)
     single = np.ndim(times) == 0
     times = [times] if single else list(times)
     coords = np.asarray(coords, dtype=dtype)
@@ -439,13 +470,55 @@ def forward_with_derivatives(
         )
         for _ in times
     ]
-    for lo in range(0, n, size):
+
+    def write(lo):
         cols = slice(lo, min(lo + size, n))
         chunk = coords[:, cols]
         if chunk.shape[1] < size < n:  # pad a short last chunk to full size
             chunk = np.pad(chunk, ((0, 0), (0, size - chunk.shape[1])))
         _write_chunk(results, cols, state, chunk, times, request, dtype)
+
+    _run_chunks(write, range(0, n, size), workers)
     return results[0] if single else results
+
+
+def _run_chunks(write, starts, workers: int):
+    """Call `write(lo)` for every chunk start: in order with one worker or
+    one chunk, else on `workers` threads, the calling one and workers - 1
+    helpers (no more than there are chunks), that each take the next start
+    until none is left.  A worker that raises stops the others after their
+    current chunk, and every helper is joined before the first error is
+    re-raised, so no thread outlives the call."""
+    workers = min(workers, len(starts))
+    if workers <= 1:
+        for lo in starts:
+            write(lo)
+        return
+    pending, lock, errors = iter(starts), threading.Lock(), []
+
+    def work():
+        while not errors:
+            with lock:
+                lo = next(pending, None)
+            if lo is None:
+                return
+            try:
+                write(lo)
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work, name="ndfreg-chunk")
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _write_chunk(results, cols, state, coords, times, request, dtype):
@@ -479,11 +552,13 @@ def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> in
 
 
 def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype,
-                 times: int = 1) -> int:
+                 times: int = 1, block: int | None = None) -> int:
     """Points per chunk: as many as keep one hidden-layer jet block of
-    `times` times within BLOCK_BYTES, and at least one.  An inference
-    chunk is one time; a fit step's regularizer segment is its grid's.
-    The rule is symmetric in points and times, so with `times` the points
-    P of a block it is the times per block, K (`trace_network`'s groups):
-    a segment sized for its grid's times is one group."""
-    return max(1, BLOCK_BYTES // (times * _point_bytes(config, request, dtype)))
+    `times` times within `block` bytes (default BLOCK_BYTES), and at least
+    one.  A fit step's regularizer segment is its grid's times within
+    BLOCK_BYTES; an inference chunk is one time within CHUNK_BYTES.  The
+    rule is symmetric in points and times, so with `times` the points P of
+    a block it is the times per block, K (`trace_network`'s groups): a
+    segment sized for its grid's times is one group."""
+    block = BLOCK_BYTES if block is None else block
+    return max(1, block // (times * _point_bytes(config, request, dtype)))

@@ -27,8 +27,9 @@ shares its time-invariant prefix across the observed times, in groups
 of as many as fill one block (`network.chunk_points` of its points).
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
-at a sequence of times, which share the prefix chunk by chunk; inference
-traces one time per group and writes row 0 of each group's products.  It
+at a sequence of times, which share the prefix chunk by chunk, on one or
+more chunk workers; inference traces one time per group and writes row 0
+of each group's products.  It
 returns `network.DisplacementResult`s whose products, those its
 `network.DerivativeRequest` names, are shaped as the grid.
 
@@ -371,6 +372,7 @@ def predict_field(
     t_months,
     dims,
     request: net.DerivativeRequest = net.DerivativeRequest(spatial=True),
+    workers: int = 1,
 ):
     """Evaluate the fitted field densely over the voxel grid, in the
     chunks of `network.forward_with_derivatives`, whose results equal one
@@ -382,12 +384,14 @@ def predict_field(
     displacement alone.  Each result is on the grid: coords and
     displacement are (3, nx, ny, nz), |J| and d|J|/dt (nx, ny, nz), views
     of the arrays that `network.forward_with_derivatives` allocated once
-    at grid size, so memory is those products plus one chunk's prefix and
-    two hidden-layer blocks."""
+    at grid size, so memory is those products plus, per chunk worker
+    (`workers` threads, byte-identical results at any count), one chunk's
+    prefix and two hidden-layer blocks."""
     single = np.ndim(t_months) == 0
     months = [t_months] if single else list(t_months)
     results = net.forward_with_derivatives(
-        state, grid_coordinates(dims), [m / state.time_horizon for m in months], request
+        state, grid_coordinates(dims), [m / state.time_horizon for m in months], request,
+        workers=workers,
     )
     grid = (3,) + tuple(dims)
     for res in results:

@@ -200,6 +200,53 @@ def test_heap_policy_reuses_freed_chunk_arrays():
     assert float(out[1]) < 100
 
 
+# cycles of three BLOCK_BYTES arrays on two threads at once, after the
+# main thread freed six; prints the threads' minor page faults
+_THREAD_CYCLES = """
+import resource
+import threading
+import numpy as np
+from ndfreg import cli, network
+
+print(cli.keep_freed_heap())
+n = network.BLOCK_BYTES // 8
+warm = [np.ones(n) for _ in range(6)]
+del warm
+
+
+def cycles():
+    for _ in range(3):
+        a = np.ones(n)
+        b = np.ones(n)
+        c = a + b
+        del a, b, c
+
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+threads = [threading.Thread(target=cycles) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+def test_heap_policy_reuses_freed_heap_on_worker_threads():
+    """Chunk workers allocate from the heap the policy keeps: under glibc's
+    defaults each thread gets an arena of its own and faults its arrays in
+    (about 3000 faults here); with the policy every thread shares the one
+    heap, so the threads reuse what the main thread freed."""
+    src = os.path.dirname(os.path.dirname(ndfreg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _THREAD_CYCLES], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "True"
+    assert int(out[1]) < 100
+
+
 # runs `jacobian` on a saved model; prints the exit code and whether
 # OpenSSL's `_hashlib` was imported
 _JACOBIAN_MODULES = """
@@ -911,3 +958,143 @@ def test_fit_checkpoints_load_back(tmp_path):
     first, last = (fileio.load_model(str(out / n)) for n in names)
     assert first.checksum() != last.checksum()
     assert (out / names[-1]).read_bytes() == (out / "model.ndf").read_bytes()
+
+
+def _chunked_model(tmp_path):
+    """A width-32 model whose 12^3 grid is 2 chunks with J alone and 4 with
+    d|J|/dt, the last one short and padded; returns its path."""
+    from ndfreg import fileio
+
+    config = network.NetworkConfig(hidden_width=32, depth=4, time_hidden_width=4,
+                                   time_embed_width=8)
+    state = network.init_network(seed=3, config=config, time_horizon=36.0)
+    for w, _ in state.psi + state.theta:
+        w *= 3.0
+    path = str(tmp_path / "chunked.ndf")
+    fileio.save_model(path, state)
+    return path
+
+
+def _inference_argvs(model, scan, out):
+    return [
+        ["jacobian", "--model", model, "--out", out, "--times", "12,24,36",
+         "--dims", "12,12,12"],
+        ["predict", "--model", model, "--out", out, "--time", "18", "--with-djdt",
+         "--scan", scan],
+    ]
+
+
+def test_inference_threads_write_identical_files(tmp_path):
+    """`jacobian` and `predict --with-djdt --scan` write the same bytes on
+    one chunk worker and on two."""
+    model = _chunked_model(tmp_path)
+    scan = os.path.join(os.path.dirname(_phantom(tmp_path, "0,12", "12,12,12")),
+                        "vol_01.raw")
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        for argv in _inference_argvs(model, scan, str(out)):
+            assert cli.main(argv + ["--threads", threads]) == cli.EXIT_OK
+        written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    # 3 |J| maps and their summary, 6 predict outputs and the config echo
+    assert len(written["1"]) == 11
+    assert written["1"] == written["2"]
+
+
+def test_a_failing_chunk_worker_maps_to_its_exit_code(monkeypatch, tmp_path, capsys):
+    """An input error raised on a chunk worker reaches `main` as on one
+    thread: exit 2 with its message, and no worker thread left running."""
+    import itertools
+    import threading
+
+    write_chunk = network._write_chunk
+    calls = itertools.count()
+
+    def failing(*args):
+        if next(calls) == 1:
+            raise ValueError("chunk failed")
+        write_chunk(*args)
+
+    model = _chunked_model(tmp_path)
+    scan = os.path.join(os.path.dirname(_phantom(tmp_path, "0,12", "12,12,12")),
+                        "vol_01.raw")
+    monkeypatch.setattr(network, "_write_chunk", failing)
+    before = threading.active_count()
+    for argv in _inference_argvs(model, scan, str(tmp_path / "out")):
+        calls = itertools.count()
+        capsys.readouterr()
+        assert cli.main(argv + ["--threads", "2"]) == cli.EXIT_INPUT
+        assert "ndfreg: chunk failed" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("command", ["predict", "jacobian", "metrics"])
+def test_inference_threads_count_chunk_workers(monkeypatch, tmp_path, command):
+    """For the inference commands --threads is the chunk-worker count, by
+    default the CPUs the process may run on, and BLAS runs one thread per
+    worker; every dense evaluation gets that count."""
+    manifest = _phantom(tmp_path, "0,12", _LABELLED)
+    argv = {
+        "predict": ["--time", "6", "--dims", "4,4,4"],
+        "jacobian": ["--times", "6", "--dims", "4,4,4"],
+        "metrics": ["--manifest", manifest, "--times", "0,12"],
+    }[command]
+    argv = [command, "--model", _tiny_model(tmp_path), "--out", str(tmp_path / "out"), *argv]
+    workers, pinned = [], []
+    evaluate = network.forward_with_derivatives
+
+    def spy(*args, **kwargs):
+        workers.append(kwargs.get("workers", 1))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward_with_derivatives", spy)
+    monkeypatch.setattr(cli, "pin_blas_threads", pinned.append)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the test
+    for extra, count in (([], 3), (["--threads", "2"], 2)):
+        workers.clear()
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        assert workers and set(workers) == {count}
+    assert pinned == [1, 1]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("command", ["fit", "phantom"])
+def test_threads_pins_blas_for_fit_and_phantom(monkeypatch, tmp_path, command):
+    """For every other command --threads is still the BLAS pool, and
+    without it the pool is left alone."""
+    manifest = _phantom(tmp_path, "0,12")
+    argv = {
+        "fit": ["fit", "--manifest", manifest, "--iterations", "1", *_TINY_FIT],
+        "phantom": ["phantom", "--dims", "4,4,4", "--times", "0,12"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    pinned = []
+    monkeypatch.setattr(cli, "pin_blas_threads", pinned.append)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert pinned == [] and "OPENBLAS_NUM_THREADS" not in os.environ
+    assert cli.main(argv + ["--threads", "2"]) == cli.EXIT_OK
+    assert pinned == [2] and os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_fit_reads_no_labels_and_metrics_does(monkeypatch, tmp_path, capsys):
+    """`fit` loads the manifest's scans only: the trainer reads no label
+    grid.  `metrics` still reads them."""
+    from ndfreg import fileio
+
+    manifest = _phantom(tmp_path, "0,12", _LABELLED)
+
+    def refuse(path):
+        raise OSError(f"label grid {os.path.basename(path)} read")
+
+    monkeypatch.setattr(fileio, "load_labels", refuse)
+    out = tmp_path / "fit"
+    assert cli.main(["fit", "--manifest", manifest, "--out", str(out),
+                     "--iterations", "1", *_TINY_FIT]) == cli.EXIT_OK
+    capsys.readouterr()
+    rc = cli.main(["metrics", "--model", str(out / "model.ndf"), "--manifest", manifest,
+                   "--times", "0,12", "--out", str(tmp_path / "metrics")])
+    assert rc == cli.EXIT_INPUT
+    assert "label grid labels_00.raw read" in capsys.readouterr().err

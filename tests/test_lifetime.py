@@ -145,7 +145,7 @@ def test_backward_without_leaf_rejected(no_gc):
 
 
 def test_forward_with_derivatives_records_nothing(no_gc, tapes, monkeypatch):
-    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: 16)
+    monkeypatch.setattr(net, "chunk_points", lambda *args, **kwargs: 16)
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
     full = net.DerivativeRequest(spatial=True, temporal=True)
@@ -168,7 +168,7 @@ def test_chunk_traces_die_before_the_next_chunk_traces(no_gc, monkeypatch):
         return outs
 
     monkeypatch.setattr(net, "trace_network", tracking)
-    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: 16)
+    monkeypatch.setattr(net, "chunk_points", lambda *args, **kwargs: 16)
     state = net.init_network(seed=2, config=TOY_NET)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 50))
     full = net.DerivativeRequest(spatial=True, temporal=True)

@@ -184,7 +184,7 @@ def test_forward_pure():
 
 def chunks_of(monkeypatch, points):
     """Make `forward_with_derivatives` evaluate `points` points per chunk."""
-    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: points)
+    monkeypatch.setattr(net, "chunk_points", lambda *args, **kwargs: points)
 
 
 def test_chunked_evaluation_matches_one_pass(monkeypatch):
@@ -203,7 +203,7 @@ def test_chunked_evaluation_matches_one_pass(monkeypatch):
 
 
 def test_paper_width_short_last_chunk_matches_one_pass(monkeypatch):
-    """At paper width, 130 points in the default 128-point chunks equal one
+    """At paper width, 130 points in the default 64-point chunks equal one
     130-point pass bit for bit: the 2-point last chunk is padded to the
     full chunk, so its matmuls run in the same shape as every other."""
     state = net.init_network(seed=1, config=net.NetworkConfig(), time_horizon=36.0)
@@ -212,7 +212,7 @@ def test_paper_width_short_last_chunk_matches_one_pass(monkeypatch):
         w *= 3.0
         b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
     coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 130))
-    assert net.chunk_points(state.config, FULL_REQ, np.float64) == 128
+    assert net.chunk_points(state.config, FULL_REQ, np.float64, block=net.CHUNK_BYTES) == 64
     chunked = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
     chunks_of(monkeypatch, 130)
     whole = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
@@ -255,6 +255,29 @@ def test_empty_coordinate_block_gives_empty_products():
                 assert value.dtype == np.float64
 
 
+def _chunk_memory(monkeypatch, workers, points):
+    """The traced peak of a spatial and temporal evaluation of 700 points
+    at 2 times on `workers` workers in `points`-point chunks, less its
+    products, in blocks: the 8-slot hidden layer of a 256-point chunk
+    (width x 8 x 256 x 8 bytes)."""
+    import tracemalloc
+
+    cfg = net.NetworkConfig(hidden_width=64, depth=5, time_hidden_width=6, time_embed_width=8)
+    state = net.init_network(seed=2, config=cfg)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 700))
+    times = [0.2, 0.7]
+    chunks_of(monkeypatch, points)
+    net.forward_with_derivatives(state, coords, times, FULL_REQ, workers=workers)
+    tracemalloc.start()
+    try:
+        net.forward_with_derivatives(state, coords, times, FULL_REQ, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    products = len(times) * (3 + 1 + 1) * coords.shape[1] * 8
+    return (peak - products) / (cfg.hidden_width * 8 * 256 * 8)
+
+
 def test_chunk_memory_is_the_prefix_and_two_blocks(monkeypatch):
     """The traced peak of a spatial and temporal evaluation over 3 chunks
     and 2 times stays below its products plus 3.5 blocks, a block being one
@@ -265,23 +288,16 @@ def test_chunk_memory_is_the_prefix_and_two_blocks(monkeypatch):
     a block): 3.03 blocks measured.  An evaluation that keeps the previous
     layer's activation alive through the rule, holds every product twice
     and also returns J and dphi/dt at full size measured 4.17 blocks."""
-    import tracemalloc
+    assert _chunk_memory(monkeypatch, 1, 256) < 3.5
 
-    cfg = net.NetworkConfig(hidden_width=64, depth=5, time_hidden_width=6, time_embed_width=8)
-    state = net.init_network(seed=2, config=cfg)
-    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 700))
-    times = [0.2, 0.7]
-    chunks_of(monkeypatch, 256)
-    net.forward_with_derivatives(state, coords, times, FULL_REQ)
-    tracemalloc.start()
-    try:
-        net.forward_with_derivatives(state, coords, times, FULL_REQ)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    products = len(times) * (3 + 1 + 1) * coords.shape[1] * 8
-    block = cfg.hidden_width * 8 * 256 * 8
-    assert peak < products + 3.5 * block
+
+def test_two_workers_hold_one_workers_chunk_memory(monkeypatch):
+    """Two workers on half-size chunks, as CHUNK_BYTES makes them, stay
+    within one worker's bound on full-size chunks: products plus 3.5 blocks
+    of a 256-point chunk.  Each holds 1.5 of those blocks; 2.4-2.9 blocks
+    measured together, as the workers' peaks need not coincide.  Two
+    workers on 256-point chunks measured 4.6-5.9."""
+    assert _chunk_memory(monkeypatch, 2, 128) < 3.5
 
 
 def test_recorded_jet_blocks_are_point_major(monkeypatch):
@@ -334,14 +350,17 @@ def test_recorded_jet_blocks_are_point_major(monkeypatch):
     (FULL_REQ, 128),
 ], ids=["value", "spatial", "full"])
 def test_chunk_points_keep_one_hidden_block_within_block_bytes(monkeypatch, request_, points):
-    """At paper width in f64 a default chunk is as many points as keep one
-    hidden-layer block within BLOCK_BYTES (2 MiB), and the largest block
-    the chunk's sines build fills it exactly; in f32 a chunk is twice as
-    many points."""
+    """At paper width in f64 a block of one time is as many points as keep
+    one hidden-layer block within BLOCK_BYTES (2 MiB), and an inference
+    chunk half as many, within CHUNK_BYTES; the largest block the chunk's
+    sines build fills CHUNK_BYTES exactly.  In f32 each is twice as many
+    points."""
     cfg = net.NetworkConfig()
-    assert net.BLOCK_BYTES == 2 << 20
+    assert net.BLOCK_BYTES == 2 << 20 and net.CHUNK_BYTES == net.BLOCK_BYTES // 2
     assert net.chunk_points(cfg, request_, np.float64) == points
     assert net.chunk_points(cfg, request_, np.float32) == 2 * points
+    assert net.chunk_points(cfg, request_, np.float64, block=net.CHUNK_BYTES) == points // 2
+    assert net.chunk_points(cfg, request_, np.float32, block=net.CHUNK_BYTES) == points
     sizes = []
     sine = de.bundle_sine
 
@@ -352,9 +371,103 @@ def test_chunk_points_keep_one_hidden_block_within_block_bytes(monkeypatch, requ
 
     monkeypatch.setattr(de, "bundle_sine", sized)
     state = net.init_network(seed=0, config=cfg)
-    coords = np.random.default_rng(1).uniform(-1, 1, size=(3, points + 1))
+    coords = np.random.default_rng(1).uniform(-1, 1, size=(3, points // 2 + 1))
     net.forward_with_derivatives(state, coords, 0.5, request_)
-    assert max(sizes) == net.BLOCK_BYTES
+    assert max(sizes) == net.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("width", [32, 256])
+@pytest.mark.parametrize("request_", [
+    net.DerivativeRequest(), net.DerivativeRequest(spatial=True), FULL_REQ,
+], ids=["value", "spatial", "full"])
+@pytest.mark.parametrize("times", [0.4, [0.1, 0.5, 0.9]], ids=["one_time", "three_times"])
+def test_workers_give_byte_identical_products(width, request_, times):
+    """Each chunk is traced on its own tape by whichever worker takes it
+    and writes only its own columns, so 1, 2 and 3 workers give the same
+    bytes: over three full chunks and a padded short last one, at one time
+    and at three."""
+    cfg = net.NetworkConfig(hidden_width=width, time_embed_width=min(64, width))
+    state = net.init_network(seed=1, config=cfg, time_horizon=36.0)
+    rng = np.random.default_rng([1, 7])
+    for w, b in state.psi + state.theta:
+        w *= 3.0
+        b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    size = net.chunk_points(cfg, request_, np.float64, block=net.CHUNK_BYTES)
+    coords = np.random.default_rng(3).uniform(-1, 1, size=(3, 3 * size + 5))
+
+    def products(workers):
+        results = net.forward_with_derivatives(state, coords, times, request_,
+                                               workers=workers)
+        results = results if isinstance(results, list) else [results]
+        return [None if p is None else p.tobytes()
+                for r in results for p in (r.displacement, r.jac_det, r.jac_det_dt)]
+
+    want = products(1)
+    requested = 1 + request_.spatial + request_.temporal
+    assert sum(p is not None for p in want) == requested * np.size(times)
+    assert products(2) == want and products(3) == want
+
+
+def test_more_workers_than_cores_write_every_chunk_once(monkeypatch):
+    """Under a short switch interval, 5 workers on 1-point to 3-point
+    chunks each take every chunk exactly once: a start taken twice or
+    skipped would show in the starts, or as unwritten columns of the
+    products."""
+    import sys
+    import threading
+
+    write_chunk = net._write_chunk
+    starts, lock = [], threading.Lock()
+
+    def recording(*args):
+        with lock:
+            starts.append(args[1].start)
+        write_chunk(*args)
+
+    monkeypatch.setattr(net, "_write_chunk", recording)
+    state = toy_state(seed=5)
+    coords = np.random.default_rng(4).uniform(-1, 1, size=(3, 41))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for size in (1, 2, 3):
+            chunks_of(monkeypatch, size)
+            want = net.forward_with_derivatives(state, coords, 0.3, FULL_REQ)
+            starts.clear()
+            got = net.forward_with_derivatives(state, coords, 0.3, FULL_REQ, workers=5)
+            assert sorted(starts) == list(range(0, 41, size))
+            for name in ("displacement", "jac_det", "jac_det_dt"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_chunk_is_re_raised_after_every_worker_is_joined(monkeypatch):
+    """A chunk that raises is re-raised by the call, and every helper thread
+    has ended by then, though the helpers were still busy with a chunk of
+    their own when it raised: none is left running."""
+    import threading
+    import time
+
+    write_chunk = net._write_chunk
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)  # a helper's chunk, still running when one fails
+        elif args[1].start > 0:  # the calling thread's chunk after the first
+            raise ValueError("chunk failed")
+        write_chunk(*args)
+
+    monkeypatch.setattr(net, "_write_chunk", failing)
+    chunks_of(monkeypatch, 5)
+    state = toy_state(seed=2)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 23))
+    before = threading.active_count()
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match="chunk failed"):
+            net.forward_with_derivatives(state, coords, [0.2, 0.6], FULL_REQ,
+                                         workers=workers)
+        assert threading.active_count() == before
 
 
 def _jet_arrays(jet, time):

@@ -318,7 +318,7 @@ def test_predict_field_chunking_bit_identical(monkeypatch):
     for w, _ in state.psi + state.theta:
         w *= 3.0
     a = trainer.predict_field(state, 9.0, (7, 7, 7), WITH_DJDT)
-    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype: 17)
+    monkeypatch.setattr(net, "chunk_points", lambda *args, **kwargs: 17)
     b = net.forward_with_derivatives(
         state, grid_coordinates((7, 7, 7)), 9.0 / 12.0, WITH_DJDT,
     )
