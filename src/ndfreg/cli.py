@@ -30,10 +30,19 @@ failure, 2 input error, 3 numerical abort.
 --threads N: for `predict`, `jacobian` and `metrics` it is the number of
 chunk workers of their dense evaluations
 (`network.forward_with_derivatives`), each with one BLAS thread, so these
-commands pin BLAS to one thread.  Without it the count is the number of
-CPUs the process may run on (its affinity mask, `usable_cpus`).  Their
+commands pin BLAS to one thread.  Without it the count is two
+(`DEFAULT_WORKERS`), or one where the process may run on one CPU only
+(its affinity mask, `usable_cpus`; a CPU quota is not read).  Their
 outputs are byte-identical at any count; --threads 1 runs them on one
-core.  A `metrics --holdout` refit runs on that one BLAS thread too.  For
+core.  Each worker holds its own chunk working set, which does not grow
+with the grid, so peak RSS grows with the count: on the paper-width
+model at 24^3 (f64, 2-CPU host, 3 runs each) `jacobian --times 12,24,36`
+read 40.1 MB at one worker, 44.4-44.5 at two, 49.6-50.0 at three,
+54.2-54.9 at four and 68.8-70.6 at eight, against 44.0-44.1 when one
+worker ran chunks of twice the size.  `predict --with-djdt` and `metrics`
+grow alike: each worker past two adds 3.4-5 MB.  A `metrics --holdout`
+refit is a fit: it runs on --threads BLAS threads, by default one per
+usable CPU, and BLAS is pinned back to one thread after it.  For
 `fit`, `phantom` and `gradcheck`, --threads N pins the BLAS thread pool
 (reproducibility mode is --threads 1), and without it the pool is left
 as the library starts it.  Importing this module runs the package
@@ -53,10 +62,11 @@ Three 2 MiB arrays cycled three times on each of two threads fault about
 3000 times with arenas per thread and about 10 times in the one heap.  On
 the paper-width model at 24^3 with two workers, one heap measured 44.0-
 44.3 MB peak RSS for `predict --with-djdt --scan` against 48.0-48.3 MB
-with arenas per thread (46.2-46.4 -> 44.4-44.5 MB for `jacobian`).  The grid-size products an inference
-returns are allocated once per call and filled chunk by chunk; above the
-threshold (a displacement of about 112^3 voxels) they are mmapped, once
-per call rather than once per chunk.  Measured per process on a paper-width
+with arenas per thread (46.2-46.4 -> 44.4-44.5 MB for `jacobian`).  The
+grid-size products an inference returns are allocated once per call and
+filled chunk by chunk; above the threshold (a displacement of about
+112^3 voxels) they are mmapped, once per call rather than once per
+chunk.  Measured per process on a paper-width
 model at 24^3 (one BLAS thread, 2-CPU host, 8 MiB chunk arrays), without
 and with the policy:
 `jacobian` at three times 91-96k -> 9.4k minor page faults and 0.30-0.55
@@ -213,6 +223,11 @@ _FIT_SECTIONS = ("fit", "weights", "network")
 # the commands whose --threads is the chunk-worker count of their dense
 # evaluations (`network.forward_with_derivatives`)
 _INFERENCE_COMMANDS = ("predict", "jacobian", "metrics")
+
+# their default chunk-worker count where the CPUs allow it: two workers on
+# half-size chunks hold what one worker held on full-size ones, and each
+# worker past two adds its own working set (see the module docstring)
+DEFAULT_WORKERS = 2
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
 
@@ -430,7 +445,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     blas_threads = args.threads
     if args.command in _INFERENCE_COMMANDS:  # --threads counts chunk workers
-        args.threads = args.threads or usable_cpus()
+        args.workers = args.threads or min(usable_cpus(), DEFAULT_WORKERS)
         blas_threads = 1
     if blas_threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -551,7 +566,7 @@ def _cmd_predict(args) -> int:
     state = fileio.load_model(args.model)
     dims, scan, spacing = _require_dims(args, fileio)
     request = DerivativeRequest(spatial=True, temporal=args.with_djdt)
-    field = trainer.predict_field(state, args.time, dims, request, workers=args.threads)
+    field = trainer.predict_field(state, args.time, dims, request, workers=args.workers)
     outputs = {f"disp_{name}": field.displacement[axis] for axis, name in enumerate("xyz")}
     outputs["jacdet"] = field.jac_det
     if args.with_djdt:
@@ -575,7 +590,7 @@ def _cmd_jacobian(args) -> int:
     dims, _, spacing = _require_dims(args, fileio)
     _check_slice(args, dims)
     rows = [["time_months", "folded_count", "mean_jac"]]
-    fields = trainer.predict_field(state, args.times, dims, workers=args.threads)
+    fields = trainer.predict_field(state, args.times, dims, workers=args.workers)
     for t, field in zip(args.times, fields):
         tag = f"{t:g}".replace(".", "p")
         fileio.write_raw(os.path.join(args.out, f"jac_{tag}.raw"), field.jac_det, spacing)
@@ -626,7 +641,7 @@ def _cmd_metrics(args) -> int:
         _holdout_protocol(args, state, series, base_labels, label_ids)
 
     trajectories = metrics.structure_trajectories(
-        state, base_labels, label_ids, times, deadband=args.deadband, workers=args.threads
+        state, base_labels, label_ids, times, deadband=args.deadband, workers=args.workers
     )
     # Dice at the labelled follow-ups the rows read: displacement alone,
     # all times at once
@@ -634,7 +649,7 @@ def _cmd_metrics(args) -> int:
     dice_at = {}
     if followups:
         fields = trainer.predict_field(state, followups, dims, DerivativeRequest(),
-                                       workers=args.threads)
+                                       workers=args.workers)
         for months, field in zip(followups, fields):
             warped = metrics.warp_labels(series.labels[months], field.phi)
             dice_at[months] = {
@@ -674,11 +689,13 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
     config = _fit_config(resolve_options(args, _FIT_SECTIONS))
     if config.time_horizon is None:
         config.time_horizon = max(series.times)
+    pin_blas_threads(args.threads or usable_cpus())  # a refit's pool is fit's
     refit_state, _ = trainer.fit(reduced, config)
+    pin_blas_threads(1)
 
     dims = series.baseline.dims
-    field_h = trainer.predict_field(refit_state, months, dims, workers=args.threads)
-    field_f = trainer.predict_field(full_state, months, dims, workers=args.threads)
+    field_h = trainer.predict_field(refit_state, months, dims, workers=args.workers)
+    field_f = trainer.predict_field(full_state, months, dims, workers=args.workers)
     residual = field_h.jac_det - field_f.jac_det
     fileio.write_raw(os.path.join(args.out, "holdout_residual_jac.raw"), residual,
                      series.baseline.spacing)

@@ -75,12 +75,12 @@ threshold (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from
 heap a previous chunk freed, not from fresh pages.
 
 Workers.  `forward_with_derivatives` hands its equal-shape chunks to
-`workers` threads (default 1; `cli` passes --threads, by default the CPUs
-the process may run on): the calling thread and workers - 1 helpers, each
-taking the next chunk until none is left.  Each traces its chunk on its
-own tape and writes that chunk's columns of the results, which are
-allocated once per call, so no two workers touch one array and the
-results are byte-identical at any worker count.  numpy drops the GIL in
+`workers` threads (default 1; `cli` passes --threads, by default two
+where the process may run on two CPUs or more): the calling thread and
+workers - 1 helpers, each taking the next chunk until none is left.
+Each traces its chunk on its own tape and writes that chunk's columns of
+the results, which are allocated once per call, so no two workers touch
+one array and the results are byte-identical at any worker count.  numpy drops the GIL in
 its matmuls and elementwise loops, so the workers' kernels run at once;
 with one BLAS thread per worker (`cli` pins it) a worker is one core.
 Every helper is joined before the call returns or re-raises a worker's
@@ -93,7 +93,9 @@ blocks (2 MiB at the default chunk size), one rule's input and its
 output, because `trace_network` drops each layer's input activation
 before the layer's rule runs (the sine adds scratch of four slot panels).
 So each worker holds at most half of what one BLOCK_BYTES chunk held, and
-two workers hold what one held before chunks were halved.  A
+two workers hold what one held before chunks were halved.  Past two,
+peak RSS grows by each worker's chunk set and its BLAS buffers, whatever
+the grid: 3.4-5 MB per worker at paper width, f64 (`cli` docstring).  A
 training tape holds the same bytes grouped or not.  The reverse sweep's
 transient is the incoming cotangent, one group's block of up to
 BLOCK_BYTES, plus scratch slot panels, with no second block: every
@@ -384,7 +386,8 @@ def trace_network(
         raise ValueError(f"coordinate block must be (3,B), got {coords.shape}")
     h = config.hidden_width
     he = h + config.time_embed_width
-    k = (chunk_points(config, request, tape.dtype, max(1, coords.shape[1]))
+    points = max(1, coords.shape[1])
+    k = (chunk_points(config, request, tape.dtype, points, block=BLOCK_BYTES)
          if leaves.trainable else 1)
     prefix = _trace_prefix(tape, leaves, _coordinate_jet(tape, coords, request.spatial), config)
     outs = []
@@ -483,17 +486,13 @@ def forward_with_derivatives(
 
 
 def _run_chunks(write, starts, workers: int):
-    """Call `write(lo)` for every chunk start: in order with one worker or
-    one chunk, else on `workers` threads, the calling one and workers - 1
-    helpers (no more than there are chunks), that each take the next start
-    until none is left.  A worker that raises stops the others after their
-    current chunk, and every helper is joined before the first error is
-    re-raised, so no thread outlives the call."""
+    """Call `write(lo)` for every chunk start on `workers` threads, the
+    calling one and workers - 1 helpers (no more than there are chunks),
+    that each take the next start until none is left; with one worker the
+    calling thread writes every chunk in order.  A worker that raises stops
+    the others after their current chunk, and every helper is joined before
+    the first error is re-raised, so no thread outlives the call."""
     workers = min(workers, len(starts))
-    if workers <= 1:
-        for lo in starts:
-            write(lo)
-        return
     pending, lock, errors = iter(starts), threading.Lock(), []
 
     def work():
@@ -552,13 +551,12 @@ def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> in
 
 
 def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype,
-                 times: int = 1, block: int | None = None) -> int:
+                 times: int = 1, *, block: int) -> int:
     """Points per chunk: as many as keep one hidden-layer jet block of
-    `times` times within `block` bytes (default BLOCK_BYTES), and at least
-    one.  A fit step's regularizer segment is its grid's times within
-    BLOCK_BYTES; an inference chunk is one time within CHUNK_BYTES.  The
-    rule is symmetric in points and times, so with `times` the points P of
-    a block it is the times per block, K (`trace_network`'s groups): a
-    segment sized for its grid's times is one group."""
-    block = BLOCK_BYTES if block is None else block
+    `times` times within `block` bytes, and at least one.  A fit step's
+    regularizer segment is its grid's times within BLOCK_BYTES; an
+    inference chunk is one time within CHUNK_BYTES.  The rule is symmetric
+    in points and times, so with `times` the points P of a block it is the
+    times per block, K (`trace_network`'s groups): a segment sized for its
+    grid's times is one group."""
     return max(1, block // (times * _point_bytes(config, request, dtype)))

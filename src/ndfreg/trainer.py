@@ -305,7 +305,8 @@ def _loss_chunks(weights, config, points, grid_times, dtype) -> list:
     request = regularizer_request(weights)
     if request is None:
         return []
-    return point_chunks(points, net.chunk_points(config, request, dtype, grid_times))
+    return point_chunks(points, net.chunk_points(config, request, dtype, grid_times,
+                                                    block=net.BLOCK_BYTES))
 
 
 def point_chunks(points: int, size: int) -> list:

@@ -1031,7 +1031,7 @@ def test_a_failing_chunk_worker_maps_to_its_exit_code(monkeypatch, tmp_path, cap
 @pytest.mark.parametrize("command", ["predict", "jacobian", "metrics"])
 def test_inference_threads_count_chunk_workers(monkeypatch, tmp_path, command):
     """For the inference commands --threads is the chunk-worker count, by
-    default the CPUs the process may run on, and BLAS runs one thread per
+    default two, or one on one usable CPU, and BLAS runs one thread per
     worker; every dense evaluation gets that count."""
     manifest = _phantom(tmp_path, "0,12", _LABELLED)
     argv = {
@@ -1049,15 +1049,48 @@ def test_inference_threads_count_chunk_workers(monkeypatch, tmp_path, command):
 
     monkeypatch.setattr(network, "forward_with_derivatives", spy)
     monkeypatch.setattr(cli, "pin_blas_threads", pinned.append)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)  # restored after the test
-    for extra, count in (([], 3), (["--threads", "2"], 2)):
+    for cpus, extra, count in ((3, [], 2), (1, [], 1), (1, ["--threads", "3"], 3)):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         workers.clear()
         assert cli.main(argv + extra) == cli.EXIT_OK
         assert workers and set(workers) == {count}
-    assert pinned == [1, 1]
+    assert pinned == [1, 1, 1]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_metrics_holdout_refits_on_the_blas_pool(monkeypatch, tmp_path):
+    """A `metrics --holdout` refit is a fit: it runs on --threads BLAS
+    threads, by default one per usable CPU, and BLAS is pinned back to one
+    thread for the dense evaluations after it."""
+    from ndfreg import trainer
+
+    manifest = _phantom(tmp_path, "0,12,24", _LABELLED)
+    argv = ["metrics", "--model", _tiny_model(tmp_path), "--out", str(tmp_path / "out"),
+            "--manifest", manifest, "--times", "0,12", "--holdout", "12",
+            "--iterations", "1", *_TINY_FIT]
+    pinned, at_fit, at_eval = [], [], []
+    fit, evaluate = trainer.fit, network.forward_with_derivatives
+
+    def fit_spy(*args, **kwargs):
+        at_fit.append(pinned[-1])
+        return fit(*args, **kwargs)
+
+    def eval_spy(*args, **kwargs):
+        at_eval.append(pinned[-1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "fit", fit_spy)
+    monkeypatch.setattr(network, "forward_with_derivatives", eval_spy)
+    monkeypatch.setattr(cli, "pin_blas_threads", pinned.append)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for extra, count in (([], 3), (["--threads", "2"], 2)):
+        at_fit.clear(), at_eval.clear()
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        assert at_fit == [count] and at_eval and set(at_eval) == {1}
 
 
 @pytest.mark.parametrize("command", ["fit", "phantom"])

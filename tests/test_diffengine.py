@@ -1041,10 +1041,10 @@ def test_training_time_groups_fill_block_bytes(monkeypatch):
     fit-narrow loss records exceeds BLOCK_BYTES."""
     full, value = net.DerivativeRequest(spatial=True, temporal=True), net.DerivativeRequest()
     narrow, paper = net.NetworkConfig(hidden_width=32, time_embed_width=16), net.NetworkConfig()
-    assert net.chunk_points(narrow, full, np.float64, 256) == 4
-    assert net.chunk_points(narrow, value, np.float64, 256) == 32
-    assert net.chunk_points(paper, full, np.float64, 128) == 1
-    assert net.chunk_points(paper, full, np.float32, 128) == 2
+    assert net.chunk_points(narrow, full, np.float64, 256, block=net.BLOCK_BYTES) == 4
+    assert net.chunk_points(narrow, value, np.float64, 256, block=net.BLOCK_BYTES) == 32
+    assert net.chunk_points(paper, full, np.float64, 128, block=net.BLOCK_BYTES) == 1
+    assert net.chunk_points(paper, full, np.float32, 128, block=net.BLOCK_BYTES) == 2
     sizes = []
     record = Tape.record
 

@@ -357,8 +357,8 @@ def test_chunk_points_keep_one_hidden_block_within_block_bytes(monkeypatch, requ
     points."""
     cfg = net.NetworkConfig()
     assert net.BLOCK_BYTES == 2 << 20 and net.CHUNK_BYTES == net.BLOCK_BYTES // 2
-    assert net.chunk_points(cfg, request_, np.float64) == points
-    assert net.chunk_points(cfg, request_, np.float32) == 2 * points
+    assert net.chunk_points(cfg, request_, np.float64, block=net.BLOCK_BYTES) == points
+    assert net.chunk_points(cfg, request_, np.float32, block=net.BLOCK_BYTES) == 2 * points
     assert net.chunk_points(cfg, request_, np.float64, block=net.CHUNK_BYTES) == points // 2
     assert net.chunk_points(cfg, request_, np.float32, block=net.CHUNK_BYTES) == points
     sizes = []

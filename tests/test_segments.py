@@ -63,7 +63,7 @@ def _force_chunks(monkeypatch, points, n):
     """Size the regularizer segments so that a `points` batch splits into
     `n` chunks."""
     size = -(-points // n)
-    monkeypatch.setattr(net, "chunk_points", lambda config, request, dtype, times=1: size)
+    monkeypatch.setattr(net, "chunk_points", lambda *args, **kwargs: size)
     chunks = trainer.point_chunks(points, size)
     assert len(chunks) == n
     return chunks
