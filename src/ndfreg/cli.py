@@ -27,35 +27,40 @@ configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
---threads N: for `predict`, `jacobian` and `metrics` it is the number of
-chunk workers of their dense evaluations
-(`network.forward_with_derivatives`), each with one BLAS thread, so these
-commands pin BLAS to one thread.  Without it the count is two
+--threads N: for `fit`, `predict`, `jacobian` and `metrics` it is the
+number of workers, each with one BLAS thread, so these commands pin BLAS
+to one thread.  `fit` runs each step's lanes on min(N, 2) of them
+(`trainer.segment_gradients`, `trainer.LANES`); `predict`, `jacobian`
+and `metrics` run the chunks of their dense evaluations
+(`network.forward_with_derivatives`) on N, and a `metrics --holdout`
+refit is a fit on the same count.  Without it the count is two
 (`DEFAULT_WORKERS`), or one where the process may run on one CPU only
-(its affinity mask, `usable_cpus`; a CPU quota is not read).  Their
+(its affinity mask, `usable_cpus`; a CPU quota is not read).  Models and
 outputs are byte-identical at any count; --threads 1 runs them on one
-core.  Each worker holds its own chunk working set, which does not grow
-with the grid, so peak RSS grows with the count: on the paper-width
-model at 24^3 (f64, 2-CPU host, 3 runs each) `jacobian --times 12,24,36`
-read 40.1 MB at one worker, 44.4-44.5 at two, 49.6-50.0 at three,
-54.2-54.9 at four and 68.8-70.6 at eight, against 44.0-44.1 when one
-worker ran chunks of twice the size.  `predict --with-djdt` and `metrics`
-grow alike: each worker past two adds 3.4-5 MB.  A `metrics --holdout`
-refit is a fit: it runs on --threads BLAS threads, by default one per
-usable CPU, and BLAS is pinned back to one thread after it.  For
-`fit`, `phantom` and `gradcheck`, --threads N pins the BLAS thread pool
-(reproducibility mode is --threads 1), and without it the pool is left
-as the library starts it.  Importing this module runs the package
-`__init__`, which loads numpy and its OpenBLAS, so the BLAS count is set
-twice: through the loaded OpenBLAS's own setter, found with ctypes, and
-through the environment variables that a library loaded later reads.
+core.  A host with more than two CPUs used to run `fit` and the holdout
+refit on an all-core BLAS pool by default; it now gets two workers of
+one BLAS thread each.  No benchmark workload measures such a host, so
+that change is not measured.  Each inference worker holds its own chunk
+working set, which does not grow with the grid, so peak RSS grows with
+the count: on the paper-width model at 24^3 (f64, 2-CPU host, 3 runs
+each) `jacobian --times 12,24,36` read 40.1 MB at one worker, 44.4-44.5
+at two, 49.6-50.0 at three, 54.2-54.9 at four and 68.8-70.6 at eight,
+against 44.0-44.1 when one worker ran chunks of twice the size.
+`predict --with-djdt` and `metrics` grow alike: each worker past two
+adds 3.4-5 MB.  For `phantom` and `gradcheck`, --threads N pins the BLAS
+thread pool, and without it the pool is left as the library starts it.
+Importing this module runs the package `__init__`, which loads numpy and
+its OpenBLAS, so the BLAS count is set twice: through the loaded
+OpenBLAS's own setter, found with ctypes, and through the environment
+variables that a library loaded later reads.
 
 Every command first sets glibc's heap policy (`keep_freed_heap`): arrays
 up to 32 MiB come from the heap rather than from their own mmap, the
 heap keeps 64 MiB of freed top in reserve rather than trimming it, and
 every thread allocates from that one heap (one arena).  By default glibc
-mmaps each 1 MiB inference chunk array (`network.CHUNK_BYTES`) or trims
-it off the heap top when it is freed, so every chunk touches fresh pages;
+mmaps each 1 MiB jet block (`network.CHUNK_BYTES`) of an inference chunk
+or a fit segment, or trims it off the heap top when it is freed, so every
+chunk touches fresh pages;
 and it gives each thread an arena of its own, so chunk workers would
 fault in pages of their own rather than reuse what other threads freed.
 Three 2 MiB arrays cycled three times on each of two threads fault about
@@ -75,10 +80,11 @@ and with the policy:
 0.06 s.  Where the C library has no `mallopt` the policy is not applied.
 The kept top also lets each segment of a fit step reuse the heap the
 last one freed rather than fault it in again.  A regularizer segment is
-one `network.BLOCK_BYTES` time group, 11-13 MiB of tape at any batch.
-The similarity segment is a value-only trace of the whole batch, about
-47 KiB per point at paper width, f64: within the kept top up to about
-1360 points (7.7 MiB at B=128; 374 MiB at B=8192, whose layer arrays
+one `network.CHUNK_BYTES` time group, 5.8-7.6 MiB of tape at any batch,
+and a step holds one per lane.  The similarity segment is a value-only
+trace of the whole batch, about 47 KiB per point at paper width, f64:
+with a regularizer segment beside it, within the kept top up to about
+1200 points (7.7 MiB at B=128; 374 MiB at B=8192, whose layer arrays
 pass the mmap threshold from 16384 points on).
 """
 
@@ -99,10 +105,10 @@ _OPENBLAS_SETTERS = (
 )
 
 # glibc's mallopt parameters (malloc.h) and the values `keep_freed_heap`
-# sets: the mmap threshold at glibc's ceiling, sixteen times
-# network.BLOCK_BYTES, so that every inference chunk array is heap memory,
-# a kept top that holds every fit-step segment up to B of about 1360 at
-# paper width, f64, and one arena for every thread
+# sets: the mmap threshold at glibc's ceiling, 32 times
+# network.CHUNK_BYTES, so that every chunk array is heap memory, a kept
+# top that holds both lanes' segments of a fit step up to B of about 1200
+# at paper width, f64, and one arena for every thread
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
@@ -220,13 +226,15 @@ _OPTIONS = (
 
 _FIT_SECTIONS = ("fit", "weights", "network")
 
-# the commands whose --threads is the chunk-worker count of their dense
-# evaluations (`network.forward_with_derivatives`)
-_INFERENCE_COMMANDS = ("predict", "jacobian", "metrics")
+# the commands whose --threads is their worker count: the lanes of a fit
+# step (`trainer.fit`, also a `metrics --holdout` refit) or the chunks of
+# a dense evaluation (`network.forward_with_derivatives`)
+_WORKER_COMMANDS = ("fit", "predict", "jacobian", "metrics")
 
-# their default chunk-worker count where the CPUs allow it: two workers on
-# half-size chunks hold what one worker held on full-size ones, and each
-# worker past two adds its own working set (see the module docstring)
+# their default worker count where the CPUs allow it: a fit step has two
+# lanes, two inference workers on half-size chunks hold what one worker
+# held on full-size ones, and each inference worker past two adds its own
+# working set (see the module docstring)
 DEFAULT_WORKERS = 2
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
@@ -444,7 +452,7 @@ def main(argv=None) -> int:
         print(f"ndfreg: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_INPUT
     blas_threads = args.threads
-    if args.command in _INFERENCE_COMMANDS:  # --threads counts chunk workers
+    if args.command in _WORKER_COMMANDS:  # --threads counts workers
         args.workers = args.threads or min(usable_cpus(), DEFAULT_WORKERS)
         blas_threads = 1
     if blas_threads is not None:
@@ -508,7 +516,7 @@ def _cmd_fit(args) -> int:
     resolved = resolve_options(args, _FIT_SECTIONS)
     series = fileio.load_series(args.manifest, labels=False)  # the fit reads none
     config = _fit_config(resolved, args.out)
-    state, report = trainer.fit(series, config)
+    state, report = trainer.fit(series, config, workers=args.workers)
     fileio.save_model(os.path.join(args.out, "model.ndf"), state)
     fileio.write_csv(os.path.join(args.out, "report.csv"), report.to_rows())
     echo = _option_values({"fit": config, "weights": config.weights,
@@ -689,9 +697,7 @@ def _holdout_protocol(args, full_state, series, base_labels, label_ids):
     config = _fit_config(resolve_options(args, _FIT_SECTIONS))
     if config.time_horizon is None:
         config.time_horizon = max(series.times)
-    pin_blas_threads(args.threads or usable_cpus())  # a refit's pool is fit's
-    refit_state, _ = trainer.fit(reduced, config)
-    pin_blas_threads(1)
+    refit_state, _ = trainer.fit(reduced, config, workers=args.workers)
 
     dims = series.baseline.dims
     field_h = trainer.predict_field(refit_state, months, dims, workers=args.workers)

@@ -308,7 +308,7 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 
 def _param_gradient_worst(seed, corrupt, precision, dtype):
     """Worst relative error of full-loss parameter gradients, taped at
-    `dtype` and accumulated segment by segment as a fit step does
+    `dtype` and accumulated segment by segment in the lanes of a fit step
     (`trainer.segment_gradients`), against f64 central differences of the
     one-tape loss (`total_loss`); inf when the plan's monotonic term is 0,
     as the check would then not cover its gradient.

@@ -36,14 +36,15 @@ freed after that group's layer 2.  `trace_network` returns one output jet
 per group, and time k of a group is position k of its jet.
 
 Grouping rule: a recorded trace puts as many times in a group as keep
-one hidden-layer block within BLOCK_BYTES, K = max(1, BLOCK_BYTES //
+one hidden-layer block within CHUNK_BYTES, K = max(1, CHUNK_BYTES //
 (hidden width x slot count x itemsize x P)), which is `chunk_points`
 with points and times swapped, so each time costs one chain of per-node
-Python and small kernels per group, not per time.  A fit step's regularizer segment (`trainer.point_chunks`) is one
-group of the whole grid; the value-only observed times of a whole batch
-are one group at both benchmark shapes.  A trace of a frozen state
+Python and small kernels per group, not per time.  A fit step's
+regularizer segment (`trainer.point_chunks`) is one group of the whole
+grid; the value-only observed times of a whole batch are one group at
+both benchmark shapes.  A trace of a frozen state
 (`make_leaves(trainable=False)`, inference) keeps one time per group:
-its chunks already fill BLOCK_BYTES with one time, and a one-time
+its chunks already fill CHUNK_BYTES with one time, and a one-time
 value-only embedding is a single row, which numpy multiplies as a matrix
 vector product whose sums round differently from a matrix product's, so
 grouping would make a short call's products depend on the other times it
@@ -54,10 +55,10 @@ Each layer's value, tangents and mixed entries travel as one stacked jet
 block (see `diffengine`), so a hidden layer holds hidden width x slot
 count values per point and time.  Chunks are therefore sized by bytes:
 `chunk_points` takes as many points as keep one hidden-layer block of a
-given number of times within a byte budget.  A fit step asks for its
-grid's times within BLOCK_BYTES (2 MiB, the per-core L2 of the x86-64
-hosts this is measured on).  Inference asks for one time within
-CHUNK_BYTES, half of that: 64 points at paper width with d|J|/dt (8
+given number of times within CHUNK_BYTES (1 MiB), the one byte budget of
+every block.  A fit step asks for its grid's times: with d|J|/dt on an
+8-time grid that is 8 points at paper width, f64, and 64 at width 32.
+Inference asks for one time: 64 points at paper width with d|J|/dt (8
 slots), 128 with J alone (4 slots) and 512 for displacement alone, at
 any worker count.  An inference call longer than one chunk pads its last
 chunk to the full size and drops the padded points, so every chunk runs
@@ -68,49 +69,55 @@ hidden-layer products measured the same bits in pieces down to 8 rows,
 but the output layer's n = 3 product did not: 64-, 128- and 256-row
 pieces of a 1024-row product differed, 512-row pieces did not.  So the
 chunk size never depends on the worker count, and at paper width every
-output product keeps at least 512 rows.  A block that fits L2 stays there
+inference output product keeps at least 512 rows.  A block that fits the
+per-core L2 (2 MiB on the x86-64 hosts this is measured on) stays there
 between a layer's matmul and its rule: 8 MiB chunks measured 6-12 %
-slower per layer.  BLOCK_BYTES stays below the CLI's 32 MiB mmap
+slower per layer.  CHUNK_BYTES stays below the CLI's 32 MiB mmap
 threshold (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from
 heap a previous chunk freed, not from fresh pages.
 
 Workers.  `forward_with_derivatives` hands its equal-shape chunks to
 `workers` threads (default 1; `cli` passes --threads, by default two
-where the process may run on two CPUs or more): the calling thread and
-workers - 1 helpers, each taking the next chunk until none is left.
-Each traces its chunk on its own tape and writes that chunk's columns of
-the results, which are allocated once per call, so no two workers touch
-one array and the results are byte-identical at any worker count.  numpy drops the GIL in
-its matmuls and elementwise loops, so the workers' kernels run at once;
-with one BLAS thread per worker (`cli` pins it) a worker is one core.
-Every helper is joined before the call returns or re-raises a worker's
-error.  Training runs on one thread.
+where the process may run on two CPUs or more) through `_run_chunks`:
+the calling thread and workers - 1 helpers, each taking the next chunk
+until none is left.  Each traces its chunk on its own tape and writes
+that chunk's columns of the results, which are allocated once per call,
+so no two workers touch one array and the results are byte-identical at
+any worker count.  A fit step runs its lanes on the same runner
+(`trainer.segment_gradients`): a fixed number of lanes, each recording
+its loss segments on its own tape and leaves, whose gradients add in
+lane order, so a fitted model is byte-identical at any worker count too.
+numpy drops the GIL in its matmuls and elementwise loops, so the
+workers' kernels run at once; with one BLAS thread per worker (`cli`
+pins it) a worker is one core.  Each helper runs in a copy of the
+calling thread's context, so numpy's error state (`np.errstate`, a
+context variable) holds on every worker.  Every helper is joined before
+the call returns or re-raises a worker's error.
 
-Memory bound: no hidden-layer block exceeds BLOCK_BYTES in training (K
-times of P points), or CHUNK_BYTES in inference (one time of a chunk).
-A dense inference chunk holds at most the prefix plus two hidden-layer
-blocks (2 MiB at the default chunk size), one rule's input and its
-output, because `trace_network` drops each layer's input activation
-before the layer's rule runs (the sine adds scratch of four slot panels).
-So each worker holds at most half of what one BLOCK_BYTES chunk held, and
-two workers hold what one held before chunks were halved.  Past two,
-peak RSS grows by each worker's chunk set and its BLAS buffers, whatever
-the grid: 3.4-5 MB per worker at paper width, f64 (`cli` docstring).  A
-training tape holds the same bytes grouped or not.  The reverse sweep's
+Memory bound: no hidden-layer block exceeds CHUNK_BYTES, K times of P
+points in training or one time of a chunk in inference.  A dense
+inference chunk holds at most the prefix plus two hidden-layer blocks
+(2 MiB at the default chunk size), one rule's input and its output,
+because `trace_network` drops each layer's input activation before the
+layer's rule runs (the sine adds scratch of four slot panels).  So two
+workers hold what one worker held on chunks of twice the size.  Past
+two, peak RSS grows by each worker's chunk set and its BLAS buffers,
+whatever the grid: 3.4-5 MB per worker at paper width, f64 (`cli`
+docstring).  A training tape holds the same bytes grouped or not, and a
+fit step holds one segment tape per running lane.  The reverse sweep's
 transient is the incoming cotangent, one group's block of up to
-BLOCK_BYTES, plus scratch slot panels, with no second block: every
+CHUNK_BYTES, plus scratch slot panels, with no second block: every
 sine and leaky rule writes its input cotangent over the leading slots of
 the incoming one, with at most four scratch panels, and no rule
 allocates a cotangent block.  Only layer 2's input, the one-time prefix,
 gets a new array: those slots summed over the times (or, in a group of
 one time, the sweep's copy of them).  A weight gradient adds into its
-columns of the weight's adjoint, which each step allocates once.  A
-recorded group keeps 2(depth - 2) - 1 blocks (layer 2's sine, each
-deeper hidden layer's matmul and sine) and an omega*cos slot panel per
-sine: 5.4
-blocks at depth 5; with the prefix, the output block and the loss's
-readers a fit step's regularizer segment records 5.7-5.8 blocks, leaves
-left out.
+columns of the weight's adjoint, which each lane allocates once per
+step.  A recorded group keeps 2(depth - 2) - 1 blocks (layer 2's sine,
+each deeper hidden layer's matmul and sine) and an omega*cos slot panel
+per sine: 5.4 blocks at depth 5; with the prefix, the output block and
+the loss's readers a fit step's regularizer segment records 5.7-5.8
+blocks, leaves left out.
 `forward_with_derivatives` returns the displacement, |I + J| with
 `spatial` and d|I + J|/dt with both; it allocates each of them once at
 grid size and every chunk writes its own columns.  J and dphi/dt stay on
@@ -126,6 +133,7 @@ to normalized time.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from dataclasses import dataclass
@@ -158,16 +166,12 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 
-# bytes of one hidden-layer jet block: an inference chunk's or a fit
-# segment's block fits the 2 MiB per-core L2, one 1024-point paper-width
-# (256) f64 layer array
-BLOCK_BYTES = 2 << 20
-
-# bytes of one hidden-layer block of an inference chunk: half a block, so
-# two chunk workers hold what one worker held at BLOCK_BYTES, and at paper
-# width every output-layer product keeps at least 512 rows (see the module
-# docstring)
-CHUNK_BYTES = BLOCK_BYTES // 2
+# bytes of one hidden-layer jet block, the one budget of every block: a
+# fit segment's time group and an inference chunk.  Half the 2 MiB
+# per-core L2, so two workers' blocks fit where one did, and at paper
+# width every inference output-layer product keeps at least 512 rows (see
+# the module docstring)
+CHUNK_BYTES = 1 << 20
 
 
 def require_finite(config):
@@ -302,6 +306,17 @@ class Leaves:
         """Whether the parameters are recorded leaves, not constants."""
         return self.psi[0][0].idx is not None
 
+    def nodes(self) -> list:
+        """Every parameter's node, in `NetworkState.param_arrays` order."""
+        return [n for pair in self.psi + self.theta for n in pair]
+
+    def on(self, tape: Tape) -> "Leaves":
+        """The same parameter values as leaves of `tape`, with adjoints of
+        their own: the leaves of a fit step's further lanes, whose step
+        made its leaves with one `make_leaves` call."""
+        return Leaves(*([(tape.leaf(w.value), tape.leaf(b.value)) for w, b in part]
+                        for part in (self.psi, self.theta)))
+
     def grads(self) -> list:
         """The leaves' adjoints in `NetworkState.param_arrays` order and
         shapes (each bias row back to its (out, 1) column), zero where no
@@ -387,8 +402,7 @@ def trace_network(
     h = config.hidden_width
     he = h + config.time_embed_width
     points = max(1, coords.shape[1])
-    k = (chunk_points(config, request, tape.dtype, points, block=BLOCK_BYTES)
-         if leaves.trainable else 1)
+    k = chunk_points(config, request, tape.dtype, points) if leaves.trainable else 1
     prefix = _trace_prefix(tape, leaves, _coordinate_jet(tape, coords, request.spatial), config)
     outs = []
     for lo in range(0, len(times), k):
@@ -459,7 +473,7 @@ def forward_with_derivatives(
     constants, so nothing is recorded; chunking, padding, sharing and the
     worker count change no arithmetic (results are identical to one pass
     per time)."""
-    size = chunk_points(state.config, request, dtype, block=CHUNK_BYTES)
+    size = chunk_points(state.config, request, dtype)
     single = np.ndim(times) == 0
     times = [times] if single else list(times)
     coords = np.asarray(coords, dtype=dtype)
@@ -489,9 +503,11 @@ def _run_chunks(write, starts, workers: int):
     """Call `write(lo)` for every chunk start on `workers` threads, the
     calling one and workers - 1 helpers (no more than there are chunks),
     that each take the next start until none is left; with one worker the
-    calling thread writes every chunk in order.  A worker that raises stops
-    the others after their current chunk, and every helper is joined before
-    the first error is re-raised, so no thread outlives the call."""
+    calling thread writes every chunk in order.  Each helper runs in a copy
+    of the calling thread's context, so the caller's `np.errstate` holds on
+    every worker.  A worker that raises stops the others after their
+    current chunk, and every helper is joined before the first error is
+    re-raised, so no thread outlives the call."""
     workers = min(workers, len(starts))
     pending, lock, errors = iter(starts), threading.Lock(), []
 
@@ -509,7 +525,8 @@ def _run_chunks(write, starts, workers: int):
     helpers = []
     try:
         for _ in range(workers - 1):
-            thread = threading.Thread(target=work, name="ndfreg-chunk")
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(work,), name="ndfreg-chunk")
             thread.start()
             helpers.append(thread)
         work()
@@ -551,12 +568,11 @@ def _point_bytes(config: NetworkConfig, request: DerivativeRequest, dtype) -> in
 
 
 def chunk_points(config: NetworkConfig, request: DerivativeRequest, dtype,
-                 times: int = 1, *, block: int) -> int:
+                 times: int = 1) -> int:
     """Points per chunk: as many as keep one hidden-layer jet block of
-    `times` times within `block` bytes, and at least one.  A fit step's
-    regularizer segment is its grid's times within BLOCK_BYTES; an
-    inference chunk is one time within CHUNK_BYTES.  The rule is symmetric
-    in points and times, so with `times` the points P of a block it is the
-    times per block, K (`trace_network`'s groups): a segment sized for its
-    grid's times is one group."""
-    return max(1, block // (times * _point_bytes(config, request, dtype)))
+    `times` times within CHUNK_BYTES, and at least one.  A fit step's
+    regularizer segment is its grid's times; an inference chunk is one
+    time.  The rule is symmetric in points and times, so with `times` the
+    points P of a block it is the times per block, K (`trace_network`'s
+    groups): a segment sized for its grid's times is one group."""
+    return max(1, CHUNK_BYTES // (times * _point_bytes(config, request, dtype)))

@@ -12,19 +12,34 @@ anchor, over the whole batch: one value-only trace of the observed
 times.  Then the grid regularizers, which are means over points, run one
 segment per point chunk: one trace of the grid with derivatives over the
 chunk's points, its terms scaled by the chunk's share of the batch.  Each
-segment is recorded by `build_total_loss`, swept into the leaves'
-adjoints and released before the next is recorded, so the step's largest
-live tape is one segment and the leaves end with the full loss's
-gradient.  Chunk rule (`point_chunks`): each regularizer segment is one
-time group, the grid's times of P = `network.chunk_points` points in one
-`network.BLOCK_BYTES` jet block, in n = ceil(B / P) chunks in batch
-order whose sizes differ by at most one.  At paper width P is 16 at f64
-and 32 at f32 (B=128: 8 or 4 chunks; B=8192: 512 of 16); the fit-narrow
-recipe (width 32, B=256) is 2 chunks of 128 at f64 and one at f32.  So
-every GEMM still runs a full block, and no regularizer segment's tape
-holds more than about 6 blocks (see `network`).  The similarity trace
-shares its time-invariant prefix across the observed times, in groups
-of as many as fill one block (`network.chunk_points` of its points).
+segment is recorded by `build_total_loss`, swept into its lane's leaves'
+adjoints and released before its lane records the next, so the leaves
+end with the full loss's gradient.  Chunk rule (`point_chunks`): each
+regularizer segment is one time group, the grid's times of P =
+`network.chunk_points` points in one `network.CHUNK_BYTES` jet block, in
+n = ceil(B / P) chunks in batch order whose sizes differ by at most one.
+At paper width P is 8 at f64 and 16 at f32 (B=128: 16 or 8 chunks;
+B=8192: 1024 of 8); the fit-narrow recipe (width 32, B=256) is 4 chunks
+of 64 at f64 and 2 of 128 at f32.  So every GEMM still runs a full
+block, and no regularizer segment's tape holds more than about 6 blocks
+(see `network`).  The similarity trace shares its time-invariant prefix
+across the observed times, in groups of as many as fill one block
+(`network.chunk_points` of its points).
+
+Lanes.  A step's segments, the similarity segment first, are dealt to
+LANES fixed lanes: segment i goes to lane i mod LANES.  Each lane records
+and sweeps its segments in order on its own `Tape` with its own leaves
+(lane 0 on the step's tape and leaves, every other lane on leaves of the
+same values, `network.Leaves.on`), and keeps its own running breakdown.
+Then each further lane's adjoints are added in place into lane 0's, and
+the lanes' breakdowns are added, in lane order.  The sums therefore
+never depend on how many threads ran the lanes: `fit(..., workers=N)`
+runs them on min(N, LANES) threads (`network._run_chunks`, the runner of
+the inference chunks), and the fitted model is byte-identical at any N.
+A step holds one segment tape and one set of leaf adjoints per running
+lane.  This is synchronous data-parallel SGD with a fixed-order
+reduction (Goyal et al. 2017, arXiv 1706.02677) over the point chunks of
+one step.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk, on one or
@@ -33,8 +48,9 @@ of each group's products.  It
 returns `network.DisplacementResult`s whose products, those its
 `network.DerivativeRequest` names, are shaped as the grid.
 
-With a fixed seed and single-threaded BLAS the loop is reproducible to
-bit-identical parameters.
+With a fixed seed and one BLAS thread per worker the loop is
+reproducible to bit-identical parameters, byte-identical at any
+`--threads`.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ from .volume import (
 )
 
 __all__ = [
+    "LANES",
     "FitConfig",
     "FitReport",
     "SamplePlan",
@@ -73,6 +90,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
+
+# lanes of a fit step's loss segments: a fixed count, apart from the
+# worker count, so the order of every gradient sum is fixed (see above)
+LANES = 2
 
 # Adam's moment decay rates and denominator guard
 BETA1 = 0.9
@@ -231,8 +252,10 @@ class FitReport:
         return rows
 
 
-def fit(series: Volume4DSeries, config: FitConfig):
-    """Optimize a fresh network on one subject; returns (state, report)."""
+def fit(series: Volume4DSeries, config: FitConfig, workers: int = 1):
+    """Optimize a fresh network on one subject; returns (state, report).
+    `workers` threads run each step's lanes (`segment_gradients`); the
+    result is byte-identical at any count."""
     config.validate()
     if not series.followups:
         raise ValueError("series needs at least one follow-up scan")
@@ -259,7 +282,7 @@ def fit(series: Volume4DSeries, config: FitConfig):
     similarity_bytes = regularizer_bytes = 0
     for it in range(1, config.iterations + 1):
         breakdown, rejected, tape_bytes = _fit_step(
-            series, config, state, params, opt, rng, t_max, mask_points, dtype
+            series, config, state, params, opt, rng, t_max, mask_points, dtype, workers
         )
         rejected_steps += rejected
         similarity_bytes = max(similarity_bytes, tape_bytes[0])
@@ -305,8 +328,7 @@ def _loss_chunks(weights, config, points, grid_times, dtype) -> list:
     request = regularizer_request(weights)
     if request is None:
         return []
-    return point_chunks(points, net.chunk_points(config, request, dtype, grid_times,
-                                                    block=net.BLOCK_BYTES))
+    return point_chunks(points, net.chunk_points(config, request, dtype, grid_times))
 
 
 def point_chunks(points: int, size: int) -> list:
@@ -318,21 +340,53 @@ def point_chunks(points: int, size: int) -> list:
     return [size + (i < extra) for i in range(n)]
 
 
-def segment_gradients(tape, leaves, series, weights, plan, config) -> tuple:
-    """Record and sweep a step's loss segment by segment on `tape`: the
-    similarity terms over the whole batch, then the grid regularizers of
-    each point chunk (`point_chunks`, one time group each), each through
-    `build_total_loss`.  Each sweep adds its segment's gradient to the
-    leaves' adjoints and releases the segment, so the largest live tape is
-    one segment and the leaves end with the full loss's gradient.  Once
-    the running total is non-finite, the remaining segments are recorded
-    for their values and released without a sweep.  Returns the
-    breakdown, summed over the segments, and each segment's tape bytes
-    (`Tape.stats`) in order, the similarity segment's first."""
+def segment_gradients(tape, leaves, series, weights, plan, config, workers=1) -> tuple:
+    """Record and sweep a step's loss segment by segment, in LANES lanes
+    on `workers` threads (see the module docstring): the similarity terms
+    over the whole batch, then the grid regularizers of each point chunk
+    (`point_chunks`, one time group each), each through
+    `build_total_loss`.  Lane 0 runs on `tape` and `leaves`, which end
+    with the full loss's gradient; every other lane on a tape of its own.
+    Returns the breakdown, summed over the segments in lane order, and
+    each segment's tape bytes (`Tape.stats`) in segment order, the
+    similarity segment's first."""
     segments, lo = [SIMILARITY], 0
     for n in _loss_chunks(weights, config, plan.coords.shape[1], len(plan.reg_grid), tape.dtype):
         segments.append(slice(lo, lo + n))
         lo += n
+    lanes = [segments[i::LANES] for i in range(min(LANES, len(segments)))]
+    done = [None] * len(lanes)
+
+    def run(i):
+        lane_tape = tape if i == 0 else Tape(tape.dtype)
+        lane_leaves = leaves if i == 0 else leaves.on(lane_tape)
+        done[i] = (lane_leaves, *_sweep_lane(lane_tape, lane_leaves, series, weights,
+                                             plan, config, lanes[i]))
+
+    net._run_chunks(run, range(len(lanes)), workers)  # no more threads than lanes
+    for other, _, _ in done[1:]:  # in place, in lane order
+        for mine, theirs in zip(leaves.nodes(), other.nodes()):
+            if theirs.adjoint is None:
+                continue
+            if mine.adjoint is None:
+                mine.adjoint = theirs.adjoint
+            else:
+                mine.adjoint += theirs.adjoint
+    sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
+    for _, lane_sums, _ in done:
+        for name in LossBreakdown.FIELDS:
+            sums[name] += lane_sums[name]
+    tape_bytes = [done[i % LANES][2][i // LANES] for i in range(len(segments))]
+    return LossBreakdown(**sums), tape_bytes
+
+
+def _sweep_lane(tape, leaves, series, weights, plan, config, segments) -> tuple:
+    """Record and sweep one lane's `segments` in order on `tape`.  Each
+    sweep adds its segment's gradient to the leaves' adjoints and releases
+    the segment, so the lane's largest live tape is one segment.  Once
+    the lane's running total is non-finite, its remaining segments are
+    recorded for their values and released without a sweep.  Returns the
+    lane's breakdown sums and each segment's tape bytes, in order."""
     sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
     tape_bytes = []
     for segment in segments:
@@ -342,25 +396,26 @@ def segment_gradients(tape, leaves, series, weights, plan, config) -> tuple:
             sums[name] += getattr(part, name)
         if np.isfinite(sums["total"]) and total.idx is not None:
             tape.backward(total)
-        else:  # nothing to sweep: a constant total, or a non-finite step
+        else:  # nothing to sweep: a constant total, or a non-finite lane
             tape.release()
         total = None  # no node of a released segment outlives it
-    return LossBreakdown(**sums), tape_bytes
+    return sums, tape_bytes
 
 
-def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype):
-    """One iteration: fresh leaves on a fresh tape, the loss recorded and
-    swept segment by segment (`segment_gradients`), and one optimizer step
-    (skipped when the total is non-finite).  Returns the breakdown, whether
-    `adam_step` rejected the step, and each segment's tape bytes.
-    The tape, its leaves and the gradients are locals, so reference
-    counting frees them on return and at most one tape is alive during a
-    fit."""
+def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype, workers):
+    """One iteration: fresh leaves on a fresh tape, made by one
+    `make_leaves` call on the calling thread before any lane starts, the
+    loss recorded and swept segment by segment in lanes
+    (`segment_gradients`), and one optimizer step (skipped when the total
+    is non-finite).  Returns the breakdown, whether `adam_step` rejected
+    the step, and each segment's tape bytes.  The tapes, their leaves and
+    the gradients are locals, so reference counting frees them on return
+    and at most one tape per lane is alive during a fit."""
     tape = Tape(dtype)
     leaves = net.make_leaves(tape, state)
     plan = sample_plan(series, config, rng, t_max, mask_points)
     breakdown, tape_bytes = segment_gradients(
-        tape, leaves, series, config.weights, plan, config.network
+        tape, leaves, series, config.weights, plan, config.network, workers
     )
     if not np.isfinite(breakdown.total):
         return breakdown, False, tape_bytes

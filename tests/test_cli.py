@@ -159,7 +159,7 @@ def test_fit_bad_period_is_input_error(tmp_path, capsys, flag, value, message):
     assert not (out / "model.ndf").exists() and not (out / "report.csv").exists()
 
 
-# one cycle of three BLOCK_BYTES arrays, as an inference chunk allocates
+# one cycle of three CHUNK_BYTES arrays, as a chunk allocates
 # and frees them; prints minor page faults per cycle after a warm-up
 _CHUNK_CYCLES = """
 import resource
@@ -167,7 +167,7 @@ import numpy as np
 from ndfreg import cli, network
 
 print(cli.keep_freed_heap())
-n = network.BLOCK_BYTES // 8
+n = network.CHUNK_BYTES // 8
 
 
 def cycle():
@@ -188,7 +188,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
 def test_heap_policy_reuses_freed_chunk_arrays():
-    """Under glibc's defaults each cycle faults about 1500 times, as its
+    """Under glibc's defaults each cycle faults about 740 times, as its
     arrays are mmapped or trimmed off the heap top when freed; with the
     policy the freed heap is reused and a cycle faults (almost) never."""
     src = os.path.dirname(os.path.dirname(ndfreg.__file__))
@@ -200,7 +200,7 @@ def test_heap_policy_reuses_freed_chunk_arrays():
     assert float(out[1]) < 100
 
 
-# cycles of three BLOCK_BYTES arrays on two threads at once, after the
+# cycles of three CHUNK_BYTES arrays on two threads at once, after the
 # main thread freed six; prints the threads' minor page faults
 _THREAD_CYCLES = """
 import resource
@@ -209,7 +209,7 @@ import numpy as np
 from ndfreg import cli, network
 
 print(cli.keep_freed_heap())
-n = network.BLOCK_BYTES // 8
+n = network.CHUNK_BYTES // 8
 warm = [np.ones(n) for _ in range(6)]
 del warm
 
@@ -236,7 +236,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_heap_policy_reuses_freed_heap_on_worker_threads():
     """Chunk workers allocate from the heap the policy keeps: under glibc's
     defaults each thread gets an arena of its own and faults its arrays in
-    (about 3000 faults here); with the policy every thread shares the one
+    (about 4500 faults here); with the policy every thread shares the one
     heap, so the threads reuse what the main thread freed."""
     src = os.path.dirname(os.path.dirname(ndfreg.__file__))
     env = dict(os.environ)
@@ -274,9 +274,9 @@ def test_jacobian_loads_no_openssl(tmp_path):
 
 
 def test_chunk_arrays_stay_below_the_mmap_threshold():
-    """An inference block above the threshold would be mmapped again and
-    fault on every chunk."""
-    assert network.BLOCK_BYTES < cli.HEAP_MMAP_THRESHOLD
+    """A jet block above the threshold would be mmapped again and fault on
+    every chunk or segment."""
+    assert network.CHUNK_BYTES < cli.HEAP_MMAP_THRESHOLD
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,7 +496,7 @@ def build(monkeypatch, tmp_path):
     assert cli.main(["phantom", "--out", str(data), "--dims", "4,4,4",
                      "--times", "0,12"]) == cli.EXIT_OK
 
-    def stop(*args):
+    def stop(*args, **kwargs):
         raise _Built(args[-1])
 
     monkeypatch.setattr(trainer, "fit", stop)
@@ -1060,10 +1060,10 @@ def test_inference_threads_count_chunk_workers(monkeypatch, tmp_path, command):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
-def test_metrics_holdout_refits_on_the_blas_pool(monkeypatch, tmp_path):
-    """A `metrics --holdout` refit is a fit: it runs on --threads BLAS
-    threads, by default one per usable CPU, and BLAS is pinned back to one
-    thread for the dense evaluations after it."""
+def test_metrics_holdout_refits_on_the_chunk_workers(monkeypatch, tmp_path):
+    """A `metrics --holdout` refit is a fit: it runs its lanes on the
+    --threads workers, by default two, with BLAS pinned to one thread once
+    for the refit and the dense evaluations alike."""
     from ndfreg import trainer
 
     manifest = _phantom(tmp_path, "0,12,24", _LABELLED)
@@ -1074,11 +1074,11 @@ def test_metrics_holdout_refits_on_the_blas_pool(monkeypatch, tmp_path):
     fit, evaluate = trainer.fit, network.forward_with_derivatives
 
     def fit_spy(*args, **kwargs):
-        at_fit.append(pinned[-1])
+        at_fit.append(kwargs.get("workers", 1))
         return fit(*args, **kwargs)
 
     def eval_spy(*args, **kwargs):
-        at_eval.append(pinned[-1])
+        at_eval.append(kwargs.get("workers", 1))
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "fit", fit_spy)
@@ -1087,29 +1087,70 @@ def test_metrics_holdout_refits_on_the_blas_pool(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    for extra, count in (([], 3), (["--threads", "2"], 2)):
-        at_fit.clear(), at_eval.clear()
+    for extra, count in (([], 2), (["--threads", "3"], 3)):
+        pinned.clear(), at_fit.clear(), at_eval.clear()
         assert cli.main(argv + extra) == cli.EXIT_OK
-        assert at_fit == [count] and at_eval and set(at_eval) == {1}
+        assert pinned == [1] and at_fit == [count] and at_eval and set(at_eval) == {count}
 
 
 @pytest.mark.parametrize("command", ["fit", "phantom"])
 def test_threads_pins_blas_for_fit_and_phantom(monkeypatch, tmp_path, command):
-    """For every other command --threads is still the BLAS pool, and
-    without it the pool is left alone."""
+    """`fit` pins BLAS to one thread per worker, and --threads is its worker
+    count (by default two where two CPUs are usable); for `phantom`
+    --threads is still the BLAS pool, and without it the pool is left
+    alone."""
+    from ndfreg import trainer
+
     manifest = _phantom(tmp_path, "0,12")
     argv = {
         "fit": ["fit", "--manifest", manifest, "--iterations", "1", *_TINY_FIT],
         "phantom": ["phantom", "--dims", "4,4,4", "--times", "0,12"],
     }[command] + ["--out", str(tmp_path / "out")]
-    pinned = []
+    pinned, workers = [], []
+    fit = trainer.fit
+
+    def fit_spy(*args, **kwargs):
+        workers.append(kwargs.get("workers", 1))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "fit", fit_spy)
     monkeypatch.setattr(cli, "pin_blas_threads", pinned.append)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     assert cli.main(argv) == cli.EXIT_OK
-    assert pinned == [] and "OPENBLAS_NUM_THREADS" not in os.environ
-    assert cli.main(argv + ["--threads", "2"]) == cli.EXIT_OK
-    assert pinned == [2] and os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    if command == "fit":
+        assert pinned == [1] and os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert workers == [2]
+    else:
+        assert pinned == [] and "OPENBLAS_NUM_THREADS" not in os.environ
+    pinned.clear(), workers.clear()
+    assert cli.main(argv + ["--threads", "3"]) == cli.EXIT_OK
+    if command == "fit":
+        assert pinned == [1] and os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert workers == [3]
+    else:
+        assert pinned == [3] and os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_fit_threads_write_identical_files(tmp_path):
+    """`fit` writes the same model file, config echo and report, but for
+    the report's wall-clock column, at --threads 1, 2 and 3, over 3
+    regularizer chunks of a 1100-point batch (2 segments per lane)."""
+    manifest = _phantom(tmp_path)
+    written = {}
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["fit", "--manifest", manifest, "--out", str(out),
+                         "--iterations", "3", "--log-every", "1", *_TINY_FIT,
+                         "--batch-points", "1100", "--threads", threads]) == cli.EXIT_OK
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        report = files.pop("report.csv").decode().splitlines()
+        assert report[0].endswith(",wall_ms") and len(report) == 4
+        files["report.csv"] = [line.rsplit(",", 1)[0] for line in report]
+        written[threads] = files
+    assert "model.ndf" in written["1"]
+    assert written["1"] == written["2"] == written["3"]
 
 
 def test_fit_reads_no_labels_and_metrics_does(monkeypatch, tmp_path, capsys):

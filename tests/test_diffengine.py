@@ -246,17 +246,17 @@ def test_value_only_sine_allocates_one_piece_beyond_its_result():
 
 
 def _sine_vjp_peak(layer):
-    """The reverse rule of a slotted sine at the fit-narrow shape (width
-    32, K = 4 grid times of 256 points, every slot): the node, the bytes of
-    one (K, P, rows) panel, the cotangent it was handed, what it yields and
-    the bytes it allocates at its peak (tracemalloc)."""
+    """The reverse rule of a slotted sine at the fit-narrow segment's shape
+    (width 32, K = 8 grid times of 64 points, every slot): the node, the
+    bytes of one (K, P, rows) panel, the cotangent it was handed, what it
+    yields and the bytes it allocates at its peak (tracemalloc)."""
     cfg = net.NetworkConfig(hidden_width=32, depth=5, time_hidden_width=10, time_embed_width=16)
     state = net.init_network(seed=1, config=cfg)
-    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 256))
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 64))
     full = net.DerivativeRequest(spatial=True, temporal=True)
     tape = Tape()
     leaves = net.make_leaves(tape, state)
-    net.trace_network(tape, leaves, coords, [0.1, 0.4, 0.6, 0.9], cfg, full)
+    net.trace_network(tape, leaves, coords, np.linspace(0.1, 0.9, 8), cfg, full)
     node = [n for n in tape.nodes if n.kind == "jet_sine"][layer - 1]
     g = np.random.default_rng(1).standard_normal(node.value.shape)
     tracemalloc.start()
@@ -267,33 +267,36 @@ def _sine_vjp_peak(layer):
     finally:
         tracemalloc.stop()
     assert grads[0][1].shape == node.inputs[0].value.shape
-    return node, 4 * 256 * 32 * 8, g, grads, peak - before
+    return node, 8 * 64 * 32 * 8, g, grads, peak - before
+
+
+# slack of a sine VJP's peak: numpy's ufunc buffers and the (K, rows)
+# column-term sums, which do not grow with the block (12-74 KB measured)
+_VJP_SLACK = 96 << 10
 
 
 def test_shared_block_sine_vjp_holds_four_scratch_panels():
-    """Layer 2's block is one time shared by the K = 4 times and has no t
+    """Layer 2's block is one time shared by the K = 8 times and has no t
     slot: its rule writes its input cotangent over the leading slots of the
     one it is handed, and allocates only their sum over the times and at
     most four scratch panels."""
     node, panel, _, _, peak = _sine_vjp_peak(2)
     _, slots, (kb, k) = node.payload
-    assert (kb, k) == (1, 4) and de.T not in slots
+    assert (kb, k) == (1, 8) and de.T not in slots
     summed = node.inputs[0].value.nbytes  # the shared block's cotangent
-    # slack: numpy's ufunc buffers and the (K, rows) column-term sums
-    assert peak <= 4 * panel + summed + panel // 2
+    assert peak <= 4 * panel + summed + _VJP_SLACK
 
 
 def test_in_place_sine_vjp_holds_four_scratch_panels():
-    """Layer 3's block has its output's 8 slots at the K = 4 times, and a t
+    """Layer 3's block has its output's 8 slots at the K = 8 times, and a t
     column term whose folded sum is never kept: its input cotangent
     overwrites the cotangent it is handed, so it allocates no block, only
     at most four scratch panels."""
     node, panel, g, grads, peak = _sine_vjp_peak(3)
     _, slots, (kb, k) = node.payload
-    assert (kb, k) == (4, 4) and slots == ALL_SLOTS
+    assert (kb, k) == (8, 8) and slots == ALL_SLOTS
     assert grads[0][1] is g
-    # slack: numpy's ufunc buffers and the (K, rows) column-term sums
-    assert peak <= 4 * panel + panel // 2
+    assert peak <= 4 * panel + _VJP_SLACK
 
 
 def test_embedding_leaky_vjp_yields_its_cotangent():
@@ -1017,10 +1020,10 @@ def test_grouped_loss_gradients_match_one_time_groups(monkeypatch, grid_times):
         b[:] = np.random.default_rng(5).uniform(-0.2, 0.2, size=b.shape)
     weights = losses.LossWeights(lam=2.0, alpha=0.5, beta=0.5, gamma=3.0)
     one_time = 16 * 8 * 8 * 32  # width x slots x itemsize x points
-    monkeypatch.setattr(net, "BLOCK_BYTES", grid_times * one_time)
+    monkeypatch.setattr(net, "CHUNK_BYTES", grid_times * one_time)
     grouped, breakdown, kinds = _loss_gradients(series, state, plan, weights)
     assert kinds["jacdet_dt"] == -(-8 // grid_times)  # one read per group
-    monkeypatch.setattr(net, "BLOCK_BYTES", 1)  # every time its own group
+    monkeypatch.setattr(net, "CHUNK_BYTES", 1)  # every time its own group
     single, want, single_kinds = _loss_gradients(series, state, plan, weights)
     assert single_kinds["jacdet_dt"] == 8
     assert single_kinds["jet_leaky"] == 2 * (4 + 8)  # two embedding rules per group
@@ -1033,18 +1036,20 @@ def test_grouped_loss_gradients_match_one_time_groups(monkeypatch, grid_times):
 
 def test_training_time_groups_fill_block_bytes(monkeypatch):
     """A training trace puts as many times in a block as keep one
-    hidden-layer block within BLOCK_BYTES, the `chunk_points` rule with
-    points and times swapped: at the fit-narrow shape (width 32, B=256,
-    512 KiB per time with every slot) the 8-time grid is 2 groups of 4 and
-    the 4 value-only observed times 1; at the paper's (width 256, B=128,
-    2 MiB per time) each grid time is its own group.  No jet block the
-    fit-narrow loss records exceeds BLOCK_BYTES."""
+    hidden-layer block within CHUNK_BYTES (1 MiB), the `chunk_points`
+    rule with points and times swapped: over the fit-narrow batch (width
+    32, B=256, 512 KiB per time with every slot) the 8-time grid is 4
+    groups of 2 and the 4 value-only observed times 1; over the paper's
+    (width 256, B=128, 2 MiB per time at f64, 1 MiB at f32) each grid time
+    is its own group.  No jet block the fit-narrow loss records exceeds
+    CHUNK_BYTES."""
     full, value = net.DerivativeRequest(spatial=True, temporal=True), net.DerivativeRequest()
     narrow, paper = net.NetworkConfig(hidden_width=32, time_embed_width=16), net.NetworkConfig()
-    assert net.chunk_points(narrow, full, np.float64, 256, block=net.BLOCK_BYTES) == 4
-    assert net.chunk_points(narrow, value, np.float64, 256, block=net.BLOCK_BYTES) == 32
-    assert net.chunk_points(paper, full, np.float64, 128, block=net.BLOCK_BYTES) == 1
-    assert net.chunk_points(paper, full, np.float32, 128, block=net.BLOCK_BYTES) == 2
+    assert net.CHUNK_BYTES == 1 << 20
+    assert net.chunk_points(narrow, full, np.float64, 256) == 2
+    assert net.chunk_points(narrow, value, np.float64, 256) == 16
+    assert net.chunk_points(paper, full, np.float64, 128) == 1
+    assert net.chunk_points(paper, full, np.float32, 128) == 1
     sizes = []
     record = Tape.record
 
@@ -1057,10 +1062,10 @@ def test_training_time_groups_fill_block_bytes(monkeypatch):
     monkeypatch.setattr(Tape, "record", sized)
     series, state, plan = _tape_size_setup(width=32, embed=16, points=256)
     _, _, kinds = _loss_gradients(series, state, plan, losses.LossWeights())
-    assert kinds["jacdet_dt"] == 2
+    assert kinds["jacdet_dt"] == 4
     # displacement at each observed time, J and dphi/dt per group
-    assert kinds["jet_slot"] == 4 + 2 + 2
-    assert max(sizes) == net.BLOCK_BYTES
+    assert kinds["jet_slot"] == 4 + 4 + 4
+    assert max(sizes) == net.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("depth, weights", [

@@ -193,3 +193,23 @@ def test_f32_corruption_fails_only_its_own_check(hook):
     its own check."""
     results = run_gradcheck(precision="f32", corrupt=hook, **SMALL)
     assert [r.name for r in results if not r.passed] == [HOOKS[hook]]
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_parameter_gradients_sum_in_the_fit_lanes(monkeypatch, precision):
+    """The parameter-gradients check takes its gradient from the lanes of a
+    fit step (`trainer.segment_gradients`): the similarity segment on lane
+    0's tape, the one regularizer chunk on lane 1's, and the check passes."""
+    from ndfreg import losses, trainer
+
+    sweep, lanes = trainer._sweep_lane, []
+
+    def tracking(tape, leaves, *args):
+        lanes.append((tape, args[-1]))
+        return sweep(tape, leaves, *args)
+
+    monkeypatch.setattr(trainer, "_sweep_lane", tracking)
+    results = {r.name: r for r in run_gradcheck(precision=precision, **SMALL)}
+    assert results["parameter-gradients"].passed
+    assert [segments for _, segments in lanes] == [[losses.SIMILARITY], [slice(0, 16)]]
+    assert lanes[0][0] is not lanes[1][0]

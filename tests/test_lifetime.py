@@ -40,7 +40,10 @@ def tapes(monkeypatch):
     return made
 
 
-def test_fit_keeps_at_most_one_tape_alive(no_gc, monkeypatch):
+def test_fit_keeps_one_tape_per_lane_alive(no_gc, monkeypatch):
+    """A fit step records its segments on one tape per lane, each freed by
+    reference counting with its step: at most LANES tapes are alive at a
+    time, and none after the fit."""
     live = weakref.WeakSet()
     peak = [0]
     init = Tape.__init__
@@ -51,8 +54,8 @@ def test_fit_keeps_at_most_one_tape_alive(no_gc, monkeypatch):
         peak[0] = max(peak[0], len(live))
 
     monkeypatch.setattr(Tape, "__init__", tracking_init)
-    trainer.fit(tiny_series(), quick_config(iterations=3))
-    assert peak[0] == 1
+    trainer.fit(tiny_series(), quick_config(iterations=3), workers=2)
+    assert peak[0] == trainer.LANES
     assert len(live) == 0
 
 

@@ -212,7 +212,7 @@ def test_paper_width_short_last_chunk_matches_one_pass(monkeypatch):
         w *= 3.0
         b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
     coords = np.random.default_rng(8).uniform(-1, 1, size=(3, 130))
-    assert net.chunk_points(state.config, FULL_REQ, np.float64, block=net.CHUNK_BYTES) == 64
+    assert net.chunk_points(state.config, FULL_REQ, np.float64) == 64
     chunked = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
     chunks_of(monkeypatch, 130)
     whole = net.forward_with_derivatives(state, coords, 0.5, FULL_REQ)
@@ -350,17 +350,16 @@ def test_recorded_jet_blocks_are_point_major(monkeypatch):
     (FULL_REQ, 128),
 ], ids=["value", "spatial", "full"])
 def test_chunk_points_keep_one_hidden_block_within_block_bytes(monkeypatch, request_, points):
-    """At paper width in f64 a block of one time is as many points as keep
-    one hidden-layer block within BLOCK_BYTES (2 MiB), and an inference
-    chunk half as many, within CHUNK_BYTES; the largest block the chunk's
-    sines build fills CHUNK_BYTES exactly.  In f32 each is twice as many
-    points."""
+    """At paper width in f64 an inference chunk is as many points as keep
+    one hidden-layer block of one time within CHUNK_BYTES (1 MiB), the one
+    budget of every block, and a chunk of 8 times an eighth of that; the
+    largest block the chunk's sines build fills CHUNK_BYTES exactly.  In
+    f32 each is twice as many points."""
     cfg = net.NetworkConfig()
-    assert net.BLOCK_BYTES == 2 << 20 and net.CHUNK_BYTES == net.BLOCK_BYTES // 2
-    assert net.chunk_points(cfg, request_, np.float64, block=net.BLOCK_BYTES) == points
-    assert net.chunk_points(cfg, request_, np.float32, block=net.BLOCK_BYTES) == 2 * points
-    assert net.chunk_points(cfg, request_, np.float64, block=net.CHUNK_BYTES) == points // 2
-    assert net.chunk_points(cfg, request_, np.float32, block=net.CHUNK_BYTES) == points
+    assert net.CHUNK_BYTES == 1 << 20
+    assert net.chunk_points(cfg, request_, np.float64) == points // 2
+    assert net.chunk_points(cfg, request_, np.float32) == points
+    assert net.chunk_points(cfg, request_, np.float64, 8) == points // 16
     sizes = []
     sine = de.bundle_sine
 
@@ -392,7 +391,7 @@ def test_workers_give_byte_identical_products(width, request_, times):
     for w, b in state.psi + state.theta:
         w *= 3.0
         b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
-    size = net.chunk_points(cfg, request_, np.float64, block=net.CHUNK_BYTES)
+    size = net.chunk_points(cfg, request_, np.float64)
     coords = np.random.default_rng(3).uniform(-1, 1, size=(3, 3 * size + 5))
 
     def products(workers):
@@ -468,6 +467,55 @@ def test_a_failing_chunk_is_re_raised_after_every_worker_is_joined(monkeypatch):
             net.forward_with_derivatives(state, coords, [0.2, 0.6], FULL_REQ,
                                          workers=workers)
         assert threading.active_count() == before
+
+
+def _overflowing_chunks(chunks=4):
+    """A `_run_chunks` writer whose chunks overflow on helper threads only
+    (the calling thread's wait, so every helper takes one), and the names
+    of the threads that wrote them."""
+    import threading
+    import time
+
+    ran = []
+
+    def write(lo):
+        ran.append(threading.current_thread().name)
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)
+        else:
+            np.full(4, 1e308) * 10.0
+
+    return write, ran
+
+
+def test_chunk_helpers_keep_the_callers_error_state():
+    """A caller's `np.errstate(over="ignore")` covers every worker's
+    chunks: numpy's error state is a context variable, and each helper
+    runs in a copy of the calling thread's context, so no helper warns
+    (a warning would be an error here)."""
+    import warnings
+
+    write, ran = _overflowing_chunks()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"):
+            net._run_chunks(write, range(4), 2)
+    assert len(ran) == 4 and "ndfreg-chunk" in ran
+
+
+def test_a_helpers_floating_point_error_is_re_raised_after_the_join():
+    """Under `np.errstate(over="raise")` a helper's overflow raises
+    FloatingPointError on that helper, which the call re-raises once every
+    worker is joined."""
+    import threading
+
+    write, ran = _overflowing_chunks()
+    before = threading.active_count()
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            net._run_chunks(write, range(4), 2)
+    assert threading.active_count() == before
+    assert "ndfreg-chunk" in ran
 
 
 def _jet_arrays(jet, time):

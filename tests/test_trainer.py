@@ -189,23 +189,26 @@ def test_fit_numerical_abort():
 
 def test_fit_counts_a_rejected_step(monkeypatch):
     """A non-finite gradient on the second of four iterations: adam_step
-    refuses that step, and the report counts it.  An iteration sweeps its
-    one tape once per loss segment, so the iterations are told apart by
-    their tapes."""
-    backward = trainer.Tape.backward
-    tapes = []
+    refuses that step, and the report counts it.  An iteration sweeps a
+    tape per lane, once per loss segment, so the iterations are told apart
+    by their one `make_leaves` call."""
+    backward, make_leaves = trainer.Tape.backward, net.make_leaves
+    iteration = [0]
+
+    def counting(*args, **kwargs):
+        iteration[0] += 1
+        return make_leaves(*args, **kwargs)
 
     def poisoned(tape, total):
         backward(tape, total)
-        if not tapes or tapes[-1]() is not tape:
-            tapes.append(weakref.ref(tape))
-        if len(tapes) == 2:
+        if iteration[0] == 2:
             leaf = next(n for n in tape.nodes if n.adjoint is not None)
             leaf.adjoint = np.full_like(leaf.adjoint, np.nan)
 
+    monkeypatch.setattr(net, "make_leaves", counting)
     monkeypatch.setattr(trainer.Tape, "backward", poisoned)
     _, report = trainer.fit(tiny_series(), quick_config(iterations=4))
-    assert len(tapes) == 4
+    assert iteration[0] == 4
     assert report.rejected_steps == 1
     assert report.peak_rss_mb > 0.0
 
