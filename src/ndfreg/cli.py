@@ -29,11 +29,16 @@ failure, 2 input error, 3 numerical abort.
 
 --threads N: for `fit`, `predict`, `jacobian` and `metrics` it is the
 number of workers, each with one BLAS thread, so these commands pin BLAS
-to one thread.  `fit` runs each step's lanes on min(N, 2) of them
-(`trainer.segment_gradients`, `trainer.LANES`); `predict`, `jacobian`
-and `metrics` run the chunks of their dense evaluations
-(`network.forward_with_derivatives`) on N, and a `metrics --holdout`
-refit is a fit on the same count.  Without it the count is two
+to one thread.  `fit` runs each step's two lanes (`trainer.LANES`) on
+min(N, 2) of them: at N >= 2 it forks one lane worker process, which
+sweeps lane 1 of every step while the fit's own process sweeps lane 0
+(`trainer.LaneWorker`), and it reaps it before it returns or raises.
+`predict`, `jacobian` and `metrics` run the chunks of their dense
+evaluations (`network.forward_with_derivatives`) on N threads, and a
+`metrics --holdout` refit is a fit on the same count.  The peak RSS on
+the `fit:` line is the larger of the fit process's and the lane
+worker's (`FitReport.peak_rss_mb`); each counts the pages it shares with
+the other from the fork on.  Without --threads the count is two
 (`DEFAULT_WORKERS`), or one where the process may run on one CPU only
 (its affinity mask, `usable_cpus`; a CPU quota is not read).  Models and
 outputs are byte-identical at any count; --threads 1 runs them on one
@@ -81,7 +86,7 @@ and with the policy:
 The kept top also lets each segment of a fit step reuse the heap the
 last one freed rather than fault it in again.  A regularizer segment is
 one `network.CHUNK_BYTES` time group, 5.8-7.6 MiB of tape at any batch,
-and a step holds one per lane.  The similarity segment is a value-only
+and a step holds one per lane, lane 1's in the lane worker at N >= 2.  The similarity segment is a value-only
 trace of the whole batch, about 47 KiB per point at paper width, f64:
 with a regularizer segment beside it, within the kept top up to about
 1200 points (7.7 MiB at B=128; 374 MiB at B=8192, whose layer arrays

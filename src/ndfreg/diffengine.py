@@ -81,7 +81,7 @@ and every VJP returns its input's shape):
     jet primitives read them.
 
 Tapes are single-owner: one tape per lane of a fitting step, never
-shared across threads.  Evaluation is eager; `backward` runs one reverse
+shared across threads or processes.  Evaluation is eager; `backward` runs one reverse
 sweep in tape order, which makes repeated runs on identical inputs
 bit-identical.  A lane may record and sweep its loss segments on one
 tape: each sweep adds its segment's gradient to the leaves' adjoints.

@@ -29,7 +29,7 @@ from . import diffengine as de
 from . import network as net
 from .diffengine import V, X, Y, Z, Jet, Tape
 from .losses import LossWeights, monotonic_node, ncc_node, total_loss
-from .trainer import SamplePlan, segment_gradients
+from .trainer import LaneWorker, SamplePlan, segment_gradients
 from .volume import Volume3D, Volume4DSeries, trilinear_values_and_grads
 
 __all__ = ["CheckResult", "run_gradcheck", "CORRUPT_HOOKS"]
@@ -309,7 +309,8 @@ def run_gradcheck(seed=0, width=16, points=200, precision="f64", corrupt=None):
 def _param_gradient_worst(seed, corrupt, precision, dtype):
     """Worst relative error of full-loss parameter gradients, taped at
     `dtype` and accumulated segment by segment in the lanes of a fit step
-    (`trainer.segment_gradients`), against f64 central differences of the
+    (`trainer.segment_gradients`), lane 1 in its worker process
+    (`trainer.LaneWorker`), against f64 central differences of the
     one-tape loss (`total_loss`); inf when the plan's monotonic term is 0,
     as the check would then not cover its gradient.
 
@@ -347,8 +348,9 @@ def _param_gradient_worst(seed, corrupt, precision, dtype):
         )
 
     tape = Tape(dtype)
-    leaves = net.make_leaves(tape, state)
-    breakdown, _ = segment_gradients(tape, leaves, series, analytic, plan, cfg)
+    with LaneWorker(state, series, analytic, cfg, dtype) as worker:
+        leaves = net.make_leaves(tape, state)
+        breakdown, _ = segment_gradients(tape, leaves, series, analytic, plan, cfg, worker)
     if breakdown.monotonic == 0.0:
         return float("inf")
     grads = leaves.grads()

@@ -83,12 +83,13 @@ the calling thread and workers - 1 helpers, each taking the next chunk
 until none is left.  Each traces its chunk on its own tape and writes
 that chunk's columns of the results, which are allocated once per call,
 so no two workers touch one array and the results are byte-identical at
-any worker count.  A fit step runs its lanes on the same runner
-(`trainer.segment_gradients`): a fixed number of lanes, each recording
-its loss segments on its own tape and leaves, whose gradients add in
-lane order, so a fitted model is byte-identical at any worker count too.
-numpy drops the GIL in its matmuls and elementwise loops, so the
-workers' kernels run at once; with one BLAS thread per worker (`cli`
+any worker count.  `_run_chunks` serves inference only: a fit step's
+lanes run in two processes, not on these threads (`trainer.LaneWorker`).
+Inference is bound by its matmuls, in which numpy drops the GIL, so the
+workers' kernels run at once: on a 2-CPU host with one BLAS thread, J
+at three times plus d|J|/dt on 24^3 took 1.07-1.22 s on two threads
+against 1.05-1.14 s as two processes, which would not pay for a fork per
+call and shared output arrays.  With one BLAS thread per worker (`cli`
 pins it) a worker is one core.  Each helper runs in a copy of the
 calling thread's context, so numpy's error state (`np.errstate`, a
 context variable) holds on every worker.  Every helper is joined before
@@ -104,8 +105,9 @@ workers hold what one worker held on chunks of twice the size.  Past
 two, peak RSS grows by each worker's chunk set and its BLAS buffers,
 whatever the grid: 3.4-5 MB per worker at paper width, f64 (`cli`
 docstring).  A training tape holds the same bytes grouped or not, and a
-fit step holds one segment tape per running lane.  The reverse sweep's
-transient is the incoming cotangent, one group's block of up to
+fit step holds one segment tape per lane, lane 1's in the lane worker
+process when it runs on one.  The reverse sweep's transient is the
+incoming cotangent, one group's block of up to
 CHUNK_BYTES, plus scratch slot panels, with no second block: every
 sine and leaky rule writes its input cotangent over the leading slots of
 the incoming one, with at most four scratch panels, and no rule
@@ -310,10 +312,18 @@ class Leaves:
         """Every parameter's node, in `NetworkState.param_arrays` order."""
         return [n for pair in self.psi + self.theta for n in pair]
 
+    @classmethod
+    def of(cls, state: "NetworkState", make) -> "Leaves":
+        """`make`, a tape's `leaf` or `constant`, of every parameter of
+        `state`; each (out, 1) bias enters as the (1, out) row that a
+        point-major jet's column term is."""
+        return cls(*([(make(w), make(b.T)) for w, b in part] for part in (state.psi, state.theta)))
+
     def on(self, tape: Tape) -> "Leaves":
         """The same parameter values as leaves of `tape`, with adjoints of
-        their own: the leaves of a fit step's further lanes, whose step
-        made its leaves with one `make_leaves` call."""
+        their own: the leaves of a fit step's lane 1 when it runs on the
+        calling process, whose step made its leaves with one `make_leaves`
+        call."""
         return Leaves(*([(tape.leaf(w.value), tape.leaf(b.value)) for w, b in part]
                         for part in (self.psi, self.theta)))
 
@@ -331,13 +341,9 @@ class Leaves:
 
 
 def make_leaves(tape: Tape, state: NetworkState, trainable: bool = True) -> Leaves:
-    """Tape nodes for every parameter; each (out, 1) bias enters as the
-    (1, out) row that a point-major jet's column term is."""
-    mk = tape.leaf if trainable else tape.constant
-    return Leaves(
-        [(mk(w), mk(b.T)) for w, b in state.psi],
-        [(mk(w), mk(b.T)) for w, b in state.theta],
-    )
+    """Tape nodes for every parameter (`Leaves.of`): recorded leaves, or
+    constants of a frozen state."""
+    return Leaves.of(state, tape.leaf if trainable else tape.constant)
 
 
 def displacement(tape: Tape, out: Jet, time: int | None = None) -> Node:
@@ -500,12 +506,12 @@ def forward_with_derivatives(
 
 
 def _run_chunks(write, starts, workers: int):
-    """Call `write(lo)` for every chunk start on `workers` threads, the
-    calling one and workers - 1 helpers (no more than there are chunks),
-    that each take the next start until none is left; with one worker the
-    calling thread writes every chunk in order.  Each helper runs in a copy
-    of the calling thread's context, so the caller's `np.errstate` holds on
-    every worker.  A worker that raises stops the others after their
+    """Call `write(lo)` for every chunk start of a dense evaluation on
+    `workers` threads, the calling one and workers - 1 helpers (no more
+    than there are chunks), that each take the next start until none is
+    left; with one worker the calling thread writes every chunk in order.
+    Each helper runs in a copy of the calling thread's context, so the
+    caller's `np.errstate` holds on every worker.  A worker that raises stops the others after their
     current chunk, and every helper is joined before the first error is
     re-raised, so no thread outlives the call."""
     workers = min(workers, len(starts))

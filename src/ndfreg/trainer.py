@@ -29,17 +29,30 @@ across the observed times, in groups of as many as fill one block
 Lanes.  A step's segments, the similarity segment first, are dealt to
 LANES fixed lanes: segment i goes to lane i mod LANES.  Each lane records
 and sweeps its segments in order on its own `Tape` with its own leaves
-(lane 0 on the step's tape and leaves, every other lane on leaves of the
-same values, `network.Leaves.on`), and keeps its own running breakdown.
-Then each further lane's adjoints are added in place into lane 0's, and
-the lanes' breakdowns are added, in lane order.  The sums therefore
-never depend on how many threads ran the lanes: `fit(..., workers=N)`
-runs them on min(N, LANES) threads (`network._run_chunks`, the runner of
-the inference chunks), and the fitted model is byte-identical at any N.
-A step holds one segment tape and one set of leaf adjoints per running
-lane.  This is synchronous data-parallel SGD with a fixed-order
-reduction (Goyal et al. 2017, arXiv 1706.02677) over the point chunks of
-one step.
+(lane 0 on the step's tape and leaves, lane 1 on leaves of the same
+values), and keeps its own running breakdown.  Then lane 1's adjoints are
+added in place into lane 0's, and the lanes' breakdowns are added, in
+lane order.  The sums therefore never depend on where the lanes ran, and
+the fitted model is byte-identical at any `fit(..., workers=N)`.  With
+one worker the calling process runs the lanes in turn.  With two or more
+`fit` forks one worker process (`LaneWorker`) after `init_network` and
+before the first step, and it sweeps lane 1 of every step while the
+calling process sweeps lane 0: two processes, not two threads, because a
+step is thousands of numpy calls of 5-50 us each, and two threads of one
+process take turns on the interpreter lock between them (two lanes on
+two threads ran no faster than one at the fit-narrow shape).  The
+parameters live in one anonymous shared map made before the fork, so
+Adam's in-place update reaches the worker with no copy, and the worker
+writes lane 1's leaf adjoints into the same map.  Per step the calling
+process sends the `SamplePlan` and lane 1's segments down a pipe, sweeps
+lane 0, and reads back lane 1's breakdown, tape bytes and peak RSS, or
+its error, which it re-raises.  The worker makes no `make_leaves` call
+(`network.Leaves.of`), so a step's one trainable `make_leaves` call is
+on the calling process.  It exits at the end of its command pipe, so a
+killed fit leaves no worker behind, and `fit` reaps it on every exit.  A
+step holds one segment tape and one set of leaf adjoints per lane.  This
+is synchronous data-parallel SGD with a fixed-order reduction (Goyal et
+al. 2017, arXiv 1706.02677) over the point chunks of one step.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk, on one or
@@ -55,9 +68,16 @@ reproducible to bit-identical parameters, byte-identical at any
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import math
+import mmap
+import os
+import pickle
 import resource
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +93,7 @@ from .volume import (
 
 __all__ = [
     "LANES",
+    "LaneWorker",
     "FitConfig",
     "FitReport",
     "SamplePlan",
@@ -234,7 +255,7 @@ class FitReport:
     wall_time_s: float
     final_checksum: str
     rejected_steps: int = 0  # steps adam_step refused for a non-finite gradient
-    peak_rss_mb: float = 0.0  # peak resident set of the process when the fit ends
+    peak_rss_mb: float = 0.0  # largest peak resident set of the fit's processes
     chunk_points: tuple = ()  # points of each regularizer segment of a step
     similarity_tape_mb: float = 0.0  # largest similarity segment tape, MiB
     regularizer_tape_mb: float = 0.0  # largest regularizer segment tape, MiB
@@ -254,8 +275,10 @@ class FitReport:
 
 def fit(series: Volume4DSeries, config: FitConfig, workers: int = 1):
     """Optimize a fresh network on one subject; returns (state, report).
-    `workers` threads run each step's lanes (`segment_gradients`); the
-    result is byte-identical at any count."""
+    With `workers` >= 2, lane 1 of every step runs in a `LaneWorker`
+    process, forked once after `init_network` and reaped before `fit`
+    returns or raises; the result is byte-identical at any count.  The
+    report's peak RSS is the larger of this process's and the worker's."""
     config.validate()
     if not series.followups:
         raise ValueError("series needs at least one follow-up scan")
@@ -270,6 +293,22 @@ def fit(series: Volume4DSeries, config: FitConfig, workers: int = 1):
     state = net.init_network(
         seed=config.seed, config=config.network, dtype=dtype, time_horizon=t_max
     )
+    chunks = _loss_chunks(
+        config.weights, config.network, config.batch_points, config.reg_time_grid_size, dtype
+    )
+    worker = None
+    if min(workers, LANES) >= 2 and chunks:  # a step of two lanes
+        worker = LaneWorker(state, series, config.weights, config.network, dtype)
+    with worker or contextlib.nullcontext():
+        report = _fit_loop(series, config, state, t_max, dtype, worker)
+    report.chunk_points = tuple(chunks)
+    if worker is not None:
+        report.peak_rss_mb = max(report.peak_rss_mb, worker.peak_rss_kb / 1024.0)
+    return state, report
+
+
+def _fit_loop(series, config, state, t_max, dtype, worker) -> FitReport:
+    """Every iteration of `fit`, lane 1 on `worker` when there is one."""
     params = state.param_arrays()
     opt = AdamState.zeros_like(params)
     rng = np.random.default_rng([config.seed, 0x5EED])
@@ -282,7 +321,7 @@ def fit(series: Volume4DSeries, config: FitConfig, workers: int = 1):
     similarity_bytes = regularizer_bytes = 0
     for it in range(1, config.iterations + 1):
         breakdown, rejected, tape_bytes = _fit_step(
-            series, config, state, params, opt, rng, t_max, mask_points, dtype, workers
+            series, config, state, params, opt, rng, t_max, mask_points, dtype, worker
         )
         rejected_steps += rejected
         similarity_bytes = max(similarity_bytes, tape_bytes[0])
@@ -306,20 +345,20 @@ def fit(series: Volume4DSeries, config: FitConfig, workers: int = 1):
 
             save_model(f"{config.checkpoint_dir}/checkpoint_{it:07d}.ndf", state)
 
-    report = FitReport(
+    return FitReport(
         history=history,
         wall_time_s=time.perf_counter() - started,
         final_checksum=state.checksum(),
         rejected_steps=rejected_steps,
-        # ru_maxrss is in KiB on Linux
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        chunk_points=tuple(_loss_chunks(
-            config.weights, config.network, config.batch_points, config.reg_time_grid_size, dtype
-        )),
+        peak_rss_mb=_peak_rss_kb() / 1024.0,
         similarity_tape_mb=similarity_bytes / 2**20,
         regularizer_tape_mb=regularizer_bytes / 2**20,
     )
-    return state, report
+
+
+def _peak_rss_kb() -> int:
+    """This process's peak resident set; ru_maxrss is in KiB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def _loss_chunks(weights, config, points, grid_times, dtype) -> list:
@@ -340,44 +379,56 @@ def point_chunks(points: int, size: int) -> list:
     return [size + (i < extra) for i in range(n)]
 
 
-def segment_gradients(tape, leaves, series, weights, plan, config, workers=1) -> tuple:
+def segment_gradients(tape, leaves, series, weights, plan, config, worker=None) -> tuple:
     """Record and sweep a step's loss segment by segment, in LANES lanes
-    on `workers` threads (see the module docstring): the similarity terms
-    over the whole batch, then the grid regularizers of each point chunk
-    (`point_chunks`, one time group each), each through
-    `build_total_loss`.  Lane 0 runs on `tape` and `leaves`, which end
-    with the full loss's gradient; every other lane on a tape of its own.
-    Returns the breakdown, summed over the segments in lane order, and
-    each segment's tape bytes (`Tape.stats`) in segment order, the
-    similarity segment's first."""
+    (see the module docstring): the similarity terms over the whole
+    batch, then the grid regularizers of each point chunk (`point_chunks`,
+    one time group each), each through `build_total_loss`.  Lane 0 runs
+    on `tape` and `leaves`, which end with the full loss's gradient.  Lane
+    1 runs on `worker`, a `LaneWorker`, while lane 0 runs here, or without
+    one here after lane 0, on a tape of its own.  Returns the breakdown,
+    summed over the segments in lane order, and each segment's tape bytes
+    (`Tape.stats`) in segment order, the similarity segment's first."""
     segments, lo = [SIMILARITY], 0
     for n in _loss_chunks(weights, config, plan.coords.shape[1], len(plan.reg_grid), tape.dtype):
         segments.append(slice(lo, lo + n))
         lo += n
     lanes = [segments[i::LANES] for i in range(min(LANES, len(segments)))]
-    done = [None] * len(lanes)
-
-    def run(i):
-        lane_tape = tape if i == 0 else Tape(tape.dtype)
-        lane_leaves = leaves if i == 0 else leaves.on(lane_tape)
-        done[i] = (lane_leaves, *_sweep_lane(lane_tape, lane_leaves, series, weights,
-                                             plan, config, lanes[i]))
-
-    net._run_chunks(run, range(len(lanes)), workers)  # no more threads than lanes
-    for other, _, _ in done[1:]:  # in place, in lane order
-        for mine, theirs in zip(leaves.nodes(), other.nodes()):
-            if theirs.adjoint is None:
-                continue
-            if mine.adjoint is None:
-                mine.adjoint = theirs.adjoint
-            else:
-                mine.adjoint += theirs.adjoint
+    if worker is not None and len(lanes) == 2:
+        worker.send(plan, lanes[1])
+        try:
+            done = [_sweep_lane(tape, leaves, series, weights, plan, config, lanes[0])]
+        except BaseException:
+            worker.close(kill=True)  # its reply must not answer a later step
+            raise
+        done.append(worker.receive(leaves))
+    else:
+        done = []
+        for i, lane in enumerate(lanes):  # in turn, each further lane on a tape of its own
+            lane_tape = tape if i == 0 else Tape(tape.dtype)
+            lane_leaves = leaves if i == 0 else leaves.on(lane_tape)
+            done.append(_sweep_lane(lane_tape, lane_leaves, series, weights, plan, config, lane))
+            if i > 0:
+                _add_lane(leaves, [n.adjoint for n in lane_leaves.nodes()])
     sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
-    for _, lane_sums, _ in done:
+    for lane_sums, _ in done:
         for name in LossBreakdown.FIELDS:
             sums[name] += lane_sums[name]
-    tape_bytes = [done[i % LANES][2][i // LANES] for i in range(len(segments))]
+    tape_bytes = [done[i % LANES][1][i // LANES] for i in range(len(segments))]
     return LossBreakdown(**sums), tape_bytes
+
+
+def _add_lane(leaves, adjoints):
+    """Add a further lane's leaf adjoints, in `Leaves.nodes` order and None
+    where no gradient reached a leaf, into `leaves`' in place; a leaf that
+    has none takes a copy."""
+    for mine, theirs in zip(leaves.nodes(), adjoints):
+        if theirs is None:
+            continue
+        if mine.adjoint is None:
+            mine.adjoint = theirs.copy()
+        else:
+            mine.adjoint += theirs
 
 
 def _sweep_lane(tape, leaves, series, weights, plan, config, segments) -> tuple:
@@ -402,10 +453,10 @@ def _sweep_lane(tape, leaves, series, weights, plan, config, segments) -> tuple:
     return sums, tape_bytes
 
 
-def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype, workers):
+def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype, worker):
     """One iteration: fresh leaves on a fresh tape, made by one
-    `make_leaves` call on the calling thread before any lane starts, the
-    loss recorded and swept segment by segment in lanes
+    `make_leaves` call on the calling process, the loss recorded and swept
+    segment by segment in lanes, lane 1 on `worker` when there is one
     (`segment_gradients`), and one optimizer step (skipped when the total
     is non-finite).  Returns the breakdown, whether `adam_step` rejected
     the step, and each segment's tape bytes.  The tapes, their leaves and
@@ -415,12 +466,168 @@ def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype
     leaves = net.make_leaves(tape, state)
     plan = sample_plan(series, config, rng, t_max, mask_points)
     breakdown, tape_bytes = segment_gradients(
-        tape, leaves, series, config.weights, plan, config.network, workers
+        tape, leaves, series, config.weights, plan, config.network, worker
     )
     if not np.isfinite(breakdown.total):
         return breakdown, False, tape_bytes
     _, accepted = adam_step(params, leaves.grads(), opt, config)
     return breakdown, not accepted, tape_bytes
+
+
+class LaneWorker:
+    """Lane 1 of every step of a fit, in a forked worker process (see
+    "Lanes" in the module docstring); a context manager.  Entering it
+    moves `state`'s parameters into one anonymous shared map, values
+    unchanged, and forks the worker; leaving it reaps the worker, killed
+    first when the block raised, and gives `state` plain arrays again.
+    `peak_rss_kb` is the largest peak resident set the worker reported.
+
+    A fork, not a fresh interpreter: the worker starts with the series,
+    the configs and the shared map as they are, and with every page of
+    the calling process shared until one side writes it.  `fit` forks
+    before a step has started any thread, and OpenBLAS stops its own
+    thread pool at a fork (its fork handler) and restarts it on use."""
+
+    def __init__(self, state, series, weights, config, dtype):
+        self.state, self.series, self.weights, self.config = state, series, weights, config
+        self.dtype = np.dtype(dtype)
+        self.pid = None
+        self.peak_rss_kb = 0
+
+    def __enter__(self):
+        pairs = self.state.psi + self.state.theta
+        # the parameters, then each leaf's adjoint (a bias's as its (1, out)
+        # row), each 64-byte aligned, then a flag per leaf for "reached"
+        shapes = [(a.dtype, a.shape) for pair in pairs for a in pair]
+        shapes += [(self.dtype, s) for w, b in pairs for s in (w.shape, b.T.shape)]
+        offsets, end = [], 0
+        for dtype, shape in shapes:
+            offsets.append(end)
+            end += -(-dtype.itemsize * math.prod(shape) // 64) * 64
+        shared = mmap.mmap(-1, end + len(shapes) // 2)  # MAP_SHARED | MAP_ANONYMOUS
+        views = [np.frombuffer(shared, dtype, math.prod(shape), at).reshape(shape)
+                 for (dtype, shape), at in zip(shapes, offsets)]
+        leaves = len(shapes) // 2
+        for view, array in zip(views, self.state.param_arrays()):
+            view[...] = array
+        self._set_params(views[:leaves])
+        self._adjoints = views[leaves:]
+        self._reached = np.frombuffer(shared, np.bool_, leaves, end)
+        commands, replies = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in commands + replies:
+                os.close(fd)
+            self._set_params([a.copy() for a in self.state.param_arrays()])
+            raise
+        if pid == 0:
+            os.close(commands[1])
+            os.close(replies[0])
+            self._serve(commands[0], replies[1])  # never returns
+        os.close(commands[0])
+        os.close(replies[1])
+        self.pid = pid
+        self._commands = os.fdopen(commands[1], "wb")
+        self._replies = os.fdopen(replies[0], "rb")
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        self.close(kill=kind is not None)
+        self._set_params([a.copy() for a in self.state.param_arrays()])
+        return False
+
+    def _set_params(self, arrays):
+        """Make `arrays`, in `NetworkState.param_arrays` order, the state's."""
+        pairs = list(zip(arrays[0::2], arrays[1::2]))
+        cut = len(self.state.psi)
+        self.state.psi, self.state.theta = pairs[:cut], pairs[cut:]
+
+    def send(self, plan, segments):
+        """Start lane 1 of a step: its `segments` of `plan`."""
+        pickle.dump((plan, segments), self._commands, pickle.HIGHEST_PROTOCOL)
+        self._commands.flush()
+
+    def receive(self, leaves) -> tuple:
+        """Wait for the lane `send` started and add its adjoints into
+        `leaves`' in place (`_add_lane`); returns its breakdown sums and
+        each segment's tape bytes, or re-raises its error."""
+        try:
+            error, reply = pickle.load(self._replies)
+        except EOFError:
+            raise RuntimeError(f"fit lane worker {self.pid} ended without a reply") from None
+        if error is not None:
+            raise error
+        sums, tape_bytes, peak_rss_kb = reply
+        self.peak_rss_kb = max(self.peak_rss_kb, peak_rss_kb)
+        _add_lane(leaves, [a if reached else None
+                           for a, reached in zip(self._adjoints, self._reached)])
+        return sums, tape_bytes
+
+    def close(self, kill=False):
+        """Reap the worker: an idle one exits at the end of its command
+        pipe, and `kill` ends a busy one at once."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in (self._commands, self._replies):
+            try:
+                pipe.close()
+            except OSError:  # a dead worker's pipe
+                pass
+        os.waitpid(pid, 0)
+
+    def _serve(self, commands, replies):
+        """The worker's loop: sweep each lane it is sent until its command
+        pipe ends, under the numpy error state and warning filters the
+        calling process had when it forked.  It leaves only through
+        `os._exit`, so it runs none of the calling process's exit
+        handlers."""
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's to handle
+            inbox, outbox = os.fdopen(commands, "rb"), os.fdopen(replies, "wb")
+            while True:
+                try:
+                    command = pickle.load(inbox)
+                except EOFError:  # the fit is over, or its process is gone
+                    code = 0
+                    break
+                pickle.dump(self._sweep(*command), outbox, pickle.HIGHEST_PROTOCOL)
+                outbox.flush()
+        finally:
+            os._exit(code)
+
+    def _sweep(self, plan, segments) -> tuple:
+        """Sweep one lane on leaves of the shared parameters and write its
+        adjoints into the map; returns (None, (sums, tape bytes, peak RSS))
+        or (the error, None)."""
+        try:
+            tape = Tape(self.dtype)
+            leaves = net.Leaves.of(self.state, tape.leaf)
+            sums, tape_bytes = _sweep_lane(tape, leaves, self.series, self.weights,
+                                           plan, self.config, segments)
+            for i, (node, out) in enumerate(zip(leaves.nodes(), self._adjoints)):
+                self._reached[i] = node.adjoint is not None
+                if node.adjoint is not None:
+                    out[...] = node.adjoint
+            return None, (sums, tape_bytes, _peak_rss_kb())
+        except Exception as exc:  # re-raised by the calling process
+            return _portable(exc), None
+
+
+def _portable(exc) -> BaseException:
+    """`exc` with the worker's traceback as a note where notes exist, or a
+    RuntimeError carrying its repr where it does not survive pickling."""
+    if hasattr(exc, "add_note"):
+        exc.add_note("in the fit lane worker:\n" + "".join(traceback.format_exception(exc)))
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return RuntimeError(repr(exc))
+    return exc
 
 
 def predict_field(

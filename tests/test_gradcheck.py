@@ -196,20 +196,26 @@ def test_f32_corruption_fails_only_its_own_check(hook):
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])
-def test_parameter_gradients_sum_in_the_fit_lanes(monkeypatch, precision):
+def test_parameter_gradients_sum_in_the_fit_lanes(monkeypatch, process_log, precision):
     """The parameter-gradients check takes its gradient from the lanes of a
     fit step (`trainer.segment_gradients`): the similarity segment on lane
-    0's tape, the one regularizer chunk on lane 1's, and the check passes."""
+    0 in the calling process, the one regularizer chunk on lane 1 in the
+    lane worker process, whose adjoints come back through the shared map,
+    and the check passes."""
+    import os
+
     from ndfreg import losses, trainer
 
-    sweep, lanes = trainer._sweep_lane, []
+    sweep = trainer._sweep_lane
 
     def tracking(tape, leaves, *args):
-        lanes.append((tape, args[-1]))
+        process_log.write(*(s if s is losses.SIMILARITY else f"{s.start}:{s.stop}"
+                            for s in args[-1]))
         return sweep(tape, leaves, *args)
 
     monkeypatch.setattr(trainer, "_sweep_lane", tracking)
     results = {r.name: r for r in run_gradcheck(precision=precision, **SMALL)}
     assert results["parameter-gradients"].passed
-    assert [segments for _, segments in lanes] == [[losses.SIMILARITY], [slice(0, 16)]]
-    assert lanes[0][0] is not lanes[1][0]
+    lanes = process_log.by_process()
+    assert lanes.pop(os.getpid()) == [["similarity"]]
+    assert list(lanes.values()) == [[["0:16"]]]

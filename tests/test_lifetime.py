@@ -3,6 +3,7 @@ every test here) frees each training tape with its step, the reverse sweep
 releases non-leaf adjoints, and inference records nothing."""
 
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -40,22 +41,26 @@ def tapes(monkeypatch):
     return made
 
 
-def test_fit_keeps_one_tape_per_lane_alive(no_gc, monkeypatch):
+def test_fit_keeps_one_tape_per_lane_alive(no_gc, monkeypatch, process_log):
     """A fit step records its segments on one tape per lane, each freed by
-    reference counting with its step: at most LANES tapes are alive at a
-    time, and none after the fit."""
+    reference counting with its step: on two workers lane 0 runs on the
+    calling process and lane 1 on the lane worker, each process keeps at
+    most one tape alive at a time, so at most LANES are alive in all, and
+    none is alive after the fit."""
     live = weakref.WeakSet()
-    peak = [0]
     init = Tape.__init__
 
     def tracking_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         live.add(self)
-        peak[0] = max(peak[0], len(live))
+        process_log.write(len(live))
 
     monkeypatch.setattr(Tape, "__init__", tracking_init)
     trainer.fit(tiny_series(), quick_config(iterations=3), workers=2)
-    assert peak[0] == trainer.LANES
+    peaks = {pid: max(int(n) for (n,) in lines)
+             for pid, lines in process_log.by_process().items()}
+    assert len(peaks) == trainer.LANES and os.getpid() in peaks
+    assert set(peaks.values()) == {1}
     assert len(live) == 0
 
 

@@ -2,12 +2,14 @@
 grid regularizers point chunk by point chunk, dealt to the step's fixed
 lanes, each segment recorded, swept and released on its lane's tape.  The
 chunked gradient is the one-tape gradient, the lanes' sums do not depend
-on the worker count, the chunk rule makes every regularizer segment one
-time group of one CHUNK_BYTES block, and the fit loop keeps the
-benchmark's iteration boundary."""
+on the worker count, lane 1 in the lane worker process or not, the chunk
+rule makes every regularizer segment one time group of one CHUNK_BYTES
+block, and the fit loop keeps the benchmark's iteration boundary."""
 
+import contextlib
 import functools
 import gc
+import os
 import threading
 import time
 import weakref
@@ -81,13 +83,24 @@ def _one_tape(series, state, plan, weights):
 
 
 def _segmented(series, state, plan, weights, dtype=np.float64, workers=1):
+    """One step's gradients, breakdown and segment tape bytes; on two
+    workers or more lane 1 runs in a `LaneWorker` process, as in a fit."""
+    worker = None
+    if workers > 1:
+        worker = trainer.LaneWorker(state, series, weights, state.config, dtype)
     tape = Tape(dtype)
-    leaves = net.make_leaves(tape, state)
-    breakdown, tape_bytes = trainer.segment_gradients(
-        tape, leaves, series, weights, plan, state.config, workers
-    )
+    with worker or contextlib.nullcontext():
+        leaves = net.make_leaves(tape, state)
+        breakdown, tape_bytes = trainer.segment_gradients(
+            tape, leaves, series, weights, plan, state.config, worker
+        )
     assert tape.nodes == leaves.nodes()
     return leaves.grads(), breakdown, tape_bytes
+
+
+def _name(segment) -> str:
+    """A segment as one word: "similarity", or a chunk's "start:stop"."""
+    return segment if segment is losses.SIMILARITY else f"{segment.start}:{segment.stop}"
 
 
 def test_point_chunks_rule():
@@ -191,15 +204,18 @@ def test_leaf_adjoints_stay_one_array_across_segments(monkeypatch):
     assert all(n.adjoint is a for n, a in zip(leaves.nodes(), lane0[0]))
 
 
-def test_fit_keeps_the_iteration_boundary(monkeypatch):
-    """Forced to 3 chunks, a fit still makes one `make_leaves(trainable=True)`
-    call per iteration, on the calling thread, one tape per lane and at
-    most LANES tapes alive at a time (weak references), and records 1 + 3
-    segments per iteration."""
+def test_fit_keeps_the_iteration_boundary(monkeypatch, process_log):
+    """Forced to 3 chunks, a fit on two workers still makes one
+    `make_leaves(trainable=True)` call per iteration, on the calling
+    process's main thread, and records 1 + 3 segments per iteration: lane
+    0's (the similarity segment and the second chunk) on the calling
+    process and lane 1's (the first and third chunks) on the lane worker.
+    Each process keeps one tape alive at a time (weak references), so at
+    most LANES are alive in all."""
     cfg = quick_config(iterations=3, batch_points=30)
     _force_chunks(monkeypatch, 30, 3)
-    calls, segments = {"leaves": 0}, []
-    live, peak = weakref.WeakSet(), [0]
+    calls = {"leaves": 0}
+    live = weakref.WeakSet()
     make_leaves, build, init = net.make_leaves, trainer.build_total_loss, Tape.__init__
 
     def counting_leaves(tape, state, trainable=True):
@@ -208,20 +224,27 @@ def test_fit_keeps_the_iteration_boundary(monkeypatch):
         return make_leaves(tape, state, trainable)
 
     def counting_build(*args):
-        segments.append(args[-1])  # one append per call, from either lane
+        process_log.write("segment", _name(args[-1]))  # from either process
         return build(*args)
 
     def tracking_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         live.add(self)
-        peak[0] = max(peak[0], len(live))
+        process_log.write("tapes", len(live))
 
     monkeypatch.setattr(net, "make_leaves", counting_leaves)
     monkeypatch.setattr(trainer, "build_total_loss", counting_build)
     monkeypatch.setattr(Tape, "__init__", tracking_init)
     _, report = trainer.fit(tiny_series(), cfg, workers=2)
-    assert calls == {"leaves": 3} and len(segments) == 3 * 4
-    assert peak[0] == trainer.LANES == 2
+    assert calls == {"leaves": 3}
+    logged = process_log.by_process()
+    caller = logged.pop(os.getpid())
+    (worker,) = logged.values()
+    segments = {name: [f[1] for f in lines if f[0] == "segment"]
+                for name, lines in (("caller", caller), ("worker", worker))}
+    assert segments == {"caller": ["similarity", "10:20"] * 3, "worker": ["0:10", "20:30"] * 3}
+    for lines in (caller, worker):
+        assert max(int(f[1]) for f in lines if f[0] == "tapes") == 1
     assert report.chunk_points == (10, 10, 10)
 
 
@@ -270,8 +293,8 @@ def test_fits_are_byte_identical_at_any_worker_count(tmp_path, precision, networ
 
 
 def test_lanes_under_a_short_switch_interval_sum_as_on_one_worker(monkeypatch):
-    """Under a 1 us switch interval, two workers interleave the lanes'
-    Python at every few bytecodes; the step's gradients and breakdown are
+    """Under a 1 us switch interval, which the lane worker inherits, the
+    step's gradients and breakdown with lane 1 in the worker process are
     still the bytes of one worker's, over 5 chunks (3 segments per lane)."""
     import sys
 
@@ -289,9 +312,10 @@ def test_lanes_under_a_short_switch_interval_sum_as_on_one_worker(monkeypatch):
 
 
 def test_a_failing_lane_is_re_raised_after_every_lane_is_joined(monkeypatch):
-    """A segment that raises in lane 1 is re-raised by the step once lane
-    0, still recording a segment of its own when it raised, has ended: no
-    worker thread is left running."""
+    """A segment that raises in lane 1, in the lane worker, is re-raised by
+    the step with its type and message once lane 0, still recording a
+    segment of its own when it raised, has ended, and the worker is reaped
+    as its context ends: no thread or process is left running."""
     series, state, plan = _setup(30)
     _force_chunks(monkeypatch, 30, 3)
     build = trainer.build_total_loss
@@ -308,6 +332,8 @@ def test_a_failing_lane_is_re_raised_after_every_lane_is_joined(monkeypatch):
     with pytest.raises(ValueError, match="lane failed"):
         _segmented(series, state, plan, WEIGHTS, workers=2)
     assert threading.active_count() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_shows_the_halved_regularizer_segment():
