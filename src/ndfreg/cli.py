@@ -29,68 +29,55 @@ failure, 2 input error, 3 numerical abort.
 
 --threads N: for `fit`, `predict`, `jacobian` and `metrics` it is the
 number of workers, each with one BLAS thread, so these commands pin BLAS
-to one thread.  `fit` runs each step's two lanes (`trainer.LANES`) on
-min(N, 2) of them: at N >= 2 it forks one lane worker process, which
-sweeps lane 1 of every step while the fit's own process sweeps lane 0
-(`trainer.LaneWorker`), and it reaps it before it returns or raises.
-`predict`, `jacobian` and `metrics` run the chunks of their dense
-evaluations (`network.forward_with_derivatives`) on N threads, and a
-`metrics --holdout` refit is a fit on the same count.  The peak RSS on
-the `fit:` line is the larger of the fit process's and the lane
+to one thread.  A worker past the first is a forked process
+(`network.Worker`), reaped before its call returns or raises.  `fit`
+runs each step's two lanes (`trainer.LANES`) on min(N, 2) of them: at
+N >= 2 a lane worker sweeps lane 1 of every step while the fit's own
+process sweeps lane 0 (`trainer.LaneWorker`).  `predict`, `jacobian` and
+`metrics` deal the chunks of each dense evaluation
+(`network.forward_with_derivatives`) to this process and N - 1 workers,
+and a `metrics --holdout` refit is a fit on the same count.  The peak RSS
+on the `fit:` line is the larger of the fit process's and the lane
 worker's (`FitReport.peak_rss_mb`); each counts the pages it shares with
 the other from the fork on.  Without --threads the count is two
 (`DEFAULT_WORKERS`), or one where the process may run on one CPU only
 (its affinity mask, `usable_cpus`; a CPU quota is not read).  Models and
 outputs are byte-identical at any count; --threads 1 runs them on one
-core.  A host with more than two CPUs used to run `fit` and the holdout
-refit on an all-core BLAS pool by default; it now gets two workers of
-one BLAS thread each.  No benchmark workload measures such a host, so
-that change is not measured.  Each inference worker holds its own chunk
-working set, which does not grow with the grid, so peak RSS grows with
-the count: on the paper-width model at 24^3 (f64, 2-CPU host, 3 runs
-each) `jacobian --times 12,24,36` read 40.1 MB at one worker, 44.4-44.5
-at two, 49.6-50.0 at three, 54.2-54.9 at four and 68.8-70.6 at eight,
-against 44.0-44.1 when one worker ran chunks of twice the size.
-`predict --with-djdt` and `metrics` grow alike: each worker past two
-adds 3.4-5 MB.  For `phantom` and `gradcheck`, --threads N pins the BLAS
-thread pool, and without it the pool is left as the library starts it.
-Importing this module runs the package `__init__`, which loads numpy and
-its OpenBLAS, so the BLAS count is set twice: through the loaded
-OpenBLAS's own setter, found with ctypes, and through the environment
-variables that a library loaded later reads.
+core.  Each worker holds its own chunk working set in its own process,
+so no process's peak RSS grows with the count: on the paper-width model
+at 24^3 (f64, 2-CPU host, 6 runs each, the largest peak of a command's
+processes) `jacobian --times 12,24,36` read 40.3-40.6 MB at one to four
+workers, `predict --with-djdt --scan` 40.7-41.3 and `metrics` 40.9-41.6.
+For `phantom` and `gradcheck`, --threads N pins the BLAS thread pool,
+and without it the pool is left as the library starts it.  Importing
+this module runs the package `__init__`, which loads numpy and its
+OpenBLAS, so the BLAS count is set twice: through the loaded OpenBLAS's
+own setter, found with ctypes, and through the environment variables
+that a library loaded later reads.
 
-Every command first sets glibc's heap policy (`keep_freed_heap`): arrays
-up to 32 MiB come from the heap rather than from their own mmap, the
-heap keeps 64 MiB of freed top in reserve rather than trimming it, and
-every thread allocates from that one heap (one arena).  By default glibc
-mmaps each 1 MiB jet block (`network.CHUNK_BYTES`) of an inference chunk
-or a fit segment, or trims it off the heap top when it is freed, so every
-chunk touches fresh pages;
-and it gives each thread an arena of its own, so chunk workers would
-fault in pages of their own rather than reuse what other threads freed.
-Three 2 MiB arrays cycled three times on each of two threads fault about
-3000 times with arenas per thread and about 10 times in the one heap.  On
-the paper-width model at 24^3 with two workers, one heap measured 44.0-
-44.3 MB peak RSS for `predict --with-djdt --scan` against 48.0-48.3 MB
-with arenas per thread (46.2-46.4 -> 44.4-44.5 MB for `jacobian`).  The
-grid-size products an inference returns are allocated once per call and
-filled chunk by chunk; above the threshold (a displacement of about
-112^3 voxels) they are mmapped, once per call rather than once per
-chunk.  Measured per process on a paper-width
-model at 24^3 (one BLAS thread, 2-CPU host, 8 MiB chunk arrays), without
-and with the policy:
+Every command first sets glibc's heap policy (`keep_freed_heap`), which
+forked workers inherit: arrays up to 32 MiB come from the heap rather
+than from their own mmap, and the heap keeps 64 MiB of freed top in
+reserve rather than trimming it.  By default glibc mmaps each 1 MiB jet
+block (`network.CHUNK_BYTES`) of an inference chunk or a fit segment, or
+trims it off the heap top when it is freed, so every chunk touches fresh
+pages.  Measured per process on a paper-width model at 24^3 (one BLAS
+thread, 2-CPU host, 8 MiB chunk arrays), without and with the policy:
 `jacobian` at three times 91-96k -> 9.4k minor page faults and 0.30-0.55
 -> 0.04-0.07 s of kernel time, `predict --with-djdt` 99-100k -> 9.7k and
 0.36-0.46 -> 0.04-0.06 s, `metrics` 39-40k -> 11k and 0.16-0.19 -> 0.05-
 0.06 s.  Where the C library has no `mallopt` the policy is not applied.
+The grid-size products an inference returns are not heap: they live on
+a shared map (`network.shared_arrays`).
 The kept top also lets each segment of a fit step reuse the heap the
 last one freed rather than fault it in again.  A regularizer segment is
 one `network.CHUNK_BYTES` time group, 5.8-7.6 MiB of tape at any batch,
-and a step holds one per lane, lane 1's in the lane worker at N >= 2.  The similarity segment is a value-only
-trace of the whole batch, about 47 KiB per point at paper width, f64:
-with a regularizer segment beside it, within the kept top up to about
-1200 points (7.7 MiB at B=128; 374 MiB at B=8192, whose layer arrays
-pass the mmap threshold from 16384 points on).
+and a step holds one per lane, lane 1's in the lane worker at N >= 2.
+The similarity segment is a value-only trace of the whole batch, about
+47 KiB per point at paper width, f64: with a regularizer segment beside
+it, within the kept top up to about 1200 points (7.7 MiB at B=128; 374
+MiB at B=8192, whose layer arrays pass the mmap threshold from 16384
+points on).
 """
 
 from __future__ import annotations
@@ -111,12 +98,11 @@ _OPENBLAS_SETTERS = (
 
 # glibc's mallopt parameters (malloc.h) and the values `keep_freed_heap`
 # sets: the mmap threshold at glibc's ceiling, 32 times
-# network.CHUNK_BYTES, so that every chunk array is heap memory, a kept
-# top that holds both lanes' segments of a fit step up to B of about 1200
-# at paper width, f64, and one arena for every thread
+# network.CHUNK_BYTES, so that every chunk array is heap memory, and a
+# kept top that holds a fit step's segments up to B of about 1200 at paper
+# width, f64
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 HEAP_MMAP_THRESHOLD = 32 << 20
 HEAP_TOP_PAD = 64 << 20
 
@@ -237,10 +223,19 @@ _FIT_SECTIONS = ("fit", "weights", "network")
 _WORKER_COMMANDS = ("fit", "predict", "jacobian", "metrics")
 
 # their default worker count where the CPUs allow it: a fit step has two
-# lanes, two inference workers on half-size chunks hold what one worker
-# held on full-size ones, and each inference worker past two adds its own
-# working set (see the module docstring)
+# lanes, and no benchmark workload measures a host of more than two CPUs
 DEFAULT_WORKERS = 2
+
+# --threads of each command: its worker count, or its BLAS thread pool
+_WORKERS = " (default 2, or 1 where one CPU is usable), each with one BLAS thread"
+_DENSE = "workers of each dense evaluation, this process and N-1 forked ones"
+_THREADS_HELP = {
+    "fit": "workers; at 2 or more a forked one sweeps lane 1 of every step" + _WORKERS,
+    "predict": _DENSE + _WORKERS,
+    "jacobian": _DENSE + _WORKERS,
+    "metrics": _DENSE + ", and of a --holdout refit" + _WORKERS,
+    **dict.fromkeys(("phantom", "gradcheck"), "BLAS threads (default: as the library starts)"),
+}
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
 
@@ -260,7 +255,8 @@ def build_parser():
         --config and one flag per option of `sections`, each in
         `groups[key]` where given."""
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help=_THREADS_HELP[p.prog.split()[-1]])
         if sections:
             p.add_argument("--config", help="INI config file")
         for opt in _OPTIONS:
@@ -309,7 +305,7 @@ def build_parser():
     common(p, ("phantom",), groups={"sigma": noise})
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP["gradcheck"])
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--points", type=_at_least(1), default=200)
@@ -431,11 +427,10 @@ def usable_cpus() -> int:
 
 def keep_freed_heap() -> bool:
     """Let the allocator keep and reuse freed memory: allocations up to
-    HEAP_MMAP_THRESHOLD come from the heap, HEAP_TOP_PAD of freed heap top
-    is kept rather than returned to the kernel, and every thread shares
-    that heap (one arena), so chunk workers reuse what any thread freed.
-    True when the C library's `mallopt` accepted all three settings; False
-    where it has none or refused one."""
+    HEAP_MMAP_THRESHOLD come from the heap, and HEAP_TOP_PAD of freed heap
+    top is kept rather than returned to the kernel.  A forked worker
+    inherits both.  True when the C library's `mallopt` accepted both
+    settings; False where it has none or refused one."""
     import ctypes
 
     try:
@@ -445,9 +440,8 @@ def keep_freed_heap() -> bool:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     accepted = [mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD),
-                mallopt(_M_TOP_PAD, HEAP_TOP_PAD),
-                mallopt(_M_ARENA_MAX, 1)]
-    return accepted == [1, 1, 1]
+                mallopt(_M_TOP_PAD, HEAP_TOP_PAD)]
+    return accepted == [1, 1]
 
 
 def main(argv=None) -> int:

@@ -80,10 +80,11 @@ and every VJP returns its input's shape):
   * jet blocks and their column terms are point-major, as above; only the
     jet primitives read them.
 
-Tapes are single-owner: one tape per lane of a fitting step, never
-shared across threads or processes.  Evaluation is eager; `backward` runs one reverse
-sweep in tape order, which makes repeated runs on identical inputs
-bit-identical.  A lane may record and sweep its loss segments on one
+Tapes are single-owner: one tape per lane of a fitting step or per
+inference chunk, in the one process that made it; the package forks
+worker processes and runs no threads of its own.  Evaluation is eager;
+`backward` runs one reverse sweep in tape order, which makes repeated
+runs on identical inputs bit-identical.  A lane may record and sweep its loss segments on one
 tape: each sweep adds its segment's gradient to the leaves' adjoints.
 
 Lifetime contract:

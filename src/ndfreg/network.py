@@ -76,39 +76,32 @@ slower per layer.  CHUNK_BYTES stays below the CLI's 32 MiB mmap
 threshold (`cli.HEAP_MMAP_THRESHOLD`), so every chunk's arrays come from
 heap a previous chunk freed, not from fresh pages.
 
-Workers.  `forward_with_derivatives` hands its equal-shape chunks to
-`workers` threads (default 1; `cli` passes --threads, by default two
-where the process may run on two CPUs or more) through `_run_chunks`:
-the calling thread and workers - 1 helpers, each taking the next chunk
-until none is left.  Each traces its chunk on its own tape and writes
-that chunk's columns of the results, which are allocated once per call,
-so no two workers touch one array and the results are byte-identical at
-any worker count.  `_run_chunks` serves inference only: a fit step's
-lanes run in two processes, not on these threads (`trainer.LaneWorker`).
-Inference is bound by its matmuls, in which numpy drops the GIL, so the
-workers' kernels run at once: on a 2-CPU host with one BLAS thread, J
-at three times plus d|J|/dt on 24^3 took 1.07-1.22 s on two threads
-against 1.05-1.14 s as two processes, which would not pay for a fork per
-call and shared output arrays.  With one BLAS thread per worker (`cli`
-pins it) a worker is one core.  Each helper runs in a copy of the
-calling thread's context, so numpy's error state (`np.errstate`, a
-context variable) holds on every worker.  Every helper is joined before
-the call returns or re-raises a worker's error.
+Workers.  `forward_with_derivatives` deals its equal-shape chunks to
+`workers` processes (default 1; `cli` passes --threads, by default two
+where the process may run on two CPUs or more): chunk i goes to worker
+i mod N, worker 0 being the calling process and the others `Worker`s it
+forks for the call, each sent its chunk starts as one command.  Each
+traces its chunks on tapes of its own and writes their columns of the
+results, allocated once per call on a `shared_arrays` map, so the
+results are byte-identical at any worker count.  The fit's lane worker
+(`trainer.LaneWorker`) is a `Worker` too: the package forks only there
+and runs no thread of its own.  A caller's `np.errstate` holds on every
+worker, which a fork copies.  Before each chunk a worker checks that its
+parent is still the caller, so a killed caller leaves no worker running;
+on any error the call kills and reaps every worker, then re-raises.
 
 Memory bound: no hidden-layer block exceeds CHUNK_BYTES, K times of P
 points in training or one time of a chunk in inference.  A dense
 inference chunk holds at most the prefix plus two hidden-layer blocks
 (2 MiB at the default chunk size), one rule's input and its output,
 because `trace_network` drops each layer's input activation before the
-layer's rule runs (the sine adds scratch of four slot panels).  So two
-workers hold what one worker held on chunks of twice the size.  Past
-two, peak RSS grows by each worker's chunk set and its BLAS buffers,
-whatever the grid: 3.4-5 MB per worker at paper width, f64 (`cli`
-docstring).  A training tape holds the same bytes grouped or not, and a
-fit step holds one segment tape per lane, lane 1's in the lane worker
-process when it runs on one.  The reverse sweep's transient is the
-incoming cotangent, one group's block of up to
-CHUNK_BYTES, plus scratch slot panels, with no second block: every
+layer's rule runs (the sine adds scratch of four slot panels).  Each
+worker holds one chunk set in its own process, so no process's peak
+grows with the worker count (`cli` docstring).  A training tape holds
+the same bytes grouped or not, and a fit step holds one segment tape per
+lane, lane 1's in the lane worker process when it runs on one.  The
+reverse sweep's transient is the incoming cotangent, one group's block
+of up to CHUNK_BYTES, plus scratch slot panels, with no second block: every
 sine and leaky rule writes its input cotangent over the leading slots of
 the incoming one, with at most four scratch panels, and no rule
 allocates a cotangent block.  Only layer 2's input, the one-time prefix,
@@ -122,11 +115,11 @@ the loss's readers a fit step's regularizer segment records 5.7-5.8
 blocks, leaves left out.
 `forward_with_derivatives` returns the displacement, |I + J| with
 `spatial` and d|I + J|/dt with both; it allocates each of them once at
-grid size and every chunk writes its own columns.  J and dphi/dt stay on
-the output jets, read by `jacobian` and `dphi_dt` where they are needed,
-and are never held at grid size.  A chunk's tape and output
-jets are freed before its worker traces its next chunk, so none of its
-small output arrays splits a freed block's heap hole.
+grid size, on the shared map, and every chunk writes its own columns.
+J and dphi/dt stay on the output jets, read by `jacobian` and `dphi_dt`
+where they are needed, and are never held at grid size.  A chunk's tape
+and output jets are freed before its worker traces its next chunk, so
+none of its small output arrays splits a freed block's heap hole.
 
 Time fed to the sub-network is normalized: months divided by the fitted
 horizon stored on the state.  Derivatives returned here are with respect
@@ -135,9 +128,13 @@ to normalized time.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import math
-import threading
+import mmap
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +153,8 @@ __all__ = [
     "trace_network",
     "forward",
     "forward_with_derivatives",
+    "Worker",
+    "shared_arrays",
 ]
 
 
@@ -467,8 +466,9 @@ def forward_with_derivatives(
     the padding's products are dropped.  `times` is one normalized time
     (returns one DisplacementResult) or a sequence of them (returns a list,
     one result per time); each chunk traces the time-invariant prefix once
-    and shares it across the times.  `workers` threads trace the chunks,
-    each on its own tape (see the module docstring).
+    and shares it across the times.  `workers` processes trace the chunks,
+    the caller and workers - 1 forked ones, each chunk on its own tape (see
+    the module docstring).
 
     A result carries the displacement, |I + J| with `spatial` and
     d|I + J|/dt with both; J and dphi/dt are read off an output jet
@@ -483,16 +483,15 @@ def forward_with_derivatives(
     single = np.ndim(times) == 0
     times = [times] if single else list(times)
     coords = np.asarray(coords, dtype=dtype)
-    n = coords.shape[1]
-    results = [
-        DisplacementResult(
-            coords,
-            np.empty((3, n), dtype),
-            np.empty(n, dtype) if request.spatial else None,
-            np.empty(n, dtype) if request.spatial and request.temporal else None,
-        )
-        for _ in times
-    ]
+    n, spatial = coords.shape[1], request.spatial
+    names = ("displacement", "jac_det", "jac_det_dt")[: 1 + spatial * (1 + request.temporal)]
+    arrays = iter(shared_arrays([(dtype, (3, n) if name == "displacement" else (n,))
+                                 for _ in times for name in names]))
+    results = [DisplacementResult(coords, **{name: next(arrays) for name in names})
+               for _ in times]
+    starts = range(0, n, size)
+    count = max(1, min(workers, len(starts)))
+    caller = os.getpid()
 
     def write(lo):
         cols = slice(lo, min(lo + size, n))
@@ -501,46 +500,136 @@ def forward_with_derivatives(
             chunk = np.pad(chunk, ((0, 0), (0, size - chunk.shape[1])))
         _write_chunk(results, cols, state, chunk, times, request, dtype)
 
-    _run_chunks(write, range(0, n, size), workers)
+    def serve(starts):  # a forked worker's chunks
+        for lo in starts:
+            if os.getppid() != caller:  # the caller is gone: nobody reads the results
+                os._exit(1)
+            write(lo)
+
+    # the stack kills and reaps every worker on an error, and reaps the last
+    # forked first: it holds the caller's ends of the earlier ones' pipes
+    with contextlib.ExitStack() as stack:
+        helpers = [stack.enter_context(Worker(serve, "dense chunk worker"))
+                   for _ in range(1, count)]
+        for k, helper in enumerate(helpers, 1):
+            helper.send(starts[k::count])
+        for lo in starts[::count]:
+            write(lo)
+        for helper in helpers:
+            helper.receive()
     return results[0] if single else results
 
 
-def _run_chunks(write, starts, workers: int):
-    """Call `write(lo)` for every chunk start of a dense evaluation on
-    `workers` threads, the calling one and workers - 1 helpers (no more
-    than there are chunks), that each take the next start until none is
-    left; with one worker the calling thread writes every chunk in order.
-    Each helper runs in a copy of the calling thread's context, so the
-    caller's `np.errstate` holds on every worker.  A worker that raises stops the others after their
-    current chunk, and every helper is joined before the first error is
-    re-raised, so no thread outlives the call."""
-    workers = min(workers, len(starts))
-    pending, lock, errors = iter(starts), threading.Lock(), []
+def shared_arrays(specs) -> list:
+    """Arrays of the (dtype, shape) `specs`, each 64-byte aligned, on one
+    anonymous shared map: a process forked after the call (`Worker`)
+    reads and writes the same memory.  The map lives while an array does."""
+    specs = [(np.dtype(dtype), tuple(shape)) for dtype, shape in specs]
+    offsets, end = [], 0
+    for dtype, shape in specs:
+        offsets.append(end)
+        end += -(-dtype.itemsize * math.prod(shape) // 64) * 64
+    shared = mmap.mmap(-1, max(end, 1))  # MAP_SHARED | MAP_ANONYMOUS
+    return [np.frombuffer(shared, dtype, math.prod(shape), at).reshape(shape)
+            for (dtype, shape), at in zip(specs, offsets)]
 
-    def work():
-        while not errors:
-            with lock:
-                lo = next(pending, None)
-            if lo is None:
-                return
+
+class Worker:
+    """A forked process that answers each command `send` gives it with
+    `handle(*command)`, which `receive` returns; a context manager that
+    reaps it, killed first when the block raised.  It starts with the
+    caller's memory as it is at the fork: a `shared_arrays` map made before
+    stays shared, and numpy's error state and warning filters hold.  It
+    ignores SIGINT, the caller's to handle, exits at the end of its command
+    pipe, and leaves only through `os._exit`, so it runs none of the
+    caller's exit handlers.  An error in `handle` comes back to `receive`
+    with its type and message (`_portable`); `name` names the worker there."""
+
+    def __init__(self, handle, name):
+        self.name = name
+        commands, replies = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in commands + replies:
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(commands[1])
+            os.close(replies[0])
+            self._serve(handle, commands[0], replies[1])  # never returns
+        os.close(commands[0])
+        os.close(replies[1])
+        self.pid = pid
+        self._commands = os.fdopen(commands[1], "wb")
+        self._replies = os.fdopen(replies[0], "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        self.close(kill=kind is not None)
+
+    def send(self, *command):
+        pickle.dump(command, self._commands, pickle.HIGHEST_PROTOCOL)
+        self._commands.flush()
+
+    def receive(self):
+        """The reply to the oldest command `send` gave, or its error."""
+        try:
+            error, reply = pickle.load(self._replies)
+        except EOFError:
+            raise RuntimeError(f"{self.name} {self.pid} ended without a reply") from None
+        if error is not None:
+            raise error
+        return reply
+
+    def close(self, kill=False):
+        """Reap the worker: an idle one exits at the end of its command
+        pipe, and `kill` ends a busy one at once."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in (self._commands, self._replies):
             try:
-                write(lo)
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append(exc)
+                pipe.close()
+            except OSError:  # a dead worker's pipe
+                pass
+        os.waitpid(pid, 0)
 
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(work,), name="ndfreg-chunk")
-            thread.start()
-            helpers.append(thread)
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+    def _serve(self, handle, commands, replies):
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            inbox, outbox = os.fdopen(commands, "rb"), os.fdopen(replies, "wb")
+            while True:
+                try:
+                    command = pickle.load(inbox)
+                except EOFError:  # the caller is done, or gone
+                    code = 0
+                    break
+                try:
+                    reply = None, handle(*command)
+                except Exception as exc:  # re-raised by the caller
+                    reply = self._portable(exc), None
+                pickle.dump(reply, outbox, pickle.HIGHEST_PROTOCOL)
+                outbox.flush()
+        finally:
+            os._exit(code)
+
+    def _portable(self, exc) -> BaseException:
+        """`exc` with the worker's traceback as a note where notes exist,
+        or a RuntimeError carrying its repr where it does not survive
+        pickling."""
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"in the {self.name}:\n" + "".join(traceback.format_exception(exc)))
+        try:
+            pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            return RuntimeError(repr(exc))
+        return exc
 
 
 def _write_chunk(results, cols, state, coords, times, request, dtype):

@@ -35,29 +35,30 @@ added in place into lane 0's, and the lanes' breakdowns are added, in
 lane order.  The sums therefore never depend on where the lanes ran, and
 the fitted model is byte-identical at any `fit(..., workers=N)`.  With
 one worker the calling process runs the lanes in turn.  With two or more
-`fit` forks one worker process (`LaneWorker`) after `init_network` and
-before the first step, and it sweeps lane 1 of every step while the
-calling process sweeps lane 0: two processes, not two threads, because a
-step is thousands of numpy calls of 5-50 us each, and two threads of one
-process take turns on the interpreter lock between them (two lanes on
-two threads ran no faster than one at the fit-narrow shape).  The
-parameters live in one anonymous shared map made before the fork, so
-Adam's in-place update reaches the worker with no copy, and the worker
-writes lane 1's leaf adjoints into the same map.  Per step the calling
-process sends the `SamplePlan` and lane 1's segments down a pipe, sweeps
-lane 0, and reads back lane 1's breakdown, tape bytes and peak RSS, or
-its error, which it re-raises.  The worker makes no `make_leaves` call
-(`network.Leaves.of`), so a step's one trainable `make_leaves` call is
-on the calling process.  It exits at the end of its command pipe, so a
-killed fit leaves no worker behind, and `fit` reaps it on every exit.  A
-step holds one segment tape and one set of leaf adjoints per lane.  This
-is synchronous data-parallel SGD with a fixed-order reduction (Goyal et
-al. 2017, arXiv 1706.02677) over the point chunks of one step.
+`fit` forks one worker process (`LaneWorker`, a `network.Worker`) after
+`init_network` and before the first step, and it sweeps lane 1 of every
+step while the calling process sweeps lane 0: two processes, not two
+threads, because a step is thousands of numpy calls of 5-50 us each, and
+two threads of one process take turns on the interpreter lock between
+them (two lanes on two threads ran no faster than one at the fit-narrow
+shape).  The parameters live on a `network.shared_arrays` map made
+before the fork, so Adam's in-place update reaches the worker with no
+copy, and the worker writes lane 1's leaf adjoints onto the same map.
+Per step the calling process sends the `SamplePlan` and lane 1's
+segments down the worker's pipe, sweeps lane 0, and reads back lane 1's
+breakdown, tape bytes and peak RSS, or its error, which it re-raises.
+The worker makes no `make_leaves` call (`network.Leaves.of`), so a
+step's one trainable `make_leaves` call is on the calling process.  It
+exits at the end of its command pipe, so a killed fit leaves no worker
+behind, and `fit` reaps it on every exit.  A step holds one segment tape
+and one set of leaf adjoints per lane.  This is synchronous data-parallel
+SGD with a fixed-order reduction (Goyal et al. 2017, arXiv 1706.02677)
+over the point chunks of one step.
 
 `predict_field` evaluates the fitted field on the voxel grid at one time or
 at a sequence of times, which share the prefix chunk by chunk, on one or
-more chunk workers; inference traces one time per group and writes row 0
-of each group's products.  It
+more chunk workers (the calling process and forked ones); inference
+traces one time per group and writes row 0 of each group's products.  It
 returns `network.DisplacementResult`s whose products, those its
 `network.DerivativeRequest` names, are shaped as the grid.
 
@@ -70,14 +71,8 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import math
-import mmap
-import os
-import pickle
 import resource
-import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -475,67 +470,40 @@ def _fit_step(series, config, state, params, opt, rng, t_max, mask_points, dtype
 
 
 class LaneWorker:
-    """Lane 1 of every step of a fit, in a forked worker process (see
+    """Lane 1 of every step of a fit, on a forked `network.Worker` (see
     "Lanes" in the module docstring); a context manager.  Entering it
-    moves `state`'s parameters into one anonymous shared map, values
+    moves `state`'s parameters into a `network.shared_arrays` map, values
     unchanged, and forks the worker; leaving it reaps the worker, killed
     first when the block raised, and gives `state` plain arrays again.
-    `peak_rss_kb` is the largest peak resident set the worker reported.
-
-    A fork, not a fresh interpreter: the worker starts with the series,
-    the configs and the shared map as they are, and with every page of
-    the calling process shared until one side writes it.  `fit` forks
-    before a step has started any thread, and OpenBLAS stops its own
-    thread pool at a fork (its fork handler) and restarts it on use."""
+    `peak_rss_kb` is the largest peak resident set the worker reported."""
 
     def __init__(self, state, series, weights, config, dtype):
         self.state, self.series, self.weights, self.config = state, series, weights, config
         self.dtype = np.dtype(dtype)
-        self.pid = None
         self.peak_rss_kb = 0
 
     def __enter__(self):
         pairs = self.state.psi + self.state.theta
         # the parameters, then each leaf's adjoint (a bias's as its (1, out)
-        # row), each 64-byte aligned, then a flag per leaf for "reached"
-        shapes = [(a.dtype, a.shape) for pair in pairs for a in pair]
-        shapes += [(self.dtype, s) for w, b in pairs for s in (w.shape, b.T.shape)]
-        offsets, end = [], 0
-        for dtype, shape in shapes:
-            offsets.append(end)
-            end += -(-dtype.itemsize * math.prod(shape) // 64) * 64
-        shared = mmap.mmap(-1, end + len(shapes) // 2)  # MAP_SHARED | MAP_ANONYMOUS
-        views = [np.frombuffer(shared, dtype, math.prod(shape), at).reshape(shape)
-                 for (dtype, shape), at in zip(shapes, offsets)]
-        leaves = len(shapes) // 2
+        # row), then a flag per leaf for "reached"
+        specs = [(a.dtype, a.shape) for pair in pairs for a in pair]
+        leaves = len(specs)
+        specs += [(self.dtype, s) for w, b in pairs for s in (w.shape, b.T.shape)]
+        *views, self._reached = net.shared_arrays(specs + [(np.bool_, (leaves,))])
         for view, array in zip(views, self.state.param_arrays()):
             view[...] = array
         self._set_params(views[:leaves])
         self._adjoints = views[leaves:]
-        self._reached = np.frombuffer(shared, np.bool_, leaves, end)
-        commands, replies = os.pipe(), os.pipe()
         try:
-            pid = os.fork()
+            self._worker = net.Worker(self._sweep, "fit lane worker")
         except BaseException:
-            for fd in commands + replies:
-                os.close(fd)
             self._set_params([a.copy() for a in self.state.param_arrays()])
             raise
-        if pid == 0:
-            os.close(commands[1])
-            os.close(replies[0])
-            self._serve(commands[0], replies[1])  # never returns
-        os.close(commands[0])
-        os.close(replies[1])
-        self.pid = pid
-        self._commands = os.fdopen(commands[1], "wb")
-        self._replies = os.fdopen(replies[0], "rb")
         return self
 
     def __exit__(self, kind, exc, tb):
         self.close(kill=kind is not None)
         self._set_params([a.copy() for a in self.state.param_arrays()])
-        return False
 
     def _set_params(self, arrays):
         """Make `arrays`, in `NetworkState.param_arrays` order, the state's."""
@@ -545,89 +513,34 @@ class LaneWorker:
 
     def send(self, plan, segments):
         """Start lane 1 of a step: its `segments` of `plan`."""
-        pickle.dump((plan, segments), self._commands, pickle.HIGHEST_PROTOCOL)
-        self._commands.flush()
+        self._worker.send(plan, segments)
 
     def receive(self, leaves) -> tuple:
         """Wait for the lane `send` started and add its adjoints into
         `leaves`' in place (`_add_lane`); returns its breakdown sums and
         each segment's tape bytes, or re-raises its error."""
-        try:
-            error, reply = pickle.load(self._replies)
-        except EOFError:
-            raise RuntimeError(f"fit lane worker {self.pid} ended without a reply") from None
-        if error is not None:
-            raise error
-        sums, tape_bytes, peak_rss_kb = reply
+        sums, tape_bytes, peak_rss_kb = self._worker.receive()
         self.peak_rss_kb = max(self.peak_rss_kb, peak_rss_kb)
         _add_lane(leaves, [a if reached else None
                            for a, reached in zip(self._adjoints, self._reached)])
         return sums, tape_bytes
 
     def close(self, kill=False):
-        """Reap the worker: an idle one exits at the end of its command
-        pipe, and `kill` ends a busy one at once."""
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        for pipe in (self._commands, self._replies):
-            try:
-                pipe.close()
-            except OSError:  # a dead worker's pipe
-                pass
-        os.waitpid(pid, 0)
-
-    def _serve(self, commands, replies):
-        """The worker's loop: sweep each lane it is sent until its command
-        pipe ends, under the numpy error state and warning filters the
-        calling process had when it forked.  It leaves only through
-        `os._exit`, so it runs none of the calling process's exit
-        handlers."""
-        code = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's to handle
-            inbox, outbox = os.fdopen(commands, "rb"), os.fdopen(replies, "wb")
-            while True:
-                try:
-                    command = pickle.load(inbox)
-                except EOFError:  # the fit is over, or its process is gone
-                    code = 0
-                    break
-                pickle.dump(self._sweep(*command), outbox, pickle.HIGHEST_PROTOCOL)
-                outbox.flush()
-        finally:
-            os._exit(code)
+        """Reap the worker (`network.Worker.close`)."""
+        self._worker.close(kill)
 
     def _sweep(self, plan, segments) -> tuple:
-        """Sweep one lane on leaves of the shared parameters and write its
-        adjoints into the map; returns (None, (sums, tape bytes, peak RSS))
-        or (the error, None)."""
-        try:
-            tape = Tape(self.dtype)
-            leaves = net.Leaves.of(self.state, tape.leaf)
-            sums, tape_bytes = _sweep_lane(tape, leaves, self.series, self.weights,
-                                           plan, self.config, segments)
-            for i, (node, out) in enumerate(zip(leaves.nodes(), self._adjoints)):
-                self._reached[i] = node.adjoint is not None
-                if node.adjoint is not None:
-                    out[...] = node.adjoint
-            return None, (sums, tape_bytes, _peak_rss_kb())
-        except Exception as exc:  # re-raised by the calling process
-            return _portable(exc), None
-
-
-def _portable(exc) -> BaseException:
-    """`exc` with the worker's traceback as a note where notes exist, or a
-    RuntimeError carrying its repr where it does not survive pickling."""
-    if hasattr(exc, "add_note"):
-        exc.add_note("in the fit lane worker:\n" + "".join(traceback.format_exception(exc)))
-    try:
-        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return RuntimeError(repr(exc))
-    return exc
+        """In the worker: sweep one lane on leaves of the shared parameters,
+        write its adjoints onto the map; returns (sums, tape bytes, peak RSS)."""
+        tape = Tape(self.dtype)
+        leaves = net.Leaves.of(self.state, tape.leaf)
+        sums, tape_bytes = _sweep_lane(tape, leaves, self.series, self.weights,
+                                       plan, self.config, segments)
+        for i, (node, out) in enumerate(zip(leaves.nodes(), self._adjoints)):
+            self._reached[i] = node.adjoint is not None
+            if node.adjoint is not None:
+                out[...] = node.adjoint
+        return sums, tape_bytes, _peak_rss_kb()
 
 
 def predict_field(
@@ -648,8 +561,8 @@ def predict_field(
     displacement are (3, nx, ny, nz), |J| and d|J|/dt (nx, ny, nz), views
     of the arrays that `network.forward_with_derivatives` allocated once
     at grid size, so memory is those products plus, per chunk worker
-    (`workers` threads, byte-identical results at any count), one chunk's
-    prefix and two hidden-layer blocks."""
+    (`workers` processes, byte-identical results at any count), one
+    chunk's prefix and two hidden-layer blocks."""
     single = np.ndim(t_months) == 0
     months = [t_months] if single else list(t_months)
     results = net.forward_with_derivatives(

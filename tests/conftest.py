@@ -1,6 +1,7 @@
-"""Suite-wide guards and fixtures: no test may leave a child process, and
-tests that count work in the fit's lane worker, a forked process whose
-memory the test cannot read, log it to a file both processes append to."""
+"""Suite-wide guards and fixtures: no test may leave a child process;
+`forks` records the processes a test forks; and tests that count work in
+a forked worker (the fit's lane worker, a dense chunk worker), whose
+memory the test cannot read, log it to a file every process appends to."""
 
 import os
 
@@ -19,8 +20,23 @@ def no_child_left_behind():
     pytest.fail(f"the test left {state} child process")
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every process forked during the test, in order."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
 class ProcessLog:
-    """Lines any process appends, the forked lane worker's included: each
+    """Lines any process appends, forked workers' included: each
     is the writer's pid and the fields it wrote."""
 
     def __init__(self, path):

@@ -200,53 +200,6 @@ def test_heap_policy_reuses_freed_chunk_arrays():
     assert float(out[1]) < 100
 
 
-# cycles of three CHUNK_BYTES arrays on two threads at once, after the
-# main thread freed six; prints the threads' minor page faults
-_THREAD_CYCLES = """
-import resource
-import threading
-import numpy as np
-from ndfreg import cli, network
-
-print(cli.keep_freed_heap())
-n = network.CHUNK_BYTES // 8
-warm = [np.ones(n) for _ in range(6)]
-del warm
-
-
-def cycles():
-    for _ in range(3):
-        a = np.ones(n)
-        b = np.ones(n)
-        c = a + b
-        del a, b, c
-
-
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-threads = [threading.Thread(target=cycles) for _ in range(2)]
-for t in threads:
-    t.start()
-for t in threads:
-    t.join()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
-def test_heap_policy_reuses_freed_heap_on_worker_threads():
-    """Chunk workers allocate from the heap the policy keeps: under glibc's
-    defaults each thread gets an arena of its own and faults its arrays in
-    (about 4500 faults here); with the policy every thread shares the one
-    heap, so the threads reuse what the main thread freed."""
-    src = os.path.dirname(os.path.dirname(ndfreg.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _THREAD_CYCLES], env=env,
-                         capture_output=True, text=True, check=True).stdout.split()
-    assert out[0] == "True"
-    assert int(out[1]) < 100
-
-
 # runs `jacobian` on a saved model; prints the exit code and whether
 # OpenSSL's `_hashlib` was imported
 _JACOBIAN_MODULES = """
@@ -1001,17 +954,14 @@ def test_inference_threads_write_identical_files(tmp_path):
     assert written["1"] == written["2"]
 
 
-def test_a_failing_chunk_worker_maps_to_its_exit_code(monkeypatch, tmp_path, capsys):
-    """An input error raised on a chunk worker reaches `main` as on one
-    thread: exit 2 with its message, and no worker thread left running."""
-    import itertools
-    import threading
-
+def test_a_failing_chunk_worker_maps_to_its_exit_code(monkeypatch, tmp_path, capsys, forks):
+    """An input error raised on a forked chunk worker reaches `main` as in
+    the calling process: exit 2 with its message, and the worker reaped.
+    The second chunk fails, which --threads 2 deals to the worker."""
     write_chunk = network._write_chunk
-    calls = itertools.count()
 
     def failing(*args):
-        if next(calls) == 1:
+        if args[1].start == args[3].shape[1]:
             raise ValueError("chunk failed")
         write_chunk(*args)
 
@@ -1019,13 +969,49 @@ def test_a_failing_chunk_worker_maps_to_its_exit_code(monkeypatch, tmp_path, cap
     scan = os.path.join(os.path.dirname(_phantom(tmp_path, "0,12", "12,12,12")),
                         "vol_01.raw")
     monkeypatch.setattr(network, "_write_chunk", failing)
-    before = threading.active_count()
     for argv in _inference_argvs(model, scan, str(tmp_path / "out")):
-        calls = itertools.count()
         capsys.readouterr()
+        forks.clear()
         assert cli.main(argv + ["--threads", "2"]) == cli.EXIT_INPUT
         assert "ndfreg: chunk failed" in capsys.readouterr().err
-        assert threading.active_count() == before
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# saves a paper-width model, then runs a long `jacobian --threads 2` on it,
+# printing the pid of each worker it forks
+_KILLED_JACOBIAN = """
+import os, sys
+sys.path[:0] = sys.argv[1:2]
+from ndfreg import cli, fileio, network
+
+model = os.path.join(sys.argv[2], "model.ndf")
+fileio.save_model(model, network.init_network(seed=0))
+fork = os.fork
+
+def announced():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced
+cli.main(["jacobian", "--model", model, "--times", ",".join(map(str, range(1, 13))),
+          "--dims", "40,40,40", "--out", sys.argv[2], "--threads", "2"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_killed_jacobian_leaves_no_worker_running(tmp_path):
+    """SIGKILL to a `jacobian` process still ends its forked chunk worker,
+    mid-command: before each chunk the worker checks that its parent is
+    still the process that forked it.  The command runs about 15 s on two
+    workers; the worker must end within 5."""
+    from test_lane_worker import kill_mid_run
+
+    kill_mid_run(_KILLED_JACOBIAN, [os.path.dirname(os.path.dirname(ndfreg.__file__)),
+                                    str(tmp_path)], 5)
 
 
 @pytest.mark.parametrize("command", ["predict", "jacobian", "metrics"])

@@ -19,21 +19,6 @@ from ndfreg import losses, trainer
 from test_trainer import quick_config, tiny_series
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every process forked during the test, in order."""
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
 def _reaped(pid) -> bool:
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -152,23 +137,22 @@ def _running(pid) -> bool:
         return False
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_a_killed_fit_leaves_no_worker_running():
-    """SIGKILL to a fitting process, which runs no handler, still ends its
-    worker: the worker's command pipe ends with the process."""
-    paths = [str(Path(trainer.__file__).parents[1]), str(Path(__file__).parent)]
+def kill_mid_run(script, args, seconds):
+    """Run `script` with `args`, SIGKILL it once the first worker it
+    forks (whose pid it prints) is running, and assert that the worker
+    ends within `seconds`, though a killed process runs no handler."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_FIT, *paths],
+    proc = subprocess.Popen([sys.executable, "-c", script, *args],
                             stdout=subprocess.PIPE, env=env)
     try:
         pid = int(proc.stdout.readline())
-        time.sleep(0.3)  # some steps in
+        time.sleep(0.3)  # some work in
         assert _running(pid)
     finally:
         proc.kill()
         proc.wait()
         proc.stdout.close()
-    deadline = time.monotonic() + 20
+    deadline = time.monotonic() + seconds
     while _running(pid) and time.monotonic() < deadline:
         time.sleep(0.01)
     try:
@@ -176,6 +160,14 @@ def test_a_killed_fit_leaves_no_worker_running():
     finally:
         if _running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_killed_fit_leaves_no_worker_running():
+    """SIGKILL to a fitting process still ends its worker: the worker's
+    command pipe ends with the process."""
+    paths = [str(Path(trainer.__file__).parents[1]), str(Path(__file__).parent)]
+    kill_mid_run(_KILLED_FIT, paths, 20)
 
 
 @pytest.mark.parametrize("caller_kb", [1, 10**9])

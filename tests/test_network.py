@@ -2,6 +2,7 @@
 finite-difference verification of every analytic derivative product."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -255,11 +256,13 @@ def test_empty_coordinate_block_gives_empty_products():
                 assert value.dtype == np.float64
 
 
-def _chunk_memory(monkeypatch, workers, points):
+def _chunk_memory(monkeypatch, process_log, workers, points):
     """The traced peak of a spatial and temporal evaluation of 700 points
-    at 2 times on `workers` workers in `points`-point chunks, less its
-    products, in blocks: the 8-slot hidden layer of a 256-point chunk
-    (width x 8 x 256 x 8 bytes)."""
+    at 2 times on `workers` workers in `points`-point chunks, summed over
+    the calling process and each forked worker, in blocks: the 8-slot
+    hidden layer of a 256-point chunk (width x 8 x 256 x 8 bytes).  The
+    products live in a shared map, which tracemalloc does not see; a
+    worker logs its own peak after each of its chunks."""
     import tracemalloc
 
     cfg = net.NetworkConfig(hidden_width=64, depth=5, time_hidden_width=6, time_embed_width=8)
@@ -268,36 +271,47 @@ def _chunk_memory(monkeypatch, workers, points):
     times = [0.2, 0.7]
     chunks_of(monkeypatch, points)
     net.forward_with_derivatives(state, coords, times, FULL_REQ, workers=workers)
+    caller, write_chunk = os.getpid(), net._write_chunk
+
+    def logged(*args):
+        write_chunk(*args)
+        if os.getpid() != caller:
+            process_log.write(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(net, "_write_chunk", logged)
     tracemalloc.start()
     try:
         net.forward_with_derivatives(state, coords, times, FULL_REQ, workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    products = len(times) * (3 + 1 + 1) * coords.shape[1] * 8
-    return (peak - products) / (cfg.hidden_width * 8 * 256 * 8)
+    logs = process_log.by_process()
+    assert len(logs) == workers - 1
+    peak += sum(max(int(kb) for (kb,) in lines) for lines in logs.values())
+    return peak / (cfg.hidden_width * 8 * 256 * 8)
 
 
-def test_chunk_memory_is_the_prefix_and_two_blocks(monkeypatch):
+def test_chunk_memory_is_the_prefix_and_two_blocks(monkeypatch, process_log):
     """The traced peak of a spatial and temporal evaluation over 3 chunks
-    and 2 times stays below its products plus 3.5 blocks, a block being one
-    chunk's 8-slot hidden layer (width x 8 x chunk points x 8 bytes).
+    and 2 times stays below 3.5 blocks, a block being one chunk's 8-slot
+    hidden layer (width x 8 x chunk points x 8 bytes); the products are
+    not traced.
 
     A chunk holds the prefix (4 slots: half a block), one rule's input and
     output, and the sine rule's scratch of four (chunk, width) panels (half
     a block): 3.03 blocks measured.  An evaluation that keeps the previous
     layer's activation alive through the rule, holds every product twice
     and also returns J and dphi/dt at full size measured 4.17 blocks."""
-    assert _chunk_memory(monkeypatch, 1, 256) < 3.5
+    assert _chunk_memory(monkeypatch, process_log, 1, 256) < 3.5
 
 
-def test_two_workers_hold_one_workers_chunk_memory(monkeypatch):
+def test_two_workers_hold_one_workers_chunk_memory(monkeypatch, process_log):
     """Two workers on half-size chunks, as CHUNK_BYTES makes them, stay
-    within one worker's bound on full-size chunks: products plus 3.5 blocks
-    of a 256-point chunk.  Each holds 1.5 of those blocks; 2.4-2.9 blocks
-    measured together, as the workers' peaks need not coincide.  Two
-    workers on 256-point chunks measured 4.6-5.9."""
-    assert _chunk_memory(monkeypatch, 2, 128) < 3.5
+    within one worker's bound on full-size chunks: 3.5 blocks of a
+    256-point chunk, the peaks of the calling process and the forked
+    worker summed, as if they coincided: 3.05 measured, 1.5 each.  Two
+    workers on 256-point chunks sum to 6.05."""
+    assert _chunk_memory(monkeypatch, process_log, 2, 128) < 3.5
 
 
 def test_recorded_jet_blocks_are_point_major(monkeypatch):
@@ -407,115 +421,161 @@ def test_workers_give_byte_identical_products(width, request_, times):
     assert products(2) == want and products(3) == want
 
 
-def test_more_workers_than_cores_write_every_chunk_once(monkeypatch):
-    """Under a short switch interval, 5 workers on 1-point to 3-point
-    chunks each take every chunk exactly once: a start taken twice or
-    skipped would show in the starts, or as unwritten columns of the
-    products."""
-    import sys
-    import threading
-
+def test_more_workers_than_cores_write_every_chunk_once(monkeypatch, process_log):
+    """5 workers on 1-point to 3-point chunks write every chunk exactly
+    once, chunk i on worker i mod 5, the calling process being worker 0:
+    a start taken twice or skipped would show in the logged starts, or as
+    unwritten columns of the products."""
     write_chunk = net._write_chunk
-    starts, lock = [], threading.Lock()
 
     def recording(*args):
-        with lock:
-            starts.append(args[1].start)
+        process_log.write(args[1].start)
         write_chunk(*args)
 
     monkeypatch.setattr(net, "_write_chunk", recording)
     state = toy_state(seed=5)
     coords = np.random.default_rng(4).uniform(-1, 1, size=(3, 41))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for size in (1, 2, 3):
-            chunks_of(monkeypatch, size)
-            want = net.forward_with_derivatives(state, coords, 0.3, FULL_REQ)
-            starts.clear()
-            got = net.forward_with_derivatives(state, coords, 0.3, FULL_REQ, workers=5)
-            assert sorted(starts) == list(range(0, 41, size))
-            for name in ("displacement", "jac_det", "jac_det_dt"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for size in (1, 2, 3):
+        chunks_of(monkeypatch, size)
+        want = net.forward_with_derivatives(state, coords, 0.3, FULL_REQ)
+        os.remove(process_log.path)
+        got = net.forward_with_derivatives(state, coords, 0.3, FULL_REQ, workers=5)
+        logs = process_log.by_process()
+        starts = range(0, 41, size)
+        assert list(logs.pop(os.getpid())) == [[str(lo)] for lo in starts[::5]]
+        assert sorted([int(lo) for (lo,) in lines] for lines in logs.values()) == \
+            [list(starts[k::5]) for k in range(1, 5)]
+        for name in ("displacement", "jac_det", "jac_det_dt"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def test_a_failing_chunk_is_re_raised_after_every_worker_is_joined(monkeypatch):
-    """A chunk that raises is re-raised by the call, and every helper thread
-    has ended by then, though the helpers were still busy with a chunk of
-    their own when it raised: none is left running."""
-    import threading
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_chunks(monkeypatch, in_caller, in_worker):
+    """Make the calling process's second chunk raise when `in_caller` and
+    every forked worker's first chunk when `in_worker`; a worker's other
+    chunks take 0.05 s, so a worker is still busy when the caller fails."""
     import time
 
-    write_chunk = net._write_chunk
+    write_chunk, caller, seen = net._write_chunk, os.getpid(), []
 
     def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.05)  # a helper's chunk, still running when one fails
-        elif args[1].start > 0:  # the calling thread's chunk after the first
-            raise ValueError("chunk failed")
+        if os.getpid() == caller:
+            seen.append(args[1].start)
+            if in_caller and len(seen) == 2:
+                raise ValueError("chunk failed in the caller")
+        elif in_worker:
+            raise ValueError("chunk failed in a worker")
+        else:
+            time.sleep(0.05)
         write_chunk(*args)
 
     monkeypatch.setattr(net, "_write_chunk", failing)
+    return seen
+
+
+def test_a_failing_chunk_is_re_raised_after_every_worker_is_joined(monkeypatch, forks):
+    """A chunk that raises is re-raised by the call once every forked
+    worker is reaped, killed if it is still busy with a chunk of its own:
+    one in the calling process, or one in a worker, which comes back with
+    its type and message."""
     chunks_of(monkeypatch, 5)
     state = toy_state(seed=2)
     coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 23))
-    before = threading.active_count()
-    for workers in (1, 2, 3):
-        with pytest.raises(ValueError, match="chunk failed"):
-            net.forward_with_derivatives(state, coords, [0.2, 0.6], FULL_REQ,
-                                         workers=workers)
-        assert threading.active_count() == before
+    for in_worker, where in ((False, "the caller"), (True, "the caller"), (True, "a worker")):
+        for workers in (1, 2, 3) if where == "the caller" else (2, 3):
+            seen = _failing_chunks(monkeypatch, where == "the caller", in_worker)
+            with pytest.raises(ValueError, match=f"chunk failed in {where}"):
+                net.forward_with_derivatives(state, coords, [0.2, 0.6], FULL_REQ,
+                                             workers=workers)
+            _no_child_left()
+            if where == "the caller":
+                assert seen == [0, 5 * workers]
+    assert len(forks) == 2 * (1 + 2) + (1 + 2)
 
 
-def _overflowing_chunks(chunks=4):
-    """A `_run_chunks` writer whose chunks overflow on helper threads only
-    (the calling thread's wait, so every helper takes one), and the names
-    of the threads that wrote them."""
-    import threading
+def test_an_interrupt_in_the_callers_chunk_reaps_every_worker(monkeypatch, forks):
+    """A KeyboardInterrupt in the calling process's own chunk reaches the
+    caller with every forked worker, still busy, killed and reaped."""
     import time
 
-    ran = []
+    write_chunk, caller = net._write_chunk, os.getpid()
 
-    def write(lo):
-        ran.append(threading.current_thread().name)
-        if threading.current_thread() is threading.main_thread():
+    def interrupted(*args):
+        if os.getpid() != caller:
             time.sleep(0.05)
-        else:
+        elif args[1].start > 0:
+            raise KeyboardInterrupt
+        write_chunk(*args)
+
+    monkeypatch.setattr(net, "_write_chunk", interrupted)
+    chunks_of(monkeypatch, 2)
+    coords = np.random.default_rng(0).uniform(-1, 1, size=(3, 23))
+    with pytest.raises(KeyboardInterrupt):
+        net.forward_with_derivatives(toy_state(seed=2), coords, 0.4, FULL_REQ, workers=3)
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_no_worker_is_forked_for_one_chunk_or_one_worker(monkeypatch, forks):
+    """One worker, a call of one chunk and an empty coordinate block fork
+    no process: the calling process writes every chunk.  Three chunks on
+    three workers fork two."""
+    chunks_of(monkeypatch, 256)
+    state = toy_state(seed=3)
+    coords = np.random.default_rng(1).uniform(-1, 1, size=(3, 700))
+    net.forward_with_derivatives(state, coords, [0.1, 0.8], FULL_REQ, workers=1)
+    net.forward_with_derivatives(state, coords[:, :256], 0.1, FULL_REQ, workers=3)
+    net.forward_with_derivatives(state, coords[:, :0], 0.1, FULL_REQ, workers=3)
+    assert forks == []
+    net.forward_with_derivatives(state, coords, 0.1, FULL_REQ, workers=3)
+    assert len(forks) == 2
+
+
+def _overflowing_chunks(monkeypatch, process_log):
+    """Make every chunk of a forked worker overflow, and log the pid of
+    each worker that did."""
+    write_chunk, caller = net._write_chunk, os.getpid()
+
+    def overflowing(*args):
+        if os.getpid() != caller:
+            process_log.write("overflow")
             np.full(4, 1e308) * 10.0
+        write_chunk(*args)
 
-    return write, ran
+    monkeypatch.setattr(net, "_write_chunk", overflowing)
+    chunks_of(monkeypatch, 5)
+    return toy_state(seed=2), np.random.default_rng(0).uniform(-1, 1, size=(3, 20))
 
 
-def test_chunk_helpers_keep_the_callers_error_state():
+def test_chunk_helpers_keep_the_callers_error_state(monkeypatch, process_log):
     """A caller's `np.errstate(over="ignore")` covers every worker's
-    chunks: numpy's error state is a context variable, and each helper
-    runs in a copy of the calling thread's context, so no helper warns
-    (a warning would be an error here)."""
+    chunks: a forked worker keeps numpy's error state and the warning
+    filters of the fork, so no worker warns (a warning would be an error
+    here, and would come back as one)."""
     import warnings
 
-    write, ran = _overflowing_chunks()
+    state, coords = _overflowing_chunks(monkeypatch, process_log)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(over="ignore"):
-            net._run_chunks(write, range(4), 2)
-    assert len(ran) == 4 and "ndfreg-chunk" in ran
+            net.forward_with_derivatives(state, coords, 0.5, FULL_REQ, workers=2)
+    assert [len(lines) for lines in process_log.by_process().values()] == [2]
 
 
-def test_a_helpers_floating_point_error_is_re_raised_after_the_join():
-    """Under `np.errstate(over="raise")` a helper's overflow raises
-    FloatingPointError on that helper, which the call re-raises once every
-    worker is joined."""
-    import threading
-
-    write, ran = _overflowing_chunks()
-    before = threading.active_count()
+def test_a_helpers_floating_point_error_is_re_raised_after_the_join(monkeypatch, process_log):
+    """Under `np.errstate(over="raise")` a forked worker's overflow raises
+    FloatingPointError there, which the call re-raises once every worker
+    is reaped."""
+    state, coords = _overflowing_chunks(monkeypatch, process_log)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            net._run_chunks(write, range(4), 2)
-    assert threading.active_count() == before
-    assert "ndfreg-chunk" in ran
+            net.forward_with_derivatives(state, coords, 0.5, FULL_REQ, workers=2)
+    _no_child_left()
+    assert len(process_log.by_process()) == 1
 
 
 def _jet_arrays(jet, time):
