@@ -27,14 +27,13 @@ configuration is echoed into the output directory next to the results.
 All randomness flows from --seed.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 numerical abort.
 
---threads N: for `fit`, `predict`, `jacobian` and `metrics` it is the
-number of workers, each with one BLAS thread, so these commands pin BLAS
-to one thread.  A worker past the first is a forked process
-(`network.Worker`), reaped before its call returns or raises.  `fit`
-runs each step's two lanes (`trainer.LANES`) on min(N, 2) of them: at
-N >= 2 a lane worker sweeps lane 1 of every step while the fit's own
-process sweeps lane 0 (`trainer.LaneWorker`).  `predict`, `jacobian` and
-`metrics` deal the chunks of each dense evaluation
+--threads N, which `fit`, `predict`, `jacobian` and `metrics` take, is
+the number of workers, each with one BLAS thread.  A worker past the
+first is a forked process (`network.Worker`), reaped before its call
+returns or raises.  `fit` runs each step's two lanes (`trainer.LANES`)
+on min(N, 2) of them: at N >= 2 a lane worker sweeps lane 1 of every
+step while the fit's own process sweeps lane 0 (`trainer.LaneWorker`).
+`predict`, `jacobian` and `metrics` deal the chunks of each dense evaluation
 (`network.forward_with_derivatives`) to this process and N - 1 workers,
 and a `metrics --holdout` refit is a fit on the same count.  The peak RSS
 on the `fit:` line is the larger of the fit process's and the lane
@@ -48,12 +47,15 @@ so no process's peak RSS grows with the count: on the paper-width model
 at 24^3 (f64, 2-CPU host, 6 runs each, the largest peak of a command's
 processes) `jacobian --times 12,24,36` read 40.3-40.6 MB at one to four
 workers, `predict --with-djdt --scan` 40.7-41.3 and `metrics` 40.9-41.6.
-For `phantom` and `gradcheck`, --threads N pins the BLAS thread pool,
-and without it the pool is left as the library starts it.  Importing
-this module runs the package `__init__`, which loads numpy and its
-OpenBLAS, so the BLAS count is set twice: through the loaded OpenBLAS's
-own setter, found with ctypes, and through the environment variables
-that a library loaded later reads.
+`phantom` and `gradcheck` take no --threads: at their sizes neither runs
+a product that BLAS would thread.
+
+Every command pins BLAS to one thread.  Importing this module loads
+neither numpy nor another module of the package, and each command
+imports only the modules it runs, so in a console-script run numpy and
+its OpenBLAS load after `main` has set the environment variables that
+the library reads.  A caller that loaded numpy first gets the count
+through the loaded OpenBLAS's own setter, found with ctypes.
 
 Every command first sets glibc's heap policy (`keep_freed_heap`), which
 forked workers inherit: arrays up to 32 MiB come from the heap rather
@@ -217,16 +219,13 @@ _OPTIONS = (
 
 _FIT_SECTIONS = ("fit", "weights", "network")
 
-# the commands whose --threads is their worker count: the lanes of a fit
-# step (`trainer.fit`, also a `metrics --holdout` refit) or the chunks of
-# a dense evaluation (`network.forward_with_derivatives`)
-_WORKER_COMMANDS = ("fit", "predict", "jacobian", "metrics")
-
-# their default worker count where the CPUs allow it: a fit step has two
+# the default worker count where the CPUs allow it: a fit step has two
 # lanes, and no benchmark workload measures a host of more than two CPUs
 DEFAULT_WORKERS = 2
 
-# --threads of each command: its worker count, or its BLAS thread pool
+# --threads of the commands that take it, their worker count: the lanes of a fit
+# step (`trainer.fit`, also a `metrics --holdout` refit) or the chunks of
+# a dense evaluation (`network.forward_with_derivatives`)
 _WORKERS = " (default 2, or 1 where one CPU is usable), each with one BLAS thread"
 _DENSE = "workers of each dense evaluation, this process and N-1 forked ones"
 _THREADS_HELP = {
@@ -234,7 +233,6 @@ _THREADS_HELP = {
     "predict": _DENSE + _WORKERS,
     "jacobian": _DENSE + _WORKERS,
     "metrics": _DENSE + ", and of a --holdout refit" + _WORKERS,
-    **dict.fromkeys(("phantom", "gradcheck"), "BLAS threads (default: as the library starts)"),
 }
 
 _NOISE_PRESETS = {"clean": 0.0, "noisy015": 0.15, "noisy02": 0.2, "noisy025": 0.25}
@@ -245,18 +243,17 @@ _SLICE_FLAGS = (("--slice-axis", "slice_axis"), ("--slice-index", "slice_index")
 
 
 def build_parser():
-    from .gradcheck import CORRUPT_HOOKS
-
     top = argparse.ArgumentParser(prog="ndfreg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, sections=(), groups=None):
-        """Shared flags, then, for a command that reads option sections,
-        --config and one flag per option of `sections`, each in
-        `groups[key]` where given."""
+        """Shared flags (--threads for the commands in _THREADS_HELP),
+        then, for a command that reads option sections, --config and one
+        flag per option of `sections`, each in `groups[key]` where given."""
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help=_THREADS_HELP[p.prog.split()[-1]])
+        command = p.prog.split()[-1]
+        if command in _THREADS_HELP:
+            p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP[command])
         if sections:
             p.add_argument("--config", help="INI config file")
         for opt in _OPTIONS:
@@ -305,13 +302,12 @@ def build_parser():
     common(p, ("phantom",), groups={"sigma": noise})
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP["gradcheck"])
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--points", type=_at_least(1), default=200)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    p.add_argument("--corrupt", choices=CORRUPT_HOOKS, default=None,
-                   help="fault-injection hook (testing)")
+    p.add_argument("--corrupt", default=None,
+                   help="fault-injection hook (testing), a name in gradcheck.CORRUPT_HOOKS")
 
     return top
 
@@ -447,30 +443,27 @@ def keep_freed_heap() -> bool:
 def main(argv=None) -> int:
     keep_freed_heap()
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print(f"ndfreg: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+    threads = getattr(args, "threads", None)  # phantom and gradcheck take none
+    if threads is not None and threads < 1:
+        print(f"ndfreg: --threads must be >= 1, got {threads}", file=sys.stderr)
         return EXIT_INPUT
-    blas_threads = args.threads
-    if args.command in _WORKER_COMMANDS:  # --threads counts workers
-        args.workers = args.threads or min(usable_cpus(), DEFAULT_WORKERS)
-        blas_threads = 1
-    if blas_threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(blas_threads)
-        pin_blas_threads(blas_threads)
+    args.workers = threads or min(usable_cpus(), DEFAULT_WORKERS)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    pin_blas_threads(1)
     try:
         return _dispatch(args)
     except BrokenPipeError:
         return EXIT_INPUT
-    except Exception as exc:  # mapped to the documented exit codes
+    except (ValueError, OSError, KeyError) as exc:  # input errors load no trainer
+        print(f"ndfreg: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:
         from .trainer import NumericalAbortError
 
         if isinstance(exc, NumericalAbortError):
             print(f"ndfreg: numerical abort: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        if isinstance(exc, (ValueError, OSError, KeyError)):
-            print(f"ndfreg: {exc}", file=sys.stderr)
-            return EXIT_INPUT
         raise
 
 

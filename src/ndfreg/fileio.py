@@ -20,7 +20,6 @@ import struct
 
 import numpy as np
 
-from .network import NetworkConfig, NetworkState
 from .volume import Volume3D, Volume4DSeries, normalize_intensities
 
 __all__ = [
@@ -352,6 +351,8 @@ def _array_shapes(config: NetworkConfig):
 def _network_config(fields: dict) -> NetworkConfig:
     """The NetworkConfig of a header's network fields; a retired key set
     to true is dropped and any other value of it is refused."""
+    from .network import NetworkConfig
+
     fields = dict(fields)
     for key in _RETIRED_NETWORK_KEYS:
         value = fields.pop(key, True)
@@ -366,7 +367,7 @@ def save_model(path: str, state: NetworkState):
     header = {
         "format": "ndfield",
         "network": {
-            k: getattr(state.config, k) for k in NetworkConfig.__dataclass_fields__
+            k: getattr(state.config, k) for k in state.config.__dataclass_fields__
         },
         "seed": state.seed,
         "time_horizon": state.time_horizon,
@@ -381,6 +382,8 @@ def save_model(path: str, state: NetworkState):
 def load_model(path: str) -> NetworkState:
     """Read an NDFIELD container; every mismatch with the architecture its
     header declares, and every non-finite weight, raises FileFormatError."""
+    from .network import NetworkState
+
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MODEL_MAGIC:

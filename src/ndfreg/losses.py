@@ -218,8 +218,10 @@ def build_total_loss(
     """
     if not series.followups:
         raise ValueError("series has no follow-up scan")
+    if not (segment is None or segment == SIMILARITY or isinstance(segment, slice)):
+        raise ValueError(f"unknown loss segment {segment!r}")
     terms = []
-    if segment is None or segment is SIMILARITY:
+    if segment is None or segment == SIMILARITY:
         terms += _similarity_terms(tape, leaves, series, weights, plan, config)
     if segment is None or isinstance(segment, slice):
         terms += _regularizer_terms(tape, leaves, weights, plan, config, segment or slice(None))

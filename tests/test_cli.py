@@ -34,9 +34,9 @@ def _openblas_getters():
 
 
 def test_threads_option_pins_the_loaded_openblas(monkeypatch, tmp_path):
-    """numpy, and with it OpenBLAS, is loaded before `main` parses
-    --threads, so the count must reach the loaded library, not only the
-    environment."""
+    """In this process numpy, and with it OpenBLAS, is loaded before
+    `main` runs, so its count of one must reach the loaded library, not
+    only the environment."""
     getters = _openblas_getters()
     if not getters:
         pytest.skip("no loaded OpenBLAS exports a thread-count getter")
@@ -45,7 +45,7 @@ def test_threads_option_pins_the_loaded_openblas(monkeypatch, tmp_path):
     before = [get() for get in getters]
     try:
         rc = cli.main(["phantom", "--out", str(tmp_path), "--dims", "4,4,4",
-                       "--times", "0,12", "--threads", "1"])
+                       "--times", "0,12"])
         assert rc == cli.EXIT_OK
         assert [get() for get in getters] == [1] * len(getters)
     finally:
@@ -90,13 +90,14 @@ def test_threads_below_one_is_input_error(monkeypatch, tmp_path, capsys):
         raise AssertionError(f"pin_blas_threads({n}) called")
 
     monkeypatch.setattr(cli, "pin_blas_threads", refuse)
-    rc = cli.main(["phantom", "--out", str(tmp_path), "--dims", "4,4,4",
-                   "--times", "0,12", "--threads", "0"])
+    out = tmp_path / "out"
+    rc = cli.main(["jacobian", "--model", _tiny_model(tmp_path), "--times", "1",
+                   "--dims", "4,4,4", "--out", str(out), "--threads", "0"])
     assert rc == cli.EXIT_INPUT
     assert "--threads must be >= 1" in capsys.readouterr().err
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert var not in os.environ
-    assert not (tmp_path / "manifest.txt").exists()
+    assert not out.exists()
 
 
 def test_phantom_manifest_months_equal_the_truth(tmp_path, capsys):
@@ -226,6 +227,74 @@ def test_jacobian_loads_no_openssl(tmp_path):
     assert out == [str(cli.EXIT_OK), "False"]
 
 
+# runs one command in a fresh process; prints, as JSON, the modules loaded
+# after `import ndfreg.cli` (numpy and the package's), the exit code, the
+# package modules loaded after the command and the thread count of each
+# loaded OpenBLAS, read through the getters named in argv[1]
+_COMMAND_MODULES = """
+import ctypes, json, sys
+from ndfreg import cli
+
+def package():
+    return sorted(m[len("ndfreg."):] for m in sys.modules if m.startswith("ndfreg."))
+
+at_import = package() + ["numpy"] * ("numpy" in sys.modules)
+rc = cli.main(sys.argv[2:])
+threads = []
+for path in cli.loaded_openblas():
+    lib = ctypes.CDLL(path)
+    getter = next(filter(None, (getattr(lib, n, None) for n in sys.argv[1].split(","))), None)
+    if getter is not None:
+        getter.restype = ctypes.c_int
+        threads.append(getter())
+print(json.dumps([at_import, rc, package(), threads]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """`import ndfreg.cli` loads neither numpy nor another package module,
+    and each command loads only the modules it runs: `phantom` neither the
+    network nor the tape engine, and no command a module of another's
+    (gradcheck, metrics, phantom).  The children run without the BLAS
+    environment variables: `main` sets them before numpy loads, so the
+    OpenBLAS each loads runs one thread."""
+    import json
+
+    manifest = _phantom(tmp_path, "0,12", _LABELLED)
+    model = _tiny_model(tmp_path)
+    runs = {
+        "phantom": ["--dims", "4,4,4", "--times", "0,12"],
+        "fit": ["--manifest", manifest, "--iterations", "1", *_TINY_FIT],
+        "predict": ["--model", model, "--time", "6", "--dims", "4,4,4"],
+        "jacobian": ["--model", model, "--times", "6", "--dims", "4,4,4"],
+        "metrics": ["--model", model, "--manifest", manifest, "--times", "0,12"],
+        "gradcheck": ["--width", "4", "--points", "5"],
+    }
+    src = os.path.dirname(os.path.dirname(ndfreg.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    loaded, threads = {}, []
+    for command, argv in runs.items():
+        if command != "gradcheck":
+            argv = argv + ["--out", str(tmp_path / "out" / command)]
+        out = subprocess.run(
+            [sys.executable, "-c", _COMMAND_MODULES, ",".join(_GETTERS), command, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()[-1]  # after gradcheck's report
+        at_import, rc, loaded[command], counts = json.loads(out)
+        assert at_import == ["cli"] and rc == cli.EXIT_OK, command
+        threads += counts
+    assert loaded["phantom"] == ["cli", "fileio", "phantom", "volume"]
+    for command in ("fit", "predict", "jacobian"):
+        assert not {"gradcheck", "metrics", "phantom"} & set(loaded[command]), command
+    assert not {"gradcheck", "phantom"} & set(loaded["metrics"])
+    assert not {"fileio", "metrics", "phantom"} & set(loaded["gradcheck"])
+    if not threads:
+        pytest.skip("no loaded OpenBLAS exports a thread-count getter")
+    assert threads == [1] * len(threads)
+
+
 def test_chunk_arrays_stay_below_the_mmap_threshold():
     """A jet block above the threshold would be mmapped again and fault on
     every chunk or segment."""
@@ -239,7 +308,7 @@ def test_chunk_arrays_stay_below_the_mmap_threshold():
     ["metrics", "--model", "{tmp}/missing.ndf", "--manifest", "{tmp}/missing.txt",
      "--times", "0", "--out", "{tmp}/out"],
     ["phantom", "--dims", "4,4,4", "--times", "0,12", "--out", "{tmp}/out"],
-    ["gradcheck", "--threads", "0"],
+    ["gradcheck", "--corrupt", "typo"],
     ["no-such-command"],
 ], ids=["fit", "predict", "jacobian", "metrics", "phantom", "gradcheck", "bad-command"])
 def test_main_sets_the_heap_policy_once(monkeypatch, tmp_path, argv):
@@ -1082,9 +1151,8 @@ def test_metrics_holdout_refits_on_the_chunk_workers(monkeypatch, tmp_path):
 @pytest.mark.parametrize("command", ["fit", "phantom"])
 def test_threads_pins_blas_for_fit_and_phantom(monkeypatch, tmp_path, command):
     """`fit` pins BLAS to one thread per worker, and --threads is its worker
-    count (by default two where two CPUs are usable); for `phantom`
-    --threads is still the BLAS pool, and without it the pool is left
-    alone."""
+    count (by default two where two CPUs are usable); `phantom` pins BLAS
+    to one thread too, and refuses --threads."""
     from ndfreg import trainer
 
     manifest = _phantom(tmp_path, "0,12")
@@ -1105,18 +1173,17 @@ def test_threads_pins_blas_for_fit_and_phantom(monkeypatch, tmp_path, command):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     assert cli.main(argv) == cli.EXIT_OK
-    if command == "fit":
-        assert pinned == [1] and os.environ["OPENBLAS_NUM_THREADS"] == "1"
-        assert workers == [2]
-    else:
-        assert pinned == [] and "OPENBLAS_NUM_THREADS" not in os.environ
+    assert pinned == [1] and os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert workers == ([2] if command == "fit" else [])
     pinned.clear(), workers.clear()
-    assert cli.main(argv + ["--threads", "3"]) == cli.EXIT_OK
     if command == "fit":
+        assert cli.main(argv + ["--threads", "3"]) == cli.EXIT_OK
         assert pinned == [1] and os.environ["OPENBLAS_NUM_THREADS"] == "1"
         assert workers == [3]
     else:
-        assert pinned == [3] and os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "3"])
+        assert exc.value.code == cli.EXIT_INPUT
 
 
 def test_fit_threads_write_identical_files(tmp_path):

@@ -145,6 +145,31 @@ def test_segmented_gradients_match_one_tape(monkeypatch, n, points):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_a_pickled_similarity_segment_records_the_similarity_terms():
+    """A segment sent to the lane worker arrives through a pickle, as a
+    string equal to SIMILARITY but not the same object: it records the
+    similarity terms with the same bits.  A segment that is not None,
+    SIMILARITY or a slice is refused, named."""
+    import pickle
+
+    series, state, plan = _setup()
+    copy = pickle.loads(pickle.dumps(losses.SIMILARITY))
+    assert copy is not losses.SIMILARITY
+    values = []
+    for segment in (losses.SIMILARITY, copy):
+        tape = Tape()
+        leaves = net.make_leaves(tape, state)
+        total, breakdown = losses.build_total_loss(tape, leaves, series, WEIGHTS, plan,
+                                                   state.config, segment)
+        assert total is not None and breakdown.sim > 0.0
+        values.append([getattr(breakdown, name).hex() for name in LossBreakdown.FIELDS])
+    assert values[0] == values[1]
+    tape = Tape()
+    with pytest.raises(ValueError, match="unknown loss segment 'sim'"):
+        losses.build_total_loss(tape, net.make_leaves(tape, state), series, WEIGHTS, plan,
+                                state.config, "sim")
+
+
 def test_segments_free_each_chunk_before_the_next_records(monkeypatch):
     """With the cyclic collector off, every buffer a segment's nodes hold
     is freed before `build_total_loss` records the next segment, so a
